@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 bench microbench json compare stream-bench stream-shard-bench live-smoke live-bench live-pipe-smoke live-pipe-bench live-tier-smoke live-tier-bench fleet-smoke fleet-bench
+.PHONY: all build test tier1 tier2 bench bench-check microbench json compare stream-bench stream-shard-bench live-smoke live-bench live-pipe-smoke live-pipe-bench live-tier-smoke live-tier-bench fleet-smoke fleet-bench
 
 all: tier1
 
@@ -51,6 +51,14 @@ stream-shard-bench:
 # Experiment-level benchmarks (E1–E16 plus substrate micro-benchmarks).
 bench:
 	$(GO) test -run XXX -bench . -benchtime=1x .
+
+# The benchmark harness in bench/ is a module of its own, so `go build
+# ./...` and `go test ./...` at the root do not compile it: this target
+# does, and runs its (fast, clock-free) tests, so a change under internal/
+# that breaks the harness's compatibility surface fails here instead of
+# failing silently at the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Scheduler/dispatch micro-benchmarks: indexed fast path vs the linear
 # differential oracle.

@@ -256,20 +256,60 @@ func compareLive(old, cur jsonReport, tol float64) []string {
 	return regressions
 }
 
+// bothSections handles a live* section one of the reports lacks. pscbench
+// cannot produce these sections itself (tool -json refreshes them), so a
+// missing side is a note, never a regression; it reports whether both are
+// there to compare.
+func bothSections(section, tool string, old, cur bool) bool {
+	if old && !cur {
+		fmt.Fprintf(os.Stderr, "pscbench: note: baseline has a %s section; this run has none to compare (%s -json refreshes it)\n", section, tool)
+	}
+	if cur && !old {
+		fmt.Fprintf(os.Stderr, "pscbench: note: %s section is new in this report; no baseline to compare\n", section)
+	}
+	return old && cur
+}
+
+// liveRow prints one old/new row of a live* section and returns the
+// regression, if the metric is gated and dropped beyond tol.
+func liveRow(section, name string, ov, nv, tol float64, gate bool) []string {
+	var regs []string
+	mark := ""
+	if gate && ov > 0 && regressed(name, ov, nv, tol) {
+		mark = "  REGRESSION"
+		regs = []string{fmt.Sprintf("%s %s: %.0f -> %.0f (%+.0f%%, tolerance %.0f%%)", section, name, ov, nv, pct(ov, nv), tol*100)}
+	}
+	fmt.Printf("%-11s %-28s %10.0f %10.0f %+7.0f%%%s\n", section, name, ov, nv, pct(ov, nv), mark)
+	return regs
+}
+
+// compareCore applies what every live* section is held to, on the report
+// core pscserve's and pscfleet's reports share: throughput gated, latency
+// percentiles informational, a verdict that stopped passing, and recorder
+// drops appearing.
+func compareCore(section string, o, n *live.ReportCore, tol float64) []string {
+	warnSectionProcs(section, o.GOMAXPROCS, n.GOMAXPROCS)
+	regressions := liveRow(section, "ops_per_sec", o.OpsPerSec, n.OpsPerSec, tol, true)
+	liveRow(section, "read_p50_us", o.ReadP50US, n.ReadP50US, tol, false)
+	liveRow(section, "read_p99_us", o.ReadP99US, n.ReadP99US, tol, false)
+	liveRow(section, "write_p50_us", o.WriteP50US, n.WriteP50US, tol, false)
+	liveRow(section, "write_p99_us", o.WriteP99US, n.WriteP99US, tol, false)
+	if o.Pass && !n.Pass {
+		regressions = append(regressions, section+": previous run passed its gates, new run did not")
+	}
+	if o.RecorderDrops == 0 && n.RecorderDrops > 0 {
+		regressions = append(regressions, fmt.Sprintf("%s: recorder dropped %d events (baseline dropped none)", section, n.RecorderDrops))
+	}
+	return regressions
+}
+
 // compareLiveSection diffs one pscserve section (the pipelined "live"
 // headline or the closed-loop "live_closed" baseline) under compareLive's
 // rules.
 func compareLiveSection(section string, o, n *live.Report, tol float64) []string {
-	if o == nil || n == nil {
-		if o != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: note: baseline has a %s section; this run has none to compare (pscserve -json refreshes it)\n", section)
-		}
-		if n != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: note: %s section is new in this report; no baseline to compare\n", section)
-		}
+	if !bothSections(section, "pscserve", o != nil, n != nil) {
 		return nil
 	}
-	warnSectionProcs(section, o.GOMAXPROCS, n.GOMAXPROCS)
 	if o.Nodes != n.Nodes || o.Clients != n.Clients || o.Clock != n.Clock || o.Transport != n.Transport ||
 		o.Registers != n.Registers || o.Pipeline != n.Pipeline || o.Tiers != n.Tiers {
 		fmt.Fprintf(os.Stderr, "pscbench: warning: %s sections ran different configurations (%d nodes/%d clients/%dr/%dp/%s/%s/tiers=%q vs %d/%d/%dr/%dp/%s/%s/tiers=%q); deltas not compared\n",
@@ -277,21 +317,7 @@ func compareLiveSection(section string, o, n *live.Report, tol float64) []string
 			n.Nodes, n.Clients, n.Registers, n.Pipeline, n.Clock, n.Transport, n.Tiers)
 		return nil
 	}
-	var regressions []string
-	row := func(name string, ov, nv float64, gate bool) {
-		mark := ""
-		if gate && ov > 0 && regressed(name, ov, nv, tol) {
-			mark = "  REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("%s %s: %.0f -> %.0f (%+.0f%%, tolerance %.0f%%)", section, name, ov, nv, pct(ov, nv), tol*100))
-		}
-		fmt.Printf("%-11s %-28s %10.0f %10.0f %+7.0f%%%s\n", section, name, ov, nv, pct(ov, nv), mark)
-	}
-	row("ops_per_sec", o.OpsPerSec, n.OpsPerSec, true)
-	row("read_p50_us", o.ReadP50US, n.ReadP50US, false)
-	row("read_p99_us", o.ReadP99US, n.ReadP99US, false)
-	row("write_p50_us", o.WriteP50US, n.WriteP50US, false)
-	row("write_p99_us", o.WriteP99US, n.WriteP99US, false)
+	regressions := compareCore(section, &o.ReportCore, &n.ReportCore, tol)
 	if n.Tiers != "" {
 		// Tiered runs additionally gate the seq tier's measured read
 		// discount: algorithm L's reads must stay at least ε cheaper than
@@ -299,7 +325,7 @@ func compareLiveSection(section string, o, n *live.Report, tol float64) []string
 		// wall-clock noise). A discount that collapsed means the seq tier
 		// stopped delivering the cheaper reads that justify its weaker
 		// consistency.
-		row("read_discount_us", o.ReadDiscountUS, n.ReadDiscountUS, false)
+		liveRow(section, "read_discount_us", o.ReadDiscountUS, n.ReadDiscountUS, tol, false)
 		if n.ReadDiscountUS < n.EpsConfigUS {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: seq-tier read discount %.0fus below ε=%.0fus (theoretical gap 2ε=%.0fus)",
@@ -315,12 +341,6 @@ func compareLiveSection(section string, o, n *live.Report, tol float64) []string
 			}
 		}
 	}
-	if o.Pass && !n.Pass {
-		regressions = append(regressions, section+": previous run passed its online check, new run did not")
-	}
-	if o.RecorderDrops == 0 && n.RecorderDrops > 0 {
-		regressions = append(regressions, fmt.Sprintf("%s: recorder dropped %d events (baseline dropped none)", section, n.RecorderDrops))
-	}
 	return regressions
 }
 
@@ -329,22 +349,14 @@ func compareLiveSection(section string, o, n *live.Report, tol float64) []string
 // -json refreshes it), so a missing candidate is a note, not a failure,
 // and sections from different fleet configurations or chaos scripts only
 // warn — the delta would measure the configuration change, not a
-// regression. Within a matched pair the gates are throughput (beyond
-// tol), the overall verdict, recorder drops appearing, any unexplained
-// checker violation, and any chaos fault whose observed outcome stopped
-// matching its scripted expectation — the last two are correctness
+// regression. Within a matched pair the gates are compareCore's, plus any
+// unexplained checker violation and any chaos fault whose observed outcome
+// stopped matching its scripted expectation — those two are correctness
 // gates, so they fire on the candidate alone, not just on a transition.
 func compareFleet(o, n *fleet.Report, tol float64) []string {
-	if o == nil || n == nil {
-		if o != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: note: baseline has a live_fleet section; this run has none to compare (pscfleet -json refreshes it)\n")
-		}
-		if n != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: note: live_fleet section is new in this report; no baseline to compare\n")
-		}
+	if !bothSections("live_fleet", "pscfleet", o != nil, n != nil) {
 		return nil
 	}
-	warnSectionProcs("live_fleet", o.GOMAXPROCS, n.GOMAXPROCS)
 	if o.Nodes != n.Nodes || o.Registers != n.Registers || o.Clients != n.Clients ||
 		o.Clock != n.Clock || o.Tiers != n.Tiers || o.Seed != n.Seed || o.ChaosScript != n.ChaosScript {
 		fmt.Fprintf(os.Stderr, "pscbench: warning: live_fleet sections ran different configurations (%d nodes/%dr/%dc/%s/seed %d/%q vs %d/%dr/%dc/%s/seed %d/%q); deltas not compared\n",
@@ -352,27 +364,7 @@ func compareFleet(o, n *fleet.Report, tol float64) []string {
 			n.Nodes, n.Registers, n.Clients, n.Clock, n.Seed, n.ChaosScript)
 		return nil
 	}
-	var regressions []string
-	row := func(name string, ov, nv float64, gate bool) {
-		mark := ""
-		if gate && ov > 0 && regressed(name, ov, nv, tol) {
-			mark = "  REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("live_fleet %s: %.0f -> %.0f (%+.0f%%, tolerance %.0f%%)", name, ov, nv, pct(ov, nv), tol*100))
-		}
-		fmt.Printf("%-11s %-28s %10.0f %10.0f %+7.0f%%%s\n", "live_fleet", name, ov, nv, pct(ov, nv), mark)
-	}
-	row("ops_per_sec", o.OpsPerSec, n.OpsPerSec, true)
-	row("read_p50_us", o.ReadP50US, n.ReadP50US, false)
-	row("read_p99_us", o.ReadP99US, n.ReadP99US, false)
-	row("write_p50_us", o.WriteP50US, n.WriteP50US, false)
-	row("write_p99_us", o.WriteP99US, n.WriteP99US, false)
-	if o.Pass && !n.Pass {
-		regressions = append(regressions, "live_fleet: previous run passed its chaos gates, new run did not")
-	}
-	if o.RecorderDrops == 0 && n.RecorderDrops > 0 {
-		regressions = append(regressions, fmt.Sprintf("live_fleet: recorder dropped %d events (baseline dropped none)", n.RecorderDrops))
-	}
+	regressions := compareCore("live_fleet", &o.ReportCore, &n.ReportCore, tol)
 	if n.UnexplainedViolations > 0 {
 		regressions = append(regressions, fmt.Sprintf("live_fleet: %d checker violations not explained by any injected fault", n.UnexplainedViolations))
 	}

@@ -207,8 +207,11 @@ func TestJSONOutput(t *testing.T) {
 func TestCompareLive(t *testing.T) {
 	mk := func(ops float64, pass bool) jsonReport {
 		return jsonReport{Live: &live.Report{
-			Nodes: 3, Clients: 3, Clock: "jitter", Transport: "tcp",
-			OpsPerSec: ops, ReadP99US: 1000, Pass: pass,
+			ReportCore: live.ReportCore{
+				Nodes: 3, Clients: 3, Clock: "jitter",
+				OpsPerSec: ops, ReadP99US: 1000, Pass: pass,
+			},
+			Transport: "tcp",
 		}}
 	}
 	if regs := compareLive(mk(1000, true), mk(950, true), 0.2); len(regs) != 0 {

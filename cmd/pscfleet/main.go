@@ -211,7 +211,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		crashes: plane.Crashes(),
 	})
 
-	printReport(stdout, rep, verdict)
+	printReport(stdout, rep, res, verdict)
 	if *jsonPath != "" {
 		if err := live.MergeSectionIntoBenchFile(*jsonPath, *section, rep); err != nil {
 			fmt.Fprintf(stderr, "pscfleet: write %s: %v\n", *jsonPath, err)
@@ -271,36 +271,32 @@ func buildReport(in reportInputs) *fleet.Report {
 	}
 
 	rep := &fleet.Report{
-		Nodes:      in.nodes,
-		Registers:  in.registers,
-		Tiers:      in.tiersSpec,
-		Clients:    in.clients,
-		Clock:      "perfect+step",
-		Seed:       in.seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		ReportCore: live.ReportCore{
+			Nodes:      in.nodes,
+			Registers:  in.registers,
+			Tiers:      in.tiersSpec,
+			Clients:    in.clients,
+			Clock:      "perfect+step",
+			Seed:       in.seed,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
 
-		DurationMS: float64(in.wall) / float64(time.Millisecond),
-		Ops:        in.res.Ops,
-		Reads:      in.res.Reads,
-		Writes:     in.res.Writes,
-		OpsPerSec:  float64(in.res.Ops) / in.wall.Seconds(),
+			EpsConfigUS:   us(in.eps),
+			EpsMeasuredUS: us(epsHat),
+			D1ConfigUS:    us(in.d1),
+			D2ConfigUS:    us(in.d2),
 
-		ReadP50US:  us(in.res.ReadLat.P50),
-		ReadP99US:  us(in.res.ReadLat.P99),
-		WriteP50US: us(in.res.WriteLat.P50),
-		WriteP99US: us(in.res.WriteLat.P99),
+			Messages:        in.stats.Messages,
+			Held:            in.stats.Held,
+			DelayViolations: in.stats.DelayViolations,
+			Reconnects:      in.stats.Reconnects,
 
-		EpsConfigUS:   us(in.eps),
-		EpsMeasuredUS: us(epsHat),
-		D1ConfigUS:    us(in.d1),
-		D2ConfigUS:    us(in.d2),
+			Violations:    in.verdict.Violations,
+			CheckStates:   in.verdict.CheckStates,
+			CheckShards:   in.checkShards,
+			RecorderDrops: in.stats.RecorderDrops,
+		},
 		DetPeriodUS:   us(in.detPeriod),
-
-		Messages:        in.stats.Messages,
-		Held:            in.stats.Held,
-		DelayViolations: in.stats.DelayViolations,
-		FramesDropped:   in.stats.Dropped,
-		Reconnects:      in.stats.Reconnects,
+		FramesDropped: in.stats.Dropped,
 
 		ChaosScript:     in.script.String(),
 		Chaos:           in.outcomes,
@@ -311,16 +307,13 @@ func buildReport(in reportInputs) *fleet.Report {
 		Suspects: in.stats.Suspects,
 		Restores: in.stats.Restores,
 
-		Violations:            in.verdict.Violations,
 		ExplainedViolations:   explained,
 		UnexplainedViolations: in.verdict.Violations - explained,
 
-		CheckStates:   in.verdict.CheckStates,
-		CheckShards:   in.checkShards,
-		MergedEvents:  in.verdict.Emitted,
-		MergeClamped:  in.verdict.Clamped,
-		RecorderDrops: in.stats.RecorderDrops,
+		MergedEvents: in.verdict.Emitted,
+		MergeClamped: in.verdict.Clamped,
 	}
+	rep.SetLoad(in.res, in.wall)
 	rep.Pass = rep.UnexplainedViolations == 0 &&
 		rep.ChaosMismatches == 0 &&
 		rep.RecorderDrops == 0 &&
@@ -328,9 +321,9 @@ func buildReport(in reportInputs) *fleet.Report {
 	return rep
 }
 
-func printReport(w io.Writer, rep *fleet.Report, v fleet.FleetVerdict) {
-	fmt.Fprintf(w, "pscfleet: %d ops (%.0f ops/s), read p50 %.0fµs p99 %.0fµs, write p50 %.0fµs p99 %.0fµs\n",
-		rep.Ops, rep.OpsPerSec, rep.ReadP50US, rep.ReadP99US, rep.WriteP50US, rep.WriteP99US)
+func printReport(w io.Writer, rep *fleet.Report, res live.LoadResult, v fleet.FleetVerdict) {
+	fmt.Fprintf(w, "pscfleet: %d ops (%.0f ops/s), read p50 %.0fµs p99 %.0fµs, write p50 %.0fµs p99 %.0fµs, issued late p50 %v p99 %v\n",
+		rep.Ops, rep.OpsPerSec, rep.ReadP50US, rep.ReadP99US, rep.WriteP50US, rep.WriteP99US, res.Late.P50, res.Late.P99)
 	fmt.Fprintf(w, "pscfleet: ε̂=%.0fµs (ε=%.0fµs), %d messages, %d delay violations, %d frames dropped, %d reconnects\n",
 		rep.EpsMeasuredUS, rep.EpsConfigUS, rep.Messages, rep.DelayViolations, rep.FramesDropped, rep.Reconnects)
 	fmt.Fprintf(w, "pscfleet: %d crashes / %d restarts, %d suspects / %d restores, %d merged events (%d clamped)\n",

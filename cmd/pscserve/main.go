@@ -449,49 +449,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	report := &live.Report{
-		Nodes:      *nodes,
-		Clients:    *clients,
-		Registers:  *registers,
-		Pipeline:   *pipeline,
-		Clock:      *clockName,
-		Transport:  tname(tr),
-		Seed:       *seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		ReportCore: live.ReportCore{
+			Nodes:      *nodes,
+			Clients:    *clients,
+			Registers:  *registers,
+			Clock:      *clockName,
+			Seed:       *seed,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
 
-		DurationMS: float64(wall.Microseconds()) / 1e3,
-		Ops:        res.Ops,
-		Reads:      res.Reads,
-		Writes:     res.Writes,
-		OpsPerSec:  float64(res.Ops) / wall.Seconds(),
+			EpsConfigUS:   us(eps),
+			EpsMeasuredUS: us(m.Eps),
+			D1ConfigUS:    us(d1),
+			D2ConfigUS:    us(d2),
 
-		ReadP50US:  us(res.ReadLat.P50),
-		ReadP99US:  us(res.ReadLat.P99),
-		WriteP50US: us(res.WriteLat.P50),
-		WriteP99US: us(res.WriteLat.P99),
+			Messages:        m.Messages,
+			Held:            m.Held,
+			DelayViolations: m.DelayViolations,
+			Reconnects:      m.Reconnects,
+
+			Violations:    violations,
+			CheckStates:   liveRes.States,
+			CheckShards:   max(*checkShards, 0),
+			RecorderDrops: m.RecorderDrops,
+			Pass:          violations == 0 && res.Errors == 0 && m.RecorderDrops == 0,
+		},
+		Pipeline:  *pipeline,
+		Transport: tname(tr),
 
 		PipelineDepthMean: res.Depth.Mean(),
 		PerRegOps:         res.PerReg,
 
-		EpsConfigUS:   us(eps),
-		EpsMeasuredUS: us(m.Eps),
-		EllConfigUS:   us(ell),
-		TimerLateUS:   us(m.TimerLate),
-		D1ConfigUS:    us(d1),
-		D2ConfigUS:    us(d2),
-		DelayMinUS:    us(m.DelayMin),
-		DelayMaxUS:    us(m.DelayMax),
-
-		Messages:        m.Messages,
-		Held:            m.Held,
-		DelayViolations: m.DelayViolations,
-		Reconnects:      m.Reconnects,
-
-		Violations:    violations,
-		CheckStates:   liveRes.States,
-		CheckShards:   max(*checkShards, 0),
-		RecorderDrops: m.RecorderDrops,
-		Pass:          violations == 0 && res.Errors == 0 && m.RecorderDrops == 0,
+		EllConfigUS: us(ell),
+		TimerLateUS: us(m.TimerLate),
+		DelayMinUS:  us(m.DelayMin),
+		DelayMaxUS:  us(m.DelayMax),
 	}
+	report.SetLoad(res, wall)
 	if tiered {
 		report.Tiers = *tiersFlag
 		report.TierLin = tierRep[register.TierLin]
@@ -501,8 +494,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "%d ops (%d reads, %d writes) in %v: %.0f ops/s, %d client errors\n",
 		res.Ops, res.Reads, res.Writes, wall.Round(time.Millisecond), report.OpsPerSec, res.Errors)
-	fmt.Fprintf(stdout, "read p50/p99 %v/%v  write p50/p99 %v/%v\n",
-		res.ReadLat.P50, res.ReadLat.P99, res.WriteLat.P50, res.WriteLat.P99)
+	fmt.Fprintf(stdout, "read p50/p99 %v/%v  write p50/p99 %v/%v  issued late p50/p99 %v/%v\n",
+		res.ReadLat.P50, res.ReadLat.P99, res.WriteLat.P50, res.WriteLat.P99, res.Late.P50, res.Late.P99)
 	if tiered {
 		lin, seq := res.Tier[register.TierLin], res.Tier[register.TierSeq]
 		fmt.Fprintf(stdout, "tiers (%s): lin %d regs, %d ops, read p50 %v; seq %d regs, %d ops, read p50 %v; discount %v (2ε=%v, Θ=%v)\n",
@@ -524,8 +517,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "per-register ops over %d registers: min %d, max %d\n", len(res.PerReg), lo, hi)
 	}
-	fmt.Fprintf(stdout, "measured ε̂=%v (configured %v)  timer-late=%v (budget %v)  delay=[%v,%v] of [%v,%v], %d past d2\n",
-		m.Eps, eps, m.TimerLate, ell, m.DelayMin, m.DelayMax, d1, d2, m.DelayViolations)
+	fmt.Fprintf(stdout, "measured ε̂=%v (configured %v)  timer-late=%v (budget %v)  delay=[%v,%v] of [%v,%v], %d past d2, %d dropped at a full queue\n",
+		m.Eps, eps, m.TimerLate, ell, m.DelayMin, m.DelayMax, d1, d2, m.DelayViolations, m.SendDrops)
 	if m.TimerLate > ell {
 		fmt.Fprintf(stdout, "note: timer lateness exceeded the ℓ budget (report-only)\n")
 	}

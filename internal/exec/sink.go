@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
+
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
@@ -82,5 +85,115 @@ func (s *System) emit(e ta.Event) {
 func (s *System) flushSinks(bound simtime.Time) {
 	for _, k := range s.sinks {
 		k.Flush(bound)
+	}
+}
+
+// StampMerge turns several FIFO streams of stamped actions into the one
+// stream the Sink contract describes. It is the single place that
+// contract is enforced for streams that do not come from a System's
+// dispatch loop: the live recorder's per-producer rings and the fleet's
+// per-daemon event streams both go through it. The caller decides which
+// events are safe to emit — it alone knows its streams' lower bounds — and
+// hands them over with Add; Emit then delivers them in (stamp, kind rank,
+// stream, FIFO) order with contiguous Seq, and Flush forwards a watermark
+// that never retreats.
+type StampMerge struct {
+	Sinks []Sink
+
+	pending []stamped
+	seq     int
+	last    simtime.Time // stamp of the last emitted event
+	flushed simtime.Time // highest watermark forwarded
+	clamped int
+}
+
+type stamped struct {
+	ev     ta.Event
+	stream int
+}
+
+// Add queues one event of stream for the next Emit. Each stream's events
+// must be added in that stream's FIFO order.
+func (m *StampMerge) Add(stream int, a ta.Action, at simtime.Time, src string) {
+	m.pending = append(m.pending, stamped{ev: ta.Event{Action: a, At: at, Src: src}, stream: stream})
+}
+
+// Emit delivers every queued event to the sinks and returns how many
+// there were. An event stamped below the last emitted one — a stream that
+// broke its own lower bound — is clamped forward to it and counted, never
+// delivered out of order.
+func (m *StampMerge) Emit() int {
+	// Stable, so equal keys keep insertion order: FIFO within a stream.
+	slices.SortStableFunc(m.pending, func(a, b stamped) int {
+		if c := cmp.Compare(a.ev.At, b.ev.At); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(kindRank(a.ev.Action.Kind), kindRank(b.ev.Action.Kind)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.stream, b.stream)
+	})
+	for i := range m.pending {
+		e := m.pending[i].ev
+		if e.At < m.last {
+			e.At = m.last
+			m.clamped++
+		}
+		m.last = e.At
+		e.Seq = m.seq
+		m.seq++
+		for _, s := range m.Sinks {
+			s.Observe(e)
+		}
+	}
+	n := len(m.pending)
+	clear(m.pending) // drop payload references until the slots are reused
+	m.pending = m.pending[:0]
+	return n
+}
+
+// Flush forwards bound as the low-watermark if it is above every bound
+// forwarded before. The caller guarantees that none of its streams will
+// produce a stamp below bound.
+func (m *StampMerge) Flush(bound simtime.Time) {
+	if bound <= m.flushed {
+		return
+	}
+	m.flushed = bound
+	for _, s := range m.Sinks {
+		s.Flush(bound)
+	}
+}
+
+// Finish ends the stream: the final watermark is the last stamp emitted
+// (or the last bound forwarded, if that is later), and it is always
+// forwarded, because a buffering sink ships on Flush.
+func (m *StampMerge) Finish() {
+	m.flushed = max(m.flushed, m.last)
+	for _, s := range m.Sinks {
+		s.Flush(m.flushed)
+	}
+}
+
+// Emitted is the number of events delivered so far; Clamped is how many
+// of them had to be clamped forward (zero when every stream kept its
+// bound); Watermark is the highest bound forwarded.
+func (m *StampMerge) Emitted() int            { return m.seq }
+func (m *StampMerge) Clamped() int            { return m.clamped }
+func (m *StampMerge) Watermark() simtime.Time { return m.flushed }
+
+// kindRank orders equal-stamp events so an operation's invocation can
+// never be observed after its response: inputs, then everything else,
+// then outputs. Wall-clock stamps are nanosecond readings separated by at
+// least a scheduler hand-off, so ties are theoretical — the rank exists to
+// make the theoretical case harmless.
+func kindRank(k ta.Kind) int {
+	switch k {
+	case ta.KindInput:
+		return 0
+	case ta.KindOutput:
+		return 2
+	default:
+		return 1
 	}
 }

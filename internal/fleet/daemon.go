@@ -87,15 +87,7 @@ func RunDaemon(cfg DaemonConfig) error {
 	if cfg.BeatPeriod <= 0 {
 		cfg.BeatPeriod = 100 * time.Millisecond
 	}
-	if cfg.DetPeriod <= 0 {
-		cfg.DetPeriod = 150 * simtime.Millisecond
-	}
-	if cfg.DetTimeout <= 0 {
-		// Same derivation as the plane's: the clock-model safe timeout plus
-		// slack for ℓ and in-band faults.
-		cfg.DetTimeout = detector.SafeTimeoutClock(cfg.DetPeriod,
-			simtime.NewInterval(cfg.D1, cfg.D2), cfg.Eps) + cfg.Ell + 55*simtime.Millisecond
-	}
+	detDefaults(&cfg.DetPeriod, &cfg.DetTimeout, cfg.D1, cfg.D2, cfg.Eps, cfg.Ell)
 	logf := func(format string, args ...any) {
 		if cfg.Verbose && cfg.Stderr != nil {
 			fmt.Fprintf(cfg.Stderr, "pscnode[%d.%d]: "+format+"\n",
@@ -107,13 +99,9 @@ func RunDaemon(cfg DaemonConfig) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	tiers := make([]register.Tier, cfg.Registers)
-	if cfg.Tiers != "" {
-		var err error
-		tiers, err = register.ParseTiers(cfg.Tiers, cfg.Registers)
-		if err != nil {
-			return err
-		}
+	tiers, err := register.ParseTiers(cfg.Tiers, cfg.Registers)
+	if err != nil {
+		return err
 	}
 
 	conn, err := net.Dial("tcp", cfg.PlaneAddr)
@@ -174,7 +162,7 @@ func RunDaemon(cfg DaemonConfig) error {
 		Node:        cfg.Node,
 		Incarnation: cfg.Incarnation,
 		Pid:         os.Getpid(),
-		NodeAddr:    mesh.Addr(),
+		NodeAddr:    mesh.Addr(cfg.Node),
 		ClientAddr:  srv.Addrs()[cfg.Node],
 	}
 	if err := ctl.send(envelope{Hello: &hello}); err != nil {

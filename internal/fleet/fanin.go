@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 
 	"psclock/internal/exec"
 	"psclock/internal/simtime"
-	"psclock/internal/ta"
 )
 
 // FanIn merges the per-daemon event streams back into one globally
@@ -23,19 +21,15 @@ import (
 // All stamps share one timeline because every process anchors its
 // recorder at the plane's epoch and stamps with the host's wall clock.
 // Cross-process clock imperfections could still produce an event below
-// the merge frontier; such events are clamped forward to the last emitted
-// stamp and counted (Clamped) — expected zero on one host.
+// the merge frontier; exec.StampMerge, which owns the ordering, Seq and
+// watermark rules, clamps such events forward and counts them (Clamped) —
+// expected zero on one host. What is the fan-in's own is the safe bound:
+// the minimum watermark over the live streams.
 type FanIn struct {
 	mu      sync.Mutex
 	streams []faninStream
-	sinks   []exec.Sink
-
-	seq         int
-	lastEmitted simtime.Time
-	lastFlushed simtime.Time
-	clamped     int
-	emitted     int
-	srcs        []string
+	merge   exec.StampMerge
+	srcs    []string
 }
 
 type faninStream struct {
@@ -44,12 +38,10 @@ type faninStream struct {
 	dead      bool
 }
 
-const faninForever = simtime.Time(1<<63 - 1)
-
 // NewFanIn returns a merge over n daemon streams feeding sinks, which the
 // FanIn alone observes from then on (single consumer, like the recorder).
 func NewFanIn(n int, sinks []exec.Sink) *FanIn {
-	f := &FanIn{streams: make([]faninStream, n), sinks: sinks, srcs: make([]string, n)}
+	f := &FanIn{streams: make([]faninStream, n), merge: exec.StampMerge{Sinks: sinks}, srcs: make([]string, n)}
 	for i := range f.srcs {
 		f.srcs[i] = "fleet(" + strconv.Itoa(i) + ")"
 	}
@@ -75,7 +67,7 @@ func (f *FanIn) MarkDead(daemon int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.streams[daemon].dead = true
-	f.streams[daemon].watermark = faninForever
+	f.streams[daemon].watermark = simtime.Never
 	f.emit()
 }
 
@@ -97,12 +89,10 @@ func (f *FanIn) Finish() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range f.streams {
-		f.streams[i].watermark = faninForever
+		f.streams[i].watermark = simtime.Never
 	}
 	f.emit()
-	for _, s := range f.sinks {
-		s.Flush(f.lastEmitted)
-	}
+	f.merge.Finish()
 }
 
 // Clamped reports how many events arrived below the merge frontier and
@@ -110,102 +100,36 @@ func (f *FanIn) Finish() {
 func (f *FanIn) Clamped() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.clamped
+	return f.merge.Clamped()
 }
 
 // Emitted reports how many events have been observed by the sinks.
 func (f *FanIn) Emitted() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.emitted
+	return f.merge.Emitted()
 }
 
-// emit drains every event stamped at or below the minimum live watermark
-// to the sinks in (stamp, kind, stream, FIFO) order. Callers hold f.mu.
+// emit hands every event stamped at or below the minimum live watermark
+// to the merge and forwards that watermark. Callers hold f.mu.
 func (f *FanIn) emit() {
-	bound := faninForever
+	bound := simtime.Never
 	for i := range f.streams {
-		if w := f.streams[i].watermark; w < bound {
-			bound = w
-		}
+		bound = min(bound, f.streams[i].watermark)
 	}
-	if bound == 0 {
-		return
-	}
-	type mergeEv struct {
-		ev     wireEvent
-		stream int
-		idx    int
-	}
-	var batch []mergeEv
 	for i := range f.streams {
 		s := &f.streams[i]
 		n := 0
 		for n < len(s.queue) && s.queue[n].At <= bound {
+			f.merge.Add(i, s.queue[n].Action, s.queue[n].At, f.srcs[i])
 			n++
-		}
-		for j := 0; j < n; j++ {
-			batch = append(batch, mergeEv{ev: s.queue[j], stream: i, idx: j})
 		}
 		if n > 0 {
 			s.queue = append(s.queue[:0:0], s.queue[n:]...)
 		}
 	}
-	if len(batch) == 0 {
-		if bound != faninForever && bound > f.lastFlushed {
-			for _, s := range f.sinks {
-				s.Flush(bound)
-			}
-			f.lastFlushed = bound
-		}
-		return
-	}
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := &batch[i], &batch[j]
-		if a.ev.At != b.ev.At {
-			return a.ev.At < b.ev.At
-		}
-		if ka, kb := faninKindRank(a.ev.Action.Kind), faninKindRank(b.ev.Action.Kind); ka != kb {
-			return ka < kb
-		}
-		if a.stream != b.stream {
-			return a.stream < b.stream
-		}
-		return a.idx < b.idx
-	})
-	for i := range batch {
-		e := ta.Event{
-			Action: batch[i].ev.Action,
-			At:     batch[i].ev.At,
-			Src:    f.srcs[batch[i].stream],
-			Seq:    f.seq,
-		}
-		if e.At < f.lastEmitted {
-			e.At = f.lastEmitted
-			f.clamped++
-		}
-		f.lastEmitted = e.At
-		f.seq++
-		f.emitted++
-		for _, s := range f.sinks {
-			s.Observe(e)
-		}
-	}
-	if bound != faninForever && bound > f.lastFlushed {
-		for _, s := range f.sinks {
-			s.Flush(bound)
-		}
-		f.lastFlushed = bound
-	}
-}
-
-func faninKindRank(k ta.Kind) int {
-	switch k {
-	case ta.KindInput:
-		return 0
-	case ta.KindOutput:
-		return 2
-	default:
-		return 1
+	f.merge.Emit()
+	if bound != simtime.Never {
+		f.merge.Flush(bound)
 	}
 }

@@ -132,12 +132,14 @@ type FleetStats struct {
 	Messages, Held  int
 	Reconnects      int
 	RecorderDrops   int
-	Dropped         int64
-	TimerLate       simtime.Duration
-	Restarts        int
-	Suspects        int
-	Restores        int
-	DetEvents       []DetEvent
+	// Dropped counts inter-node frames that were discarded: cut by a
+	// partition at the fault layer, or refused by a full link queue.
+	Dropped   int64
+	TimerLate simtime.Duration
+	Restarts  int
+	Suspects  int
+	Restores  int
+	DetEvents []DetEvent
 }
 
 // Plane is the fleet control plane.
@@ -184,24 +186,10 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 3
 	}
-	if cfg.DetPeriod <= 0 {
-		cfg.DetPeriod = 150 * simtime.Millisecond
-	}
-	if cfg.DetTimeout <= 0 {
-		// The clock-model safe timeout plus working slack: ℓ (timers fire
-		// late by scheduling) and the in-band fault sizes, so only a real
-		// outage or an out-of-model fault trips the detector.
-		cfg.DetTimeout = detector.SafeTimeoutClock(cfg.DetPeriod,
-			simtime.NewInterval(cfg.D1, cfg.D2), cfg.Eps) + cfg.Ell + 55*simtime.Millisecond
-	}
-
-	tiers := make([]register.Tier, cfg.Registers)
-	if cfg.Tiers != "" {
-		var err error
-		tiers, err = register.ParseTiers(cfg.Tiers, cfg.Registers)
-		if err != nil {
-			return nil, err
-		}
+	detDefaults(&cfg.DetPeriod, &cfg.DetTimeout, cfg.D1, cfg.D2, cfg.Eps, cfg.Ell)
+	tiers, err := register.ParseTiers(cfg.Tiers, cfg.Registers)
+	if err != nil {
+		return nil, err
 	}
 
 	n, regs := cfg.N, cfg.Registers
@@ -256,6 +244,19 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 	return p, nil
 }
 
+// detDefaults fills an unset heartbeat period and timeout, for the plane
+// and for a daemon alike: the clock-model safe timeout plus working slack —
+// ℓ (timers fire late by scheduling) and the in-band fault sizes — so only a
+// real outage or an out-of-model fault trips the detector.
+func detDefaults(period, timeout *simtime.Duration, d1, d2, eps, ell simtime.Duration) {
+	if *period <= 0 {
+		*period = 150 * simtime.Millisecond
+	}
+	if *timeout <= 0 {
+		*timeout = detector.SafeTimeoutClock(*period, simtime.NewInterval(d1, d2), eps) + ell + 55*simtime.Millisecond
+	}
+}
+
 // logf writes a verbose plane log line.
 func (p *Plane) logf(format string, args ...any) {
 	if p.cfg.Verbose && p.cfg.Logw != nil {
@@ -265,15 +266,6 @@ func (p *Plane) logf(format string, args ...any) {
 
 // Epoch returns the fleet's shared simulated-Zero instant.
 func (p *Plane) Epoch() time.Time { return p.epoch }
-
-// elapsed is wall time since the fleet epoch on the plane's clock.
-func (p *Plane) elapsed() simtime.Time {
-	t, err := simtime.TimeFromWall(time.Since(p.epoch))
-	if err != nil {
-		return simtime.Zero
-	}
-	return t
-}
 
 // Start anchors the epoch, spawns the N daemons, wires peers, and waits
 // until every node is Ready (serviceable).
@@ -439,6 +431,7 @@ func (p *Plane) foldLocked(d *daemonState, m live.Measured, dropped int64) {
 	d.base.Held += m.Held
 	d.base.RecorderDrops += m.RecorderDrops
 	d.base.Reconnects += m.Reconnects
+	d.base.SendDrops += m.SendDrops
 	if m.TimerLate > d.base.TimerLate {
 		d.base.TimerLate = m.TimerLate
 	}
@@ -501,7 +494,7 @@ func (p *Plane) onExit(d *daemonState, inc int) {
 	}
 	// Floor first, then spawn: the replacement cannot have recorded
 	// anything before this instant.
-	floor := p.elapsed()
+	floor := live.Since(p.epoch)
 	p.fanin.Reset(d.node, floor)
 	if err := p.spawn(d, inc+1); err != nil {
 		p.logf("node %d respawn failed: %v", d.node, err)
@@ -693,7 +686,7 @@ func (p *Plane) Stats() FleetStats {
 		s.Held += d.base.Held + m.Held
 		s.Reconnects += d.base.Reconnects + m.Reconnects
 		s.RecorderDrops += d.base.RecorderDrops + m.RecorderDrops
-		s.Dropped += d.baseDrop + d.beat.Dropped
+		s.Dropped += d.baseDrop + d.beat.Dropped + int64(d.base.SendDrops+m.SendDrops)
 		if tl := maxDur(d.base.TimerLate, m.TimerLate); tl > s.TimerLate {
 			s.TimerLate = tl
 		}

@@ -1,48 +1,24 @@
 package fleet
 
+import "psclock/internal/live"
+
 // Report is the machine-readable outcome of a pscfleet run: the
 // `live_fleet` section of BENCH_results.json. It extends the live report
-// shape with the fleet's process-level story — crashes commanded and
+// core with the fleet's process-level story — crashes commanded and
 // restarts performed, detector SUSPECT/RESTORE counts, per-fault chaos
-// classifications — and splits checker violations into explained (a
-// crash or partition occurred, so in-flight operations and updates were
-// lost outside the paper's model) and unexplained (a real regression).
+// classifications — and splits the core's checker Violations into
+// explained (a crash or partition occurred, so in-flight operations and
+// updates were lost outside the paper's model) and unexplained (a real
+// regression).
 type Report struct {
-	Nodes     int    `json:"nodes"`
-	Registers int    `json:"registers"`
-	Tiers     string `json:"tiers,omitempty"`
-	Clients   int    `json:"clients"`
-	Clock     string `json:"clock"`
-	Seed      int64  `json:"seed"`
-	// GOMAXPROCS is the plane's; each daemon is its own process with its
-	// own runtime, so this is a lower bound on the fleet's parallelism.
-	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	live.ReportCore
 
-	DurationMS float64 `json:"duration_ms"`
-	Ops        int     `json:"ops"`
-	Reads      int     `json:"reads"`
-	Writes     int     `json:"writes"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
+	DetPeriodUS  float64 `json:"det_period_us"`
+	DetTimeoutUS float64 `json:"det_timeout_us"`
 
-	ReadP50US  float64 `json:"read_p50_us"`
-	ReadP99US  float64 `json:"read_p99_us"`
-	WriteP50US float64 `json:"write_p50_us"`
-	WriteP99US float64 `json:"write_p99_us"`
-
-	EpsConfigUS   float64 `json:"eps_config_us"`
-	EpsMeasuredUS float64 `json:"eps_measured_us"`
-	D1ConfigUS    float64 `json:"d1_config_us"`
-	D2ConfigUS    float64 `json:"d2_config_us"`
-	DetPeriodUS   float64 `json:"det_period_us"`
-	DetTimeoutUS  float64 `json:"det_timeout_us"`
-
-	Messages        int `json:"messages"`
-	Held            int `json:"held"`
-	DelayViolations int `json:"delay_violations"`
 	// FramesDropped counts inter-node frames the fault layer discarded
-	// (partitions) plus mesh sends that found a full queue.
+	// (partitions) plus sends that found their link's queue full.
 	FramesDropped int64 `json:"frames_dropped"`
-	Reconnects    int   `json:"reconnects,omitempty"`
 
 	// ChaosScript is the expanded schedule the run executed (DSL form, so
 	// compare can detect a config change); Chaos is the per-fault record.
@@ -57,24 +33,17 @@ type Report struct {
 	Suspects int `json:"suspects"`
 	Restores int `json:"restores"`
 
-	// Violations is the checker total; ExplainedViolations are those
-	// attributable to injected message/process loss (crashes and
-	// partitions are outside Definition 2.3's delivery model, so the
-	// registers' guarantees legitimately do not hold across them);
-	// UnexplainedViolations = Violations − Explained must be zero.
-	Violations            int `json:"violations"`
+	// ExplainedViolations are the Violations attributable to injected
+	// message/process loss (crashes and partitions are outside Definition
+	// 2.3's delivery model, so the registers' guarantees legitimately do
+	// not hold across them); UnexplainedViolations = Violations −
+	// Explained must be zero.
 	ExplainedViolations   int `json:"explained_violations"`
 	UnexplainedViolations int `json:"unexplained_violations"`
 
-	CheckStates int `json:"check_states"`
-	CheckShards int `json:"check_shards,omitempty"`
 	// MergedEvents is the fan-in's emitted count; MergeClamped counts
 	// events that arrived below the merge frontier and were clamped
 	// forward (expected zero on one host).
 	MergedEvents int `json:"merged_events"`
 	MergeClamped int `json:"merge_clamped"`
-	// RecorderDrops sums daemon-side recorder drops; a clean run asserts
-	// zero.
-	RecorderDrops int  `json:"recorder_drops"`
-	Pass          bool `json:"pass"`
 }

@@ -3,9 +3,9 @@ package linearize
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"psclock/internal/simtime"
+	"psclock/internal/spsc"
 	"psclock/internal/ta"
 )
 
@@ -89,7 +89,7 @@ var _ Checker = (*Sharded)(nil)
 // shard is one worker: an SPSC ring fed by the producer and a goroutine
 // draining it into kid-indexed Online automata.
 type shard struct {
-	ring *spscRing
+	ring *spsc.Ring[shardMsg]
 }
 
 // Message kinds on the shard rings.
@@ -135,7 +135,7 @@ func NewSharded(opt ShardedOptions) *Sharded {
 		}
 		s.shards = make([]*shard, opt.Shards)
 		for i := range s.shards {
-			sh := &shard{ring: newSPSCRing(opt.Queue)}
+			sh := &shard{ring: spsc.New[shardMsg](opt.Queue)}
 			s.shards[i] = sh
 			s.wg.Add(1)
 			go s.worker(sh)
@@ -187,7 +187,7 @@ func (s *Sharded) Begin(key string, node ta.NodeID, inv simtime.Time) {
 		s.at(k, key).Begin(node, inv)
 		return
 	}
-	s.shards[k%len(s.shards)].ring.push(shardMsg{kind: msgBegin, kid: k, key: key, node: node, t: inv})
+	s.shards[k%len(s.shards)].ring.Push(shardMsg{kind: msgBegin, kid: k, key: key, node: node, t: inv})
 }
 
 // Add implements Checker.
@@ -200,7 +200,7 @@ func (s *Sharded) Add(key string, op Op) {
 		s.at(k, key).Add(op)
 		return
 	}
-	s.shards[k%len(s.shards)].ring.push(shardMsg{kind: msgAdd, kid: k, key: key, op: op})
+	s.shards[k%len(s.shards)].ring.Push(shardMsg{kind: msgAdd, kid: k, key: key, op: op})
 }
 
 // Advance implements Checker: the watermark is broadcast, so every shard
@@ -218,7 +218,7 @@ func (s *Sharded) Advance(watermark simtime.Time) {
 		return
 	}
 	for _, sh := range s.shards {
-		sh.ring.push(shardMsg{kind: msgAdvance, t: watermark})
+		sh.ring.Push(shardMsg{kind: msgAdvance, t: watermark})
 	}
 }
 
@@ -244,7 +244,7 @@ func (s *Sharded) Finish() Result {
 		}
 	} else {
 		for _, sh := range s.shards {
-			sh.ring.push(shardMsg{kind: msgFinish})
+			sh.ring.Push(shardMsg{kind: msgFinish})
 		}
 		s.wg.Wait()
 	}
@@ -307,7 +307,7 @@ func (s *Sharded) worker(sh *shard) {
 		return checks[kid]
 	}
 	for {
-		m := sh.ring.popWait()
+		m := sh.ring.PopWait()
 		switch m.kind {
 		case msgBegin:
 			at(m.kid, m.key).Begin(m.node, m.t)
@@ -327,85 +327,5 @@ func (s *Sharded) worker(sh *shard) {
 			}
 			return
 		}
-	}
-}
-
-// spscRing is a bounded single-producer single-consumer queue: a
-// power-of-two ring indexed by free-running atomic head/tail counters, so
-// the uncontended fast path is two atomic loads and a store on each side.
-// When the ring runs empty the consumer parks on the condition variable;
-// when it runs full the producer does. The park flags and the re-checked
-// conditions all go through sequentially-consistent atomics, so a counter
-// update after the flag was read false is necessarily seen by the parking
-// side's re-check — no lost wakeups.
-type spscRing struct {
-	buf  []shardMsg
-	mask uint64
-
-	head atomic.Uint64 // next slot to pop (consumer-owned)
-	tail atomic.Uint64 // next slot to push (producer-owned)
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	consPark atomic.Bool // consumer is parked (empty ring)
-	prodPark atomic.Bool // producer is parked (full ring)
-}
-
-func newSPSCRing(capacity int) *spscRing {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	r := &spscRing{buf: make([]shardMsg, n), mask: uint64(n - 1)}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-// push appends m, parking while the ring is full. Producer-side only.
-func (r *spscRing) push(m shardMsg) {
-	for {
-		t := r.tail.Load()
-		if t-r.head.Load() < uint64(len(r.buf)) {
-			r.buf[t&r.mask] = m
-			r.tail.Store(t + 1)
-			if r.consPark.Load() {
-				r.mu.Lock()
-				r.cond.Broadcast()
-				r.mu.Unlock()
-			}
-			return
-		}
-		r.mu.Lock()
-		r.prodPark.Store(true)
-		for r.tail.Load()-r.head.Load() == uint64(len(r.buf)) {
-			r.cond.Wait()
-		}
-		r.prodPark.Store(false)
-		r.mu.Unlock()
-	}
-}
-
-// popWait removes the oldest message, parking while the ring is empty.
-// Consumer-side only.
-func (r *spscRing) popWait() shardMsg {
-	for {
-		h := r.head.Load()
-		if r.tail.Load() != h {
-			m := r.buf[h&r.mask]
-			r.head.Store(h + 1)
-			if r.prodPark.Load() {
-				r.mu.Lock()
-				r.cond.Broadcast()
-				r.mu.Unlock()
-			}
-			return m
-		}
-		r.mu.Lock()
-		r.consPark.Store(true)
-		for r.tail.Load() == r.head.Load() {
-			r.cond.Wait()
-		}
-		r.consPark.Store(false)
-		r.mu.Unlock()
 	}
 }

@@ -68,11 +68,12 @@ func NewModelClock(m clock.Model, epoch time.Time) *ModelClock {
 	return &ModelClock{epoch: epoch, m: m}
 }
 
-// elapsed returns real time since the epoch as a simulated instant,
-// clamped at Zero (monotonic readings before Start are a caller bug, but
-// a negative instant must never reach the model).
-func (c *ModelClock) elapsed() simtime.Time {
-	t, err := simtime.TimeFromWall(time.Since(c.epoch))
+// Since returns the real time elapsed since epoch as a simulated instant,
+// clamped at Zero (a reading from before the epoch is a caller bug, but a
+// negative instant must never reach the model). Every clock, delay
+// measurement and merge floor of a run reads its timeline through it.
+func Since(epoch time.Time) simtime.Time {
+	t, err := simtime.TimeFromWall(time.Since(epoch))
 	if err != nil {
 		return simtime.Zero
 	}
@@ -83,7 +84,7 @@ func (c *ModelClock) elapsed() simtime.Time {
 func (c *ModelClock) Now() simtime.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	real := c.elapsed()
+	real := Since(c.epoch)
 	r := c.m.At(real)
 	if off := r.Sub(real).Abs(); off > c.bound {
 		c.bound = off
@@ -96,7 +97,7 @@ func (c *ModelClock) Now() simtime.Time {
 func (c *ModelClock) WaitUntil(target simtime.Time) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	real := c.elapsed()
+	real := Since(c.epoch)
 	u := c.m.EarliestAt(target)
 	if u <= real {
 		return 0

@@ -66,8 +66,18 @@ func TestLiveDetectorClockStep(t *testing.T) {
 		t.Fatalf("ε/2 step caused suspicions: %v", sus)
 	}
 
-	// Past-ε step, held across several beat periods, then healed.
+	// Past-ε step, held across several beat periods, then healed. Nothing
+	// tells node 0's loop that its clock moved: it armed its next wake-up in
+	// pre-step coordinates, so left alone it wakes at the next beat phase,
+	// where whether its early watch timers fire before the peers' beats
+	// re-arm them is a race (lost 3 times in 20 by this test at PR 15). An
+	// input the detector ignores makes the loop re-read its clock now, the
+	// way a timer service that noticed the step would: the watch timers are
+	// then due τ − step ≈ 6 ms after the last beat, 14 ms before the next.
 	faulty.SetOffset(step)
+	if err := rt.Invoke(0, "clock-stepped", nil); err != nil {
+		t.Fatal(err)
+	}
 	waitFor := func(name string, by ta.NodeID, what string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)

@@ -133,12 +133,18 @@ func (t *FaultTransport) Close() error {
 // Name implements Transport.
 func (t *FaultTransport) Name() string { return t.inner.Name() + "+fault" }
 
-// Reconnects forwards the wrapped transport's reconnect count, if it
-// keeps one, so Runtime.Stop's optional-interface probe sees through the
-// wrapper.
+// Reconnects and Drops forward the wrapped transport's link counters, if
+// it keeps them, so the runtime's probe sees through the wrapper.
 func (t *FaultTransport) Reconnects() int64 {
-	if r, ok := t.inner.(interface{ Reconnects() int64 }); ok {
-		return r.Reconnects()
+	if ls, ok := t.inner.(linkStats); ok {
+		return ls.Reconnects()
+	}
+	return 0
+}
+
+func (t *FaultTransport) Drops() int64 {
+	if ls, ok := t.inner.(linkStats); ok {
+		return ls.Drops()
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -15,9 +16,10 @@ import (
 )
 
 // LoadConfig describes the client population pscserve runs against the
-// live registers: closed-loop single-op-in-flight clients (Pipeline ≤ 1,
-// the original generator) or open-loop pipelined clients that keep up to
-// Pipeline operations in flight across zipf-distributed registers.
+// live registers. Every client is the same pipelined loop; Pipeline ≤ 1 is
+// depth one, which is a closed loop (one operation in flight, §6.1's
+// client), and K > 1 is an open-loop client that keeps up to K operations
+// in flight across zipf-distributed registers.
 type LoadConfig struct {
 	// Clients is the number of concurrent clients; client i drives node
 	// i mod nodes.
@@ -25,27 +27,27 @@ type LoadConfig struct {
 	// Duration bounds the run in wall time.
 	Duration time.Duration
 	// Rate caps each client at this many operations per second (0 = as
-	// fast as the loop allows). Closed-loop clients pace between
-	// invocations, so no client ever has more than one operation
-	// outstanding. Pipelined clients pace on an absolute open-loop
-	// schedule: an op is issued at its scheduled instant whether or not
-	// earlier ops have completed, up to the Pipeline bound.
+	// fast as the loop allows). A closed-loop client issues its next
+	// operation one pace after it issued the last one, or when that one
+	// returns, whichever is later. Pipelined clients pace on an absolute
+	// open-loop schedule: an op is issued at its scheduled instant whether
+	// or not earlier ops have completed, up to the Pipeline bound.
 	Rate float64
 	// WriteRatio is the probability an operation is a WRITE.
 	WriteRatio float64
-	// Pipeline is the per-client bound on operations in flight. ≤ 1
-	// selects the closed-loop client; K > 1 selects the pipelined client,
-	// whose throughput scales as in-flight ops / per-op latency instead
-	// of 1 / per-op latency.
+	// Pipeline is the per-client bound on operations in flight. ≤ 1 is a
+	// closed loop; with K > 1 throughput scales as in-flight ops / per-op
+	// latency instead of 1 / per-op latency.
 	Pipeline int
 	// Registers is the number of register instances the server hosts
-	// (defaults to 1). Pipelined clients spread operations across them.
+	// (defaults to 1). Clients spread operations across them.
 	Registers int
-	// ZipfS and ZipfV shape the zipfian register-selection distribution
-	// (P(k) ∝ 1/(v+k)^s). S ≤ 1 selects uniform; V defaults to
-	// Registers/2, which flattens the head so the hottest register stays
-	// under its per-key alternation throughput ceiling (≈ nodes /
-	// per-op latency).
+	// ZipfS and ZipfV shape the pipelined clients' zipfian register
+	// selection (P(k) ∝ 1/(v+k)^s). S ≤ 1 selects uniform, and a closed
+	// loop is always uniform, so tiered latency comparisons sample every
+	// register; V defaults to Registers/2, which flattens the head so the
+	// hottest register stays under its per-key alternation throughput
+	// ceiling (≈ nodes / per-op latency).
 	ZipfS, ZipfV float64
 	// Seed derives per-client rngs; written values are unique per
 	// execution (writer = client's node, per-client sequence), satisfying
@@ -62,19 +64,6 @@ type LoadConfig struct {
 	// This is how SIGINT/SIGTERM turns into a clean early report instead
 	// of a torn-down one.
 	Stop <-chan struct{}
-}
-
-// stopRequested reports whether the early-stop channel has closed.
-func (cfg *LoadConfig) stopRequested() bool {
-	if cfg.Stop == nil {
-		return false
-	}
-	select {
-	case <-cfg.Stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // tierOf returns the register's configured tier.
@@ -96,39 +85,75 @@ type TierLoad struct {
 // LoadResult aggregates the load generator's view of a run.
 type LoadResult struct {
 	Ops, Reads, Writes int
-	// ReadLat and WriteLat summarize client-observed latencies from a
-	// seeded reservoir sample (percentiles over the full run in bounded
-	// memory).
+	// ReadLat and WriteLat summarize client-observed latencies, issue to
+	// response, from a seeded reservoir sample (percentiles over the full
+	// run in bounded memory).
 	ReadLat, WriteLat stats.Summary
+	// Late summarizes the generator's own lateness: the instant each
+	// completed operation was issued minus the instant it was scheduled
+	// for — the absolute schedule for open-loop clients; for a closed loop,
+	// one pace after the previous issue or the previous response, whichever
+	// is later. It is what separates load the generator failed to offer
+	// from load the system failed to serve.
+	Late stats.Summary
 	// Tier splits the run by consistency tier (indexed by register.Tier)
 	// when cfg.Tiers was set; both entries are zero otherwise.
 	Tier [2]TierLoad
 	// PerReg counts completed operations per register instance (nil for
 	// single-register runs).
 	PerReg []int
-	// Depth samples the pipelined clients' in-flight occupancy at each
-	// issue instant; Depth.Mean() is the effective pipeline depth, the
-	// concurrency term in ops/s ≈ depth × clients / latency.
+	// Depth samples the clients' in-flight occupancy at each issue instant;
+	// Depth.Mean() is the effective pipeline depth, the concurrency term in
+	// ops/s ≈ depth × clients / latency.
 	Depth stats.IntStream
-	// Errors counts client-side failures (dial, encode, decode); a clean
+	// Errors counts client-side failures (dial, write, read); a clean
 	// run has zero.
 	Errors int
 }
 
 // RunLoad drives the register server at addrs until the duration elapses,
-// then waits for outstanding operations to complete. Each client owns one
-// TCP connection; all its in-flight requests multiplex that connection
-// tagged with correlation IDs.
+// then waits for outstanding operations to complete. Client i drives node
+// i mod len(addrs) over one TCP connection; all its in-flight requests
+// multiplex that connection tagged with correlation IDs. A connection
+// that cannot be made, or breaks, ends its client and counts as an error.
 func RunLoad(addrs []string, cfg LoadConfig) LoadResult {
 	if cfg.Clients <= 0 {
 		cfg.Clients = len(addrs)
 	}
+	return runLoad(func(c int) (string, ta.NodeID) {
+		return addrs[c%len(addrs)], ta.NodeID(c % len(addrs))
+	}, false, cfg)
+}
+
+// RunLoadDynamic drives the same clients against endpoints that move:
+// resolve maps a client to its current server address ("" while the node
+// is down or repairing) and the node ID to stamp written values with.
+// Clients re-resolve and re-dial whenever the connection breaks or the
+// address changes — a fleet run's nodes crash, restart at fresh ports, and
+// only republish once serviceable, and the load generator is expected to
+// follow them rather than die with them.
+//
+// Operations in flight on a severed connection are neither counted nor
+// timed: their invocations reached the server's recorder and complete as
+// pending operations in the checker, while the client just moves on.
+// Disconnections during chaos are expected, so they are retried, not
+// counted as Errors; Errors stays reserved for failures with nowhere to
+// retry (the run ending with a client never having connected).
+func RunLoadDynamic(resolve func(client int) (addr string, node ta.NodeID), cfg LoadConfig) LoadResult {
+	if cfg.Clients <= 0 {
+		cfg.Clients = 1
+	}
+	return runLoad(resolve, true, cfg)
+}
+
+func runLoad(resolve func(int) (string, ta.NodeID), follow bool, cfg LoadConfig) LoadResult {
 	if cfg.Registers <= 0 {
 		cfg.Registers = 1
 	}
 	rec := &loadRecorders{
 		read:  stats.NewReservoir(4096, cfg.Seed*7+1),
 		write: stats.NewReservoir(4096, cfg.Seed*7+2),
+		late:  stats.NewReservoir(4096, cfg.Seed*7+7),
 	}
 	if cfg.Tiers != nil {
 		for t := range rec.tierRead {
@@ -136,21 +161,16 @@ func RunLoad(addrs []string, cfg LoadConfig) LoadResult {
 			rec.tierWrite[t] = stats.NewReservoir(4096, cfg.Seed*7+5+int64(t))
 		}
 	}
-	var agg LoadResult
-	agg.PerReg = make([]int, cfg.Registers)
+	agg := LoadResult{PerReg: make([]int, cfg.Registers)}
 	deadline := time.Now().Add(cfg.Duration)
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
-		c := c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var res LoadResult
-			if cfg.Pipeline > 1 {
-				res = runPipelined(c, addrs[c%len(addrs)], ta.NodeID(c%len(addrs)), cfg, deadline, rec)
-			} else {
-				res = runClient(c, addrs[c%len(addrs)], ta.NodeID(c%len(addrs)), cfg, deadline, rec)
-			}
+			cl := newClient(c, &cfg, deadline, rec)
+			cl.run(resolve, follow)
+			res := &cl.res
 			rec.mu.Lock()
 			agg.Ops += res.Ops
 			agg.Reads += res.Reads
@@ -169,329 +189,329 @@ func RunLoad(addrs []string, cfg LoadConfig) LoadResult {
 		}()
 	}
 	wg.Wait()
-	rec.mu.Lock()
 	agg.ReadLat = rec.read.Summary()
 	agg.WriteLat = rec.write.Summary()
+	agg.Late = rec.late.Summary()
 	if cfg.Tiers != nil {
 		for t := range rec.tierRead {
 			agg.Tier[t].ReadLat = rec.tierRead[t].Summary()
 			agg.Tier[t].WriteLat = rec.tierWrite[t].Summary()
 		}
 	}
-	rec.mu.Unlock()
 	if cfg.Registers == 1 {
 		agg.PerReg = nil
 	}
 	return agg
 }
 
-// loadRecorders is the clients' shared latency-recording state: the
-// aggregate reservoirs, the per-tier reservoirs (allocated only when the
-// run is tiered), and the mutex serializing them.
+// loadRecorders is the clients' shared recording state: the aggregate
+// reservoirs, the per-tier reservoirs (allocated only when the run is
+// tiered), and the mutex serializing them.
 type loadRecorders struct {
-	mu        sync.Mutex
-	read      *stats.Reservoir
-	write     *stats.Reservoir
-	tierRead  [2]*stats.Reservoir
-	tierWrite [2]*stats.Reservoir
+	mu          sync.Mutex
+	read, write *stats.Reservoir
+	late        *stats.Reservoir
+	tierRead    [2]*stats.Reservoir
+	tierWrite   [2]*stats.Reservoir
 }
 
-// record files one completed operation's latency under the lock.
-func (rec *loadRecorders) record(write bool, tier register.Tier, lat simtime.Duration) {
+// record files one completed operation under the lock; its lateness only
+// if the run is paced, so that there was a schedule to be late against. A
+// latency or lateness that does not convert (negative: the wall clock
+// stepped) is left out.
+func (rec *loadRecorders) record(op pendingOp, done time.Time, paced bool) {
+	lat, lerr := simtime.FromWall(done.Sub(op.start))
+	late, terr := simtime.FromWall(op.late)
 	rec.mu.Lock()
-	if write {
-		rec.write.Add(lat)
-		if rec.tierWrite[tier] != nil {
-			rec.tierWrite[tier].Add(lat)
-		}
-	} else {
-		rec.read.Add(lat)
-		if rec.tierRead[tier] != nil {
-			rec.tierRead[tier].Add(lat)
-		}
+	defer rec.mu.Unlock()
+	if terr == nil && paced {
+		rec.late.Add(late)
 	}
-	rec.mu.Unlock()
+	if lerr != nil {
+		return
+	}
+	all, tiered := rec.read, rec.tierRead[op.tier]
+	if op.write {
+		all, tiered = rec.write, rec.tierWrite[op.tier]
+	}
+	all.Add(lat)
+	if tiered != nil {
+		tiered.Add(lat)
+	}
 }
 
-// runClient is one closed-loop client: invoke, wait for the response,
-// pace, repeat until the deadline. Multi-register configurations spread
-// operations uniformly across the instances (one at a time — the loop is
-// closed), so tiered latency comparisons sample every register.
-func runClient(id int, addr string, nodeID ta.NodeID, cfg LoadConfig, deadline time.Time, rec *loadRecorders) LoadResult {
-	var res LoadResult
-	res.PerReg = make([]int, cfg.Registers)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		res.Errors++
-		return res
-	}
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 4096)
-	var sbuf []byte
-	rng := rand.New(rand.NewSource(cfg.Seed*611953 + int64(id)))
-	var pace time.Duration
-	if cfg.Rate > 0 {
-		pace = time.Duration(float64(time.Second) / cfg.Rate)
-	}
-	wseq := 0
-	for time.Now().Before(deadline) && !cfg.stopRequested() {
-		opStart := time.Now()
-		reg := 0
-		if cfg.Registers > 1 {
-			reg = rng.Intn(cfg.Registers)
-		}
-		tier := cfg.tierOf(reg)
-		req := wireReq{Reg: reg, Op: register.ActRead, Tier: tier}
-		if rng.Float64() < cfg.WriteRatio {
-			req = wireReq{Reg: reg, Op: register.ActWrite, Val: register.Value{Writer: nodeID, Seq: id*1_000_000 + wseq}}
-			wseq++
-		}
-		sbuf = appendWireReq(sbuf[:0], req)
-		if _, err := conn.Write(sbuf); err != nil {
-			res.Errors++
-			return res
-		}
-		if _, err := readWireResp(br); err != nil {
-			res.Errors++
-			return res
-		}
-		lat, lerr := simtime.FromWall(time.Since(opStart))
-		res.Ops++
-		res.PerReg[reg]++
-		isWrite := req.Op == register.ActWrite
-		res.Tier[tier].Ops++
-		if isWrite {
-			res.Writes++
-			res.Tier[tier].Writes++
-		} else {
-			res.Reads++
-			res.Tier[tier].Reads++
-		}
-		if lerr == nil {
-			rec.record(isWrite, tier, lat)
-		}
-		if pace > 0 {
-			if rest := pace - time.Since(opStart); rest > 0 {
-				time.Sleep(rest)
-			}
-		}
-	}
-	return res
-}
-
-// pendingOp is one issued-but-unanswered pipelined request.
+// pendingOp is one issued-but-unanswered request.
 type pendingOp struct {
 	start time.Time
+	late  time.Duration // start minus the scheduled instant
 	write bool
 	reg   int
 	tier  register.Tier
 }
 
-// runPipelined is one open-loop pipelined client: a sender that issues
-// requests on an absolute schedule (or as fast as the pipeline bound
-// allows) across zipf-selected registers, and a receiver that matches
-// responses by correlation ID. Throughput comes from overlap: with K ops
-// in flight at mean latency L the client completes ≈ K/L ops per second,
-// while each individual port still sees at most one outstanding op (the
-// server's alternation discipline).
-func runPipelined(id int, addr string, nodeID ta.NodeID, cfg LoadConfig, deadline time.Time, rec *loadRecorders) LoadResult {
-	var res LoadResult
-	res.PerReg = make([]int, cfg.Registers)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		res.Errors++
-		return res
-	}
-	defer conn.Close()
+// client is one load-generating client. Its state outlives connections:
+// the rng, the written-value sequence and the correlation IDs carry across
+// a redial, so a client that follows its node through a restart keeps
+// issuing the operations its seed determines and never reuses a value.
+type client struct {
+	id       int
+	cfg      *LoadConfig
+	deadline time.Time
+	rec      *loadRecorders
+	res      LoadResult
 
+	depth int           // operations in flight, at most
+	pace  time.Duration // 0 = unpaced
+	rng   *rand.Rand
+	zipf  *rand.Zipf
+	wseq  int
+	reqID uint64
+}
+
+func newClient(id int, cfg *LoadConfig, deadline time.Time, rec *loadRecorders) *client {
+	c := &client{
+		id: id, cfg: cfg, deadline: deadline, rec: rec,
+		depth: max(cfg.Pipeline, 1),
+		rng:   rand.New(rand.NewSource(cfg.Seed*611953 + int64(id))),
+	}
+	c.res.PerReg = make([]int, cfg.Registers)
+	if cfg.Rate > 0 {
+		c.pace = time.Duration(float64(time.Second) / cfg.Rate)
+	}
+	if c.depth > 1 && cfg.Registers > 1 && cfg.ZipfS > 1 {
+		v := cfg.ZipfV
+		if v < 1 {
+			v = max(float64(cfg.Registers)/2, 1)
+		}
+		c.zipf = rand.NewZipf(c.rng, cfg.ZipfS, v, uint64(cfg.Registers-1))
+	}
+	return c
+}
+
+// over reports whether the run has ended: Stop closed (a nil Stop never
+// is) or the deadline passed.
+func (c *client) over() bool {
+	select {
+	case <-c.cfg.Stop:
+		return true
+	default:
+		return !time.Now().Before(c.deadline)
+	}
+}
+
+// run connects to wherever resolve says the client's node is and drives
+// sessions until the run is over. Without follow, the first failure to
+// connect or broken connection ends the client with an error; with it,
+// both are retried at the node's next address, and the only error is
+// never having connected at all.
+func (c *client) run(resolve func(int) (string, ta.NodeID), follow bool) {
+	connected := false
+	for {
+		if addr, node := resolve(c.id); addr == "" {
+			// Node down or repairing: hold position until it republishes.
+			time.Sleep(20 * time.Millisecond)
+		} else if conn, err := net.Dial("tcp", addr); err == nil {
+			connected = true
+			err = c.session(conn, node, func() bool {
+				a, _ := resolve(c.id)
+				return a != addr
+			})
+			if err == nil {
+				return // the run is over and the in-flight tail has drained
+			}
+			if !follow {
+				c.res.Errors++
+				return
+			}
+		} else if follow {
+			time.Sleep(50 * time.Millisecond)
+		} else {
+			c.res.Errors++
+			return
+		}
+		if c.over() {
+			break
+		}
+	}
+	if !connected {
+		c.res.Errors++
+	}
+}
+
+var (
+	errMoved = errors.New("live: client's node moved")
+	errLost  = errors.New("live: response lost")
+)
+
+// session drives one connection: a sender (this goroutine) that issues
+// requests as the schedule and the pipeline bound allow, and a receiver
+// that matches responses by correlation ID and frees their slots.
+// Throughput comes from overlap: with K ops in flight at mean latency L
+// the client completes ≈ K/L ops per second, while each individual port
+// still sees at most one outstanding op (the server's alternation
+// discipline). It returns nil when the run is over and the in-flight tail
+// has drained, errMoved when moved reports the node has a new address, and
+// the failure when the connection breaks; in the last two cases the
+// operations still in flight are abandoned, neither counted nor timed.
+func (c *client) session(conn net.Conn, node ta.NodeID, moved func() bool) error {
 	var (
 		pmu     sync.Mutex
-		pending = make(map[uint64]pendingOp, cfg.Pipeline)
-		sent    atomic.Int64
-		done    = make(chan struct{}) // sender finished; sent is final
-		rdead   = make(chan struct{}) // receiver exited (error path)
-		recvErr atomic.Int64
-		sem     = make(chan struct{}, cfg.Pipeline)
+		pending = make(map[uint64]pendingOp, c.depth)
+		// free holds one token per unused pipeline slot, stamped with the
+		// instant the slot's last response arrived (zero if never used).
+		free    = make(chan time.Time, c.depth)
+		drained atomic.Bool // every op is answered: the next read error is the sender's wake-up
+		rerr    error       // the receiver's exit status, set before rdead closes
+		rdead   = make(chan struct{})
 	)
-
-	// Receiver: match responses to pending ops, record latencies.
-	var rwg sync.WaitGroup
-	rwg.Add(1)
+	for i := 0; i < c.depth; i++ {
+		free <- time.Time{}
+	}
 	go func() {
-		defer rwg.Done()
 		defer close(rdead)
 		br := bufio.NewReaderSize(conn, 16<<10)
-		received := int64(0)
 		for {
 			resp, err := readWireResp(br)
 			if err != nil {
-				// The sender unblocks this decode with an expired read
-				// deadline once the drain is complete; any other failure
-				// is a real error.
-				select {
-				case <-done:
-					if received >= sent.Load() {
-						return
-					}
-				default:
+				if !drained.Load() {
+					rerr = err
 				}
-				recvErr.Add(1)
 				return
 			}
-			received++
+			now := time.Now()
 			pmu.Lock()
 			op, ok := pending[resp.ID]
-			if ok {
-				delete(pending, resp.ID)
-			}
+			delete(pending, resp.ID)
 			pmu.Unlock()
+			if ok {
+				c.complete(op, now)
+			}
 			// Every response answers one sent request; free its slot.
 			select {
-			case <-sem:
-			default:
-			}
-			if !ok {
-				continue
-			}
-			lat, lerr := simtime.FromWall(time.Since(op.start))
-			res.Ops++
-			res.PerReg[op.reg]++
-			res.Tier[op.tier].Ops++
-			if op.write {
-				res.Writes++
-				res.Tier[op.tier].Writes++
-			} else {
-				res.Reads++
-				res.Tier[op.tier].Reads++
-			}
-			if lerr == nil {
-				rec.record(op.write, op.tier, lat)
-			}
-			select {
-			case <-done:
-				if received >= sent.Load() {
-					return
-				}
+			case free <- now:
 			default:
 			}
 		}
 	}()
+	// end closes the connection and joins the receiver.
+	end := func(err error) error {
+		conn.Close()
+		<-rdead
+		return err
+	}
 
-	// Sender: issue on schedule up to the pipeline bound. Requests buffer
-	// in bw and flush only when the sender is about to block (pipeline
-	// full, pacing sleep, or shutdown), so a burst of issues costs one
-	// write syscall; the flush-before-block ordering makes the buffer
-	// deadlock-free — nothing ever waits on a request still sitting in it.
+	// Requests buffer in bw and flush only when the sender is about to
+	// block (pipeline full, pacing sleep, or drain), so a burst of issues
+	// costs one write syscall; the flush-before-block ordering makes the
+	// buffer deadlock-free — nothing ever waits on a request still sitting
+	// in it.
 	bw := bufio.NewWriterSize(conn, 16<<10)
 	var sbuf []byte
-	rng := rand.New(rand.NewSource(cfg.Seed*611953 + int64(id)))
-	var zipf *rand.Zipf
-	if cfg.Registers > 1 && cfg.ZipfS > 1 {
-		v := cfg.ZipfV
-		if v < 1 {
-			v = float64(cfg.Registers) / 2
-			if v < 1 {
-				v = 1
-			}
-		}
-		zipf = rand.NewZipf(rng, cfg.ZipfS, v, uint64(cfg.Registers-1))
-	}
-	var pace time.Duration
-	if cfg.Rate > 0 {
-		pace = time.Duration(float64(time.Second) / cfg.Rate)
-	}
-	next := time.Now()
-	wseq := 0
-	var reqID uint64
-	for time.Now().Before(deadline) && !cfg.stopRequested() {
-		// Bound the pipeline; bail out if the receiver died (nothing will
-		// ever free a slot again).
+	next := time.Now() // the next issue's scheduled instant (paced runs)
+	for {
+		// Bound the pipeline: take a free slot, flushing before blocking.
+		var freed time.Time
 		select {
-		case sem <- struct{}{}:
+		case freed = <-free:
 		default:
 			if err := bw.Flush(); err != nil {
-				res.Errors++
-				close(done)
-				conn.SetReadDeadline(time.Now())
-				rwg.Wait()
-				return res
+				return end(err)
 			}
 			select {
-			case sem <- struct{}{}:
+			case freed = <-free:
 			case <-rdead:
-				close(done)
-				rwg.Wait()
-				res.Errors += int(recvErr.Load())
-				return res
+				return end(rerr)
 			}
 		}
-		if pace > 0 {
-			if rest := time.Until(next); rest > 0 {
+		sched := next
+		if c.pace > 0 {
+			if c.depth == 1 && freed.After(sched) {
+				sched = freed // closed loop: never before the last response
+			}
+			if !sched.Before(c.deadline) {
+				break
+			}
+			if rest := time.Until(sched); rest > 0 {
 				if err := bw.Flush(); err != nil {
-					res.Errors++
-					break
+					return end(err)
 				}
 				time.Sleep(rest)
 			}
-			next = next.Add(pace)
 		}
+		if c.over() {
+			break
+		}
+		if moved() {
+			return end(errMoved)
+		}
+		start := time.Now()
+		if c.depth == 1 {
+			next = start.Add(c.pace) // closed loop: a pace after this issue
+		} else {
+			next = next.Add(c.pace) // open loop: the absolute schedule
+		}
+
 		reg := 0
-		if cfg.Registers > 1 {
-			if zipf != nil {
-				reg = int(zipf.Uint64())
+		if c.cfg.Registers > 1 {
+			if c.zipf != nil {
+				reg = int(c.zipf.Uint64())
 			} else {
-				reg = rng.Intn(cfg.Registers)
+				reg = c.rng.Intn(c.cfg.Registers)
 			}
 		}
-		reqID++
-		tier := cfg.tierOf(reg)
-		req := wireReq{ID: reqID, Reg: reg, Op: register.ActRead, Tier: tier}
-		isWrite := rng.Float64() < cfg.WriteRatio
+		c.reqID++
+		tier := c.cfg.tierOf(reg)
+		req := wireReq{ID: c.reqID, Reg: reg, Op: register.ActRead, Tier: tier}
+		isWrite := c.rng.Float64() < c.cfg.WriteRatio
 		if isWrite {
 			req.Op = register.ActWrite
-			req.Val = register.Value{Writer: nodeID, Seq: id*1_000_000 + wseq}
-			wseq++
+			req.Val = register.Value{Writer: node, Seq: c.id*1_000_000 + c.wseq}
+			c.wseq++
 		}
 		pmu.Lock()
-		res.Depth.Add(len(pending))
-		pending[reqID] = pendingOp{start: time.Now(), write: isWrite, reg: reg, tier: tier}
+		c.res.Depth.Add(len(pending))
+		pending[c.reqID] = pendingOp{start: start, late: start.Sub(sched), write: isWrite, reg: reg, tier: tier}
 		pmu.Unlock()
 		sbuf = appendWireReq(sbuf[:0], req)
 		if _, err := bw.Write(sbuf); err != nil {
-			pmu.Lock()
-			delete(pending, reqID)
-			pmu.Unlock()
-			res.Errors++
-			break
+			return end(err)
 		}
-		sent.Add(1)
 	}
 	if err := bw.Flush(); err != nil {
-		res.Errors++
+		return end(err)
 	}
-	close(done)
-	// Drain: wait for the in-flight tail to complete (bounded so a lost
-	// response cannot hang the client), then expire the read deadline so
-	// an idle receiver's blocked Decode returns.
-	drainUntil := time.Now().Add(10 * time.Second)
-	for time.Now().Before(drainUntil) {
-		pmu.Lock()
-		n := len(pending)
-		pmu.Unlock()
-		if n == 0 {
-			break
-		}
+	// Drain: the sender left the loop holding one slot, and the in-flight
+	// tail is answered once it holds them all (bounded, so a lost response
+	// cannot hang the client). Then expire the read deadline so the idle
+	// receiver's blocked read returns.
+	timeout := time.After(10 * time.Second)
+	for held := 1; held < c.depth; held++ {
 		select {
+		case <-free:
 		case <-rdead:
-			n = 0
-		case <-time.After(time.Millisecond):
-		}
-		if n == 0 {
-			break
+			return end(rerr)
+		case <-timeout:
+			return end(errLost)
 		}
 	}
+	drained.Store(true)
 	conn.SetReadDeadline(time.Now())
-	rwg.Wait()
-	res.Errors += int(recvErr.Load())
-	return res
+	return end(nil)
+}
+
+// complete counts one answered operation. Receiver goroutine only; the
+// session joins it before the client's result is read.
+func (c *client) complete(op pendingOp, done time.Time) {
+	c.res.Ops++
+	c.res.PerReg[op.reg]++
+	t := &c.res.Tier[op.tier]
+	t.Ops++
+	if op.write {
+		c.res.Writes++
+		t.Writes++
+	} else {
+		c.res.Reads++
+		t.Reads++
+	}
+	c.rec.record(op, done, c.pace > 0)
 }

@@ -10,367 +10,467 @@ import (
 	"time"
 )
 
-// MeshTransport is the fleet's inter-daemon transport: one node per OS
-// process, each process listening on its own TCP address, with peer
-// addresses supplied — and re-supplied after a crashed peer is replaced —
-// by the control plane. It differs from TCPTransport (all nodes in one
-// process, addresses fixed at construction) in three ways that the fleet
-// runtime needs:
+// MeshTransport is the one inter-node transport: every ordered pair of
+// nodes (from hosted here, to anywhere) is a link — a bounded outbound
+// queue and a goroutine draining it, into a persistent gob stream over one
+// TCP connection for distinct nodes. It hosts a set of local nodes, and the two constructors
+// are its two deployments: NewTCPTransport hosts all n nodes in one process
+// with every address known up front (pscserve, the benchmark), and
+// NewMeshTransport hosts one node whose peers' addresses the fleet's
+// control plane supplies — and re-supplies after a crashed peer is
+// replaced — through SetPeer.
 //
-//   - Lazy, retried dials: a peer may not be up yet when the first frame
-//     for it is queued, or may be down for hundreds of milliseconds while
-//     the plane restarts it. The writer retries with bounded exponential
-//     backoff instead of failing the run.
-//   - Re-wiring: SetPeer replaces a peer's address mid-run and tears down
-//     the stale connection; the writer redials the new address with the
-//     same frames-in-flight queue.
-//   - Reconnect accounting: every successful dial after the first is
-//     counted, so the live report records how often links healed instead
-//     of treating a broken write as fatal.
+// Message bodies cross as interface values, which is why the algorithm
+// packages register their body types (register/wire.go, detector/wire.go).
+// The stream is long-lived on purpose: gob sends a type descriptor once per
+// stream and compiles its codecs once, where a fresh codec per frame
+// recompiles and retransmits them every time — at pipelined rates that
+// recompilation dominated CPU profiles of the whole process. All logical
+// register channels between a node pair multiplex the pair's connection
+// (Frame.Chan distinguishes them), so R register instances cost the same
+// number of sockets as one.
 //
-// Frames to self never touch the network (§6.1's broadcast includes the
-// sender).
+// Links whose address is known at Start are dialed there, before any frame
+// exists: dial plus handshake takes hundreds of microseconds on loopback,
+// and a lazy dial charges that to the first message's [d1, d2] delay
+// measurement. A link without an address yet dials when SetPeer names one,
+// and any link redials, with bounded exponential backoff, when its
+// connection breaks or its address changes; frames queue meanwhile, and
+// each successful dial after a link's first is counted (Reconnects).
+//
+// Sends never block on the socket. The writer coalesces every queued frame
+// into its buffered stream per wakeup and flushes once the queue
+// momentarily drains, so under pipelined load the per-frame syscall cost
+// amortizes away and an idle link adds no latency. A frame that finds its
+// queue full is dropped and counted (Drops): the peer has been unreachable
+// for a long time, or the node is overloaded, and backpressure here would
+// wedge the node loop. A lost register update is indistinguishable from a
+// message the model never delivered on time — the online checker, not the
+// transport, judges whether the run survived.
+//
+// Frames a node sends to itself never touch the network (§6.1's broadcast
+// includes the sender): each hosted node's i→i link is drained straight into
+// the delivery callback by a goroutine of its own, so a node slow to take
+// delivery holds up only its own self frames.
 type MeshTransport struct {
-	self int
 	n    int
-	ln   net.Listener
+	name string
+	lns  []net.Listener // by node; nil for nodes hosted elsewhere
 
-	peers []*meshPeer
+	// links is indexed from·n + to; nil where from is not hosted here.
+	links []*meshLink
 
 	deliver func(Frame)
-	selfCh  chan Frame
 
 	reconnects atomic.Int64
-	done       chan struct{}
-	wg         sync.WaitGroup
-	closeOnce  sync.Once
+	drops      atomic.Int64
+
+	mu       sync.Mutex
+	accepted map[net.Conn]struct{} // inbound connections, closed by Close
+
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
 }
 
-type meshPeer struct {
-	to int
+// meshLink is one ordered pair's outbound half. A self link (from == to)
+// uses only the queue.
+type meshLink struct {
 	ch chan Frame
 
 	mu   sync.Mutex
-	addr string
-	conn net.Conn // current writer conn, closed by SetPeer to force redial
-	gen  int      // bumped by SetPeer so the writer notices address swaps
+	addr string   // "" until known
+	conn net.Conn // the writer's current connection; SetPeer and Close close it
 }
 
 const (
+	// meshQueueDepth bounds each link's outbound queue. Closed-loop workloads keep a few frames per link in flight,
+	// pipelined ones roughly one per in-flight operation, so the depth is
+	// sized to the deepest pipelines pscserve drives, and to ride out a
+	// peer's restart in a fleet, before Send starts dropping.
 	meshQueueDepth = 8192
 	meshBackoffMin = 10 * time.Millisecond
 	meshBackoffMax = 640 * time.Millisecond
 	meshIdlePoll   = 20 * time.Millisecond
-	meshFlushDelay = 200 * time.Microsecond
-	meshSelfDepth  = 8192
+	meshBufSize    = 32 << 10
 )
 
 var _ Transport = (*MeshTransport)(nil)
 
-// NewMeshTransport listens on a fresh loopback-or-any port for node self
-// of an n-node fleet. Peer addresses start empty; the plane supplies them
-// via SetPeer before (and during) the run.
-func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
+func newMesh(n int, name string) *MeshTransport {
+	return &MeshTransport{
+		n:        n,
+		name:     name,
+		lns:      make([]net.Listener, n),
+		links:    make([]*meshLink, n*n),
+		accepted: make(map[net.Conn]struct{}),
+		done:     make(chan struct{}),
 	}
+}
+
+// host opens node i's listener and creates its outbound links.
+func (t *MeshTransport) host(i int, listenAddr string) error {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
-		return nil, fmt.Errorf("mesh listen: %w", err)
+		return fmt.Errorf("live: listen for node %d: %w", i, err)
 	}
-	t := &MeshTransport{
-		self:   self,
-		n:      n,
-		ln:     ln,
-		peers:  make([]*meshPeer, n),
-		selfCh: make(chan Frame, meshSelfDepth),
-		done:   make(chan struct{}),
+	t.lns[i] = ln
+	for to := 0; to < t.n; to++ {
+		t.links[i*t.n+to] = &meshLink{ch: make(chan Frame, meshQueueDepth)}
 	}
-	for j := 0; j < n; j++ {
-		if j == self {
-			continue
+	return nil
+}
+
+// NewTCPTransport hosts all n nodes in this process, one loopback listener
+// each on an ephemeral port, with every link's address known: Start
+// returns with the full mesh connected.
+func NewTCPTransport(n int) (*MeshTransport, error) {
+	t := newMesh(n, "tcp")
+	for i := 0; i < n; i++ {
+		if err := t.host(i, "127.0.0.1:0"); err != nil {
+			t.Close()
+			return nil, err
 		}
-		t.peers[j] = &meshPeer{to: j, ch: make(chan Frame, meshQueueDepth)}
+	}
+	for i := 0; i < n; i++ {
+		t.SetPeer(i, t.Addr(i))
 	}
 	return t, nil
 }
 
-// Addr returns the address the transport accepts peer connections on.
-func (t *MeshTransport) Addr() string { return t.ln.Addr().String() }
+// NewMeshTransport hosts node self of an n-node fleet, listening on
+// listenAddr ("" selects a fresh loopback port). Peer addresses start
+// unknown; the plane supplies them via SetPeer before and during the run.
+func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
+	if self < 0 || self >= n {
+		return nil, fmt.Errorf("live: mesh node %d outside 0..%d", self, n-1)
+	}
+	if listenAddr == "" {
+		listenAddr = "127.0.0.1:0"
+	}
+	t := newMesh(n, "mesh-tcp")
+	if err := t.host(self, listenAddr); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
-// SetPeer installs (or replaces) peer j's dial address. Replacing an
-// address closes the current connection so the writer redials; queued
-// frames carry over to the new connection.
+// Addr returns the address node i accepts peer connections on, "" if it
+// is not hosted here.
+func (t *MeshTransport) Addr(i int) string {
+	if i < 0 || i >= t.n || t.lns[i] == nil {
+		return ""
+	}
+	return t.lns[i].Addr().String()
+}
+
+// SetPeer installs (or replaces) the address every local link to node j
+// dials. Replacing an address closes the current connection so the writer
+// redials; queued frames carry over to the new connection.
 func (t *MeshTransport) SetPeer(j int, addr string) {
-	if j < 0 || j >= t.n || j == t.self {
+	if j < 0 || j >= t.n {
 		return
 	}
-	p := t.peers[j]
-	p.mu.Lock()
-	changed := p.addr != addr
-	p.addr = addr
-	if changed {
-		p.gen++
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
+	for from := 0; from < t.n; from++ {
+		l := t.links[from*t.n+j]
+		if l == nil || from == j {
+			continue
 		}
+		l.mu.Lock()
+		if l.addr != addr {
+			l.addr = addr
+			if l.conn != nil {
+				l.conn.Close()
+				l.conn = nil
+			}
+		}
+		l.mu.Unlock()
 	}
-	p.mu.Unlock()
 }
 
 // Reconnects returns the number of successful re-dials (dials after each
-// peer's first) across all links.
+// link's first) across all links — healed failures, reported rather than
+// fatal.
 func (t *MeshTransport) Reconnects() int64 { return t.reconnects.Load() }
 
-// Start implements Transport: begins accepting inbound peer connections
-// and launches one writer per outbound link plus the self-delivery loop.
+// Drops returns the number of frames discarded because their outbound
+// queue was full.
+func (t *MeshTransport) Drops() int64 { return t.drops.Load() }
+
+// Name implements Transport.
+func (t *MeshTransport) Name() string { return t.name }
+
+// Start implements Transport: begin accepting, connect every link whose
+// address is already known, and launch the writers and the self-delivery
+// loops.
 func (t *MeshTransport) Start(deliver func(Frame)) error {
 	t.deliver = deliver
 
-	t.wg.Add(1)
-	go t.acceptLoop()
-
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for {
-			select {
-			case f := <-t.selfCh:
-				t.deliver(f)
-			case <-t.done:
-				return
-			}
+	for _, ln := range t.lns {
+		if ln != nil {
+			t.wg.Add(1)
+			go t.acceptLoop(ln)
 		}
-	}()
-
-	for j := 0; j < t.n; j++ {
-		if j == t.self {
+	}
+	for i, l := range t.links {
+		if l == nil {
 			continue
 		}
-		p := t.peers[j]
+		if i/t.n == i%t.n {
+			t.wg.Add(1)
+			go t.selfLoop(l)
+			continue
+		}
+		conn, err := t.connect(l)
+		if err != nil {
+			t.Close()
+			return fmt.Errorf("live: dial %d→%d: %w", i/t.n, i%t.n, err)
+		}
 		t.wg.Add(1)
-		go t.writeLoop(p)
+		go t.writeLoop(l, conn)
 	}
 	return nil
 }
 
-// Send implements Transport. Frames to unknown-yet peers queue; a full
-// queue drops the frame (the link is partitioned or the peer is long
-// dead — backpressure here would wedge the node loop).
+// Send implements Transport: enqueue the frame on its link. A full queue
+// drops the frame and counts it.
 func (t *MeshTransport) Send(f Frame) error {
-	if int(f.To) == t.self {
-		select {
-		case t.selfCh <- f:
-		case <-t.done:
-		}
-		return nil
-	}
-	if int(f.To) < 0 || int(f.To) >= t.n {
-		return fmt.Errorf("mesh send: no peer %d", f.To)
+	from, to := int(f.From), int(f.To)
+	if from < 0 || from >= t.n || to < 0 || to >= t.n || t.lns[from] == nil {
+		return fmt.Errorf("live: send on unknown pair %v→%v", f.From, f.To)
 	}
 	select {
-	case t.peers[f.To].ch <- f:
+	case t.links[from*t.n+to].ch <- f:
 	default:
-		// Queue full: the peer has been unreachable for a long time.
-		// Dropping keeps the sender live; the checker sees the loss.
+		t.drops.Add(1)
 	}
 	return nil
 }
 
-// Close implements Transport.
+// Close implements Transport. It returns once every goroutine has exited,
+// whatever the peers do: inbound connections are closed here, not waited
+// on.
 func (t *MeshTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.done)
-		t.ln.Close()
-		for _, p := range t.peers {
-			if p == nil {
+		for _, ln := range t.lns {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+		t.mu.Lock()
+		for c := range t.accepted {
+			c.Close()
+		}
+		t.mu.Unlock()
+		for _, l := range t.links {
+			if l == nil {
 				continue
 			}
-			p.mu.Lock()
-			if p.conn != nil {
-				p.conn.Close()
+			l.mu.Lock()
+			if l.conn != nil {
+				l.conn.Close()
 			}
-			p.mu.Unlock()
+			l.mu.Unlock()
 		}
 	})
 	t.wg.Wait()
 	return nil
 }
 
-// Name implements Transport.
-func (t *MeshTransport) Name() string { return "mesh-tcp" }
+func (t *MeshTransport) closing() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
 
-func (t *MeshTransport) acceptLoop() {
+// sleep waits d, or less if the transport closes; it reports whether the
+// transport is still open.
+func (t *MeshTransport) sleep(d time.Duration) bool {
+	select {
+	case <-t.done:
+		return false
+	case <-time.After(d):
+		return true
+	}
+}
+
+func (t *MeshTransport) acceptLoop(ln net.Listener) {
 	defer t.wg.Done()
 	for {
-		conn, err := t.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
-			select {
-			case <-t.done:
+			if !t.sleep(meshIdlePoll) {
 				return
-			default:
-				// Transient accept error; keep serving.
-				time.Sleep(meshIdlePoll)
-				continue
 			}
+			continue // transient accept error; keep serving
 		}
+		t.mu.Lock()
+		if t.closing() {
+			t.mu.Unlock()
+			conn.Close()
+			return
+		}
+		t.accepted[conn] = struct{}{}
+		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
 }
 
+// readLoop decodes one inbound connection's gob stream until it ends.
 func (t *MeshTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	defer conn.Close()
-	dec := gob.NewDecoder(bufio.NewReaderSize(conn, 64<<10))
+	defer func() {
+		conn.Close()
+		t.mu.Lock()
+		delete(t.accepted, conn)
+		t.mu.Unlock()
+	}()
+	dec := gob.NewDecoder(bufio.NewReaderSize(conn, meshBufSize))
 	for {
 		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		if err := dec.Decode(&f); err != nil || t.closing() {
 			return
 		}
-		if int(f.To) != t.self {
-			continue
+		if to := int(f.To); to >= 0 && to < t.n && t.lns[to] != nil {
+			t.deliver(f)
 		}
-		select {
-		case <-t.done:
-			return
-		default:
-		}
-		t.deliver(f)
 	}
 }
 
-// dial connects to p's current address, waiting while no address is
-// known and backing off on failure. Returns nil when the transport is
-// closing. first reports whether this peer has ever connected, for
-// reconnect accounting.
-func (t *MeshTransport) dial(p *meshPeer, first *bool) (net.Conn, int) {
-	backoff := meshBackoffMin
-	for {
-		select {
-		case <-t.done:
-			return nil, 0
-		default:
-		}
-		p.mu.Lock()
-		addr := p.addr
-		gen := p.gen
-		p.mu.Unlock()
-		if addr == "" {
-			select {
-			case <-t.done:
-				return nil, 0
-			case <-time.After(meshIdlePoll):
-			}
-			continue
-		}
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			select {
-			case <-t.done:
-				return nil, 0
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > meshBackoffMax {
-				backoff = meshBackoffMax
-			}
-			continue
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		p.mu.Lock()
-		// The address may have changed while dialing; only install the
-		// conn if it still matches this generation.
-		if p.gen != gen {
-			p.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		p.conn = conn
-		p.mu.Unlock()
-		if *first {
-			*first = false
-		} else {
-			t.reconnects.Add(1)
-		}
-		return conn, gen
-	}
-}
-
-func (t *MeshTransport) writeLoop(p *meshPeer) {
+// selfLoop delivers one hosted node's frames to itself.
+func (t *MeshTransport) selfLoop(l *meshLink) {
 	defer t.wg.Done()
-	first := true
-	var pending []Frame
 	for {
-		conn, gen := t.dial(p, &first)
-		if conn == nil {
-			return
-		}
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		enc := gob.NewEncoder(bw)
-
-		// Write until the connection breaks or the address changes.
-	connLoop:
-		for {
-			var f Frame
-			if len(pending) > 0 {
-				f = pending[0]
-				pending = pending[1:]
-			} else {
-				select {
-				case f = <-p.ch:
-				case <-t.done:
-					bw.Flush()
-					conn.Close()
-					return
-				}
-			}
-			if err := enc.Encode(f); err != nil {
-				// The frame may be half-written; redelivery of a clock-
-				// tagged update is harmless (R_ji,ε dedups by hold), but a
-				// truncated stream means the decoder at the far end
-				// resets, so requeue this frame for the next conn.
-				pending = append([]Frame{f}, pending...)
-				break connLoop
-			}
-			// Batch whatever else is queued before flushing.
-		drain:
-			for i := 0; i < 256; i++ {
-				select {
-				case nf := <-p.ch:
-					if err := enc.Encode(nf); err != nil {
-						pending = append([]Frame{nf}, pending...)
-						break connLoop
-					}
-				default:
-					break drain
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				break connLoop
-			}
-			p.mu.Lock()
-			stale := p.gen != gen
-			p.mu.Unlock()
-			if stale {
-				break connLoop
-			}
-			if meshFlushDelay > 0 && len(p.ch) == 0 {
-				select {
-				case <-time.After(meshFlushDelay):
-				case <-t.done:
-					conn.Close()
-					return
-				}
-			}
-		}
-		conn.Close()
 		select {
+		case f := <-l.ch:
+			t.deliver(f)
 		case <-t.done:
 			return
+		}
+	}
+}
+
+// connect makes one attempt at l's current address and installs the
+// connection on the link. It returns (nil, nil) when there is no address
+// yet, or the address changed or the transport closed while dialing.
+func (t *MeshTransport) connect(l *meshLink) (net.Conn, error) {
+	l.mu.Lock()
+	addr := l.addr
+	l.mu.Unlock()
+	if addr == "" {
+		return nil, nil
+	}
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.addr != addr || t.closing() {
+		// Close sweeps the links after closing done, so a connection
+		// installed now would belong to nobody.
+		conn.Close()
+		return nil, nil
+	}
+	l.conn = conn
+	return conn, nil
+}
+
+// dial connects l, polling while no address is known and backing off
+// while the peer refuses. It returns nil when the transport is closing.
+func (t *MeshTransport) dial(l *meshLink) net.Conn {
+	backoff := meshBackoffMin
+	for !t.closing() {
+		conn, err := t.connect(l)
+		switch {
+		case conn != nil:
+			return conn
+		case err != nil:
+			t.sleep(backoff)
+			backoff = min(2*backoff, meshBackoffMax)
 		default:
+			t.sleep(meshIdlePoll)
+		}
+	}
+	return nil
+}
+
+// writeLoop owns one link: it redials whenever the connection breaks or
+// SetPeer moves the address. conn is the connection Start made, nil for a
+// link whose address was not yet known.
+func (t *MeshTransport) writeLoop(l *meshLink, conn net.Conn) {
+	defer t.wg.Done()
+	first := conn == nil
+	var carry Frame
+	var carried bool
+	for {
+		if conn == nil {
+			if conn = t.dial(l); conn == nil {
+				return
+			}
+			if !first {
+				t.reconnects.Add(1)
+			}
+		}
+		first = false
+		carry, carried = t.writeConn(l, conn, carry, carried)
+		// Closing twice is harmless: SetPeer or Close may have got there
+		// first.
+		conn.Close()
+		conn = nil
+		if t.closing() {
+			return
+		}
+	}
+}
+
+// writeConn coalesces queued frames into batched writes on conn's gob
+// stream until the connection breaks, the link's address moves, or the
+// transport closes. f (if have) is written first. The frames of a batch
+// that fails are lost (possibly half-written, so they cannot safely be
+// replayed on a stream the far decoder will restart); a frame picked up
+// after SetPeer moved the link is returned unwritten for the next
+// connection, and everything still queued carries over by itself.
+func (t *MeshTransport) writeConn(l *meshLink, conn net.Conn, f Frame, have bool) (Frame, bool) {
+	bw := bufio.NewWriterSize(conn, meshBufSize)
+	enc := gob.NewEncoder(bw)
+	for {
+		if !have {
+			select {
+			case f = <-l.ch:
+			case <-t.done:
+				return f, false
+			}
+		}
+		l.mu.Lock()
+		moved := l.conn != conn
+		l.mu.Unlock()
+		if moved {
+			return f, true
+		}
+		// Opportunistic drain: everything already queued joins the batch
+		// (bufio flushes itself if a batch outgrows its buffer).
+		err := enc.Encode(f)
+		have = false
+	drain:
+		for err == nil {
+			select {
+			case f = <-l.ch:
+				err = enc.Encode(f)
+			default:
+				break drain
+			}
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			return f, false
 		}
 	}
 }

@@ -4,27 +4,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
+
+	"psclock/internal/simtime"
 )
 
-// Report is the machine-readable outcome of a pscserve run: the `live`
-// section of BENCH_results.json. It records what was configured, what was
-// measured (ε, timer lateness, delay bounds — the live counterparts of the
-// simulator's assumptions), the load generator's throughput and latency
-// percentiles, and the online linearizability verdict that gates the run.
-type Report struct {
+// ReportCore is what every live run reports, whatever hosted it: who ran
+// (identity and configuration that shapes throughput, which compare treats
+// as config), the load generator's throughput and latency percentiles, the
+// model parameters configured against what was measured, the frame
+// counters, and the online verdict. live.Report (pscserve) and
+// fleet.Report (pscfleet) embed it, so the `live*` sections of
+// BENCH_results.json share these keys by construction.
+type ReportCore struct {
 	Nodes   int `json:"nodes"`
 	Clients int `json:"clients"`
-	// Registers is the independent register instances served; Pipeline is
-	// the per-client in-flight bound (0/1: closed loop). Both shape the
-	// throughput a run can reach, so compare treats them as config.
+	// Registers is the independent register instances served; Tiers is the
+	// per-register tier configuration string ("" for an untiered run).
 	Registers int    `json:"registers,omitempty"`
-	Pipeline  int    `json:"pipeline,omitempty"`
+	Tiers     string `json:"tiers,omitempty"`
 	Clock     string `json:"clock"`
-	Transport string `json:"transport"`
 	Seed      int64  `json:"seed"`
 	// GOMAXPROCS is recorded per section: the live runtime's throughput
 	// depends on the parallelism it ran under, independently of whatever
-	// setting later pscbench runs record at the top level.
+	// setting later pscbench runs record at the top level. For a fleet it
+	// is the plane's; each daemon is its own process.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	DurationMS float64 `json:"duration_ms"`
@@ -38,12 +42,58 @@ type Report struct {
 	WriteP50US float64 `json:"write_p50_us"`
 	WriteP99US float64 `json:"write_p99_us"`
 
-	// Tiers is the per-register tier configuration string ("" for an
-	// untiered run); TierLin and TierSeq split the run per consistency
-	// tier, and ReadDiscountUS is the seq tier's measured read saving —
-	// lin read p50 − seq read p50, the 2ε the lin tier pays for
-	// linearizability (Lemmas 6.1/6.2). Compare gates it against ε.
-	Tiers          string      `json:"tiers,omitempty"`
+	EpsConfigUS   float64 `json:"eps_config_us"`
+	EpsMeasuredUS float64 `json:"eps_measured_us"`
+	D1ConfigUS    float64 `json:"d1_config_us"`
+	D2ConfigUS    float64 `json:"d2_config_us"`
+
+	Messages        int `json:"messages"`
+	Held            int `json:"held"`
+	DelayViolations int `json:"delay_violations"`
+	// Reconnects counts transport link re-dials over the run: healed
+	// failures, reported rather than fatal (a loopback run has zero).
+	Reconnects int `json:"reconnects,omitempty"`
+
+	// Violations counts online check failures (sticky: 0 or 1 per check);
+	// CheckStates is the online checker's search size. CheckShards is the
+	// sharded-verification worker count the run used (0: checkers ran
+	// inline on the event consumer).
+	Violations  int `json:"violations"`
+	CheckStates int `json:"check_states"`
+	CheckShards int `json:"check_shards,omitempty"`
+	// RecorderDrops counts events the recorder discarded after shutdown
+	// (summed over daemons in a fleet); a clean run asserts zero (Pass
+	// requires it).
+	RecorderDrops int  `json:"recorder_drops"`
+	Pass          bool `json:"pass"`
+}
+
+// SetLoad fills the throughput and latency fields from the load
+// generator's result over the wall time the load ran.
+func (c *ReportCore) SetLoad(res LoadResult, wall time.Duration) {
+	us := func(d simtime.Duration) float64 { return float64(d) / float64(simtime.Microsecond) }
+	c.DurationMS = float64(wall.Microseconds()) / 1e3
+	c.Ops, c.Reads, c.Writes = res.Ops, res.Reads, res.Writes
+	c.OpsPerSec = float64(res.Ops) / wall.Seconds()
+	c.ReadP50US, c.ReadP99US = us(res.ReadLat.P50), us(res.ReadLat.P99)
+	c.WriteP50US, c.WriteP99US = us(res.WriteLat.P50), us(res.WriteLat.P99)
+}
+
+// Report is the machine-readable outcome of a pscserve run: the `live`
+// section of BENCH_results.json. Beyond the core it records the
+// single-process specifics: the pipeline shape, the transport, timer
+// lateness and the measured delay interval, and the per-tier split.
+type Report struct {
+	ReportCore
+	// Pipeline is the per-client in-flight bound (0/1: closed loop); with
+	// Transport it is configuration for compare.
+	Pipeline  int    `json:"pipeline,omitempty"`
+	Transport string `json:"transport"`
+
+	// TierLin and TierSeq split the run per consistency tier, and
+	// ReadDiscountUS is the seq tier's measured read saving — lin read
+	// p50 − seq read p50, the 2ε the lin tier pays for linearizability
+	// (Lemmas 6.1/6.2). Compare gates it against ε.
 	TierLin        *TierReport `json:"tier_lin,omitempty"`
 	TierSeq        *TierReport `json:"tier_seq,omitempty"`
 	ReadDiscountUS float64     `json:"read_discount_us,omitempty"`
@@ -54,33 +104,10 @@ type Report struct {
 	PipelineDepthMean float64 `json:"pipeline_depth_mean,omitempty"`
 	PerRegOps         []int   `json:"per_reg_ops,omitempty"`
 
-	EpsConfigUS   float64 `json:"eps_config_us"`
-	EpsMeasuredUS float64 `json:"eps_measured_us"`
-	EllConfigUS   float64 `json:"ell_config_us"`
-	TimerLateUS   float64 `json:"timer_late_us"`
-	D1ConfigUS    float64 `json:"d1_config_us"`
-	D2ConfigUS    float64 `json:"d2_config_us"`
-	DelayMinUS    float64 `json:"delay_min_us"`
-	DelayMaxUS    float64 `json:"delay_max_us"`
-
-	Messages        int `json:"messages"`
-	Held            int `json:"held"`
-	DelayViolations int `json:"delay_violations"`
-
-	// Violations counts online linearizability check failures (sticky: 0
-	// or 1 per check); CheckStates is the online checker's search size.
-	// CheckShards is the sharded-verification worker count the run used
-	// (0: checkers ran inline on the event consumer).
-	Violations  int `json:"violations"`
-	CheckStates int `json:"check_states"`
-	CheckShards int `json:"check_shards,omitempty"`
-	// RecorderDrops counts events the recorder discarded after shutdown;
-	// a clean run asserts zero (Pass requires it).
-	RecorderDrops int `json:"recorder_drops"`
-	// Reconnects counts transport link re-dials over the run: healed
-	// failures, reported rather than fatal (a loopback run has zero).
-	Reconnects int  `json:"reconnects,omitempty"`
-	Pass       bool `json:"pass"`
+	EllConfigUS float64 `json:"ell_config_us"`
+	TimerLateUS float64 `json:"timer_late_us"`
+	DelayMinUS  float64 `json:"delay_min_us"`
+	DelayMaxUS  float64 `json:"delay_max_us"`
 }
 
 // TierReport is one consistency tier's slice of a mixed-tier run: its

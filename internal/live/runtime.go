@@ -93,6 +93,16 @@ type Measured struct {
 	// Reconnects counts transport link re-dials after dial/write failures
 	// (zero on transports that never reconnect).
 	Reconnects int
+	// SendDrops counts frames the transport discarded because an outbound
+	// queue was full: overload, or a peer unreachable for a long time.
+	SendDrops int
+}
+
+// linkStats is what a transport with links that break and fill reports;
+// the runtime folds it into Measured.
+type linkStats interface {
+	Reconnects() int64
+	Drops() int64
 }
 
 // Runtime hosts N×R copies of a core.Algorithm on wall-clock time: one
@@ -331,8 +341,7 @@ func (rt *Runtime) Clock(i int) Clock {
 }
 
 // Snapshot returns the measured bounds so far without stopping the
-// runtime — the daemon's heartbeat payload. The epsilon and reconnect
-// probes are the same ones Stop runs; everything else reads atomics.
+// runtime — the daemon's heartbeat payload.
 func (rt *Runtime) Snapshot() Measured {
 	rt.mu.Lock()
 	if !rt.started || rt.stopped {
@@ -341,29 +350,7 @@ func (rt *Runtime) Snapshot() Measured {
 		return m
 	}
 	rt.mu.Unlock()
-	m := Measured{
-		TimerLate:       simtime.Duration(rt.timerLate.Load()),
-		DelayMax:        simtime.Duration(rt.delayMax.Load()),
-		DelayViolations: int(rt.delayViols.Load()),
-		Messages:        int(rt.msgs.Load()),
-		Held:            int(rt.held.Load()),
-		RecorderDrops:   int(rt.rec.drops.Load()),
-	}
-	if lo := rt.delayMin.Load(); lo != math.MaxInt64 {
-		m.DelayMin = simtime.Duration(lo)
-	}
-	for _, n := range rt.nodes {
-		if n == nil {
-			continue
-		}
-		if b := n.clk.OffsetBound(); b > m.Eps {
-			m.Eps = b
-		}
-	}
-	if r, ok := rt.transport.(interface{ Reconnects() int64 }); ok {
-		m.Reconnects = int(r.Reconnects())
-	}
-	return m
+	return rt.measure()
 }
 
 // Stop shuts the runtime down — node loops, then transport, then a final
@@ -381,7 +368,12 @@ func (rt *Runtime) Stop() Measured {
 	rt.wg.Wait()
 	rt.transport.Close()
 	rt.rec.flush()
+	rt.measured = rt.measure()
+	return rt.measured
+}
 
+// measure reads the counters and probes the clocks and the transport.
+func (rt *Runtime) measure() Measured {
 	m := Measured{
 		TimerLate:       simtime.Duration(rt.timerLate.Load()),
 		DelayMax:        simtime.Duration(rt.delayMax.Load()),
@@ -401,20 +393,11 @@ func (rt *Runtime) Stop() Measured {
 			m.Eps = b
 		}
 	}
-	if r, ok := rt.transport.(interface{ Reconnects() int64 }); ok {
-		m.Reconnects = int(r.Reconnects())
+	if ls, ok := rt.transport.(linkStats); ok {
+		m.Reconnects = int(ls.Reconnects())
+		m.SendDrops = int(ls.Drops())
 	}
-	rt.measured = m
 	return m
-}
-
-// elapsed returns real time since the epoch as a simulated instant.
-func (rt *Runtime) elapsed() simtime.Time {
-	t, err := simtime.TimeFromWall(time.Since(rt.epoch))
-	if err != nil {
-		return simtime.Zero
-	}
-	return t
 }
 
 // deliverFrame is the transport's delivery callback: enforce the designed
@@ -422,7 +405,7 @@ func (rt *Runtime) elapsed() simtime.Time {
 // measure and enqueue. Safe for concurrent use.
 func (rt *Runtime) deliverFrame(f Frame) {
 	if lo := rt.opts.Bounds.Lo; lo > 0 {
-		if raw := rt.elapsed().Sub(f.SentReal); raw < lo {
+		if raw := Since(rt.epoch).Sub(f.SentReal); raw < lo {
 			if wait, err := simtime.ToWall(lo - raw); err == nil && wait > 0 {
 				time.AfterFunc(wait, func() { rt.enqueueFrame(f) })
 				return
@@ -438,7 +421,7 @@ func (rt *Runtime) enqueueFrame(f Frame) {
 	if int(f.To) < 0 || int(f.To) >= len(rt.nodes) || rt.nodes[f.To] == nil {
 		return
 	}
-	d := rt.elapsed().Sub(f.SentReal)
+	d := Since(rt.epoch).Sub(f.SentReal)
 	atomicMin(&rt.delayMin, int64(d))
 	atomicMax(&rt.delayMax, int64(d))
 	if hi := rt.opts.Bounds.Hi; hi != simtime.Forever && d > hi {
@@ -668,13 +651,13 @@ func (n *node) Send(to ta.NodeID, body any) {
 		To:        to,
 		Chan:      n.curReg,
 		SentClock: n.now,
-		SentReal:  n.rt.elapsed(),
+		SentReal:  Since(n.rt.epoch),
 		Body:      body,
 	}
 	n.rt.msgs.Add(1)
-	// Send errors surface only at shutdown (closed transport) or under
-	// overload (full outbound queue); either way the message is lost,
-	// matching a crashed link — the monitor will say so if it matters.
+	// A Send error can only mean a frame for a pair that does not exist
+	// or a transport already closed at shutdown; overload is not an error,
+	// the transport counts the frame it drops (Measured.SendDrops).
 	_ = n.rt.transport.Send(f)
 }
 
