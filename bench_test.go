@@ -3,10 +3,8 @@
 // micro-benchmarks of the substrates. Each experiment bench prints its
 // table once and fails if any of the paper's claims did not hold.
 //
-// The experiment benches run on the parallel harness by default: each
-// experiment fans its seeded rows over a worker pool of width GOMAXPROCS
-// (experiments.SetParallelism adjusts it), so the reported wall times are
-// the same ones `pscbench -json` records in BENCH_results.json.
+// The experiment benches run on the parallel harness: each experiment
+// fans its seeded rows over a worker pool of width GOMAXPROCS.
 package psclock_test
 
 import (

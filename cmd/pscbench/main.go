@@ -6,144 +6,31 @@
 //	pscbench                    # run all experiments
 //	pscbench -list              # list experiments
 //	pscbench -run E3,E4         # run a subset
-//	pscbench -parallel 4        # cap the row-level worker pool at 4
-//	pscbench -json              # also write BENCH_results.json
-//	pscbench -compare old.json  # diff wall/ops-per-sec vs a previous report
-//	pscbench -dense             # dense differential-oracle executors (no coalescing)
-//	pscbench -shards 4          # sharded conservative-parallel executors
-//	pscbench -stream            # long-horizon streaming pipeline measurement
-//	pscbench -streamops 1000000 # operation count for -stream
-//	pscbench -checkshards 4     # sharded parallel verification (experiments + -stream)
-//	pscbench -approx            # also measure the ε-approximate checker in -stream
 //	pscbench -shardsweep        # GOMAXPROCS × shards scaling curve of the sharded executor
 //	pscbench -cpuprofile cpu.pb # write a CPU profile of the run
 //	pscbench -memprofile mem.pb # write a heap profile at exit
 //
 // Experiments run one after another; parallelism lives inside each
-// experiment, which fans its seeded rows over a bounded worker pool
-// (default width GOMAXPROCS, capped with -parallel). Keeping the
-// experiments themselves sequential leaves E10's wall-clock throughput
-// figures uncontended.
+// experiment, which fans its seeded rows over a pool of GOMAXPROCS
+// workers (GOMAXPROCS=1 pscbench … is the single-worker run). Keeping
+// the experiments themselves sequential leaves E10's wall-clock
+// throughput figures uncontended.
 //
-// The exit status is nonzero if any experiment's assertions fail, or if
-// -compare detects a regression beyond its tolerance.
+// The exit status is nonzero if any experiment's assertions fail or the
+// -shardsweep win rule does not hold. Performance is measured and gated
+// by bench/ (bash bench/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"psclock/internal/core"
 	"psclock/internal/experiments"
-	"psclock/internal/fleet"
-	"psclock/internal/live"
 )
-
-// benchFile is what -json writes.
-const benchFile = "BENCH_results.json"
-
-// jsonResult is one experiment's machine-readable outcome.
-type jsonResult struct {
-	ID       string             `json:"id"`
-	Title    string             `json:"title"`
-	Pass     bool               `json:"pass"`
-	WallMS   float64            `json:"wall_ms"`
-	Failures []string           `json:"failures,omitempty"`
-	Metrics  map[string]float64 `json:"metrics,omitempty"`
-}
-
-// jsonReport is the top-level shape of BENCH_results.json. Besides the
-// results it records the effective execution settings, so -compare can
-// flag a diff between reports produced under different configurations
-// before anyone reads meaning into its deltas.
-type jsonReport struct {
-	Parallelism int         `json:"parallelism"`
-	Shards      int         `json:"shards"`
-	CheckShards int         `json:"check_shards,omitempty"`
-	Dense       bool        `json:"dense"`
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	TotalWallMS float64     `json:"total_wall_ms"`
-	Stream      *jsonStream `json:"stream,omitempty"`
-	// Live is the pscserve wall-clock section (the pipelined headline
-	// run); LiveClosed is its closed-loop one-op-in-flight latency
-	// baseline; LiveTiered is the mixed-consistency run with per-tier
-	// latency splits. pscbench never produces any of them, but carries
-	// existing ones forward when rewriting the file so the two tools
-	// co-own BENCH_results.json.
-	Live       *live.Report `json:"live,omitempty"`
-	LiveClosed *live.Report `json:"live_closed,omitempty"`
-	LiveTiered *live.Report `json:"live_tiered,omitempty"`
-	// LiveFleet is the pscfleet multi-process chaos section: node daemons
-	// as real OS processes under orchestrated fault injection, with every
-	// fault classified against its expected outcome.
-	LiveFleet *fleet.Report `json:"live_fleet,omitempty"`
-	// ShardScaling is the -shardsweep section: the sharded executor's
-	// GOMAXPROCS × shards scaling curve (see shardsweep.go).
-	ShardScaling *jsonShardScaling `json:"shard_scaling,omitempty"`
-	Experiments  []jsonResult      `json:"experiments"`
-}
-
-// jsonStream records the -stream measurement: the long-horizon workload
-// verified through the streaming pipeline with retention off, plus a
-// retained-pipeline baseline at a memory-feasible operation count. The
-// projected fields scale the baseline's peak heap linearly to the
-// streaming run's operation count — retention's live heap grows linearly
-// with the run, which is the comparison the streaming pipeline exists to
-// win.
-type jsonStream struct {
-	Ops int `json:"ops"`
-	// GOMAXPROCS is recorded per section: a section measured under a
-	// different parallelism than the baseline's is an apples-to-oranges
-	// throughput comparison even when the top-level settings match.
-	GOMAXPROCS    int     `json:"gomaxprocs,omitempty"`
-	Pass          bool    `json:"pass"`
-	WallMS        float64 `json:"wall_ms"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	PeakHeapBytes float64 `json:"peak_heap_bytes"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	States        int     `json:"states"`
-
-	RetainedOps           int     `json:"retained_ops"`
-	RetainedPeakHeapBytes float64 `json:"retained_peak_heap_bytes"`
-	RetainedAllocsPerOp   float64 `json:"retained_allocs_per_op"`
-	// ProjectedRetainedHeapBytes = retained peak heap scaled to Ops.
-	ProjectedRetainedHeapBytes float64 `json:"projected_retained_heap_bytes"`
-	// HeapRatio = projected retained heap over streaming peak heap.
-	HeapRatio float64 `json:"heap_ratio"`
-
-	// The checker-throughput sub-sections (-checkshards / -approx): a
-	// multi-register command stream captured once, replayed through each
-	// checker variant so the ops/s ratios are checker speedups, not
-	// executor artifacts. CheckSeq is the sequential inline baseline,
-	// CheckSharded the worker-pool fan-out, CheckApprox the ε-approximate
-	// mode (on the same shard count as CheckSharded).
-	CheckSeq     *jsonStreamCheck `json:"check_seq,omitempty"`
-	CheckSharded *jsonStreamCheck `json:"check_sharded,omitempty"`
-	CheckApprox  *jsonStreamCheck `json:"check_approx,omitempty"`
-}
-
-// jsonStreamCheck is one replayed checker-variant measurement.
-type jsonStreamCheck struct {
-	Shards        int     `json:"shards"`
-	ApproxEpsUS   float64 `json:"approx_eps_us,omitempty"`
-	Registers     int     `json:"registers"`
-	Ops           int     `json:"ops"`
-	WallMS        float64 `json:"wall_ms"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	PeakHeapBytes float64 `json:"peak_heap_bytes"`
-	States        int     `json:"states"`
-	Pruned        int     `json:"pruned,omitempty"`
-	Verdict       string  `json:"verdict"`
-	// SpeedupVsSeq is OpsPerSec over CheckSeq's; 0 for CheckSeq itself.
-	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
-	Pass         bool    `json:"pass"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -153,42 +40,11 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("pscbench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiments and exit")
 	only := fs.String("run", "", "comma-separated experiment IDs (default: all)")
-	parallel := fs.Int("parallel", 0, "row-level worker pool width per experiment (<1: GOMAXPROCS)")
-	emitJSON := fs.Bool("json", false, "write per-experiment wall time, metrics, and pass/fail to "+benchFile)
-	comparePath := fs.String("compare", "", "previous BENCH_results.json to diff against; regressions beyond -tolerance exit nonzero")
-	tolerance := fs.Float64("tolerance", 0.20, "relative regression tolerance for -compare (0.20 = 20%)")
-	dense := fs.Bool("dense", false, "run every executor on the dense differential-oracle path (no tick/step coalescing)")
-	shards := fs.Int("shards", 0, "shard count for conservative-parallel execution (<2: sequential); also the default for experiments that build their own systems")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file after the experiment runs")
-	stream := fs.Bool("stream", false, "after the experiments, run the long-horizon streaming pipeline measurement and record peak heap and allocs/op")
-	streamOps := fs.Int("streamops", 1_000_000, "operation count for the -stream measurement")
-	checkShards := fs.Int("checkshards", 0, "sharded-verification worker count (<2: sequential); experiments gain a sharded verdict-parity twin per checker, -stream gains checker-throughput sub-sections")
-	approx := fs.Bool("approx", false, "with -stream, also measure the ε-approximate checker variant")
 	shardSweep := fs.Bool("shardsweep", false, "after the experiments, measure the sharded executor's GOMAXPROCS × shards scaling curve")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *dense {
-		defer core.SetDenseExecutors(core.SetDenseExecutors(true))
-	}
-	if *shards > 1 {
-		defer core.SetDefaultShards(core.SetDefaultShards(*shards))
-	}
-	if *checkShards > 1 {
-		defer experiments.SetCheckShards(experiments.SetCheckShards(*checkShards))
-	}
-
-	// Load the baseline up front: -json overwrites BENCH_results.json, and
-	// comparing against one's own freshly written report would always pass.
-	var baseline jsonReport
-	if *comparePath != "" {
-		var err error
-		if baseline, err = loadReport(*comparePath); err != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: -compare: %v\n", err)
-			return 2
-		}
 	}
 
 	if *list {
@@ -197,9 +53,6 @@ func run(args []string) int {
 		}
 		return 0
 	}
-
-	prev := experiments.SetParallelism(*parallel)
-	defer experiments.SetParallelism(prev)
 
 	var selected []experiments.Experiment
 	if *only == "" {
@@ -232,55 +85,17 @@ func run(args []string) int {
 		}()
 	}
 
-	report := jsonReport{
-		Parallelism: experiments.Parallelism(),
-		Shards:      core.DefaultShards(),
-		CheckShards: experiments.CheckShards(),
-		Dense:       *dense,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-	start := time.Now()
 	failed := 0
 	for _, e := range selected {
-		t0 := time.Now()
 		r := e.Run()
-		wall := time.Since(t0)
 		fmt.Println(r)
 		if !r.Pass() {
 			failed++
 		}
-		report.Experiments = append(report.Experiments, jsonResult{
-			ID:       r.ID,
-			Title:    r.Title,
-			Pass:     r.Pass(),
-			WallMS:   float64(wall.Microseconds()) / 1000,
-			Failures: r.Failures,
-			Metrics:  r.Metrics,
-		})
 	}
-	if *stream {
-		js, err := runStream(*streamOps, *checkShards, *approx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: -stream: %v\n", err)
-			return 1
-		}
-		report.Stream = js
-		if !js.Pass {
-			failed++
-		}
-		for _, sub := range []*jsonStreamCheck{js.CheckSeq, js.CheckSharded, js.CheckApprox} {
-			if sub != nil && !sub.Pass {
-				failed++
-			}
-		}
+	if *shardSweep && !runShardSweep() {
+		failed++
 	}
-	if *shardSweep {
-		report.ShardScaling = runShardSweep()
-		if !report.ShardScaling.Pass {
-			failed++
-		}
-	}
-	report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -294,39 +109,6 @@ func run(args []string) int {
 			return 2
 		}
 		f.Close()
-	}
-
-	if *emitJSON {
-		// Preserve the live section pscserve wrote, if any: -json rewrites
-		// the whole file, but the live runtime's results are not ours to
-		// drop.
-		if prev, err := loadReport(benchFile); err == nil {
-			report.Live = prev.Live
-			report.LiveClosed = prev.LiveClosed
-			report.LiveTiered = prev.LiveTiered
-			report.LiveFleet = prev.LiveFleet
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(benchFile, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pscbench: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "pscbench: wrote %s (%d experiments, %.0f ms total)\n",
-			benchFile, len(report.Experiments), report.TotalWallMS)
-	}
-
-	if *comparePath != "" {
-		regressions := compareReports(baseline, report, *tolerance)
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "pscbench: regression: %s\n", r)
-		}
-		if len(regressions) > 0 {
-			return 1
-		}
 	}
 
 	if failed > 0 {

@@ -10,12 +10,11 @@ import (
 )
 
 // The -shardsweep measurement: the GOMAXPROCS × shards scaling curve of
-// the adaptive-horizon sharded executor, recorded as the shard_scaling
-// section of BENCH_results.json. Each cell is a time-boxed throughput
-// measurement (experiments.ThroughputCell) of one (model, shards, procs)
-// configuration; speedups are relative to a sequential baseline measured
-// in the same sweep on the same box, so the ratios survive host changes
-// that absolute ops/s numbers do not.
+// the adaptive-horizon sharded executor, printed as a table. Each cell is
+// a time-boxed throughput measurement (experiments.ThroughputCell) of one
+// (model, shards, procs) configuration; speedups are relative to a
+// sequential baseline measured in the same sweep on the same box, so the
+// ratios survive host changes that absolute ops/s numbers do not.
 
 const (
 	sweepN          = 8
@@ -28,29 +27,15 @@ const (
 	sweepWinProcs = 4
 )
 
-// jsonShardScaling is the shard_scaling section: the sweep's shape, the
-// per-cell curve, and the win verdict.
-type jsonShardScaling struct {
-	N int `json:"n"`
-	// GOMAXPROCS is the ambient setting the process was launched with;
-	// each cell additionally records the setting it ran under.
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	BudgetMS   float64 `json:"budget_ms"`
-	// Pass is true when no cell failed to run and — on boxes with at
-	// least sweepWinProcs cores — every model has a winning cell
-	// (speedup ≥ 1.0×) at procs ≥ sweepWinProcs.
-	Pass     bool                      `json:"pass"`
-	Failures []string                  `json:"failures,omitempty"`
-	Cells    []experiments.ScalingCell `json:"cells"`
-}
-
-// runShardSweep measures the scaling curve and prints it as a table.
-// The shard counts and proc counts are fixed (2/4/8 shards × 1/2/4 procs)
-// so reports from different runs compare cell-for-cell; proc counts above
-// the box's core count are skipped — a cell that cannot physically run in
-// parallel would measure scheduler churn, not the executor.
-func runShardSweep() *jsonShardScaling {
+// runShardSweep measures the scaling curve, prints it as a table, and
+// reports whether the sweep passed: no cell failed to run and — on boxes
+// with at least sweepWinProcs cores — every model has a winning cell
+// (speedup ≥ 1.0×) at procs ≥ sweepWinProcs. The shard counts and proc
+// counts are fixed (2/4/8 shards × 1/2/4 procs) so tables from different
+// runs compare cell-for-cell; proc counts above the box's core count are
+// skipped — a cell that cannot physically run in parallel would measure
+// scheduler churn, not the executor.
+func runShardSweep() bool {
 	procs := []int{1}
 	for _, p := range []int{2, 4} {
 		if p <= runtime.NumCPU() {
@@ -58,16 +43,8 @@ func runShardSweep() *jsonShardScaling {
 		}
 	}
 	cells, fails := experiments.ShardScaling(sweepN, []int{2, 4, 8}, procs, sweepCellBudget, sweepTrials)
-	sec := &jsonShardScaling{
-		N:          sweepN,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		BudgetMS:   float64(sweepCellBudget.Microseconds()) / 1000,
-		Failures:   fails,
-		Cells:      cells,
-	}
 
-	fmt.Printf("shard scaling (n=%d, %d CPU):\n", sweepN, sec.NumCPU)
+	fmt.Printf("shard scaling (n=%d, %d CPU):\n", sweepN, runtime.NumCPU())
 	fmt.Printf("  %-6s %7s %6s %12s %12s %9s %4s\n", "model", "shards", "procs", "ops/s", "seq ops/s", "speedup", "win")
 	for _, c := range cells {
 		win := ""
@@ -81,7 +58,7 @@ func runShardSweep() *jsonShardScaling {
 		fmt.Fprintf(os.Stderr, "pscbench: -shardsweep: cell failed: %s\n", f)
 	}
 
-	sec.Pass = len(fails) == 0
+	pass := len(fails) == 0
 	if runtime.NumCPU() >= sweepWinProcs {
 		for _, model := range []string{"timed", "clock", "mmt"} {
 			won := false
@@ -92,10 +69,10 @@ func runShardSweep() *jsonShardScaling {
 				}
 			}
 			if !won {
-				sec.Pass = false
+				pass = false
 				fmt.Fprintf(os.Stderr, "pscbench: -shardsweep: %s has no winning cell at procs >= %d\n", model, sweepWinProcs)
 			}
 		}
 	}
-	return sec
+	return pass
 }

@@ -8,8 +8,7 @@
 // The run fails (exit 1) if any fault's observed outcome contradicts its
 // expectation, if the checker reports violations not explained by
 // injected message/process loss, or if the recorder dropped events.
-// With -json the report merges into BENCH_results.json as `live_fleet`,
-// which pscbench -compare gates.
+// -json PATH writes the run's report (fleet.Report) as one JSON document.
 package main
 
 import (
@@ -60,8 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		detTimeout = fs.Duration("dettimeout", 0, "heartbeat timeout τ (0 = SafeTimeoutClock + slack)")
 
 		checkShards = fs.Int("checkshards", 2, "checker worker shards")
-		jsonPath    = fs.String("json", "", "merge report into this BENCH_results.json")
-		section     = fs.String("section", "live_fleet", "JSON section name")
+		jsonPath    = fs.String("json", "", "write the run's report to this file as one JSON document")
 		nodeBin     = fs.String("nodebin", "", "pscnode binary (default: sibling of this binary, else go build)")
 		verbose     = fs.Bool("v", false, "verbose plane/daemon logging")
 	)
@@ -204,8 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep := buildReport(reportInputs{
 		nodes: *nodes, registers: *registers, tiersSpec: *tiers,
 		clients: nClients, seed: *seed, wall: wall,
-		eps: eps, d1: sim(*d1F), d2: d2,
-		detPeriod: sim(*detPeriod), checkShards: *checkShards,
+		eps: eps, d1: sim(*d1F), d2: d2, checkShards: *checkShards,
 		script: script, outcomes: outcomes,
 		res: res, stats: stats, verdict: verdict,
 		crashes: plane.Crashes(),
@@ -213,11 +210,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	printReport(stdout, rep, res, verdict)
 	if *jsonPath != "" {
-		if err := live.MergeSectionIntoBenchFile(*jsonPath, *section, rep); err != nil {
+		if err := live.WriteReport(*jsonPath, rep); err != nil {
 			fmt.Fprintf(stderr, "pscfleet: write %s: %v\n", *jsonPath, err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "pscfleet: merged %q into %s\n", *section, *jsonPath)
+		fmt.Fprintf(stdout, "pscfleet: wrote %s\n", *jsonPath)
 	}
 	if !rep.Pass {
 		return 1
@@ -232,7 +229,6 @@ type reportInputs struct {
 	seed             int64
 	wall             time.Duration
 	eps, d1, d2      simtime.Duration
-	detPeriod        simtime.Duration
 	checkShards      int
 	script           fleet.Script
 	outcomes         []fleet.ChaosOutcome
@@ -295,7 +291,8 @@ func buildReport(in reportInputs) *fleet.Report {
 			CheckShards:   in.checkShards,
 			RecorderDrops: in.stats.RecorderDrops,
 		},
-		DetPeriodUS:   us(in.detPeriod),
+		DetPeriodUS:   us(in.stats.DetPeriod),
+		DetTimeoutUS:  us(in.stats.DetTimeout),
 		FramesDropped: in.stats.Dropped,
 
 		ChaosScript:     in.script.String(),

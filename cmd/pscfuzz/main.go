@@ -238,7 +238,7 @@ func diffSharded(seed int64, mutate bool, shards int, edgeSpread bool, seqOps []
 }
 
 // oneTrial draws and runs one configuration; shards > 1 selects the
-// conservative-parallel executor (negative and 0..1 run sequentially).
+// conservative-parallel executor (below 2 runs sequentially).
 // edgeSpread replaces the uniform delay bounds with an independent
 // interval per directed edge, each nested inside the global [d1, d2] so
 // the register's D2 wait budget stays an upper bound on every delivery.
@@ -322,9 +322,6 @@ func oneTrial(seed int64, mutate bool, shards int, edgeSpread bool) (string, []l
 	desc := fmt.Sprintf("alg=%s n=%d d=[%v,%v]%s ε=%v c=%v clocks=%s delays=%s seed=%d",
 		algName, n, d1, d2, edgeDesc, eps, cKnob, cname, dname, seed)
 
-	if shards < 2 {
-		shards = -1 // pin sequential even if a process-global default is set
-	}
 	cfg := core.Config{N: n, Bounds: bounds, EdgeBounds: edgeBounds, Seed: seed, Clocks: cf, NewDelay: df, FIFO: r.Intn(2) == 0, Shards: shards}
 	net := core.BuildClocked(cfg, factory)
 	clients := workload.Attach(net, workload.Config{

@@ -19,7 +19,7 @@
 // Usage:
 //
 //	pscserve -nodes 3 -clients 3 -duration 2s -clock jitter
-//	pscserve -transport chan -rate 300 -json   # update BENCH_results.json
+//	pscserve -transport chan -rate 300 -json run.json   # also write the report
 //	pscserve -pipeline 64 -registers 24 -rate 0 -checkshards 4   # throughput
 //
 // The gating check relaxes windows by ε plus a scheduling-slack budget
@@ -90,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gcPercent := fs.Int("gogc", 0, "set the GC target percentage for the run (0 = inherit GOGC): on a single core the collector's concurrent mark competes with the node loops, and its ~10ms bursts are the dominant source of frames measured past d2")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	traceFile := fs.String("trace", "", "write a runtime execution trace to this file")
-	jsonOut := fs.Bool("json", false, "merge the report into a section of BENCH_results.json")
-	jsonSection := fs.String("jsonsection", "live", "BENCH_results.json section -json writes (pipelined headline: live; closed-loop baseline: live_closed)")
+	jsonPath := fs.String("json", "", "write the run's report to this file as one JSON document")
 	verbose := fs.Bool("v", false, "verbose: print configuration and per-check verdicts")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -358,8 +357,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// SIGINT/SIGTERM end the load early instead of killing the process:
 	// clients stop issuing and drain their in-flight tails, and the run
-	// proceeds to its normal verdict, report, and -json merge — a
-	// truncated-but-clean measurement rather than a torn-down one.
+	// proceeds to its normal verdict and report — a truncated-but-clean
+	// measurement rather than a torn-down one.
 	stop := make(chan struct{})
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -471,7 +470,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			CheckStates:   liveRes.States,
 			CheckShards:   max(*checkShards, 0),
 			RecorderDrops: m.RecorderDrops,
-			Pass:          violations == 0 && res.Errors == 0 && m.RecorderDrops == 0,
+			// The -minops floor is part of the verdict, so stdout, the JSON
+			// and the exit status cannot disagree about it.
+			Pass: violations == 0 && res.Errors == 0 && m.RecorderDrops == 0 && res.Ops >= *minOps,
 		},
 		Pipeline:  *pipeline,
 		Transport: tname(tr),
@@ -526,12 +527,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "PASS: online linearizability held over %d live operations\n", res.Ops)
 	}
 
-	if *jsonOut {
-		if err := live.MergeSectionIntoBenchFile("BENCH_results.json", *jsonSection, report); err != nil {
-			fmt.Fprintf(stderr, "pscserve: %v\n", err)
+	if *jsonPath != "" {
+		if err := live.WriteReport(*jsonPath, report); err != nil {
+			fmt.Fprintf(stderr, "pscserve: write %s: %v\n", *jsonPath, err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "wrote %s section of BENCH_results.json\n", *jsonSection)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
 
 	if !report.Pass {
@@ -541,10 +542,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if m.RecorderDrops > 0 {
 			fmt.Fprintf(stdout, "FAIL: %d recorder drops\n", m.RecorderDrops)
 		}
-		return 1
-	}
-	if *minOps > 0 && res.Ops < *minOps {
-		fmt.Fprintf(stdout, "FAIL: %d ops below the -minops floor %d\n", res.Ops, *minOps)
+		if res.Ops < *minOps {
+			fmt.Fprintf(stdout, "FAIL: %d ops below the -minops floor %d\n", res.Ops, *minOps)
+		}
 		return 1
 	}
 	return 0

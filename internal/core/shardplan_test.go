@@ -100,3 +100,31 @@ func TestShardPlanPerEdgeLookahead(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigShardsIsTheOnlySelector pins "no ambient default": in every
+// model, Shards 0 and −1 both build the sequential executor and 2 builds
+// the sharded one. Sharded() is only meaningful once the system has run.
+func TestConfigShardsIsTheOnlySelector(t *testing.T) {
+	for _, b := range []struct {
+		model string
+		build func(Config, AlgorithmFactory) *Net
+	}{{"timed", BuildTimed}, {"clock", BuildClocked}, {"mmt", BuildMMT}} {
+		for _, tc := range []struct {
+			shards  int
+			sharded bool
+		}{{0, false}, {-1, false}, {2, true}} {
+			c := cfg2()
+			c.Ell = 100 * us
+			c.Shards = tc.shards
+			net := b.build(c, relayFactory(2*ms))
+			net.Invoke(0, "GO", 0)
+			if err := net.Sys.Run(simtime.Time(10 * ms)); err != nil {
+				t.Fatalf("%s shards=%d: %v", b.model, tc.shards, err)
+			}
+			if got := net.Sys.Sharded(); got != tc.sharded {
+				t.Errorf("%s shards=%d: Sharded() = %v, want %v (%s)",
+					b.model, tc.shards, got, tc.sharded, net.Sys.ShardFallbackReason())
+			}
+		}
+	}
+}

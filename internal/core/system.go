@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
@@ -10,37 +9,6 @@ import (
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
-
-// denseExecutors, when set, makes every Build* executor run the dense
-// differential-oracle path (exec.System.DisableCoalescing): no TICK/step
-// coalescing anywhere. It is process-global so harness entry points like
-// `pscbench -dense` can flip the whole experiment suite at once.
-var denseExecutors atomic.Bool
-
-// SetDenseExecutors toggles dense (non-coalescing) execution for every
-// subsequently built system and returns the previous setting.
-func SetDenseExecutors(v bool) bool { return denseExecutors.Swap(v) }
-
-// defaultShards is the process-global shard count applied to every Build*
-// whose Config leaves Shards at zero, so harness entry points like
-// `pscbench -shards 4` can switch the whole experiment suite to sharded
-// conservative-parallel execution at once. Zero or one means sequential.
-var defaultShards atomic.Int64
-
-// SetDefaultShards sets the process-global default shard count for
-// subsequently built systems and returns the previous setting.
-func SetDefaultShards(n int) int { return int(defaultShards.Swap(int64(n))) }
-
-// DefaultShards returns the process-global default shard count.
-func DefaultShards() int { return int(defaultShards.Load()) }
-
-func newSystem() *exec.System {
-	s := exec.New()
-	if denseExecutors.Load() {
-		s.DisableCoalescing()
-	}
-	return s
-}
 
 // Config describes a distributed system to build: the graph is the
 // complete directed graph on N nodes including self-loops (algorithm L of
@@ -91,27 +59,17 @@ type Config struct {
 	// blocks balanced by interest density, each node's tick source and
 	// clients join its shard, and every channel is pinned to its receiver's
 	// shard, so each ordered shard pair's lookahead is the minimum d1 over
-	// the links that actually cross it. Zero uses the process-global
-	// default (SetDefaultShards); negative forces sequential execution
-	// regardless of the default; values above N are clamped to N. Seeded
-	// runs produce identical observable traces either way.
+	// the links that actually cross it. Below 2 (zero and negative alike)
+	// the system runs on the sequential executor; values above N are
+	// clamped to N. Seeded runs produce identical observable traces either
+	// way.
 	Shards int
 }
 
-// shardCount resolves the effective shard count: the config's request,
-// falling back to the process default, clamped to [1, N].
+// shardCount resolves the effective shard count: the config's request
+// clamped to [1, N].
 func (cfg Config) shardCount() int {
-	n := cfg.Shards
-	if n == 0 {
-		n = DefaultShards()
-	}
-	if n < 2 {
-		return 1
-	}
-	if n > cfg.N {
-		n = cfg.N
-	}
-	return n
+	return max(1, min(cfg.Shards, cfg.N))
 }
 
 // edgeBounds resolves the delay interval of edge (i, j).
@@ -348,7 +306,7 @@ func edgeSeed(base int64, i, j, n int) int64 {
 // model system in which the algorithm sees real time.
 func BuildTimed(cfg Config, f AlgorithmFactory) *Net {
 	cfg = cfg.withDefaults()
-	s := newSystem()
+	s := exec.New()
 	net := &Net{Sys: s, N: cfg.N}
 	for i := 0; i < cfg.N; i++ {
 		node := NewTimedNode(ta.NodeID(i), cfg.N, f(ta.NodeID(i), cfg.N))
@@ -381,7 +339,7 @@ func BuildTimed(cfg Config, f AlgorithmFactory) *Net {
 // attached to its clock, and edges carry clock-tagged messages.
 func BuildClocked(cfg Config, f AlgorithmFactory) *Net {
 	cfg = cfg.withDefaults()
-	s := newSystem()
+	s := exec.New()
 	net := &Net{Sys: s, N: cfg.N}
 	for i := 0; i < cfg.N; i++ {
 		node := NewClockNode(ta.NodeID(i), cfg.N, f(ta.NodeID(i), cfg.N), cfg.Clocks(i))
@@ -423,7 +381,7 @@ func BuildMMT(cfg Config, f AlgorithmFactory) *Net {
 	if cfg.TickPeriod > cfg.Ell {
 		panic(fmt.Sprintf("core: tick period %v exceeds step bound ℓ = %v", cfg.TickPeriod, cfg.Ell))
 	}
-	s := newSystem()
+	s := exec.New()
 	net := &Net{Sys: s, N: cfg.N}
 	for i := 0; i < cfg.N; i++ {
 		node := NewMMTNode(ta.NodeID(i), cfg.N, f(ta.NodeID(i), cfg.N), cfg.Ell, cfg.NewStep(), cfg.Seed*31+int64(i))

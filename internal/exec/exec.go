@@ -34,7 +34,7 @@
 // byte-identical traces on the indexed path and byte-identical observable
 // actions on the coalesced and sharded paths (which elide only hidden TICK
 // events and empty step firings; see DisableCoalescing for the dense
-// oracle and SetShards for the sharded configuration).
+// oracle and SetShardsPlanned for the sharded configuration).
 package exec
 
 import (
@@ -256,8 +256,8 @@ func (s *System) Add(a ta.Automaton) ta.Automaton {
 // DisableCoalescing forces the dense-tick path: every recurring TICK and
 // step deadline is enumerated as its own heap event, exactly as before
 // coalescing existed. It is the differential oracle for the coalesced
-// fast path (see coalesce.go) and may be toggled at any point; tests and
-// `pscbench -dense` use it to prove observable-action equivalence.
+// fast path (see coalesce.go) and may be toggled at any point; the
+// differential tests use it to prove observable-action equivalence.
 func (s *System) DisableCoalescing() { s.dense = true }
 
 // Replace swaps the component registered under name (which the
@@ -315,7 +315,7 @@ func (s *System) Connect(match func(ta.Action) bool, dst ta.Automaton) {
 // than once per dispatched action. The contract is the caller's to keep: a
 // payload-inspecting predicate registered here will be consulted with an
 // arbitrary representative payload and its verdict reused. Under sharded
-// execution (SetShards) predicates are additionally consulted from
+// execution (SetShardsPlanned) predicates are additionally consulted from
 // concurrent lanes, so they must not read mutable state.
 func (s *System) ConnectHeader(match func(ta.Action) bool, dst ta.Automaton) {
 	s.addSub(match, dst, true)

@@ -140,31 +140,6 @@ type ShardPlan struct {
 	MinDelay func(name string) simtime.Duration
 }
 
-// SetShards configures conservative-parallel sharded execution with a
-// single uniform lookahead: n shards, the minimum cross-shard lookahead
-// (the smallest d1 over edges whose sender and receiver land in different
-// shards; pass the saturating simtime.Duration(simtime.Never) when no edge
-// crosses shards), and an assignment from component name to shard id in
-// [0, n). It is SetShardsPlanned with every lane pair sharing the one
-// bound; planners that know per-edge d1 should prefer the planned form,
-// which lets distant pairs run further ahead.
-func (s *System) SetShards(n int, lookahead simtime.Duration, assign func(name string) int) {
-	if n <= 1 || assign == nil {
-		s.SetShardsPlanned(n, assign, ShardPlan{})
-		return
-	}
-	la := make([][]simtime.Duration, n)
-	for j := range la {
-		la[j] = make([]simtime.Duration, n)
-		for k := range la[j] {
-			if j != k {
-				la[j][k] = lookahead
-			}
-		}
-	}
-	s.SetShardsPlanned(n, assign, ShardPlan{Lookahead: la})
-}
-
 // SetShardsPlanned configures conservative-parallel sharded execution from
 // a full per-lane-pair lookahead plan. The assignment is consulted once,
 // when the system first runs; it must place every registered component,
@@ -181,7 +156,7 @@ func (s *System) SetShards(n int, lookahead simtime.Duration, assign func(name s
 // traces.
 func (s *System) SetShardsPlanned(n int, assign func(name string) int, plan ShardPlan) {
 	if s.inited {
-		s.fail(fmt.Errorf("exec: SetShards after the system started"))
+		s.fail(fmt.Errorf("exec: SetShardsPlanned after the system started"))
 		return
 	}
 	if n <= 1 || assign == nil {
@@ -200,7 +175,7 @@ func (s *System) Sharded() bool { return s.shardOn }
 // sequential.
 func (s *System) ShardCount() int { return len(s.lanes) }
 
-// ShardFallbackReason explains why a requested SetShards configuration was
+// ShardFallbackReason explains why a requested sharded configuration was
 // not activated; it is empty when sharding is active or was never
 // requested.
 func (s *System) ShardFallbackReason() string { return s.shardReason }

@@ -23,7 +23,7 @@ import (
 type CellSpec struct {
 	Model  string // "timed", "clock", or "mmt"
 	N      int
-	Shards int // < 2 forces the sequential executor
+	Shards int // < 2: the sequential executor
 	Budget time.Duration
 	Trials int
 }
@@ -59,9 +59,6 @@ func ThroughputCell(spec CellSpec) CellResult {
 	cfg := core.Config{
 		N: spec.N, Bounds: bounds, Seed: 1100, Clocks: clock.DriftFactory(eps, 7), Ell: ell,
 		Shards: spec.Shards,
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = -1
 	}
 	var net *core.Net
 	switch spec.Model {
@@ -140,21 +137,18 @@ func ThroughputCell(spec CellSpec) CellResult {
 	return res
 }
 
-// ScalingCell is one point of the GOMAXPROCS × shards scaling curve, as
-// recorded in the shard_scaling section of BENCH_results.json.
+// ScalingCell is one point of the GOMAXPROCS × shards scaling curve.
 type ScalingCell struct {
-	Model        string  `json:"model"`
-	N            int     `json:"n"`
-	Shards       int     `json:"shards"`
-	Procs        int     `json:"gomaxprocs"`
-	Ops          int     `json:"ops"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	SeqOpsPerSec float64 `json:"seq_ops_per_sec"`
+	Model        string
+	N            int
+	Shards       int
+	Procs        int
+	OpsPerSec    float64
+	SeqOpsPerSec float64
 	// SpeedupVsSeq is OpsPerSec over the same model's sequential baseline
 	// (measured in the same sweep, on the same box, at GOMAXPROCS = 1).
-	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
-	Win          bool    `json:"win"`
+	SpeedupVsSeq float64
+	Win          bool
 }
 
 // ShardScaling measures the sharded executor's scaling curve: for each
@@ -170,7 +164,7 @@ func ShardScaling(n int, shardCounts, procs []int, budget time.Duration, trials 
 	defer runtime.GOMAXPROCS(restore)
 	for _, model := range []string{"timed", "clock", "mmt"} {
 		runtime.GOMAXPROCS(1)
-		seq := ThroughputCell(CellSpec{Model: model, N: n, Shards: -1, Budget: budget, Trials: trials})
+		seq := ThroughputCell(CellSpec{Model: model, N: n, Budget: budget, Trials: trials})
 		if seq.Err != "" {
 			fails = append(fails, fmt.Sprintf("%s n=%d sequential baseline: %s", model, n, seq.Err))
 			continue
@@ -188,7 +182,7 @@ func ShardScaling(n int, shardCounts, procs []int, budget time.Duration, trials 
 				}
 				cells = append(cells, ScalingCell{
 					Model: model, N: n, Shards: sh, Procs: p,
-					Ops: c.Ops, OpsPerSec: c.OpsPerSec, EventsPerSec: c.EventsPerSec,
+					OpsPerSec:    c.OpsPerSec,
 					SeqOpsPerSec: seq.OpsPerSec,
 					SpeedupVsSeq: c.OpsPerSec / seq.OpsPerSec,
 					Win:          c.OpsPerSec >= seq.OpsPerSec,

@@ -13,11 +13,11 @@ import (
 	"psclock/internal/workload"
 )
 
-// StreamReport is one long-horizon pipeline measurement: throughput plus
+// streamReport is one long-horizon pipeline measurement: throughput plus
 // the memory profile the streaming refactor exists to improve — peak live
 // heap at the run's point of maximum liveness and allocations per
 // completed operation.
-type StreamReport struct {
+type streamReport struct {
 	// Ops is the number of operations that completed.
 	Ops int
 	// WallMS is the measured wall-clock time of the run.
@@ -36,15 +36,15 @@ type StreamReport struct {
 	States int
 }
 
-// StreamRun executes a seeded long-horizon register workload (algorithm L
+// streamRun executes a seeded long-horizon register workload (algorithm L
 // in the timed model, 3 nodes) and verifies linearizability either
 // streaming (retain=false: retention off, a Monitor-driven online checker
 // consumes events as they are committed, memory stays O(window)) or
 // retained (retain=true: the classic pipeline — keep the whole trace,
 // scrape the history, batch-check; memory grows with the run). The two
 // modes answer with the same verdict; they differ in the memory column,
-// which is the comparison E10 and `pscbench -stream` report.
-func StreamRun(totalOps int, retain bool) (StreamReport, error) {
+// which is the comparison E10 reports.
+func streamRun(totalOps int, retain bool) (streamReport, error) {
 	const n = 3
 	perClient := (totalOps + n - 1) / n
 	bounds := simtime.NewInterval(1*ms, 3*ms)
@@ -87,11 +87,11 @@ func StreamRun(totalOps int, retain bool) (StreamReport, error) {
 	start := time.Now()
 	for net.Sys.Now() < horizon && !allDone() {
 		if err := net.Sys.Run(net.Sys.Now().Add(50 * ms)); err != nil {
-			return StreamReport{}, err
+			return streamReport{}, err
 		}
 	}
 	if _, err := net.Sys.RunQuiet(net.Sys.Now().Add(50 * ms)); err != nil {
-		return StreamReport{}, err
+		return streamReport{}, err
 	}
 	wall := time.Since(start)
 	runtime.GC()
@@ -102,9 +102,9 @@ func StreamRun(totalOps int, retain bool) (StreamReport, error) {
 		done += c.Done
 	}
 	if !allDone() {
-		return StreamReport{}, fmt.Errorf("experiments: stream run completed %d/%d ops within the horizon", done, n*perClient)
+		return streamReport{}, fmt.Errorf("experiments: stream run completed %d/%d ops within the horizon", done, n*perClient)
 	}
-	rep := StreamReport{
+	rep := streamReport{
 		Ops:         done,
 		WallMS:      float64(wall.Microseconds()) / 1000,
 		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(done),
@@ -119,12 +119,12 @@ func StreamRun(totalOps int, retain bool) (StreamReport, error) {
 	if retain {
 		ops, err := register.History(net.Sys.Trace().Visible())
 		if err != nil {
-			return StreamReport{}, err
+			return streamReport{}, err
 		}
 		res = linearize.Check(ops, opt)
 	} else {
 		if err := mon.Err(); err != nil {
-			return StreamReport{}, err
+			return streamReport{}, err
 		}
 		res = mon.Verdict("lin")
 	}
@@ -133,22 +133,21 @@ func StreamRun(totalOps int, retain bool) (StreamReport, error) {
 }
 
 // e10PipelineOps sizes the in-suite streaming-vs-retained comparison. It
-// is deliberately modest so the unit suite stays fast; the acceptance
-// scale (10⁶ operations) runs under `pscbench -stream -streamops`.
+// is deliberately modest so the unit suite stays fast.
 const e10PipelineOps = 10000
 
-// e10Pipelines renders the streaming-vs-retained comparison rows and
-// metrics for E10, returning failures on verdict disagreement or on a
-// streaming pipeline that fails to undercut retained memory.
-func e10Pipelines(metrics map[string]float64) (string, []string) {
+// e10Pipelines renders the streaming-vs-retained comparison rows for E10,
+// returning failures on verdict disagreement or on a streaming pipeline
+// that fails to undercut retained memory.
+func e10Pipelines() (string, []string) {
 	var fails []string
 	// Like the throughput cells, the streaming row reports its best of
 	// e10Trials runs: interference only subtracts throughput, so max-of-N
 	// is the low-noise estimator (and min-of-N for the heap reading).
-	sr, serr := StreamRun(e10PipelineOps, false)
+	sr, serr := streamRun(e10PipelineOps, false)
 	for trial := 1; trial < e10Trials && serr == nil; trial++ {
-		var again StreamReport
-		if again, serr = StreamRun(e10PipelineOps, false); serr != nil {
+		var again streamReport
+		if again, serr = streamRun(e10PipelineOps, false); serr != nil {
 			break
 		}
 		if again.OpsPerSec > sr.OpsPerSec {
@@ -158,7 +157,7 @@ func e10Pipelines(metrics map[string]float64) (string, []string) {
 			sr.PeakHeapBytes = again.PeakHeapBytes
 		}
 	}
-	rr, rerr := StreamRun(e10PipelineOps, true)
+	rr, rerr := streamRun(e10PipelineOps, true)
 	if serr != nil {
 		return "", []string{fmt.Sprintf("streaming pipeline: %v", serr)}
 	}
@@ -166,21 +165,13 @@ func e10Pipelines(metrics map[string]float64) (string, []string) {
 		return "", []string{fmt.Sprintf("retained pipeline: %v", rerr)}
 	}
 	tb := stats.NewTable("pipeline", "ops", "wall ms", "ops/s", "peak heap (KiB)", "allocs/op", "lin.", "states")
-	row := func(name string, r StreamReport) {
+	row := func(name string, r streamReport) {
 		tb.AddRow(name, fmt.Sprint(r.Ops), fmt.Sprintf("%.1f", r.WallMS), fmt.Sprintf("%.0f", r.OpsPerSec),
 			fmt.Sprintf("%.0f", float64(r.PeakHeapBytes)/1024), fmt.Sprintf("%.1f", r.AllocsPerOp),
 			checkMark(r.OK), fmt.Sprint(r.States))
 	}
 	row("streaming", sr)
 	row("retained", rr)
-	metrics["ops_per_sec_stream"] = sr.OpsPerSec
-	metrics["peak_heap_bytes_stream"] = float64(sr.PeakHeapBytes)
-	metrics["peak_heap_bytes_retained"] = float64(rr.PeakHeapBytes)
-	metrics["allocs_per_op_stream"] = sr.AllocsPerOp
-	metrics["allocs_per_op_retained"] = rr.AllocsPerOp
-	if sr.PeakHeapBytes > 0 {
-		metrics["heap_ratio_retained_over_stream"] = float64(rr.PeakHeapBytes) / float64(sr.PeakHeapBytes)
-	}
 	if !sr.OK {
 		fails = append(fails, fmt.Sprintf("streaming pipeline verdict: %s", sr.Reason))
 	}

@@ -154,11 +154,6 @@ func E17TieredLive() Result {
 		Title:    e17Title,
 		Output:   tb.String() + note,
 		Failures: fails,
-		Metrics: map[string]float64{
-			"lin_read_p50_us":  float64(lin.ReadLat.P50) / float64(us),
-			"seq_read_p50_us":  float64(seq.ReadLat.P50) / float64(us),
-			"read_discount_us": float64(discount) / float64(us),
-		},
 	}
 }
 

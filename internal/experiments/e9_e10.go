@@ -260,43 +260,33 @@ const e10Trials = 3
 func E10Throughput() Result {
 	tb := stats.NewTable("model", "n", "shards", "ops", "events", "wall ms", "ops/s", "events/s")
 	var fails []string
-	metrics := make(map[string]float64)
-	// cell runs one time-boxed (model, n) measurement. shards < 2 forces
-	// the sequential executor — the baseline cells pass -1 so they stay a
-	// true sequential baseline even under `pscbench -shards N` — while
-	// shards ≥ 2 requires the sharded conservative-parallel path to engage
-	// (a silent fallback would quietly report sequential numbers under a
-	// sharded label, so it is a cell failure instead). suffix distinguishes
-	// the metric keys of sharded cells.
-	cell := func(model string, n, shards int, suffix string) {
+	// cell runs one time-boxed (model, n) measurement. shards < 2 is the
+	// sequential executor; shards ≥ 2 requires the sharded
+	// conservative-parallel path to engage (a silent fallback would quietly
+	// report sequential numbers under a sharded label, so it is a cell
+	// failure instead).
+	cell := func(model string, n, shards int) {
 		r := ThroughputCell(CellSpec{Model: model, N: n, Shards: shards, Budget: e10CellBudget, Trials: e10Trials})
 		if r.Err != "" {
-			fails = append(fails, fmt.Sprintf("%s n=%d%s: %s", model, n, suffix, r.Err))
+			fails = append(fails, fmt.Sprintf("%s n=%d shards=%d: %s", model, n, shards, r.Err))
 			return
 		}
 		tb.AddRow(model, fmt.Sprint(n), fmt.Sprint(r.ShardCount), fmt.Sprint(r.Ops), fmt.Sprint(r.Events),
 			fmt.Sprintf("%.1f", r.WallMS),
 			fmt.Sprintf("%.0f", r.OpsPerSec),
 			fmt.Sprintf("%.0f", r.EventsPerSec))
-		metrics[fmt.Sprintf("ops_per_sec_%s_n%d%s", model, n, suffix)] = r.OpsPerSec
-		metrics[fmt.Sprintf("events_per_sec_%s_n%d%s", model, n, suffix)] = r.EventsPerSec
 	}
 	// Rows stay sequential on purpose: each times its own wall clock, and
 	// concurrent rows would steal cycles from each other's measurement.
 	for _, n := range []int{2, 4, 8} {
 		for _, model := range []string{"timed", "clock", "mmt"} {
-			cell(model, n, -1, "")
+			cell(model, n, 0)
 		}
 	}
-	// Sharded cells at the largest size: `pscbench -shards N` sets the
-	// count; without it the cells still measure the sharded path at its
-	// default width so the comparison is always present in the report.
-	shards := core.DefaultShards()
-	if shards < 2 {
-		shards = 4
-	}
+	// Sharded cells at the largest size, so the comparison is always
+	// present in the table.
 	for _, model := range []string{"timed", "clock", "mmt"} {
-		cell(model, 8, shards, "_sharded")
+		cell(model, 8, 4)
 	}
 	// Scaling curve: the adaptive-horizon sharded executor across
 	// GOMAXPROCS × shard counts at the largest size, each cell's speedup
@@ -316,13 +306,12 @@ func E10Throughput() Result {
 		ct.AddRow(c.Model, fmt.Sprint(c.N), fmt.Sprint(c.Shards), fmt.Sprint(c.Procs),
 			fmt.Sprintf("%.0f", c.OpsPerSec), fmt.Sprintf("%.0f", c.SeqOpsPerSec),
 			fmt.Sprintf("%.2fx", c.SpeedupVsSeq), checkMark(c.Win))
-		metrics[fmt.Sprintf("speedup_%s_n%d_s%d_p%d", c.Model, c.N, c.Shards, c.Procs)] = c.SpeedupVsSeq
 	}
 	// Pipeline comparison: the same workload checked streaming (online
 	// checker over the event-sink pipeline, no retention) and retained
 	// (trace + batch check), with memory columns.
-	pipeOut, pipeFails := e10Pipelines(metrics)
+	pipeOut, pipeFails := e10Pipelines()
 	fails = append(fails, pipeFails...)
 	return Result{ID: "E10", Title: "executor throughput by model and size (time-boxed cells)",
-		Output: tb.String() + "\n" + ct.String() + "\n" + pipeOut, Failures: fails, Metrics: metrics}
+		Output: tb.String() + "\n" + ct.String() + "\n" + pipeOut, Failures: fails}
 }

@@ -28,7 +28,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
@@ -52,10 +51,6 @@ type Result struct {
 	// Failures lists assertion violations; empty means the paper's claim
 	// held on every measured row.
 	Failures []string
-	// Metrics carries machine-readable measurements (e.g. E10's executor
-	// events/sec per configuration) for the bench emitter; nil for
-	// experiments that only assert.
-	Metrics map[string]float64
 }
 
 // Pass reports whether every assertion held.
@@ -117,21 +112,12 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// checkShards is the process-global sharded-verification fan-out: when
-// ≥ 2, every experiment that attaches a streaming monitor also attaches a
-// sharded twin of each checker, and streamParity requires the sharded
-// verdict to equal the batch oracle byte-for-byte — the acceptance
-// criterion "verdict equality on every experiment". Zero (the default)
-// runs the sequential checkers only.
-var checkShards atomic.Int64
-
-// SetCheckShards sets the process-global sharded-verification fan-out and
-// returns the previous value. Harness entry points (pscbench
-// -checkshards) call it before running experiments.
-func SetCheckShards(n int) int { return int(checkShards.Swap(int64(n))) }
-
-// CheckShards returns the process-global sharded-verification fan-out.
-func CheckShards() int { return int(checkShards.Load()) }
+// twinShards is the fan-out of the sharded twin every streamed check
+// carries: each run that attaches a streaming monitor also attaches a
+// sharded copy of each checker, and streamParity requires its verdict to
+// equal the batch oracle byte-for-byte. Two is the smallest count that
+// takes the worker-pool path.
+const twinShards = 2
 
 // shardedName names the sharded twin of a streaming check.
 func shardedName(name string) string { return name + "@sharded" }
@@ -238,13 +224,12 @@ func run(spec runSpec) (runOut, error) {
 		mon = register.NewMonitor()
 		for _, sc := range spec.stream {
 			mon.AddChecker(sc.name, sc.checker(0))
-		}
-		if cs := CheckShards(); cs >= 2 {
-			for _, sc := range spec.stream {
-				mon.AddChecker(shardedName(sc.name), sc.checker(cs))
-			}
+			mon.AddChecker(shardedName(sc.name), sc.checker(twinShards))
 		}
 		net.Sys.AddSink(mon)
+		// Finish is what stops the sharded twins' workers, so it runs on
+		// the error returns too.
+		defer mon.Finish()
 	}
 	for _, sk := range spec.sinks {
 		net.Sys.AddSink(sk)
@@ -313,10 +298,8 @@ func streamParity(out runOut) []string {
 		if got := out.mon.Verdict(sc.name); got != batch {
 			fails = append(fails, fmt.Sprintf("streaming %q verdict %+v != batch %+v", sc.name, got, batch))
 		}
-		if cs := CheckShards(); cs >= 2 {
-			if got := out.mon.Verdict(shardedName(sc.name)); got != batch {
-				fails = append(fails, fmt.Sprintf("sharded(%d) %q verdict %+v != batch %+v", cs, sc.name, got, batch))
-			}
+		if got := out.mon.Verdict(shardedName(sc.name)); got != batch {
+			fails = append(fails, fmt.Sprintf("sharded(%d) %q verdict %+v != batch %+v", twinShards, sc.name, got, batch))
 		}
 	}
 	reads, writes := register.Latencies(out.ops)

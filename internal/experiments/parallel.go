@@ -8,37 +8,17 @@ import (
 	"psclock/internal/stats"
 )
 
-// workers is the width of the row-level worker pool. Every experiment's
-// seeded adversary ensemble (seeds × parameter rows) is embarrassingly
-// parallel: each row builds its own System from its own seed, so rows
-// share no state and results are collected in index order regardless of
-// completion order — tables and failure lists come out deterministic.
-var workers atomic.Int64
-
-func init() { workers.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetParallelism sets how many experiment rows may run concurrently.
-// n < 1 restores the default (GOMAXPROCS). It returns the previous value.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(workers.Swap(int64(n)))
-}
-
-// Parallelism reports the current row-level worker-pool width.
-func Parallelism() int { return int(workers.Load()) }
-
-// parmap evaluates fn(0..n-1) on a bounded worker pool and returns the
-// results in index order. With one worker (or one row) it degenerates to a
-// plain loop. fn must be safe to call concurrently; each call should
-// confine itself to its own row's state.
+// parmap evaluates fn(0..n-1) on a pool of GOMAXPROCS workers and returns
+// the results in index order. Every experiment's seeded adversary ensemble
+// (seeds × parameter rows) is embarrassingly parallel: each row builds its
+// own System from its own seed, so rows share no state, and collecting in
+// index order keeps tables and failure lists deterministic whatever the
+// completion order. With one worker (GOMAXPROCS=1) or one row it
+// degenerates to a plain loop. fn must be safe to call concurrently; each
+// call should confine itself to its own row's state.
 func parmap[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	w := int(workers.Load())
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = fn(i)

@@ -140,6 +140,9 @@ type FleetStats struct {
 	Suspects  int
 	Restores  int
 	DetEvents []DetEvent
+	// DetPeriod and DetTimeout are the heartbeat detector's effective
+	// parameters: PlaneConfig's, or what NewPlane derived for a zero one.
+	DetPeriod, DetTimeout simtime.Duration
 }
 
 // Plane is the fleet control plane.
@@ -677,7 +680,10 @@ func (p *Plane) SetClockStep(node int, d simtime.Duration) error {
 // Stats aggregates the fleet's measurements: per-incarnation beats folded
 // with the totals of dead incarnations, plus the detector evidence log.
 func (p *Plane) Stats() FleetStats {
-	s := FleetStats{EpsByNode: make([]simtime.Duration, p.cfg.N)}
+	s := FleetStats{
+		EpsByNode: make([]simtime.Duration, p.cfg.N),
+		DetPeriod: p.cfg.DetPeriod, DetTimeout: p.cfg.DetTimeout,
+	}
 	for i, d := range p.daemons {
 		d.mu.Lock()
 		m := d.beat.Measured

@@ -2,17 +2,19 @@ package fleet
 
 import "psclock/internal/live"
 
-// Report is the machine-readable outcome of a pscfleet run: the
-// `live_fleet` section of BENCH_results.json. It extends the live report
-// core with the fleet's process-level story — crashes commanded and
-// restarts performed, detector SUSPECT/RESTORE counts, per-fault chaos
-// classifications — and splits the core's checker Violations into
-// explained (a crash or partition occurred, so in-flight operations and
-// updates were lost outside the paper's model) and unexplained (a real
-// regression).
+// Report is the machine-readable outcome of a pscfleet run, the document
+// pscfleet -json writes. It extends the live report core with the fleet's
+// process-level story — crashes commanded and restarts performed, detector
+// SUSPECT/RESTORE counts, per-fault chaos classifications — and splits the
+// core's checker Violations into explained (a crash or partition occurred,
+// so in-flight operations and updates were lost outside the paper's model)
+// and unexplained (a real regression).
 type Report struct {
 	live.ReportCore
 
+	// DetPeriodUS and DetTimeoutUS are the heartbeat detector's effective
+	// period and timeout: what the daemons ran, derived where a flag was
+	// left at zero.
 	DetPeriodUS  float64 `json:"det_period_us"`
 	DetTimeoutUS float64 `json:"det_timeout_us"`
 
@@ -20,8 +22,8 @@ type Report struct {
 	// (partitions) plus sends that found their link's queue full.
 	FramesDropped int64 `json:"frames_dropped"`
 
-	// ChaosScript is the expanded schedule the run executed (DSL form, so
-	// compare can detect a config change); Chaos is the per-fault record.
+	// ChaosScript is the expanded schedule the run executed (DSL form);
+	// Chaos is the per-fault record.
 	ChaosScript string         `json:"chaos_script"`
 	Chaos       []ChaosOutcome `json:"chaos"`
 	// ChaosMismatches counts faults whose observed outcome contradicted

@@ -8,11 +8,11 @@ import (
 // Checker command capture and replay. A Recorder stands in for a real
 // checker behind register.Monitor and records the exact Checker call
 // stream a run produces; Replay then drives any Checker with that stream.
-// pscbench uses the pair to measure checker throughput in isolation:
-// capture once from a real executor run, then replay the identical
-// command sequence through the sequential, sharded, and approximate
-// checkers — same inputs, so the wall-clock ratio is the checker speedup,
-// not an executor artifact.
+// The check_replay benchmark workload uses the pair to measure checker
+// cost in isolation: capture once from a real executor run, then replay
+// the identical command sequence through the sequential, sharded, and
+// approximate checkers — same inputs, so the ratio is the checkers', not
+// an executor artifact.
 
 // CmdKind discriminates recorded Checker calls.
 type CmdKind int
@@ -61,20 +61,6 @@ func (r *Recorder) Finish() Result { return Result{OK: true} }
 
 // Replay drives c with the recorded stream and returns its Finish result.
 func Replay(cmds []Cmd, c Checker) Result {
-	return ReplaySampled(cmds, c, 0, nil)
-}
-
-// ReplaySampled is Replay with a mid-stream observation hook: sample runs
-// after every stride commands and once more after the last command,
-// before Finish. Finish is where checkers release their in-flight state,
-// so an after-the-fact measurement of a replay sees an empty heap; the
-// hook is the only place the replay's peak liveness is observable.
-// stride < 1 or a nil sample disables sampling.
-func ReplaySampled(cmds []Cmd, c Checker, stride int, sample func()) Result {
-	if sample == nil {
-		stride = 0
-	}
-	next := stride
 	for i := range cmds {
 		m := &cmds[i]
 		switch m.Kind {
@@ -85,13 +71,6 @@ func ReplaySampled(cmds []Cmd, c Checker, stride int, sample func()) Result {
 		case CmdAdvance:
 			c.Advance(m.Time)
 		}
-		if stride > 0 && i+1 == next {
-			sample()
-			next += stride
-		}
-	}
-	if sample != nil {
-		sample()
 	}
 	return c.Finish()
 }

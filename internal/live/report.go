@@ -2,7 +2,6 @@ package live
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"time"
 
@@ -10,12 +9,11 @@ import (
 )
 
 // ReportCore is what every live run reports, whatever hosted it: who ran
-// (identity and configuration that shapes throughput, which compare treats
-// as config), the load generator's throughput and latency percentiles, the
-// model parameters configured against what was measured, the frame
-// counters, and the online verdict. live.Report (pscserve) and
-// fleet.Report (pscfleet) embed it, so the `live*` sections of
-// BENCH_results.json share these keys by construction.
+// (identity and the configuration that shapes throughput), the load
+// generator's throughput and latency percentiles, the model parameters
+// configured against what was measured, the frame counters, and the
+// online verdict. live.Report (pscserve) and fleet.Report (pscfleet) embed
+// it, so their -json documents share these keys by construction.
 type ReportCore struct {
 	Nodes   int `json:"nodes"`
 	Clients int `json:"clients"`
@@ -25,10 +23,9 @@ type ReportCore struct {
 	Tiers     string `json:"tiers,omitempty"`
 	Clock     string `json:"clock"`
 	Seed      int64  `json:"seed"`
-	// GOMAXPROCS is recorded per section: the live runtime's throughput
-	// depends on the parallelism it ran under, independently of whatever
-	// setting later pscbench runs record at the top level. For a fleet it
-	// is the plane's; each daemon is its own process.
+	// GOMAXPROCS is the parallelism the run had: the live runtime's
+	// throughput depends on it. For a fleet it is the plane's; each daemon
+	// is its own process.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	DurationMS float64 `json:"duration_ms"`
@@ -79,21 +76,20 @@ func (c *ReportCore) SetLoad(res LoadResult, wall time.Duration) {
 	c.WriteP50US, c.WriteP99US = us(res.WriteLat.P50), us(res.WriteLat.P99)
 }
 
-// Report is the machine-readable outcome of a pscserve run: the `live`
-// section of BENCH_results.json. Beyond the core it records the
-// single-process specifics: the pipeline shape, the transport, timer
-// lateness and the measured delay interval, and the per-tier split.
+// Report is the machine-readable outcome of a pscserve run, the document
+// pscserve -json writes. Beyond the core it records the single-process
+// specifics: the pipeline shape, the transport, timer lateness and the
+// measured delay interval, and the per-tier split.
 type Report struct {
 	ReportCore
-	// Pipeline is the per-client in-flight bound (0/1: closed loop); with
-	// Transport it is configuration for compare.
+	// Pipeline is the per-client in-flight bound (0/1: closed loop).
 	Pipeline  int    `json:"pipeline,omitempty"`
 	Transport string `json:"transport"`
 
 	// TierLin and TierSeq split the run per consistency tier, and
 	// ReadDiscountUS is the seq tier's measured read saving — lin read
 	// p50 − seq read p50, the 2ε the lin tier pays for linearizability
-	// (Lemmas 6.1/6.2). Compare gates it against ε.
+	// (Lemmas 6.1/6.2).
 	TierLin        *TierReport `json:"tier_lin,omitempty"`
 	TierSeq        *TierReport `json:"tier_seq,omitempty"`
 	ReadDiscountUS float64     `json:"read_discount_us,omitempty"`
@@ -130,28 +126,11 @@ type TierReport struct {
 	CheckStates int `json:"check_states"`
 }
 
-// MergeIntoBenchFile writes r as the "live" section of the JSON report at
-// path, preserving every other section (pscbench owns the rest of the
-// file). A missing or empty file yields a report with only the live
-// section.
-func MergeIntoBenchFile(path string, r *Report) error {
-	return MergeSectionIntoBenchFile(path, "live", r)
-}
-
-// MergeSectionIntoBenchFile writes r as the named section of the JSON
-// report at path, preserving every other section. pscserve uses "live"
-// for its pipelined headline run and "live_closed" for the closed-loop
-// latency baseline; pscfleet merges its own report type as "live_fleet",
-// which is why r is any JSON-marshalable value rather than *Report.
-func MergeSectionIntoBenchFile(path, section string, r any) error {
-	doc := map[string]any{}
-	if buf, err := os.ReadFile(path); err == nil && len(buf) > 0 {
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("live: %s: %w", path, err)
-		}
-	}
-	doc[section] = r
-	buf, err := json.MarshalIndent(doc, "", "  ")
+// WriteReport writes r (a *Report, or pscfleet's fleet.Report, which is
+// why r is any JSON-marshalable value) to path as one indented JSON
+// document: the run's whole report, replacing whatever the file held.
+func WriteReport(path string, r any) error {
+	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
