@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 bench bench-check bench-smoke microbench live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
+.PHONY: all build test tier1 tier2 model-guard bench bench-check bench-smoke microbench live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
 
 all: tier1
 
@@ -21,6 +21,18 @@ tier1: build test
 tier2:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# The model is declared once: the checker policy a live deployment judges
+# with (state budget, ε-built window relaxation, the seq tier's automaton)
+# lives in internal/live's model and verdict files, so it must not reappear
+# in a binary, the fleet or E17; and nothing under internal/ may set
+# GOMAXPROCS for the whole process outside a test.
+model-guard:
+	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
+		cmd internal/fleet internal/experiments/e17.go \
+		|| { echo "model-guard: checker policy outside internal/live (use live.Model / live.NewVerdict)"; exit 1; }
+	@! grep -rnE 'runtime\.GOMAXPROCS\( *[^0) ]' --include='*.go' --exclude='*_test.go' internal \
+		|| { echo "model-guard: process-wide GOMAXPROCS set under internal/"; exit 1; }
 
 # Experiment-level benchmarks (E1–E17 plus substrate micro-benchmarks).
 bench:

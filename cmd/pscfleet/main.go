@@ -39,21 +39,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		nodes     = fs.Int("nodes", 3, "fleet size (one OS process per node)")
 		registers = fs.Int("registers", 2, "data registers per node")
-		tiers     = fs.String("tiers", "", "per-register consistency tiers (e.g. lin,seq)")
+		tiers     = fs.String("tiers", "", "per-register consistency tiers (e.g. lin:seq, or mix:0.5)")
 		duration  = fs.Duration("duration", 12*time.Second, "load duration")
 		clients   = fs.Int("clients", 0, "client goroutines (0 = nodes)")
 		rate      = fs.Float64("rate", 200, "per-client ops/s cap (0 = unpaced)")
 		writeFr   = fs.Float64("write", 0.5, "write fraction")
 		seed      = fs.Int64("seed", 1, "rng seed (load and generated chaos)")
 
-		chaos  = fs.String("chaos", "default", `chaos schedule: "default", "gen:<k>", "none", or a DSL script ("kind@start[+dur]:target[-peer][+amount][!expected]; ...")`)
-		epsF   = fs.Duration("eps", 2*time.Millisecond, "clock precision ε")
-		d1F    = fs.Duration("d1", 0, "min message delay d1")
-		d2F    = fs.Duration("d2", 10*time.Millisecond, "max message delay d2")
-		deltaF = fs.Duration("delta", time.Millisecond, "broadcast spacing δ")
-		cF     = fs.Duration("c", 0, "read/write cost split c")
-		ellF   = fs.Duration("ell", 5*time.Millisecond, "timer lateness budget ℓ")
-		slackF = fs.Duration("slack", 6*time.Millisecond, "checker widen slack beyond ε")
+		chaos = fs.String("chaos", "default", `chaos schedule: "default", "gen:<k>", "none", or a DSL script ("kind@start[+dur]:target[-peer][+amount][!expected]; ...")`)
 
 		detPeriod  = fs.Duration("detperiod", 150*time.Millisecond, "heartbeat period π")
 		detTimeout = fs.Duration("dettimeout", 0, "heartbeat timeout τ (0 = SafeTimeoutClock + slack)")
@@ -63,31 +56,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodeBin     = fs.String("nodebin", "", "pscnode binary (default: sibling of this binary, else go build)")
 		verbose     = fs.Bool("v", false, "verbose plane/daemon logging")
 	)
+	m := fleet.DefaultModel()
+	m.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	sim := func(d time.Duration) simtime.Duration {
-		s, err := simtime.FromWall(d)
-		if err != nil {
-			fmt.Fprintf(stderr, "pscfleet: bad duration %v: %v\n", d, err)
-			os.Exit(2)
-		}
-		return s
-	}
-	eps, d2 := sim(*epsF), sim(*d2F)
 
 	var script fleet.Script
 	switch {
 	case *chaos == "none":
 	case *chaos == "default":
-		script = fleet.DefaultScript(*nodes, eps, d2)
+		script = fleet.DefaultScript(*nodes, m.Eps, m.D2)
 	case len(*chaos) > 4 && (*chaos)[:4] == "gen:":
 		var k int
 		if _, err := fmt.Sscanf(*chaos, "gen:%d", &k); err != nil || k <= 0 {
 			fmt.Fprintf(stderr, "pscfleet: bad -chaos %q\n", *chaos)
 			return 2
 		}
-		script = fleet.GenScript(*seed, *nodes, k, *duration, eps, d2)
+		script = fleet.GenScript(*seed, *nodes, k, *duration, m.Eps, m.D2)
 	default:
 		var err error
 		script, err = fleet.ParseScript(*chaos, *nodes)
@@ -110,15 +96,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		N:           *nodes,
 		Registers:   *registers,
 		Tiers:       *tiers,
-		Eps:         eps,
-		D1:          sim(*d1F),
-		D2:          d2,
-		Delta:       sim(*deltaF),
-		C:           sim(*cF),
-		Ell:         sim(*ellF),
-		Slack:       sim(*slackF),
-		DetPeriod:   sim(*detPeriod),
-		DetTimeout:  sim(*detTimeout),
+		Eps:         m.Eps,
+		D1:          m.D1,
+		D2:          m.D2,
+		Delta:       m.Delta,
+		C:           m.C,
+		Ell:         m.Ell,
+		Slack:       m.Slack,
+		DetPeriod:   simtime.Duration(*detPeriod),
+		DetTimeout:  simtime.Duration(*detTimeout),
 		Seed:        *seed,
 		NodeBin:     bin,
 		CheckShards: *checkShards,
@@ -202,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep := buildReport(reportInputs{
 		nodes: *nodes, registers: *registers, tiersSpec: *tiers,
 		clients: nClients, seed: *seed, wall: wall,
-		eps: eps, d1: sim(*d1F), d2: d2, checkShards: *checkShards,
+		model: m, checkShards: *checkShards,
 		script: script, outcomes: outcomes,
 		res: res, stats: stats, verdict: verdict,
 		crashes: plane.Crashes(),
@@ -228,7 +214,7 @@ type reportInputs struct {
 	clients          int
 	seed             int64
 	wall             time.Duration
-	eps, d1, d2      simtime.Duration
+	model            live.Model
 	checkShards      int
 	script           fleet.Script
 	outcomes         []fleet.ChaosOutcome
@@ -240,11 +226,10 @@ type reportInputs struct {
 
 func buildReport(in reportInputs) *fleet.Report {
 	us := func(d simtime.Duration) float64 { return float64(d) / float64(simtime.Microsecond) }
-	epsHat := simtime.Duration(0)
+	// What the fleet measured, in the shape the model's envelope reads.
+	got := live.Measured{DelayViolations: in.stats.DelayViolations, TimerLate: in.stats.TimerLate}
 	for _, e := range in.stats.EpsByNode {
-		if e > epsHat {
-			epsHat = e
-		}
+		got.Eps = max(got.Eps, e)
 	}
 	mismatches := 0
 	lossy := false
@@ -276,10 +261,11 @@ func buildReport(in reportInputs) *fleet.Report {
 			Seed:       in.seed,
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 
-			EpsConfigUS:   us(in.eps),
-			EpsMeasuredUS: us(epsHat),
-			D1ConfigUS:    us(in.d1),
-			D2ConfigUS:    us(in.d2),
+			EpsConfigUS:   us(in.model.Eps),
+			EpsMeasuredUS: us(got.Eps),
+			D1ConfigUS:    us(in.model.D1),
+			D2ConfigUS:    us(in.model.D2),
+			Envelope:      in.model.Envelope(got),
 
 			Messages:        in.stats.Messages,
 			Held:            in.stats.Held,
@@ -323,6 +309,7 @@ func printReport(w io.Writer, rep *fleet.Report, res live.LoadResult, v fleet.Fl
 		rep.Ops, rep.OpsPerSec, rep.ReadP50US, rep.ReadP99US, rep.WriteP50US, rep.WriteP99US, res.Late.P50, res.Late.P99)
 	fmt.Fprintf(w, "pscfleet: ε̂=%.0fµs (ε=%.0fµs), %d messages, %d delay violations, %d frames dropped, %d reconnects\n",
 		rep.EpsMeasuredUS, rep.EpsConfigUS, rep.Messages, rep.DelayViolations, rep.FramesDropped, rep.Reconnects)
+	fmt.Fprintf(w, "pscfleet: model envelope %s\n", rep.Envelope)
 	fmt.Fprintf(w, "pscfleet: %d crashes / %d restarts, %d suspects / %d restores, %d merged events (%d clamped)\n",
 		rep.Crashes, rep.Restarts, rep.Suspects, rep.Restores, rep.MergedEvents, rep.MergeClamped)
 	if len(rep.Chaos) > 0 {

@@ -20,7 +20,7 @@ import (
 func fabricated(t *testing.T, outcomes ...fleet.ChaosOutcome) reportInputs {
 	t.Helper()
 	const ms = simtime.Millisecond
-	plane, err := fleet.NewPlane(fleet.PlaneConfig{N: 3, Registers: 2, Eps: 2 * ms, D2: 10 * ms, Ell: 5 * ms})
+	plane, err := fleet.NewPlane(fleet.PlaneConfig{N: 3, Registers: 2, Eps: 2 * ms, D2: 10 * ms, Delta: ms, Ell: 5 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func fabricated(t *testing.T, outcomes ...fleet.ChaosOutcome) reportInputs {
 	stats.Reconnects = 1
 	return reportInputs{
 		nodes: 3, registers: 2, tiersSpec: "lin:seq", clients: 3, seed: 1,
-		wall: time.Second, eps: 2 * ms, d2: 10 * ms, checkShards: 2,
+		wall: time.Second, model: fleet.DefaultModel(), checkShards: 2,
 		outcomes: outcomes,
 		res:      live.LoadResult{Ops: 10, Reads: 5, Writes: 5},
 		stats:    stats,
@@ -85,5 +85,14 @@ func TestBuildReportExplainsOnlyLossyFaults(t *testing.T) {
 		if rep.Pass != (tc.explained == 1) {
 			t.Errorf("%s: pass = %v", tc.kind, rep.Pass)
 		}
+	}
+}
+
+// TestRunBadModelFlag: a bad model parameter is a usage error run returns,
+// not an exit from inside it.
+func TestRunBadModelFlag(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-eps", "-1ms"}, &out, &errb); code != 2 {
+		t.Fatalf("-eps -1ms: exit %d, want 2\nstderr:\n%s", code, errb.String())
 	}
 }

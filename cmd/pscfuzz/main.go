@@ -21,6 +21,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strconv"
+	"strings"
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
@@ -54,6 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	replay := func(trial int) string { // the flags only: anything after them would hide the appended one
+		return "replay: pscfuzz " + strings.Join(replayArgs(args[:len(args)-fs.NArg()], trial), " ")
+	}
 
 	violations := 0
 	linRejectsL := 0
@@ -71,14 +76,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *shards > 1 {
 			if msg := diffSharded(cfgSeed, *mutate, *shards, *edgeSpread, ops, res); msg != "" {
 				fmt.Fprintf(stdout, "DIVERGENCE in trial %d: %s\n  %s\n", trial, desc, msg)
-				fmt.Fprintf(stdout, "replay: pscfuzz -trials 1 -seed %d -shards %d\n", cfgSeed, *shards)
+				fmt.Fprintln(stdout, replay(trial))
 				return 2
 			}
 		}
 		if *checkShards > 1 {
 			if msg := diffCheckSharded(ops, *checkShards, res); msg != "" {
 				fmt.Fprintf(stdout, "CHECKER DIVERGENCE in trial %d: %s\n  %s\n", trial, desc, msg)
-				fmt.Fprintf(stdout, "replay: pscfuzz -trials 1 -seed %d -checkshards %d\n", cfgSeed, *checkShards)
+				fmt.Fprintln(stdout, replay(trial))
 				return 2
 			}
 		}
@@ -86,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rejected, msg := tierTrial(cfgSeed, ops, stdout)
 			if msg != "" {
 				fmt.Fprintf(stdout, "TIER VIOLATION in trial %d: %s\n  %s\n", trial, desc, msg)
-				fmt.Fprintf(stdout, "replay: pscfuzz -trials 1 -seed %d -tiers\n", cfgSeed)
+				fmt.Fprintln(stdout, replay(trial))
 				return 1
 			}
 			if rejected {
@@ -104,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "    %v\n", o)
 		}
 		if !*mutate {
-			fmt.Fprintf(stdout, "replay: pscfuzz -trials 1 -seed %d\n", cfgSeed)
+			fmt.Fprintln(stdout, replay(trial))
 			return 1
 		}
 	}
@@ -135,6 +140,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%d trials, 0 violations\n", *trials)
 	}
 	return 0
+}
+
+// replayArgs returns the arguments that rerun one trial of the campaign
+// that args ran, bit-for-bit. A trial's configuration seed is derived from
+// the campaign seed and the trial's index, so the replay is the same
+// campaign — its seed and every mode flag that shaped it — cut off after
+// that trial: the flag package lets the last -trials win.
+func replayArgs(args []string, trial int) []string {
+	return append(append([]string(nil), args...), "-trials", strconv.Itoa(trial+1))
 }
 
 // tierTrial is the -tiers differential for one trial: the S-tier history

@@ -70,3 +70,38 @@ func TestShardedDifferential(t *testing.T) {
 		t.Errorf("out = %q", out)
 	}
 }
+
+// trialLines returns the "trial N: <configuration>" lines of a -v run.
+func trialLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "trial ") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestReplayArgsRerunTheTrial: the command a failure prints must rerun the
+// failing trial, not a different configuration — same system, adversaries,
+// seed and op count, under the mode flags that shaped it.
+func TestReplayArgsRerunTheTrial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	for _, modes := range [][]string{nil, {"-mutate", "-edgespread"}} {
+		campaign := append([]string{"-trials", "3", "-seed", "1", "-v"}, modes...)
+		_, out := runFuzz(t, campaign...)
+		want := trialLines(out)
+		if len(want) != 3 {
+			t.Fatalf("campaign %v printed %d trial lines, want 3:\n%s", campaign, len(want), out)
+		}
+		for trial := range want {
+			_, out = runFuzz(t, replayArgs(campaign, trial)...)
+			got := trialLines(out)
+			if len(got) != trial+1 || got[trial] != want[trial] {
+				t.Errorf("replay of trial %d of %v ran\n  %v\nthe campaign ran\n  %s", trial, campaign, got, want[trial])
+			}
+		}
+	}
+}

@@ -23,7 +23,9 @@ import (
 	"psclock/internal/simtime"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+func run() int {
 	var (
 		node        = flag.Int("node", -1, "this node's ID")
 		n           = flag.Int("n", 0, "fleet size")
@@ -34,32 +36,19 @@ func main() {
 		seed        = flag.Int64("seed", 1, "rng seed")
 		tiers       = flag.String("tiers", "", "per-register consistency tiers")
 
-		eps        = flag.Duration("eps", 2*time.Millisecond, "clock precision ε")
-		d1         = flag.Duration("d1", 0, "min message delay d1")
-		d2         = flag.Duration("d2", 10*time.Millisecond, "max message delay d2")
-		delta      = flag.Duration("delta", time.Millisecond, "broadcast spacing δ")
-		c          = flag.Duration("c", 0, "read/write cost split c")
-		ell        = flag.Duration("ell", 5*time.Millisecond, "timer lateness budget ℓ")
 		detPeriod  = flag.Duration("detperiod", 150*time.Millisecond, "heartbeat period π")
 		detTimeout = flag.Duration("dettimeout", 0, "heartbeat timeout τ (0 = safe default)")
 		beat       = flag.Duration("beat", 100*time.Millisecond, "plane beat period")
 		verbose    = flag.Bool("v", false, "log to stderr")
 	)
+	model := fleet.DefaultModel()
+	model.Flags(flag.CommandLine)
 	flag.Parse()
 
 	if *node < 0 || *n < 2 || *plane == "" || *epoch == 0 {
 		fmt.Fprintln(os.Stderr, "pscnode: -node, -n, -plane, and -epoch are required (launched by pscfleet)")
-		os.Exit(2)
+		return 2
 	}
-	sim := func(d time.Duration) simtime.Duration {
-		s, err := simtime.FromWall(d)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pscnode: bad duration %v: %v\n", d, err)
-			os.Exit(2)
-		}
-		return s
-	}
-
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 
@@ -72,14 +61,9 @@ func main() {
 		EpochUnixNano: *epoch,
 		Seed:          *seed,
 		Tiers:         *tiers,
-		Eps:           sim(*eps),
-		D1:            sim(*d1),
-		D2:            sim(*d2),
-		Delta:         sim(*delta),
-		C:             sim(*c),
-		Ell:           sim(*ell),
-		DetPeriod:     sim(*detPeriod),
-		DetTimeout:    sim(*detTimeout),
+		Model:         model,
+		DetPeriod:     simtime.Duration(*detPeriod),
+		DetTimeout:    simtime.Duration(*detTimeout),
 		BeatPeriod:    *beat,
 		Interrupt:     sigs,
 		Verbose:       *verbose,
@@ -87,6 +71,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pscnode[%d]: %v\n", *node, err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

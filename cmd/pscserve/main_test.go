@@ -55,10 +55,13 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatalf("client errors in output:\n%s", out.String())
 	}
 	rep, keys := readReport(t, path)
-	for _, k := range []string{"pass", "ops_per_sec", "eps_measured_us"} {
+	for _, k := range []string{"pass", "ops_per_sec", "eps_measured_us", "envelope"} {
 		if _, ok := keys[k]; !ok {
 			t.Errorf("report has no top-level %q key", k)
 		}
+	}
+	if rep.Transport != "tcp" || !strings.Contains(out.String(), "model envelope "+rep.Envelope) {
+		t.Errorf("transport %q, envelope %q; stdout:\n%s", rep.Transport, rep.Envelope, out.String())
 	}
 	if !rep.Pass || rep.OpsPerSec <= 0 || rep.Ops == 0 {
 		t.Errorf("report disagrees with the PASS on stdout: %+v", rep.ReportCore)
@@ -85,28 +88,27 @@ func TestRunBelowMinOps(t *testing.T) {
 	}
 }
 
-// TestRunChanTransport covers the in-process transport path end to end.
-func TestRunChanTransport(t *testing.T) {
-	var out, errb strings.Builder
-	code := run([]string{
-		"-duration", "300ms", "-rate", "120", "-transport", "chan",
-		"-clock", "offset", "-slack", "3ms",
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
-	}
-}
-
 // TestRunBadFlags checks usage errors exit 2 without starting a runtime.
 func TestRunBadFlags(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-clock", "atomic"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown clock: exit %d, want 2", code)
-	}
-	if code := run([]string{"-transport", "carrier-pigeon"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown transport: exit %d, want 2", code)
-	}
-	if code := run([]string{"-eps", "-1ms"}, &out, &errb); code != 2 {
-		t.Fatalf("negative eps: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-clock", "atomic"},
+		{"-tiers", "lin,seq"},
+		{"-eps", "-1ms"},
+		{"-approx", "-1ms"},
+		{"-d1", "6ms"}, // above the default d2
+		{"-c", "10ms"}, // above d'2 − 2ε
+		// Retired: the binary always serves over TCP, Θ and the ring depth
+		// come from the model, the zipf offset from the register count, and
+		// the zero-widening twin gated nothing.
+		{"-transport", "tcp"},
+		{"-theta", "1ms"},
+		{"-ring", "64"},
+		{"-zipfv", "2"},
+		{"-strict", "off"},
+	} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2\nstderr:\n%s", args, code, errb.String())
+		}
 	}
 }

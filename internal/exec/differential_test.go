@@ -388,7 +388,7 @@ func head(s string) string {
 }
 
 // BenchmarkSchedulerStep measures the deadline scan: many components, few
-// due at any instant — the regime where the linear NextDue sweep is
+// due at any instant — the regime where the linear next-deadline sweep is
 // quadratic in aggregate and the heap is logarithmic.
 func BenchmarkSchedulerStep(b *testing.B) {
 	for _, mode := range []struct {

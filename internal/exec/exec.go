@@ -624,30 +624,12 @@ func (s *System) fireDue(ln *lane) {
 	s.fireDueIndexed(ln)
 }
 
-// NextDue returns the earliest pending deadline strictly after now, or
-// ok=false when no component has one.
-func (s *System) NextDue() (simtime.Time, bool) {
-	if s.linear {
-		return s.nextDueLinear()
-	}
-	if s.shardOn {
-		next, found := simtime.Never, false
-		for _, ln := range s.lanes {
-			if due, ok := s.nextDue(ln); ok && (!found || due.Before(next)) {
-				next, found = due, true
-			}
-		}
-		return next, found
-	}
-	return s.nextDue(&s.root)
-}
-
 // nextDue returns the lane's earliest pending deadline.
 func (s *System) nextDue(ln *lane) (simtime.Time, bool) {
 	next, found := ln.sched.peek()
 	// Rare: a late Add or Replace can park an already-due component in the
 	// dueNow heap outside a fireDue sweep; the next sweep fires it, but
-	// NextDue must still report it so Run/Step know there is work at or
+	// nextDue must still report it so Run/Step know there is work at or
 	// before now. Empty in steady state, so this loop normally costs nothing.
 	for _, idx := range ln.sched.dueNow {
 		if due, ok := s.comps[idx].Due(ln.now); ok && (!found || due.Before(next)) {

@@ -8,7 +8,7 @@ import (
 
 // This file preserves the original O(components)-per-step scheduler,
 // verbatim, as a differential oracle. Setting System.linear before the
-// first run routes NextDue/fireDue through these implementations and
+// first run routes nextDueAny/fireDue through these implementations and
 // dispatch through the full-scan path; seeded executions must produce
 // byte-identical traces on either path (see the differential test and the
 // golden-trace test in internal/experiments). The linear path always runs

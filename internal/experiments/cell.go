@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"psclock/internal/clock"
@@ -135,60 +134,4 @@ func ThroughputCell(spec CellSpec) CellResult {
 		res.Err = fmt.Sprintf("no operation completed within the %v budget", spec.Budget)
 	}
 	return res
-}
-
-// ScalingCell is one point of the GOMAXPROCS × shards scaling curve.
-type ScalingCell struct {
-	Model        string
-	N            int
-	Shards       int
-	Procs        int
-	OpsPerSec    float64
-	SeqOpsPerSec float64
-	// SpeedupVsSeq is OpsPerSec over the same model's sequential baseline
-	// (measured in the same sweep, on the same box, at GOMAXPROCS = 1).
-	SpeedupVsSeq float64
-	Win          bool
-}
-
-// ShardScaling measures the sharded executor's scaling curve: for each
-// model, a sequential baseline at GOMAXPROCS = 1, then one cell per
-// (shards, procs) combination, with speedups relative to the baseline.
-// GOMAXPROCS is restored on return. Cells run strictly one after another —
-// each times its own wall clock. Cell errors are returned as failure
-// strings; their cells are omitted from the curve.
-func ShardScaling(n int, shardCounts, procs []int, budget time.Duration, trials int) ([]ScalingCell, []string) {
-	var cells []ScalingCell
-	var fails []string
-	restore := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(restore)
-	for _, model := range []string{"timed", "clock", "mmt"} {
-		runtime.GOMAXPROCS(1)
-		seq := ThroughputCell(CellSpec{Model: model, N: n, Budget: budget, Trials: trials})
-		if seq.Err != "" {
-			fails = append(fails, fmt.Sprintf("%s n=%d sequential baseline: %s", model, n, seq.Err))
-			continue
-		}
-		for _, p := range procs {
-			runtime.GOMAXPROCS(p)
-			for _, sh := range shardCounts {
-				if sh > n {
-					continue
-				}
-				c := ThroughputCell(CellSpec{Model: model, N: n, Shards: sh, Budget: budget, Trials: trials})
-				if c.Err != "" {
-					fails = append(fails, fmt.Sprintf("%s n=%d shards=%d procs=%d: %s", model, n, sh, p, c.Err))
-					continue
-				}
-				cells = append(cells, ScalingCell{
-					Model: model, N: n, Shards: sh, Procs: p,
-					OpsPerSec:    c.OpsPerSec,
-					SeqOpsPerSec: seq.OpsPerSec,
-					SpeedupVsSeq: c.OpsPerSec / seq.OpsPerSec,
-					Win:          c.OpsPerSec >= seq.OpsPerSec,
-				})
-			}
-		}
-	}
-	return cells, fails
 }

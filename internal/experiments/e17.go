@@ -2,18 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strconv"
 	"time"
 
 	"psclock/internal/clock"
 	"psclock/internal/core"
-	"psclock/internal/linearize"
 	"psclock/internal/live"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/stats"
-	"psclock/internal/ta"
 )
 
 // E17 runs the tiered keyed store live: one set of nodes hosting a lin
@@ -26,7 +22,7 @@ import (
 // consistency for seq. The discount must clear ε at zero violations on
 // both tiers, the live counterpart of E14's simulated boundary.
 //
-// Unlike E1–E16 this experiment runs on real time (the in-process chan
+// Unlike E1–E16 this experiment runs on real time (the in-process
 // transport, perfect clocks, a deliberately generous configured ε), so
 // its latencies are measurements, not derivations: ε is chosen large
 // enough that the 2ε structure dwarfs scheduling noise, and the
@@ -35,52 +31,36 @@ func E17TieredLive() Result {
 	const (
 		eps   = 10 * ms // configured ε: the S tier's read wait is 2ε = 20ms
 		slack = 20 * ms // widening for scheduling noise in the lin gate
-		d2    = 10 * ms // designed max delay; loopback stays far under it
 	)
+	// The run's model: d2 is a budget loopback stays far under, and ℓ =
+	// 2·slack puts the seq tier's Θ at c+δ+2ε+3·slack = 80.1ms.
+	m := live.Model{Eps: eps, D2: 10 * ms, Delta: 100 * us, Ell: 2 * slack, Slack: slack}
 	fail := func(f string, a ...any) Result {
 		return Result{ID: "E17", Title: e17Title, Failures: []string{fmt.Sprintf(f, a...)}}
 	}
-	p := register.Params{C: 0, Delta: 100 * us, D2: d2 + 2*eps, Epsilon: eps}
-	if err := p.Validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return fail("params: %v", err)
 	}
+	p := m.Params()
 	tiers := []register.Tier{register.TierLin, register.TierSeq}
-
-	mon := register.NewMonitor()
-	// Per-key fan-out: register r0 (lin) gets the exact online
-	// linearizability engine widened by ε+slack, r1 (seq) the Θ-bounded
-	// online sequential-consistency engine — the same wiring pscserve's
-	// -tiers mode installs.
-	theta := p.C + p.Delta + 2*eps + 3*slack
-	check := linearize.NewSharded(linearize.ShardedOptions{
-		New: func(key string) linearize.Automaton {
-			if key == "r1" {
-				return linearize.NewSeqOnline(linearize.SeqOptions{
-					Initial: register.Initial.String(), MaxStale: theta, Yield: runtime.Gosched,
-				})
-			}
-			return linearize.NewOnline(linearize.Options{
-				Initial: register.Initial.String(), Widen: eps + slack,
-				AssumeUnique: true, MaxStates: 1 << 18, Yield: runtime.Gosched,
-			})
-		},
-	})
-	mon.AddChecker("tiered", check)
 	const nNodes = 2
-	mon.SetKeyFunc(func(port ta.NodeID) string { return "r" + strconv.Itoa(int(port)/nNodes) })
+	// Register 0 (lin) gets the exact online linearizability engine widened
+	// by ε+slack, register 1 (seq) the Θ-bounded online sequential-
+	// consistency engine — the stack pscserve -tiers judges with.
+	verdict := live.NewVerdict(live.VerdictConfig{Model: m, Nodes: nNodes, Registers: len(tiers), Tiers: tiers})
 
 	rt, err := live.New(live.Options{
 		N:         nNodes,
 		Registers: len(tiers),
-		Bounds:    simtime.NewInterval(0, d2),
-		Ell:       slack,
+		Bounds:    m.Bounds(),
+		Ell:       m.Ell,
 		Clocks:    clock.PerfectFactory(),
 	}, register.Factory(register.NewS, p))
 	if err != nil {
 		return fail("runtime: %v", err)
 	}
 	rt.SetRegisterFactory(func(reg int) core.AlgorithmFactory { return tiers[reg].Factory(p) })
-	rt.AddSink(mon)
+	rt.AddSink(verdict)
 	srv, err := live.NewServer(rt)
 	if err != nil {
 		return fail("server: %v", err)
@@ -100,32 +80,19 @@ func E17TieredLive() Result {
 		Tiers:      tiers,
 	})
 	srv.Close()
-	m := rt.Stop()
+	got := rt.Stop()
+	out := verdict.Finish()
 
-	var fails []string
-	if err := mon.Err(); err != nil {
-		fails = append(fails, fmt.Sprintf("stream contract: %v", err))
-	}
-	mon.Finish()
+	fails := out.Messages // names the failing register; the table marks each tier
 	if res.Errors > 0 {
 		fails = append(fails, fmt.Sprintf("%d client errors", res.Errors))
 	}
-	if m.RecorderDrops > 0 {
-		fails = append(fails, fmt.Sprintf("%d recorder drops", m.RecorderDrops))
+	if got.RecorderDrops > 0 {
+		fails = append(fails, fmt.Sprintf("%d recorder drops", got.RecorderDrops))
 	}
 
 	tb := stats.NewTable("tier", "algorithm", "ops", "reads", "read p50", "write p50", "verified")
-	verdicts := make([]linearize.Result, len(tiers))
 	for i, tier := range tiers {
-		kr, ok := check.KeyResult("r" + strconv.Itoa(i))
-		if !ok {
-			fails = append(fails, fmt.Sprintf("tier %s: no operations reached its checker", tier))
-			continue
-		}
-		verdicts[i] = kr
-		if !kr.OK {
-			fails = append(fails, fmt.Sprintf("tier %s online check violated: %s", tier, kr.Reason))
-		}
 		tl := res.Tier[tier]
 		if tl.Reads == 0 {
 			fails = append(fails, fmt.Sprintf("tier %s completed no reads: discount unmeasurable", tier))
@@ -135,7 +102,7 @@ func E17TieredLive() Result {
 			alg = "L (seq, Lemma 6.1)"
 		}
 		tb.AddRow(tier.String(), alg, fmt.Sprint(tl.Ops), fmt.Sprint(tl.Reads),
-			fmtD(tl.ReadLat.P50), fmtD(tl.WriteLat.P50), checkMark(kr.OK))
+			fmtD(tl.ReadLat.P50), fmtD(tl.WriteLat.P50), checkMark(out.PerReg[i].OK))
 	}
 
 	lin, seq := res.Tier[register.TierLin], res.Tier[register.TierSeq]
@@ -145,10 +112,10 @@ func E17TieredLive() Result {
 			"seq-tier read discount %v below ε=%v (theoretical gap 2ε=%v): the weaker tier is not paying for itself",
 			discount, simtime.Duration(eps), simtime.Duration(2*eps)))
 	}
-	note := fmt.Sprintf("%d live ops over %d nodes (chan transport): seq reads %v cheaper at p50 (2ε=%v, asserted ≥ ε=%v);\n"+
-		"write p50 lin %v vs seq %v (both pay d'2−c); tiers verified online with %d/%d violations.\n",
+	note := fmt.Sprintf("%d live ops over %d nodes (in-process transport): seq reads %v cheaper at p50 (2ε=%v, asserted ≥ ε=%v);\n"+
+		"write p50 lin %v vs seq %v (both pay d'2−c); tiers verified online with %d violations.\n",
 		res.Ops, nNodes, discount, simtime.Duration(2*eps), simtime.Duration(eps),
-		lin.WriteLat.P50, seq.WriteLat.P50, boolToInt(!verdicts[0].OK), boolToInt(!verdicts[1].OK))
+		lin.WriteLat.P50, seq.WriteLat.P50, out.Violations)
 	return Result{
 		ID:       "E17",
 		Title:    e17Title,
@@ -158,10 +125,3 @@ func E17TieredLive() Result {
 }
 
 const e17Title = "tiered keyed store live: the L-tier read discount vs S on shared nodes"
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"psclock/internal/channel"
@@ -256,7 +255,10 @@ const e10Trials = 3
 // operations and dispatched events per wall-clock second) for each model
 // as the system grows. Each cell is time-boxed: clients run open-ended and
 // the cell stops after e10CellBudget of wall time, reporting whatever
-// operation and event counts the executor sustained in the box.
+// operation and event counts the executor sustained in the box. The
+// GOMAXPROCS × shards scaling curve is `pscbench -shardsweep`, not a table
+// here: measuring it sets GOMAXPROCS process-wide, which an experiment
+// sharing its process with sixteen others (one on wall-clock time) must not.
 func E10Throughput() Result {
 	tb := stats.NewTable("model", "n", "shards", "ops", "events", "wall ms", "ops/s", "events/s")
 	var fails []string
@@ -288,30 +290,11 @@ func E10Throughput() Result {
 	for _, model := range []string{"timed", "clock", "mmt"} {
 		cell(model, 8, 4)
 	}
-	// Scaling curve: the adaptive-horizon sharded executor across
-	// GOMAXPROCS × shard counts at the largest size, each cell's speedup
-	// relative to a sequential baseline measured in the same sweep. Only
-	// procs values the machine can actually host run — oversubscribed
-	// cells would mislabel timeslicing as scaling.
-	var procs []int
-	for _, p := range []int{1, 2, 4} {
-		if p <= runtime.NumCPU() || p == 1 {
-			procs = append(procs, p)
-		}
-	}
-	curve, curveFails := ShardScaling(8, []int{2, 4, 8}, procs, e10CellBudget, e10Trials)
-	fails = append(fails, curveFails...)
-	ct := stats.NewTable("model", "n", "shards", "procs", "ops/s", "seq ops/s", "speedup", "win")
-	for _, c := range curve {
-		ct.AddRow(c.Model, fmt.Sprint(c.N), fmt.Sprint(c.Shards), fmt.Sprint(c.Procs),
-			fmt.Sprintf("%.0f", c.OpsPerSec), fmt.Sprintf("%.0f", c.SeqOpsPerSec),
-			fmt.Sprintf("%.2fx", c.SpeedupVsSeq), checkMark(c.Win))
-	}
 	// Pipeline comparison: the same workload checked streaming (online
 	// checker over the event-sink pipeline, no retention) and retained
 	// (trace + batch check), with memory columns.
 	pipeOut, pipeFails := e10Pipelines()
 	fails = append(fails, pipeFails...)
 	return Result{ID: "E10", Title: "executor throughput by model and size (time-boxed cells)",
-		Output: tb.String() + "\n" + ct.String() + "\n" + pipeOut, Failures: fails}
+		Output: tb.String() + "\n" + pipeOut, Failures: fails}
 }

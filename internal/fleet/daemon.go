@@ -16,6 +16,14 @@ import (
 	"psclock/internal/ta"
 )
 
+// DefaultModel is the vector pscfleet and pscnode default their flags to:
+// loopback between OS processes is slower and noisier than inside one, so
+// every budget is wider than pscserve's.
+func DefaultModel() live.Model {
+	const ms = simtime.Millisecond
+	return live.Model{Eps: 2 * ms, D2: 10 * ms, Delta: ms, Ell: 5 * ms, Slack: 6 * ms}
+}
+
 // DaemonConfig is everything one node process needs, passed by the plane
 // on the pscnode command line.
 type DaemonConfig struct {
@@ -31,9 +39,9 @@ type DaemonConfig struct {
 	Seed          int64
 	Tiers         string // register tier spec ("" = all lin)
 
-	Eps, D1, D2, Delta, C, Ell simtime.Duration
-	DetPeriod, DetTimeout      simtime.Duration
-	BeatPeriod                 time.Duration
+	Model                 live.Model
+	DetPeriod, DetTimeout simtime.Duration
+	BeatPeriod            time.Duration
 
 	// Interrupt, when non-nil, triggers the same graceful teardown a
 	// Shutdown command does (SIGINT/SIGTERM wiring lives in cmd/pscnode).
@@ -87,7 +95,6 @@ func RunDaemon(cfg DaemonConfig) error {
 	if cfg.BeatPeriod <= 0 {
 		cfg.BeatPeriod = 100 * time.Millisecond
 	}
-	detDefaults(&cfg.DetPeriod, &cfg.DetTimeout, cfg.D1, cfg.D2, cfg.Eps, cfg.Ell)
 	logf := func(format string, args ...any) {
 		if cfg.Verbose && cfg.Stderr != nil {
 			fmt.Fprintf(cfg.Stderr, "pscnode[%d.%d]: "+format+"\n",
@@ -95,10 +102,10 @@ func RunDaemon(cfg DaemonConfig) error {
 		}
 	}
 
-	p := register.Params{C: cfg.C, Delta: cfg.Delta, D2: cfg.D2 + 2*cfg.Eps, Epsilon: cfg.Eps}
-	if err := p.Validate(); err != nil {
+	if err := cfg.Model.Validate(); err != nil {
 		return err
 	}
+	p := cfg.Model.Params()
 	tiers, err := register.ParseTiers(cfg.Tiers, cfg.Registers)
 	if err != nil {
 		return err
@@ -115,30 +122,25 @@ func RunDaemon(cfg DaemonConfig) error {
 		return err
 	}
 	ft := live.NewFaultTransport(cfg.Node, mesh)
-	var step *live.StepClock
 
 	regs := cfg.Registers + 1 // +1: the heartbeat detector instance
 	rt, err := live.New(live.Options{
 		N:         cfg.N,
 		Registers: regs,
-		Bounds:    simtime.NewInterval(cfg.D1, cfg.D2),
-		Ell:       cfg.Ell,
+		Bounds:    cfg.Model.Bounds(),
+		Ell:       cfg.Model.Ell,
 		Clocks:    clock.PerfectFactory(),
 		Transport: ft,
 		Local:     []int{cfg.Node},
 		Epoch:     time.Unix(0, cfg.EpochUnixNano),
 		PortBase:  cfg.Incarnation * cfg.N * regs,
-		WrapClock: func(_ int, c live.Clock) live.Clock {
-			step = live.NewStepClock(c)
-			return step
-		},
 	}, register.Factory(register.NewS, p))
 	if err != nil {
 		return err
 	}
 	rt.SetRegisterFactory(func(reg int) core.AlgorithmFactory {
 		if reg == cfg.Registers {
-			return detector.Factory(detector.Params{Period: cfg.DetPeriod, Timeout: cfg.DetTimeout})
+			return detector.Factory(cfg.Model.Detector(cfg.DetPeriod, cfg.DetTimeout))
 		}
 		return tiers[reg].Factory(p)
 	})
@@ -246,9 +248,9 @@ func RunDaemon(cfg DaemonConfig) error {
 					ft.SetDelay(time.Duration(f.DelayUS) * time.Microsecond)
 					logf("delay=%dus", f.DelayUS)
 				}
-				if f.SetStep && step != nil {
-					step.SetOffset(simtime.Duration(f.StepUS) * simtime.Microsecond)
-					logf("clockstep=%dus", f.StepUS)
+				if f.SetStep {
+					err := rt.SetClockStep(cfg.Node, simtime.Duration(f.StepUS)*simtime.Microsecond)
+					logf("clockstep=%dus err=%v", f.StepUS, err)
 				}
 			case e.Shutdown != nil:
 				beginStop()
@@ -282,7 +284,7 @@ func RunDaemon(cfg DaemonConfig) error {
 				}
 			}
 			wait := 60 * time.Millisecond
-			if w, err := simtime.ToWall(3 * (p.D2 + cfg.Delta)); err == nil && w > wait {
+			if w, err := simtime.ToWall(3 * (p.D2 + p.Delta)); err == nil && w > wait {
 				wait = w
 			}
 			select {

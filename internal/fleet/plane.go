@@ -5,19 +5,16 @@ import (
 	"io"
 	"net"
 	osexec "os/exec"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"psclock/internal/detector"
 	"psclock/internal/exec"
-	"psclock/internal/linearize"
 	"psclock/internal/live"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
-	"psclock/internal/trace"
 )
 
 // PlaneConfig sizes the fleet and its model parameters.
@@ -26,14 +23,14 @@ type PlaneConfig struct {
 	Registers int    // data registers per node
 	Tiers     string // register tier spec ("" = all lin)
 
-	Eps, D1, D2, Delta, C, Ell simtime.Duration
+	// The model vector, flat: NewPlane reads it once, as a live.Model.
 	// Slack widens the online checker beyond ε for scheduling noise and
-	// in-band clock steps (the live harness's usual widen allowance).
-	Slack simtime.Duration
+	// in-band clock steps.
+	Eps, D1, D2, Delta, C, Ell simtime.Duration
+	Slack                      simtime.Duration
 	// DetPeriod and DetTimeout parameterize the node-level heartbeat
 	// detector every daemon hosts as its last register instance; zero
-	// derives τ = SafeTimeoutClock(π, [d1,d2], ε) plus a slack for ℓ and
-	// in-band faults.
+	// derives them (live.Model.Detector).
 	DetPeriod, DetTimeout simtime.Duration
 
 	Seed        int64
@@ -67,7 +64,6 @@ type daemonState struct {
 	nodeAddr   string
 	clientAddr string // published only between Ready and death
 	ready      bool
-	readyGen   int // bumped every time ready flips true
 	helloed    bool
 	byeSeen    bool
 	lastBeat   time.Time
@@ -91,8 +87,7 @@ type DetEvent struct {
 // detLog collects detector events from the FanIn (it rides the sink list
 // next to the Monitor, which ignores detector actions by name).
 type detLog struct {
-	n         int
-	portSpace int
+	n int // fleet size: a port's node is port mod n, whatever the incarnation
 
 	mu     sync.Mutex
 	events []DetEvent
@@ -109,7 +104,7 @@ func (l *detLog) Observe(e ta.Event) {
 	l.mu.Lock()
 	l.events = append(l.events, DetEvent{
 		Name:     e.Action.Name,
-		Observer: (int(e.Action.Node) % l.portSpace) % l.n,
+		Observer: int(e.Action.Node) % l.n,
 		Peer:     int(peer),
 		At:       e.At,
 	})
@@ -148,16 +143,13 @@ type FleetStats struct {
 // Plane is the fleet control plane.
 type Plane struct {
 	cfg   PlaneConfig
+	model live.Model
 	epoch time.Time
 	ln    net.Listener
 
-	mon   *register.Monitor
-	check *linearize.Sharded
-	fanin *FanIn
-	det   *detLog
-	ring  *trace.Ring
-	trap  *errTrap
-	tiers []register.Tier
+	verdict *live.Verdict
+	fanin   *FanIn
+	det     *detLog
 
 	daemons []*daemonState
 
@@ -189,75 +181,29 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 3
 	}
-	detDefaults(&cfg.DetPeriod, &cfg.DetTimeout, cfg.D1, cfg.D2, cfg.Eps, cfg.Ell)
+	model := live.Model{Eps: cfg.Eps, D1: cfg.D1, D2: cfg.D2, Delta: cfg.Delta, C: cfg.C, Ell: cfg.Ell, Slack: cfg.Slack}
+	if err := model.Validate(); err != nil {
+		return nil, err // before any process is spawned to find it out
+	}
+	det := model.Detector(cfg.DetPeriod, cfg.DetTimeout)
+	cfg.DetPeriod, cfg.DetTimeout = det.Period, det.Timeout
 	tiers, err := register.ParseTiers(cfg.Tiers, cfg.Registers)
 	if err != nil {
 		return nil, err
 	}
-
-	n, regs := cfg.N, cfg.Registers
-	portSpace := n * (regs + 1)
-
-	theta := cfg.C + cfg.Delta + 2*cfg.Eps + cfg.Ell + cfg.Slack
-	linOpt := linearize.Options{
-		Initial:      register.Initial.String(),
-		Widen:        cfg.Eps + cfg.Slack,
-		AssumeUnique: true,
-		MaxStates:    1 << 18,
-		Yield:        runtime.Gosched,
-	}
-	seqOpt := linearize.SeqOptions{
-		Initial:  register.Initial.String(),
-		MaxStale: theta,
-		Yield:    runtime.Gosched,
-	}
-	mon := register.NewMonitor()
-	so := linearize.ShardedOptions{Check: linOpt, Shards: cfg.CheckShards}
-	if cfg.Tiers != "" {
-		so.New = func(key string) linearize.Automaton {
-			if idx, err := strconv.Atoi(key[1:]); err == nil && idx >= 0 && idx < len(tiers) && tiers[idx] == register.TierSeq {
-				return linearize.NewSeqOnline(seqOpt)
-			}
-			return linearize.NewOnline(linOpt)
-		}
-	}
-	check := linearize.NewSharded(so)
-	mon.AddChecker("fleet", check)
-	// Ports live in per-incarnation namespaces (k·N·(R+1) + reg·N + node):
-	// reducing mod the namespace width folds every incarnation of a
-	// register onto one checker key, so a replacement's operations extend
-	// the same history its predecessor's belonged to.
-	mon.SetKeyFunc(func(port ta.NodeID) string {
-		return "r" + strconv.Itoa((int(port)%portSpace)/n)
-	})
-
-	det := &detLog{n: n, portSpace: portSpace}
-	ring := trace.NewRing(256)
-	trap := &errTrap{mon: mon, ring: ring}
 	p := &Plane{
 		cfg:   cfg,
-		mon:   mon,
-		check: check,
-		det:   det,
-		ring:  ring,
-		trap:  trap,
-		tiers: tiers,
-		fanin: NewFanIn(n, []exec.Sink{mon, det, ring, trap}),
+		model: model,
+		// The detector rides as one extra instance per node, so each
+		// incarnation's ports span N·(Registers+1).
+		verdict: live.NewVerdict(live.VerdictConfig{
+			Model: model, Nodes: cfg.N, Registers: cfg.Registers, Extra: 1,
+			Tiers: tiers, Shards: cfg.CheckShards,
+		}),
+		det: &detLog{n: cfg.N},
 	}
+	p.fanin = NewFanIn(cfg.N, []exec.Sink{p.verdict, p.det})
 	return p, nil
-}
-
-// detDefaults fills an unset heartbeat period and timeout, for the plane
-// and for a daemon alike: the clock-model safe timeout plus working slack —
-// ℓ (timers fire late by scheduling) and the in-band fault sizes — so only a
-// real outage or an out-of-model fault trips the detector.
-func detDefaults(period, timeout *simtime.Duration, d1, d2, eps, ell simtime.Duration) {
-	if *period <= 0 {
-		*period = 150 * simtime.Millisecond
-	}
-	if *timeout <= 0 {
-		*timeout = detector.SafeTimeoutClock(*period, simtime.NewInterval(d1, d2), eps) + ell + 55*simtime.Millisecond
-	}
 }
 
 // logf writes a verbose plane log line.
@@ -266,9 +212,6 @@ func (p *Plane) logf(format string, args ...any) {
 		fmt.Fprintf(p.cfg.Logw, "pscfleet: "+format+"\n", args...)
 	}
 }
-
-// Epoch returns the fleet's shared simulated-Zero instant.
-func (p *Plane) Epoch() time.Time { return p.epoch }
 
 // Start anchors the epoch, spawns the N daemons, wires peers, and waits
 // until every node is Ready (serviceable).
@@ -314,11 +257,11 @@ func (p *Plane) spawn(d *daemonState, inc int) error {
 		"-plane", p.ln.Addr().String(),
 		"-epoch", strconv.FormatInt(p.epoch.UnixNano(), 10),
 		"-seed", strconv.FormatInt(p.cfg.Seed, 10),
-		"-eps", us(p.cfg.Eps), "-d1", us(p.cfg.D1), "-d2", us(p.cfg.D2),
-		"-delta", us(p.cfg.Delta), "-c", us(p.cfg.C), "-ell", us(p.cfg.Ell),
-		"-detperiod", us(p.cfg.DetPeriod), "-dettimeout", us(p.cfg.DetTimeout),
+		"-detperiod", time.Duration(p.cfg.DetPeriod).String(),
+		"-dettimeout", time.Duration(p.cfg.DetTimeout).String(),
 		"-beat", p.cfg.BeatPeriod.String(),
 	}
+	cfgArgs = append(cfgArgs, p.model.Args()...)
 	if p.cfg.Tiers != "" {
 		cfgArgs = append(cfgArgs, "-tiers", p.cfg.Tiers)
 	}
@@ -413,7 +356,6 @@ func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
 		case e.Ready != nil:
 			d.mu.Lock()
 			d.ready = true
-			d.readyGen++
 			d.clientAddr = clientAddr
 			d.mu.Unlock()
 			p.logf("node %d ready", d.node)
@@ -693,10 +635,8 @@ func (p *Plane) Stats() FleetStats {
 		s.Reconnects += d.base.Reconnects + m.Reconnects
 		s.RecorderDrops += d.base.RecorderDrops + m.RecorderDrops
 		s.Dropped += d.baseDrop + d.beat.Dropped + int64(d.base.SendDrops+m.SendDrops)
-		if tl := maxDur(d.base.TimerLate, m.TimerLate); tl > s.TimerLate {
-			s.TimerLate = tl
-		}
-		s.EpsByNode[i] = maxDur(d.baseEps, m.Eps)
+		s.TimerLate = max(s.TimerLate, d.base.TimerLate, m.TimerLate)
+		s.EpsByNode[i] = max(d.baseEps, m.Eps)
 		s.Restarts += d.restarts
 		d.mu.Unlock()
 	}
@@ -709,13 +649,6 @@ func (p *Plane) Stats() FleetStats {
 		}
 	}
 	return s
-}
-
-func maxDur(a, b simtime.Duration) simtime.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Crashes returns the number of chaos-commanded kills so far.
@@ -779,25 +712,14 @@ func (p *Plane) Shutdown() FleetVerdict {
 	p.Close()
 
 	p.fanin.Finish()
-	v := FleetVerdict{Clamped: p.fanin.Clamped(), Emitted: p.fanin.Emitted()}
-	if err := p.mon.Err(); err != nil {
-		v.Violations++
-		v.Messages = append(v.Messages, fmt.Sprintf("stream contract: %v", err))
-		for _, e := range p.trap.tail {
-			p.logf("trace: seq=%d at=%d %s src=%s", e.Seq, int64(e.At), e.Action.Label(), e.Src)
-		}
+	out := p.verdict.Finish()
+	for _, e := range out.Tail {
+		p.logf("trace: seq=%d at=%d %s src=%s", e.Seq, int64(e.At), e.Action.Label(), e.Src)
 	}
-	res := p.mon.Verdict("fleet")
-	v.CheckStates = res.States
-	if p.mon.Err() == nil && !res.OK {
-		v.Violations++
-		msg := fmt.Sprintf("fleet check: %s", res.Reason)
-		if key, ok := p.check.FailedKey(); ok {
-			msg += " (key " + key + ")"
-		}
-		v.Messages = append(v.Messages, msg)
+	return FleetVerdict{
+		Violations: out.Violations, CheckStates: out.States, Messages: out.Messages,
+		Clamped: p.fanin.Clamped(), Emitted: p.fanin.Emitted(),
 	}
-	return v
 }
 
 // Close tears down the plane's listener and reaps every watcher.
@@ -817,26 +739,3 @@ func (p *Plane) Close() {
 	}
 	p.wg.Wait()
 }
-
-// us renders a simtime duration as a microsecond flag value.
-func us(d simtime.Duration) string {
-	return strconv.FormatInt(int64(d/simtime.Microsecond), 10) + "us"
-}
-
-// errTrap snapshots the trace ring at the instant the monitor first
-// reports a stream-contract violation (debug aid).
-type errTrap struct {
-	mon  *register.Monitor
-	ring *trace.Ring
-	tail ta.Trace
-	hit  bool
-}
-
-func (t *errTrap) Observe(ta.Event) {
-	if !t.hit && t.mon.Err() != nil {
-		t.hit = true
-		t.tail = t.ring.Tail()
-	}
-}
-
-func (t *errTrap) Flush(simtime.Time) {}

@@ -24,50 +24,6 @@ import (
 	"psclock/internal/simtime"
 )
 
-// Clock is one node's wall-clock time source. Readings are simulated-time
-// nanoseconds since the runtime's epoch, satisfying the clock predicate
-// C_ε of Definition 2.5 with respect to real elapsed time; OffsetBound
-// reports the largest |reading − real| the node actually observed, which
-// is the measured ε the monitoring bridge relaxes its windows by.
-//
-// Implementations must be safe for concurrent use: the node's own loop
-// reads its clock, and the runtime reads every clock at shutdown to
-// collect the measured bounds.
-type Clock interface {
-	// Now returns the node's current clock reading.
-	Now() simtime.Time
-	// WaitUntil returns the wall-clock wait until the clock reaches
-	// target, zero if it already has.
-	WaitUntil(target simtime.Time) time.Duration
-	// Epsilon returns the configured accuracy band ε the clock guarantees.
-	Epsilon() simtime.Duration
-	// OffsetBound returns the largest |reading − real elapsed| observed so
-	// far: the measured ε.
-	OffsetBound() simtime.Duration
-	// Name describes the clock for reports.
-	Name() string
-}
-
-// ModelClock adapts a deterministic clock.Model to a live Clock: readings
-// evaluate the model at real elapsed time since the epoch, so the perfect,
-// fixed-offset (Constant/Spread), and jittered-drift models of
-// internal/clock become live clocks with the same ±ε guarantee. Every
-// read updates the measured offset bound.
-type ModelClock struct {
-	mu    sync.Mutex
-	epoch time.Time
-	m     clock.Model
-	bound simtime.Duration
-}
-
-var _ Clock = (*ModelClock)(nil)
-
-// NewModelClock returns a live clock over m with readings anchored at
-// epoch (the runtime's start instant, simulated Zero).
-func NewModelClock(m clock.Model, epoch time.Time) *ModelClock {
-	return &ModelClock{epoch: epoch, m: m}
-}
-
 // Since returns the real time elapsed since epoch as a simulated instant,
 // clamped at Zero (a reading from before the epoch is a caller bug, but a
 // negative instant must never reach the model). Every clock, delay
@@ -80,25 +36,53 @@ func Since(epoch time.Time) simtime.Time {
 	return t
 }
 
-// Now implements Clock.
-func (c *ModelClock) Now() simtime.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// nodeClock is one node's time source: its clock.Model — the same clock
+// abstraction the simulator runs on — evaluated at the real time elapsed
+// since the runtime's epoch, so the perfect, fixed-offset and jittered
+// models keep their ±ε guarantee (the clock predicate C_ε of Definition
+// 2.5) on wall-clock time. On top of the model sits the chaos controller's
+// step, the one thing that may push a reading outside the band. Every
+// reading, step included, updates the largest |reading − real| served:
+// the measured ε̂, so a step past ε is evidence by measurement, the way a
+// real clock excursion would be.
+//
+// Safe for concurrent use: the node's loop reads its clock, a fault
+// injector steps it, and the runtime probes the bound.
+type nodeClock struct {
+	mu    sync.Mutex
+	epoch time.Time
+	m     clock.Model
+	step  simtime.Duration
+	bound simtime.Duration
+}
+
+// read takes one reading; the caller holds c.mu.
+func (c *nodeClock) read() simtime.Time {
 	real := Since(c.epoch)
-	r := c.m.At(real)
+	r := c.m.At(real).Add(c.step)
 	if off := r.Sub(real).Abs(); off > c.bound {
 		c.bound = off
 	}
 	return r
 }
 
-// WaitUntil implements Clock via the model's inverse: the earliest real
-// time at which the clock reaches target.
-func (c *ModelClock) WaitUntil(target simtime.Time) time.Duration {
+// now returns the node's current clock reading. A backward step can make
+// consecutive readings non-monotone; the node loop's high-water clamp
+// absorbs that.
+func (c *nodeClock) now() simtime.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.read()
+}
+
+// waitUntil returns the wall-clock wait until the clock reaches target,
+// zero if it already has: the stepped clock reaches target when the model
+// reaches target − step, at the real time the model's inverse names.
+func (c *nodeClock) waitUntil(target simtime.Time) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	real := Since(c.epoch)
-	u := c.m.EarliestAt(target)
+	u := c.m.EarliestAt(target.Add(-c.step))
 	if u <= real {
 		return 0
 	}
@@ -111,89 +95,19 @@ func (c *ModelClock) WaitUntil(target simtime.Time) time.Duration {
 	return w
 }
 
-// Epsilon implements Clock.
-func (c *ModelClock) Epsilon() simtime.Duration { return c.m.Epsilon() }
+// setStep replaces the applied step (absolute, not cumulative; zero heals)
+// and takes a reading under it, so an excursion the node never reads
+// during still reaches the measured bound.
+func (c *nodeClock) setStep(d simtime.Duration) {
+	c.mu.Lock()
+	c.step = d
+	c.read()
+	c.mu.Unlock()
+}
 
-// OffsetBound implements Clock.
-func (c *ModelClock) OffsetBound() simtime.Duration {
+// offsetBound returns the largest |reading − real elapsed| served so far.
+func (c *nodeClock) offsetBound() simtime.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bound
 }
-
-// Name implements Clock.
-func (c *ModelClock) Name() string { return c.m.Name() }
-
-// StepClock wraps a Clock with an externally settable offset: the chaos
-// controller's clock adversary. A fault injector calls SetOffset to step
-// the node's time source past (or within) the configured ε while the node
-// program keeps running, and OffsetBound folds the largest applied |step|
-// into the measured ε̂ — so a step past ε is observable in the run's
-// evidence exactly the way a real clock excursion would be, without
-// touching the clock.Model underneath.
-type StepClock struct {
-	inner Clock
-
-	mu     sync.Mutex
-	off    simtime.Duration
-	maxAbs simtime.Duration
-}
-
-var _ Clock = (*StepClock)(nil)
-
-// NewStepClock wraps inner with a zero offset.
-func NewStepClock(inner Clock) *StepClock { return &StepClock{inner: inner} }
-
-// SetOffset replaces the applied step (absolute, not cumulative); zero
-// heals the clock. Safe for concurrent use with readers.
-func (c *StepClock) SetOffset(d simtime.Duration) {
-	c.mu.Lock()
-	c.off = d
-	if a := d.Abs(); a > c.maxAbs {
-		c.maxAbs = a
-	}
-	c.mu.Unlock()
-}
-
-// Offset returns the currently applied step.
-func (c *StepClock) Offset() simtime.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.off
-}
-
-// Now implements Clock: the inner reading shifted by the applied step.
-// A backward step can make consecutive readings non-monotone; the node
-// loop's high-water clamp absorbs that, as it does for any clock.
-func (c *StepClock) Now() simtime.Time {
-	c.mu.Lock()
-	off := c.off
-	c.mu.Unlock()
-	return c.inner.Now().Add(off)
-}
-
-// WaitUntil implements Clock: the stepped clock reaches target when the
-// inner clock reaches target − off.
-func (c *StepClock) WaitUntil(target simtime.Time) time.Duration {
-	c.mu.Lock()
-	off := c.off
-	c.mu.Unlock()
-	return c.inner.WaitUntil(target.Add(-off))
-}
-
-// Epsilon implements Clock: the band the inner clock still guarantees.
-// The step is deliberately outside any guarantee — that is the fault.
-func (c *StepClock) Epsilon() simtime.Duration { return c.inner.Epsilon() }
-
-// OffsetBound implements Clock: the inner clock's measured bound plus the
-// largest step ever applied — an upper bound on |reading − real|, so a
-// step past ε surfaces as measured ε̂ > ε.
-func (c *StepClock) OffsetBound() simtime.Duration {
-	c.mu.Lock()
-	maxAbs := c.maxAbs
-	c.mu.Unlock()
-	return c.inner.OffsetBound() + maxAbs
-}
-
-// Name implements Clock.
-func (c *StepClock) Name() string { return c.inner.Name() + "+step" }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLiveDetectorClockStep drives the heartbeat detector through a
-// StepClock fault — the fleet chaos controller's clock adversary — on a
+// clock-step fault — the fleet chaos controller's clock adversary — on a
 // live runtime. A step held within ε stays inside SafeTimeoutClock's 4ε
 // margin: no suspicions. A step far past ε breaks the detector's
 // accuracy at the faulty node: its watch timers were armed in pre-step
@@ -31,20 +31,12 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	timeout := detector.SafeTimeoutClock(period, bounds, eps) + 2*ellBudget
 	step := 30 * ms // ≫ ε, < τ: beats survive, stamps break accuracy
 
-	var faulty *StepClock
 	sink := &eventSink{}
 	rt, err := New(Options{
 		N:      3,
 		Bounds: bounds,
 		Ell:    ellBudget,
 		Clocks: clock.PerfectFactory(),
-		WrapClock: func(node int, c Clock) Clock {
-			s := NewStepClock(c)
-			if node == 0 {
-				faulty = s
-			}
-			return s
-		},
 	}, func(id ta.NodeID, n int) core.Algorithm {
 		return detector.New(detector.Params{Period: period, Timeout: timeout})
 	})
@@ -55,29 +47,29 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
+	setStep := func(d simtime.Duration) {
+		t.Helper()
+		if err := rt.SetClockStep(0, d); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// In-band twin: ε/2 forward, hold, heal. The 4ε margin absorbs it.
 	time.Sleep(100 * time.Millisecond * raceScale)
-	faulty.SetOffset(eps / 2)
+	setStep(eps / 2)
 	time.Sleep(100 * time.Millisecond * raceScale)
-	faulty.SetOffset(0)
+	setStep(0)
 	time.Sleep(100 * time.Millisecond * raceScale)
 	if sus := sink.named(detector.ActSuspect); len(sus) != 0 {
 		t.Fatalf("ε/2 step caused suspicions: %v", sus)
 	}
 
-	// Past-ε step, held across several beat periods, then healed. Nothing
-	// tells node 0's loop that its clock moved: it armed its next wake-up in
-	// pre-step coordinates, so left alone it wakes at the next beat phase,
-	// where whether its early watch timers fire before the peers' beats
-	// re-arm them is a race (lost 3 times in 20 by this test at PR 15). An
-	// input the detector ignores makes the loop re-read its clock now, the
-	// way a timer service that noticed the step would: the watch timers are
-	// then due τ − step ≈ 6 ms after the last beat, 14 ms before the next.
-	faulty.SetOffset(step)
-	if err := rt.Invoke(0, "clock-stepped", nil); err != nil {
-		t.Fatal(err)
-	}
+	// Past-ε step, held across several beat periods, then healed. Node 0's
+	// loop armed its next wake-up in pre-step coordinates; SetClockStep pokes
+	// it to re-read its clock now, so the watch timers are due τ − step ≈
+	// 6 ms after the last beat, 14 ms before the next, and fire before the
+	// peers' beats can re-arm them.
+	setStep(step)
 	waitFor := func(name string, by ta.NodeID, what string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -93,7 +85,7 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	}
 	waitFor(detector.ActSuspect, 0, "false suspicion by the stepped node")
 	waitFor(detector.ActRestore, 0, "restore by the stepped node")
-	faulty.SetOffset(0)
+	setStep(0)
 	time.Sleep(100 * time.Millisecond * raceScale)
 
 	m := rt.Stop()
@@ -103,9 +95,48 @@ func TestLiveDetectorClockStep(t *testing.T) {
 				e.Action.Node, e.Action.Payload)
 		}
 	}
-	// The step is evidence: OffsetBound folds the high-water |offset| into
+	// The step is evidence: every reading taken under it lands in the
 	// measured ε̂, which is how the fleet's chaos classifier flags it.
 	if m.Eps < simtime.Duration(step) {
 		t.Errorf("measured ε̂ = %v does not include the %v step", m.Eps, step)
 	}
 }
+
+// TestClockStepUnreadIsStillEvidence: a step applied and healed while the
+// node never reads its clock — an idle program with no timers armed —
+// still shows in the measured ε̂, because SetClockStep takes a reading as
+// it applies the step.
+func TestClockStepUnreadIsStillEvidence(t *testing.T) {
+	const step = 7 * ms
+	rt, err := New(Options{N: 1, Clocks: clock.PerfectFactory()},
+		func(ta.NodeID, int) core.Algorithm { return idle{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SetClockStep(1, step); err == nil {
+		t.Error("step at a node the runtime does not host: no error")
+	}
+	// Let the loop run Start and park: with no timer and an empty inbox it
+	// does not read the clock again, and the poke's handler reads nothing.
+	time.Sleep(20 * time.Millisecond)
+	if err := rt.SetClockStep(0, -step); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SetClockStep(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m := rt.Stop(); m.Eps != step {
+		t.Errorf("measured ε̂ = %v after an unread %v step on a perfect clock, want exactly the step", m.Eps, -step)
+	}
+}
+
+// idle is a node program that does nothing.
+type idle struct{}
+
+func (idle) Start(core.Context)                     {}
+func (idle) OnInput(core.Context, string, any)      {}
+func (idle) OnMessage(core.Context, ta.NodeID, any) {}
+func (idle) OnTimer(core.Context, any)              {}

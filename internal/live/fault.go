@@ -130,21 +130,7 @@ func (t *FaultTransport) Close() error {
 	return err
 }
 
-// Name implements Transport.
-func (t *FaultTransport) Name() string { return t.inner.Name() + "+fault" }
-
-// Reconnects and Drops forward the wrapped transport's link counters, if
-// it keeps them, so the runtime's probe sees through the wrapper.
-func (t *FaultTransport) Reconnects() int64 {
-	if ls, ok := t.inner.(linkStats); ok {
-		return ls.Reconnects()
-	}
-	return 0
-}
-
-func (t *FaultTransport) Drops() int64 {
-	if ls, ok := t.inner.(linkStats); ok {
-		return ls.Drops()
-	}
-	return 0
-}
+// Reconnects and Drops implement Transport with the wrapped transport's
+// link counters, so the runtime's probe sees through the wrapper.
+func (t *FaultTransport) Reconnects() int64 { return t.inner.Reconnects() }
+func (t *FaultTransport) Drops() int64      { return t.inner.Drops() }

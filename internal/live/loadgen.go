@@ -42,13 +42,13 @@ type LoadConfig struct {
 	// Registers is the number of register instances the server hosts
 	// (defaults to 1). Clients spread operations across them.
 	Registers int
-	// ZipfS and ZipfV shape the pipelined clients' zipfian register
-	// selection (P(k) ∝ 1/(v+k)^s). S ≤ 1 selects uniform, and a closed
-	// loop is always uniform, so tiered latency comparisons sample every
-	// register; V defaults to Registers/2, which flattens the head so the
-	// hottest register stays under its per-key alternation throughput
-	// ceiling (≈ nodes / per-op latency).
-	ZipfS, ZipfV float64
+	// ZipfS shapes the pipelined clients' zipfian register selection
+	// (P(k) ∝ 1/(v+k)^s). S ≤ 1 selects uniform, and a closed loop is
+	// always uniform, so tiered latency comparisons sample every register;
+	// the offset v is Registers/2, which flattens the head so the hottest
+	// register stays under its per-key alternation throughput ceiling
+	// (≈ nodes / per-op latency).
+	ZipfS float64
 	// Seed derives per-client rngs; written values are unique per
 	// execution (writer = client's node, per-client sequence), satisfying
 	// the §3 uniqueness assumption.
@@ -279,10 +279,7 @@ func newClient(id int, cfg *LoadConfig, deadline time.Time, rec *loadRecorders) 
 		c.pace = time.Duration(float64(time.Second) / cfg.Rate)
 	}
 	if c.depth > 1 && cfg.Registers > 1 && cfg.ZipfS > 1 {
-		v := cfg.ZipfV
-		if v < 1 {
-			v = max(float64(cfg.Registers)/2, 1)
-		}
+		v := max(float64(cfg.Registers)/2, 1)
 		c.zipf = rand.NewZipf(c.rng, cfg.ZipfS, v, uint64(cfg.Registers-1))
 	}
 	return c

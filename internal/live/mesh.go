@@ -13,12 +13,14 @@ import (
 // MeshTransport is the one inter-node transport: every ordered pair of
 // nodes (from hosted here, to anywhere) is a link — a bounded outbound
 // queue and a goroutine draining it, into a persistent gob stream over one
-// TCP connection for distinct nodes. It hosts a set of local nodes, and the two constructors
-// are its two deployments: NewTCPTransport hosts all n nodes in one process
-// with every address known up front (pscserve, the benchmark), and
-// NewMeshTransport hosts one node whose peers' addresses the fleet's
-// control plane supplies — and re-supplies after a crashed peer is
-// replaced — through SetPeer.
+// TCP connection for distinct nodes. It hosts a set of local nodes, and the
+// three constructors are its three deployments: NewTCPTransport hosts all n
+// nodes in one process with every address known up front (pscserve, the
+// benchmark); NewMeshTransport hosts one node whose peers' addresses the
+// fleet's control plane supplies — and re-supplies after a crashed peer is
+// replaced — through SetPeer; and NewLocalTransport hosts all n nodes with
+// no sockets at all, every link drained straight into the delivery callback
+// (the runtime's default: E17 and the unit tests).
 //
 // Message bodies cross as interface values, which is why the algorithm
 // packages register their body types (register/wire.go, detector/wire.go).
@@ -51,11 +53,14 @@ import (
 // Frames a node sends to itself never touch the network (§6.1's broadcast
 // includes the sender): each hosted node's i→i link is drained straight into
 // the delivery callback by a goroutine of its own, so a node slow to take
-// delivery holds up only its own self frames.
+// delivery holds up only its own self frames. The local deployment serves
+// every ordered pair that way — frames still cross a scheduler boundary, so
+// delays are small but real, never zero by fiat.
 type MeshTransport struct {
-	n    int
-	name string
-	lns  []net.Listener // by node; nil for nodes hosted elsewhere
+	n     int
+	name  string
+	local bool           // no sockets: every link delivers directly
+	lns   []net.Listener // by node; nil for nodes that accept no connections
 
 	// links is indexed from·n + to; nil where from is not hosted here.
 	links []*meshLink
@@ -108,17 +113,25 @@ func newMesh(n int, name string) *MeshTransport {
 	}
 }
 
-// host opens node i's listener and creates its outbound links.
+// host creates node i's outbound links and, unless the deployment is
+// local, opens its listener.
 func (t *MeshTransport) host(i int, listenAddr string) error {
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return fmt.Errorf("live: listen for node %d: %w", i, err)
+	if !t.local {
+		ln, err := net.Listen("tcp", listenAddr)
+		if err != nil {
+			return fmt.Errorf("live: listen for node %d: %w", i, err)
+		}
+		t.lns[i] = ln
 	}
-	t.lns[i] = ln
 	for to := 0; to < t.n; to++ {
 		t.links[i*t.n+to] = &meshLink{ch: make(chan Frame, meshQueueDepth)}
 	}
 	return nil
+}
+
+// hosts reports whether node i lives on this transport.
+func (t *MeshTransport) hosts(i int) bool {
+	return i >= 0 && i < t.n && t.links[i*t.n+i] != nil
 }
 
 // NewTCPTransport hosts all n nodes in this process, one loopback listener
@@ -155,8 +168,19 @@ func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
 	return t, nil
 }
 
+// NewLocalTransport hosts all n nodes in this process without sockets: the
+// in-process link.
+func NewLocalTransport(n int) *MeshTransport {
+	t := newMesh(n, "local")
+	t.local = true
+	for i := 0; i < n; i++ {
+		t.host(i, "") // cannot fail: nothing listens
+	}
+	return t
+}
+
 // Addr returns the address node i accepts peer connections on, "" if it
-// is not hosted here.
+// accepts none here.
 func (t *MeshTransport) Addr(i int) string {
 	if i < 0 || i >= t.n || t.lns[i] == nil {
 		return ""
@@ -197,11 +221,11 @@ func (t *MeshTransport) Reconnects() int64 { return t.reconnects.Load() }
 // queue was full.
 func (t *MeshTransport) Drops() int64 { return t.drops.Load() }
 
-// Name implements Transport.
+// Name describes the deployment for reports.
 func (t *MeshTransport) Name() string { return t.name }
 
 // Start implements Transport: begin accepting, connect every link whose
-// address is already known, and launch the writers and the self-delivery
+// address is already known, and launch the writers and the direct-delivery
 // loops.
 func (t *MeshTransport) Start(deliver func(Frame)) error {
 	t.deliver = deliver
@@ -216,9 +240,9 @@ func (t *MeshTransport) Start(deliver func(Frame)) error {
 		if l == nil {
 			continue
 		}
-		if i/t.n == i%t.n {
+		if t.local || i/t.n == i%t.n {
 			t.wg.Add(1)
-			go t.selfLoop(l)
+			go t.directLoop(l)
 			continue
 		}
 		conn, err := t.connect(l)
@@ -236,7 +260,7 @@ func (t *MeshTransport) Start(deliver func(Frame)) error {
 // drops the frame and counts it.
 func (t *MeshTransport) Send(f Frame) error {
 	from, to := int(f.From), int(f.To)
-	if from < 0 || from >= t.n || to < 0 || to >= t.n || t.lns[from] == nil {
+	if !t.hosts(from) || to < 0 || to >= t.n {
 		return fmt.Errorf("live: send on unknown pair %v→%v", f.From, f.To)
 	}
 	select {
@@ -336,14 +360,15 @@ func (t *MeshTransport) readLoop(conn net.Conn) {
 		if err := dec.Decode(&f); err != nil || t.closing() {
 			return
 		}
-		if to := int(f.To); to >= 0 && to < t.n && t.lns[to] != nil {
+		if t.hosts(int(f.To)) {
 			t.deliver(f)
 		}
 	}
 }
 
-// selfLoop delivers one hosted node's frames to itself.
-func (t *MeshTransport) selfLoop(l *meshLink) {
+// directLoop drains one link straight into the delivery callback: a hosted
+// node's frames to itself, and every link of a local deployment.
+func (t *MeshTransport) directLoop(l *meshLink) {
 	defer t.wg.Done()
 	for {
 		select {

@@ -74,11 +74,12 @@ func wantSeq(t *testing.T, what string, got []int, from, n int) {
 }
 
 // meshDeployment is three nodes on the one transport type, deployed one of
-// its two ways.
+// its three ways.
 type meshDeployment struct {
 	endpoints []*MeshTransport  // distinct transports
 	of        [3]*MeshTransport // node → the transport hosting it
 	logs      [3]*frameLog
+	sockets   bool // links between distinct nodes are TCP connections
 }
 
 func (d *meshDeployment) close(t *testing.T) {
@@ -110,8 +111,19 @@ func deployInProcess(t *testing.T) *meshDeployment {
 		t.Fatal(err)
 	}
 	if tr.Name() != "tcp" {
-		t.Fatalf("in-process transport is named %q; compare treats the name as configuration, want tcp", tr.Name())
+		t.Fatalf("in-process TCP transport is named %q; reports treat the name as configuration, want tcp", tr.Name())
 	}
+	return deployOne(t, tr)
+}
+
+func deployLocal(t *testing.T) *meshDeployment {
+	t.Helper()
+	return deployOne(t, NewLocalTransport(3))
+}
+
+// deployOne starts a transport that hosts all three nodes.
+func deployOne(t *testing.T, tr *MeshTransport) *meshDeployment {
+	t.Helper()
 	d := &meshDeployment{endpoints: []*MeshTransport{tr}, of: [3]*MeshTransport{tr, tr, tr}}
 	for i := range d.logs {
 		d.logs[i] = newFrameLog()
@@ -160,22 +172,27 @@ func fromNode(n int) func(Frame) bool {
 	return func(f Frame) bool { return int(f.From) == n }
 }
 
-// TestMeshTransport runs one table of behaviours against both deployments
-// of the one transport: all three nodes in one process (NewTCPTransport),
-// and three single-node endpoints wired by SetPeer (NewMeshTransport).
+// TestMeshTransport runs one table of behaviours against the three
+// deployments of the one transport: all three nodes in one process over
+// loopback TCP (NewTCPTransport), three single-node endpoints wired by
+// SetPeer (NewMeshTransport), and all three nodes in one process with no
+// sockets (NewLocalTransport), which skips the cases about connections.
 func TestMeshTransport(t *testing.T) {
 	deployments := []struct {
-		name   string
-		deploy func(*testing.T) *meshDeployment
+		name    string
+		sockets bool
+		deploy  func(*testing.T) *meshDeployment
 	}{
-		{"in-process", deployInProcess},
-		{"endpoints", deployEndpoints},
+		{"in-process", true, deployInProcess},
+		{"endpoints", true, deployEndpoints},
+		{"local", false, deployLocal},
 	}
 	cases := []struct {
-		name string
-		run  func(*testing.T, *meshDeployment)
+		name    string
+		sockets bool // the case is about connections
+		run     func(*testing.T, *meshDeployment)
 	}{
-		{"per-pair FIFO and self frames", func(t *testing.T, d *meshDeployment) {
+		{"per-pair FIFO and self frames", false, func(t *testing.T, d *meshDeployment) {
 			const k = 200
 			var wg sync.WaitGroup
 			for from := 0; from < 3; from++ {
@@ -202,7 +219,7 @@ func TestMeshTransport(t *testing.T) {
 				}
 			}
 		}},
-		{"a stalled node holds up only its own self frames", func(t *testing.T, d *meshDeployment) {
+		{"a stalled node holds up only its own self frames", false, func(t *testing.T, d *meshDeployment) {
 			hold := make(chan struct{})
 			defer close(hold)
 			d.logs[0].mu.Lock()
@@ -212,7 +229,7 @@ func TestMeshTransport(t *testing.T) {
 			d.send(t, 1, 1, 0)
 			d.logs[1].waitFor(t, 1, fromNode(1))
 		}},
-		{"peer restarted at a new address", func(t *testing.T, d *meshDeployment) {
+		{"peer restarted at a new address", true, func(t *testing.T, d *meshDeployment) {
 			const k = 50
 			src := d.of[0]
 			for i := 0; i < k; i++ {
@@ -254,18 +271,28 @@ func TestMeshTransport(t *testing.T) {
 				t.Fatalf("Drops = %d: frames queued across the re-wire were lost", got)
 			}
 		}},
-		{"queue-full drop is counted", func(t *testing.T, d *meshDeployment) {
+		{"queue-full drop is counted", false, func(t *testing.T, d *meshDeployment) {
 			src := d.of[0]
-			dead, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+			// Nothing drains the 0→2 queue: over sockets its address refuses
+			// connections, locally node 2 stops taking delivery.
+			if d.sockets {
+				dead, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				deadAddr := dead.Addr().String()
+				dead.Close()
+				src.SetPeer(2, deadAddr)
+			} else {
+				hold := make(chan struct{})
+				defer close(hold)
+				d.logs[2].mu.Lock()
+				d.logs[2].hold = hold
+				d.logs[2].mu.Unlock()
 			}
-			deadAddr := dead.Addr().String()
-			dead.Close()
-			src.SetPeer(2, deadAddr) // nothing drains the 0→2 queue now
 			const extra = 7
-			// The writer may be holding one frame it took before it saw the
-			// link move, so the queue absorbs depth or depth+1 sends.
+			// The link's goroutine may be holding one frame it took before
+			// the link stalled, so the queue absorbs depth or depth+1 sends.
 			for i := 0; i < meshQueueDepth+1+extra; i++ {
 				d.send(t, 0, 2, i)
 			}
@@ -273,7 +300,7 @@ func TestMeshTransport(t *testing.T) {
 				t.Fatalf("Drops = %d after overfilling a dead link by %d, want %d or %d", got, extra+1, extra, extra+1)
 			}
 		}},
-		{"Close does not wait for a silent peer", func(t *testing.T, d *meshDeployment) {
+		{"Close does not wait for a silent peer", true, func(t *testing.T, d *meshDeployment) {
 			// A link's inbound end is registered once a frame has crossed it,
 			// so after one frame per pair the transport hosting node 0 (which
 			// in process hosts every node) has a settled inbound count.
@@ -316,8 +343,12 @@ func TestMeshTransport(t *testing.T) {
 	}
 	for _, dep := range deployments {
 		for _, c := range cases {
+			if c.sockets && !dep.sockets {
+				continue
+			}
 			t.Run(dep.name+"/"+c.name, func(t *testing.T) {
 				d := dep.deploy(t)
+				d.sockets = dep.sockets
 				defer d.close(t)
 				c.run(t, d)
 			})

@@ -43,6 +43,10 @@ type ReportCore struct {
 	EpsMeasuredUS float64 `json:"eps_measured_us"`
 	D1ConfigUS    float64 `json:"d1_config_us"`
 	D2ConfigUS    float64 `json:"d2_config_us"`
+	// Envelope is Model.Envelope over the run: "held", or which of the
+	// model's assumptions (ε̂ ≤ ε, no frame past d2, timer lateness ≤ ℓ) the
+	// run exceeded and by how much. Report-only; Pass does not read it.
+	Envelope string `json:"envelope"`
 
 	Messages        int `json:"messages"`
 	Held            int `json:"held"`

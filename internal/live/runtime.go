@@ -42,12 +42,10 @@ type Options struct {
 	// check the budget held. Zero means "don't care" (report-only).
 	Ell simtime.Duration
 	// Clocks supplies each node's clock model; defaults to perfect clocks.
-	// The runtime wraps each model in a ModelClock anchored at its epoch.
+	// The runtime evaluates each model at the real time since its epoch.
 	Clocks clock.Factory
-	// Transport moves frames; defaults to an in-process ChanTransport.
+	// Transport moves frames; defaults to the in-process NewLocalTransport.
 	Transport Transport
-	// InboxDepth is each node's queue depth (≤ 0 selects the default).
-	InboxDepth int
 
 	// Local lists the node IDs this process hosts; nil hosts all N (the
 	// single-process runtimes of pscserve). A fleet daemon hosts exactly
@@ -65,9 +63,6 @@ type Options struct {
 	// the old port's op simply stays open until Monitor.Finish submits it
 	// as pending.
 	PortBase int
-	// WrapClock, when non-nil, wraps each node's ModelClock before use —
-	// the chaos controller's hook for interposing a StepClock.
-	WrapClock func(node int, c Clock) Clock
 }
 
 // Measured is what the runtime observed over a run: the quantities the
@@ -96,13 +91,6 @@ type Measured struct {
 	// SendDrops counts frames the transport discarded because an outbound
 	// queue was full: overload, or a peer unreachable for a long time.
 	SendDrops int
-}
-
-// linkStats is what a transport with links that break and fill reports;
-// the runtime folds it into Measured.
-type linkStats interface {
-	Reconnects() int64
-	Drops() int64
 }
 
 // Runtime hosts N×R copies of a core.Algorithm on wall-clock time: one
@@ -153,10 +141,7 @@ func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 		opts.Clocks = clock.PerfectFactory()
 	}
 	if opts.Transport == nil {
-		opts.Transport = NewChanTransport(0)
-	}
-	if opts.InboxDepth <= 0 {
-		opts.InboxDepth = 4096
+		opts.Transport = NewLocalTransport(opts.N)
 	}
 	if opts.Bounds == (simtime.Interval{}) {
 		opts.Bounds = simtime.Interval{Lo: 0, Hi: simtime.Forever}
@@ -171,9 +156,6 @@ func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 	rt.delayMin.Store(math.MaxInt64)
 	return rt, nil
 }
-
-// Registers returns the number of algorithm instances per node.
-func (rt *Runtime) Registers() int { return rt.opts.Registers }
 
 // Port maps (register instance, node) to the runtime's port identifier:
 // the NodeID under which that instance's invocations and responses appear
@@ -248,17 +230,13 @@ func (rt *Runtime) Start() error {
 		if !rt.hostsNode(i) {
 			continue
 		}
-		var clk Clock = NewModelClock(rt.opts.Clocks(i), rt.epoch)
-		if rt.opts.WrapClock != nil {
-			clk = rt.opts.WrapClock(i, clk)
-		}
 		nd := &node{
 			id:    ta.NodeID(i),
 			rt:    rt,
 			algs:  make([]core.Algorithm, r),
 			srcs:  make([]string, r),
-			clk:   clk,
-			inbox: make(chan nodeMsg, rt.opts.InboxDepth),
+			clk:   &nodeClock{epoch: rt.epoch, m: rt.opts.Clocks(i)},
+			inbox: make(chan nodeMsg, inboxDepth),
 			prod:  rt.rec.producer(nodeRingDepth),
 		}
 		for reg := 0; reg < r; reg++ {
@@ -331,13 +309,25 @@ func (rt *Runtime) invoke(p *producer, nodeID ta.NodeID, reg int, name string, p
 	}
 }
 
-// Clock returns node i's live clock (for tests and reports), nil for
-// nodes this runtime does not host.
-func (rt *Runtime) Clock(i int) Clock {
+// SetClockStep steps node i's clock by d on top of its model (absolute,
+// not cumulative; 0 heals): the chaos controller's clock adversary, the
+// one thing that can take a reading outside the model's ε band. The step
+// shows in Measured.Eps by measurement. The node's loop armed its next
+// wake-up in pre-step coordinates, so it is poked to re-read its clock
+// and re-arm, the way a timer service that noticed the step would. Call
+// after Start; safe for concurrent use.
+func (rt *Runtime) SetClockStep(i int, d simtime.Duration) error {
 	if i < 0 || i >= len(rt.nodes) || rt.nodes[i] == nil {
-		return nil
+		return fmt.Errorf("live: clock step at unknown node %d", i)
 	}
-	return rt.nodes[i].clk
+	rt.nodes[i].clk.setStep(d)
+	select {
+	case rt.nodes[i].inbox <- nodeMsg{poke: true}:
+	default:
+		// A full inbox means the loop is awake and draining; it re-reads
+		// its clock before it next sleeps.
+	}
+	return nil
 }
 
 // Snapshot returns the measured bounds so far without stopping the
@@ -389,14 +379,12 @@ func (rt *Runtime) measure() Measured {
 		if n == nil {
 			continue
 		}
-		if b := n.clk.OffsetBound(); b > m.Eps {
+		if b := n.clk.offsetBound(); b > m.Eps {
 			m.Eps = b
 		}
 	}
-	if ls, ok := rt.transport.(linkStats); ok {
-		m.Reconnects = int(ls.Reconnects())
-		m.SendDrops = int(ls.Drops())
-	}
+	m.Reconnects = int(rt.transport.Reconnects())
+	m.SendDrops = int(rt.transport.Drops())
 	return m
 }
 
@@ -453,9 +441,11 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// nodeMsg is one inbox entry: a network frame or an environment invocation.
+// nodeMsg is one inbox entry: a network frame, an environment invocation,
+// or a poke that only makes the loop come round and re-arm its timer.
 type nodeMsg struct {
 	frame      Frame
+	poke       bool
 	inv        bool
 	reg        int
 	invName    string
@@ -484,7 +474,7 @@ type node struct {
 	rt    *Runtime
 	algs  []core.Algorithm
 	srcs  []string // per-register recorder source labels
-	clk   Clock
+	clk   *nodeClock
 	inbox chan nodeMsg
 	prod  *producer
 
@@ -502,16 +492,20 @@ type node struct {
 
 var _ core.Context = (*node)(nil)
 
-// inboxBatch bounds how many inbox entries the loop drains per wakeup
-// before re-checking timers: large enough to amortize the select, small
-// enough that a flood cannot starve due timers.
-const inboxBatch = 64
+// inboxDepth is each node's queue depth. inboxBatch bounds how many inbox
+// entries the loop drains per wakeup before re-checking timers: large
+// enough to amortize the select, small enough that a flood cannot starve
+// due timers.
+const (
+	inboxDepth = 4096
+	inboxBatch = 64
+)
 
 func (n *node) loop() {
 	defer n.rt.wg.Done()
 	for reg := range n.algs {
 		r := reg
-		n.callback(r, n.clk.Now(), func() { n.algs[r].Start(n) })
+		n.callback(r, n.clk.now(), func() { n.algs[r].Start(n) })
 	}
 	// One reusable timer for the whole loop (Go 1.22 semantics: Stop and
 	// drain before every Reset, since an expired-but-unread timer leaves
@@ -534,7 +528,7 @@ func (n *node) loop() {
 		}
 		var timerC <-chan time.Time
 		if at, ok := n.timers.Next(); ok {
-			wait := n.clk.WaitUntil(at)
+			wait := n.clk.waitUntil(at)
 			if wait <= 0 {
 				// Became due between fireDue and here; fire it.
 				continue
@@ -578,7 +572,7 @@ func (n *node) fireDue() {
 		if !ok {
 			return
 		}
-		nowClk := n.clk.Now()
+		nowClk := n.clk.now()
 		if at.After(nowClk) {
 			return
 		}
@@ -599,12 +593,15 @@ func (n *node) fireDue() {
 }
 
 func (n *node) handle(m nodeMsg) {
+	if m.poke {
+		return
+	}
 	if m.inv {
-		n.callback(m.reg, n.clk.Now(), func() { n.algs[m.reg].OnInput(n, m.invName, m.invPayload) })
+		n.callback(m.reg, n.clk.now(), func() { n.algs[m.reg].OnInput(n, m.invName, m.invPayload) })
 		return
 	}
 	f := m.frame
-	c := n.clk.Now()
+	c := n.clk.now()
 	if f.SentClock.After(c) {
 		// Receive buffer R_ji,ε: the tag is ahead of the local clock; hold
 		// the delivery until the clock reaches it.

@@ -1,9 +1,6 @@
 package live
 
 import (
-	"fmt"
-	"sync"
-
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
@@ -31,77 +28,16 @@ type Frame struct {
 // every node goroutine after Start; Close stops delivery and releases
 // resources. The delivery callback must be safe for concurrent use and
 // must not block indefinitely (the runtime's per-node inboxes are deep,
-// and closed-loop workloads bound the frames in flight).
+// and closed-loop workloads bound the frames in flight). It is an
+// interface for one reason: a runtime holds either a MeshTransport or the
+// FaultTransport wrapping one.
 type Transport interface {
 	Start(deliver func(Frame)) error
 	Send(f Frame) error
 	Close() error
-	// Name describes the transport for reports.
-	Name() string
+	// Reconnects counts successful link re-dials and Drops the frames
+	// discarded at a full outbound queue; the runtime folds both into
+	// Measured.
+	Reconnects() int64
+	Drops() int64
 }
-
-// ChanTransport is the in-process transport: a buffered channel drained by
-// a dispatcher goroutine. It is the fastest honest transport available to
-// a single process — frames still cross a scheduler boundary, so delays
-// are small but real, never zero by fiat.
-type ChanTransport struct {
-	mu     sync.Mutex
-	ch     chan Frame
-	done   chan struct{}
-	closed bool
-}
-
-var _ Transport = (*ChanTransport)(nil)
-
-// NewChanTransport returns an in-process transport with the given send
-// buffer depth (≤ 0 selects a default deep enough for closed-loop
-// workloads on complete graphs).
-func NewChanTransport(buffer int) *ChanTransport {
-	if buffer <= 0 {
-		buffer = 4096
-	}
-	return &ChanTransport{ch: make(chan Frame, buffer), done: make(chan struct{})}
-}
-
-// Start implements Transport.
-func (t *ChanTransport) Start(deliver func(Frame)) error {
-	go func() {
-		defer close(t.done)
-		for f := range t.ch {
-			deliver(f)
-		}
-	}()
-	return nil
-}
-
-// Send implements Transport.
-func (t *ChanTransport) Send(f Frame) error {
-	// The closed check and the channel send stay under one lock so Close
-	// cannot close the channel between them (a send on a closed channel
-	// panics; an error return is the contract).
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("live: send on closed transport")
-	}
-	t.ch <- f
-	return nil
-}
-
-// Close implements Transport: no more sends are accepted, queued frames
-// are drained, and the dispatcher exits.
-func (t *ChanTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	close(t.ch)
-	t.mu.Unlock()
-	<-t.done
-	return nil
-}
-
-// Name implements Transport.
-func (t *ChanTransport) Name() string { return "chan" }

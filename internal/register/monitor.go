@@ -64,17 +64,10 @@ func NewMonitor() *Monitor {
 // AddCheck registers a named online checker over the monitored operation
 // stream. Must be called before any event is observed, so the checker
 // sees the stream from its start. The checker runs inline on the
-// observing goroutine; AddShardedCheck moves it to a worker pool.
+// observing goroutine; to move it to a worker pool, hand AddChecker a
+// linearize.NewSharded with ShardedOptions.Shards set.
 func (m *Monitor) AddCheck(name string, opt linearize.Options) {
 	m.AddChecker(name, linearize.NewSharded(linearize.ShardedOptions{Check: opt}))
-}
-
-// AddShardedCheck registers a named checker fanned out across shards
-// worker goroutines (below 2: inline, equivalent to AddCheck). The
-// verdict is deterministic and equal to the inline checker's; only the
-// observing goroutine's share of the work changes.
-func (m *Monitor) AddShardedCheck(name string, opt linearize.Options, shards int) {
-	m.AddChecker(name, linearize.NewSharded(linearize.ShardedOptions{Check: opt, Shards: shards}))
 }
 
 // AddChecker registers an arbitrary keyed checker (e.g. a Recorder
