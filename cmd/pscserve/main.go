@@ -307,10 +307,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PipelineDepthMean: res.Depth.Mean(),
 		PerRegOps:         res.PerReg,
 
-		EllConfigUS: us(m.Ell),
-		TimerLateUS: us(got.TimerLate),
-		DelayMinUS:  us(got.DelayMin),
-		DelayMaxUS:  us(got.DelayMax),
+		EllConfigUS:    us(m.Ell),
+		TimerLateUS:    us(got.TimerLate),
+		DelayMinUS:     us(got.DelayMin),
+		DelayMaxUS:     us(got.DelayMax),
+		TimerLateP50US: us(got.TimerLateP50),
+		TimerLateP99US: us(got.TimerLateP99),
 	}
 	report.SetLoad(res, wall)
 	if tiered {
@@ -345,8 +347,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "per-register ops over %d registers: min %d, max %d\n", len(res.PerReg), lo, hi)
 	}
-	fmt.Fprintf(stdout, "measured ε̂=%v (configured %v)  timer-late=%v (budget %v)  delay=[%v,%v] of [%v,%v], %d past d2, %d dropped at a full queue\n",
-		got.Eps, m.Eps, got.TimerLate, m.Ell, got.DelayMin, got.DelayMax, m.D1, m.D2, got.DelayViolations, got.SendDrops)
+	fmt.Fprintf(stdout, "measured ε̂=%v (configured %v)  timer-late p50/p99/max=%v/%v/%v (budget %v)  delay=[%v,%v] of [%v,%v], %d past d2, %d dropped at a full queue\n",
+		got.Eps, m.Eps, got.TimerLateP50, got.TimerLateP99, got.TimerLate, m.Ell, got.DelayMin, got.DelayMax, m.D1, m.D2, got.DelayViolations, got.SendDrops)
 	fmt.Fprintf(stdout, "model envelope %s\n", report.Envelope)
 	if report.Pass {
 		fmt.Fprintf(stdout, "PASS: online linearizability held over %d live operations\n", res.Ops)

@@ -55,7 +55,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatalf("client errors in output:\n%s", out.String())
 	}
 	rep, keys := readReport(t, path)
-	for _, k := range []string{"pass", "ops_per_sec", "eps_measured_us", "envelope"} {
+	for _, k := range []string{"pass", "ops_per_sec", "eps_measured_us", "envelope", "timer_late_p50_us", "timer_late_p99_us"} {
 		if _, ok := keys[k]; !ok {
 			t.Errorf("report has no top-level %q key", k)
 		}

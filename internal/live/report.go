@@ -104,10 +104,12 @@ type Report struct {
 	PipelineDepthMean float64 `json:"pipeline_depth_mean,omitempty"`
 	PerRegOps         []int   `json:"per_reg_ops,omitempty"`
 
-	EllConfigUS float64 `json:"ell_config_us"`
-	TimerLateUS float64 `json:"timer_late_us"`
-	DelayMinUS  float64 `json:"delay_min_us"`
-	DelayMaxUS  float64 `json:"delay_max_us"`
+	EllConfigUS    float64 `json:"ell_config_us"`
+	TimerLateUS    float64 `json:"timer_late_us"`
+	TimerLateP50US float64 `json:"timer_late_p50_us"`
+	TimerLateP99US float64 `json:"timer_late_p99_us"`
+	DelayMinUS     float64 `json:"delay_min_us"`
+	DelayMaxUS     float64 `json:"delay_max_us"`
 }
 
 // TierReport is one consistency tier's slice of a mixed-tier run: its

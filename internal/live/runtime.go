@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,8 +73,9 @@ type Measured struct {
 	// measured ε bound.
 	Eps simtime.Duration
 	// TimerLate is the largest timer service lateness observed: the
-	// measured ℓ.
-	TimerLate simtime.Duration
+	// measured ℓ. One host stall sets it; TimerLateP50 and TimerLateP99 are
+	// the distribution over every timer fired, to within a lateHist bucket.
+	TimerLate, TimerLateP50, TimerLateP99 simtime.Duration
 	// DelayMin and DelayMax bound the observed per-message delays: the
 	// effective [d1, d2] of the live links.
 	DelayMin, DelayMax simtime.Duration
@@ -127,6 +129,7 @@ type Runtime struct {
 	delayMax   atomic.Int64
 	delayViols atomic.Int64
 	timerLate  atomic.Int64
+	lateness   lateHist
 }
 
 // New validates the options and returns an unstarted runtime.
@@ -252,15 +255,19 @@ func (rt *Runtime) Start() error {
 		rt.nodes[i] = nd
 	}
 	rt.rec.start(rt.epoch, rt.sinks)
-	if err := rt.transport.Start(rt.deliverFrame); err != nil {
-		return fmt.Errorf("live: transport start: %w", err)
-	}
+	err := rt.transport.Start(rt.deliverFrame)
 	for _, nd := range rt.nodes {
-		if nd == nil {
+		if nd == nil || err != nil {
 			continue
 		}
-		rt.wg.Add(1)
-		go nd.loop()
+		if nd.wake, err = newWakeSource(); err == nil {
+			rt.wg.Add(1)
+			go nd.loop()
+		}
+	}
+	if err != nil {
+		rt.shutdown()
+		return fmt.Errorf("live: start: %w", err)
 	}
 	return nil
 }
@@ -353,19 +360,28 @@ func (rt *Runtime) Stop() Measured {
 	if !rt.started || rt.stopped {
 		return rt.measured
 	}
+	rt.shutdown()
+	rt.measured = rt.measure()
+	return rt.measured
+}
+
+// shutdown is Stop's teardown, shared with a Start that failed part-way
+// (which leaves a later Stop nothing to do). Each node loop closes its own
+// wake source as it exits. The caller holds rt.mu.
+func (rt *Runtime) shutdown() {
 	rt.stopped = true
 	close(rt.stop)
 	rt.wg.Wait()
 	rt.transport.Close()
 	rt.rec.flush()
-	rt.measured = rt.measure()
-	return rt.measured
 }
 
 // measure reads the counters and probes the clocks and the transport.
 func (rt *Runtime) measure() Measured {
 	m := Measured{
 		TimerLate:       simtime.Duration(rt.timerLate.Load()),
+		TimerLateP50:    rt.lateness.quantile(0.50),
+		TimerLateP99:    rt.lateness.quantile(0.99),
 		DelayMax:        simtime.Duration(rt.delayMax.Load()),
 		DelayViolations: int(rt.delayViols.Load()),
 		Messages:        int(rt.msgs.Load()),
@@ -423,6 +439,44 @@ func (rt *Runtime) enqueueFrame(f Frame) {
 	}
 }
 
+// lateHist is timer lateness as a distribution: nanosecond buckets, four
+// per power of two (each ≤ 25 % wider than its lower edge) up to 2^41, the
+// last taking anything later. Node loops count into it; measure reads it.
+type lateHist [lateBuckets]atomic.Int64
+
+const lateBuckets = 4 * 40
+
+func lateBucket(d simtime.Duration) int {
+	if d < 4 {
+		return int(d)
+	}
+	k := bits.Len64(uint64(d)) - 1
+	return min(4*(k-1)+int(d>>(k-2))&3, lateBuckets-1)
+}
+
+// lateEdge is bucket i's lower edge.
+func lateEdge(i int) simtime.Duration {
+	if i < 4 {
+		return simtime.Duration(i)
+	}
+	return simtime.Duration(4+i%4) << (i/4 - 1)
+}
+
+// quantile returns the midpoint of the bucket that holds the q-th part of
+// what has been counted so far (zero when nothing has).
+func (h *lateHist) quantile(q float64) simtime.Duration {
+	var total, seen int64
+	for i := range h {
+		total += h[i].Load()
+	}
+	for i := range h {
+		if seen += h[i].Load(); float64(seen) >= q*float64(total) {
+			return (lateEdge(i) + lateEdge(i+1)) / 2
+		}
+	}
+	return 0
+}
+
 func atomicMin(a *atomic.Int64, v int64) {
 	for {
 		cur := a.Load()
@@ -476,9 +530,15 @@ type node struct {
 	srcs  []string // per-register recorder source labels
 	clk   *nodeClock
 	inbox chan nodeMsg
+	wake  *wakeSource
 	prod  *producer
 
 	timers core.TimerQueue
+	// armedAt is the deadline wake is armed for, when armed. The loop re-arms
+	// when the head of timers changes, after a wake (which spent the arming)
+	// and after a poke (the clock was stepped under it).
+	armedAt simtime.Time
+	armed   bool
 
 	// last keeps the algorithms' observed time monotone, exactly like the
 	// simulator engine's high-water mark: a timer serviced late still
@@ -503,39 +563,23 @@ const (
 
 func (n *node) loop() {
 	defer n.rt.wg.Done()
+	defer n.wake.close()
 	for reg := range n.algs {
 		r := reg
 		n.callback(r, n.clk.now(), func() { n.algs[r].Start(n) })
 	}
-	// One reusable timer for the whole loop (Go 1.22 semantics: Stop and
-	// drain before every Reset, since an expired-but-unread timer leaves
-	// its tick buffered).
-	tm := time.NewTimer(time.Hour)
-	if !tm.Stop() {
-		<-tm.C
-	}
-	armed := false
 	for {
 		n.fireDue()
-		if armed {
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
-			}
-			armed = false
-		}
-		var timerC <-chan time.Time
-		if at, ok := n.timers.Next(); ok {
+		// An empty queue needs no disarm: it empties only by firing its head,
+		// which is after the armed instant has passed.
+		if at, ok := n.timers.Next(); ok && (!n.armed || at != n.armedAt) {
 			wait := n.clk.waitUntil(at)
 			if wait <= 0 {
 				// Became due between fireDue and here; fire it.
 				continue
 			}
-			tm.Reset(wait)
-			armed = true
-			timerC = tm.C
+			n.wake.arm(wait)
+			n.armed, n.armedAt = true, at
 		}
 		select {
 		case m := <-n.inbox:
@@ -551,9 +595,11 @@ func (n *node) loop() {
 					i = inboxBatch
 				}
 			}
-		case <-timerC:
-			armed = false
-			// fireDue at the top of the loop services it.
+		case <-n.wake.C:
+			// Never early: a token only brings the loop round. fireDue
+			// services what the clock says is due, and a token that came
+			// before that (stale, or a stepped clock's) re-arms above.
+			n.armed = false
 		case <-n.rt.stop:
 			return
 		}
@@ -577,9 +623,9 @@ func (n *node) fireDue() {
 			return
 		}
 		entry := n.timers.Pop()
-		if late := nowClk.Sub(entry.At); late > 0 {
-			atomicMax(&n.rt.timerLate, int64(late))
-		}
+		late := nowClk.Sub(entry.At)
+		atomicMax(&n.rt.timerLate, int64(late))
+		n.rt.lateness[lateBucket(late)].Add(1)
 		switch k := entry.Key.(type) {
 		case heldFrame:
 			n.callback(k.f.Chan, entry.At, func() { n.algs[k.f.Chan].OnMessage(n, k.f.From, k.f.Body) })
@@ -594,6 +640,7 @@ func (n *node) fireDue() {
 
 func (n *node) handle(m nodeMsg) {
 	if m.poke {
+		n.armed = false
 		return
 	}
 	if m.inv {
