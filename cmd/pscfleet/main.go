@@ -285,10 +285,11 @@ func buildReport(in reportInputs) *fleet.Report {
 		Chaos:           in.outcomes,
 		ChaosMismatches: mismatches,
 
-		Crashes:  in.crashes,
-		Restarts: in.stats.Restarts,
-		Suspects: in.stats.Suspects,
-		Restores: in.stats.Restores,
+		Crashes:    in.crashes,
+		Restarts:   in.stats.Restarts,
+		Recoveries: in.stats.Recoveries,
+		Suspects:   in.stats.Suspects,
+		Restores:   in.stats.Restores,
 
 		ExplainedViolations:   explained,
 		UnexplainedViolations: in.verdict.Violations - explained,
@@ -312,6 +313,10 @@ func printReport(w io.Writer, rep *fleet.Report, res live.LoadResult, v fleet.Fl
 	fmt.Fprintf(w, "pscfleet: model envelope %s\n", rep.Envelope)
 	fmt.Fprintf(w, "pscfleet: %d crashes / %d restarts, %d suspects / %d restores, %d merged events (%d clamped)\n",
 		rep.Crashes, rep.Restarts, rep.Suspects, rep.Restores, rep.MergedEvents, rep.MergeClamped)
+	for _, r := range rep.Recoveries {
+		fmt.Fprintf(w, "pscfleet: node %d incarnation %d serving %.1f ms after the kill (exit seen +%.1f, hello +%.1f, wired +%.1f, node %d's registers, %d updates pending, applied +%.1f)\n",
+			r.Node, r.Incarnation, r.ReadyMS, r.DetectMS, r.HelloMS, r.WiredMS, r.FromPeer, r.Updates, r.TransferMS)
+	}
 	if len(rep.Chaos) > 0 {
 		fmt.Fprintf(w, "pscfleet: chaos outcomes (%d mismatches):\n%s", rep.ChaosMismatches, fleet.Summary(rep.Chaos))
 	}

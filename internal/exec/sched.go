@@ -199,7 +199,7 @@ func (s *System) poll(ln *lane, i int) {
 	}
 	if sc.curOk[i] && sc.curDue[i] == due {
 		if !due.After(ln.now) {
-			// Deadline reached but the component is still parked in the
+			// Deadline reached but the component is still held in the
 			// main heap (its entry predates now reaching due). Promote it
 			// so a mid-instant sweep sees it immediately.
 			sc.gen[i]++

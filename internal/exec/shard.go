@@ -347,7 +347,7 @@ func (s *System) laneHorizon(ln *lane) simtime.Time {
 		}
 		ln.hzScratch = stack[:0]
 	}
-	// Rare: components parked in dueNow outside a fire sweep (late
+	// Rare: components held in dueNow outside a fire sweep (late
 	// Add/Replace); bound by their raw deadline.
 	for _, idx := range sc.dueNow {
 		if due, ok := s.comps[idx].Due(ln.now); ok && due.Before(h) {

@@ -16,9 +16,11 @@ type FaultKind string
 
 const (
 	// FaultCrash SIGKILLs the target daemon; the plane is expected to
-	// detect the death, restart it as a fresh incarnation, and re-wire its
-	// peers — tolerated, with the node-level heartbeat detector's
-	// SUSPECT/RESTORE pair as corroborating evidence.
+	// detect the death, restart it at once as a fresh incarnation that
+	// copies a live peer's registers, and re-wire its peers — tolerated. A
+	// replacement serving again inside the detector timeout is never
+	// SUSPECTed, so the heartbeat detector's SUSPECT/RESTORE pair is evidence
+	// of a slow recovery, not of a crash.
 	FaultCrash FaultKind = "crash"
 	// FaultPartition cuts both directions between Target and Peer for the
 	// duration. Message loss is outside the paper's model (Definition 2.3
@@ -254,7 +256,7 @@ func parseFault(s string, n int) (Fault, error) {
 // DefaultScript is the seeded reference schedule for an n-node fleet: all
 // four fault kinds, each variant paired where meaningful with its
 // in-budget twin, spaced so every fault's evidence window (detector
-// timeout, beat cadence, restart delay) settles before the next begins.
+// timeout, beat cadence) settles before the next begins.
 // eps and d2 size the past-budget variants (1.5× the bound) and the
 // in-budget ones (≤ half the bound).
 func DefaultScript(n int, eps, d2 simtime.Duration) Script {

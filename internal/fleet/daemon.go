@@ -138,6 +138,9 @@ func RunDaemon(cfg DaemonConfig) error {
 	if err != nil {
 		return err
 	}
+	if cfg.Incarnation > 0 {
+		rt.Recovering() // its registers are empty until a peer's are copied
+	}
 	rt.SetRegisterFactory(func(reg int) core.AlgorithmFactory {
 		if reg == cfg.Registers {
 			return detector.Factory(cfg.Model.Detector(cfg.DetPeriod, cfg.DetTimeout))
@@ -218,9 +221,9 @@ func RunDaemon(cfg DaemonConfig) error {
 		}
 	}()
 
-	// Command reader: peers, faults, shutdown.
-	peersSeen := make(chan struct{})
-	var peersOnce sync.Once
+	// Command reader: peers, faults, shutdown. peers hands the latest
+	// announcement's live peers to the readiness goroutine.
+	peers := make(chan []ta.NodeID, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -232,12 +235,18 @@ func RunDaemon(cfg DaemonConfig) error {
 			}
 			switch {
 			case e.Peers != nil:
-				for j, a := range e.Peers.Addrs {
-					if j != cfg.Node && a != "" {
-						mesh.SetPeer(j, a)
+				var live []ta.NodeID
+				for k := 1; k < len(e.Peers.Addrs); k++ { // ring order from this node's successor
+					if j := (cfg.Node + k) % len(e.Peers.Addrs); e.Peers.Addrs[j] != "" {
+						mesh.SetPeer(j, e.Peers.Addrs[j])
+						live = append(live, ta.NodeID(j))
 					}
 				}
-				peersOnce.Do(func() { close(peersSeen) })
+				select {
+				case <-peers: // an announcement nobody read yet is out of date
+				default:
+				}
+				peers <- live
 			case e.Fault != nil:
 				f := e.Fault
 				if f.PartitionPeer >= 0 {
@@ -259,43 +268,38 @@ func RunDaemon(cfg DaemonConfig) error {
 		}
 	}()
 
-	// Readiness: wait for the peer map, then (for a replacement
-	// incarnation) repair the amnesia before accepting clients — the
-	// restarted register holds Initial, a value overwritten long ago, so a
-	// fresh unique write must land and propagate (d'2 plus margin) before
-	// any read at this node can be linearized. The plane withholds this
-	// node's client address until Ready.
+	// Readiness: a first incarnation is Ready once it knows its peers, a
+	// replacement once Recover has copied a live peer's registers into its
+	// own. Every announcement restarts that against the peers then alive;
+	// one that fails leaves the node not Ready, saying why, until the next.
+	// The plane withholds this node's client address until Ready.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		select {
-		case <-peersSeen:
-		case <-teardown:
-			return
-		}
-		if cfg.Incarnation > 0 {
-			for reg := 0; reg < cfg.Registers; reg++ {
-				v := register.Value{
-					Writer: ta.NodeID(cfg.Node),
-					Seq:    900_000_000 + cfg.Incarnation*1000 + reg,
-				}
-				if err := rt.InvokeReg(ta.NodeID(cfg.Node), reg, register.ActWrite, v); err != nil {
-					return
-				}
-			}
-			wait := 60 * time.Millisecond
-			if w, err := simtime.ToWall(3 * (p.D2 + p.Delta)); err == nil && w > wait {
-				wait = w
-			}
+		var transfer <-chan live.Transfer
+		ready := msgReady{From: -1}
+		for {
 			select {
-			case <-time.After(wait):
+			case ps := <-peers:
+				if cfg.Incarnation > 0 {
+					transfer = rt.Recover(ta.NodeID(cfg.Node), ps, cfg.Model.TransferWait())
+					continue
+				}
+			case tr := <-transfer:
+				if tr.Err != nil {
+					if cfg.Stderr != nil { // said without -v too
+						fmt.Fprintf(cfg.Stderr, "pscnode[%d.%d]: not ready: %v\n", cfg.Node, cfg.Incarnation, tr.Err)
+					}
+					continue
+				}
+				ready = msgReady{Wired: tr.Wired, Applied: tr.Applied, From: int(tr.From), Updates: tr.Updates}
 			case <-teardown:
 				return
 			}
-			logf("repair writes propagated")
-		}
-		if err := ctl.send(envelope{Ready: &msgReady{}}); err != nil {
-			beginStop()
+			if err := ctl.send(envelope{Ready: &ready}); err != nil {
+				beginStop()
+			}
+			return
 		}
 	}()
 
@@ -314,7 +318,7 @@ func RunDaemon(cfg DaemonConfig) error {
 	srv.Close()
 	m := rt.Stop()
 	// Unblock the command reader (a signal-initiated teardown leaves it
-	// parked in recv); writes — the Bye below — are unaffected.
+	// blocked in recv); writes — the Bye below — are unaffected.
 	ctl.conn.SetReadDeadline(time.Now())
 	close(quiesce)
 	wg.Wait()

@@ -43,11 +43,9 @@ type PlaneConfig struct {
 	// budget]) = period + budget.
 	BeatPeriod time.Duration
 	BeatBudget time.Duration
-	// RestartDelay is how long a crashed node stays down before its
-	// replacement spawns. Keep it above the detector timeout so a crash
-	// deterministically produces SUSPECT evidence at the peers.
-	RestartDelay time.Duration
-	MaxRestarts  int
+	// MaxRestarts bounds the replacements a node slot gets, each spawned
+	// the moment the crash is seen.
+	MaxRestarts int
 
 	Verbose bool
 	Logw    io.Writer
@@ -58,6 +56,7 @@ type daemonState struct {
 	node int
 
 	mu         sync.Mutex
+	changed    chan struct{} // closed and replaced when ready, byeSeen or gone changes
 	inc        int
 	cmd        *osexec.Cmd
 	ctl        *ctlConn
@@ -73,7 +72,53 @@ type daemonState struct {
 	baseEps    simtime.Duration
 	restarts   int
 	gone       bool // restart budget exhausted
+	// downAt is when the incarnation being replaced was killed or, for a
+	// death nobody commanded, seen to have exited, and rec that recovery's
+	// timeline so far; zero outside a recovery.
+	downAt time.Time
+	rec    Recovery
 }
+
+// notifyLocked wakes every await. Caller holds d.mu.
+func (d *daemonState) notifyLocked() {
+	close(d.changed)
+	d.changed = make(chan struct{})
+}
+
+// await blocks until ok, evaluated under d.mu, holds or timeout has passed.
+func (d *daemonState) await(timeout time.Duration, ok func() bool) bool {
+	expired := time.After(timeout)
+	for {
+		d.mu.Lock()
+		done, changed := ok(), d.changed
+		d.mu.Unlock()
+		if done {
+			return true
+		}
+		select {
+		case <-changed:
+		case <-expired:
+			return false
+		}
+	}
+}
+
+// Recovery is one crash's timeline, in ms from the kill: the exit seen, the
+// replacement's Hello, W (every live peer's link up at it), a peer's
+// registers applied, Ready; and that peer, and the pending updates it sent.
+type Recovery struct {
+	Node        int     `json:"node"`
+	Incarnation int     `json:"incarnation"`
+	DetectMS    float64 `json:"detect_ms"`
+	HelloMS     float64 `json:"hello_ms"`
+	WiredMS     float64 `json:"wired_ms"`
+	TransferMS  float64 `json:"transfer_ms"`
+	ReadyMS     float64 `json:"ready_ms"`
+	FromPeer    int     `json:"from_peer"`
+	Updates     int     `json:"updates"`
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // DetEvent is one SUSPECT/RESTORE observation scraped from the merged
 // stream: the chaos classifier's detector evidence.
@@ -138,6 +183,8 @@ type FleetStats struct {
 	// DetPeriod and DetTimeout are the heartbeat detector's effective
 	// parameters: PlaneConfig's, or what NewPlane derived for a zero one.
 	DetPeriod, DetTimeout simtime.Duration
+	// Recoveries has one entry per replacement that reached Ready.
+	Recoveries []Recovery
 }
 
 // Plane is the fleet control plane.
@@ -153,9 +200,10 @@ type Plane struct {
 
 	daemons []*daemonState
 
-	mu       sync.Mutex
-	shutdown bool
-	crashes  int
+	mu         sync.Mutex
+	shutdown   bool
+	crashes    int
+	recoveries []Recovery
 
 	wg sync.WaitGroup
 }
@@ -174,9 +222,6 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 	}
 	if cfg.BeatBudget <= 0 {
 		cfg.BeatBudget = 1500 * time.Millisecond
-	}
-	if cfg.RestartDelay <= 0 {
-		cfg.RestartDelay = 600 * time.Millisecond
 	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 3
@@ -225,7 +270,7 @@ func (p *Plane) Start() error {
 
 	p.daemons = make([]*daemonState, p.cfg.N)
 	for i := range p.daemons {
-		p.daemons[i] = &daemonState{node: i}
+		p.daemons[i] = &daemonState{node: i, changed: make(chan struct{})}
 	}
 
 	p.wg.Add(1)
@@ -269,8 +314,8 @@ func (p *Plane) spawn(d *daemonState, inc int) error {
 		cfgArgs = append(cfgArgs, "-v")
 	}
 	cmd := osexec.Command(p.cfg.NodeBin, cfgArgs...)
-	if p.cfg.Verbose && p.cfg.Logw != nil {
-		cmd.Stderr = p.cfg.Logw
+	if p.cfg.Logw != nil {
+		cmd.Stderr = p.cfg.Logw // silent without -v, except to say why it failed or is not Ready
 	}
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
@@ -329,6 +374,9 @@ func (p *Plane) acceptLoop() {
 			d.nodeAddr = h.NodeAddr
 			d.helloed = true
 			d.lastBeat = time.Now()
+			if !d.downAt.IsZero() {
+				d.rec.HelloMS = ms(d.lastBeat.Sub(d.downAt))
+			}
 			pendingClient := h.ClientAddr
 			d.mu.Unlock()
 			p.logf("node %d incarnation %d hello (mesh %s, clients %s)", h.Node, h.Incarnation, h.NodeAddr, h.ClientAddr)
@@ -357,12 +405,23 @@ func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
 			d.mu.Lock()
 			d.ready = true
 			d.clientAddr = clientAddr
+			if r := d.rec; !d.downAt.IsZero() {
+				sinceDown := func(at simtime.Time) float64 { return ms(p.epoch.Add(time.Duration(at)).Sub(d.downAt)) }
+				r.WiredMS, r.TransferMS = sinceDown(e.Ready.Wired), sinceDown(e.Ready.Applied)
+				r.ReadyMS, r.FromPeer, r.Updates = ms(time.Since(d.downAt)), e.Ready.From, e.Ready.Updates
+				p.mu.Lock()
+				p.recoveries = append(p.recoveries, r)
+				p.mu.Unlock()
+				d.downAt = time.Time{}
+			}
+			d.notifyLocked()
 			d.mu.Unlock()
 			p.logf("node %d ready", d.node)
 		case e.Bye != nil:
 			d.mu.Lock()
 			d.byeSeen = true
 			p.foldLocked(d, e.Bye.Measured, e.Bye.Dropped)
+			d.notifyLocked()
 			d.mu.Unlock()
 		}
 	}
@@ -389,52 +448,41 @@ func (p *Plane) foldLocked(d *daemonState, m live.Measured, dropped int64) {
 
 // onExit handles a daemon process exit: graceful (Bye seen, or the plane
 // is shutting down) is the end of the story; anything else is a crash to
-// remediate — freeze the stream, wait the restart delay, respawn as the
-// next incarnation, and re-wire everyone.
+// remediate — freeze the stream, respawn at once as the next incarnation,
+// and re-wire everyone when it says Hello.
 func (p *Plane) onExit(d *daemonState, inc int) {
 	p.mu.Lock()
 	down := p.shutdown
 	p.mu.Unlock()
 
 	d.mu.Lock()
-	if d.inc != inc {
-		d.mu.Unlock() // a newer incarnation owns the slot
+	if d.inc != inc || d.byeSeen || down {
+		d.mu.Unlock() // a newer incarnation owns the slot, or nothing to remediate
 		return
 	}
-	graceful := d.byeSeen
-	if !graceful && !down {
-		// Crash: fold what the beats reported before death; the ring tail
-		// that never shipped dies with the process (its ops stay open and
-		// Monitor.Finish will submit them as pending).
-		p.foldLocked(d, d.beat.Measured, d.beat.Dropped)
-		d.ready = false
-		d.clientAddr = ""
+	// Crash: fold what the beats reported before death; the ring tail
+	// that never shipped dies with the process (its ops stay open and
+	// Monitor.Finish will submit them as pending).
+	p.foldLocked(d, d.beat.Measured, d.beat.Dropped)
+	d.ready = false
+	d.clientAddr, d.nodeAddr = "", ""
+	if d.downAt.IsZero() {
+		d.downAt = time.Now()
 	}
-	restarts := d.restarts
+	d.rec = Recovery{Node: d.node, Incarnation: inc + 1, DetectMS: ms(time.Since(d.downAt))}
+	d.gone = d.restarts >= p.cfg.MaxRestarts
+	if !d.gone {
+		d.restarts++
+	}
+	gone := d.gone
+	d.notifyLocked()
 	d.mu.Unlock()
 
-	if graceful || down {
-		return
-	}
 	p.logf("node %d incarnation %d died", d.node, inc)
 	p.fanin.MarkDead(d.node)
-
-	if restarts >= p.cfg.MaxRestarts {
-		d.mu.Lock()
-		d.gone = true
-		d.mu.Unlock()
-		p.logf("node %d: restart budget exhausted (%d); leaving down", d.node, restarts)
-		return
-	}
-	d.mu.Lock()
-	d.restarts++
-	d.mu.Unlock()
-
-	time.Sleep(p.cfg.RestartDelay)
-	p.mu.Lock()
-	down = p.shutdown
-	p.mu.Unlock()
-	if down {
+	if gone {
+		p.logf("node %d: restart budget exhausted (%d); leaving down", d.node, p.cfg.MaxRestarts)
+		p.broadcastPeers() // a replacement waiting for this node's link stops waiting
 		return
 	}
 	// Floor first, then spawn: the replacement cannot have recorded
@@ -504,29 +552,17 @@ func (p *Plane) broadcastPeers() {
 // waitAllReady blocks until every node is serviceable.
 func (p *Plane) waitAllReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		all := true
-		for _, d := range p.daemons {
-			d.mu.Lock()
-			ok := d.ready
-			d.mu.Unlock()
-			if !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			return nil
-		}
-		if time.Now().After(deadline) {
+	for _, d := range p.daemons {
+		if !d.await(time.Until(deadline), func() bool { return d.ready }) {
 			return fmt.Errorf("fleet: nodes not ready within %v", timeout)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	return nil
 }
 
 // ClientAddr returns node's register-client address, or "" while the
-// node is down or repairing — the dynamic load generator polls this.
+// node is down or restoring its state — the dynamic load generator polls
+// this.
 func (p *Plane) ClientAddr(node int) string {
 	d := p.daemons[node]
 	d.mu.Lock()
@@ -550,6 +586,9 @@ func (p *Plane) Kill(node int) error {
 	d := p.daemons[node]
 	d.mu.Lock()
 	cmd := d.cmd
+	if cmd != nil && cmd.Process != nil && d.downAt.IsZero() {
+		d.downAt = time.Now()
+	}
 	d.mu.Unlock()
 	if cmd == nil || cmd.Process == nil {
 		return fmt.Errorf("fleet: node %d has no process", node)
@@ -563,18 +602,8 @@ func (p *Plane) Kill(node int) error {
 // WaitReplaced blocks until node runs an incarnation above minInc and is
 // Ready, or the timeout passes.
 func (p *Plane) WaitReplaced(node, minInc int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		d := p.daemons[node]
-		d.mu.Lock()
-		ok := d.inc > minInc && d.ready
-		d.mu.Unlock()
-		if ok {
-			return true
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return false
+	d := p.daemons[node]
+	return d.await(timeout, func() bool { return d.inc > minInc && d.ready })
 }
 
 // sendFault delivers a fault command to one daemon.
@@ -640,6 +669,9 @@ func (p *Plane) Stats() FleetStats {
 		s.Restarts += d.restarts
 		d.mu.Unlock()
 	}
+	p.mu.Lock()
+	s.Recoveries = append([]Recovery(nil), p.recoveries...)
+	p.mu.Unlock()
 	s.DetEvents = p.det.snapshot()
 	for _, e := range s.DetEvents {
 		if e.Name == detector.ActSuspect {
@@ -686,19 +718,8 @@ func (p *Plane) Shutdown() FleetVerdict {
 	}
 	// Wait for Byes (bounded), then force whatever remains.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		left := 0
-		for _, d := range p.daemons {
-			d.mu.Lock()
-			if d.helloed && !d.byeSeen && !d.gone {
-				left++
-			}
-			d.mu.Unlock()
-		}
-		if left == 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	for _, d := range p.daemons {
+		d.await(time.Until(deadline), func() bool { return !d.helloed || d.byeSeen || d.gone })
 	}
 	for _, d := range p.daemons {
 		d.mu.Lock()

@@ -86,9 +86,14 @@ type msgEvents struct {
 }
 
 // msgReady marks the daemon serviceable: initial start settled, or (for a
-// restarted incarnation) the amnesia-repair write has propagated. The
-// plane publishes the daemon's client address only after Ready.
-type msgReady struct{}
+// restarted incarnation) the registers of live peer From restored — its
+// links up at Wired (W), the copy with Updates pending updates applied at
+// Applied, on the fleet's timeline. The plane publishes the daemon's client
+// address only after Ready.
+type msgReady struct {
+	Wired, Applied simtime.Time
+	From, Updates  int
+}
 
 // msgBye is the graceful-shutdown farewell with final measurements; its
 // absence at process exit is how the plane distinguishes a crash.

@@ -32,8 +32,10 @@ type Report struct {
 
 	Crashes  int `json:"crashes"`
 	Restarts int `json:"restarts"`
-	Suspects int `json:"suspects"`
-	Restores int `json:"restores"`
+	// Recoveries is each replacement's timeline from the kill to Ready.
+	Recoveries []Recovery `json:"recoveries"`
+	Suspects   int        `json:"suspects"`
+	Restores   int        `json:"restores"`
 
 	// ExplainedViolations are the Violations attributable to injected
 	// message/process loss (crashes and partitions are outside Definition

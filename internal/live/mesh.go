@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"psclock/internal/ta"
 )
 
 // MeshTransport is the one inter-node transport: every ordered pair of
@@ -36,9 +38,11 @@ import (
 // exists: dial plus handshake takes hundreds of microseconds on loopback,
 // and a lazy dial charges that to the first message's [d1, d2] delay
 // measurement. A link without an address yet dials when SetPeer names one,
-// and any link redials, with bounded exponential backoff, when its
-// connection breaks or its address changes; frames queue meanwhile, and
-// each successful dial after a link's first is counted (Reconnects).
+// and any link redials when its connection breaks or its address changes —
+// at once when SetPeer moves it, with bounded exponential backoff while an
+// address keeps refusing; frames queue meanwhile, and each successful dial
+// after a link's first is counted (Reconnects). Every connection opens with
+// a linkUp frame (transfer.go): how a replaced node learns a peer reaches it.
 //
 // Sends never block on the socket. The writer coalesces every queued frame
 // into its buffered stream per wakeup and flushes once the queue
@@ -65,7 +69,8 @@ type MeshTransport struct {
 	// links is indexed from·n + to; nil where from is not hosted here.
 	links []*meshLink
 
-	deliver func(Frame)
+	deliver                func(Frame)
+	backoffMin, backoffMax time.Duration // fields so a test can stretch them
 
 	reconnects atomic.Int64
 	drops      atomic.Int64
@@ -81,7 +86,12 @@ type MeshTransport struct {
 // meshLink is one ordered pair's outbound half. A self link (from == to)
 // uses only the queue.
 type meshLink struct {
-	ch chan Frame
+	from, to ta.NodeID
+	ch       chan Frame
+	// kick (capacity 1) wakes the link's goroutine when SetPeer moves the
+	// address: out of a back-off earned against the old one, or a wait for
+	// frames on a connection that leads nowhere now.
+	kick chan struct{}
 
 	mu   sync.Mutex
 	addr string   // "" until known
@@ -110,6 +120,9 @@ func newMesh(n int, name string) *MeshTransport {
 		links:    make([]*meshLink, n*n),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
+
+		backoffMin: meshBackoffMin,
+		backoffMax: meshBackoffMax,
 	}
 }
 
@@ -124,7 +137,7 @@ func (t *MeshTransport) host(i int, listenAddr string) error {
 		t.lns[i] = ln
 	}
 	for to := 0; to < t.n; to++ {
-		t.links[i*t.n+to] = &meshLink{ch: make(chan Frame, meshQueueDepth)}
+		t.links[i*t.n+to] = &meshLink{from: ta.NodeID(i), to: ta.NodeID(to), ch: make(chan Frame, meshQueueDepth), kick: make(chan struct{}, 1)}
 	}
 	return nil
 }
@@ -189,8 +202,8 @@ func (t *MeshTransport) Addr(i int) string {
 }
 
 // SetPeer installs (or replaces) the address every local link to node j
-// dials. Replacing an address closes the current connection so the writer
-// redials; queued frames carry over to the new connection.
+// dials. Replacing an address closes the current connection and wakes the
+// writer to redial at once; queued frames carry over to the new connection.
 func (t *MeshTransport) SetPeer(j int, addr string) {
 	if j < 0 || j >= t.n {
 		return
@@ -206,6 +219,10 @@ func (t *MeshTransport) SetPeer(j int, addr string) {
 			if l.conn != nil {
 				l.conn.Close()
 				l.conn = nil
+			}
+			select {
+			case l.kick <- struct{}{}:
+			default:
 			}
 		}
 		l.mu.Unlock()
@@ -406,20 +423,26 @@ func (t *MeshTransport) connect(l *meshLink) (net.Conn, error) {
 	return conn, nil
 }
 
-// dial connects l, polling while no address is known and backing off
-// while the peer refuses. It returns nil when the transport is closing.
+// dial connects l, waiting for SetPeer while no address is known and backing
+// off while one refuses; a moved address ends either wait and the back-off.
+// It returns nil when the transport is closing.
 func (t *MeshTransport) dial(l *meshLink) net.Conn {
-	backoff := meshBackoffMin
+	backoff := t.backoffMin
 	for !t.closing() {
 		conn, err := t.connect(l)
-		switch {
-		case conn != nil:
+		if conn != nil {
 			return conn
-		case err != nil:
-			t.sleep(backoff)
-			backoff = min(2*backoff, meshBackoffMax)
-		default:
-			t.sleep(meshIdlePoll)
+		}
+		var refused <-chan time.Time
+		if err != nil {
+			refused = time.After(backoff)
+			backoff = min(2*backoff, t.backoffMax)
+		}
+		select {
+		case <-l.kick:
+			backoff = t.backoffMin
+		case <-refused:
+		case <-t.done:
 		}
 	}
 	return nil
@@ -454,9 +477,10 @@ func (t *MeshTransport) writeLoop(l *meshLink, conn net.Conn) {
 	}
 }
 
-// writeConn coalesces queued frames into batched writes on conn's gob
-// stream until the connection breaks, the link's address moves, or the
-// transport closes. f (if have) is written first. The frames of a batch
+// writeConn announces the link (linkUp), then coalesces queued frames into
+// batched writes on conn's gob stream until the connection breaks, the
+// link's address moves, or the transport closes. f (if have) is the first
+// queued frame written. The frames of a batch
 // that fails are lost (possibly half-written, so they cannot safely be
 // replayed on a stream the far decoder will restart); a frame picked up
 // after SetPeer moved the link is returned unwritten for the next
@@ -464,10 +488,15 @@ func (t *MeshTransport) writeLoop(l *meshLink, conn net.Conn) {
 func (t *MeshTransport) writeConn(l *meshLink, conn net.Conn, f Frame, have bool) (Frame, bool) {
 	bw := bufio.NewWriterSize(conn, meshBufSize)
 	enc := gob.NewEncoder(bw)
+	if enc.Encode(Frame{From: l.from, To: l.to, Chan: ctlChan, Body: linkUp{}}) != nil || bw.Flush() != nil {
+		return f, have
+	}
 	for {
 		if !have {
 			select {
 			case f = <-l.ch:
+				have = true
+			case <-l.kick:
 			case <-t.done:
 				return f, false
 			}
@@ -476,7 +505,10 @@ func (t *MeshTransport) writeConn(l *meshLink, conn net.Conn, f Frame, have bool
 		moved := l.conn != conn
 		l.mu.Unlock()
 		if moved {
-			return f, true
+			return f, have
+		}
+		if !have {
+			continue // a kick left over from before this connection
 		}
 		// Opportunistic drain: everything already queued joins the batch
 		// (bufio flushes itself if a batch outgrows its buffer).

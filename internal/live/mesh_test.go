@@ -168,8 +168,10 @@ func (d *meshDeployment) send(t *testing.T, from, to, body int) {
 	}
 }
 
+// fromNode keeps node n's data frames; the linkUp that opens every
+// connection is the runtime's, not the test's.
 func fromNode(n int) func(Frame) bool {
-	return func(f Frame) bool { return int(f.From) == n }
+	return func(f Frame) bool { return int(f.From) == n && f.Chan != ctlChan }
 }
 
 // TestMeshTransport runs one table of behaviours against the three
@@ -271,6 +273,52 @@ func TestMeshTransport(t *testing.T) {
 				t.Fatalf("Drops = %d: frames queued across the re-wire were lost", got)
 			}
 		}},
+		{"a moved address ends the back-off", true, func(t *testing.T, _ *meshDeployment) {
+			// An endpoint of its own, its back-off stretched so that waiting
+			// it out cannot be mistaken for anything else: one refused dial
+			// parks the link for 30 s.
+			src, err := NewMeshTransport(0, 3, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.backoffMin, src.backoffMax = 30*time.Second, 30*time.Second
+			if err := src.Start(func(Frame) {}); err != nil {
+				t.Fatal(err)
+			}
+			defer closeWithin(t, src, 5*time.Second)
+			dead, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadAddr := dead.Addr().String()
+			dead.Close()
+			src.SetPeer(1, deadAddr)
+			time.Sleep(100 * time.Millisecond) // the refused dial, and the back-off begun
+
+			repl, err := NewMeshTransport(1, 3, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := newFrameLog()
+			if err := repl.Start(log.deliver); err != nil {
+				t.Fatal(err)
+			}
+			defer closeWithin(t, repl, 5*time.Second)
+			moved := time.Now()
+			src.SetPeer(1, repl.Addr(1))
+			if err := src.Send(Frame{From: 0, To: 1, Body: 0}); err != nil {
+				t.Fatal(err)
+			}
+			wantSeq(t, "at the moved address", log.waitFor(t, 1, fromNode(0)), 0, 1)
+			if took := time.Since(moved); took > src.backoffMax/10 {
+				t.Fatalf("frame reached the moved address after %v: the link sat out its back-off", took)
+			}
+			log.mu.Lock()
+			defer log.mu.Unlock()
+			if first := log.frames[0]; first.Chan != ctlChan || first.Body != (linkUp{}) || first.From != 0 {
+				t.Fatalf("first frame on the new connection is %+v, want node 0's linkUp", first)
+			}
+		}},
 		{"queue-full drop is counted", false, func(t *testing.T, d *meshDeployment) {
 			src := d.of[0]
 			// Nothing drains the 0→2 queue: over sockets its address refuses
@@ -326,7 +374,7 @@ func TestMeshTransport(t *testing.T) {
 			}
 			before := inbound()
 			// A peer that connects and then says nothing: the accepting
-			// side's reader is parked in a read only the peer could end.
+			// side's reader is blocked in a read only the peer could end.
 			conn, err := net.Dial("tcp", tr.Addr(0))
 			if err != nil {
 				t.Fatal(err)

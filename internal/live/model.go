@@ -106,6 +106,12 @@ func (m Model) Validate() error {
 // Bounds returns the designed link delay interval [d1, d2].
 func (m Model) Bounds() simtime.Interval { return simtime.Interval{Lo: m.D1, Hi: m.D2} }
 
+// TransferWait returns how long after W, the instant the last live peer's
+// link reached it, a replacement node waits on its own clock before copying
+// a peer's registers: d2 + 2ε (transfer.go has the argument; the max only
+// matters to a model with d2 < 2ε, where a receive-buffer hold outlasts d2).
+func (m Model) TransferWait() simtime.Duration { return max(m.D2, 2*m.Eps) + 2*m.Eps }
+
 // Theta returns Θ, the staleness bound the seq tier's online check
 // enforces: algorithm L stops serving a value once a newer update has been
 // applied everywhere, which lags the newer write's response by at most c+δ

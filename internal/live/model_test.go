@@ -50,6 +50,12 @@ func TestModelDerivations(t *testing.T) {
 		if iv := m.Bounds(); iv.Lo != m.D1 || iv.Hi != m.D2 {
 			t.Errorf("%s: bounds %v, want [%v, %v]", tc.name, iv, m.D1, m.D2)
 		}
+		if got := m.TransferWait(); got != p.D2 {
+			t.Errorf("%s: transfer wait %v, want d2+2ε = %v", tc.name, got, p.D2)
+		}
+	}
+	if got := (Model{Eps: 3 * ms, D2: 4 * ms, Delta: ms}).TransferWait(); got != 12*ms {
+		t.Errorf("transfer wait with d2 < 2ε = %v, want 2ε+2ε: a receive-buffer hold outlasts d2", got)
 	}
 	if err := (Model{Eps: ms, D1: 6 * ms, D2: 5 * ms, Delta: ms}).Validate(); err == nil {
 		t.Error("d1 > d2 validates")

@@ -77,7 +77,7 @@ const flushEvery = 128
 // Ring depths are the backpressure margin before a producer parks behind
 // a stalled consumer, and they are sized for the checker, not the
 // producers: on a single-core host a verification burst can stall the
-// consumer for tens of milliseconds, and a parked node loop misses timer
+// consumer for tens of milliseconds, and a blocked node loop misses timer
 // deadlines — turning checker lag into measured delay violations. Node
 // loops carry the full output event rate, so their rings cover roughly a
 // second of it; port workers each carry one port's invocation rate
@@ -133,7 +133,7 @@ func (r *recorder) record(a ta.Action, src string) {
 	r.fallbackMu.Unlock()
 }
 
-// signal wakes the consumer if it is parked.
+// signal wakes the consumer if it is asleep.
 func (r *recorder) signal() {
 	select {
 	case r.wake <- struct{}{}:

@@ -52,7 +52,7 @@ func (g *gatedSink) Observe(e ta.Event) {
 // documents: a full producer ring parks the producer until the consumer
 // drains — backpressure, never silent loss. The consumer is stalled
 // inside a gated sink while a producer pushes far past its ring
-// capacity; the producer must stop making progress (parked in push, not
+// capacity; the producer must stop making progress (blocked in push, not
 // discarding), and once the sink is released every event must arrive in
 // order with zero drops. Events recorded after flush are the one
 // sanctioned discard, and each must be counted.
@@ -90,14 +90,14 @@ wait:
 			}
 			seen++
 		case <-time.After(200 * time.Millisecond):
-			break wait // no progress for 200ms: producer is parked
+			break wait // no progress for 200ms: producer is blocked
 		}
 	}
 	if seen >= total {
-		t.Fatalf("producer completed %d records behind a blocked sink, want a parked producer", seen)
+		t.Fatalf("producer completed %d records behind a blocked sink, want a blocked producer", seen)
 	}
 	if got := rec.drops.Load(); got != 0 {
-		t.Fatalf("drops = %d while producer should be parked, want 0", got)
+		t.Fatalf("drops = %d while producer should be blocked, want 0", got)
 	}
 
 	close(sink.release)

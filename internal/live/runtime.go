@@ -110,6 +110,7 @@ type Runtime struct {
 
 	sinks    []exec.Sink
 	onOutput func(node ta.NodeID, reg int, name string, payload any)
+	amnesic  bool // Recovering: nodes start as replacements that lost their state
 
 	epoch     time.Time
 	rec       *recorder
@@ -241,6 +242,9 @@ func (rt *Runtime) Start() error {
 			clk:   &nodeClock{epoch: rt.epoch, m: rt.opts.Clocks(i)},
 			inbox: make(chan nodeMsg, inboxDepth),
 			prod:  rt.rec.producer(nodeRingDepth),
+
+			amnesic: rt.amnesic,
+			linked:  make(map[ta.NodeID]simtime.Time),
 		}
 		for reg := 0; reg < r; reg++ {
 			f := rt.factory
@@ -274,7 +278,9 @@ func (rt *Runtime) Start() error {
 
 // Invoke injects an environment invocation at register instance 0 of the
 // given node, recording it at ingress — the instant the external observer
-// of the §6.1 conditions sees it. Safe for concurrent use.
+// of the §6.1 conditions sees it. Safe for concurrent use. Only tests call
+// Invoke and InvokeReg: binaries go through a Server, whose ports assume
+// nothing else invokes behind their back.
 func (rt *Runtime) Invoke(nodeID ta.NodeID, name string, payload any) error {
 	return rt.invoke(nil, nodeID, 0, name, payload)
 }
@@ -425,11 +431,13 @@ func (rt *Runtime) enqueueFrame(f Frame) {
 	if int(f.To) < 0 || int(f.To) >= len(rt.nodes) || rt.nodes[f.To] == nil {
 		return
 	}
-	d := Since(rt.epoch).Sub(f.SentReal)
-	atomicMin(&rt.delayMin, int64(d))
-	atomicMax(&rt.delayMax, int64(d))
-	if hi := rt.opts.Bounds.Hi; hi != simtime.Forever && d > hi {
-		rt.delayViols.Add(1)
+	if f.Chan != ctlChan {
+		d := Since(rt.epoch).Sub(f.SentReal)
+		atomicMin(&rt.delayMin, int64(d))
+		atomicMax(&rt.delayMax, int64(d))
+		if hi := rt.opts.Bounds.Hi; hi != simtime.Forever && d > hi {
+			rt.delayViols.Add(1)
+		}
 	}
 	select {
 	case rt.nodes[f.To].inbox <- nodeMsg{frame: f}:
@@ -495,10 +503,12 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// nodeMsg is one inbox entry: a network frame, an environment invocation,
-// or a poke that only makes the loop come round and re-arm its timer.
+// nodeMsg is one inbox entry: a network frame, an environment invocation, a
+// recovery to run (transfer.go), or a poke that only makes the loop come
+// round and re-arm its timer.
 type nodeMsg struct {
 	frame      Frame
+	rec        *recovery
 	poke       bool
 	inv        bool
 	reg        int
@@ -548,6 +558,14 @@ type node struct {
 	last   simtime.Time
 	now    simtime.Time
 	curReg int // register instance the current callback belongs to
+
+	// Recovery (transfer.go): amnesic until a peer's state is restored; when
+	// each peer's link last came up; the recovery in progress; the counter
+	// its waits and requests are numbered from.
+	amnesic bool
+	linked  map[ta.NodeID]simtime.Time
+	rec     *recovery
+	asks    uint32
 }
 
 var _ core.Context = (*node)(nil)
@@ -627,6 +645,10 @@ func (n *node) fireDue() {
 		atomicMax(&n.rt.timerLate, int64(late))
 		n.rt.lateness[lateBucket(late)].Add(1)
 		switch k := entry.Key.(type) {
+		case transferTimer:
+			if r := n.rec; r != nil && r.id == k.id {
+				n.ask("did not answer")
+			}
 		case heldFrame:
 			n.callback(k.f.Chan, entry.At, func() { n.algs[k.f.Chan].OnMessage(n, k.f.From, k.f.Body) })
 		case regKey:
@@ -643,11 +665,20 @@ func (n *node) handle(m nodeMsg) {
 		n.armed = false
 		return
 	}
+	if m.rec != nil {
+		n.rec = m.rec // a recovery still in progress is abandoned
+		n.wire()
+		return
+	}
 	if m.inv {
 		n.callback(m.reg, n.clk.now(), func() { n.algs[m.reg].OnInput(n, m.invName, m.invPayload) })
 		return
 	}
 	f := m.frame
+	if f.Chan == ctlChan {
+		n.control(f)
+		return
+	}
 	c := n.clk.now()
 	if f.SentClock.After(c) {
 		// Receive buffer R_ji,ε: the tag is ahead of the local clock; hold

@@ -287,14 +287,7 @@ func (s *Server) dispatch(nodeID ta.NodeID, reg int, name string, payload any) {
 	if p == nil {
 		return // response at a node this process doesn't serve clients for
 	}
-	select {
-	case p.resp <- r:
-		// With no waiter (a direct Invoke bypassed the server) the value
-		// parks in the one-slot buffer; the port worker discards it before
-		// its next invocation.
-	default:
-		// Slot already holds a parked bypass response; drop.
-	}
+	p.resp <- r
 }
 
 // Start begins accepting client connections and launches the port
@@ -344,16 +337,6 @@ func (s *Server) portLoop(p *svcPort) {
 		case req = <-p.reqs:
 		case <-s.done:
 			return
-		}
-		// Discard a response parked by a direct Invoke that bypassed the
-		// server (e.g. a fleet daemon's amnesia-repair write): its output
-		// landed in the one-slot buffer with no waiter, and answering the
-		// next client request with it would shift every later response one
-		// operation back. Nothing can park here for the request we are
-		// about to invoke — outputs only follow invocations.
-		select {
-		case <-p.resp:
-		default:
 		}
 		if err := s.rt.invoke(p.prod, p.node, p.reg, req.op, req.payload); err != nil {
 			// Runtime shut down beneath us; the connection gets no answer,

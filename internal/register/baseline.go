@@ -39,8 +39,8 @@ type Baseline struct {
 	u  simtime.Duration // [10]'s clock precision, = 2ε in our model
 	d2 simtime.Duration // physical link delay upper bound
 
-	value   Value
-	updates map[simtime.Time]updateRec
+	cur     Update
+	updates map[simtime.Time]Update
 	due     []simtime.Time // scratch for applyDueUpdates, reused across calls
 }
 
@@ -52,7 +52,7 @@ func NewBaseline(u, d2 simtime.Duration) *Baseline {
 	if u < 0 || d2 <= 0 {
 		panic(fmt.Sprintf("register: invalid baseline params u=%v d2=%v", u, d2))
 	}
-	return &Baseline{u: u, d2: d2, value: Initial, updates: make(map[simtime.Time]updateRec)}
+	return &Baseline{u: u, d2: d2, cur: initial, updates: make(map[simtime.Time]Update)}
 }
 
 // BaselineFactory adapts NewBaseline to core.AlgorithmFactory.
@@ -101,12 +101,12 @@ func (b *Baseline) OnMessage(ctx core.Context, from ta.NodeID, body any) {
 		panic(fmt.Sprintf("register: unexpected message %T", body))
 	}
 	if prev, exists := b.updates[m.T]; exists {
-		if prev.proc < from {
-			b.updates[m.T] = updateRec{proc: from, v: m.V}
+		if prev.By < from {
+			b.updates[m.T] = Update{m.T, from, m.V}
 		}
 		return
 	}
-	b.updates[m.T] = updateRec{proc: from, v: m.V}
+	b.updates[m.T] = Update{m.T, from, m.V}
 	ctx.SetTimer(m.T, updateTimer{at: m.T})
 }
 
@@ -117,7 +117,7 @@ func (b *Baseline) OnTimer(ctx core.Context, key any) {
 		b.applyDue(ctx.Time())
 	case readTimer:
 		b.applyDue(ctx.Time())
-		ctx.Output(ActReturn, b.value)
+		ctx.Output(ActReturn, b.cur.V)
 	case ackTimer:
 		ctx.Output(ActAck, nil)
 	default:
@@ -126,7 +126,7 @@ func (b *Baseline) OnTimer(ctx core.Context, key any) {
 }
 
 func (b *Baseline) applyDue(now simtime.Time) {
-	b.value = applyDueUpdates(b.updates, b.value, now, &b.due)
+	applyDueUpdates(b.updates, &b.cur, now, &b.due)
 }
 
 // Costs returns the baseline's analytical worst-case read and write time

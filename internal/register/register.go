@@ -102,10 +102,15 @@ type (
 	updateTimer struct{ at simtime.Time }
 )
 
-type updateRec struct {
-	proc ta.NodeID
-	v    Value
+// Update is one UPDATE as a register holds it: V from sender By, applied (or
+// to be applied) at At. The initial value is the update nobody sent.
+type Update struct {
+	At simtime.Time
+	By ta.NodeID
+	V  Value
 }
+
+var initial = Update{By: ta.NoNode, V: Initial}
 
 // LS is the shared machinery of algorithms L and S; the only difference is
 // the extra wait a read performs before sampling the local copy (0 for L,
@@ -114,8 +119,8 @@ type LS struct {
 	p         Params
 	extraRead simtime.Duration
 
-	value   Value
-	updates map[simtime.Time]updateRec
+	cur     Update // the update that produced the current value
+	updates map[simtime.Time]Update
 	due     []simtime.Time // scratch for applyDueUpdates, reused across calls
 }
 
@@ -123,12 +128,12 @@ var _ core.Algorithm = (*LS)(nil)
 
 // NewL returns algorithm L with the given parameters.
 func NewL(p Params) *LS {
-	return &LS{p: p, extraRead: 0, value: Initial, updates: make(map[simtime.Time]updateRec)}
+	return &LS{p: p, extraRead: 0, cur: initial, updates: make(map[simtime.Time]Update)}
 }
 
 // NewS returns algorithm S: L with the 2ε superlinearizability wait.
 func NewS(p Params) *LS {
-	return &LS{p: p, extraRead: 2 * p.Epsilon, value: Initial, updates: make(map[simtime.Time]updateRec)}
+	return &LS{p: p, extraRead: 2 * p.Epsilon, cur: initial, updates: make(map[simtime.Time]Update)}
 }
 
 // Factory adapts a constructor to core.AlgorithmFactory.
@@ -171,12 +176,12 @@ func (r *LS) OnMessage(ctx core.Context, from ta.NodeID, body any) {
 	}
 	at := m.T.Add(r.p.Delta)
 	if prev, exists := r.updates[at]; exists {
-		if prev.proc < from {
-			r.updates[at] = updateRec{proc: from, v: m.V}
+		if prev.By < from {
+			r.updates[at] = Update{at, from, m.V}
 		}
 		return
 	}
-	r.updates[at] = updateRec{proc: from, v: m.V}
+	r.updates[at] = Update{at, from, m.V}
 	ctx.SetTimer(at, updateTimer{at: at})
 }
 
@@ -190,7 +195,7 @@ func (r *LS) OnTimer(ctx core.Context, key any) {
 		// update is scheduled for this very instant; applying everything
 		// due first realizes the same ordering.
 		r.applyDue(ctx.Time())
-		ctx.Output(ActReturn, r.value)
+		ctx.Output(ActReturn, r.cur.V)
 	case ackTimer:
 		ctx.Output(ActAck, nil)
 	default:
@@ -201,17 +206,17 @@ func (r *LS) OnTimer(ctx core.Context, key any) {
 // applyDue applies, in time order, every recorded update whose application
 // time has arrived (the UPDATE internal action of Figure 3).
 func (r *LS) applyDue(now simtime.Time) {
-	r.value = applyDueUpdates(r.updates, r.value, now, &r.due)
+	applyDueUpdates(r.updates, &r.cur, now, &r.due)
 }
 
-// applyDueUpdates applies, in time order, every update with application
-// time ≤ now, removing them from the map and returning the resulting value.
+// applyDueUpdates applies to cur, in time order, every update with
+// application time ≤ now, removing them from the map.
 // scratch is the caller's reusable collection buffer: applyDue runs on
 // every read and write, and allocating the due slice per call was the
 // single largest allocation site in the executor-throughput profile.
-func applyDueUpdates(updates map[simtime.Time]updateRec, value Value, now simtime.Time, scratch *[]simtime.Time) Value {
+func applyDueUpdates(updates map[simtime.Time]Update, cur *Update, now simtime.Time, scratch *[]simtime.Time) {
 	if len(updates) == 0 {
-		return value
+		return
 	}
 	due := (*scratch)[:0]
 	for at := range updates {
@@ -220,9 +225,6 @@ func applyDueUpdates(updates map[simtime.Time]updateRec, value Value, now simtim
 		}
 	}
 	*scratch = due
-	if len(due) == 0 {
-		return value
-	}
 	// Insertion sort: the due list rarely exceeds a handful of entries, and
 	// sort.Slice allocates its comparison closure and reflection swapper on
 	// every call — which made this the top allocation site in the executor
@@ -233,10 +235,49 @@ func applyDueUpdates(updates map[simtime.Time]updateRec, value Value, now simtim
 		}
 	}
 	for _, at := range due {
-		value = updates[at].v
+		*cur = updates[at]
 		delete(updates, at)
 	}
-	return value
+}
+
+// Snapshot is a copy of one register — the update behind its value and every
+// update received but not yet applied — which a replacement node restores
+// from a live peer.
+type Snapshot struct {
+	Cur     Update
+	Pending []Update
+}
+
+// Snapshot copies the register's state; like every method, it belongs to the
+// goroutine that runs the algorithm's callbacks.
+func (r *LS) Snapshot() Snapshot {
+	s := Snapshot{Cur: r.cur, Pending: make([]Update, 0, len(r.updates))}
+	for _, u := range r.updates {
+		s.Pending = append(s.Pending, u)
+	}
+	return s
+}
+
+// Restore merges a peer's snapshot into a register that lost its state and
+// has since recorded only the updates it received itself: the later of the
+// two values stands, own updates no later than it go (the peer had applied
+// them, or one that beat them), and the snapshot's pending updates join the
+// rest under OnMessage's largest-sender rule, applied on the algorithm's own
+// schedule.
+func (r *LS) Restore(s Snapshot) {
+	if s.Cur.At > r.cur.At || s.Cur.At == r.cur.At && s.Cur.By > r.cur.By {
+		r.cur = s.Cur
+	}
+	for at := range r.updates {
+		if !at.After(r.cur.At) {
+			delete(r.updates, at)
+		}
+	}
+	for _, u := range s.Pending {
+		if prev, exists := r.updates[u.At]; u.At.After(r.cur.At) && (!exists || prev.By < u.By) {
+			r.updates[u.At] = u
+		}
+	}
 }
 
 // Costs returns the paper's analytical read and write time complexities

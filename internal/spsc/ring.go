@@ -29,8 +29,8 @@ type Ring[T any] struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	consPark atomic.Bool // consumer is parked (empty ring)
-	prodPark atomic.Bool // producer is parked (full ring)
+	consPark atomic.Bool // consumer is asleep (empty ring)
+	prodPark atomic.Bool // producer is asleep (full ring)
 }
 
 // New returns a ring holding at least capacity entries (rounded up to a
