@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 model-guard bench bench-check bench-smoke microbench live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
+.PHONY: all build test tier1 tier2 model-guard bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
 
 all: tier1
 
@@ -34,10 +34,6 @@ model-guard:
 	@! grep -rnE 'runtime\.GOMAXPROCS\( *[^0) ]' --include='*.go' --exclude='*_test.go' internal \
 		|| { echo "model-guard: process-wide GOMAXPROCS set under internal/"; exit 1; }
 
-# Experiment-level benchmarks (E1–E17 plus substrate micro-benchmarks).
-bench:
-	$(GO) test -run XXX -bench . -benchtime=1x .
-
 # The benchmark harness in bench/ is a module of its own, so `go build
 # ./...` and `go test ./...` at the root do not compile it: this target
 # does, and runs its (fast, clock-free) tests, so a change under internal/
@@ -55,11 +51,6 @@ bench-smoke:
 		echo "$$w: $$last"; \
 		case "$$last" in *'"correct":true'*) ;; *) echo "bench-smoke: $$w failed"; exit 1;; esac; \
 	done
-
-# Scheduler/dispatch micro-benchmarks: indexed fast path vs the linear
-# differential oracle.
-microbench:
-	$(GO) test -run XXX -bench 'BenchmarkSchedulerStep|BenchmarkDispatchRouting' ./internal/exec/
 
 # Time-boxed live-runtime smoke: serve the register over loopback TCP
 # under jittered clocks, drive a short closed-loop load, and require zero

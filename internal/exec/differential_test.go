@@ -386,76 +386,3 @@ func head(s string) string {
 	}
 	return s
 }
-
-// BenchmarkSchedulerStep measures the deadline scan: many components, few
-// due at any instant — the regime where the linear next-deadline sweep is
-// quadratic in aggregate and the heap is logarithmic.
-func BenchmarkSchedulerStep(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		linear bool
-	}{{"indexed", false}, {"linear", true}} {
-		for _, n := range []int{16, 128, 1024} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				steps := 0
-				for i := 0; i < b.N; i++ {
-					s := New()
-					s.linear = mode.linear
-					s.KeepTrace = false
-					for j := 0; j < n; j++ {
-						s.Add(&pinger{
-							name:   fmt.Sprintf("p%d", j),
-							period: simtime.Duration(1000+j) * simtime.Microsecond,
-							left:   8,
-						})
-					}
-					for s.Step() {
-						steps++
-					}
-					if err := s.Err(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-	}
-}
-
-// BenchmarkDispatchRouting measures action fan-out: one producer, many
-// subscribers of which few match — the regime where evaluating every
-// predicate per action loses to the memoized header index.
-func BenchmarkDispatchRouting(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		linear bool
-	}{{"indexed", false}, {"linear", true}} {
-		for _, n := range []int{16, 128, 1024} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				s := New()
-				s.linear = mode.linear
-				s.KeepTrace = false
-				sinks := make([]*sink, n)
-				for j := 0; j < n; j++ {
-					sinks[j] = &sink{name: fmt.Sprintf("s%d", j)}
-					s.Add(sinks[j])
-					node := ta.NodeID(j)
-					s.ConnectHeader(func(a ta.Action) bool { return a.Name == "MSG" && a.Node == node }, sinks[j])
-				}
-				s.Inject(ta.Action{Name: "MSG", Node: 0, Peer: ta.NoNode, Kind: ta.KindInput})
-				if err := s.Err(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Inject(ta.Action{Name: "MSG", Node: ta.NodeID(i % n), Peer: ta.NoNode, Kind: ta.KindInput})
-				}
-				if err := s.Err(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}

@@ -155,9 +155,7 @@ func RunDaemon(cfg DaemonConfig) error {
 	if err != nil {
 		return err
 	}
-	if cfg.Tiers != "" {
-		srv.SetTiers(tiers)
-	}
+	srv.SetTiers(tiers) // the data registers only: no client may address the detector instance
 	if err := rt.Start(); err != nil {
 		return err
 	}

@@ -79,18 +79,6 @@ func driveRegister(t *testing.T, tr Transport, cf clock.Factory, nodes, totalOps
 	}
 	rt.AddSink(mon)
 
-	resp := make([]chan struct{}, nodes)
-	for i := range resp {
-		resp[i] = make(chan struct{}, 1)
-	}
-	rt.OnOutput(func(n ta.NodeID, _ int, name string, _ any) {
-		if name == register.ActReturn || name == register.ActAck {
-			select {
-			case resp[n] <- struct{}{}:
-			default:
-			}
-		}
-	})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +90,7 @@ func driveRegister(t *testing.T, tr Transport, cf clock.Factory, nodes, totalOps
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			resp := make(chan wireResp, 1) // closed loop: one response owed at a time
 			rng := rand.New(rand.NewSource(41 + int64(i)))
 			for k := 0; k < perClient; k++ {
 				var payload any
@@ -110,12 +99,12 @@ func driveRegister(t *testing.T, tr Transport, cf clock.Factory, nodes, totalOps
 					op = register.ActWrite
 					payload = register.Value{Writer: ta.NodeID(i), Seq: k}
 				}
-				if err := rt.Invoke(ta.NodeID(i), op, payload); err != nil {
+				if err := rt.invoke(ta.NodeID(i), invocation{name: op, payload: payload, to: resp}); err != nil {
 					t.Errorf("invoke: %v", err)
 					return
 				}
 				select {
-				case <-resp[i]:
+				case <-resp:
 				case <-time.After(10 * time.Second):
 					t.Errorf("client %d: no response to op %d", i, k)
 					return

@@ -13,13 +13,14 @@ import (
 
 // recorder serializes the runtime's observable events into the exec.Sink
 // contract. The simulator gets the contract's ordering for free from its
-// single dispatch loop; here events originate on many goroutines — node
-// loops emitting responses, server port workers emitting invocations —
-// and at 10^4+ ops/s a single mutex-guarded queue would serialize every
-// producer through one cache line. Instead each registered producer owns
-// a lock-free SPSC ring (spsc.Ring, the same hand-off linearize.Sharded
-// uses) and a single consumer goroutine merges the rings into one stream
-// in canonical stamp order through exec.StampMerge.
+// single dispatch loop; here events originate on one goroutine per hosted
+// node — the node loop stamps both the invocations it admits and the
+// responses its algorithms emit — and at 10^4+ ops/s a single
+// mutex-guarded queue would serialize every node through one cache line.
+// Instead each node owns a lock-free SPSC ring (spsc.Ring, the same
+// hand-off linearize.Sharded uses) — exactly one ring per hosted node,
+// nothing else — and a single consumer goroutine merges the rings into one
+// stream in canonical stamp order through exec.StampMerge.
 //
 // The merge is made sound by a per-ring stamp floor: before reading the
 // clock for an event's stamp, the producer publishes a "busy" flag
@@ -37,9 +38,10 @@ import (
 // Overflow policy: a full ring parks its producer until the consumer
 // drains — backpressure, never silent loss (the documented policy; see
 // TestRecorderBackpressure). The only discarded events are ones recorded
-// after flush() has been called, which the shutdown sequence rules out
-// for well-behaved callers; each is counted in drops so a report can
-// assert drops == 0.
+// after flush() has been called, which cannot happen in a runtime: every
+// producer is a node loop, and shutdown joins the node loops before it
+// flushes. Each is still counted in drops so a report can assert
+// drops == 0.
 //
 // Stamps are real elapsed time at the recorder, not node clock readings:
 // linearizability is a real-time property, and the external observer of
@@ -48,6 +50,15 @@ import (
 // those crossings by at most ε + ℓ, which is exactly the window
 // relaxation (linearize.Options.Widen) the monitoring configuration
 // grants.
+//
+// An invocation is stamped when the node loop makes it its port's one open
+// operation, not when the client's bytes arrived: later by the inbox wait
+// and by any time queued behind the port's previous operation. The
+// response is stamped as the algorithm emits it, before the client can see
+// it. The recorded interval is thus a sub-interval of the one the client
+// observed: every precedence the client saw is in the record, the record
+// may add more, so the checker is only stricter — no history it accepts
+// was unacceptable under the client's own intervals.
 type recorder struct {
 	epoch time.Time
 	merge exec.StampMerge // consumer-owned
@@ -55,12 +66,6 @@ type recorder struct {
 	mu      sync.Mutex // guards producer registration before start
 	prods   []*producer
 	started bool
-
-	// fallbackMu serializes Runtime.Invoke-style callers that have no
-	// dedicated producer: the stamp is taken and the event pushed under
-	// the lock, the pre-sharding recorder's sequential discipline.
-	fallbackMu sync.Mutex
-	fallback   *producer
 
 	closed atomic.Bool
 	drops  atomic.Int64
@@ -74,34 +79,25 @@ type recorder struct {
 // rarely enough to stay off the hot path.
 const flushEvery = 128
 
-// Ring depths are the backpressure margin before a producer parks behind
-// a stalled consumer, and they are sized for the checker, not the
-// producers: on a single-core host a verification burst can stall the
-// consumer for tens of milliseconds, and a blocked node loop misses timer
-// deadlines — turning checker lag into measured delay violations. Node
-// loops carry the full output event rate, so their rings cover roughly a
-// second of it; port workers each carry one port's invocation rate
-// (total/(nodes·registers)), so theirs are shallow — the rings are live,
-// pointer-bearing heap that every GC cycle rescans, and hundreds of
-// deep rings would dominate mark time.
-const (
-	nodeRingDepth     = 1 << 13
-	portRingDepth     = 1 << 8
-	fallbackRingDepth = 1 << 10
-)
+// nodeRingDepth is the backpressure margin before a node loop parks behind
+// a stalled consumer, and it is sized for the checker, not the producer: on
+// a single-core host a verification burst can stall the consumer for tens
+// of milliseconds, and a blocked node loop misses timer deadlines — turning
+// checker lag into measured delay violations. A node's ring carries its
+// whole event rate, invocations and responses, and covers roughly a second
+// of it.
+const nodeRingDepth = 1 << 13
 
 func newRecorder() *recorder {
-	r := &recorder{
+	return &recorder{
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	r.fallback = r.producer(fallbackRingDepth)
-	return r
 }
 
 // producer registers a new producer ring. All producers must be
-// registered before start (NewServer runs before Runtime.Start, which is
-// what the "install hooks before Start" contract already requires).
+// registered before start: Runtime.Start registers one per hosted node and
+// then starts the recorder.
 func (r *recorder) producer(depth int) *producer {
 	p := &producer{rec: r, ring: spsc.New[recEvent](depth)}
 	r.mu.Lock()
@@ -124,15 +120,6 @@ func (r *recorder) start(epoch time.Time, sinks []exec.Sink) {
 	go r.run()
 }
 
-// record stamps and enqueues an event through the shared fallback
-// producer; safe for concurrent use from any goroutine. Dedicated
-// producers (node loops, server port workers) bypass this lock entirely.
-func (r *recorder) record(a ta.Action, src string) {
-	r.fallbackMu.Lock()
-	r.fallback.record(a, src)
-	r.fallbackMu.Unlock()
-}
-
 // signal wakes the consumer if it is asleep.
 func (r *recorder) signal() {
 	select {
@@ -142,9 +129,9 @@ func (r *recorder) signal() {
 }
 
 // flush stops the consumer and waits for it to drain every recorded event
-// and advance the sinks' low-watermark. Producers must have quiesced
-// (node loops joined, server closed) before the call; events recorded
-// afterwards are counted as drops and discarded. Called once at shutdown.
+// and advance the sinks' low-watermark. Producers must have quiesced (node
+// loops joined) before the call; events recorded afterwards are counted as
+// drops and discarded. Called once at shutdown.
 func (r *recorder) flush() {
 	if r.closed.Swap(true) {
 		<-r.done

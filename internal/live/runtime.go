@@ -11,6 +11,7 @@ import (
 	"psclock/internal/clock"
 	"psclock/internal/core"
 	"psclock/internal/exec"
+	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
@@ -85,7 +86,8 @@ type Measured struct {
 	// buffer R_ji,ε postponed because the tag was ahead of the local clock.
 	Messages, Held int
 	// RecorderDrops counts events recorded after shutdown flushed the
-	// recorder. A clean run — server closed before Stop — has zero.
+	// recorder. Every event is recorded by a node loop and shutdown joins
+	// those first, so any run has zero.
 	RecorderDrops int
 	// Reconnects counts transport link re-dials after dial/write failures
 	// (zero on transports that never reconnect).
@@ -96,21 +98,20 @@ type Measured struct {
 }
 
 // Runtime hosts N×R copies of a core.Algorithm on wall-clock time: one
-// goroutine per node owning that node's R algorithm instances, its clock,
-// and its timer queue (the same core.TimerQueue the simulator's engine
-// drains, so timers fire in the same (deadline, registration) order in
-// both worlds). Messages are tagged with the sender's clock and held at
-// the receiver until its clock reaches the tag — the send/receive buffers
-// S_ij,ε and R_ji,ε of Figure 2, realized on real time, per logical
-// channel.
+// goroutine per node owning that node's R algorithm instances, their
+// service ports, its clock, and its timer queue (the same core.TimerQueue
+// the simulator's engine drains, so timers fire in the same (deadline,
+// registration) order in both worlds). Messages are tagged with the
+// sender's clock and held at the receiver until its clock reaches the tag
+// — the send/receive buffers S_ij,ε and R_ji,ε of Figure 2, realized on
+// real time, per logical channel.
 type Runtime struct {
 	opts       Options
 	factory    core.AlgorithmFactory
 	regFactory func(reg int) core.AlgorithmFactory
 
-	sinks    []exec.Sink
-	onOutput func(node ta.NodeID, reg int, name string, payload any)
-	amnesic  bool // Recovering: nodes start as replacements that lost their state
+	sinks   []exec.Sink
+	amnesic bool // Recovering: nodes start as replacements that lost their state
 
 	epoch     time.Time
 	rec       *recorder
@@ -192,19 +193,6 @@ func (rt *Runtime) hostsNode(i int) bool {
 // Must be called before Start.
 func (rt *Runtime) AddSink(s exec.Sink) { rt.sinks = append(rt.sinks, s) }
 
-// OnOutput registers a callback invoked after each environment response is
-// recorded, from the emitting node's goroutine, with the register instance
-// that produced it. The callback must not block and must not synchronously
-// re-enter Invoke for the same node (hand the response to another
-// goroutine; see Server and LoadGen). Must be called before Start.
-func (rt *Runtime) OnOutput(fn func(node ta.NodeID, reg int, name string, payload any)) {
-	rt.onOutput = fn
-}
-
-// producer registers a dedicated recorder ring for a single-goroutine
-// event source (a server port worker). Must be called before Start.
-func (rt *Runtime) producer() *producer { return rt.rec.producer(portRingDepth) }
-
 // SetRegisterFactory installs a per-register-instance algorithm factory,
 // overriding the uniform one for instances it covers: register instance
 // reg on every node is built by fn(reg) when that returns non-nil. This is
@@ -276,46 +264,36 @@ func (rt *Runtime) Start() error {
 	return nil
 }
 
-// Invoke injects an environment invocation at register instance 0 of the
-// given node, recording it at ingress — the instant the external observer
-// of the §6.1 conditions sees it. Safe for concurrent use. Only tests call
-// Invoke and InvokeReg: binaries go through a Server, whose ports assume
-// nothing else invokes behind their back.
+// Invoke hands an environment invocation for register instance 0 to the
+// given node; the response is recorded and told to nobody. Safe for
+// concurrent use. Only tests call Invoke and InvokeReg — binaries go
+// through a Server — and every caller meets at the node's port, which
+// starts an invocation only once the one before it has been answered:
+// §6.1's alternation, enforced where the operation runs.
 func (rt *Runtime) Invoke(nodeID ta.NodeID, name string, payload any) error {
-	return rt.invoke(nil, nodeID, 0, name, payload)
+	return rt.invoke(nodeID, invocation{name: name, payload: payload})
 }
 
 // InvokeReg is Invoke aimed at a specific register instance.
 func (rt *Runtime) InvokeReg(nodeID ta.NodeID, reg int, name string, payload any) error {
-	return rt.invoke(nil, nodeID, reg, name, payload)
+	return rt.invoke(nodeID, invocation{reg: reg, name: name, payload: payload})
 }
 
-// invoke records the invocation (through p's dedicated ring when p is
-// non-nil and the caller is its single goroutine; through the recorder's
-// shared locked path otherwise) and enqueues it at the destination node.
-func (rt *Runtime) invoke(p *producer, nodeID ta.NodeID, reg int, name string, payload any) error {
+// invoke puts inv on its node's inbox; node.admit takes it from there.
+func (rt *Runtime) invoke(nodeID ta.NodeID, inv invocation) error {
 	if int(nodeID) < 0 || int(nodeID) >= len(rt.nodes) || rt.nodes[nodeID] == nil {
 		return fmt.Errorf("live: invoke at unknown node %v", nodeID)
 	}
-	if reg < 0 || reg >= rt.opts.Registers {
-		return fmt.Errorf("live: invoke at unknown register %d", reg)
+	if inv.reg < 0 || inv.reg >= rt.opts.Registers {
+		return fmt.Errorf("live: invoke at unknown register %d", inv.reg)
 	}
 	select {
 	case <-rt.stop:
 		return fmt.Errorf("live: runtime stopped")
 	default:
 	}
-	a := ta.Action{
-		Name: name, Node: rt.Port(nodeID, reg), Peer: ta.NoNode,
-		Kind: ta.KindInput, Payload: payload,
-	}
-	if p != nil {
-		p.record(a, "env")
-	} else {
-		rt.rec.record(a, "env")
-	}
 	select {
-	case rt.nodes[nodeID].inbox <- nodeMsg{invName: name, invPayload: payload, inv: true, reg: reg}:
+	case rt.nodes[nodeID].inbox <- nodeMsg{inv: inv, invoke: true}:
 		return nil
 	case <-rt.stop:
 		return fmt.Errorf("live: runtime stopped")
@@ -357,9 +335,10 @@ func (rt *Runtime) Snapshot() Measured {
 }
 
 // Stop shuts the runtime down — node loops, then transport, then a final
-// sink flush — and returns the measured bounds. Callers that installed
-// event producers (Server) must close them first so the recorder's final
-// drain sees a quiescent stream. Idempotent.
+// sink flush — and returns the measured bounds. The node loops are the
+// recorder's only producers, so the final drain sees a quiescent stream
+// whatever else still runs; invocations still waiting at a port are
+// dropped unstamped and unanswered. Idempotent.
 func (rt *Runtime) Stop() Measured {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -507,13 +486,32 @@ func atomicMax(a *atomic.Int64, v int64) {
 // recovery to run (transfer.go), or a poke that only makes the loop come
 // round and re-arm its timer.
 type nodeMsg struct {
-	frame      Frame
-	rec        *recovery
-	poke       bool
-	inv        bool
-	reg        int
-	invName    string
-	invPayload any
+	frame  Frame
+	rec    *recovery
+	poke   bool
+	invoke bool
+	inv    invocation
+}
+
+// invocation is one environment invocation on its way to a port, and whom
+// to tell the response: id is the issuer's correlation tag, echoed; to is
+// nil when nobody waits (Invoke). The node's send on to must never block:
+// the issuer keeps room for every response it is owed (see svcConn).
+type invocation struct {
+	reg     int
+	name    string
+	payload any
+	id      uint64
+	to      chan<- wireResp
+}
+
+// port is one register instance's service port at its node (§6.1): at most
+// one operation open, the invocations admitted behind it in arrival order.
+// Data the node loop owns, like the timer queue; nothing else touches it.
+type port struct {
+	open    bool
+	cur     invocation
+	waiting []invocation
 }
 
 // heldFrame is the timer key the receive buffer R_ji,ε uses to postpone a
@@ -542,6 +540,10 @@ type node struct {
 	inbox chan nodeMsg
 	wake  *wakeSource
 	prod  *producer
+
+	// ports[reg] is instance reg's service port, grown on first use: an
+	// instance nothing invokes (a fleet daemon's detector) has none.
+	ports []port
 
 	timers core.TimerQueue
 	// armedAt is the deadline wake is armed for, when armed. The loop re-arms
@@ -670,8 +672,8 @@ func (n *node) handle(m nodeMsg) {
 		n.wire()
 		return
 	}
-	if m.inv {
-		n.callback(m.reg, n.clk.now(), func() { n.algs[m.reg].OnInput(n, m.invName, m.invPayload) })
+	if m.invoke {
+		n.admit(m.inv)
 		return
 	}
 	f := m.frame
@@ -690,9 +692,19 @@ func (n *node) handle(m nodeMsg) {
 	n.callback(f.Chan, c, func() { n.algs[f.Chan].OnMessage(n, f.From, f.Body) })
 }
 
-// callback runs fn as register instance reg with the context's clock set
-// to t clamped monotone.
+// callback runs fn as register instance reg and then — fn having returned,
+// so no algorithm is re-entered mid-callback — starts whatever waits at
+// reg's port if fn answered the operation that was open there.
 func (n *node) callback(reg int, t simtime.Time, fn func()) {
+	n.run(reg, t, fn)
+	if reg < len(n.ports) {
+		n.serve(reg)
+	}
+}
+
+// run runs fn as register instance reg with the context's clock set to t
+// clamped monotone.
+func (n *node) run(reg int, t simtime.Time, fn func()) {
 	if t.Before(n.last) {
 		t = n.last
 	}
@@ -700,6 +712,34 @@ func (n *node) callback(reg int, t simtime.Time, fn func()) {
 	n.now = t
 	n.curReg = reg
 	fn()
+}
+
+// admit queues inv at its port and starts it if the port is free.
+func (n *node) admit(inv invocation) {
+	for len(n.ports) <= inv.reg {
+		n.ports = append(n.ports, port{})
+	}
+	p := &n.ports[inv.reg]
+	p.waiting = append(p.waiting, inv)
+	n.serve(inv.reg)
+}
+
+// serve starts the first waiting invocation at reg's port while the port
+// has no operation open: stamp the Input — here, as it becomes the port's
+// open operation (the recorder's header says why that is sound) — and run
+// OnInput. An operation answered inside its own OnInput frees the port
+// again, hence the loop.
+func (n *node) serve(reg int) {
+	p := &n.ports[reg]
+	for !p.open && len(p.waiting) > 0 {
+		p.open, p.cur = true, p.waiting[0]
+		p.waiting = p.waiting[:copy(p.waiting, p.waiting[1:])] // shift down: the array is reused
+		n.prod.record(ta.Action{
+			Name: p.cur.name, Node: n.rt.Port(n.id, reg), Peer: ta.NoNode,
+			Kind: ta.KindInput, Payload: p.cur.payload,
+		}, "env")
+		n.run(reg, n.clk.now(), func() { n.algs[reg].OnInput(n, p.cur.name, p.cur.payload) })
+	}
 }
 
 // core.Context implementation — valid only during callbacks, like the
@@ -748,9 +788,17 @@ func (n *node) Output(name string, payload any) {
 		Name: name, Node: n.rt.Port(n.id, reg), Peer: ta.NoNode,
 		Kind: ta.KindOutput, Payload: payload,
 	}, n.srcs[reg])
-	if n.rt.onOutput != nil {
-		n.rt.onOutput(n.id, reg, name, payload)
+	if reg >= len(n.ports) || !n.ports[reg].open {
+		return // nothing was invoked here: a detector's SUSPECT, not a response
 	}
+	// The response to the port's open operation. What waits behind it starts
+	// once this callback has returned (callback → serve).
+	p := &n.ports[reg]
+	if p.cur.to != nil {
+		v, _ := payload.(register.Value)
+		p.cur.to <- wireResp{ID: p.cur.id, Op: name, Val: v} // never blocks: see invocation
+	}
+	p.open, p.cur = false, invocation{}
 }
 
 func (n *node) SetTimer(at simtime.Time, key any) {

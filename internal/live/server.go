@@ -146,55 +146,46 @@ func readWireResp(br *bufio.Reader) (wireResp, error) {
 
 // Server exposes the live registers over TCP: one listener per node, a
 // varint-framed stream of wireReq/wireResp per connection, any number of
-// register instances behind each node. Each (node, register) port has a worker
-// goroutine that admits one operation at a time — the alternation
-// condition of §6.1, enforced per port, which the monitor checks and the
-// online checker's windows rely on. A connection may pipeline requests
-// across ports freely: requests to different ports proceed concurrently,
-// requests to one port queue on its worker, and responses return on the
-// connection tagged with the request's ID in completion order.
-//
-// Each port worker owns a dedicated recorder ring (registered before the
-// runtime starts), so the invocation-side recording path is lock-free
-// end to end.
+// register instances behind each node. The server is only the wire: a
+// connection's reader validates each request and puts it on its node's
+// inbox, and the node — which owns every (node, register) service port as
+// data, see port in runtime.go — admits one operation per port at a time
+// (§6.1's alternation, which the monitor checks and the online checker's
+// windows rely on), stamps it, runs it, and tells the connection the
+// response. A connection may pipeline requests across ports freely:
+// requests to different ports proceed concurrently, requests to one port
+// wait at it in arrival order, and responses return tagged with the
+// request's ID in completion order. The server's goroutines are one
+// acceptor per listener and a reader and a writer per connection.
 type Server struct {
 	rt    *Runtime
 	lns   []net.Listener
 	addrs []string
-	ports []*svcPort
-	tiers []register.Tier // per-register tiers; nil means all lin
+	// tiers[reg] is register reg's tier, and its length is how many of the
+	// runtime's instances clients may address: 0 … len(tiers)−1.
+	tiers []register.Tier
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 
 	mu     sync.Mutex
 	conns  map[*svcConn]struct{}
 	closed bool
 }
 
-// svcPort is one (node, register) service port: a queue of admitted
-// requests, the single worker draining it, and the response slot the
-// runtime's output dispatch fills.
-type svcPort struct {
-	node ta.NodeID
-	reg  int
-	reqs chan portReq
-	resp chan wireResp
-	prod *producer
-}
-
-// portReq is one admitted request plus the connection to answer on.
-type portReq struct {
-	id      uint64
-	op      string
-	payload any
-	conn    *svcConn
-}
-
-// svcConn is one client connection's shared state: the response writer
-// queue and the teardown signal both the reader and writer observe.
+// svcConn is one client connection's shared state: the response queue its
+// writer drains, the in-flight bound, and the teardown signal the reader
+// and writer observe.
+//
+// The node loop sends responses on writeCh and must never block there: a
+// client that stops reading would stall every timer of the node. So the
+// reader takes a slot before it hands a request to the node and the writer
+// gives one back for each response it dequeues; writeCh holds as many as
+// there are slots, so the node's send always finds room. A client
+// pipelining deeper blocks the reader on a slot — TCP backpressure, not an
+// error.
 type svcConn struct {
 	writeCh chan wireResp
+	slots   chan struct{}
 	done    chan struct{}
 	once    sync.Once
 	conn    net.Conn
@@ -207,23 +198,20 @@ func (c *svcConn) close() {
 	})
 }
 
-// portQueueDepth bounds the requests admitted but not yet invoked at one
-// port; a client pipelining deeper than this into a single port blocks in
-// its connection reader — TCP backpressure, not an error.
-const portQueueDepth = 256
+// connInflight bounds one connection's requests handed to the node and not
+// yet dequeued by its writer.
+const connInflight = 256
 
-// NewServer opens one loopback listener per node and registers the
-// response dispatch on rt. Must be called before rt.Start (it installs
-// the runtime's OnOutput hook and the per-port recorder rings).
+// NewServer opens one loopback listener per hosted node. Every register
+// instance of rt is served, lin-tier, unless SetTiers says otherwise.
 func NewServer(rt *Runtime) (*Server, error) {
-	n, r := rt.opts.N, rt.opts.Registers
+	n := rt.opts.N
 	s := &Server{
 		rt:    rt,
 		lns:   make([]net.Listener, n),
 		addrs: make([]string, n),
-		ports: make([]*svcPort, n*r),
+		tiers: make([]register.Tier, rt.opts.Registers),
 		conns: make(map[*svcConn]struct{}),
-		done:  make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		if !rt.hostsNode(i) {
@@ -237,30 +225,20 @@ func NewServer(rt *Runtime) (*Server, error) {
 		s.lns[i] = ln
 		s.addrs[i] = ln.Addr().String()
 	}
-	for reg := 0; reg < r; reg++ {
-		for i := 0; i < n; i++ {
-			if !rt.hostsNode(i) {
-				continue
-			}
-			s.ports[reg*n+i] = &svcPort{
-				node: ta.NodeID(i),
-				reg:  reg,
-				reqs: make(chan portReq, portQueueDepth),
-				resp: make(chan wireResp, 1),
-				prod: rt.producer(),
-			}
-		}
-	}
-	rt.OnOutput(s.dispatch)
 	return s, nil
 }
 
 // SetTiers installs the per-register consistency tiers the wire protocol
 // validates reads against: a read must name its register's tier ('r' for
-// lin, 's' for seq) or the connection is closed. nil (the default) means
-// every register is lin-tier, the stack's historical behavior. Must be
-// called before Start; len(tiers) must equal the runtime's register count.
+// lin, 's' for seq) or the connection is closed. Its length is the number
+// of registers served; a runtime may host more (a fleet daemon's detector
+// rides as the last instance), and a request naming one of those closes
+// the connection like any other bad request. Must be called before Start;
+// panics if tiers names more registers than the runtime hosts.
 func (s *Server) SetTiers(tiers []register.Tier) {
+	if len(tiers) > s.rt.opts.Registers {
+		panic(fmt.Sprintf("live: %d tiers for a runtime of %d register instances", len(tiers), s.rt.opts.Registers))
+	}
 	s.tiers = tiers
 }
 
@@ -271,39 +249,8 @@ func (s *Server) Addrs() []string {
 	return out
 }
 
-// dispatch routes register responses to the waiting port worker. It runs
-// on the emitting node's goroutine and must not block: the response slot
-// has capacity one and the port worker guarantees one outstanding
-// operation, so the buffered send always succeeds.
-func (s *Server) dispatch(nodeID ta.NodeID, reg int, name string, payload any) {
-	if name != register.ActReturn && name != register.ActAck {
-		return
-	}
-	r := wireResp{Op: name}
-	if v, ok := payload.(register.Value); ok {
-		r.Val = v
-	}
-	p := s.ports[reg*s.rt.opts.N+int(nodeID)]
-	if p == nil {
-		return // response at a node this process doesn't serve clients for
-	}
-	p.resp <- r
-}
-
-// Start begins accepting client connections and launches the port
-// workers. Call after rt.Start.
+// Start begins accepting client connections. Call after rt.Start.
 func (s *Server) Start() {
-	for _, p := range s.ports {
-		if p == nil {
-			continue
-		}
-		p := p
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.portLoop(p)
-		}()
-	}
 	for i, ln := range s.lns {
 		if ln == nil {
 			continue
@@ -327,45 +274,14 @@ func (s *Server) Start() {
 	}
 }
 
-// portLoop is a port's worker: admit one request, invoke it (recording
-// through the port's dedicated ring), wait for the register's response,
-// answer the issuing connection. One request in flight per port, always.
-func (s *Server) portLoop(p *svcPort) {
-	for {
-		var req portReq
-		select {
-		case req = <-p.reqs:
-		case <-s.done:
-			return
-		}
-		if err := s.rt.invoke(p.prod, p.node, p.reg, req.op, req.payload); err != nil {
-			// Runtime shut down beneath us; the connection gets no answer,
-			// which only teardown produces.
-			return
-		}
-		var resp wireResp
-		select {
-		case resp = <-p.resp:
-		case <-s.done:
-			return
-		}
-		resp.ID = req.id
-		select {
-		case req.conn.writeCh <- resp:
-		case <-req.conn.done:
-			// Client left; the operation still completed and was recorded.
-		case <-s.done:
-			return
-		}
-	}
-}
-
 // serve handles one client connection against one node: a reader that
-// validates and routes requests to port queues, and a writer that
-// serializes responses back. Either side's failure tears both down.
+// validates requests and hands them to the node, and a writer that
+// serializes the node's responses back. Either side's failure tears both
+// down.
 func (s *Server) serve(nodeID ta.NodeID, conn net.Conn) {
 	c := &svcConn{
-		writeCh: make(chan wireResp, portQueueDepth),
+		writeCh: make(chan wireResp, connInflight),
+		slots:   make(chan struct{}, connInflight),
 		done:    make(chan struct{}),
 		conn:    conn,
 	}
@@ -398,17 +314,15 @@ func (s *Server) serve(nodeID ta.NodeID, conn net.Conn) {
 			case resp = <-c.writeCh:
 			case <-c.done:
 				return
-			case <-s.done:
-				return
 			}
-			buf = appendWireResp(buf[:0], resp)
-		drain:
-			for {
+			buf = buf[:0]
+			for more := true; more; {
+				<-c.slots // the reader's, taken before this response's request was handed over
+				buf = appendWireResp(buf, resp)
 				select {
 				case resp = <-c.writeCh:
-					buf = appendWireResp(buf, resp)
 				default:
-					break drain
+					more = false
 				}
 			}
 			if _, err := conn.Write(buf); err != nil {
@@ -417,39 +331,35 @@ func (s *Server) serve(nodeID ta.NodeID, conn net.Conn) {
 		}
 	}()
 	br := bufio.NewReaderSize(conn, 16<<10)
-	nReg := s.rt.opts.Registers
 	for {
 		req, err := readWireReq(br)
 		if err != nil {
 			return
 		}
-		if req.Reg < 0 || req.Reg >= nReg {
-			return
+		if req.Reg < 0 || req.Reg >= len(s.tiers) {
+			return // not a register this server serves
 		}
-		if req.Op == register.ActRead {
-			want := register.TierLin
-			if s.tiers != nil {
-				want = s.tiers[req.Reg]
-			}
-			if req.Tier != want {
-				return // tier mismatch: wrong price, wrong checker
-			}
+		if req.Op == register.ActRead && req.Tier != s.tiers[req.Reg] {
+			return // tier mismatch: wrong price, wrong checker
 		}
-		var payload any
+		inv := invocation{reg: req.Reg, name: req.Op, id: req.ID, to: c.writeCh}
 		if req.Op == register.ActWrite {
-			payload = req.Val
+			inv.payload = req.Val
 		}
 		select {
-		case s.ports[req.Reg*s.rt.opts.N+int(nodeID)].reqs <- portReq{id: req.ID, op: req.Op, payload: payload, conn: c}:
-		case <-s.done:
+		case c.slots <- struct{}{}:
+		case <-c.done:
 			return
+		}
+		if s.rt.invoke(nodeID, inv) != nil {
+			return // runtime shut down beneath us
 		}
 	}
 }
 
-// Close stops accepting and unblocks every port worker and connection.
-// Call before rt.Stop so the server's recorder producers are quiescent
-// when the runtime flushes the recorder.
+// Close stops accepting and tears down every connection. Operations
+// already at a node run on and are recorded: the node loops, not the
+// server, are the recorder's producers, so Runtime.Stop need not wait.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -457,7 +367,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	close(s.done)
 	for c := range s.conns {
 		c.close()
 	}

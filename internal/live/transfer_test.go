@@ -15,7 +15,7 @@ type meshNode struct {
 	id      ta.NodeID
 	mesh    *MeshTransport
 	rt      *Runtime
-	outputs chan register.Value // what this node's reads returned
+	outputs chan wireResp // where this node tells its responses
 }
 
 var transferModel = Model{Eps: 500 * us, D2: 4 * ms, Delta: 100 * us, Ell: 5 * ms}
@@ -32,14 +32,7 @@ func startMeshNode(t *testing.T, id int, epoch time.Time, replacement bool) *mes
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &meshNode{id: ta.NodeID(id), mesh: mesh, rt: rt, outputs: make(chan register.Value, 16)}
-	rt.OnOutput(func(_ ta.NodeID, _ int, name string, payload any) {
-		v, _ := payload.(register.Value)
-		if name == register.ActAck {
-			v = register.Value{Writer: ta.NoNode, Seq: -1} // an ACK, told apart from every read
-		}
-		n.outputs <- v
-	})
+	n := &meshNode{id: ta.NodeID(id), mesh: mesh, rt: rt, outputs: make(chan wireResp, 1)}
 	if replacement {
 		rt.Recovering()
 	}
@@ -64,12 +57,12 @@ func wire(nodes ...*meshNode) {
 
 func (n *meshNode) do(t *testing.T, reg int, op string, payload any) register.Value {
 	t.Helper()
-	if err := n.rt.InvokeReg(n.id, reg, op, payload); err != nil {
+	if err := n.rt.invoke(n.id, invocation{reg: reg, name: op, payload: payload, to: n.outputs}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case v := <-n.outputs:
-		return v
+	case resp := <-n.outputs:
+		return resp.Val // zero for an ACK
 	case <-time.After(10 * time.Second):
 		t.Fatalf("node %v: no response to %s", n.id, op)
 		return register.Value{}

@@ -131,12 +131,7 @@ func TestNodeTimerEarlierHeadPreempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	returned := make(chan struct{}, 1)
-	rt.OnOutput(func(_ ta.NodeID, reg int, name string, _ any) {
-		if reg == 1 && name == register.ActReturn {
-			returned <- struct{}{}
-		}
-	})
+	returned := make(chan wireResp, 1)
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +141,7 @@ func TestNodeTimerEarlierHeadPreempts(t *testing.T) {
 	}
 	// Let the loop arm the far deadline and go to sleep on it.
 	time.Sleep(20 * time.Millisecond)
-	if err := rt.InvokeReg(0, 1, register.ActRead, nil); err != nil {
+	if err := rt.invoke(0, invocation{reg: 1, name: register.ActRead, to: returned}); err != nil {
 		t.Fatal(err)
 	}
 	select {
