@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 model-guard bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
+.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
 
 all: tier1
 
@@ -33,6 +33,33 @@ model-guard:
 		|| { echo "model-guard: checker policy outside internal/live (use live.Model / live.NewVerdict)"; exit 1; }
 	@! grep -rnE 'runtime\.GOMAXPROCS\( *[^0) ]' --include='*.go' --exclude='*_test.go' internal \
 		|| { echo "model-guard: process-wide GOMAXPROCS set under internal/"; exit 1; }
+
+# The simulated world never reads the wall clock: under internal/, outside
+# the two wall-clock packages (internal/live, internal/fleet), the
+# simtime↔wall conversion and E17 (which runs the live runtime), no non-test
+# file imports "time" or reads the process's heap, so nothing an experiment
+# prints can depend on the host. (ROADMAP item 4's second clause — no raw
+# time.Now/Sleep/... in live and fleet outside one seam file — comes with
+# the seam.)
+time-guard:
+	@! grep -rnE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"time"|runtime\.(ReadMemStats|GC)\(' \
+		--include='*.go' --exclude='*_test.go' internal \
+		| grep -vE '^internal/(live|fleet)/|^internal/simtime/wall\.go:|^internal/experiments/e17\.go:' \
+		|| { echo "time-guard: wall clock or heap reading in the simulated world (see the lines above)"; exit 1; }
+
+# The working docs name only what exists: every `make <target>` cited in
+# README.md, DESIGN.md, EXPERIMENTS.md and the verify skill is a target of
+# this file, and none of them mentions a retired measuring path (history
+# lives in docs/history.md and CHANGES.md, which this does not read; the
+# retired names are spelled with a bracket so that a grep of the tree for
+# them finds only uses).
+DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+doc-guard:
+	@for t in $$(grep -ohE -e '`make [a-z][a-z0-9-]*' -e '^make [a-z][a-z0-9-]*( +#| *$$)' $(DOCS) | sed 's/.*make //; s/[ #]*$$//' | sort -u); do \
+		grep -qE "^$$t:" Makefile || { echo "doc-guard: \`make $$t\` is cited in the docs but is not a Makefile target"; exit 1; }; \
+	done
+	@! grep -nE -e '-shard[s]weep|Throughput[C]ell|make (bench|microbench)([^-a-z]|$$)|(^|[^_a-z])bench_test\.go' $(DOCS) \
+		|| { echo "doc-guard: the docs cite a retired measuring path (see the lines above)"; exit 1; }
 
 # The benchmark harness in bench/ is a module of its own, so `go build
 # ./...` and `go test ./...` at the root do not compile it: this target

@@ -6,19 +6,18 @@
 //	pscbench                    # run all experiments
 //	pscbench -list              # list experiments
 //	pscbench -run E3,E4         # run a subset
-//	pscbench -shardsweep        # GOMAXPROCS × shards scaling curve of the sharded executor
 //	pscbench -cpuprofile cpu.pb # write a CPU profile of the run
 //	pscbench -memprofile mem.pb # write a heap profile at exit
 //
 // Experiments run one after another; parallelism lives inside each
 // experiment, which fans its seeded rows over a pool of GOMAXPROCS
-// workers (GOMAXPROCS=1 pscbench … is the single-worker run). Keeping
-// the experiments themselves sequential leaves E10's wall-clock
-// throughput figures uncontended.
+// workers (GOMAXPROCS=1 pscbench … is the single-worker run). The
+// experiments themselves stay sequential because E17 runs on the wall
+// clock and should not share the host with another experiment's rows.
 //
-// The exit status is nonzero if any experiment's assertions fail or the
-// -shardsweep win rule does not hold. Performance is measured and gated
-// by bench/ (bash bench/run.sh), not here.
+// The exit status is nonzero if any experiment's assertions fail.
+// Performance is measured and gated by bench/ (bash bench/run.sh), not
+// here.
 package main
 
 import (
@@ -42,7 +41,6 @@ func run(args []string) int {
 	only := fs.String("run", "", "comma-separated experiment IDs (default: all)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file after the experiment runs")
-	shardSweep := fs.Bool("shardsweep", false, "after the experiments, measure the sharded executor's GOMAXPROCS × shards scaling curve")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -92,9 +90,6 @@ func run(args []string) int {
 		if !r.Pass() {
 			failed++
 		}
-	}
-	if *shardSweep && !runShardSweep() {
-		failed++
 	}
 
 	if *memProfile != "" {

@@ -171,10 +171,6 @@ func (s *System) SetShardsPlanned(n int, assign func(name string) int, plan Shar
 // run); before that it is always false.
 func (s *System) Sharded() bool { return s.shardOn }
 
-// ShardCount returns the number of active shards, or 0 when execution is
-// sequential.
-func (s *System) ShardCount() int { return len(s.lanes) }
-
 // ShardFallbackReason explains why a requested sharded configuration was
 // not activated; it is empty when sharding is active or was never
 // requested.

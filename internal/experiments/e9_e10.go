@@ -2,15 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
 	"psclock/internal/core"
+	"psclock/internal/linearize"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/stats"
 	"psclock/internal/ta"
+	"psclock/internal/trace"
 )
 
 // causalProbe is a minimal algorithm that checks Lamport's condition — a
@@ -235,66 +236,117 @@ func E9Matrix() Result {
 	return Result{ID: "E9", Title: "verification matrix with mutations", Output: tb.String(), Failures: fails}
 }
 
-// e10CellBudget is the wall-clock time box of one (model, n) throughput
-// cell. Cells used to run a fixed operation count, which let the slowest
-// model dominate the whole suite's runtime; now each cell runs the
-// closed-loop workload for this long and reports measured-ops-per-budget.
-// The reported metrics (ops/s, events/s) are rates either way, so they
-// stay comparable across the change and across budget adjustments.
-//
-// The budget is split into e10Trials back-to-back windows over the same
-// warm system and the fastest window is reported: a single short window
-// is at the mercy of GC pauses and scheduler interference, and
-// interference only ever subtracts throughput, so max-of-N is the
-// low-noise estimator of what the executor sustains.
-const e10CellBudget = 30 * time.Millisecond
+// e10CellOps is every client's operation count in an E10 cell, e10StreamOps
+// in the long-horizon streamed row (3 clients: 10 002 operations).
+const e10CellOps, e10StreamOps = 40, 3334
 
-const e10Trials = 3
+// e10Cell is one (model, n, shards) execution of E10.
+type e10Cell struct {
+	model     string
+	n, shards int
+	out       runOut
+	err       error
+}
 
-// E10Throughput regenerates Figure 5: executor throughput (simulated
-// operations and dispatched events per wall-clock second) for each model
-// as the system grows. Each cell is time-boxed: clients run open-ended and
-// the cell stops after e10CellBudget of wall time, reporting whatever
-// operation and event counts the executor sustained in the box. The
-// GOMAXPROCS × shards scaling curve is `pscbench -shardsweep`, not a table
-// here: measuring it sets GOMAXPROCS process-wide, which an experiment
-// sharing its process with sixteen others (one on wall-clock time) must not.
-func E10Throughput() Result {
-	tb := stats.NewTable("model", "n", "shards", "ops", "events", "wall ms", "ops/s", "events/s")
-	var fails []string
-	// cell runs one time-boxed (model, n) measurement. shards < 2 is the
-	// sequential executor; shards ≥ 2 requires the sharded
-	// conservative-parallel path to engage (a silent fallback would quietly
-	// report sequential numbers under a sharded label, so it is a cell
-	// failure instead).
-	cell := func(model string, n, shards int) {
-		r := ThroughputCell(CellSpec{Model: model, N: n, Shards: shards, Budget: e10CellBudget, Trials: e10Trials})
-		if r.Err != "" {
-			fails = append(fails, fmt.Sprintf("%s n=%d shards=%d: %s", model, n, shards, r.Err))
-			return
-		}
-		tb.AddRow(model, fmt.Sprint(n), fmt.Sprint(r.ShardCount), fmt.Sprint(r.Ops), fmt.Sprint(r.Events),
-			fmt.Sprintf("%.1f", r.WallMS),
-			fmt.Sprintf("%.0f", r.OpsPerSec),
-			fmt.Sprintf("%.0f", r.EventsPerSec))
-	}
-	// Rows stay sequential on purpose: each times its own wall clock, and
-	// concurrent rows would steal cycles from each other's measurement.
+// E10Events regenerates Figure 5: what one operation of algorithm S
+// costs the executor in events, by model and size. Every cell runs the
+// same closed-loop workload for a fixed operation count, so the table is a
+// function of the seed. At n = 8 each model runs again on the 4-shard
+// executor, which must engage and reproduce the sequential run: every
+// event on timed and clock, the operations and visible events on MMT
+// (whose hidden TICK/step elision follows lane scheduling, so its total is
+// not printed). The last row is one long-horizon run whose online verdict,
+// sharded twin and batch verdict over the retained history streamParity
+// requires to be equal, States included. What an event costs in CPU is the
+// benchmark's to measure (bench/, workload sim_models).
+func E10Events() Result {
+	bounds := simtime.NewInterval(1*ms, 3*ms)
+	eps := 200 * us
+	const mmtEll = 100 * us
+	p := register.Params{C: 200 * us, Delta: 10 * us, D2: bounds.Hi + 2*eps + 24*mmtEll, Epsilon: eps}
+	models := []string{"timed", "clock", "mmt"}
+	var cells []e10Cell
 	for _, n := range []int{2, 4, 8} {
-		for _, model := range []string{"timed", "clock", "mmt"} {
-			cell(model, n, 0)
+		for _, model := range models {
+			cells = append(cells, e10Cell{model: model, n: n})
 		}
 	}
-	// Sharded cells at the largest size, so the comparison is always
-	// present in the table.
-	for _, model := range []string{"timed", "clock", "mmt"} {
-		cell(model, 8, 4)
+	for _, model := range models {
+		cells = append(cells, e10Cell{model: model, n: 8, shards: 4})
 	}
-	// Pipeline comparison: the same workload checked streaming (online
-	// checker over the event-sink pipeline, no retention) and retained
-	// (trace + batch check), with memory columns.
-	pipeOut, pipeFails := e10Pipelines()
-	fails = append(fails, pipeFails...)
-	return Result{ID: "E10", Title: "executor throughput by model and size (time-boxed cells)",
-		Output: tb.String() + "\n" + pipeOut, Failures: fails}
+	cells = parmapSlice(cells, func(c e10Cell) e10Cell {
+		spec := runSpec{
+			model: c.model, factory: register.Factory(register.NewS, p),
+			n: c.n, bounds: bounds, seed: 1100, clocks: clock.DriftFactory(eps, 7), shards: c.shards,
+			ops: e10CellOps, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
+		}
+		if c.model == "mmt" {
+			spec.ell = mmtEll
+		}
+		c.out, c.err = run(spec)
+		return c
+	})
+
+	tb := stats.NewTable("model", "n", "executor", "ops", "events", "visible", "events/op")
+	var fails []string
+	seq := map[string]e10Cell{} // the sequential n = 8 cell of each model
+	for _, c := range cells {
+		name := fmt.Sprintf("%s n=%d shards=%d", c.model, c.n, c.shards)
+		if c.err != nil {
+			fails = append(fails, fmt.Sprintf("%s: %v", name, c.err))
+			continue
+		}
+		sys := c.out.net.Sys
+		tr := sys.Trace()
+		ops, visible := len(c.out.ops), len(tr.Visible())
+		executor, events, perOp := "sequential", fmt.Sprint(len(tr)), fmt.Sprintf("%.1f", float64(len(tr))/float64(ops))
+		if c.shards > 1 {
+			executor = fmt.Sprintf("%d shards", c.shards)
+			if c.model == "mmt" {
+				events, perOp = "—", "—"
+			}
+			if !sys.Sharded() {
+				// A silent fallback would print sequential numbers under a
+				// sharded label.
+				fails = append(fails, fmt.Sprintf("%s: sharded execution did not engage (%s)", name, sys.ShardFallbackReason()))
+			} else if ref, ok := seq[c.model]; ok { // absent: that cell's own failure is recorded
+				refTr := ref.out.net.Sys.Trace()
+				if ops != len(ref.out.ops) || visible != len(refTr.Visible()) {
+					fails = append(fails, fmt.Sprintf("%s: %d ops / %d visible events, sequential %d / %d",
+						name, ops, visible, len(ref.out.ops), len(refTr.Visible())))
+				} else if c.model != "mmt" && trace.HashTrace(tr) != trace.HashTrace(refTr) {
+					fails = append(fails, fmt.Sprintf("%s: trace of %d events differs from sequential's of %d", name, len(tr), len(refTr)))
+				}
+			}
+		} else if c.n == 8 {
+			seq[c.model] = c
+		}
+		tb.AddRow(c.model, fmt.Sprint(c.n), executor, fmt.Sprint(ops), events, fmt.Sprint(visible), perOp)
+	}
+
+	// The streamed row: algorithm L in the timed model, monitor attached and
+	// trace retained.
+	out, err := run(runSpec{
+		model:   "timed",
+		factory: register.Factory(register.NewL, register.Params{C: 500 * us, Delta: 10 * us, D2: bounds.Hi}),
+		n:       3, bounds: bounds, seed: 4242,
+		ops: e10StreamOps, think: simtime.NewInterval(0, 1*ms), writeRatio: 0.4,
+		stream: []streamCheck{{name: "lin", opt: linearize.Options{
+			Initial: register.Initial.String(), AssumeUnique: true, MaxStates: 1 << 30}}},
+	})
+	res := Result{ID: "E10", Title: "events and operations by model and size (fixed operation count)"}
+	if err != nil {
+		res.Failures = append(fails, fmt.Sprintf("streamed run: %v", err))
+		return res
+	}
+	parity := streamParity(out)
+	v := out.mon.Verdict("lin")
+	if !v.OK {
+		parity = append(parity, fmt.Sprintf("streamed run verdict: %s", v.Reason))
+	}
+	st := stats.NewTable("pipeline", "ops", "events", "lin.", "states", "streaming = sharded = retained")
+	st.AddRow("L in D_T, n=3", fmt.Sprint(len(out.ops)), fmt.Sprint(len(out.net.Sys.Trace())),
+		checkMark(v.OK), fmt.Sprint(v.States), checkMark(len(parity) == 0))
+	res.Output, res.Failures = tb.String()+"\n"+st.String(), append(fails, parity...)
+	return res
 }

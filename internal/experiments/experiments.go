@@ -15,7 +15,7 @@
 //	E7  §7.2          — receive-buffer cost vs d1/2ε (Figure 3)
 //	E8  Theorem 5.1/5.2 — simulation-2 output shift (Table 6, Figure 4)
 //	E9  §6.2/§7.2     — verification matrix with mutations (Table 7)
-//	E10 —             — executor throughput (Figure 5)
+//	E10 —             — events and operations by model and size (Figure 5)
 //	E11 §6 remark     — other shared-memory objects (Table 8)
 //	E12 §1/§7.3       — failures explored (Table 9)
 //	E13 §1/§5         — clock granularity: TICK period sweep (Figure 6)
@@ -91,7 +91,7 @@ func All() []Experiment {
 		{"E7", "§7.2: receive-buffer cost vs d1/2ε", E7Buffering},
 		{"E8", "Theorems 5.1/5.2: simulation-2 output shift", E8MMTShift},
 		{"E9", "verification matrix with mutations", E9Matrix},
-		{"E10", "executor throughput by model and size", E10Throughput},
+		{"E10", "events and operations by model and size", E10Events},
 		{"E11", "§6 generalized to other shared-memory objects", E11Objects},
 		{"E12", "§7.3 failures explored: crashes and lossy links", E12Failures},
 		{"E13", "clock granularity: TICK period sweep in D_M", E13Granularity},
@@ -140,6 +140,7 @@ type runSpec struct {
 	delays  func() channel.DelayPolicy
 	ell     simtime.Duration
 	steps   func() core.StepPolicy
+	shards  int // core.Config.Shards: below 2, the sequential executor
 
 	ops        int
 	think      simtime.Interval
@@ -207,6 +208,7 @@ func run(spec runSpec) (runOut, error) {
 		Ell:               spec.ell,
 		NewStep:           spec.steps,
 		DisableRecvBuffer: spec.noBuffer,
+		Shards:            spec.shards,
 	}
 	var net *core.Net
 	switch spec.model {

@@ -1,9 +1,20 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// outputs holds what TestAllExperimentsPass saw each experiment print, for
+// TestExperimentOutputIsAFunctionOfTheSeed to compare a second run against
+// (E10's long streamed row makes a third run of it the suite's longest
+// pole).
+var outputs sync.Map // ID → Result.Output
 
 // TestAllExperimentsPass regenerates every table/figure and asserts the
 // paper's claims hold — the same assertions the bench harness makes, kept
@@ -27,6 +38,7 @@ func TestAllExperimentsPass(t *testing.T) {
 			if r.Output == "" {
 				t.Error("empty output")
 			}
+			outputs.Store(e.ID, r.Output)
 		})
 	}
 }
@@ -53,6 +65,58 @@ func TestAllHaveDistinctIDs(t *testing.T) {
 	}
 	if len(seen) != 17 {
 		t.Errorf("expected 17 experiments, got %d", len(seen))
+	}
+}
+
+// TestExperimentOutputIsAFunctionOfTheSeed: nothing a simulated experiment
+// prints may depend on the host — not its speed, its load, nor how many
+// workers the row pool has. E10 (the executor, sequential and sharded), E3
+// and E9 (the widest row fan-outs) each run twice — inside
+// TestAllExperimentsPass's parallel pool (here, when that did not run) and
+// on a single worker — and must render byte-identical output.
+func TestExperimentOutputIsAFunctionOfTheSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three experiments again; skipped with -short")
+	}
+	for _, id := range []string{"E10", "E3", "E9"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s not found", id)
+		}
+		first, ok := outputs.Load(id)
+		if !ok {
+			first = e.Run().Output
+		}
+		prev := runtime.GOMAXPROCS(1)
+		second := e.Run().Output
+		runtime.GOMAXPROCS(prev)
+		if first != second {
+			t.Errorf("%s output differs between two runs of one seed:\n%s\nvs (GOMAXPROCS=1)\n%s", id, first, second)
+		}
+	}
+}
+
+// TestDesignIndexMatchesAll keeps DESIGN.md § 4's per-experiment index in
+// step with the suite: its ID column lists exactly All()'s IDs, in order.
+func TestDesignIndexMatchesAll(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 4. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no § 4")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var indexed, all []string
+	for _, m := range regexp.MustCompile(`(?m)^\| (E\d+)\b`).FindAllStringSubmatch(section, -1) {
+		indexed = append(indexed, m[1])
+	}
+	for _, e := range All() {
+		all = append(all, e.ID)
+	}
+	if !slices.Equal(indexed, all) {
+		t.Errorf("DESIGN.md § 4 indexes %v, All() runs %v", indexed, all)
 	}
 }
 

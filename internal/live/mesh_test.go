@@ -1,12 +1,15 @@
 package live
 
 import (
+	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"psclock/internal/clock"
+	"psclock/internal/register"
 	"psclock/internal/ta"
 )
 
@@ -400,6 +403,68 @@ func TestMeshTransport(t *testing.T) {
 				defer d.close(t)
 				c.run(t, d)
 			})
+		}
+	}
+}
+
+// TestMeshDropsMalformedFrame: a node's mesh listener is an open loopback
+// port, and two daemons started with different -registers disagree about
+// which channels exist, so a frame off the socket may name a register
+// instance or a sender the runtime does not have. Such a frame is dropped
+// at the boundary like one for a node not hosted here: the process
+// survives and the nodes keep serving.
+func TestMeshDropsMalformedFrame(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, bounds := liveParams(0, 10*ms)
+	rt, err := New(Options{N: 2, Bounds: bounds, Ell: ellBudget, Clocks: clock.PerfectFactory(), Transport: tr},
+		register.Factory(register.NewS, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	conn, err := net.Dial("tcp", tr.Addr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc := gob.NewEncoder(conn)
+	for _, f := range []Frame{
+		{From: 1, To: 0, Chan: 7},  // no such register instance
+		{From: 1, To: 0, Chan: -2}, // negative and not the control channel
+		{From: 9, To: 0, Chan: 0},  // not a node
+		{From: -1, To: 0, Chan: ctlChan, Body: linkUp{}},
+	} {
+		if err := enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The next valid operations complete, and the mesh still carries the
+	// write's UPDATE to the other node.
+	want := register.Value{Writer: 0, Seq: 1}
+	resp := make(chan wireResp, 1)
+	for _, inv := range []struct {
+		node    ta.NodeID
+		name    string
+		payload any
+	}{{0, register.ActWrite, want}, {1, register.ActRead, nil}} {
+		if err := rt.invoke(inv.node, invocation{name: inv.name, payload: inv.payload, to: resp}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-resp:
+			if inv.name == register.ActRead && r.Val != want {
+				t.Fatalf("node 1 read %v after node 0 wrote %v", r.Val, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no response to %s at node %d after the malformed frames", inv.name, inv.node)
 		}
 	}
 }

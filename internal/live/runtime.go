@@ -405,9 +405,19 @@ func (rt *Runtime) deliverFrame(f Frame) {
 }
 
 // enqueueFrame records the delay the receiver actually experiences and
-// hands the frame to the destination's loop.
+// hands the frame to the destination's loop. A frame comes off a socket
+// anyone on the host can write to, so it is checked here, at the boundary:
+// one for a node not hosted here, from something that is not a node, or on a
+// channel that is neither the control channel nor a hosted instance is
+// dropped.
 func (rt *Runtime) enqueueFrame(f Frame) {
 	if int(f.To) < 0 || int(f.To) >= len(rt.nodes) || rt.nodes[f.To] == nil {
+		return
+	}
+	if int(f.From) < 0 || int(f.From) >= len(rt.nodes) {
+		return
+	}
+	if f.Chan != ctlChan && (f.Chan < 0 || f.Chan >= rt.opts.Registers) {
 		return
 	}
 	if f.Chan != ctlChan {
