@@ -38,7 +38,6 @@ func run() int {
 
 		detPeriod  = flag.Duration("detperiod", 150*time.Millisecond, "heartbeat period π")
 		detTimeout = flag.Duration("dettimeout", 0, "heartbeat timeout τ (0 = safe default)")
-		beat       = flag.Duration("beat", 100*time.Millisecond, "plane beat period")
 		verbose    = flag.Bool("v", false, "log to stderr")
 	)
 	model := fleet.DefaultModel()
@@ -64,7 +63,6 @@ func run() int {
 		Model:         model,
 		DetPeriod:     simtime.Duration(*detPeriod),
 		DetTimeout:    simtime.Duration(*detTimeout),
-		BeatPeriod:    *beat,
 		Interrupt:     sigs,
 		Verbose:       *verbose,
 		Stderr:        os.Stderr,

@@ -57,10 +57,10 @@ func TestClockModelNeedsMargin(t *testing.T) {
 	// false suspicions (heartbeat gaps stretch by up to 4ε).
 	tight := detector.Params{Period: period, Timeout: detector.SafeTimeoutTA(period, bounds), Heartbeats: 25}
 	net := runDetector(t, "clock", tight, clock.SawtoothFactory(eps, 8*ms), bounds, 0, 0, simtime.Time(100*ms))
-	lastBeat := simtime.Time(simtime.Duration(tight.Heartbeats) * period)
+	lastHeartbeat := simtime.Time(simtime.Duration(tight.Heartbeats) * period)
 	falseCount := 0
 	for _, s := range detector.Suspicions(net.Sys.Trace()) {
-		if s.At.Before(lastBeat) {
+		if s.At.Before(lastHeartbeat) {
 			falseCount++
 		}
 	}
@@ -72,7 +72,7 @@ func TestClockModelNeedsMargin(t *testing.T) {
 	safe := detector.Params{Period: period, Timeout: detector.SafeTimeoutClock(period, bounds, eps), Heartbeats: 25}
 	net2 := runDetector(t, "clock", safe, clock.SawtoothFactory(eps, 8*ms), bounds, 0, 0, simtime.Time(100*ms))
 	for _, s := range detector.Suspicions(net2.Sys.Trace()) {
-		if s.At.Before(lastBeat) {
+		if s.At.Before(lastHeartbeat) {
 			t.Fatalf("false suspicion with safe timeout: %+v", s)
 		}
 	}

@@ -24,7 +24,7 @@ func E15Detector() Result {
 	eps := 800 * us
 	period := 5 * ms
 	beats := 25
-	lastBeat := simtime.Time(simtime.Duration(beats) * period)
+	lastHeartbeat := simtime.Time(simtime.Duration(beats) * period)
 	base := detector.SafeTimeoutTA(period, bounds)
 
 	tb := stats.NewTable("margin", "timeout", "clocks", "false suspicions", "accurate")
@@ -39,7 +39,7 @@ func E15Detector() Result {
 		}
 		n := 0
 		for _, s := range detector.Suspicions(net.Sys.Trace()) {
-			if s.At.Before(lastBeat) {
+			if s.At.Before(lastHeartbeat) {
 				n++
 			}
 		}

@@ -41,7 +41,6 @@ type DaemonConfig struct {
 
 	Model                 live.Model
 	DetPeriod, DetTimeout simtime.Duration
-	BeatPeriod            time.Duration
 
 	// Interrupt, when non-nil, triggers the same graceful teardown a
 	// Shutdown command does (SIGINT/SIGTERM wiring lives in cmd/pscnode).
@@ -91,9 +90,6 @@ func (f *forwarder) Flush(bound simtime.Time) {
 func RunDaemon(cfg DaemonConfig) error {
 	if cfg.Registers <= 0 {
 		cfg.Registers = 1
-	}
-	if cfg.BeatPeriod <= 0 {
-		cfg.BeatPeriod = 100 * time.Millisecond
 	}
 	logf := func(format string, args ...any) {
 		if cfg.Verbose && cfg.Stderr != nil {
@@ -199,16 +195,16 @@ func RunDaemon(cfg DaemonConfig) error {
 		}
 	}()
 
-	// Beat ticker: periodic liveness proof with measured bounds.
+	// Beat ticker: the measured bounds so far, for Plane.Stats.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tick := time.NewTicker(cfg.BeatPeriod)
+		tick := time.NewTicker(beatPeriod)
 		defer tick.Stop()
 		for {
 			select {
 			case <-tick.C:
-				b := msgBeat{Measured: rt.Snapshot(), Dropped: ft.Dropped()}
+				b := msgBeat{Measured: rt.Snapshot()}
 				if err := ctl.send(envelope{Beat: &b}); err != nil {
 					beginStop()
 					return
@@ -331,7 +327,7 @@ drain:
 			break drain
 		}
 	}
-	bye := msgBye{Measured: m, Dropped: ft.Dropped()}
+	bye := msgBye{Measured: m}
 	err = ctl.send(envelope{Bye: &bye})
 	ctl.close()
 	logf("bye: ops recorded, eps=%v reconnects=%d", m.Eps, m.Reconnects)

@@ -71,6 +71,13 @@ func (f *FanIn) MarkDead(daemon int) {
 	f.emit()
 }
 
+// Watermark returns daemon's stream watermark: +∞ once it is dead.
+func (f *FanIn) Watermark(daemon int) simtime.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.streams[daemon].watermark
+}
+
 // Reset re-opens a daemon's stream for a replacement incarnation whose
 // events are all stamped at or above floor (the plane's elapsed time at
 // spawn — the new process cannot have recorded anything earlier).

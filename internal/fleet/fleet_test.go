@@ -3,14 +3,18 @@ package fleet
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"psclock/internal/detector"
 	"psclock/internal/live"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
@@ -49,19 +53,15 @@ func buildNodeBin(t *testing.T) string {
 
 func testPlaneConfig(bin string) PlaneConfig {
 	return PlaneConfig{
-		N:         3,
-		Registers: 1,
-		Eps:       2 * simtime.Millisecond,
-		D2:        10 * simtime.Millisecond,
-		Delta:     simtime.Millisecond,
-		Ell:       5 * simtime.Millisecond,
-		Slack:     6 * simtime.Millisecond,
-		Seed:      1,
-		NodeBin:   bin,
-		// Faster cadences than production defaults: the test pays for a
-		// crash window and a detector round trip in wall time.
-		BeatPeriod:  50 * time.Millisecond,
-		BeatBudget:  time.Second,
+		N:           3,
+		Registers:   1,
+		Eps:         2 * simtime.Millisecond,
+		D2:          10 * simtime.Millisecond,
+		Delta:       simtime.Millisecond,
+		Ell:         5 * simtime.Millisecond,
+		Slack:       6 * simtime.Millisecond,
+		Seed:        1,
+		NodeBin:     bin,
 		MaxRestarts: 2,
 	}
 }
@@ -190,13 +190,18 @@ func TestFleetCleanRun(t *testing.T) {
 	}
 }
 
-// startFleet brings a plane up or fails the test; the caller shuts it down.
-func startFleet(t *testing.T) *Plane {
+// startFleet brings a plane up, testPlaneConfig edited by tweaks, or fails
+// the test; the caller shuts it down.
+func startFleet(t *testing.T, tweaks ...func(*PlaneConfig)) *Plane {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns OS processes; skipped in -short")
 	}
-	p, err := NewPlane(testPlaneConfig(buildNodeBin(t)))
+	cfg := testPlaneConfig(buildNodeBin(t))
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	p, err := NewPlane(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,5 +312,108 @@ func TestFleetOverlappingCrashes(t *testing.T) {
 	time.Sleep(settle)
 	if v := p.Shutdown(); v.Violations != 0 {
 		t.Errorf("%d violations: %v", v.Violations, v.Messages)
+	}
+}
+
+// A process that stops without exiting (SIGSTOP: no exit, no EOF, its
+// connections stay up) is suspected by its peers' heartbeat detectors while
+// its own stream stays silent, and the plane replaces it: within 2τ + d2 of
+// the stop plus a second of process start and transfer, serving the value
+// written before, as a restart and not a crash, and with the merge running
+// again once the frozen stream is let go.
+func TestFleetWedgedNodeReplaced(t *testing.T) {
+	p := startFleet(t)
+	want := register.Value{Writer: 0, Seq: 43}
+	clientOp(t, p, 0, &want)
+	time.Sleep(settle)
+	d := p.daemons[1]
+	d.mu.Lock()
+	inc, proc := d.inc, d.cmd.Process
+	d.mu.Unlock()
+	stopped := time.Now()
+	if err := proc.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
+	bound := time.Duration(2*p.cfg.DetTimeout+p.cfg.D2) + time.Second
+	if !p.WaitReplaced(1, inc, bound) {
+		t.Fatalf("node 1 not replaced within %v of its SIGSTOP", bound)
+	}
+	t.Logf("node 1 replaced %v after its SIGSTOP", time.Since(stopped).Round(time.Millisecond))
+	if got := clientOp(t, p, 1, nil); got != want {
+		t.Errorf("replacement of node 1 reads %v, want the %v written before the stop", got, want)
+	}
+	if s := p.Stats(); s.Restarts != 1 || p.Crashes() != 0 {
+		t.Errorf("Restarts = %d, Crashes = %d; want 1 and 0", s.Restarts, p.Crashes())
+	}
+	for _, m := range p.Shutdown().Messages {
+		if strings.HasPrefix(m, "stream contract") {
+			t.Errorf("stream contract violated: %s", m)
+		}
+	}
+}
+
+// A partitioned node is suspected but keeps streaming, so it is never
+// replaced: a cut of 2τ + π between nodes 0 and 1 leaves every incarnation
+// as it was and is SUSPECT evidence both ways, with 2 and 3 nodes.
+func TestFleetPartitionIsNotACrash(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			p := startFleet(t, func(c *PlaneConfig) { c.N = n })
+			tau, pi := time.Duration(p.cfg.DetTimeout), time.Duration(p.cfg.DetPeriod)
+			if err := p.SetPartition(0, 1, true); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(2*tau + pi)
+			if err := p.SetPartition(0, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(tau)
+			s := p.Stats()
+			for i := 0; i < n; i++ {
+				if inc, ready := p.Incarnation(i); inc != 0 || !ready {
+					t.Errorf("node %d: incarnation %d ready=%v, want 0 and ready", i, inc, ready)
+				}
+			}
+			p.Shutdown()
+			if s.Restarts != 0 {
+				t.Errorf("Restarts = %d, want 0", s.Restarts)
+			}
+			var suspected [2]int
+			for _, e := range s.DetEvents {
+				if e.Name == detector.ActSuspect && e.Observer+e.Peer == 1 { // 0→1 or 1→0
+					suspected[e.Observer]++
+				}
+			}
+			if suspected[0] == 0 || suspected[1] == 0 {
+				t.Errorf("SUSPECTs 0→1 %d, 1→0 %d; want at least one each way", suspected[0], suspected[1])
+			}
+		})
+	}
+}
+
+// Only a kill that lands is a crash. With one restart allowed, node 1 is
+// replaced after the first kill and given up on after the second; a third
+// Kill finds no process, fails, and is not counted.
+func TestFleetKillCountsOnlyLandedKills(t *testing.T) {
+	p := startFleet(t, func(c *PlaneConfig) { c.MaxRestarts = 1 })
+	defer p.Shutdown()
+	if err := p.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if !p.WaitReplaced(1, 0, 15*time.Second) {
+		t.Fatal("node 1 was not replaced after the first kill")
+	}
+	if err := p.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	d := p.daemons[1]
+	if !d.await(15*time.Second, func() bool { return d.gone }) {
+		t.Fatal("node 1 was not given up on after its one restart")
+	}
+	if err := p.Kill(1); err == nil {
+		t.Error("Kill of a node given up on succeeded")
+	}
+	if got := p.Crashes(); got != 2 {
+		t.Errorf("Crashes = %d, want 2", got)
 	}
 }

@@ -30,19 +30,13 @@ type PlaneConfig struct {
 	Slack                      simtime.Duration
 	// DetPeriod and DetTimeout parameterize the node-level heartbeat
 	// detector every daemon hosts as its last register instance; zero
-	// derives them (live.Model.Detector).
+	// derives them (live.Model.Detector). The plane acts on its SUSPECTs.
 	DetPeriod, DetTimeout simtime.Duration
 
 	Seed        int64
 	NodeBin     string // pscnode binary path
 	CheckShards int
 
-	// BeatPeriod is the daemon→plane liveness cadence; BeatBudget is the
-	// allowed beat lateness. The plane's declare-dead timeout is the
-	// detector discipline applied to beats: SafeTimeoutTA(period, [0,
-	// budget]) = period + budget.
-	BeatPeriod time.Duration
-	BeatBudget time.Duration
 	// MaxRestarts bounds the replacements a node slot gets, each spawned
 	// the moment the crash is seen.
 	MaxRestarts int
@@ -65,10 +59,8 @@ type daemonState struct {
 	ready      bool
 	helloed    bool
 	byeSeen    bool
-	lastBeat   time.Time
 	beat       msgBeat
 	base       live.Measured // folded totals of dead incarnations
-	baseDrop   int64
 	baseEps    simtime.Duration
 	restarts   int
 	gone       bool // restart budget exhausted
@@ -101,6 +93,22 @@ func (d *daemonState) await(timeout time.Duration, ok func() bool) bool {
 			return false
 		}
 	}
+}
+
+// killLocked SIGKILLs the slot's current process, which funnels it into
+// onExit, and stamps the recovery's start. A slot given up on, or a process
+// already reaped, is refused. Caller holds d.mu.
+func (d *daemonState) killLocked() error {
+	if d.gone {
+		return fmt.Errorf("fleet: node %d was given up on", d.node)
+	}
+	if err := d.cmd.Process.Kill(); err != nil {
+		return fmt.Errorf("fleet: kill node %d: %w", d.node, err)
+	}
+	if d.downAt.IsZero() {
+		d.downAt = time.Now()
+	}
+	return nil
 }
 
 // Recovery is one crash's timeline, in ms from the kill: the exit seen, the
@@ -217,12 +225,6 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 	if cfg.Registers <= 0 {
 		cfg.Registers = 1
 	}
-	if cfg.BeatPeriod <= 0 {
-		cfg.BeatPeriod = 100 * time.Millisecond
-	}
-	if cfg.BeatBudget <= 0 {
-		cfg.BeatBudget = 1500 * time.Millisecond
-	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 3
 	}
@@ -275,8 +277,6 @@ func (p *Plane) Start() error {
 
 	p.wg.Add(1)
 	go p.acceptLoop()
-	p.wg.Add(1)
-	go p.beatWatch()
 
 	for i := 0; i < p.cfg.N; i++ {
 		if err := p.spawn(p.daemons[i], 0); err != nil {
@@ -304,7 +304,6 @@ func (p *Plane) spawn(d *daemonState, inc int) error {
 		"-seed", strconv.FormatInt(p.cfg.Seed, 10),
 		"-detperiod", time.Duration(p.cfg.DetPeriod).String(),
 		"-dettimeout", time.Duration(p.cfg.DetTimeout).String(),
-		"-beat", p.cfg.BeatPeriod.String(),
 	}
 	cfgArgs = append(cfgArgs, p.model.Args()...)
 	if p.cfg.Tiers != "" {
@@ -326,7 +325,6 @@ func (p *Plane) spawn(d *daemonState, inc int) error {
 	d.helloed = false
 	d.byeSeen = false
 	d.ready = false
-	d.lastBeat = time.Now()
 	d.beat = msgBeat{}
 	d.mu.Unlock()
 	p.logf("node %d incarnation %d spawned (pid %d)", d.node, inc, cmd.Process.Pid)
@@ -373,9 +371,8 @@ func (p *Plane) acceptLoop() {
 			d.ctl = ctl
 			d.nodeAddr = h.NodeAddr
 			d.helloed = true
-			d.lastBeat = time.Now()
 			if !d.downAt.IsZero() {
-				d.rec.HelloMS = ms(d.lastBeat.Sub(d.downAt))
+				d.rec.HelloMS = ms(time.Since(d.downAt))
 			}
 			pendingClient := h.ClientAddr
 			d.mu.Unlock()
@@ -397,9 +394,11 @@ func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
 		case e.Beat != nil:
 			d.mu.Lock()
 			d.beat = *e.Beat
-			d.lastBeat = time.Now()
 			d.mu.Unlock()
 		case e.Events != nil:
+			// Before the merge: a stopped daemon's frozen watermark holds it
+			// back, so the merged stream never shows the SUSPECT that frees it.
+			p.watchSuspects(e.Events.Events)
 			p.fanin.Push(d.node, e.Events.Events, e.Events.Watermark)
 		case e.Ready != nil:
 			d.mu.Lock()
@@ -420,7 +419,7 @@ func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
 		case e.Bye != nil:
 			d.mu.Lock()
 			d.byeSeen = true
-			p.foldLocked(d, e.Bye.Measured, e.Bye.Dropped)
+			p.foldLocked(d, e.Bye.Measured)
 			d.notifyLocked()
 			d.mu.Unlock()
 		}
@@ -429,7 +428,7 @@ func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
 
 // foldLocked accumulates an incarnation's final measurements into the
 // node's running totals. Caller holds d.mu.
-func (p *Plane) foldLocked(d *daemonState, m live.Measured, dropped int64) {
+func (p *Plane) foldLocked(d *daemonState, m live.Measured) {
 	d.base.DelayViolations += m.DelayViolations
 	d.base.Messages += m.Messages
 	d.base.Held += m.Held
@@ -442,7 +441,6 @@ func (p *Plane) foldLocked(d *daemonState, m live.Measured, dropped int64) {
 	if m.Eps > d.baseEps {
 		d.baseEps = m.Eps
 	}
-	d.baseDrop += dropped
 	d.beat = msgBeat{}
 }
 
@@ -463,7 +461,7 @@ func (p *Plane) onExit(d *daemonState, inc int) {
 	// Crash: fold what the beats reported before death; the ring tail
 	// that never shipped dies with the process (its ops stay open and
 	// Monitor.Finish will submit them as pending).
-	p.foldLocked(d, d.beat.Measured, d.beat.Dropped)
+	p.foldLocked(d, d.beat.Measured)
 	d.ready = false
 	d.clientAddr, d.nodeAddr = "", ""
 	if d.downAt.IsZero() {
@@ -495,39 +493,42 @@ func (p *Plane) onExit(d *daemonState, inc int) {
 	}
 }
 
-// beatWatch is the liveness backstop: a daemon whose beats stop for
-// longer than the detector-discipline timeout (SafeTimeoutTA over the
-// beat period and lateness budget) is declared dead and killed, which
-// funnels it into the regular onExit remediation. Connection EOF catches
-// a SIGKILL faster; this catches a wedged-but-connected process.
-func (p *Plane) beatWatch() {
-	defer p.wg.Done()
-	period, _ := simtime.FromWall(p.cfg.BeatPeriod)
-	budget, _ := simtime.FromWall(p.cfg.BeatBudget)
-	timeoutSim := detector.SafeTimeoutTA(period, simtime.NewInterval(0, budget))
-	timeout, err := simtime.ToWall(timeoutSim)
-	if err != nil {
-		timeout = p.cfg.BeatPeriod + p.cfg.BeatBudget
+// watchSuspects is the liveness backstop behind process exit: for each
+// SUSPECT of node i stamped At, τ later it confirms — kills i's incarnation
+// of that moment if i's own stream is still below At. A node cut off from
+// its peers keeps streaming and is left alone (DESIGN.md §5a *Liveness*).
+func (p *Plane) watchSuspects(events []wireEvent) {
+	for _, w := range events {
+		peer, ok := w.Action.Payload.(ta.NodeID)
+		if w.Action.Name != detector.ActSuspect || !ok || peer < 0 || int(peer) >= p.cfg.N {
+			continue
+		}
+		d, at := p.daemons[peer], w.At
+		d.mu.Lock()
+		inc := d.inc
+		d.mu.Unlock()
+		due := p.epoch.Add(time.Duration(at.Add(p.cfg.DetTimeout)))
+		time.AfterFunc(time.Until(due), func() { p.confirm(d, inc, at) })
 	}
-	tick := time.NewTicker(p.cfg.BeatPeriod)
-	defer tick.Stop()
-	for range tick.C {
-		p.mu.Lock()
-		down := p.shutdown
-		p.mu.Unlock()
-		if down {
-			return
-		}
-		for _, d := range p.daemons {
-			d.mu.Lock()
-			stale := d.helloed && !d.byeSeen && !d.gone && time.Since(d.lastBeat) > timeout
-			cmd := d.cmd
-			d.mu.Unlock()
-			if stale && cmd != nil && cmd.Process != nil {
-				p.logf("node %d: beats stopped for > %v; killing", d.node, timeout)
-				cmd.Process.Kill()
-			}
-		}
+}
+
+// confirm kills d's incarnation inc, suspected at at, unless its stream
+// reached at since, it is gone, replaced or said Bye, or the plane is
+// shutting down.
+func (p *Plane) confirm(d *daemonState, inc int, at simtime.Time) {
+	if p.fanin.Watermark(d.node) >= at {
+		return // still streaming: cut off, not stopped
+	}
+	p.mu.Lock()
+	down := p.shutdown
+	p.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if down || d.inc != inc || d.byeSeen {
+		return
+	}
+	if d.killLocked() == nil {
+		p.logf("node %d incarnation %d: suspected at %v and silent since; killed", d.node, inc, at)
 	}
 }
 
@@ -581,22 +582,19 @@ func (p *Plane) Incarnation(node int) (int, bool) {
 	return d.inc, d.ready
 }
 
-// Kill SIGKILLs node's current process — the crash fault.
+// Kill SIGKILLs node's current process — the crash fault. Only a kill
+// that landed counts as a crash.
 func (p *Plane) Kill(node int) error {
 	d := p.daemons[node]
 	d.mu.Lock()
-	cmd := d.cmd
-	if cmd != nil && cmd.Process != nil && d.downAt.IsZero() {
-		d.downAt = time.Now()
-	}
-	d.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return fmt.Errorf("fleet: node %d has no process", node)
+	defer d.mu.Unlock()
+	if err := d.killLocked(); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	p.crashes++
 	p.mu.Unlock()
-	return cmd.Process.Kill()
+	return nil
 }
 
 // WaitReplaced blocks until node runs an incarnation above minInc and is
@@ -663,7 +661,7 @@ func (p *Plane) Stats() FleetStats {
 		s.Held += d.base.Held + m.Held
 		s.Reconnects += d.base.Reconnects + m.Reconnects
 		s.RecorderDrops += d.base.RecorderDrops + m.RecorderDrops
-		s.Dropped += d.baseDrop + d.beat.Dropped + int64(d.base.SendDrops+m.SendDrops)
+		s.Dropped += int64(d.base.SendDrops + m.SendDrops)
 		s.TimerLate = max(s.TimerLate, d.base.TimerLate, m.TimerLate)
 		s.EpsByNode[i] = max(d.baseEps, m.Eps)
 		s.Restarts += d.restarts

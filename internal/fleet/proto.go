@@ -1,11 +1,11 @@
 // Package fleet is the multi-process runtime: a control plane that
 // provisions one OS process per node (cmd/pscnode, hosting the unmodified
-// register and detector programs on the live runtime), tracks daemon
-// liveness with the heartbeat-detector timeout discipline, restarts
-// crashed daemons and re-wires their peers, and injects orchestrated
-// faults — crash/restart, network partitions, delay spikes past d2, clock
-// steps past ε — each carrying an expected outcome (tolerated vs.
-// flagged) that the run's evidence must match.
+// register and detector programs on the live runtime), replaces a daemon
+// whose process exits or that its peers' heartbeat detectors SUSPECT while
+// its own event stream stays silent, re-wires its peers, and injects
+// orchestrated faults — crash/restart, network partitions, delay spikes
+// past d2, clock steps past ε — each carrying an expected outcome
+// (tolerated vs. flagged) that the run's evidence must match.
 //
 // Every daemon streams its recorded events back to the plane, where a
 // k-way watermark merge (FanIn) reassembles one global stream and feeds
@@ -19,6 +19,7 @@ import (
 	"encoding/gob"
 	"net"
 	"sync"
+	"time"
 
 	"psclock/internal/live"
 	"psclock/internal/simtime"
@@ -69,12 +70,14 @@ type msgHello struct {
 	ClientAddr string
 }
 
-// msgBeat is the daemon's periodic liveness proof, carrying its runtime's
-// measured bounds so far plus the fault layer's drop count.
+// msgBeat carries the daemon's runtime measurements so far to Plane.Stats
+// every beatPeriod; it is not a liveness proof.
 type msgBeat struct {
 	Measured live.Measured
-	Dropped  int64
 }
+
+// beatPeriod is the msgBeat cadence; the chaos runner waits two of them.
+const beatPeriod = 100 * time.Millisecond
 
 // msgEvents carries a batch of recorded events plus the daemon recorder's
 // flush watermark: every event in this and future batches is stamped
@@ -99,7 +102,6 @@ type msgReady struct {
 // absence at process exit is how the plane distinguishes a crash.
 type msgBye struct {
 	Measured live.Measured
-	Dropped  int64
 }
 
 // msgPeers re-announces every node's mesh address ("" = down).

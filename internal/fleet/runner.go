@@ -147,7 +147,7 @@ func (p *Plane) RunScript(script Script, loadStart time.Time, stop <-chan struct
 			if w, err := simtime.ToWall(f.Amount); err == nil {
 				settle += w
 			}
-			settle += 2 * p.cfg.BeatPeriod
+			settle += 2 * beatPeriod
 			sleep(settle)
 			post := p.Stats()
 			dv := post.DelayViolations - pre.DelayViolations
@@ -175,7 +175,7 @@ func (p *Plane) RunScript(script Script, loadStart time.Time, stop <-chan struct
 				out = append(out, o)
 				return out
 			}
-			sleep(300*time.Millisecond + 2*p.cfg.BeatPeriod)
+			sleep(300*time.Millisecond + 2*beatPeriod)
 			post := p.Stats()
 			before, after := pre.EpsByNode[f.Target], post.EpsByNode[f.Target]
 			// The step is flagged when it pushes the node's measured ε̂ past

@@ -70,9 +70,6 @@ func (t *FaultTransport) SetDelay(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Dropped returns the number of frames cut by partitions at this end.
-func (t *FaultTransport) Dropped() int64 { return t.dropped.Load() }
-
 // Start implements Transport, interposing the inbound drop filter.
 func (t *FaultTransport) Start(deliver func(Frame)) error {
 	t.deliver = deliver
@@ -130,7 +127,9 @@ func (t *FaultTransport) Close() error {
 	return err
 }
 
-// Reconnects and Drops implement Transport with the wrapped transport's
-// link counters, so the runtime's probe sees through the wrapper.
+// Reconnects implements Transport with the wrapped transport's count.
 func (t *FaultTransport) Reconnects() int64 { return t.inner.Reconnects() }
-func (t *FaultTransport) Drops() int64      { return t.inner.Drops() }
+
+// Drops implements Transport: the frames cut by partitions at this end plus
+// those the wrapped transport refused at a full queue.
+func (t *FaultTransport) Drops() int64 { return t.dropped.Load() + t.inner.Drops() }

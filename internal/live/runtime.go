@@ -92,8 +92,8 @@ type Measured struct {
 	// Reconnects counts transport link re-dials after dial/write failures
 	// (zero on transports that never reconnect).
 	Reconnects int
-	// SendDrops counts frames the transport discarded because an outbound
-	// queue was full: overload, or a peer unreachable for a long time.
+	// SendDrops counts frames the transport discarded, at a full queue or
+	// on a cut link (FaultTransport's partitions).
 	SendDrops int
 }
 

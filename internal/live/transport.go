@@ -36,8 +36,8 @@ type Transport interface {
 	Send(f Frame) error
 	Close() error
 	// Reconnects counts successful link re-dials and Drops the frames
-	// discarded at a full outbound queue; the runtime folds both into
-	// Measured.
+	// discarded, at a full outbound queue or on a cut link; the runtime
+	// folds both into Measured.
 	Reconnects() int64
 	Drops() int64
 }

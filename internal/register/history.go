@@ -1,8 +1,6 @@
 package register
 
 import (
-	"fmt"
-
 	"psclock/internal/linearize"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
@@ -14,66 +12,27 @@ import (
 // (invoke/response alternate at each node); a trace in which the
 // environment violates alternation is outside the problem's domain and is
 // reported as an error. Operations still open at the end of the trace are
-// returned as pending (Res = simtime.Never).
+// returned as pending (Res = simtime.Never), in node order.
+//
+// It is a replay of the trace through a Monitor, with the event's trace
+// position as its sequence number, so the two share one state machine and
+// one set of error messages.
 func History(tr ta.Trace) ([]linearize.Op, error) {
-	type open struct {
-		op  linearize.Op
-		set bool
-	}
-	pending := make(map[ta.NodeID]open)
-	var ops []linearize.Op
+	rec := &linearize.Recorder{}
+	m := NewMonitor()
+	m.AddChecker("history", rec)
 	for i, e := range tr {
-		a := e.Action
-		switch a.Name {
-		case ActRead, ActWrite:
-			if a.Kind == ta.KindInternal {
-				continue
-			}
-			cur := pending[a.Node]
-			if cur.set {
-				return nil, fmt.Errorf("register: event %d: %v invoked at %v while %v is outstanding (alternation condition)",
-					i, a.Name, a.Node, cur.op.Kind)
-			}
-			op := linearize.Op{Node: a.Node, Inv: e.At, Res: simtime.Never}
-			if a.Name == ActRead {
-				op.Kind = linearize.Read
-			} else {
-				op.Kind = linearize.Write
-				v, ok := a.Payload.(Value)
-				if !ok {
-					return nil, fmt.Errorf("register: event %d: WRITE payload %T is not a Value", i, a.Payload)
-				}
-				op.Value = v.String()
-			}
-			pending[a.Node] = open{op: op, set: true}
-		case ActReturn, ActAck:
-			if a.Kind == ta.KindInternal {
-				continue
-			}
-			cur := pending[a.Node]
-			if !cur.set {
-				return nil, fmt.Errorf("register: event %d: response %v at %v with no outstanding operation", i, a.Name, a.Node)
-			}
-			if a.Name == ActReturn {
-				if cur.op.Kind != linearize.Read {
-					return nil, fmt.Errorf("register: event %d: RETURN at %v answers a write", i, a.Node)
-				}
-				v, ok := a.Payload.(Value)
-				if !ok {
-					return nil, fmt.Errorf("register: event %d: RETURN payload %T is not a Value", i, a.Payload)
-				}
-				cur.op.Value = v.String()
-			} else if cur.op.Kind != linearize.Write {
-				return nil, fmt.Errorf("register: event %d: ACK at %v answers a read", i, a.Node)
-			}
-			cur.op.Res = e.At
-			ops = append(ops, cur.op)
-			pending[a.Node] = open{}
-		}
+		e.Seq = i
+		m.Observe(e) // a no-op after the first violation
 	}
-	for _, cur := range pending {
-		if cur.set {
-			ops = append(ops, cur.op)
+	if err := m.Err(); err != nil {
+		return nil, err
+	}
+	m.Finish()
+	var ops []linearize.Op
+	for _, c := range rec.Cmds {
+		if c.Kind == linearize.CmdAdd {
+			ops = append(ops, c.Op)
 		}
 	}
 	return ops, nil
