@@ -25,14 +25,20 @@ tier2:
 # The model is declared once: the checker policy a live deployment judges
 # with (state budget, ε-built window relaxation, the seq tier's automaton)
 # lives in internal/live's model and verdict files, so it must not reappear
-# in a binary, the fleet or E17; and nothing under internal/ may set
-# GOMAXPROCS for the whole process outside a test.
+# in a binary, the fleet or E17; nothing under internal/ may set
+# GOMAXPROCS for the whole process outside a test; and the simulated world
+# is built and run in one place — outside internal/core (and the frozen
+# bench/), no switch maps a model name to a builder (core.Build does) and
+# no loop runs a Net until its clients finish (Net.RunUntil does).
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
 		|| { echo "model-guard: checker policy outside internal/live (use live.Model / live.NewVerdict)"; exit 1; }
 	@! grep -rnE 'runtime\.GOMAXPROCS\( *[^0) ]' --include='*.go' --exclude='*_test.go' internal \
 		|| { echo "model-guard: process-wide GOMAXPROCS set under internal/"; exit 1; }
+	@! grep -rnE 'case +"(timed|clock|mmt)"|for[[:space:]].*Sys\.Now\(\)[[:space:]]*<' --include='*.go' --exclude='*_test.go' \
+		cmd examples internal *.go | grep -v '^internal/core/' \
+		|| { echo "model-guard: model switch or run loop outside internal/core (use core.Build / Net.RunUntil)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

@@ -20,6 +20,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -245,10 +246,17 @@ func buildReport(in reportInputs) *fleet.Report {
 	// partition drops update frames on the floor — both outside the model
 	// the registers' guarantees assume (Definition 2.3 delivers every
 	// message within [d1, d2]), so checker violations in a run with those
-	// faults are explained. Everything else must check clean.
+	// faults are explained. A broken stream contract (§6.1 alternation,
+	// invocation/response pairing) is not: no fault excuses it. Everything
+	// else must check clean.
 	explained := 0
 	if lossy {
 		explained = in.verdict.Violations
+		for _, msg := range in.verdict.Messages {
+			if strings.HasPrefix(msg, "stream contract:") {
+				explained--
+			}
+		}
 	}
 
 	rep := &fleet.Report{

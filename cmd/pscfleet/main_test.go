@@ -71,19 +71,32 @@ func TestBuildReportDocument(t *testing.T) {
 
 // TestBuildReportExplainsOnlyLossyFaults: a crash (or partition) loses
 // messages outside the delivery model, so it explains checker violations;
-// a clock step loses nothing, so the same violation fails the run.
+// a clock step loses nothing, so the same violation fails the run. A
+// broken stream contract is explained by no fault, a crash included.
 func TestBuildReportExplainsOnlyLossyFaults(t *testing.T) {
 	for _, tc := range []struct {
 		kind      fleet.FaultKind
+		message   string
 		explained int
-	}{{fleet.FaultCrash, 1}, {fleet.FaultPartition, 1}, {fleet.FaultClockStep, 0}, {fleet.FaultDelay, 0}} {
-		rep := buildReport(fabricated(t, fleet.ChaosOutcome{Kind: string(tc.kind), Match: true}))
+	}{
+		{fleet.FaultCrash, "", 1},
+		{fleet.FaultPartition, "", 1},
+		{fleet.FaultClockStep, "", 0},
+		{fleet.FaultDelay, "", 0},
+		{fleet.FaultCrash, "stream contract: node 0 invoked twice", 0},
+		{fleet.FaultPartition, "stream contract: node 0 invoked twice", 0},
+	} {
+		in := fabricated(t, fleet.ChaosOutcome{Kind: string(tc.kind), Match: true})
+		if tc.message != "" {
+			in.verdict.Messages = []string{tc.message}
+		}
+		rep := buildReport(in)
 		if rep.ExplainedViolations != tc.explained || rep.UnexplainedViolations != 1-tc.explained {
-			t.Errorf("%s: explained=%d unexplained=%d, want %d/%d", tc.kind,
+			t.Errorf("%s %q: explained=%d unexplained=%d, want %d/%d", tc.kind, tc.message,
 				rep.ExplainedViolations, rep.UnexplainedViolations, tc.explained, 1-tc.explained)
 		}
 		if rep.Pass != (tc.explained == 1) {
-			t.Errorf("%s: pass = %v", tc.kind, rep.Pass)
+			t.Errorf("%s %q: pass = %v", tc.kind, tc.message, rep.Pass)
 		}
 	}
 }

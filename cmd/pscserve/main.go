@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clockName := fs.String("clock", "jitter", "clock adversary: perfect, offset (±ε), jitter (drifting within ε)")
 	seed := fs.Int64("seed", 1, "load generator and jitter seed")
 	checkShards := fs.Int("checkshards", 0, "fan the online checks out across this many worker goroutines (<2: inline on the event consumer)")
-	approxWall := fs.Duration("approx", 0, "ε-approximate band for the gating check (0 = exact): orderings that differ only within the band are committed greedily, not searched; an OK verdict still names a concrete witness order")
 	gcPercent := fs.Int("gogc", 0, "set the GC target percentage for the run (0 = inherit GOGC): on a single core the collector's concurrent mark competes with the node loops, and its ~10ms bursts are the dominant source of frames measured past d2")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	traceFile := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -116,11 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer rtrace.Stop()
 	}
 
-	approxEps, err := simtime.FromWall(*approxWall)
-	if err != nil {
-		fmt.Fprintf(stderr, "pscserve: -approx: %v\n", err)
-		return 2
-	}
 	if err := m.Validate(); err != nil {
 		fmt.Fprintf(stderr, "pscserve: %v\n", err)
 		return 2
@@ -147,8 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tiered := *tiersFlag != ""
 	verdict := live.NewVerdict(live.VerdictConfig{
-		Model: m, Nodes: *nodes, Registers: *registers, Tiers: tiers,
-		Shards: *checkShards, ApproxEps: approxEps,
+		Model: m, Nodes: *nodes, Registers: *registers, Tiers: tiers, Shards: *checkShards,
 	})
 
 	tr, err := live.NewTCPTransport(*nodes)

@@ -94,12 +94,13 @@ func TestRunBadFlags(t *testing.T) {
 		{"-clock", "atomic"},
 		{"-tiers", "lin,seq"},
 		{"-eps", "-1ms"},
-		{"-approx", "-1ms"},
 		{"-d1", "6ms"}, // above the default d2
 		{"-c", "10ms"}, // above d'2 − 2ε
 		// Retired: the binary always serves over TCP, Θ and the ring depth
-		// come from the model, the zipf offset from the register count, and
-		// the zero-widening twin gated nothing.
+		// come from the model, the zipf offset from the register count, the
+		// zero-widening twin gated nothing, and no run set an ε-approximate
+		// band.
+		{"-approx", "1ms"},
 		{"-transport", "tcp"},
 		{"-theta", "1ms"},
 		{"-ring", "64"},

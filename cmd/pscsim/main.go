@@ -183,44 +183,23 @@ func simulate(o options) error {
 		Seed:              o.seed,
 		Clocks:            cf,
 		NewDelay:          df,
+		Ell:               o.ell,
 		NewStep:           sf,
 		FIFO:              o.fifo,
 		DisableRecvBuffer: o.noBuf,
 	}
-	var net *core.Net
-	switch o.model {
-	case "timed":
-		net = core.BuildTimed(cfg, factory)
-	case "clock":
-		net = core.BuildClocked(cfg, factory)
-	case "mmt":
-		cfg.Ell = o.ell
-		net = core.BuildMMT(cfg, factory)
-	default:
-		return fmt.Errorf("unknown model %q", o.model)
+	net, err := core.Build(o.model, cfg, factory)
+	if err != nil {
+		return err
 	}
-
-	clients := workload.Attach(net, workload.Config{
+	done := workload.AllDone(workload.Attach(net, workload.Config{
 		Ops:        o.ops,
 		Think:      simtime.NewInterval(0, 2*simtime.Millisecond),
 		WriteRatio: o.writes,
 		Seed:       o.seed + 1,
 		Stagger:    300 * simtime.Microsecond,
-	})
-	done := func() bool {
-		for _, c := range clients {
-			if c.Done != o.ops {
-				return false
-			}
-		}
-		return true
-	}
-	for net.Sys.Now() < simtime.Time(120*simtime.Second) && !done() {
-		if err := net.Sys.Run(net.Sys.Now().Add(50 * simtime.Millisecond)); err != nil {
-			return err
-		}
-	}
-	if _, err := net.Sys.RunQuiet(net.Sys.Now().Add(100 * simtime.Millisecond)); err != nil {
+	}))
+	if err := net.RunUntil(done, simtime.Time(120*simtime.Second)); err != nil {
 		return err
 	}
 	if !done() {

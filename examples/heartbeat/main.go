@@ -35,11 +35,9 @@ func runOnce(model string, timeout simtime.Duration, eps simtime.Duration,
 		p.Heartbeats = 0
 	}
 	cfg := core.Config{N: 3, Bounds: bounds, Seed: 11, Clocks: clock.SawtoothFactory(eps, 8*ms)}
-	var net *core.Net
-	if model == "timed" {
-		net = core.BuildTimed(cfg, detector.Factory(p))
-	} else {
-		net = core.BuildClocked(cfg, detector.Factory(p))
+	net, err := core.Build(model, cfg, detector.Factory(p))
+	if err != nil {
+		log.Fatal(err)
 	}
 	if crashAt > 0 {
 		if _, err := core.CrashNode(net, 2, crashAt); err != nil {

@@ -54,34 +54,19 @@ func main() {
 			Clocks: clock.DriftFactory(eps, 23),
 			Ell:    ell,
 		}
-		var net *core.Net
-		switch model {
-		case "timed":
-			net = core.BuildTimed(cfg, factory)
-		case "clock":
-			net = core.BuildClocked(cfg, factory)
-		case "mmt":
-			net = core.BuildMMT(cfg, factory)
+		net, err := core.Build(model, cfg, factory)
+		if err != nil {
+			log.Fatal(err)
 		}
-		clients := workload.Attach(net, workload.Config{
+		done := workload.AllDone(workload.Attach(net, workload.Config{
 			Ops:        25,
 			Think:      simtime.NewInterval(0, 2*ms),
 			WriteRatio: 0.4,
 			Seed:       3,
 			Stagger:    300 * us,
-		})
-		done := func() bool {
-			for _, c := range clients {
-				if c.Done != 25 {
-					return false
-				}
-			}
-			return true
-		}
-		for net.Sys.Now() < simtime.Time(30*simtime.Second) && !done() {
-			if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-				log.Fatal(err)
-			}
+		}))
+		if err := net.RunUntil(done, simtime.Time(30*simtime.Second)); err != nil {
+			log.Fatal(err)
 		}
 		if !done() {
 			log.Fatalf("%s: clients did not finish", model)

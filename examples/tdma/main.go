@@ -80,11 +80,9 @@ func runTDMA(model string, eps, guard simtime.Duration) (int, simtime.Duration) 
 	factory := func(ta.NodeID, int) core.Algorithm {
 		return &slotted{sigma: 4 * ms, guard: guard, rounds: 8}
 	}
-	var net *core.Net
-	if model == "timed" {
-		net = core.BuildTimed(cfg, factory)
-	} else {
-		net = core.BuildClocked(cfg, factory)
+	net, err := core.Build(model, cfg, factory)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if _, err := net.Sys.RunQuiet(simtime.Time(simtime.Second)); err != nil {
 		log.Fatal(err)

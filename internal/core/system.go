@@ -302,112 +302,98 @@ func edgeSeed(base int64, i, j, n int) int64 {
 	return base*1_000_003 + int64(i*n+j)*7919 + 17
 }
 
+// Build assembles the named model's system — "timed" (BuildTimed),
+// "clock" (BuildClocked) or "mmt" (BuildMMT) — from one algorithm factory,
+// which runs unchanged in each (§7.1). An unknown name is an error.
+func Build(model string, cfg Config, f AlgorithmFactory) (*Net, error) {
+	switch model {
+	case "timed", "clock", "mmt":
+		return build(model, cfg, f), nil
+	}
+	return nil, fmt.Errorf("core: unknown model %q (want timed, clock or mmt)", model)
+}
+
 // BuildTimed assembles D_T(G, A, E_[d1,d2]) (§3.3): the timed-automaton
 // model system in which the algorithm sees real time.
-func BuildTimed(cfg Config, f AlgorithmFactory) *Net {
-	cfg = cfg.withDefaults()
-	s := exec.New()
-	net := &Net{Sys: s, N: cfg.N}
-	for i := 0; i < cfg.N; i++ {
-		node := NewTimedNode(ta.NodeID(i), cfg.N, f(ta.NodeID(i), cfg.N))
-		if cfg.Topology != nil {
-			node.RestrictNeighbors(cfg.neighborsOf(i))
-		}
-		s.Add(node)
-		s.ConnectHeader(node.Matches, node)
-		net.Timed = append(net.Timed, node)
-	}
-	for i := 0; i < cfg.N; i++ {
-		for j := 0; j < cfg.N; j++ {
-			if !cfg.hasEdge(i, j) {
-				continue
-			}
-			e := channel.New(ta.NodeID(i), ta.NodeID(j), cfg.edgeBounds(i, j), cfg.NewDelay(), edgeSeed(cfg.Seed, i, j, cfg.N))
-			e.FIFO = cfg.FIFO
-			s.Add(e)
-			s.ConnectHeader(e.Matches, e)
-			net.Edges = append(net.Edges, e)
-		}
-	}
-	hideInterface(s)
-	net.applySharding(cfg)
-	return net
-}
+func BuildTimed(cfg Config, f AlgorithmFactory) *Net { return build("timed", cfg, f) }
 
 // BuildClocked assembles D_C(G, A^c_ε, E^c_[d1,d2]) (§4.1): every node is
 // the transformed composite A^c_{i,ε} (C(A_i,ε) plus send/receive buffers)
 // attached to its clock, and edges carry clock-tagged messages.
-func BuildClocked(cfg Config, f AlgorithmFactory) *Net {
-	cfg = cfg.withDefaults()
-	s := exec.New()
-	net := &Net{Sys: s, N: cfg.N}
-	for i := 0; i < cfg.N; i++ {
-		node := NewClockNode(ta.NodeID(i), cfg.N, f(ta.NodeID(i), cfg.N), cfg.Clocks(i))
-		if cfg.Topology != nil {
-			node.RestrictNeighbors(cfg.neighborsOf(i))
-		}
-		if cfg.DisableRecvBuffer {
-			node.DisableBuffering()
-		}
-		s.Add(node)
-		s.ConnectHeader(node.Matches, node)
-		net.Clocked = append(net.Clocked, node)
-	}
-	for i := 0; i < cfg.N; i++ {
-		for j := 0; j < cfg.N; j++ {
-			if !cfg.hasEdge(i, j) {
-				continue
-			}
-			e := channel.NewClock(ta.NodeID(i), ta.NodeID(j), cfg.edgeBounds(i, j), cfg.NewDelay(), edgeSeed(cfg.Seed, i, j, cfg.N))
-			e.FIFO = cfg.FIFO
-			s.Add(e)
-			s.ConnectHeader(e.Matches, e)
-			net.Edges = append(net.Edges, e)
-		}
-	}
-	hideInterface(s)
-	net.applySharding(cfg)
-	return net
-}
+func BuildClocked(cfg Config, f AlgorithmFactory) *Net { return build("clock", cfg, f) }
 
 // BuildMMT assembles D_M(G, A^m_{ε,ℓ}, E^m_[d1,d2]) (§5.2): every node is
 // M(A^c_{i,ε}, ℓ) composed with its TICK source C^m_{i,ε,ℓ}, and edges are
 // the clock-model edges.
-func BuildMMT(cfg Config, f AlgorithmFactory) *Net {
+func BuildMMT(cfg Config, f AlgorithmFactory) *Net { return build("mmt", cfg, f) }
+
+// build is the one assembly behind every builder, for a model Build
+// accepts. Component order is part of the trace (it breaks same-instant
+// ties): the nodes in id order, each MMT node followed by its tick source,
+// then one edge per existing (i, j) in row-major order.
+func build(model string, cfg Config, f AlgorithmFactory) *Net {
 	cfg = cfg.withDefaults()
-	if cfg.Ell <= 0 {
+	if model == "mmt" && cfg.Ell <= 0 {
 		panic(fmt.Sprintf("core: BuildMMT requires Ell > 0, got %v", cfg.Ell))
 	}
-	if cfg.TickPeriod > cfg.Ell {
+	if model == "mmt" && cfg.TickPeriod > cfg.Ell {
 		panic(fmt.Sprintf("core: tick period %v exceeds step bound ℓ = %v", cfg.TickPeriod, cfg.Ell))
 	}
 	s := exec.New()
 	net := &Net{Sys: s, N: cfg.N}
 	for i := 0; i < cfg.N; i++ {
-		node := NewMMTNode(ta.NodeID(i), cfg.N, f(ta.NodeID(i), cfg.N), cfg.Ell, cfg.NewStep(), cfg.Seed*31+int64(i))
+		id := ta.NodeID(i)
+		alg := f(id, cfg.N)
+		var node interface {
+			ta.Automaton
+			RestrictNeighbors([]ta.NodeID)
+			Matches(ta.Action) bool
+		}
+		var ticks *TickSource
+		switch model {
+		case "timed":
+			tn := NewTimedNode(id, cfg.N, alg)
+			net.Timed = append(net.Timed, tn)
+			node = tn
+		case "clock":
+			cn := NewClockNode(id, cfg.N, alg, cfg.Clocks(i))
+			if cfg.DisableRecvBuffer {
+				cn.DisableBuffering()
+			}
+			net.Clocked = append(net.Clocked, cn)
+			node = cn
+		case "mmt":
+			mn := NewMMTNode(id, cfg.N, alg, cfg.Ell, cfg.NewStep(), cfg.Seed*31+int64(i))
+			// The tick source's TICK(c) outputs reach the node through the
+			// node's own subscription below (TICK@node matches mn.Matches).
+			// The demand wiring runs the other way: the source asks its node
+			// which clock threshold it is blocked on, so the coalescing fast
+			// path can synthesize exactly the TICK that crosses it.
+			ticks = NewTickSource(id, cfg.Clocks(i), cfg.TickPeriod)
+			ticks.SetDemand(mn.ClockDemand)
+			net.MMT = append(net.MMT, mn)
+			net.Ticks = append(net.Ticks, ticks)
+			node = mn
+		}
 		if cfg.Topology != nil {
 			node.RestrictNeighbors(cfg.neighborsOf(i))
 		}
 		s.Add(node)
 		s.ConnectHeader(node.Matches, node)
-		net.MMT = append(net.MMT, node)
-
-		// The tick source's TICK(c) outputs reach the node through the
-		// node's own subscription above (TICK@node matches node.Matches).
-		// The demand wiring runs the other way: the source asks its node
-		// which clock threshold it is blocked on, so the coalescing fast
-		// path can synthesize exactly the TICK that crosses it.
-		ticks := NewTickSource(ta.NodeID(i), cfg.Clocks(i), cfg.TickPeriod)
-		ticks.SetDemand(node.ClockDemand)
-		s.Add(ticks)
-		net.Ticks = append(net.Ticks, ticks)
+		if ticks != nil {
+			s.Add(ticks)
+		}
+	}
+	newEdge := channel.NewClock
+	if model == "timed" {
+		newEdge = channel.New
 	}
 	for i := 0; i < cfg.N; i++ {
 		for j := 0; j < cfg.N; j++ {
 			if !cfg.hasEdge(i, j) {
 				continue
 			}
-			e := channel.NewClock(ta.NodeID(i), ta.NodeID(j), cfg.edgeBounds(i, j), cfg.NewDelay(), edgeSeed(cfg.Seed, i, j, cfg.N))
+			e := newEdge(ta.NodeID(i), ta.NodeID(j), cfg.edgeBounds(i, j), cfg.NewDelay(), edgeSeed(cfg.Seed, i, j, cfg.N))
 			e.FIFO = cfg.FIFO
 			s.Add(e)
 			s.ConnectHeader(e.Matches, e)
@@ -417,4 +403,20 @@ func BuildMMT(cfg Config, f AlgorithmFactory) *Net {
 	hideInterface(s)
 	net.applySharding(cfg)
 	return net
+}
+
+// RunUntil runs the system in 20 ms slices until done reports true or the
+// clock reaches horizon, then lets in-flight work settle for 50 ms of
+// quiet running. It is the run loop for every model: an MMT system never
+// quiesces (step opportunities recur forever), so RunQuiet alone would run
+// it to its limit. The caller checks done afterwards to tell completion
+// from the horizon.
+func (net *Net) RunUntil(done func() bool, horizon simtime.Time) error {
+	for net.Sys.Now() < horizon && !done() {
+		if err := net.Sys.Run(net.Sys.Now().Add(20 * simtime.Millisecond)); err != nil {
+			return err
+		}
+	}
+	_, err := net.Sys.RunQuiet(net.Sys.Now().Add(50 * simtime.Millisecond))
+	return err
 }

@@ -19,11 +19,9 @@ func runDetector(t *testing.T, model string, p detector.Params, cf clock.Factory
 	bounds simtime.Interval, crash ta.NodeID, crashAt simtime.Time, horizon simtime.Time) *core.Net {
 	t.Helper()
 	cfg := core.Config{N: 3, Bounds: bounds, Seed: 3, Clocks: cf}
-	var net *core.Net
-	if model == "timed" {
-		net = core.BuildTimed(cfg, detector.Factory(p))
-	} else {
-		net = core.BuildClocked(cfg, detector.Factory(p))
+	net, err := core.Build(model, cfg, detector.Factory(p))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if crashAt > 0 {
 		if _, err := core.CrashNode(net, crash, crashAt); err != nil {

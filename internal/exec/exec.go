@@ -121,7 +121,7 @@ type lane struct {
 	// lane's recorded events in canonical lane-local order, consumed from
 	// evHead by the bounded barrier merge (the settled prefix is emitted,
 	// the tail carried over); evCount counts events when nothing records
-	// them (the KeepTrace-off, no-watcher fast path); mail holds
+	// them (the KeepTrace-off, no-sink fast path); mail holds
 	// cross-shard deliveries awaiting the barrier, with mailMin tracking
 	// per destination shard the earliest instant any buffered delivery
 	// could make its destination act (the sender's published guarantee may
@@ -148,13 +148,12 @@ func (ln *lane) fail(err error) {
 // System is a composition of automata under execution. The zero value is
 // not usable; construct with New.
 type System struct {
-	comps   []ta.Automaton
-	index   map[string]int
-	subs    []subscription
-	slow    []int32 // indices of predicate-only (non-header) subscriptions
-	hidden  func(ta.Action) bool
-	watches []func(ta.Event)
-	sinks   []Sink
+	comps  []ta.Automaton
+	index  map[string]int
+	subs   []subscription
+	slow   []int32 // indices of predicate-only (non-header) subscriptions
+	hidden func(ta.Action) bool
+	sinks  []Sink
 
 	seq    int
 	inited bool
@@ -207,7 +206,7 @@ type System struct {
 	shardReason string
 
 	// KeepTrace controls whether events are recorded. Disable for
-	// throughput benchmarks; watchers still run.
+	// throughput benchmarks; sinks still observe.
 	KeepTrace bool
 	trace     ta.Trace
 }
@@ -355,13 +354,6 @@ func (s *System) Hide(match func(ta.Action) bool) {
 	}
 }
 
-// Watch registers an observer invoked for every dispatched event, hidden or
-// not, in dispatch order. Under sharded execution watchers run at round
-// barriers, still in canonical event order.
-func (s *System) Watch(fn func(ta.Event)) {
-	s.watches = append(s.watches, fn)
-}
-
 // Now returns the current simulated time.
 func (s *System) Now() simtime.Time { return s.root.now }
 
@@ -379,17 +371,17 @@ func (s *System) fail(err error) {
 }
 
 // record logs the event and notifies every consumer (retained trace,
-// watchers, sinks) via emit. On shard lanes the event is buffered with its
-// canonical merge key instead and emitted at the round barrier (shard.go);
-// the root lane records immediately.
+// sinks) via emit. On shard lanes the event is buffered with its canonical
+// merge key instead and emitted at the round barrier (shard.go); the root
+// lane records immediately.
 //
 // Sequence-number semantics, pinned: Seq counts every dispatched event,
 // recorded or not. When nothing observes events (observing() false) the
 // fast paths only advance the count, so toggling KeepTrace — or attaching
-// a sink or watcher — mid-run resumes numbering exactly where a fully
-// recorded run would be: the events recorded after a re-enable carry the
-// same Seq values they would in an always-on run, and the gap in Seq is
-// precisely the number of unobserved events. Both fast paths (the root
+// a sink — mid-run resumes numbering exactly where a fully recorded run
+// would be: the events recorded after a re-enable carry the same Seq
+// values they would in an always-on run, and the gap in Seq is precisely
+// the number of unobserved events. Both fast paths (the root
 // s.seq++ and the shard-lane evCount, folded into s.seq at the barrier
 // merge) share the observing() predicate so sinks are respected everywhere.
 func (s *System) record(ln *lane, a ta.Action, src string) {

@@ -140,23 +140,6 @@ func TestHideCompose(t *testing.T) {
 	}
 }
 
-func TestWatch(t *testing.T) {
-	s := New()
-	s.Add(&pinger{name: "pinger", period: simtime.Millisecond, left: 2})
-	var seen []string
-	s.Watch(func(e ta.Event) { seen = append(seen, e.Action.Name) })
-	s.KeepTrace = false
-	if err := s.Run(simtime.Time(5 * simtime.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Errorf("watched %v", seen)
-	}
-	if len(s.Trace()) != 0 {
-		t.Error("KeepTrace=false still recorded")
-	}
-}
-
 func TestInject(t *testing.T) {
 	s := New()
 	e := &echoer{}

@@ -589,7 +589,7 @@ func eventBefore(a, b *laneEvent) bool {
 }
 
 // mergeEvents drains the settled prefix — events strictly before bound —
-// of the lanes' buffers into the emit chain (trace, watchers, sinks) in
+// of the lanes' buffers into the emit chain (trace, sinks) in
 // canonical order, assigning global sequence numbers. Each lane's buffer
 // is already sorted by the merge key (lanes process instants, rounds, and
 // firings in ascending order), so a k-way head merge suffices; keys never

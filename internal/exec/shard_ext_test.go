@@ -22,22 +22,15 @@ import (
 	"psclock/internal/workload"
 )
 
-// buildSharded builds a register net for the model, forcing sequential
-// execution when shards < 2, and asserts after the run that the sharded
-// path actually engaged (or did not).
+// buildShardedNet builds algorithm S's register net for the model; cfg's
+// Shards below 2 means the sequential executor.
 func buildShardedNet(t *testing.T, model string, cfg core.Config, p register.Params) *core.Net {
 	t.Helper()
-	f := register.Factory(register.NewS, p)
-	switch model {
-	case "timed":
-		return core.BuildTimed(cfg, f)
-	case "clock":
-		return core.BuildClocked(cfg, f)
-	case "mmt":
-		return core.BuildMMT(cfg, f)
+	net, err := core.Build(model, cfg, register.Factory(register.NewS, p))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("unknown model %q", model)
-	return nil
+	return net
 }
 
 func checkShardState(t *testing.T, net *core.Net, wantSharded bool) {

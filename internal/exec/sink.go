@@ -38,31 +38,30 @@ import (
 //     goroutine, never concurrently, even under sharded execution.
 //
 // Sinks observe events with hiding already applied (hidden actions arrive
-// reclassified as KindInternal), exactly as watchers and the retained
-// trace do.
+// reclassified as KindInternal), exactly as the retained trace does.
 type Sink interface {
 	Observe(ta.Event)
 	Flush(bound simtime.Time)
 }
 
 // AddSink appends sink to the ordered sink chain: sinks observe every
-// event after the retained trace is appended and registered watchers ran,
-// in registration order. Sinks keep observing while KeepTrace is false —
-// disabling retention disables only retention.
+// event after the retained trace is appended, in registration order.
+// Sinks keep observing while KeepTrace is false — disabling retention
+// disables only retention.
 func (s *System) AddSink(sink Sink) {
 	s.sinks = append(s.sinks, sink)
 }
 
 // observing reports whether anything consumes recorded events: the
-// retained trace, a watcher, or a sink. When false, record takes the
-// counting fast path that only advances sequence numbers.
+// retained trace or a sink. When false, record takes the counting fast
+// path that only advances sequence numbers.
 func (s *System) observing() bool {
-	return s.KeepTrace || len(s.watches) > 0 || len(s.sinks) > 0
+	return s.KeepTrace || len(s.sinks) > 0
 }
 
 // emit commits one fully-formed event: retained trace (when KeepTrace),
-// watchers, then sinks, all in canonical event order. Both the sequential
-// record path and the sharded barrier merge funnel through here, so every
+// then sinks, all in canonical event order. Both the sequential record
+// path and the sharded barrier merge funnel through here, so every
 // consumer sees one stream.
 func (s *System) emit(e ta.Event) {
 	if s.KeepTrace {
@@ -72,9 +71,6 @@ func (s *System) emit(e ta.Event) {
 			s.trace = make(ta.Trace, 0, 4096)
 		}
 		s.trace = append(s.trace, e)
-	}
-	for _, w := range s.watches {
-		w(e)
 	}
 	for _, k := range s.sinks {
 		k.Observe(e)

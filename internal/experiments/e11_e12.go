@@ -29,34 +29,15 @@ func runObjectSpec(model string, spec object.Spec, gen object.OpGen, eps simtime
 	}
 	p := register.Params{C: 500 * us, Delta: 10 * us, D2: d2p, Epsilon: eps}
 	cfg := core.Config{N: 3, Bounds: bounds, Seed: seed, Clocks: clock.DriftFactory(eps, seed), Ell: ell}
-	factory := object.Factory(object.NewS, func() object.Spec { return spec }, p)
-	var net *core.Net
-	switch model {
-	case "timed":
-		cfg.Clocks = clock.PerfectFactory()
-		net = core.BuildTimed(cfg, factory)
-	case "clock":
-		net = core.BuildClocked(cfg, factory)
-	case "mmt":
-		net = core.BuildMMT(cfg, factory)
-	default:
-		return nil, 0, 0, fmt.Errorf("unknown model %q", model)
+	net, err := core.Build(model, cfg, object.Factory(object.NewS, func() object.Spec { return spec }, p))
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	clients := object.Attach(net, object.ClientConfig{
+	done := object.AllDone(object.Attach(net, object.ClientConfig{
 		Ops: 20, Think: simtime.NewInterval(0, 2*ms), Gen: gen, Seed: seed, Stagger: 300 * us,
-	})
-	done := func() bool {
-		for _, c := range clients {
-			if c.Done != 20 {
-				return false
-			}
-		}
-		return true
-	}
-	for net.Sys.Now() < simtime.Time(30*simtime.Second) && !done() {
-		if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-			return nil, 0, 0, err
-		}
+	}))
+	if err := net.RunUntil(done, simtime.Time(30*simtime.Second)); err != nil {
+		return nil, 0, 0, err
 	}
 	if !done() {
 		return nil, 0, 0, fmt.Errorf("%s/%s: clients did not finish", model, spec.Name())

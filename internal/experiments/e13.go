@@ -64,21 +64,11 @@ func E13Granularity() Result {
 			Ell:    ell, TickPeriod: tick,
 		}
 		net := core.BuildMMT(cfg, register.Factory(register.NewS, p))
-		clients := workload.Attach(net, workload.Config{
+		done := workload.AllDone(workload.Attach(net, workload.Config{
 			Ops: 25, Think: simtime.NewInterval(0, 2*ms), WriteRatio: 0.3, Seed: 1301, Stagger: 300 * us,
-		})
-		done := func() bool {
-			for _, c := range clients {
-				if c.Done != 25 {
-					return false
-				}
-			}
-			return true
-		}
-		for net.Sys.Now() < simtime.Time(30*simtime.Second) && !done() {
-			if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-				return e13Row{errs: []string{err.Error()}, skip: true}
-			}
+		}))
+		if err := net.RunUntil(done, simtime.Time(30*simtime.Second)); err != nil {
+			return e13Row{errs: []string{err.Error()}, skip: true}
 		}
 		if !done() {
 			return e13Row{errs: []string{fmt.Sprintf("tick=%v: clients did not finish", tick)}, skip: true}

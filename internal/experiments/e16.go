@@ -55,11 +55,9 @@ func E16RealTimeSpecs() Result {
 
 	build := func(model string) (ta.Trace, error) {
 		cfg := core.Config{N: 3, Bounds: bounds, Seed: 1600, Clocks: clock.SawtoothFactory(eps, 8*ms)}
-		var net *core.Net
-		if model == "timed" {
-			net = core.BuildTimed(cfg, register.Factory(register.NewS, p))
-		} else {
-			net = core.BuildClocked(cfg, register.Factory(register.NewS, p))
+		net, err := core.Build(model, cfg, register.Factory(register.NewS, p))
+		if err != nil {
+			return nil, err
 		}
 		clients := workload.Attach(net, workload.Config{
 			Ops: 30, Think: simtime.NewInterval(0, 2*ms), WriteRatio: 0.4, Seed: 1601, Stagger: 300 * us,

@@ -372,11 +372,9 @@ func E8MMTShift() Result {
 				Clocks: clock.DriftFactory(eps, 11),
 				Ell:    ell,
 			}
-			var net *core.Net
-			if model == "clock" {
-				net = core.BuildClocked(cfg, register.Factory(register.NewS, p))
-			} else {
-				net = core.BuildMMT(cfg, register.Factory(register.NewS, p))
+			net, err := core.Build(model, cfg, register.Factory(register.NewS, p))
+			if err != nil {
+				return nil, nil, err
 			}
 			clients := workload.AttachScripted(net, scripts)
 			if err := net.Sys.Run(simtime.Time(700 * ms)); err != nil {

@@ -131,7 +131,7 @@ const (
 
 // runSpec describes one measured register execution.
 type runSpec struct {
-	model   string // "timed" | "clock" | "mmt"
+	model   string // core.Build's model name
 	factory core.AlgorithmFactory
 	n       int
 	bounds  simtime.Interval
@@ -210,16 +210,9 @@ func run(spec runSpec) (runOut, error) {
 		DisableRecvBuffer: spec.noBuffer,
 		Shards:            spec.shards,
 	}
-	var net *core.Net
-	switch spec.model {
-	case "timed":
-		net = core.BuildTimed(cfg, spec.factory)
-	case "clock":
-		net = core.BuildClocked(cfg, spec.factory)
-	case "mmt":
-		net = core.BuildMMT(cfg, spec.factory)
-	default:
-		return runOut{}, fmt.Errorf("experiments: unknown model %q", spec.model)
+	net, err := core.Build(spec.model, cfg, spec.factory)
+	if err != nil {
+		return runOut{}, err
 	}
 	var mon *register.Monitor
 	if len(spec.stream) > 0 {
@@ -246,24 +239,7 @@ func run(spec runSpec) (runOut, error) {
 		Seed:       spec.seed + 1,
 		Stagger:    300 * us,
 	})
-	// MMT systems never quiesce (step opportunities recur forever), so run
-	// in slices and stop once every client has finished and in-flight work
-	// has had time to settle.
-	const horizon = 60 * simtime.Second
-	allDone := func() bool {
-		for _, c := range clients {
-			if c.Done != spec.ops {
-				return false
-			}
-		}
-		return true
-	}
-	for net.Sys.Now() < simtime.Time(horizon) && !allDone() {
-		if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-			return runOut{}, err
-		}
-	}
-	if _, err := net.Sys.RunQuiet(net.Sys.Now().Add(50 * ms)); err != nil {
+	if err := net.RunUntil(workload.AllDone(clients), simtime.Time(60*simtime.Second)); err != nil {
 		return runOut{}, err
 	}
 	for _, c := range clients {
@@ -273,7 +249,6 @@ func run(spec runSpec) (runOut, error) {
 	}
 	var ops []linearize.Op
 	if !spec.noRetain {
-		var err error
 		if ops, err = register.History(net.Sys.Trace().Visible()); err != nil {
 			return runOut{}, err
 		}

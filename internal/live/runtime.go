@@ -37,11 +37,10 @@ type Options struct {
 	// until d1 (enforcement of the lower bound) and counted as violations
 	// past d2 (the upper bound can only be measured). Zero means [0, ∞).
 	Bounds simtime.Interval
-	// Ell is the timer-service budget ℓ: the runtime services timers with
-	// real goroutine wakeups, so a deadline may be observed up to
-	// scheduling latency late — the live analogue of the MMT boundmap
-	// [0, ℓ]. The measured maximum lateness is reported so monitoring can
-	// check the budget held. Zero means "don't care" (report-only).
+	// Ell is the timer-service budget ℓ, the live analogue of the MMT
+	// boundmap [0, ℓ]. The runtime never reads it: it measures timer
+	// lateness (Measured.TimerLate) whatever the budget, and only
+	// Model.Envelope compares that measurement against ℓ.
 	Ell simtime.Duration
 	// Clocks supplies each node's clock model; defaults to perfect clocks.
 	// The runtime evaluates each model at the real time since its epoch.

@@ -16,9 +16,9 @@ func TestServerGoroutinesIndependentOfRegisters(t *testing.T) {
 	const nodes = 3
 	started := func(regs int) int {
 		check := leakCheck(t)
-		before := runtime.NumGoroutine()
+		before := settledGoroutines(t)
 		rt, srv := startServed(t, nodes, regs, 2*ms, nil)
-		got := runtime.NumGoroutine() - before
+		got := settledGoroutines(t) - before
 		if n := len(rt.rec.prods); n != nodes {
 			t.Errorf("%d registers: the recorder merges %d rings, want one per hosted node (%d)", regs, n, nodes)
 		}
@@ -30,6 +30,26 @@ func TestServerGoroutinesIndependentOfRegisters(t *testing.T) {
 	if one, many := started(1), started(64); one != many {
 		t.Errorf("serving 1 register started %d goroutines, serving 64 started %d", one, many)
 	}
+}
+
+// settledGoroutines reads runtime.NumGoroutine once the count has stopped
+// moving — the same value on ten consecutive reads a millisecond apart —
+// so that a goroutine still starting or exiting is not counted mid-flight.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); same < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, same = m, 0
+		} else {
+			same++
+		}
+	}
+	return n
 }
 
 // TestServerCloseWithQueuedRequests: a write that takes two seconds holds

@@ -30,8 +30,6 @@ type VerdictConfig struct {
 	// Shards runs the per-register automata on this many worker goroutines
 	// (< 2: inline on the event consumer); the verdicts are the same.
 	Shards int
-	// ApproxEps is the lin check's ε-approximate band (0: exact).
-	ApproxEps simtime.Duration
 }
 
 // verdictRing is the post-mortem event tail a failing run is reported with.
@@ -60,7 +58,6 @@ func NewVerdict(cfg VerdictConfig) *Verdict {
 		cfg.Registers = 1 // as live.New reads it
 	}
 	lin, seq := cfg.Model.LinOptions(), cfg.Model.SeqOptions()
-	lin.ApproxEps = cfg.ApproxEps
 	so := linearize.ShardedOptions{Check: lin, Shards: cfg.Shards}
 	v := &Verdict{
 		mon:  register.NewMonitor(),

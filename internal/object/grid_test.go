@@ -54,32 +54,19 @@ func TestObjectRandomizedGrid(t *testing.T) {
 				N: n, Bounds: simtime.NewInterval(d1, d2), Seed: int64(trial),
 				Clocks: clock.DriftFactory(eps, int64(trial)*3), Ell: ell,
 			}
-			factory := object.Factory(object.NewS, func() object.Spec { return sc.spec }, p)
-			var net *core.Net
-			if model == "clock" {
-				net = core.BuildClocked(cfg, factory)
-			} else {
-				net = core.BuildMMT(cfg, factory)
+			net, err := core.Build(model, cfg, object.Factory(object.NewS, func() object.Spec { return sc.spec }, p))
+			if err != nil {
+				t.Fatal(err)
 			}
-			clients := object.Attach(net, object.ClientConfig{
+			done := object.AllDone(object.Attach(net, object.ClientConfig{
 				Ops:     10,
 				Think:   simtime.NewInterval(0, 2*ms),
 				Gen:     sc.gen(0.3 + 0.4*r.Float64()),
 				Seed:    int64(trial) * 17,
 				Stagger: 200 * us,
-			})
-			done := func() bool {
-				for _, c := range clients {
-					if c.Done != 10 {
-						return false
-					}
-				}
-				return true
-			}
-			for net.Sys.Now() < simtime.Time(30*simtime.Second) && !done() {
-				if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-					t.Fatal(err)
-				}
+			}))
+			if err := net.RunUntil(done, simtime.Time(30*simtime.Second)); err != nil {
+				t.Fatal(err)
 			}
 			if !done() {
 				t.Fatalf("clients did not finish (%s/%s)", sc.spec.Name(), model)

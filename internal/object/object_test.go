@@ -31,34 +31,19 @@ func runObject(t *testing.T, model string, spec func() object.Spec, gen object.O
 	}
 	p := register.Params{C: 500 * us, Delta: 10 * us, D2: d2p, Epsilon: eps}
 	cfg := core.Config{N: 3, Bounds: bounds, Seed: seed, Clocks: cf, Ell: ell}
-	var net *core.Net
-	switch model {
-	case "timed":
-		net = core.BuildTimed(cfg, object.Factory(newAlg, spec, p))
-	case "clock":
-		net = core.BuildClocked(cfg, object.Factory(newAlg, spec, p))
-	case "mmt":
-		net = core.BuildMMT(cfg, object.Factory(newAlg, spec, p))
+	net, err := core.Build(model, cfg, object.Factory(newAlg, spec, p))
+	if err != nil {
+		t.Fatal(err)
 	}
-	clients := object.Attach(net, object.ClientConfig{
+	done := object.AllDone(object.Attach(net, object.ClientConfig{
 		Ops:     20,
 		Think:   simtime.NewInterval(0, 2*ms),
 		Gen:     gen,
 		Seed:    seed,
 		Stagger: 300 * us,
-	})
-	done := func() bool {
-		for _, c := range clients {
-			if c.Done != 20 {
-				return false
-			}
-		}
-		return true
-	}
-	for net.Sys.Now() < simtime.Time(30*simtime.Second) && !done() {
-		if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-			t.Fatal(err)
-		}
+	}))
+	if err := net.RunUntil(done, simtime.Time(30*simtime.Second)); err != nil {
+		t.Fatal(err)
 	}
 	if !done() {
 		t.Fatal("clients did not finish")

@@ -412,14 +412,9 @@ func TestAuditedSystems(t *testing.T) {
 			}
 			p := register.Params{C: 300 * us, Delta: 10 * us, D2: d2p, Epsilon: eps}
 			cfg := core.Config{N: 3, Bounds: bounds, Seed: 77, Clocks: clock.DriftFactory(eps, 5), Ell: ell}
-			var net *core.Net
-			switch model {
-			case "timed":
-				net = core.BuildTimed(cfg, register.Factory(register.NewS, p))
-			case "clock":
-				net = core.BuildClocked(cfg, register.Factory(register.NewS, p))
-			case "mmt":
-				net = core.BuildMMT(cfg, register.Factory(register.NewS, p))
+			net, err := core.Build(model, cfg, register.Factory(register.NewS, p))
+			if err != nil {
+				t.Fatal(err)
 			}
 			var audits []*ta.Auditor
 			wrap := func(a ta.Automaton) {
@@ -442,22 +437,11 @@ func TestAuditedSystems(t *testing.T) {
 			for _, e := range net.Edges {
 				wrap(e)
 			}
-			clients := workload.Attach(net, workload.Config{
+			done := workload.AllDone(workload.Attach(net, workload.Config{
 				Ops: 15, Think: simtime.NewInterval(0, 2*ms), WriteRatio: 0.4, Seed: 3, Stagger: 300 * us,
-			})
-			for net.Sys.Now() < simtime.Time(20*simtime.Second) {
-				done := true
-				for _, c := range clients {
-					if c.Done != 15 {
-						done = false
-					}
-				}
-				if done {
-					break
-				}
-				if err := net.Sys.Run(net.Sys.Now().Add(20 * ms)); err != nil {
-					t.Fatal(err)
-				}
+			}))
+			if err := net.RunUntil(done, simtime.Time(20*simtime.Second)); err != nil {
+				t.Fatal(err)
 			}
 			for _, au := range audits {
 				if err := au.Err(); err != nil {

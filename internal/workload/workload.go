@@ -80,6 +80,19 @@ func Attach(net *core.Net, cfg Config) []*Client {
 	return clients
 }
 
+// AllDone returns the completion test core.Net.RunUntil takes: true once
+// every client has completed all its operations.
+func AllDone(clients []*Client) func() bool {
+	return func() bool {
+		for _, c := range clients {
+			if c.Done != c.cfg.Ops {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // Name implements ta.Automaton.
 func (c *Client) Name() string { return c.name }
 
