@@ -228,7 +228,7 @@ type reportInputs struct {
 func buildReport(in reportInputs) *fleet.Report {
 	us := func(d simtime.Duration) float64 { return float64(d) / float64(simtime.Microsecond) }
 	// What the fleet measured, in the shape the model's envelope reads.
-	got := live.Measured{DelayViolations: in.stats.DelayViolations, TimerLate: in.stats.TimerLate}
+	got := live.Measured{DelayViolations: in.stats.DelayViolations, DelayMax: in.stats.DelayMax, TimerLate: in.stats.TimerLate}
 	for _, e := range in.stats.EpsByNode {
 		got.Eps = max(got.Eps, e)
 	}

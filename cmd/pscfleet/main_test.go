@@ -101,6 +101,18 @@ func TestBuildReportExplainsOnlyLossyFaults(t *testing.T) {
 	}
 }
 
+// TestBuildReportEnvelopeSaysByHowMuch: frames past d2 are reported with
+// the worst overrun, as pscserve reports them.
+func TestBuildReportEnvelopeSaysByHowMuch(t *testing.T) {
+	in := fabricated(t)
+	in.stats.DelayViolations = 50
+	in.stats.DelayMax = in.model.D2 + 4*simtime.Millisecond
+	rep := buildReport(in)
+	if want := "50 frames past d2=10ms by up to 4ms"; !strings.Contains(rep.Envelope, want) {
+		t.Errorf("envelope %q, want it to say %q", rep.Envelope, want)
+	}
+}
+
 // TestRunBadModelFlag: a bad model parameter is a usage error run returns,
 // not an exit from inside it.
 func TestRunBadModelFlag(t *testing.T) {

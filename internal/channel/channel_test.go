@@ -55,7 +55,7 @@ func TestEdgeDeliversWithinBounds(t *testing.T) {
 	e := New(0, 1, bounds(), UniformDelay(), 7)
 	s := exec.New()
 	s.Add(e)
-	s.Connect(e.Matches, e)
+	s.ConnectHeader(e.Matches, e)
 	for i := 0; i < 50; i++ {
 		s.Inject(send(string(rune('a' + i%26))))
 		// Send at distinct times so message bodies needn't be unique here.
@@ -101,7 +101,7 @@ func TestEdgeReordersWithSpread(t *testing.T) {
 	e := New(0, 1, bounds(), SpreadDelay(), 1)
 	s := exec.New()
 	s.Add(e)
-	s.Connect(e.Matches, e)
+	s.ConnectHeader(e.Matches, e)
 	s.Inject(send("first"))  // spread: Hi = 3ms → arrives at 3ms
 	s.Inject(send("second")) // spread: Lo = 1ms → arrives at 1ms
 	if _, err := s.RunQuiet(simtime.Time(simtime.Second)); err != nil {
@@ -121,7 +121,7 @@ func TestEdgeFIFO(t *testing.T) {
 	e.FIFO = true
 	s := exec.New()
 	s.Add(e)
-	s.Connect(e.Matches, e)
+	s.ConnectHeader(e.Matches, e)
 	s.Inject(send("first"))
 	s.Inject(send("second"))
 	if _, err := s.RunQuiet(simtime.Time(simtime.Second)); err != nil {
@@ -183,7 +183,7 @@ func TestEdgeDeterminism(t *testing.T) {
 		e := New(0, 1, bounds(), UniformDelay(), 99)
 		s := exec.New()
 		s.Add(e)
-		s.Connect(e.Matches, e)
+		s.ConnectHeader(e.Matches, e)
 		for i := 0; i < 20; i++ {
 			s.Inject(send(string(rune('a' + i))))
 			if err := s.Run(s.Now().Add(200 * simtime.Microsecond)); err != nil {
@@ -215,7 +215,7 @@ func TestEdgeProperty(t *testing.T) {
 		e.FIFO = true
 		s := exec.New()
 		s.Add(e)
-		s.Connect(e.Matches, e)
+		s.ConnectHeader(e.Matches, e)
 		for i := 0; i < cnt; i++ {
 			s.Inject(ta.Action{Name: ta.NameSendMsg, Node: 0, Peer: 1, Kind: ta.KindOutput,
 				Payload: ta.Msg{Body: i}})
@@ -244,7 +244,7 @@ func TestEdgeDrop(t *testing.T) {
 	e.Drop = func(seq int, _ *rand.Rand) bool { return seq%2 == 0 }
 	s := exec.New()
 	s.Add(e)
-	s.Connect(e.Matches, e)
+	s.ConnectHeader(e.Matches, e)
 	for i := 0; i < 6; i++ {
 		s.Inject(ta.Action{Name: ta.NameSendMsg, Node: 0, Peer: 1, Kind: ta.KindOutput,
 			Payload: ta.Msg{Body: i}})

@@ -57,7 +57,7 @@ func TestLiteralBuffersEquivalent(t *testing.T) {
 		node := core.NewClockNode(ta.NodeID(i), n, register.NewS(p), models[i])
 		node.DisableBuffering()
 		s.Add(node)
-		s.Connect(node.Matches, node)
+		s.ConnectHeader(node.Matches, node)
 		lit.Clocked = append(lit.Clocked, node)
 	}
 	for i := 0; i < n; i++ {
@@ -70,11 +70,11 @@ func TestLiteralBuffersEquivalent(t *testing.T) {
 				return a
 			})
 			s.Add(renamed)
-			s.Connect(e.Matches, renamed)
+			s.ConnectHeader(e.Matches, renamed)
 
 			rb := core.NewRecvBuffer(ta.NodeID(i), ta.NodeID(j), models[j], "XRECVMSG")
 			s.Add(rb)
-			s.Connect(rb.Matches, rb)
+			s.ConnectHeader(rb.Matches, rb)
 		}
 	}
 	s.Hide(func(a ta.Action) bool { return a.IsMessage() || a.Name == "XRECVMSG" })

@@ -236,7 +236,7 @@ func TestMMTPendingGrowsWithoutRateLimit(t *testing.T) {
 	s := exec.New()
 	s.Add(mn)
 	s.Add(NewTickSource(0, clock.Perfect(), ell))
-	s.Connect(mn.Matches, mn)
+	s.ConnectHeader(mn.Matches, mn)
 	if err := s.Run(simtime.Time(20 * ms)); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestMMTPendingGrowsWithoutRateLimit(t *testing.T) {
 	s2 := exec.New()
 	s2.Add(ok)
 	s2.Add(NewTickSource(0, clock.Perfect(), ell))
-	s2.Connect(ok.Matches, ok)
+	s2.ConnectHeader(ok.Matches, ok)
 	if err := s2.Run(simtime.Time(40 * ms)); err != nil {
 		t.Fatal(err)
 	}

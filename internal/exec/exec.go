@@ -64,14 +64,10 @@ type subscription struct {
 	// schedules — matching the linear executor, which only ever polled
 	// registered components).
 	dstIdx int32
-	// header marks match as depending only on the action's Name, Node,
-	// Peer, and Kind, making the subscription eligible for the memoized
-	// routing table.
-	header bool
 }
 
-// routeKey is the header of an action: every field a header subscription
-// may inspect. Actions sharing a key route identically.
+// routeKey is the header of an action: every field a subscription may
+// inspect. Actions sharing a key route identically.
 type routeKey struct {
 	name       string
 	node, peer ta.NodeID
@@ -151,7 +147,6 @@ type System struct {
 	comps  []ta.Automaton
 	index  map[string]int
 	subs   []subscription
-	slow   []int32 // indices of predicate-only (non-header) subscriptions
 	hidden func(ta.Action) bool
 	sinks  []Sink
 
@@ -294,52 +289,36 @@ func (s *System) Replace(name string, a ta.Automaton) {
 	}
 }
 
-// Connect routes every dispatched action matching match to dst as an input.
-// A single action may have several subscribers (broadcast actions), matching
-// the composition rule that an output is an input of every automaton whose
-// signature contains it.
+// ConnectHeader routes every dispatched action matching match to dst as an
+// input. A single action may have several subscribers (broadcast actions),
+// matching the composition rule that an output is an input of every
+// automaton whose signature contains it.
 //
-// Connect is the slow path: match may inspect the payload, so it is
-// re-evaluated for every dispatched action. Wiring whose predicate only
-// looks at the action header should use ConnectHeader (or ConnectName),
-// which dispatch resolves through a memoized routing table.
-func (s *System) Connect(match func(ta.Action) bool, dst ta.Automaton) {
-	s.addSub(match, dst, false)
-}
-
-// ConnectHeader is Connect for predicates that depend only on the action's
-// Name, Node, Peer, and Kind — never its Payload. Such subscriptions are
-// routed through a table keyed on those four fields, built lazily and
-// memoized, so the predicate runs once per distinct action header rather
-// than once per dispatched action. The contract is the caller's to keep: a
-// payload-inspecting predicate registered here will be consulted with an
+// match must depend only on the action's Name, Node, Peer, and Kind — never
+// its Payload. Subscriptions are routed through a table keyed on those four
+// fields, built lazily and memoized, so the predicate runs once per distinct
+// action header rather than once per dispatched action. The contract is the
+// caller's to keep: a payload-inspecting predicate will be consulted with an
 // arbitrary representative payload and its verdict reused. Under sharded
 // execution (SetShardsPlanned) predicates are additionally consulted from
 // concurrent lanes, so they must not read mutable state.
 func (s *System) ConnectHeader(match func(ta.Action) bool, dst ta.Automaton) {
-	s.addSub(match, dst, true)
+	idx := int32(-1)
+	if i, ok := s.index[dst.Name()]; ok && s.comps[i] == dst {
+		idx = int32(i)
+	}
+	s.subs = append(s.subs, subscription{match: match, dst: dst, dstIdx: idx})
+	// Memoized routes are stale once the wiring changes.
+	s.root.routes = nil
+	for _, ln := range s.lanes {
+		ln.routes = nil
+	}
 }
 
 // ConnectName routes every action with exactly the given name to dst,
 // via the routing table.
 func (s *System) ConnectName(name string, dst ta.Automaton) {
 	s.ConnectHeader(func(a ta.Action) bool { return a.Name == name }, dst)
-}
-
-func (s *System) addSub(match func(ta.Action) bool, dst ta.Automaton, header bool) {
-	idx := int32(-1)
-	if i, ok := s.index[dst.Name()]; ok && s.comps[i] == dst {
-		idx = int32(i)
-	}
-	s.subs = append(s.subs, subscription{match: match, dst: dst, dstIdx: idx, header: header})
-	if !header {
-		s.slow = append(s.slow, int32(len(s.subs)-1))
-	}
-	// Memoized routes are stale once the wiring changes.
-	s.root.routes = nil
-	for _, ln := range s.lanes {
-		ln.routes = nil
-	}
 }
 
 // Hide reclassifies matching actions as internal in the recorded trace,
@@ -430,11 +409,11 @@ func (ln *lane) release(buf []ta.Action) {
 	ln.scratch = append(ln.scratch, buf[:0])
 }
 
-// routeFor returns the header-subscription hit list for a's routing key,
-// computing and memoizing it on first sight. Header predicates depend only
-// on the key fields, so one representative action decides the route for
-// every action sharing its key. The memo is per-lane so concurrent shard
-// lanes never share map state.
+// routeFor returns the subscription hit list for a's routing key, computing
+// and memoizing it on first sight. Predicates depend only on the key
+// fields, so one representative action decides the route for every action
+// sharing its key. The memo is per-lane so concurrent shard lanes never
+// share map state.
 func (s *System) routeFor(ln *lane, a ta.Action) []int32 {
 	key := routeKey{name: a.Name, node: a.Node, peer: a.Peer, kind: a.Kind}
 	if hits, ok := ln.routes[key]; ok {
@@ -442,7 +421,7 @@ func (s *System) routeFor(ln *lane, a ta.Action) []int32 {
 	}
 	var hits []int32
 	for i := range s.subs {
-		if s.subs[i].header && s.subs[i].match(a) {
+		if s.subs[i].match(a) {
 			hits = append(hits, int32(i))
 		}
 	}
@@ -455,9 +434,8 @@ func (s *System) routeFor(ln *lane, a ta.Action) []int32 {
 
 // dispatch records the action and delivers it to all subscribers,
 // recursively dispatching any same-instant reactions. Subscribers are
-// visited in registration order on both the indexed and linear paths:
-// the routing table yields header-subscription indices sorted by
-// registration, merged with the predicate-only subscriptions.
+// visited in registration order on both the indexed and linear paths: the
+// routing table yields subscription indices sorted by registration.
 func (s *System) dispatch(ln *lane, a ta.Action, src string) {
 	if *ln.err != nil {
 		return
@@ -477,25 +455,8 @@ func (s *System) dispatch(ln *lane, a ta.Action, src string) {
 		}
 		return
 	}
-	fast := s.routeFor(ln, a)
-	if len(s.slow) == 0 {
-		for _, i := range fast {
-			s.deliverTo(ln, i, a, src)
-		}
-		return
-	}
-	fi, si := 0, 0
-	for fi < len(fast) || si < len(s.slow) {
-		if si >= len(s.slow) || (fi < len(fast) && fast[fi] < s.slow[si]) {
-			s.deliverTo(ln, fast[fi], a, src)
-			fi++
-			continue
-		}
-		i := s.slow[si]
-		si++
-		if s.subs[i].match(a) {
-			s.deliverTo(ln, i, a, src)
-		}
+	for _, i := range s.routeFor(ln, a) {
+		s.deliverTo(ln, i, a, src)
 	}
 }
 
@@ -565,7 +526,7 @@ func (s *System) init() {
 	s.inited = true
 	s.root.sched.grow(len(s.comps))
 	s.rebuildCoal()
-	// Late-resolved destinations: a Connect issued before its target's Add
+	// Late-resolved destinations: a subscription made before its target's Add
 	// gets its component index here, before any dispatch needs it.
 	for i := range s.subs {
 		if s.subs[i].dstIdx < 0 {

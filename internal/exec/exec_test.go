@@ -82,7 +82,7 @@ func TestSameInstantChain(t *testing.T) {
 	e := &echoer{}
 	s.Add(p)
 	s.Add(e)
-	s.Connect(named("PING"), e)
+	s.ConnectName("PING", e)
 	if err := s.Run(simtime.Time(5 * simtime.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHide(t *testing.T) {
 	e := &echoer{}
 	s.Add(p)
 	s.Add(e)
-	s.Connect(named("PING"), e)
+	s.ConnectName("PING", e)
 	s.Hide(named("PING"))
 	if err := s.Run(simtime.Time(2 * simtime.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestHideCompose(t *testing.T) {
 	e := &echoer{}
 	s.Add(p)
 	s.Add(e)
-	s.Connect(named("PING"), e)
+	s.ConnectName("PING", e)
 	s.Hide(named("PING"))
 	s.Hide(named("PONG"))
 	if err := s.Run(simtime.Time(2 * simtime.Millisecond)); err != nil {
@@ -144,7 +144,7 @@ func TestInject(t *testing.T) {
 	s := New()
 	e := &echoer{}
 	s.Add(e)
-	s.Connect(named("PING"), e)
+	s.ConnectName("PING", e)
 	s.Inject(ta.Action{Name: "PING", Node: 0, Kind: ta.KindInput, Payload: 1})
 	tr := s.Trace()
 	if len(tr) != 2 || tr[0].Action.Name != "PING" || tr[1].Action.Name != "PONG" {
@@ -197,7 +197,7 @@ func TestZeroDelayCycleDetected(t *testing.T) {
 	s := New()
 	l := looper{}
 	s.Add(l)
-	s.Connect(named("LOOP"), l)
+	s.ConnectName("LOOP", l)
 	err := s.Run(1)
 	if !errors.Is(err, ErrChain) {
 		t.Errorf("err = %v, want ErrChain", err)
@@ -246,7 +246,7 @@ func TestTraceWellFormed(t *testing.T) {
 	e := &echoer{}
 	s.Add(p)
 	s.Add(e)
-	s.Connect(named("PING"), e)
+	s.ConnectName("PING", e)
 	if err := s.Run(simtime.Time(simtime.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestReplace(t *testing.T) {
 	e := &echoer{}
 	s.Add(p)
 	s.Add(e)
-	s.Connect(named("PING"), e)
+	s.ConnectName("PING", e)
 	// Replace the echoer with a fresh one before running; the subscription
 	// must be redirected.
 	e2 := &echoer{}

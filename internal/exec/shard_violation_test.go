@@ -101,7 +101,7 @@ func buildLiarSystem(lie bool, shards int) *exec.System {
 	v := &victimTA{}
 	s.Add(l)
 	s.Add(v)
-	s.Connect(func(a ta.Action) bool { return a.Name == "POKE" }, v)
+	s.ConnectName("POKE", v)
 	if shards > 1 {
 		never := simtime.Duration(simtime.Never)
 		s.SetShardsPlanned(2, func(name string) int {

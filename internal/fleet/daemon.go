@@ -117,8 +117,6 @@ func RunDaemon(cfg DaemonConfig) error {
 	if err != nil {
 		return err
 	}
-	ft := live.NewFaultTransport(cfg.Node, mesh)
-
 	regs := cfg.Registers + 1 // +1: the heartbeat detector instance
 	rt, err := live.New(live.Options{
 		N:         cfg.N,
@@ -126,7 +124,7 @@ func RunDaemon(cfg DaemonConfig) error {
 		Bounds:    cfg.Model.Bounds(),
 		Ell:       cfg.Model.Ell,
 		Clocks:    clock.PerfectFactory(),
-		Transport: ft,
+		Transport: mesh,
 		Local:     []int{cfg.Node},
 		Epoch:     time.Unix(0, cfg.EpochUnixNano),
 		PortBase:  cfg.Incarnation * cfg.N * regs,
@@ -244,11 +242,11 @@ func RunDaemon(cfg DaemonConfig) error {
 			case e.Fault != nil:
 				f := e.Fault
 				if f.PartitionPeer >= 0 {
-					ft.SetPartition(f.PartitionPeer, f.PartitionOn)
+					mesh.SetPartition(f.PartitionPeer, f.PartitionOn)
 					logf("partition peer=%d on=%v", f.PartitionPeer, f.PartitionOn)
 				}
 				if f.SetDelay {
-					ft.SetDelay(time.Duration(f.DelayUS) * time.Microsecond)
+					mesh.SetDelay(time.Duration(f.DelayUS) * time.Microsecond)
 					logf("delay=%dus", f.DelayUS)
 				}
 				if f.SetStep {

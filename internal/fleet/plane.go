@@ -181,9 +181,11 @@ type FleetStats struct {
 	Reconnects      int
 	RecorderDrops   int
 	// Dropped counts inter-node frames that were discarded: cut by a
-	// partition at the fault layer, or refused by a full link queue.
+	// partition, or refused by a full link queue.
 	Dropped   int64
 	TimerLate simtime.Duration
+	// DelayMax is the largest frame delay any incarnation measured.
+	DelayMax  simtime.Duration
 	Restarts  int
 	Suspects  int
 	Restores  int
@@ -435,9 +437,8 @@ func (p *Plane) foldLocked(d *daemonState, m live.Measured) {
 	d.base.RecorderDrops += m.RecorderDrops
 	d.base.Reconnects += m.Reconnects
 	d.base.SendDrops += m.SendDrops
-	if m.TimerLate > d.base.TimerLate {
-		d.base.TimerLate = m.TimerLate
-	}
+	d.base.TimerLate = max(d.base.TimerLate, m.TimerLate)
+	d.base.DelayMax = max(d.base.DelayMax, m.DelayMax)
 	if m.Eps > d.baseEps {
 		d.baseEps = m.Eps
 	}
@@ -663,6 +664,7 @@ func (p *Plane) Stats() FleetStats {
 		s.RecorderDrops += d.base.RecorderDrops + m.RecorderDrops
 		s.Dropped += int64(d.base.SendDrops + m.SendDrops)
 		s.TimerLate = max(s.TimerLate, d.base.TimerLate, m.TimerLate)
+		s.DelayMax = max(s.DelayMax, d.base.DelayMax, m.DelayMax)
 		s.EpsByNode[i] = max(d.baseEps, m.Eps)
 		s.Restarts += d.restarts
 		d.mu.Unlock()

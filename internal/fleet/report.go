@@ -18,8 +18,8 @@ type Report struct {
 	DetPeriodUS  float64 `json:"det_period_us"`
 	DetTimeoutUS float64 `json:"det_timeout_us"`
 
-	// FramesDropped counts inter-node frames the fault layer discarded
-	// (partitions) plus sends that found their link's queue full.
+	// FramesDropped counts inter-node frames a partition cut plus sends
+	// that found their link's queue full.
 	FramesDropped int64 `json:"frames_dropped"`
 
 	// ChaosScript is the expanded schedule the run executed (DSL form);

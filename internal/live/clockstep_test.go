@@ -28,8 +28,15 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	eps := 200 * us
 	period := 20 * ms
 	bounds := simtime.NewInterval(0, 5*ms)
-	timeout := detector.SafeTimeoutClock(period, bounds, eps) + 2*ellBudget
-	step := 30 * ms // ≫ ε, < τ: beats survive, stamps break accuracy
+	// A healthy pair rides out a host stall shorter than the timeout's slack
+	// over the beat period, τ − π = d2 − d1 + 4ε + slack = 105.8 ms.
+	const slack = 100 * ms
+	timeout := detector.SafeTimeoutClock(period, bounds, eps) + slack
+	// The step lies in the middle of (τ − π, τ) = (105.8, 125.8) ms: past
+	// τ − π, so the stepped node's watch timers fire before the next beat
+	// (a false suspicion, restored when the beat arrives); short of τ, so
+	// beats survive.
+	step := timeout - period/2
 
 	sink := &eventSink{}
 	rt, err := New(Options{
@@ -66,9 +73,9 @@ func TestLiveDetectorClockStep(t *testing.T) {
 
 	// Past-ε step, held across several beat periods, then healed. Node 0's
 	// loop armed its next wake-up in pre-step coordinates; SetClockStep pokes
-	// it to re-read its clock now, so the watch timers are due τ − step ≈
-	// 6 ms after the last beat, 14 ms before the next, and fire before the
-	// peers' beats can re-arm them.
+	// it to re-read its clock now, so the watch timers are due τ − step =
+	// π/2 = 10 ms after the last beat, 10 ms before the next, and fire before
+	// the peers' beats can re-arm them.
 	setStep(step)
 	waitFor := func(name string, by ta.NodeID, what string) {
 		t.Helper()

@@ -54,7 +54,7 @@ func liveParams(eps, d2 simtime.Duration) (register.Params, simtime.Interval) {
 // driveRegister runs the transformed register S^c on a live runtime under
 // closed-loop clients (one per node, alternation by construction) and
 // returns the monitor and measured bounds. totalOps is split across nodes.
-func driveRegister(t *testing.T, tr Transport, cf clock.Factory, nodes, totalOps int, eps, d2 simtime.Duration) (*register.Monitor, Measured) {
+func driveRegister(t *testing.T, tr *MeshTransport, cf clock.Factory, nodes, totalOps int, eps, d2 simtime.Duration) (*register.Monitor, Measured) {
 	t.Helper()
 	p, bounds := liveParams(eps, d2)
 	if err := p.Validate(); err != nil {

@@ -54,6 +54,9 @@ import (
 // message the model never delivered on time — the online checker, not the
 // transport, judges whether the run survived.
 //
+// Only a fleet's chaos controller calls the two fault hooks, SetPartition
+// and SetDelay; idle, they cost Send two atomic loads and a delivery one.
+//
 // Frames a node sends to itself never touch the network (§6.1's broadcast
 // includes the sender): each hosted node's i→i link is drained straight into
 // the delivery callback by a goroutine of its own, so a node slow to take
@@ -75,7 +78,12 @@ type MeshTransport struct {
 	reconnects atomic.Int64
 	drops      atomic.Int64
 
-	mu       sync.Mutex
+	// The chaos hooks' state: cut[j] is set while SetPartition cuts node j
+	// off (nil until the first call), delay is SetDelay's hold.
+	cut   atomic.Pointer[[]bool]
+	delay atomic.Int64
+
+	mu       sync.Mutex            // guards accepted, and orders SetPartition's writers
 	accepted map[net.Conn]struct{} // inbound connections, closed by Close
 
 	done      chan struct{}
@@ -109,8 +117,6 @@ const (
 	meshIdlePoll   = 20 * time.Millisecond
 	meshBufSize    = 32 << 10
 )
-
-var _ Transport = (*MeshTransport)(nil)
 
 func newMesh(n int, name string) *MeshTransport {
 	return &MeshTransport{
@@ -234,16 +240,60 @@ func (t *MeshTransport) SetPeer(j int, addr string) {
 // fatal.
 func (t *MeshTransport) Reconnects() int64 { return t.reconnects.Load() }
 
-// Drops returns the number of frames discarded because their outbound
-// queue was full.
+// Drops returns the number of frames discarded: at a full outbound queue,
+// or on a link SetPartition cut. The runtime reports it as
+// Measured.SendDrops.
 func (t *MeshTransport) Drops() int64 { return t.drops.Load() }
+
+// SetPartition cuts (on=true) or heals (on=false) both directions of the
+// links between peer and every node hosted here, at this end: outbound
+// frames are dropped at Send, inbound ones before the delivery callback,
+// a node's frames to itself never. Each cut frame is counted in Drops:
+// message loss is outside the paper's model (Definition 2.3), so a
+// partition is expected to be flagged, and the count is its evidence.
+func (t *MeshTransport) SetPartition(peer int, on bool) {
+	if peer < 0 || peer >= t.n {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cut := make([]bool, t.n)
+	if old := t.cut.Load(); old != nil {
+		copy(cut, *old)
+	}
+	cut[peer] = on
+	t.cut.Store(&cut)
+}
+
+// SetDelay holds every frame to another node d before it joins its link's
+// queue (zero heals): a delay spike. The runtime measures delay from the
+// send, so a spike past d2 lands in Measured.DelayViolations. A frame whose
+// link is cut when its hold ends is dropped and counted.
+func (t *MeshTransport) SetDelay(d time.Duration) { t.delay.Store(int64(d)) }
+
+// severed reports whether a partition cuts f's link, counting f as dropped
+// if so. f.From may come off a socket, so it is not trusted to be a node.
+func (t *MeshTransport) severed(f Frame) bool {
+	c := t.cut.Load()
+	if c == nil || f.From == f.To {
+		return false
+	}
+	cut := *c
+	if (uint(f.From) < uint(len(cut)) && cut[f.From]) || (uint(f.To) < uint(len(cut)) && cut[f.To]) {
+		t.drops.Add(1)
+		return true
+	}
+	return false
+}
 
 // Name describes the deployment for reports.
 func (t *MeshTransport) Name() string { return t.name }
 
-// Start implements Transport: begin accepting, connect every link whose
-// address is already known, and launch the writers and the direct-delivery
-// loops.
+// Start installs the delivery callback, begins accepting, connects every
+// link whose address is already known, and launches the writers and the
+// direct-delivery loops. The callback must be safe for concurrent use and
+// must not block indefinitely (the runtime's per-node inboxes are deep, and
+// closed-loop workloads bound the frames in flight).
 func (t *MeshTransport) Start(deliver func(Frame)) error {
 	t.deliver = deliver
 
@@ -273,24 +323,44 @@ func (t *MeshTransport) Start(deliver func(Frame)) error {
 	return nil
 }
 
-// Send implements Transport: enqueue the frame on its link. A full queue
-// drops the frame and counts it.
+// Send enqueues the frame on its link; it may be called concurrently from
+// every node after Start. A full queue drops the frame and counts it, as
+// does a cut link. Under SetDelay a frame to another node joins its queue
+// only when its hold ends.
 func (t *MeshTransport) Send(f Frame) error {
 	from, to := int(f.From), int(f.To)
 	if !t.hosts(from) || to < 0 || to >= t.n {
 		return fmt.Errorf("live: send on unknown pair %v→%v", f.From, f.To)
 	}
-	select {
-	case t.links[from*t.n+to].ch <- f:
-	default:
-		t.drops.Add(1)
+	if t.severed(f) {
+		return nil
 	}
+	if d := time.Duration(t.delay.Load()); d > 0 && from != to {
+		t.wg.Add(1)
+		time.AfterFunc(d, func() {
+			defer t.wg.Done()
+			if !t.closing() && !t.severed(f) {
+				t.enqueue(f)
+			}
+		})
+		return nil
+	}
+	t.enqueue(f)
 	return nil
 }
 
-// Close implements Transport. It returns once every goroutine has exited,
-// whatever the peers do: inbound connections are closed here, not waited
-// on.
+// enqueue puts f on its link's queue; a full queue drops it and counts it.
+func (t *MeshTransport) enqueue(f Frame) {
+	select {
+	case t.links[int(f.From)*t.n+int(f.To)].ch <- f:
+	default:
+		t.drops.Add(1)
+	}
+}
+
+// Close stops delivery and releases every resource. It returns once every
+// goroutine and every frame SetDelay holds has finished, whatever the peers
+// do: inbound connections are closed here, not waited on.
 func (t *MeshTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.done)
@@ -377,7 +447,7 @@ func (t *MeshTransport) readLoop(conn net.Conn) {
 		if err := dec.Decode(&f); err != nil || t.closing() {
 			return
 		}
-		if t.hosts(int(f.To)) {
+		if t.hosts(int(f.To)) && !t.severed(f) {
 			t.deliver(f)
 		}
 	}
@@ -390,7 +460,9 @@ func (t *MeshTransport) directLoop(l *meshLink) {
 	for {
 		select {
 		case f := <-l.ch:
-			t.deliver(f)
+			if !t.severed(f) {
+				t.deliver(f)
+			}
 		case <-t.done:
 			return
 		}

@@ -76,12 +76,12 @@ func wantSeq(t *testing.T, what string, got []int, from, n int) {
 	}
 }
 
-// meshDeployment is three nodes on the one transport type, deployed one of
-// its three ways.
+// meshDeployment is n nodes on the one transport type, deployed one of its
+// three ways.
 type meshDeployment struct {
-	endpoints []*MeshTransport  // distinct transports
-	of        [3]*MeshTransport // node → the transport hosting it
-	logs      [3]*frameLog
+	endpoints []*MeshTransport // distinct transports
+	of        []*MeshTransport // node → the transport hosting it
+	logs      []*frameLog
 	sockets   bool // links between distinct nodes are TCP connections
 }
 
@@ -93,7 +93,7 @@ func (d *meshDeployment) close(t *testing.T) {
 }
 
 // closeWithin requires Close to join every goroutine in time.
-func closeWithin(t *testing.T, tr Transport, limit time.Duration) {
+func closeWithin(t *testing.T, tr *MeshTransport, limit time.Duration) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -107,29 +107,30 @@ func closeWithin(t *testing.T, tr Transport, limit time.Duration) {
 	}
 }
 
-func deployInProcess(t *testing.T) *meshDeployment {
+func deployInProcess(t *testing.T, n int) *meshDeployment {
 	t.Helper()
-	tr, err := NewTCPTransport(3)
+	tr, err := NewTCPTransport(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Name() != "tcp" {
 		t.Fatalf("in-process TCP transport is named %q; reports treat the name as configuration, want tcp", tr.Name())
 	}
-	return deployOne(t, tr)
+	return deployOne(t, tr, n)
 }
 
-func deployLocal(t *testing.T) *meshDeployment {
+func deployLocal(t *testing.T, n int) *meshDeployment {
 	t.Helper()
-	return deployOne(t, NewLocalTransport(3))
+	return deployOne(t, NewLocalTransport(n), n)
 }
 
-// deployOne starts a transport that hosts all three nodes.
-func deployOne(t *testing.T, tr *MeshTransport) *meshDeployment {
+// deployOne starts a transport that hosts all n nodes.
+func deployOne(t *testing.T, tr *MeshTransport, n int) *meshDeployment {
 	t.Helper()
-	d := &meshDeployment{endpoints: []*MeshTransport{tr}, of: [3]*MeshTransport{tr, tr, tr}}
-	for i := range d.logs {
-		d.logs[i] = newFrameLog()
+	d := &meshDeployment{endpoints: []*MeshTransport{tr}}
+	for i := 0; i < n; i++ {
+		d.of = append(d.of, tr)
+		d.logs = append(d.logs, newFrameLog())
 	}
 	if err := tr.Start(func(f Frame) { d.logs[f.To].deliver(f) }); err != nil {
 		t.Fatal(err)
@@ -137,18 +138,19 @@ func deployOne(t *testing.T, tr *MeshTransport) *meshDeployment {
 	return d
 }
 
-func deployEndpoints(t *testing.T) *meshDeployment {
+func deployEndpoints(t *testing.T, n int) *meshDeployment {
 	t.Helper()
 	d := &meshDeployment{}
-	for i := 0; i < 3; i++ {
-		tr, err := NewMeshTransport(i, 3, "")
+	for i := 0; i < n; i++ {
+		tr, err := NewMeshTransport(i, n, "")
 		if err != nil {
 			t.Fatal(err)
 		}
+		log := newFrameLog()
 		d.endpoints = append(d.endpoints, tr)
-		d.of[i] = tr
-		d.logs[i] = newFrameLog()
-		if err := tr.Start(d.logs[i].deliver); err != nil {
+		d.of = append(d.of, tr)
+		d.logs = append(d.logs, log)
+		if err := tr.Start(log.deliver); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +188,7 @@ func TestMeshTransport(t *testing.T) {
 	deployments := []struct {
 		name    string
 		sockets bool
-		deploy  func(*testing.T) *meshDeployment
+		deploy  func(*testing.T, int) *meshDeployment
 	}{
 		{"in-process", true, deployInProcess},
 		{"endpoints", true, deployEndpoints},
@@ -398,12 +400,103 @@ func TestMeshTransport(t *testing.T) {
 				continue
 			}
 			t.Run(dep.name+"/"+c.name, func(t *testing.T) {
-				d := dep.deploy(t)
+				d := dep.deploy(t, 3)
 				d.sockets = dep.sockets
 				defer d.close(t)
 				c.run(t, d)
 			})
 		}
+	}
+}
+
+// TestMeshTransportFaults pins the two chaos hooks on node 0's transport,
+// in the two deployments they serve: both nodes on one socket-free
+// transport, and two single-node endpoints over loopback TCP wired by
+// SetPeer, where a frame from the cut peer is dropped by the reading end. A
+// cut drops both directions and counts every frame it drops in Drops (which
+// is how a partition reaches Measured.SendDrops), self frames pass, a heal
+// restores delivery, a delay holds only frames to a peer, by at least the
+// delay, and a frame still held when a cut begins is dropped, not
+// delivered.
+func TestMeshTransportFaults(t *testing.T) {
+	for _, dep := range []struct {
+		name   string
+		deploy func(*testing.T, int) *meshDeployment
+	}{
+		{"local", deployLocal},
+		{"endpoints", deployEndpoints},
+	} {
+		t.Run(dep.name, func(t *testing.T) {
+			d := dep.deploy(t, 2)
+			defer d.close(t)
+			tr := d.of[0]
+			drops := func(want int64) {
+				t.Helper()
+				// Frames are dropped at the far end of a socket, or when a
+				// held one's timer fires: after Send returned.
+				for deadline := time.Now().Add(10 * time.Second); tr.Drops() < want && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				if got := tr.Drops(); got != want {
+					t.Fatalf("Drops = %d, want %d", got, want)
+				}
+			}
+
+			// One frame each way first: over TCP each link's connection
+			// opens with a linkUp, which a cut would drop too.
+			d.send(t, 0, 1, 0)
+			d.send(t, 1, 0, 0)
+			d.logs[1].waitFor(t, 1, fromNode(0))
+			d.logs[0].waitFor(t, 1, fromNode(1))
+
+			const k = 20
+			tr.SetPartition(1, true)
+			for i := 1; i <= k; i++ {
+				d.send(t, 0, 1, i)
+				d.send(t, 1, 0, i)
+				d.send(t, 0, 0, i)
+				d.send(t, 1, 1, i)
+			}
+			wantSeq(t, "0's self frames across a cut", d.logs[0].waitFor(t, k, fromNode(0)), 1, k)
+			wantSeq(t, "1's self frames across a cut", d.logs[1].waitFor(t, k, fromNode(1)), 1, k)
+			drops(2 * k)
+
+			tr.SetPartition(1, false)
+			for i := k + 1; i <= 2*k; i++ {
+				d.send(t, 0, 1, i)
+				d.send(t, 1, 0, i)
+			}
+			// The warm-up frame, then the heal's: nothing sent across the cut.
+			wantSeq(t, "0→1 after the heal", d.logs[1].waitFor(t, k+1, fromNode(0))[1:], k+1, k)
+			wantSeq(t, "1→0 after the heal", d.logs[0].waitFor(t, k+1, fromNode(1))[1:], k+1, k)
+			drops(2 * k)
+
+			const delay = 100 * time.Millisecond
+			tr.SetDelay(delay)
+			sent := time.Now()
+			d.send(t, 0, 1, 2*k+1)
+			d.send(t, 0, 0, k+1)
+			d.logs[0].waitFor(t, k+1, fromNode(0))
+			if took := time.Since(sent); took >= delay {
+				t.Errorf("a self frame took %v under a %v peer delay", took, delay)
+			}
+			d.logs[1].waitFor(t, k+2, fromNode(0))
+			if took := time.Since(sent); took < delay {
+				t.Errorf("a peer frame took %v under a %v delay", took, delay)
+			}
+
+			// Held when the cut begins: dropped when the hold ends.
+			d.send(t, 0, 1, 2*k+2)
+			tr.SetPartition(1, true)
+			drops(2*k + 1)
+			tr.SetPartition(1, false)
+			tr.SetDelay(0)
+			d.send(t, 0, 1, 2*k+3)
+			got := d.logs[1].waitFor(t, k+3, fromNode(0))
+			if last := got[len(got)-1]; len(got) != k+3 || last != 2*k+3 {
+				t.Fatalf("0→1 after the held frame's cut: %v, want it to end with %d alone", got, 2*k+3)
+			}
+		})
 	}
 }
 

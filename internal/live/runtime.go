@@ -46,12 +46,12 @@ type Options struct {
 	// The runtime evaluates each model at the real time since its epoch.
 	Clocks clock.Factory
 	// Transport moves frames; defaults to the in-process NewLocalTransport.
-	Transport Transport
+	Transport *MeshTransport
 
 	// Local lists the node IDs this process hosts; nil hosts all N (the
 	// single-process runtimes of pscserve). A fleet daemon hosts exactly
-	// one: frames for remote nodes cross its Transport (a MeshTransport),
-	// and inbound frames for nodes it does not host are dropped.
+	// one: frames for remote nodes cross its Transport, and inbound frames
+	// for nodes it does not host are dropped.
 	Local []int
 	// Epoch anchors simulated Zero. Zero-valued means "now at Start" (the
 	// single-process default); a fleet passes one shared instant to every
@@ -92,7 +92,7 @@ type Measured struct {
 	// (zero on transports that never reconnect).
 	Reconnects int
 	// SendDrops counts frames the transport discarded, at a full queue or
-	// on a cut link (FaultTransport's partitions).
+	// on a link MeshTransport.SetPartition cut.
 	SendDrops int
 }
 
@@ -115,7 +115,7 @@ type Runtime struct {
 	epoch     time.Time
 	rec       *recorder
 	nodes     []*node
-	transport Transport
+	transport *MeshTransport
 	stop      chan struct{}
 	wg        sync.WaitGroup
 

@@ -22,22 +22,3 @@ type Frame struct {
 	SentReal  simtime.Time
 	Body      any
 }
-
-// Transport moves frames between nodes. Start installs the delivery
-// callback and begins accepting; Send may be called concurrently from
-// every node goroutine after Start; Close stops delivery and releases
-// resources. The delivery callback must be safe for concurrent use and
-// must not block indefinitely (the runtime's per-node inboxes are deep,
-// and closed-loop workloads bound the frames in flight). It is an
-// interface for one reason: a runtime holds either a MeshTransport or the
-// FaultTransport wrapping one.
-type Transport interface {
-	Start(deliver func(Frame)) error
-	Send(f Frame) error
-	Close() error
-	// Reconnects counts successful link re-dials and Drops the frames
-	// discarded, at a full outbound queue or on a cut link; the runtime
-	// folds both into Measured.
-	Reconnects() int64
-	Drops() int64
-}

@@ -1,7 +1,7 @@
 package live
 
 import (
-	"errors"
+	"net"
 	"os"
 	"runtime"
 	"testing"
@@ -63,23 +63,31 @@ func TestWakeSourceStartStopCycles(t *testing.T) {
 	check()
 }
 
-// failingTransport refuses to start.
-type failingTransport struct{ Transport }
-
-func (failingTransport) Start(func(Frame)) error { return errors.New("no route") }
-
-// TestStartUnwinds: a Start that fails at the transport must release the
-// recorder's consumer and the nodes' wake sources it had already built,
-// and leave Stop a safe no-op.
+// TestStartUnwinds: a Start that fails at the transport — its one peer's
+// address refuses connections, so the dial Start makes fails — must release
+// the recorder's consumer, the transport's listener and whatever else it
+// had already built, and leave Stop a safe no-op.
 func TestStartUnwinds(t *testing.T) {
 	check := leakCheck(t)
 	for i := 0; i < 20; i++ {
-		rt, err := New(Options{N: 3, Transport: failingTransport{NewLocalTransport(3)}}, beating)
+		// The mesh listens first, so that the port the dead listener frees
+		// cannot be handed straight back to it.
+		mesh, err := NewMeshTransport(0, 2, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead.Close()
+		mesh.SetPeer(1, dead.Addr().String())
+		rt, err := New(Options{N: 2, Transport: mesh, Local: []int{0}}, beating)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := rt.Start(); err == nil {
-			t.Fatal("Start succeeded on a transport that refuses to start")
+			t.Fatal("Start succeeded on a transport whose peer refuses connections")
 		}
 		if err := rt.Invoke(0, "x", nil); err == nil {
 			t.Error("Invoke accepted by a runtime whose Start failed")
