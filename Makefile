@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
+.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard lines bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
 
 all: tier1
 
@@ -66,6 +66,22 @@ doc-guard:
 	done
 	@! grep -nE -e '-shard[s]weep|Throughput[C]ell|make (bench|microbench)([^-a-z]|$$)|(^|[^_a-z])bench_test\.go' $(DOCS) \
 		|| { echo "doc-guard: the docs cite a retired measuring path (see the lines above)"; exit 1; }
+
+# Size ledger (CHANGES.md, ROADMAP's size row): code, comment and blank
+# lines of the non-test Go outside bench/ and .bench_build/, per package
+# directory and in total. An empty line is blank, a line whose first
+# non-blank characters are // is a comment, every other line is code.
+# Informational: nothing gates on it.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+	| xargs -0 awk ' \
+		{ d = FILENAME; sub(/^\.\//, "", d); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		  k = $$0 == "" ? "blank" : $$0 ~ /^[ \t]*\/\// ? "comment" : "code"; \
+		  n[d, k]++; n["total", k]++; dirs[d] = 1 } \
+		function row(d) { return sprintf("%-24s %6d %6d %8d %6d", d, \
+		  n[d, "code"] + n[d, "comment"] + n[d, "blank"], n[d, "code"], n[d, "comment"], n[d, "blank"]) } \
+		END { printf "%-24s %6s %6s %8s %6s\n", "package", "lines", "code", "comment", "blank"; \
+		  for (d in dirs) print row(d) | "sort"; close("sort"); print row("total") }'
 
 # The benchmark harness in bench/ is a module of its own, so `go build
 # ./...` and `go test ./...` at the root do not compile it: this target

@@ -227,11 +227,6 @@ type reportInputs struct {
 
 func buildReport(in reportInputs) *fleet.Report {
 	us := func(d simtime.Duration) float64 { return float64(d) / float64(simtime.Microsecond) }
-	// What the fleet measured, in the shape the model's envelope reads.
-	got := live.Measured{DelayViolations: in.stats.DelayViolations, DelayMax: in.stats.DelayMax, TimerLate: in.stats.TimerLate}
-	for _, e := range in.stats.EpsByNode {
-		got.Eps = max(got.Eps, e)
-	}
 	mismatches := 0
 	lossy := false
 	for _, o := range in.outcomes {
@@ -270,10 +265,10 @@ func buildReport(in reportInputs) *fleet.Report {
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 
 			EpsConfigUS:   us(in.model.Eps),
-			EpsMeasuredUS: us(got.Eps),
+			EpsMeasuredUS: us(in.stats.Eps),
 			D1ConfigUS:    us(in.model.D1),
 			D2ConfigUS:    us(in.model.D2),
-			Envelope:      in.model.Envelope(got),
+			Envelope:      in.model.Envelope(in.stats.Measured),
 
 			Messages:        in.stats.Messages,
 			Held:            in.stats.Held,
@@ -287,7 +282,7 @@ func buildReport(in reportInputs) *fleet.Report {
 		},
 		DetPeriodUS:   us(in.stats.DetPeriod),
 		DetTimeoutUS:  us(in.stats.DetTimeout),
-		FramesDropped: in.stats.Dropped,
+		FramesDropped: int64(in.stats.SendDrops),
 
 		ChaosScript:     in.script.String(),
 		Chaos:           in.outcomes,

@@ -73,9 +73,8 @@ func (s *System) rebuildCoal() {
 
 // coalesce fast-forwards the lane's coalescable components past their
 // unobservable deadlines up to the next observable event, bounded by bound
-// (the current Run/RunQuiet window, the sharded round window, or
-// simtime.Never for Step). On the dense and linear oracle paths it does
-// nothing.
+// (the current Run/RunQuiet window or the sharded round window). On the
+// dense and linear oracle paths it does nothing.
 //
 // Under sharded execution the bound is additionally capped at the round
 // window W: mail from other shards lands at the barrier with deadlines at

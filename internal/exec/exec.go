@@ -180,17 +180,15 @@ type System struct {
 
 	// Sharded-mode state; see shard.go. shardCfg is the requested
 	// configuration; lanes/compShard/laMat the active partition once
-	// initShards accepts it, with laMat the per-lane-pair lookahead matrix
-	// and minLA its minimum off-diagonal entry; gmat is the flattened
-	// atomic guarantee matrix G[j][k] (no effect from lane j reaches lane
-	// k before G[j][k]); subDelay is each subscription's minimum effect
-	// delay, used to bound buffered mail; shardReason records why a
-	// requested partition was not activated.
+	// initShards accepts it, with laMat the per-lane-pair lookahead matrix;
+	// gmat is the flattened atomic guarantee matrix G[j][k] (no effect from
+	// lane j reaches lane k before G[j][k]); subDelay is each
+	// subscription's minimum effect delay, used to bound buffered mail;
+	// shardReason records why a requested partition was not activated.
 	shardCfg    *shardConfig
 	lanes       []*lane
 	compShard   []int32
 	laMat       [][]simtime.Duration
-	minLA       simtime.Duration
 	gmat        []atomic.Int64
 	subDelay    []simtime.Duration
 	hScratch    []simtime.Time
@@ -582,7 +580,7 @@ func (s *System) nextDue(ln *lane) (simtime.Time, bool) {
 	next, found := ln.sched.peek()
 	// Rare: a late Add or Replace can park an already-due component in the
 	// dueNow heap outside a fireDue sweep; the next sweep fires it, but
-	// nextDue must still report it so Run/Step know there is work at or
+	// nextDue must still report it so the drivers know there is work at or
 	// before now. Empty in steady state, so this loop normally costs nothing.
 	for _, idx := range ln.sched.dueNow {
 		if due, ok := s.comps[idx].Due(ln.now); ok && (!found || due.Before(next)) {
@@ -590,32 +588,6 @@ func (s *System) nextDue(ln *lane) (simtime.Time, bool) {
 		}
 	}
 	return next, found
-}
-
-// Step advances to the next deadline and processes it. It returns false
-// when no further deadline exists or an error occurred. On the coalesced
-// path the next deadline is the next *observable* one: unobservable tick
-// and idle-step deadlines before it are fast-forwarded, not stepped.
-func (s *System) Step() bool {
-	s.init()
-	if s.err != nil {
-		return false
-	}
-	if s.shardOn {
-		return s.stepSharded()
-	}
-	ln := &s.root
-	s.coalesce(ln, simtime.Never)
-	next, ok := s.nextDueAny(ln)
-	if !ok {
-		return false
-	}
-	if next.After(ln.now) {
-		ln.now = next // the ν time-passage step
-	}
-	s.fireDue(ln)
-	s.flushSinks(ln.now)
-	return s.err == nil
 }
 
 // nextDueAny dispatches between the linear and indexed next-deadline scans
@@ -627,34 +599,51 @@ func (s *System) nextDueAny(ln *lane) (simtime.Time, bool) {
 	return s.nextDue(ln)
 }
 
-// Run executes every event with time ≤ until, then advances now to until.
-// It returns the first execution error.
-func (s *System) Run(until simtime.Time) error {
-	s.init()
-	if s.shardOn {
-		return s.runSharded(until)
-	}
+// drive is the sequential executor: the ν time-passage step to each next
+// deadline at or before bound, then the actions enabled there, until none
+// remains in the window. It reports whether no deadline remains at all.
+// Coalescing is bounded by the window: at return the skipped components'
+// schedules sit exactly where the dense path would leave them at bound, so
+// callers may inject actions next.
+func (s *System) drive(bound simtime.Time) (quiet bool) {
 	ln := &s.root
 	for s.err == nil {
-		// Coalescing is bounded by the run window: at return the skipped
-		// components' schedules sit exactly where the dense path would
-		// leave them at `until`, so callers may inject actions next.
-		s.coalesce(ln, until)
+		s.coalesce(ln, bound)
 		next, ok := s.nextDueAny(ln)
-		if !ok || next.After(until) {
-			break
+		if !ok {
+			return true
+		}
+		if next.After(bound) {
+			return false
 		}
 		if next.After(ln.now) {
 			ln.now = next
 		}
 		s.fireDue(ln)
 	}
-	if s.err == nil && until.After(ln.now) {
-		ln.now = until
+	return false
+}
+
+// Run executes every event with time ≤ until, then advances now to until.
+// It returns the first execution error.
+func (s *System) Run(until simtime.Time) error {
+	s.init()
+	if s.shardOn {
+		if s.driveSharded(until); s.err != nil {
+			return s.err
+		}
+	} else {
+		s.drive(until)
 	}
-	// Low-watermark: every event strictly before ln.now has been emitted;
-	// a subsequent Inject or Run can still produce events at ln.now itself.
-	s.flushSinks(ln.now)
+	if s.err == nil && until.After(s.root.now) {
+		s.root.now = until
+	}
+	for _, ln := range s.lanes { // none unless sharded
+		ln.now = max(ln.now, s.root.now)
+	}
+	// Low-watermark: every event strictly before now has been emitted; a
+	// subsequent Inject or Run can still produce events at now itself.
+	s.flushSinks(s.root.now)
 	return s.err
 }
 
@@ -663,24 +652,12 @@ func (s *System) Run(until simtime.Time) error {
 func (s *System) RunQuiet(limit simtime.Time) (bool, error) {
 	s.init()
 	if s.shardOn {
-		return s.runQuietSharded(limit)
+		quiet := s.driveSharded(limit)
+		return quiet, s.err
 	}
-	ln := &s.root
-	for s.err == nil {
-		s.coalesce(ln, limit)
-		next, ok := s.nextDueAny(ln)
-		if !ok {
-			s.flushSinks(ln.now)
-			return true, nil
-		}
-		if next.After(limit) {
-			s.flushSinks(ln.now)
-			return false, nil
-		}
-		if next.After(ln.now) {
-			ln.now = next
-		}
-		s.fireDue(ln)
+	quiet := s.drive(limit)
+	if s.err == nil {
+		s.flushSinks(s.root.now)
 	}
-	return false, s.err
+	return quiet, s.err
 }

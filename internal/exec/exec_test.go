@@ -223,23 +223,6 @@ func TestRunQuiet(t *testing.T) {
 	}
 }
 
-func TestStepAdvances(t *testing.T) {
-	s := New()
-	s.Add(&pinger{name: "p", period: simtime.Millisecond, left: 2})
-	if !s.Step() {
-		t.Fatal("first Step returned false")
-	}
-	if s.Now() != simtime.Time(simtime.Millisecond) {
-		t.Errorf("Now = %v", s.Now())
-	}
-	if !s.Step() {
-		t.Fatal("second Step returned false")
-	}
-	if s.Step() {
-		t.Error("third Step should report exhaustion")
-	}
-}
-
 func TestTraceWellFormed(t *testing.T) {
 	s := New()
 	p := &pinger{name: "pinger", period: simtime.Millisecond, left: 5}

@@ -15,8 +15,8 @@ import (
 // on the root lane: it predates both coalescing and sharding, and both
 // fast paths disable themselves under it. Event recording flows through
 // the same dispatch → record → emit chain as the indexed path, so sinks
-// (sink.go) observe the identical stream here, and the shared Run/RunQuiet/
-// Step drivers advance their low-watermark on this path too.
+// (sink.go) observe the identical stream here, and the shared Run/RunQuiet
+// driver advances its low-watermark on this path too.
 
 // fireDueLinear fires every component whose deadline has been reached,
 // repeating full index-ordered sweeps until the instant is quiescent.

@@ -193,7 +193,6 @@ func (s *System) initShards() {
 		s.shardReason = "malformed lookahead matrix"
 		return
 	}
-	minLA := simtime.Duration(simtime.Never)
 	for j := 0; j < n; j++ {
 		if len(cfg.la[j]) != n {
 			s.shardReason = "malformed lookahead matrix"
@@ -203,13 +202,9 @@ func (s *System) initShards() {
 			if j == k {
 				continue
 			}
-			la := cfg.la[j][k]
-			if la <= 0 {
+			if cfg.la[j][k] <= 0 {
 				s.shardReason = "a cross-shard edge has zero lookahead"
 				return
-			}
-			if la < minLA {
-				minLA = la
 			}
 		}
 	}
@@ -230,7 +225,6 @@ func (s *System) initShards() {
 	}
 	s.compShard = shard
 	s.laMat = cfg.la
-	s.minLA = minLA
 	s.subDelay = make([]simtime.Duration, len(s.subs))
 	if cfg.minDelay != nil {
 		for i := range s.subs {
@@ -460,7 +454,7 @@ func (s *System) relaxGuarantees() {
 
 // laneSweep advances one lane through its current window: coalesce up to
 // min(w, until), then fire every deadline strictly before w and at or
-// before until, exactly as the sequential Run loop does within a window.
+// before until, exactly as the sequential drive loop does within a window.
 // It reports whether anything fired and raises the lane's executed
 // frontier to min(w, until+1): every local deadline strictly before the
 // frontier has fired, so a later mail delivery arming a deadline behind it
@@ -752,9 +746,13 @@ func (s *System) fireInstant() {
 	s.adaptiveBarrier(now)
 }
 
-// runSharded is Run on the sharded path: adaptive pass groups until no
-// deadline remains at or before until.
-func (s *System) runSharded(until simtime.Time) error {
+// driveSharded is the sharded executor: adaptive pass groups, each closed
+// by a barrier, until no deadline remains at or before bound. It reports
+// whether no deadline remains at all. Quiescence is judged on raw
+// deadlines: coalescable components re-arm when consumed, so a lane with
+// any pending deadline reports it here just as the sequential scan would
+// after its coalescing pass.
+func (s *System) driveSharded(bound simtime.Time) (quiet bool) {
 	// The idle latches were judged against the previous call's run bound;
 	// a larger bound can turn "done until the barrier" back into work.
 	for _, ln := range s.lanes {
@@ -762,110 +760,14 @@ func (s *System) runSharded(until simtime.Time) error {
 	}
 	for s.err == nil {
 		t, ok := s.minLaneDue()
-		if !ok || t.After(until) {
-			break
-		}
-		s.runPasses(until)
-		s.adaptiveBarrier(until)
-	}
-	if s.err == nil {
-		if until.After(s.root.now) {
-			s.root.now = until
-		}
-		for _, ln := range s.lanes {
-			if s.root.now.After(ln.now) {
-				ln.now = s.root.now
-			}
-		}
-		s.flushSinks(s.root.now)
-	}
-	return s.err
-}
-
-// runQuietSharded is RunQuiet on the sharded path. Quiescence is judged on
-// raw deadlines: coalescable components re-arm when consumed, so a lane
-// with any pending deadline reports it here just as the sequential scan
-// would after its coalescing pass.
-func (s *System) runQuietSharded(limit simtime.Time) (bool, error) {
-	for _, ln := range s.lanes {
-		ln.idle = false
-	}
-	for s.err == nil {
-		t, ok := s.minLaneDue()
 		if !ok {
-			return true, nil
-		}
-		if t.After(limit) {
-			return false, nil
-		}
-		s.runPasses(limit)
-		s.adaptiveBarrier(limit)
-	}
-	return false, s.err
-}
-
-// anyObservableScheduled reports whether any component with a pending
-// deadline could ever perform an observable action — the sharded
-// counterpart of the sequential coalescer's Never-horizon test, evaluated
-// up front because the window anchor would otherwise creep forever through
-// a system with nothing observable left.
-func (s *System) anyObservableScheduled() bool {
-	for i, c := range s.comps {
-		if _, ok := c.Due(s.lanes[s.compShard[i]].now); !ok {
-			continue
-		}
-		cc, isC := c.(ta.Coalescable)
-		if !isC || cc.NextInterest() != simtime.Never {
 			return true
 		}
-	}
-	return false
-}
-
-// stepSharded is Step on the sharded path: advance to the next (observable,
-// when coalescing) deadline and process exactly that instant, system-wide.
-// Step stays deliberately conservative — windows anchored at the minimum
-// lookahead, one instant per call — because its contract is "exactly the
-// next instant", not throughput.
-func (s *System) stepSharded() bool {
-	coalescing := !s.dense && len(s.coal) > 0 && s.anyObservableScheduled()
-	for s.err == nil {
-		t, ok := s.minLaneDue()
-		if !ok {
+		if t.After(bound) {
 			return false
 		}
-		if coalescing {
-			w := t.Add(s.minLA)
-			s.runLanes(func(ln *lane) { s.coalesce(ln, w) })
-			t, ok = s.minLaneDue()
-			if !ok {
-				return false
-			}
-			if !t.Before(w) {
-				// Every deadline inside the window was unobservable and the
-				// schedules jumped past it; re-anchor and sweep again.
-				continue
-			}
-		}
-		instant := t
-		s.runLanes(func(ln *lane) {
-			next, ok := s.nextDue(ln)
-			if !ok || next != instant {
-				return
-			}
-			if instant.After(ln.now) {
-				ln.now = instant
-			}
-			s.fireDueIndexed(ln)
-			if f := instant.Add(1); f.After(ln.frontier) {
-				ln.frontier = f
-			}
-		})
-		s.adaptiveBarrier(instant)
-		if s.err == nil && instant.After(s.root.now) {
-			s.root.now = instant
-		}
-		return s.err == nil
+		s.runPasses(bound)
+		s.adaptiveBarrier(bound)
 	}
 	return false
 }

@@ -146,36 +146,6 @@ func TestMMTShardedCoalescedObservableIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedStepIdentical drives the clock model one Step at a time on
-// both paths: each Step must process the same observable instant, and the
-// step-by-step trace must match the sequential one byte for byte.
-func TestShardedStepIdentical(t *testing.T) {
-	t.Parallel()
-	runOne := func(shards int) (string, int) {
-		cfg, p := extConfig(3, 100*extUS, core.LazySteps)
-		cfg.Shards = shards
-		net := core.BuildClocked(cfg, register.Factory(register.NewS, p))
-		workload.AttachScripted(net, extScripts(cfg.N, 4))
-		steps := 0
-		for net.Sys.Step() && steps < 200_000 {
-			steps++
-		}
-		if err := net.Sys.Err(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		checkShardState(t, net, shards > 1)
-		return renderFull(net.Sys.Trace()), steps
-	}
-	shTrace, shSteps := runOne(3)
-	seqTrace, seqSteps := runOne(-1)
-	if shTrace != seqTrace {
-		t.Errorf("step traces diverge:\nsharded:\n%s\nsequential:\n%s", trim(shTrace), trim(seqTrace))
-	}
-	if shSteps != seqSteps {
-		t.Errorf("step counts diverge: sharded %d, sequential %d", shSteps, seqSteps)
-	}
-}
-
 // TestShardedRunQuietIdentical: RunQuiet must reach the same quiescence
 // verdict and the same trace on both paths. The timed model quiesces once
 // the scripted operations drain (nothing ticks forever).

@@ -31,7 +31,7 @@ import (
 //     been observed and that no future Observe will carry At < bound:
 //     bound is a low-watermark. Sinks may garbage-collect any state that
 //     only concerns times before bound. Flush is invoked at the end of
-//     every Run/RunQuiet/Step and, under sharded execution, at every round
+//     every Run/RunQuiet and, under sharded execution, at every round
 //     barrier, so a run driven in slices yields a steadily advancing
 //     watermark.
 //   - Observe and Flush are always invoked from the coordinating

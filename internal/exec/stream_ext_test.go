@@ -14,6 +14,7 @@ import (
 	"psclock/internal/core"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
+	"psclock/internal/ta"
 	"psclock/internal/trace"
 	"psclock/internal/workload"
 )
@@ -142,5 +143,122 @@ func TestKeepTraceToggleMidRun(t *testing.T) {
 	}
 	if h.Sum64() != fullHash {
 		t.Errorf("sink hash %#x != always-on hash %#x (sink missed events while KeepTrace was off)", h.Sum64(), fullHash)
+	}
+}
+
+// watermarkSink records, in call order, the stamp of every observed event
+// and the bound of every flush.
+type watermarkSink struct {
+	calls           []sinkCall
+	events, flushes int
+	lastFlush       simtime.Time
+}
+
+type sinkCall struct {
+	flush bool
+	at    simtime.Time
+}
+
+func (w *watermarkSink) Observe(e ta.Event) {
+	w.calls = append(w.calls, sinkCall{at: e.At})
+	w.events++
+}
+
+func (w *watermarkSink) Flush(b simtime.Time) {
+	w.calls = append(w.calls, sinkCall{flush: true, at: b})
+	w.flushes++
+	w.lastFlush = b
+}
+
+// check enforces the Sink contract's watermark clauses: flush bounds never
+// decrease, and no event observed after Flush(b) is stamped before b.
+func (w *watermarkSink) check(t *testing.T) {
+	t.Helper()
+	if w.flushes == 0 {
+		t.Fatal("the drivers never flushed")
+	}
+	low := simtime.Time(0)
+	for i, c := range w.calls {
+		switch {
+		case c.flush && c.at < low:
+			t.Fatalf("call %d: Flush(%v) below the earlier bound %v", i, c.at, low)
+		case c.flush:
+			low = c.at
+		case c.at < low:
+			t.Fatalf("call %d: event stamped %v observed after Flush(%v)", i, c.at, low)
+		}
+	}
+}
+
+// TestDriverContract pins what the executor's two drivers promise a sink,
+// on the sequential and the 3-shard path alike: Run(t1), then
+// RunQuiet(limit), then Run(t2). Run leaves Now() at its bound; the sink's
+// watermarks never retreat and never pass an event still to come; and the
+// quiescence verdicts and the traces match across the two paths. The timed
+// model drains to quiescence before its limit, the clock model's clients
+// are cut off mid-run, so both of RunQuiet's verdicts are exercised.
+func TestDriverContract(t *testing.T) {
+	const (
+		t1 = simtime.Time(20 * extMS)
+		t2 = simtime.Time(200 * extMS)
+	)
+	for _, tc := range []struct {
+		model string
+		limit simtime.Time
+		quiet bool
+	}{{"timed", simtime.Time(150 * extMS), true}, {"clock", simtime.Time(30 * extMS), false}} {
+		tc := tc
+		t.Run(tc.model, func(t *testing.T) {
+			t.Parallel()
+			runOne := func(shards int) (string, bool) {
+				cfg, p := extConfig(3, 200*extUS, core.LazySteps)
+				cfg.Shards = shards
+				net := buildShardedNet(t, tc.model, cfg, p)
+				w := &watermarkSink{}
+				net.Sys.AddSink(w)
+				clients := workload.AttachScripted(net, extScripts(cfg.N, 4))
+				if err := net.Sys.Run(t1); err != nil {
+					t.Fatalf("shards=%d: Run(t1): %v", shards, err)
+				}
+				if net.Sys.Now() != t1 {
+					t.Fatalf("shards=%d: Now() = %v after Run(%v)", shards, net.Sys.Now(), t1)
+				}
+				quiet, err := net.Sys.RunQuiet(tc.limit)
+				if err != nil {
+					t.Fatalf("shards=%d: RunQuiet: %v", shards, err)
+				}
+				if net.Sys.Now() > tc.limit {
+					t.Fatalf("shards=%d: Now() = %v past RunQuiet's limit %v", shards, net.Sys.Now(), tc.limit)
+				}
+				if err := net.Sys.Run(t2); err != nil {
+					t.Fatalf("shards=%d: Run(t2): %v", shards, err)
+				}
+				if net.Sys.Now() != t2 {
+					t.Fatalf("shards=%d: Now() = %v after Run(%v)", shards, net.Sys.Now(), t2)
+				}
+				checkShardState(t, net, shards > 1)
+				for _, c := range clients {
+					if c.Err != nil || c.Done != 4 {
+						t.Fatalf("shards=%d: %s finished %d/4 (err %v)", shards, c.Name(), c.Done, c.Err)
+					}
+				}
+				w.check(t)
+				if w.lastFlush != t2 {
+					t.Errorf("shards=%d: last flush at %v, want Run's bound %v", shards, w.lastFlush, t2)
+				}
+				if w.events != len(net.Sys.Trace()) {
+					t.Errorf("shards=%d: sink observed %d events, trace holds %d", shards, w.events, len(net.Sys.Trace()))
+				}
+				return renderFull(net.Sys.Trace()), quiet
+			}
+			shTrace, shQuiet := runOne(3)
+			seqTrace, seqQuiet := runOne(-1)
+			if shQuiet != seqQuiet || seqQuiet != tc.quiet {
+				t.Errorf("RunQuiet verdicts: sharded %v, sequential %v, want %v", shQuiet, seqQuiet, tc.quiet)
+			}
+			if shTrace != seqTrace {
+				t.Errorf("traces diverge:\nsharded:\n%s\nsequential:\n%s", trim(shTrace), trim(seqTrace))
+			}
+		})
 	}
 }

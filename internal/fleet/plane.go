@@ -60,8 +60,7 @@ type daemonState struct {
 	helloed    bool
 	byeSeen    bool
 	beat       msgBeat
-	base       live.Measured // folded totals of dead incarnations
-	baseEps    simtime.Duration
+	base       live.Measured // dead incarnations, folded
 	restarts   int
 	gone       bool // restart budget exhausted
 	// downAt is when the incarnation being replaced was killed or, for a
@@ -175,17 +174,13 @@ func (l *detLog) snapshot() []DetEvent {
 // FleetStats aggregates live measurements across daemons and
 // incarnations — the chaos classifier's measurement evidence.
 type FleetStats struct {
-	EpsByNode       []simtime.Duration
-	DelayViolations int
-	Messages, Held  int
-	Reconnects      int
-	RecorderDrops   int
-	// Dropped counts inter-node frames that were discarded: cut by a
-	// partition, or refused by a full link queue.
-	Dropped   int64
-	TimerLate simtime.Duration
-	// DelayMax is the largest frame delay any incarnation measured.
-	DelayMax  simtime.Duration
+	// Measured is every incarnation of every node, folded; its SendDrops
+	// counts the inter-node frames discarded: cut by a partition, or
+	// refused by a full link queue.
+	live.Measured
+	// EpsByNode is each node's ε̂ over its incarnations: the clock-step
+	// classifier judges the stepped node alone.
+	EpsByNode []simtime.Duration
 	Restarts  int
 	Suspects  int
 	Restores  int
@@ -421,28 +416,11 @@ func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
 		case e.Bye != nil:
 			d.mu.Lock()
 			d.byeSeen = true
-			p.foldLocked(d, e.Bye.Measured)
+			d.base, d.beat = d.base.Fold(e.Bye.Measured), msgBeat{}
 			d.notifyLocked()
 			d.mu.Unlock()
 		}
 	}
-}
-
-// foldLocked accumulates an incarnation's final measurements into the
-// node's running totals. Caller holds d.mu.
-func (p *Plane) foldLocked(d *daemonState, m live.Measured) {
-	d.base.DelayViolations += m.DelayViolations
-	d.base.Messages += m.Messages
-	d.base.Held += m.Held
-	d.base.RecorderDrops += m.RecorderDrops
-	d.base.Reconnects += m.Reconnects
-	d.base.SendDrops += m.SendDrops
-	d.base.TimerLate = max(d.base.TimerLate, m.TimerLate)
-	d.base.DelayMax = max(d.base.DelayMax, m.DelayMax)
-	if m.Eps > d.baseEps {
-		d.baseEps = m.Eps
-	}
-	d.beat = msgBeat{}
 }
 
 // onExit handles a daemon process exit: graceful (Bye seen, or the plane
@@ -462,7 +440,7 @@ func (p *Plane) onExit(d *daemonState, inc int) {
 	// Crash: fold what the beats reported before death; the ring tail
 	// that never shipped dies with the process (its ops stay open and
 	// Monitor.Finish will submit them as pending).
-	p.foldLocked(d, d.beat.Measured)
+	d.base, d.beat = d.base.Fold(d.beat.Measured), msgBeat{}
 	d.ready = false
 	d.clientAddr, d.nodeAddr = "", ""
 	if d.downAt.IsZero() {
@@ -656,16 +634,9 @@ func (p *Plane) Stats() FleetStats {
 	}
 	for i, d := range p.daemons {
 		d.mu.Lock()
-		m := d.beat.Measured
-		s.DelayViolations += d.base.DelayViolations + m.DelayViolations
-		s.Messages += d.base.Messages + m.Messages
-		s.Held += d.base.Held + m.Held
-		s.Reconnects += d.base.Reconnects + m.Reconnects
-		s.RecorderDrops += d.base.RecorderDrops + m.RecorderDrops
-		s.Dropped += int64(d.base.SendDrops + m.SendDrops)
-		s.TimerLate = max(s.TimerLate, d.base.TimerLate, m.TimerLate)
-		s.DelayMax = max(s.DelayMax, d.base.DelayMax, m.DelayMax)
-		s.EpsByNode[i] = max(d.baseEps, m.Eps)
+		m := d.base.Fold(d.beat.Measured)
+		s.Measured = s.Measured.Fold(m)
+		s.EpsByNode[i] = m.Eps
 		s.Restarts += d.restarts
 		d.mu.Unlock()
 	}

@@ -119,7 +119,7 @@ func (p *Plane) RunScript(script Script, loadStart time.Time, stop <-chan struct
 			}
 			post := p.Stats()
 			sus, res := detDelta(pre, post, f.Target, f.Peer)
-			drops := post.Dropped - pre.Dropped
+			drops := post.SendDrops - pre.SendDrops
 			if sus > 0 {
 				o.Observed = string(OutcomeFlagged)
 			} else {

@@ -129,3 +129,53 @@ func TestModelEnvelope(t *testing.T) {
 		t.Errorf("count only: %q, want %q", got, want)
 	}
 }
+
+// TestMeasuredFold: counters add, the extremes keep the worse side, a side
+// that measured no frame leaves DelayMin to the other, and the folded
+// lateness quantiles bound the quantiles of the pooled timers from above.
+func TestMeasuredFold(t *testing.T) {
+	a := Measured{Eps: 3 * us, TimerLate: 9 * ms, DelayMin: 2 * ms, DelayMax: 4 * ms,
+		DelayViolations: 1, Messages: 10, Held: 2, RecorderDrops: 0, Reconnects: 1, SendDrops: 5}
+	b := Measured{Eps: 7 * us, TimerLate: 6 * ms, DelayMin: 1 * ms, DelayMax: 3 * ms,
+		DelayViolations: 2, Messages: 20, Held: 3, RecorderDrops: 1, Reconnects: 0, SendDrops: 1}
+	want := Measured{Eps: 7 * us, TimerLate: 9 * ms, DelayMin: 1 * ms, DelayMax: 4 * ms,
+		DelayViolations: 3, Messages: 30, Held: 5, RecorderDrops: 1, Reconnects: 1, SendDrops: 6}
+	if got := a.Fold(b); got != want {
+		t.Errorf("a.Fold(b) = %+v\nwant %+v", got, want)
+	}
+	if got := b.Fold(a); got != want {
+		t.Errorf("b.Fold(a) = %+v, want the same as a.Fold(b)", got)
+	}
+	if got := (Measured{}).Fold(a); got != a {
+		t.Errorf("zero.Fold(a) = %+v, want a", got)
+	}
+	// A side that measured no frame has DelayMin zero: it is not the minimum.
+	if got := a.Fold(Measured{Messages: 4}).DelayMin; got != a.DelayMin {
+		t.Errorf("folding a side without frames: DelayMin = %v, want %v", got, a.DelayMin)
+	}
+
+	// Two nodes' timers, one fast and one slow with three times as many:
+	// the pooled quantile lies between theirs, never above the larger.
+	rng := rand.New(rand.NewSource(1))
+	var ha, hb, pooled lateHist
+	count := func(h *lateHist, n int, upTo simtime.Duration) {
+		for i := 0; i < n; i++ {
+			k := lateBucket(simtime.Duration(rng.Int63n(int64(upTo))))
+			h[k].Add(1)
+			pooled[k].Add(1)
+		}
+	}
+	count(&ha, 1000, 200*us)
+	count(&hb, 3000, 3*ms)
+	sa := Measured{TimerLateP50: ha.quantile(0.50), TimerLateP99: ha.quantile(0.99)}
+	sb := Measured{TimerLateP50: hb.quantile(0.50), TimerLateP99: hb.quantile(0.99)}
+	f := sa.Fold(sb)
+	for _, c := range []struct {
+		name          string
+		folded, exact simtime.Duration
+	}{{"p50", f.TimerLateP50, pooled.quantile(0.50)}, {"p99", f.TimerLateP99, pooled.quantile(0.99)}} {
+		if c.folded < c.exact {
+			t.Errorf("folded %s = %v below the pooled timers' %v", c.name, c.folded, c.exact)
+		}
+	}
+}

@@ -96,6 +96,30 @@ type Measured struct {
 	SendDrops int
 }
 
+// Fold combines the measurements of two runs — two incarnations of a node,
+// or two nodes — into one: counters add, Eps, TimerLate and DelayMax take
+// the larger value, and DelayMin the smaller of the sides that measured
+// any frame (zero is none). TimerLateP50 and TimerLateP99 take the larger
+// value too: an upper bound on the quantile of the pooled timers, which
+// the two quantiles alone cannot give exactly.
+func (m Measured) Fold(o Measured) Measured {
+	m.Eps = max(m.Eps, o.Eps)
+	m.TimerLate = max(m.TimerLate, o.TimerLate)
+	m.TimerLateP50 = max(m.TimerLateP50, o.TimerLateP50)
+	m.TimerLateP99 = max(m.TimerLateP99, o.TimerLateP99)
+	m.DelayMax = max(m.DelayMax, o.DelayMax)
+	if m.DelayMin == 0 || o.DelayMin != 0 && o.DelayMin < m.DelayMin {
+		m.DelayMin = o.DelayMin
+	}
+	m.DelayViolations += o.DelayViolations
+	m.Messages += o.Messages
+	m.Held += o.Held
+	m.RecorderDrops += o.RecorderDrops
+	m.Reconnects += o.Reconnects
+	m.SendDrops += o.SendDrops
+	return m
+}
+
 // Runtime hosts N×R copies of a core.Algorithm on wall-clock time: one
 // goroutine per node owning that node's R algorithm instances, their
 // service ports, its clock, and its timer queue (the same core.TimerQueue

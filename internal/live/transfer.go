@@ -71,9 +71,14 @@ func (rt *Runtime) Recovering() { rt.amnesic = true }
 // (Model.TransferWait) on the node's clock after the last of them has linked
 // they are asked in order, and the first to answer with its state — not a
 // refusal, not two waits (a round trip) of silence — serves it. A later call
-// for the node abandons one still in progress. Call after Start.
+// for the node abandons one still in progress. Call after Start: before it,
+// or at a node this runtime does not host, the answer is an error.
 func (rt *Runtime) Recover(node ta.NodeID, peers []ta.NodeID, wait simtime.Duration) <-chan Transfer {
 	done := make(chan Transfer, 1)
+	if int(node) < 0 || int(node) >= len(rt.nodes) || rt.nodes[node] == nil {
+		done <- Transfer{Err: fmt.Errorf("live: recover at unknown node %v", node)}
+		return done
+	}
 	select {
 	case rt.nodes[node].inbox <- nodeMsg{rec: &recovery{peers: peers, wait: wait, done: done}}:
 	case <-rt.stop:

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -130,4 +131,34 @@ func TestTransferRecovery(t *testing.T) {
 	if got := n2.do(t, 1, register.ActRead, nil); got != want {
 		t.Fatalf("after the transfer node 2 reads %v, want %v", got, want)
 	}
+}
+
+// TestTransferUnknownNode: Recover at a node the runtime cannot serve —
+// before Start, past N, or hosted by another process, as every node but
+// one is for a fleet daemon — answers with an error naming the node.
+func TestTransferUnknownNode(t *testing.T) {
+	rt, err := New(Options{
+		N: 3, Bounds: transferModel.Bounds(), Transport: NewLocalTransport(3), Local: []int{0},
+	}, register.Factory(register.NewS, transferModel.Params()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, node ta.NodeID) {
+		t.Helper()
+		select {
+		case tr := <-rt.Recover(node, []ta.NodeID{0}, transferModel.TransferWait()):
+			if tr.Err == nil || !strings.Contains(tr.Err.Error(), fmt.Sprintf("node %v", node)) {
+				t.Fatalf("%s: Recover(%v) = %+v, want an error naming the node", when, node, tr)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Recover(%v) never answered", when, node)
+		}
+	}
+	check("before Start", 0)
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Stop() })
+	check("past N", 3)
+	check("not hosted", 1)
 }

@@ -12,23 +12,10 @@ import (
 // (exec.Sink). Each satisfies the contract structurally — Observe(ta.Event)
 // plus Flush(bound) — so this package needs no dependency on the executor.
 //
-//   - Retain reconstructs the classic retained trace, event by event.
 //   - Hash folds the stream into the golden trace fingerprint without
 //     retaining anything: O(1) memory regardless of run length.
 //   - Ring keeps only the last N events, the post-mortem tail for failures
 //     in long runs where full retention is infeasible.
-
-// Retain is a sink that retains the full event stream as a ta.Trace,
-// equivalent to running with KeepTrace and reading Trace() afterwards.
-type Retain struct {
-	Events ta.Trace
-}
-
-// Observe appends the event.
-func (r *Retain) Observe(e ta.Event) { r.Events = append(r.Events, e) }
-
-// Flush is a no-op: retention never discards.
-func (r *Retain) Flush(simtime.Time) {}
 
 // Hash incrementally computes the FNV-1a 64 fingerprint of the event
 // stream in exactly the format of the golden-trace tests: one

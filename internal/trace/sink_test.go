@@ -21,21 +21,6 @@ func mkEvents(n int) ta.Trace {
 	return tr
 }
 
-func TestRetainReconstructsTrace(t *testing.T) {
-	events := mkEvents(7)
-	var r Retain
-	for _, e := range events {
-		r.Observe(e)
-	}
-	r.Flush(simtime.Time(1000))
-	if len(r.Events) != len(events) {
-		t.Fatalf("retained %d events, want %d", len(r.Events), len(events))
-	}
-	if HashTrace(r.Events) != HashTrace(events) {
-		t.Error("retained stream differs from the source trace")
-	}
-}
-
 func TestHashMatchesBatch(t *testing.T) {
 	events := mkEvents(9)
 	h := NewHash()
