@@ -29,7 +29,10 @@ tier2:
 # GOMAXPROCS for the whole process outside a test; and the simulated world
 # is built and run in one place — outside internal/core (and the frozen
 # bench/), no switch maps a model name to a builder (core.Build does) and
-# no loop runs a Net until its clients finish (Net.RunUntil does).
+# no loop runs a Net until its clients finish (Net.RunUntil does); and a
+# live register store is assembled in one place — outside internal/live
+# (and bench/), no non-test code builds a runtime or server by hand
+# (live.Deploy does).
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -39,6 +42,9 @@ model-guard:
 	@! grep -rnE 'case +"(timed|clock|mmt)"|for[[:space:]].*Sys\.Now\(\)[[:space:]]*<' --include='*.go' --exclude='*_test.go' \
 		cmd examples internal *.go | grep -v '^internal/core/' \
 		|| { echo "model-guard: model switch or run loop outside internal/core (use core.Build / Net.RunUntil)"; exit 1; }
+	@! grep -rnE 'live\.New\(|live\.NewServer\(|SetRegisterFactory|SetTiers' --include='*.go' --exclude='*_test.go' \
+		cmd examples internal *.go | grep -v '^internal/live/' \
+		|| { echo "model-guard: live store assembled outside internal/live (use live.Deploy)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

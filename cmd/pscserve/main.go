@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"psclock/internal/clock"
-	"psclock/internal/core"
 	"psclock/internal/live"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
@@ -115,12 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer rtrace.Stop()
 	}
 
-	if err := m.Validate(); err != nil {
-		fmt.Fprintf(stderr, "pscserve: %v\n", err)
-		return 2
-	}
-	p := m.Params()
-
 	var cf clock.Factory
 	switch *clockName {
 	case "perfect":
@@ -149,34 +142,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pscserve: %v\n", err)
 		return 2
 	}
-	rt, err := live.New(live.Options{
-		N:         *nodes,
-		Registers: *registers,
-		Bounds:    m.Bounds(),
-		Ell:       m.Ell,
-		Clocks:    cf,
-		Transport: tr,
-	}, register.Factory(register.NewS, p))
+	// Lin registers run algorithm S, seq registers algorithm L, all sharing
+	// each node's clock and transport; an empty -tiers is S everywhere.
+	rt, srv, err := live.Deploy(m, tiers, nil, live.Options{N: *nodes, Clocks: cf, Transport: tr}, verdict)
 	if err != nil {
 		fmt.Fprintf(stderr, "pscserve: %v\n", err)
 		return 2
-	}
-	if tiered {
-		// Per-register tiers: lin registers run algorithm S, seq registers
-		// algorithm L, all sharing each node's clock and transport.
-		rt.SetRegisterFactory(func(reg int) core.AlgorithmFactory {
-			return tiers[reg].Factory(p)
-		})
-	}
-	rt.AddSink(verdict)
-
-	srv, err := live.NewServer(rt)
-	if err != nil {
-		fmt.Fprintf(stderr, "pscserve: %v\n", err)
-		return 2
-	}
-	if tiered {
-		srv.SetTiers(tiers)
 	}
 	if err := rt.Start(); err != nil {
 		fmt.Fprintf(stderr, "pscserve: %v\n", err)
@@ -186,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *verbose {
 		fmt.Fprintf(stdout, "pscserve: n=%d clients=%d registers=%d pipeline=%d clock=%s transport=%s d=[%v,%v] ε=%v δ=%v c=%v d'2=%v\n",
-			*nodes, *clients, *registers, *pipeline, *clockName, tr.Name(), m.D1, m.D2, m.Eps, m.Delta, m.C, p.D2)
+			*nodes, *clients, *registers, *pipeline, *clockName, tr.Name(), m.D1, m.D2, m.Eps, m.Delta, m.C, m.Params().D2)
 		for i, a := range srv.Addrs() {
 			fmt.Fprintf(stdout, "pscserve: node %d at %s\n", i, a)
 		}

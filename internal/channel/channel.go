@@ -85,68 +85,6 @@ func BimodalDelay(p float64) DelayPolicy {
 	}}
 }
 
-// pendingMsg is a message in flight.
-type pendingMsg struct {
-	deliverAt simtime.Time
-	seq       int
-	payload   any
-}
-
-// msgHeap orders in-flight messages by delivery time, then arrival order.
-// It is a hand-rolled binary heap rather than container/heap: the standard
-// interface moves every element through `any`, boxing one pendingMsg per
-// Push and per Pop, and the edge's enqueue/dequeue is the per-message hot
-// path of every model.
-type msgHeap []pendingMsg
-
-func msgLess(a, b pendingMsg) bool {
-	if a.deliverAt != b.deliverAt {
-		return a.deliverAt < b.deliverAt
-	}
-	return a.seq < b.seq
-}
-
-func (h *msgHeap) push(m pendingMsg) {
-	q := append(*h, m)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !msgLess(q[i], q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
-}
-
-func (h *msgHeap) pop() pendingMsg {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = pendingMsg{} // drop the payload reference
-	q = q[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && msgLess(q[r], q[l]) {
-			m = r
-		}
-		if !msgLess(q[m], q[i]) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	*h = q
-	return top
-}
-
 // Edge is the executable E_{ij,[d1,d2]} automaton. Its input is the send
 // action for the link (SENDMSG in the TA model, ESENDMSG in the clock
 // model) and its output the matching receive action. The zero value is not
@@ -170,7 +108,9 @@ type Edge struct {
 	// Dropped counts messages lost to Drop.
 	Dropped int
 
-	pending  msgHeap
+	// pending holds the in-flight payloads by delivery instant, then send
+	// order; seq is the send ordinal Drop sees.
+	pending  simtime.Queue
 	seq      int
 	lastDue  simtime.Time
 	nDropped int
@@ -249,7 +189,7 @@ func (e *Edge) Deliver(now simtime.Time, a ta.Action) []ta.Action {
 		at = e.lastDue
 	}
 	e.lastDue = at
-	e.pending.push(pendingMsg{deliverAt: at, seq: e.seq, payload: a.Payload})
+	e.pending.Push(at, a.Payload)
 	e.seq++
 	return nil
 }
@@ -257,26 +197,20 @@ func (e *Edge) Deliver(now simtime.Time, a ta.Action) []ta.Action {
 // Due implements ta.Automaton: the ν precondition of Figure 1 — time may
 // not pass beyond the earliest t+d2 … here beyond the already-chosen
 // delivery instant.
-func (e *Edge) Due(simtime.Time) (simtime.Time, bool) {
-	if len(e.pending) == 0 {
-		return 0, false
-	}
-	return e.pending[0].deliverAt, true
-}
+func (e *Edge) Due(simtime.Time) (simtime.Time, bool) { return e.pending.Next() }
 
 // Fire implements ta.Automaton: deliver every message whose time has come.
 // Same-instant deliveries drain as one batch into the reused out slice.
 func (e *Edge) Fire(now simtime.Time) []ta.Action {
 	out := e.out[:0]
-	for len(e.pending) > 0 && !e.pending[0].deliverAt.After(now) {
-		m := e.pending.pop()
+	for at, ok := e.pending.Next(); ok && !at.After(now); at, ok = e.pending.Next() {
 		e.Delivered++
 		out = append(out, ta.Action{
 			Name:    e.recvName,
 			Node:    e.to,
 			Peer:    e.from,
 			Kind:    ta.KindOutput,
-			Payload: m.payload,
+			Payload: e.pending.Pop().Key,
 		})
 	}
 	e.out = out
@@ -287,10 +221,10 @@ func (e *Edge) Fire(now simtime.Time) []ta.Action {
 // event, so the edge's interest is exactly its Due and the executor never
 // coalesces past a pending message.
 func (e *Edge) NextInterest() simtime.Time {
-	if len(e.pending) == 0 {
-		return simtime.Never
+	if at, ok := e.pending.Next(); ok {
+		return at
 	}
-	return e.pending[0].deliverAt
+	return simtime.Never
 }
 
 // FastForward implements ta.Coalescable as a no-op: the edge declares
@@ -298,7 +232,7 @@ func (e *Edge) NextInterest() simtime.Time {
 func (e *Edge) FastForward(simtime.Time) {}
 
 // InFlight returns the number of undelivered messages.
-func (e *Edge) InFlight() int { return len(e.pending) }
+func (e *Edge) InFlight() int { return e.pending.Len() }
 
 // Bounds returns the edge's delay interval.
 func (e *Edge) Bounds() simtime.Interval { return e.bounds }

@@ -97,7 +97,7 @@ type engine struct {
 	// graph including the self-loop).
 	neighbors []ta.NodeID
 
-	timers TimerQueue
+	timers simtime.Queue
 
 	// last is the high-water mark of observed time, keeping the
 	// algorithm's view monotone across catch-ups.

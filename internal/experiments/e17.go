@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"psclock/internal/clock"
-	"psclock/internal/core"
 	"psclock/internal/live"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
@@ -38,34 +36,16 @@ func E17TieredLive() Result {
 	fail := func(f string, a ...any) Result {
 		return Result{ID: "E17", Title: e17Title, Failures: []string{fmt.Sprintf(f, a...)}}
 	}
-	if err := m.Validate(); err != nil {
-		return fail("params: %v", err)
-	}
-	p := m.Params()
 	tiers := []register.Tier{register.TierLin, register.TierSeq}
 	const nNodes = 2
 	// Register 0 (lin) gets the exact online linearizability engine widened
 	// by ε+slack, register 1 (seq) the Θ-bounded online sequential-
 	// consistency engine — the stack pscserve -tiers judges with.
 	verdict := live.NewVerdict(live.VerdictConfig{Model: m, Nodes: nNodes, Registers: len(tiers), Tiers: tiers})
-
-	rt, err := live.New(live.Options{
-		N:         nNodes,
-		Registers: len(tiers),
-		Bounds:    m.Bounds(),
-		Ell:       m.Ell,
-		Clocks:    clock.PerfectFactory(),
-	}, register.Factory(register.NewS, p))
+	rt, srv, err := live.Deploy(m, tiers, nil, live.Options{N: nNodes}, verdict)
 	if err != nil {
-		return fail("runtime: %v", err)
+		return fail("deploy: %v", err)
 	}
-	rt.SetRegisterFactory(func(reg int) core.AlgorithmFactory { return tiers[reg].Factory(p) })
-	rt.AddSink(verdict)
-	srv, err := live.NewServer(rt)
-	if err != nil {
-		return fail("server: %v", err)
-	}
-	srv.SetTiers(tiers)
 	if err := rt.Start(); err != nil {
 		return fail("start: %v", err)
 	}

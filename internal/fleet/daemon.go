@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"psclock/internal/clock"
 	"psclock/internal/core"
 	"psclock/internal/detector"
 	"psclock/internal/live"
@@ -98,58 +97,38 @@ func RunDaemon(cfg DaemonConfig) error {
 		}
 	}
 
-	if err := cfg.Model.Validate(); err != nil {
-		return err
-	}
-	p := cfg.Model.Params()
 	tiers, err := register.ParseTiers(cfg.Tiers, cfg.Registers)
 	if err != nil {
 		return err
 	}
-
-	conn, err := net.Dial("tcp", cfg.PlaneAddr)
-	if err != nil {
-		return fmt.Errorf("dial plane: %w", err)
-	}
-	ctl := newCtlConn(conn)
-
 	mesh, err := live.NewMeshTransport(cfg.Node, cfg.N, "")
 	if err != nil {
 		return err
 	}
-	regs := cfg.Registers + 1 // +1: the heartbeat detector instance
-	rt, err := live.New(live.Options{
-		N:         cfg.N,
-		Registers: regs,
-		Bounds:    cfg.Model.Bounds(),
-		Ell:       cfg.Model.Ell,
-		Clocks:    clock.PerfectFactory(),
-		Transport: mesh,
-		Local:     []int{cfg.Node},
-		Epoch:     time.Unix(0, cfg.EpochUnixNano),
-		PortBase:  cfg.Incarnation * cfg.N * regs,
-	}, register.Factory(register.NewS, p))
+	fw := &forwarder{ch: make(chan msgEvents, 256), dead: make(chan struct{})}
+	// The heartbeat detector rides as the one extra instance: hosted after
+	// the data registers, never offered to a client.
+	rt, srv, err := live.Deploy(cfg.Model, tiers,
+		[]core.AlgorithmFactory{detector.Factory(cfg.Model.Detector(cfg.DetPeriod, cfg.DetTimeout))},
+		live.Options{
+			N:         cfg.N,
+			Transport: mesh,
+			Local:     []int{cfg.Node},
+			Epoch:     time.Unix(0, cfg.EpochUnixNano),
+			PortBase:  cfg.Incarnation * cfg.N * (cfg.Registers + 1),
+		}, fw)
 	if err != nil {
 		return err
 	}
+	conn, err := net.Dial("tcp", cfg.PlaneAddr)
+	if err != nil {
+		mesh.Close()
+		return fmt.Errorf("dial plane: %w", err)
+	}
+	ctl := newCtlConn(conn)
 	if cfg.Incarnation > 0 {
 		rt.Recovering() // its registers are empty until a peer's are copied
 	}
-	rt.SetRegisterFactory(func(reg int) core.AlgorithmFactory {
-		if reg == cfg.Registers {
-			return detector.Factory(cfg.Model.Detector(cfg.DetPeriod, cfg.DetTimeout))
-		}
-		return tiers[reg].Factory(p)
-	})
-
-	fw := &forwarder{ch: make(chan msgEvents, 256), dead: make(chan struct{})}
-	rt.AddSink(fw)
-
-	srv, err := live.NewServer(rt)
-	if err != nil {
-		return err
-	}
-	srv.SetTiers(tiers) // the data registers only: no client may address the detector instance
 	if err := rt.Start(); err != nil {
 		return err
 	}

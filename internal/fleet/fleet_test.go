@@ -391,6 +391,46 @@ func TestFleetPartitionIsNotACrash(t *testing.T) {
 	}
 }
 
+// Every per-node call of the plane answers for a node it has no slot for —
+// any node before Start, node N after — instead of indexing past its slots:
+// Kill and the fault setters with an error naming the node, ClientAddr with
+// "", Incarnation with (0, false), WaitReplaced with false at once.
+func TestPlaneUnknownNode(t *testing.T) {
+	probe := func(t *testing.T, p *Plane, node int) {
+		t.Helper()
+		for name, err := range map[string]error{
+			"Kill":         p.Kill(node),
+			"SetPartition": p.SetPartition(0, node, true),
+			"SetDelay":     p.SetDelay(node, simtime.Millisecond),
+			"SetClockStep": p.SetClockStep(node, simtime.Millisecond),
+		} {
+			if want := fmt.Sprintf("node %d", node); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at node %d: %v, want an error naming %s", name, node, err, want)
+			}
+		}
+		if addr := p.ClientAddr(node); addr != "" {
+			t.Errorf("ClientAddr(%d) = %q, want \"\"", node, addr)
+		}
+		if inc, ready := p.Incarnation(node); inc != 0 || ready {
+			t.Errorf("Incarnation(%d) = %d, %v; want 0, false", node, inc, ready)
+		}
+		if p.WaitReplaced(node, -1, time.Second) {
+			t.Errorf("WaitReplaced(%d) = true", node)
+		}
+	}
+	unstarted, err := NewPlane(testPlaneConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unstarted.Close()
+	probe(t, unstarted, 0)
+	t.Run("started", func(t *testing.T) {
+		p := startFleet(t)
+		defer p.Shutdown()
+		probe(t, p, p.cfg.N)
+	})
+}
+
 // Only a kill that lands is a crash. With one restart allowed, node 1 is
 // replaced after the first kill and given up on after the second; a third
 // Kill finds no process, fails, and is not counted.

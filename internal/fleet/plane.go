@@ -540,11 +540,23 @@ func (p *Plane) waitAllReady(timeout time.Duration) error {
 	return nil
 }
 
+// daemon returns node's slot, or an error naming a node the plane has no
+// slot for: one outside 0 … N−1, or any before Start.
+func (p *Plane) daemon(node int) (*daemonState, error) {
+	if node < 0 || node >= len(p.daemons) {
+		return nil, fmt.Errorf("fleet: no node %d", node)
+	}
+	return p.daemons[node], nil
+}
+
 // ClientAddr returns node's register-client address, or "" while the
 // node is down or restoring its state — the dynamic load generator polls
-// this.
+// this — or is no node of the plane.
 func (p *Plane) ClientAddr(node int) string {
-	d := p.daemons[node]
+	d, err := p.daemon(node)
+	if err != nil {
+		return ""
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.ready {
@@ -553,9 +565,13 @@ func (p *Plane) ClientAddr(node int) string {
 	return d.clientAddr
 }
 
-// Incarnation returns node's current incarnation and readiness.
+// Incarnation returns node's current incarnation and readiness; (0, false)
+// for no node of the plane.
 func (p *Plane) Incarnation(node int) (int, bool) {
-	d := p.daemons[node]
+	d, err := p.daemon(node)
+	if err != nil {
+		return 0, false
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.inc, d.ready
@@ -564,7 +580,10 @@ func (p *Plane) Incarnation(node int) (int, bool) {
 // Kill SIGKILLs node's current process — the crash fault. Only a kill
 // that landed counts as a crash.
 func (p *Plane) Kill(node int) error {
-	d := p.daemons[node]
+	d, err := p.daemon(node)
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.killLocked(); err != nil {
@@ -577,15 +596,18 @@ func (p *Plane) Kill(node int) error {
 }
 
 // WaitReplaced blocks until node runs an incarnation above minInc and is
-// Ready, or the timeout passes.
+// Ready, or the timeout passes; false at once for no node of the plane.
 func (p *Plane) WaitReplaced(node, minInc int, timeout time.Duration) bool {
-	d := p.daemons[node]
-	return d.await(timeout, func() bool { return d.inc > minInc && d.ready })
+	d, err := p.daemon(node)
+	return err == nil && d.await(timeout, func() bool { return d.inc > minInc && d.ready })
 }
 
 // sendFault delivers a fault command to one daemon.
 func (p *Plane) sendFault(node int, f msgFault) error {
-	d := p.daemons[node]
+	d, err := p.daemon(node)
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
 	ctl := d.ctl
 	ok := d.helloed && !d.byeSeen
@@ -598,6 +620,11 @@ func (p *Plane) sendFault(node int, f msgFault) error {
 
 // SetPartition cuts (or heals) the link between a and b at both ends.
 func (p *Plane) SetPartition(a, b int, on bool) error {
+	for _, node := range [2]int{a, b} {
+		if _, err := p.daemon(node); err != nil {
+			return err
+		}
+	}
 	err1 := p.sendFault(a, msgFault{PartitionPeer: b, PartitionOn: on})
 	err2 := p.sendFault(b, msgFault{PartitionPeer: a, PartitionOn: on})
 	if err1 != nil {

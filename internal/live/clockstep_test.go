@@ -42,7 +42,6 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	rt, err := New(Options{
 		N:      3,
 		Bounds: bounds,
-		Ell:    ellBudget,
 		Clocks: clock.PerfectFactory(),
 	}, func(id ta.NodeID, n int) core.Algorithm {
 		return detector.New(detector.Params{Period: period, Timeout: timeout})

@@ -512,7 +512,7 @@ func TestMeshDropsMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, bounds := liveParams(0, 10*ms)
-	rt, err := New(Options{N: 2, Bounds: bounds, Ell: ellBudget, Clocks: clock.PerfectFactory(), Transport: tr},
+	rt, err := New(Options{N: 2, Bounds: bounds, Clocks: clock.PerfectFactory(), Transport: tr},
 		register.Factory(register.NewS, p))
 	if err != nil {
 		t.Fatal(err)

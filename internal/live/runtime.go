@@ -38,9 +38,10 @@ type Options struct {
 	// past d2 (the upper bound can only be measured). Zero means [0, ∞).
 	Bounds simtime.Interval
 	// Ell is the timer-service budget ℓ, the live analogue of the MMT
-	// boundmap [0, ℓ]. The runtime never reads it: it measures timer
-	// lateness (Measured.TimerLate) whatever the budget, and only
-	// Model.Envelope compares that measurement against ℓ.
+	// boundmap [0, ℓ]. Only the benchmark harness (bench/) sets it, and the
+	// runtime never reads it: it measures timer lateness
+	// (Measured.TimerLate) whatever the budget, and only Model.Envelope
+	// compares that measurement against ℓ.
 	Ell simtime.Duration
 	// Clocks supplies each node's clock model; defaults to perfect clocks.
 	// The runtime evaluates each model at the real time since its epoch.
@@ -122,16 +123,15 @@ func (m Measured) Fold(o Measured) Measured {
 
 // Runtime hosts N×R copies of a core.Algorithm on wall-clock time: one
 // goroutine per node owning that node's R algorithm instances, their
-// service ports, its clock, and its timer queue (the same core.TimerQueue
+// service ports, its clock, and its timer queue (the same simtime.Queue
 // the simulator's engine drains, so timers fire in the same (deadline,
 // registration) order in both worlds). Messages are tagged with the
 // sender's clock and held at the receiver until its clock reaches the tag
 // — the send/receive buffers S_ij,ε and R_ji,ε of Figure 2, realized on
 // real time, per logical channel.
 type Runtime struct {
-	opts       Options
-	factory    core.AlgorithmFactory
-	regFactory func(reg int) core.AlgorithmFactory
+	opts      Options
+	factories []core.AlgorithmFactory // instance r runs factories[r]
 
 	sinks   []exec.Sink
 	amnesic bool // Recovering: nodes start as replacements that lost their state
@@ -157,7 +157,8 @@ type Runtime struct {
 	lateness   lateHist
 }
 
-// New validates the options and returns an unstarted runtime.
+// New validates the options and returns an unstarted runtime whose every
+// instance runs f.
 func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 	if opts.N < 1 {
 		return nil, fmt.Errorf("live: need at least one node, got %d", opts.N)
@@ -176,13 +177,57 @@ func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		opts:      opts,
-		factory:   f,
+		factories: make([]core.AlgorithmFactory, opts.Registers),
 		transport: opts.Transport,
 		stop:      make(chan struct{}),
 		rec:       newRecorder(),
 	}
+	for reg := range rt.factories {
+		rt.factories[reg] = f
+	}
 	rt.delayMin.Store(math.MaxInt64)
 	return rt, nil
+}
+
+// Deploy is the one assembly of a live register store. It validates m
+// before it builds anything, then builds a runtime whose instance r runs
+// tiers[r]'s algorithm with m.Params() — S for lin, L for seq — and whose
+// instance len(tiers)+k runs extra[k] (a fleet daemon's detector); adds
+// sinks in order; and opens a Server offering clients registers 0 …
+// len(tiers)−1, each at its tier, and never an extra. Options.Registers
+// and Options.Bounds are derived (the instance count, m.Bounds()), so the
+// caller sets neither. The runtime and server come back unstarted: start
+// the runtime, then the server. On any error Deploy closes opts.Transport,
+// if one was given, so a failed deploy leaves no listener.
+func Deploy(m Model, tiers []register.Tier, extra []core.AlgorithmFactory, opts Options, sinks ...exec.Sink) (*Runtime, *Server, error) {
+	fail := func(err error) (*Runtime, *Server, error) {
+		if opts.Transport != nil {
+			opts.Transport.Close()
+		}
+		return nil, nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return fail(err)
+	}
+	if len(tiers) == 0 {
+		return fail(fmt.Errorf("live: deploy needs at least one register"))
+	}
+	opts.Registers, opts.Bounds = len(tiers)+len(extra), m.Bounds()
+	rt, err := New(opts, nil)
+	if err != nil {
+		return fail(err)
+	}
+	for reg, t := range tiers {
+		rt.factories[reg] = t.Factory(m.Params())
+	}
+	copy(rt.factories[len(tiers):], extra)
+	rt.sinks = append(rt.sinks, sinks...)
+	srv, err := NewServer(rt)
+	if err != nil {
+		return fail(err)
+	}
+	srv.tiers = tiers
+	return rt, srv, nil
 }
 
 // Port maps (register instance, node) to the runtime's port identifier:
@@ -216,16 +261,6 @@ func (rt *Runtime) hostsNode(i int) bool {
 // Must be called before Start.
 func (rt *Runtime) AddSink(s exec.Sink) { rt.sinks = append(rt.sinks, s) }
 
-// SetRegisterFactory installs a per-register-instance algorithm factory,
-// overriding the uniform one for instances it covers: register instance
-// reg on every node is built by fn(reg) when that returns non-nil. This is
-// the tiered keyed store's hook — one node hosts a mix of S-keys and
-// L-keys (lin and seq tiers), all sharing its clock, goroutine, and
-// transport. Must be called before Start.
-func (rt *Runtime) SetRegisterFactory(fn func(reg int) core.AlgorithmFactory) {
-	rt.regFactory = fn
-}
-
 // Start anchors the epoch, builds the per-node clocks and algorithm
 // instances, and launches the node loops.
 func (rt *Runtime) Start() error {
@@ -258,13 +293,7 @@ func (rt *Runtime) Start() error {
 			linked:  make(map[ta.NodeID]simtime.Time),
 		}
 		for reg := 0; reg < r; reg++ {
-			f := rt.factory
-			if rt.regFactory != nil {
-				if rf := rt.regFactory(reg); rf != nil {
-					f = rf
-				}
-			}
-			nd.algs[reg] = f(ta.NodeID(i), n)
+			nd.algs[reg] = rt.factories[reg](ta.NodeID(i), n)
 			nd.srcs[reg] = fmt.Sprintf("live(%v)", rt.Port(ta.NodeID(i), reg))
 		}
 		rt.nodes[i] = nd
@@ -287,22 +316,10 @@ func (rt *Runtime) Start() error {
 	return nil
 }
 
-// Invoke hands an environment invocation for register instance 0 to the
-// given node; the response is recorded and told to nobody. Safe for
-// concurrent use. Only tests call Invoke and InvokeReg — binaries go
-// through a Server — and every caller meets at the node's port, which
-// starts an invocation only once the one before it has been answered:
-// §6.1's alternation, enforced where the operation runs.
-func (rt *Runtime) Invoke(nodeID ta.NodeID, name string, payload any) error {
-	return rt.invoke(nodeID, invocation{name: name, payload: payload})
-}
-
-// InvokeReg is Invoke aimed at a specific register instance.
-func (rt *Runtime) InvokeReg(nodeID ta.NodeID, reg int, name string, payload any) error {
-	return rt.invoke(nodeID, invocation{reg: reg, name: name, payload: payload})
-}
-
 // invoke puts inv on its node's inbox; node.admit takes it from there.
+// Safe for concurrent use: every caller meets at the node's port, which
+// starts an invocation only once the one before it has been answered —
+// §6.1's alternation, enforced where the operation runs.
 func (rt *Runtime) invoke(nodeID ta.NodeID, inv invocation) error {
 	if int(nodeID) < 0 || int(nodeID) >= len(rt.nodes) || rt.nodes[nodeID] == nil {
 		return fmt.Errorf("live: invoke at unknown node %v", nodeID)
@@ -528,7 +545,7 @@ type nodeMsg struct {
 
 // invocation is one environment invocation on its way to a port, and whom
 // to tell the response: id is the issuer's correlation tag, echoed; to is
-// nil when nobody waits (Invoke). The node's send on to must never block:
+// nil when nobody waits. The node's send on to must never block:
 // the issuer keeps room for every response it is owed (see svcConn).
 type invocation struct {
 	reg     int
@@ -578,7 +595,7 @@ type node struct {
 	// instance nothing invokes (a fleet daemon's detector) has none.
 	ports []port
 
-	timers core.TimerQueue
+	timers simtime.Queue
 	// armedAt is the deadline wake is armed for, when armed. The loop re-arms
 	// when the head of timers changes, after a wake (which spent the arming)
 	// and after a poke (the clock was stepped under it).

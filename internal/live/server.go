@@ -161,8 +161,11 @@ type Server struct {
 	rt    *Runtime
 	lns   []net.Listener
 	addrs []string
-	// tiers[reg] is register reg's tier, and its length is how many of the
-	// runtime's instances clients may address: 0 … len(tiers)−1.
+	// tiers[reg] is register reg's tier, which a read must name ('r' for
+	// lin, 's' for seq), and its length is how many of the runtime's
+	// instances clients may address: 0 … len(tiers)−1. A request that
+	// names another instance (a fleet daemon's detector) or the wrong tier
+	// closes its connection.
 	tiers []register.Tier
 
 	wg sync.WaitGroup
@@ -202,8 +205,9 @@ func (c *svcConn) close() {
 // yet dequeued by its writer.
 const connInflight = 256
 
-// NewServer opens one loopback listener per hosted node. Every register
-// instance of rt is served, lin-tier, unless SetTiers says otherwise.
+// NewServer opens one loopback listener per hosted node and serves every
+// register instance of rt, lin-tier; Deploy narrows that to the registers
+// and their tiers.
 func NewServer(rt *Runtime) (*Server, error) {
 	n := rt.opts.N
 	s := &Server{
@@ -226,20 +230,6 @@ func NewServer(rt *Runtime) (*Server, error) {
 		s.addrs[i] = ln.Addr().String()
 	}
 	return s, nil
-}
-
-// SetTiers installs the per-register consistency tiers the wire protocol
-// validates reads against: a read must name its register's tier ('r' for
-// lin, 's' for seq) or the connection is closed. Its length is the number
-// of registers served; a runtime may host more (a fleet daemon's detector
-// rides as the last instance), and a request naming one of those closes
-// the connection like any other bad request. Must be called before Start;
-// panics if tiers names more registers than the runtime hosts.
-func (s *Server) SetTiers(tiers []register.Tier) {
-	if len(tiers) > s.rt.opts.Registers {
-		panic(fmt.Sprintf("live: %d tiers for a runtime of %d register instances", len(tiers), s.rt.opts.Registers))
-	}
-	s.tiers = tiers
 }
 
 // Addrs returns the per-node client-facing addresses.

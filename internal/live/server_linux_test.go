@@ -1,10 +1,15 @@
 package live
 
 import (
+	"bufio"
+	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"psclock/internal/core"
+	"psclock/internal/detector"
+	"psclock/internal/exec"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 )
@@ -29,6 +34,93 @@ func TestServerGoroutinesIndependentOfRegisters(t *testing.T) {
 	}
 	if one, many := started(1), started(64); one != many {
 		t.Errorf("serving 1 register started %d goroutines, serving 64 started %d", one, many)
+	}
+}
+
+// TestDeploy pins the one assembly of a live store. A model that cannot run
+// is refused before anything is built, and the transport it was given is
+// closed. Register r runs its tier's algorithm with the model's Params — the
+// lin read pays 2ε more than the seq read, both writes d'2−c — the extras
+// follow the registers, and the sinks keep their order. The server offers
+// only the registers, each at its tier: a request at the extra, or a read
+// naming the wrong tier, closes its connection.
+func TestDeploy(t *testing.T) {
+	check := leakCheck(t)
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := tr.Addr(0)
+	bad := Model{Eps: 200 * us, D1: 3 * ms, D2: 2 * ms, Delta: 100 * us}
+	if _, _, err := Deploy(bad, []register.Tier{register.TierLin}, nil, Options{N: 2, Transport: tr}); err == nil {
+		t.Fatal("Deploy accepted d1 > d2")
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Errorf("a failed Deploy left %s listening", addr)
+	}
+	check()
+
+	m := Model{Eps: 300 * us, D2: 2 * ms, Delta: 100 * us, C: 50 * us}
+	tiers := []register.Tier{register.TierLin, register.TierSeq}
+	det := detector.Params{Period: 50 * ms, Timeout: 500 * ms}
+	sinks := []exec.Sink{&eventSink{}, &eventSink{}}
+	rt, srv, err := Deploy(m, tiers, []core.AlgorithmFactory{detector.Factory(det)}, Options{N: 2}, sinks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.sinks) != 2 || rt.sinks[0] != sinks[0] || rt.sinks[1] != sinks[1] {
+		t.Errorf("sinks %v, want %v in order", rt.sinks, sinks)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer func() {
+		srv.Close()
+		rt.Stop()
+	}()
+	algs := rt.nodes[1].algs
+	for r, wantRead := range []simtime.Duration{2*m.Eps + m.C + m.Delta, m.C + m.Delta} {
+		ls, ok := algs[r].(*register.LS)
+		if !ok {
+			t.Fatalf("register %d runs %T, want *register.LS", r, algs[r])
+		}
+		if read, write := ls.Costs(); read != wantRead || write != m.D2+2*m.Eps-m.C {
+			t.Errorf("register %d (%v) costs read %v write %v, want %v and %v", r, tiers[r], read, write, wantRead, m.D2+2*m.Eps-m.C)
+		}
+	}
+	if len(algs) != 3 {
+		t.Fatalf("node hosts %d instances, want 2 registers and 1 extra", len(algs))
+	}
+	if _, ok := algs[2].(*detector.Detector); !ok {
+		t.Errorf("instance 2 runs %T, want the extra's *detector.Detector", algs[2])
+	}
+
+	answered := func(req wireReq) bool {
+		conn := dialServed(t, srv.Addrs()[0])
+		conn.SetDeadline(time.Now().Add(5 * time.Second)) // a request wrongly admitted at the extra is never answered
+		if _, err := conn.Write(appendWireReq(nil, req)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := readWireResp(bufio.NewReader(conn))
+		return err == nil
+	}
+	for _, c := range []struct {
+		req  wireReq
+		want bool
+	}{
+		{wireReq{ID: 1, Reg: 0, Op: register.ActRead}, true},
+		{wireReq{ID: 2, Reg: 1, Op: register.ActRead, Tier: register.TierSeq}, true},
+		{wireReq{ID: 3, Reg: 1, Op: register.ActWrite, Val: register.Value{Writer: 0, Seq: 1}}, true},
+		{wireReq{ID: 4, Reg: 0, Op: register.ActRead, Tier: register.TierSeq}, false},
+		{wireReq{ID: 5, Reg: 1, Op: register.ActRead}, false},
+		{wireReq{ID: 6, Reg: 2, Op: register.ActRead}, false},
+		{wireReq{ID: 7, Reg: 2, Op: register.ActWrite, Val: register.Value{Writer: 0, Seq: 2}}, false},
+	} {
+		if got := answered(c.req); got != c.want {
+			t.Errorf("%+v answered %v, want %v", c.req, got, c.want)
+		}
 	}
 }
 

@@ -7,31 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"psclock/internal/core"
 	"psclock/internal/exec"
 	"psclock/internal/linearize"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 )
 
-// startServed starts algorithm S on nodes × regs instances behind a Server
-// serving len(tiers) of them (all of them when tiers is nil), and stops
-// both when the test ends.
-func startServed(t *testing.T, nodes, regs int, d2 simtime.Duration, tiers []register.Tier, sinks ...exec.Sink) (*Runtime, *Server) {
+// startServed deploys regs lin registers (algorithm S) and the extra
+// instances on nodes nodes behind a Server, starts both, and stops both
+// when the test ends.
+func startServed(t *testing.T, nodes, regs int, d2 simtime.Duration, extra []core.AlgorithmFactory, sinks ...exec.Sink) (*Runtime, *Server) {
 	t.Helper()
-	p, bounds := liveParams(200*us, d2)
-	rt, err := New(Options{N: nodes, Registers: regs, Bounds: bounds, Ell: ellBudget}, register.Factory(register.NewS, p))
+	m := Model{Eps: 200 * us, D2: d2, Delta: 100 * us}
+	rt, srv, err := Deploy(m, make([]register.Tier, regs), extra, Options{N: nodes}, sinks...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, s := range sinks {
-		rt.AddSink(s)
-	}
-	srv, err := NewServer(rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiers != nil {
-		srv.SetTiers(tiers)
 	}
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
@@ -199,7 +190,8 @@ func TestServerStalledClientDoesNotStallNode(t *testing.T) {
 func TestServerRejectsUnservedRegister(t *testing.T) {
 	const served = 2
 	sink := &eventSink{}
-	rt, srv := startServed(t, 1, served+1, 2*ms, []register.Tier{register.TierLin, register.TierLin}, sink)
+	p, _ := liveParams(200*us, 2*ms)
+	rt, srv := startServed(t, 1, served, 2*ms, []core.AlgorithmFactory{register.TierLin.Factory(p)}, sink)
 
 	bad := dialServed(t, srv.Addrs()[0])
 	if _, err := bad.Write(appendWireReq(nil, wireReq{ID: 1, Reg: served, Op: register.ActRead})); err != nil {
@@ -228,11 +220,4 @@ func TestServerRejectsUnservedRegister(t *testing.T) {
 	if len(sink.events) != 2 {
 		t.Errorf("recorded %d events, want the served read's two", len(sink.events))
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("SetTiers accepted more tiers than the runtime hosts instances")
-		}
-	}()
-	srv.SetTiers(make([]register.Tier, served+2))
 }

@@ -89,8 +89,8 @@ func TestStartUnwinds(t *testing.T) {
 		if err := rt.Start(); err == nil {
 			t.Fatal("Start succeeded on a transport whose peer refuses connections")
 		}
-		if err := rt.Invoke(0, "x", nil); err == nil {
-			t.Error("Invoke accepted by a runtime whose Start failed")
+		if err := rt.invoke(0, invocation{name: "x"}); err == nil {
+			t.Error("invoke accepted by a runtime whose Start failed")
 		}
 		if m := rt.Stop(); m != (Measured{}) {
 			t.Errorf("Stop after a failed Start measured %+v", m)

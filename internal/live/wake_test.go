@@ -136,7 +136,7 @@ func TestNodeTimerEarlierHeadPreempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
-	if err := rt.InvokeReg(0, 0, register.ActWrite, register.Value{Writer: 0, Seq: 1}); err != nil {
+	if err := rt.invoke(0, invocation{name: register.ActWrite, payload: register.Value{Writer: 0, Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Let the loop arm the far deadline and go to sleep on it.

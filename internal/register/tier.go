@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"psclock/internal/core"
-	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
 
@@ -61,20 +60,6 @@ func (t Tier) New(p Params) *LS {
 // Factory adapts the tier to core.AlgorithmFactory, mirroring Factory.
 func (t Tier) Factory(p Params) core.AlgorithmFactory {
 	return func(ta.NodeID, int) core.Algorithm { return t.New(p) }
-}
-
-// KeySpec is one key's tier and parameters. Per-key Params let keys on the
-// same node be designed against different ε or c; they still share the
-// node's physical clock and transport.
-type KeySpec struct {
-	Tier   Tier
-	Params Params
-}
-
-// Costs returns the key's analytical read and write time complexities
-// (Lemma 6.1 for seq, Lemma 6.2 for lin).
-func (k KeySpec) Costs() (read, write simtime.Duration) {
-	return k.Tier.New(k.Params).Costs()
 }
 
 // ParseTiers parses a per-register tier configuration: either an explicit

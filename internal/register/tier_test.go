@@ -85,8 +85,8 @@ func TestTierCosts(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	linR, linW := KeySpec{Tier: TierLin, Params: p}.Costs()
-	seqR, seqW := KeySpec{Tier: TierSeq, Params: p}.Costs()
+	linR, linW := TierLin.New(p).Costs()
+	seqR, seqW := TierSeq.New(p).Costs()
 	if linW != seqW {
 		t.Errorf("write costs differ across tiers: lin %v, seq %v", linW, seqW)
 	}

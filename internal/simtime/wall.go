@@ -53,16 +53,3 @@ func TimeFromWall(elapsed time.Duration) (Time, error) {
 	}
 	return Time(elapsed), nil
 }
-
-// WallUntil returns the wall-clock wait from now until target, clamping
-// to zero when the target has already passed. It rejects a Never target:
-// "no pending deadline" must be handled by the caller, not slept on.
-func WallUntil(target, now Time) (time.Duration, error) {
-	if target == Never {
-		return 0, fmt.Errorf("simtime: cannot wait until Never")
-	}
-	if target <= now {
-		return 0, nil
-	}
-	return time.Duration(target - now), nil
-}

@@ -84,28 +84,3 @@ func TestTimeFromWall(t *testing.T) {
 		})
 	}
 }
-
-func TestWallUntil(t *testing.T) {
-	cases := []struct {
-		name        string
-		target, now Time
-		want        time.Duration
-		ok          bool
-	}{
-		{"future", Time(5 * Millisecond), Time(2 * Millisecond), 3 * time.Millisecond, true},
-		{"now", Time(Millisecond), Time(Millisecond), 0, true},
-		{"past clamps to zero", Time(Millisecond), Time(9 * Millisecond), 0, true},
-		{"never", Never, Zero, 0, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, err := WallUntil(c.target, c.now)
-			if (err == nil) != c.ok {
-				t.Fatalf("WallUntil(%v, %v) error = %v, want ok=%v", c.target, c.now, err, c.ok)
-			}
-			if err == nil && got != c.want {
-				t.Fatalf("WallUntil(%v, %v) = %v, want %v", c.target, c.now, got, c.want)
-			}
-		})
-	}
-}

@@ -45,17 +45,12 @@ type ScriptedClient struct {
 	script []ScriptOp
 	next   int
 	wait   bool
-	opInv  simtime.Time
-	opRead bool
 	wseq   int
 
 	// Done counts completed operations.
 	Done int
 	// Err records an alternation violation.
 	Err error
-	// OnComplete, when set, is invoked at every operation completion, as
-	// in Config.OnComplete.
-	OnComplete func(read bool, inv, res simtime.Time)
 }
 
 var _ ta.Automaton = (*ScriptedClient)(nil)
@@ -88,16 +83,13 @@ func (c *ScriptedClient) Name() string { return c.name }
 func (c *ScriptedClient) Init() []ta.Action { return nil }
 
 // Deliver implements ta.Automaton.
-func (c *ScriptedClient) Deliver(now simtime.Time, a ta.Action) []ta.Action {
+func (c *ScriptedClient) Deliver(_ simtime.Time, a ta.Action) []ta.Action {
 	if a.Node != c.node || (a.Name != register.ActReturn && a.Name != register.ActAck) {
 		return nil
 	}
 	if c.wait {
 		c.wait = false
 		c.Done++
-		if c.OnComplete != nil {
-			c.OnComplete(c.opRead, c.opInv, now)
-		}
 	}
 	return nil
 }
@@ -124,7 +116,6 @@ func (c *ScriptedClient) Fire(now simtime.Time) []ta.Action {
 		return nil
 	}
 	c.wait = true
-	c.opInv, c.opRead = now, !op.Write
 	if op.Write {
 		v := register.Value{Writer: c.node, Seq: c.wseq}
 		c.wseq++

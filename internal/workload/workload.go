@@ -30,11 +30,6 @@ type Config struct {
 	// Stagger delays client i's first invocation by i·Stagger, spreading
 	// the initial burst.
 	Stagger simtime.Duration
-	// OnComplete, when set, is invoked at every operation completion with
-	// the operation kind and its invocation and response times — the
-	// streaming replacement for scraping per-operation latencies out of a
-	// retained trace after the run.
-	OnComplete func(read bool, inv, res simtime.Time)
 }
 
 // Client is a closed-loop client automaton driving one node.
@@ -46,8 +41,6 @@ type Client struct {
 
 	nextAt    simtime.Time
 	waiting   bool
-	opRead    bool
-	opInv     simtime.Time
 	remaining int
 	wseq      int
 	buf       [1]ta.Action // reusable return buffer
@@ -113,9 +106,6 @@ func (c *Client) Deliver(now simtime.Time, a ta.Action) []ta.Action {
 	}
 	c.waiting = false
 	c.Done++
-	if c.cfg.OnComplete != nil {
-		c.cfg.OnComplete(c.opRead, c.opInv, now)
-	}
 	c.nextAt = now.Add(c.think())
 	return nil
 }
@@ -143,14 +133,11 @@ func (c *Client) Fire(now simtime.Time) []ta.Action {
 	}
 	c.waiting = true
 	c.remaining--
-	c.opInv = now
 	if c.rng.Float64() < c.cfg.WriteRatio {
 		v := register.Value{Writer: c.node, Seq: c.wseq}
 		c.wseq++
-		c.opRead = false
 		c.buf[0] = ta.Action{Name: register.ActWrite, Node: c.node, Peer: ta.NoNode, Kind: ta.KindInput, Payload: v}
 	} else {
-		c.opRead = true
 		c.buf[0] = ta.Action{Name: register.ActRead, Node: c.node, Peer: ta.NoNode, Kind: ta.KindInput}
 	}
 	return c.buf[:]
