@@ -32,7 +32,8 @@ tier2:
 # no loop runs a Net until its clients finish (Net.RunUntil does); and a
 # live register store is assembled in one place — outside internal/live
 # (and bench/), no non-test code builds a runtime or server by hand
-# (live.Deploy does).
+# (live.Deploy does); and the plane reaches each daemon by one channel, its
+# stdin and stdout, so no non-test fleet code listens or dials a socket.
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -45,6 +46,8 @@ model-guard:
 	@! grep -rnE 'live\.New\(|live\.NewServer\(|SetRegisterFactory|SetTiers' --include='*.go' --exclude='*_test.go' \
 		cmd examples internal *.go | grep -v '^internal/live/' \
 		|| { echo "model-guard: live store assembled outside internal/live (use live.Deploy)"; exit 1; }
+	@! grep -rnE 'net\.(Listen|Dial)\(' --include='*.go' --exclude='*_test.go' internal/fleet \
+		|| { echo "model-guard: a socket between plane and daemon (the control channel is the daemon's stdin/stdout)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

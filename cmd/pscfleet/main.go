@@ -63,27 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var script fleet.Script
-	switch {
-	case *chaos == "none":
-	case *chaos == "default":
-		script = fleet.DefaultScript(*nodes, m.Eps, m.D2)
-	case len(*chaos) > 4 && (*chaos)[:4] == "gen:":
-		var k int
-		if _, err := fmt.Sscanf(*chaos, "gen:%d", &k); err != nil || k <= 0 {
-			fmt.Fprintf(stderr, "pscfleet: bad -chaos %q\n", *chaos)
-			return 2
-		}
-		script = fleet.GenScript(*seed, *nodes, k, *duration, m.Eps, m.D2)
-	default:
-		var err error
-		script, err = fleet.ParseScript(*chaos, *nodes)
-		if err != nil {
-			fmt.Fprintf(stderr, "pscfleet: %v\n", err)
-			return 2
-		}
-	}
-
 	bin, cleanup, err := findNodeBin(*nodeBin, stderr)
 	if cleanup != nil {
 		defer cleanup()
@@ -106,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Slack:       m.Slack,
 		DetPeriod:   simtime.Duration(*detPeriod),
 		DetTimeout:  simtime.Duration(*detTimeout),
-		Seed:        *seed,
 		NodeBin:     bin,
 		CheckShards: *checkShards,
 		Verbose:     *verbose,
@@ -115,6 +93,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "pscfleet: %v\n", err)
 		return 2
+	}
+
+	// The scripts below index nodes: NewPlane has refused a fleet too small
+	// for them, and spawned nothing.
+	var script fleet.Script
+	switch {
+	case *chaos == "none":
+	case *chaos == "default":
+		script = fleet.DefaultScript(*nodes, m.Eps, m.D2)
+	case len(*chaos) > 4 && (*chaos)[:4] == "gen:":
+		var k int
+		if _, err := fmt.Sscanf(*chaos, "gen:%d", &k); err != nil || k <= 0 {
+			fmt.Fprintf(stderr, "pscfleet: bad -chaos %q\n", *chaos)
+			return 2
+		}
+		script = fleet.GenScript(*seed, *nodes, k, *duration, m.Eps, m.D2)
+	default:
+		script, err = fleet.ParseScript(*chaos, *nodes)
+		if err != nil {
+			fmt.Fprintf(stderr, "pscfleet: %v\n", err)
+			return 2
+		}
 	}
 
 	fmt.Fprintf(stdout, "pscfleet: %d nodes × %d registers, %v load, chaos: %s\n",

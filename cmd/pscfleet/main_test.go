@@ -121,3 +121,15 @@ func TestRunBadModelFlag(t *testing.T) {
 		t.Fatalf("-eps -1ms: exit %d, want 2\nstderr:\n%s", code, errb.String())
 	}
 }
+
+// TestRunRejectsTooFewNodes: a fleet too small for the chaos scripts is a
+// usage error NewPlane names before any script indexes its nodes.
+func TestRunRejectsTooFewNodes(t *testing.T) {
+	for _, args := range [][]string{{"-nodes", "0"}, {"-nodes", "1", "-chaos", "gen:4"}} {
+		var out, errb strings.Builder
+		code := run(append(args, "-nodebin", "pscnode-never-run"), &out, &errb)
+		if code != 2 || !strings.Contains(errb.String(), "need ≥ 2 nodes") {
+			t.Errorf("%v: exit %d, want 2 and NewPlane's message\nstderr:\n%s", args, code, errb.String())
+		}
+	}
+}

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"net"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -23,32 +23,25 @@ func DefaultModel() live.Model {
 	return live.Model{Eps: 2 * ms, D2: 10 * ms, Delta: ms, Ell: 5 * ms, Slack: 6 * ms}
 }
 
-// DaemonConfig is everything one node process needs, passed by the plane
-// on the pscnode command line.
+// DaemonConfig is everything one node process needs: the plane's first
+// message on the daemon's control channel.
 type DaemonConfig struct {
 	Node        int
 	N           int
 	Registers   int // data registers; the detector rides as instance Registers
 	Incarnation int
-	PlaneAddr   string
-	// EpochUnixNano is the fleet-wide simulated Zero: every process stamps
-	// events as wall time since this instant, so all streams share one
-	// timeline.
-	EpochUnixNano int64
-	Seed          int64
-	Tiers         string // register tier spec ("" = all lin)
+	// Epoch is the fleet-wide simulated Zero: every process stamps events as
+	// wall time since this instant, so all streams share one timeline. It
+	// crosses the channel without its monotonic reading.
+	Epoch time.Time
+	Tiers string // register tier spec ("" = all lin)
 
 	Model                 live.Model
 	DetPeriod, DetTimeout simtime.Duration
-
-	// Interrupt, when non-nil, triggers the same graceful teardown a
-	// Shutdown command does (SIGINT/SIGTERM wiring lives in cmd/pscnode).
-	Interrupt <-chan os.Signal
-	Verbose   bool
-	Stderr    interface{ Write([]byte) (int, error) }
+	Verbose               bool
 }
 
-// forwarder bridges the daemon's recorder onto the control connection: it
+// forwarder bridges the daemon's recorder onto the control channel: it
 // buffers observed events and, at each recorder flush, ships the batch
 // with the flush bound as the merge watermark. Observe/Flush run on the
 // recorder's single consumer goroutine; the channel hands batches to a
@@ -81,18 +74,30 @@ func (f *forwarder) Flush(bound simtime.Time) {
 	}
 }
 
-// RunDaemon runs one fleet node to completion: connect to the plane,
-// host the node's register instances and heartbeat detector on the live
-// runtime over the mesh transport, stream events and beats back, apply
-// commanded faults, and tear down gracefully on Shutdown/SIGTERM (Bye) —
-// or die abruptly when chaos SIGKILLs the process, which is the point.
-func RunDaemon(cfg DaemonConfig) error {
+// RunDaemon runs one fleet node to completion over its control channel,
+// reading the plane's messages from in and writing its own to out: take the
+// configuration the plane sends first, host the node's register instances
+// and heartbeat detector on the live runtime over the mesh transport,
+// stream events and beats back, apply commanded faults, and tear down
+// gracefully (Bye) on Shutdown, on interrupt, or when in ends — or die
+// abruptly when chaos SIGKILLs the process, which is the point. stderr
+// takes the verbose log and why a replacement is not Ready.
+func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr io.Writer) error {
+	ctl := newCtlConn(in, out)
+	first, err := ctl.recv()
+	if err != nil {
+		return fmt.Errorf("read config: %w", err)
+	}
+	if first.Config == nil {
+		return fmt.Errorf("first message is %s, not a Config", first.kind())
+	}
+	cfg := *first.Config
 	if cfg.Registers <= 0 {
 		cfg.Registers = 1
 	}
 	logf := func(format string, args ...any) {
-		if cfg.Verbose && cfg.Stderr != nil {
-			fmt.Fprintf(cfg.Stderr, "pscnode[%d.%d]: "+format+"\n",
+		if cfg.Verbose {
+			fmt.Fprintf(stderr, "pscnode[%d.%d]: "+format+"\n",
 				append([]any{cfg.Node, cfg.Incarnation}, args...)...)
 		}
 	}
@@ -113,19 +118,12 @@ func RunDaemon(cfg DaemonConfig) error {
 		live.Options{
 			N:         cfg.N,
 			Transport: mesh,
-			Local:     []int{cfg.Node},
-			Epoch:     time.Unix(0, cfg.EpochUnixNano),
+			Epoch:     cfg.Epoch,
 			PortBase:  cfg.Incarnation * cfg.N * (cfg.Registers + 1),
 		}, fw)
 	if err != nil {
 		return err
 	}
-	conn, err := net.Dial("tcp", cfg.PlaneAddr)
-	if err != nil {
-		mesh.Close()
-		return fmt.Errorf("dial plane: %w", err)
-	}
-	ctl := newCtlConn(conn)
 	if cfg.Incarnation > 0 {
 		rt.Recovering() // its registers are empty until a peer's are copied
 	}
@@ -134,13 +132,7 @@ func RunDaemon(cfg DaemonConfig) error {
 	}
 	srv.Start()
 
-	hello := msgHello{
-		Node:        cfg.Node,
-		Incarnation: cfg.Incarnation,
-		Pid:         os.Getpid(),
-		NodeAddr:    mesh.Addr(cfg.Node),
-		ClientAddr:  srv.Addrs()[cfg.Node],
-	}
+	hello := msgHello{NodeAddr: mesh.Addr(cfg.Node), ClientAddr: srv.Addrs()[cfg.Node]}
 	if err := ctl.send(envelope{Hello: &hello}); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
@@ -193,15 +185,14 @@ func RunDaemon(cfg DaemonConfig) error {
 	}()
 
 	// Command reader: peers, faults, shutdown. peers hands the latest
-	// announcement's live peers to the readiness goroutine.
+	// announcement's live peers to the readiness goroutine. It is not
+	// joined: it ends at Shutdown or when the channel does.
 	peers := make(chan []ta.NodeID, 1)
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
 		for {
 			e, err := ctl.recv()
 			if err != nil {
-				beginStop() // plane gone
+				beginStop() // the channel ended: the plane is gone or closed it
 				return
 			}
 			switch {
@@ -257,10 +248,8 @@ func RunDaemon(cfg DaemonConfig) error {
 					continue
 				}
 			case tr := <-transfer:
-				if tr.Err != nil {
-					if cfg.Stderr != nil { // said without -v too
-						fmt.Fprintf(cfg.Stderr, "pscnode[%d.%d]: not ready: %v\n", cfg.Node, cfg.Incarnation, tr.Err)
-					}
+				if tr.Err != nil { // said without -v too
+					fmt.Fprintf(stderr, "pscnode[%d.%d]: not ready: %v\n", cfg.Node, cfg.Incarnation, tr.Err)
 					continue
 				}
 				ready = msgReady{Wired: tr.Wired, Applied: tr.Applied, From: int(tr.From), Updates: tr.Updates}
@@ -277,7 +266,7 @@ func RunDaemon(cfg DaemonConfig) error {
 	// Block until something asks us to stop.
 	select {
 	case <-teardown:
-	case sig := <-sigChan(cfg.Interrupt):
+	case sig := <-interrupt:
 		logf("signal %v", sig)
 		beginStop()
 	}
@@ -288,9 +277,6 @@ func RunDaemon(cfg DaemonConfig) error {
 	// absence marks a crash.
 	srv.Close()
 	m := rt.Stop()
-	// Unblock the command reader (a signal-initiated teardown leaves it
-	// blocked in recv); writes — the Bye below — are unaffected.
-	ctl.conn.SetReadDeadline(time.Now())
 	close(quiesce)
 	wg.Wait()
 drain:
@@ -306,16 +292,6 @@ drain:
 	}
 	bye := msgBye{Measured: m}
 	err = ctl.send(envelope{Bye: &bye})
-	ctl.close()
 	logf("bye: ops recorded, eps=%v reconnects=%d", m.Eps, m.Reconnects)
 	return err
-}
-
-// sigChan adapts a possibly-nil signal channel for select (nil blocks
-// forever).
-func sigChan(c <-chan os.Signal) <-chan os.Signal {
-	if c == nil {
-		return make(chan os.Signal)
-	}
-	return c
 }

@@ -3,9 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
-	"net"
 	osexec "os/exec"
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,6 +31,8 @@ type PlaneConfig struct {
 	// derives them (live.Model.Detector). The plane acts on its SUSPECTs.
 	DetPeriod, DetTimeout simtime.Duration
 
+	// Seed reaches no daemon and nothing reads it; it is kept for callers
+	// that set it.
 	Seed        int64
 	NodeBin     string // pscnode binary path
 	CheckShards int
@@ -53,7 +53,7 @@ type daemonState struct {
 	changed    chan struct{} // closed and replaced when ready, byeSeen or gone changes
 	inc        int
 	cmd        *osexec.Cmd
-	ctl        *ctlConn
+	ctl        *ctlConn // inc's control channel, set at spawn
 	nodeAddr   string
 	clientAddr string // published only between Ready and death
 	ready      bool
@@ -197,7 +197,6 @@ type Plane struct {
 	cfg   PlaneConfig
 	model live.Model
 	epoch time.Time
-	ln    net.Listener
 
 	verdict *live.Verdict
 	fanin   *FanIn
@@ -260,21 +259,11 @@ func (p *Plane) logf(format string, args ...any) {
 // Start anchors the epoch, spawns the N daemons, wires peers, and waits
 // until every node is Ready (serviceable).
 func (p *Plane) Start() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	p.ln = ln
 	p.epoch = time.Now()
-
 	p.daemons = make([]*daemonState, p.cfg.N)
 	for i := range p.daemons {
 		p.daemons[i] = &daemonState{node: i, changed: make(chan struct{})}
 	}
-
-	p.wg.Add(1)
-	go p.acceptLoop()
-
 	for i := 0; i < p.cfg.N; i++ {
 		if err := p.spawn(p.daemons[i], 0); err != nil {
 			p.Close()
@@ -288,37 +277,31 @@ func (p *Plane) Start() error {
 	return nil
 }
 
-// spawn launches incarnation inc of d's node and arms its exit watcher.
-// The peer map is re-broadcast when the daemon's Hello arrives.
+// spawn launches incarnation inc of d's node with its control channel on
+// the process's stdin and stdout, sends it its configuration, and reads
+// the channel until it ends; the peer map is re-broadcast when the
+// daemon's Hello arrives.
 func (p *Plane) spawn(d *daemonState, inc int) error {
-	cfgArgs := []string{
-		"-node", strconv.Itoa(d.node),
-		"-n", strconv.Itoa(p.cfg.N),
-		"-registers", strconv.Itoa(p.cfg.Registers),
-		"-incarnation", strconv.Itoa(inc),
-		"-plane", p.ln.Addr().String(),
-		"-epoch", strconv.FormatInt(p.epoch.UnixNano(), 10),
-		"-seed", strconv.FormatInt(p.cfg.Seed, 10),
-		"-detperiod", time.Duration(p.cfg.DetPeriod).String(),
-		"-dettimeout", time.Duration(p.cfg.DetTimeout).String(),
-	}
-	cfgArgs = append(cfgArgs, p.model.Args()...)
-	if p.cfg.Tiers != "" {
-		cfgArgs = append(cfgArgs, "-tiers", p.cfg.Tiers)
-	}
-	if p.cfg.Verbose {
-		cfgArgs = append(cfgArgs, "-v")
-	}
-	cmd := osexec.Command(p.cfg.NodeBin, cfgArgs...)
+	cmd := osexec.Command(p.cfg.NodeBin)
 	if p.cfg.Logw != nil {
 		cmd.Stderr = p.cfg.Logw // silent without -v, except to say why it failed or is not Ready
+	}
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
 	}
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
 	}
+	ctl := newCtlConn(stdout, stdin)
 	d.mu.Lock()
 	d.inc = inc
 	d.cmd = cmd
+	d.ctl = ctl
 	d.helloed = false
 	d.byeSeen = false
 	d.ready = false
@@ -326,68 +309,52 @@ func (p *Plane) spawn(d *daemonState, inc int) error {
 	d.mu.Unlock()
 	p.logf("node %d incarnation %d spawned (pid %d)", d.node, inc, cmd.Process.Pid)
 
+	// Nothing else is sent before the Hello, so the config goes first. A
+	// daemon that died before reading it ends its channel like any other.
+	ctl.send(envelope{Config: &DaemonConfig{
+		Node: d.node, N: p.cfg.N, Registers: p.cfg.Registers, Incarnation: inc,
+		Epoch: p.epoch, Tiers: p.cfg.Tiers, Model: p.model,
+		DetPeriod: p.cfg.DetPeriod, DetTimeout: p.cfg.DetTimeout, Verbose: p.cfg.Verbose,
+	}})
+	p.mu.Lock()
+	closed := p.shutdown
+	p.mu.Unlock()
+	if closed {
+		ctl.close() // Close passed this slot before ctl was set: drain at once
+	}
+	// Read, then reap, then remediate: Wait closes stdout, so it must follow
+	// the last read, and every batch the incarnation shipped reaches the
+	// FanIn before onExit freezes its stream.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
+		p.readLoop(d, inc, ctl)
 		cmd.Wait()
 		p.onExit(d, inc)
 	}()
 	return nil
 }
 
-// acceptLoop admits daemon control connections; the first message must be
-// a Hello identifying the node and incarnation.
-func (p *Plane) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			ctl := newCtlConn(conn)
-			e, err := ctl.recv()
-			if err != nil || e.Hello == nil {
-				ctl.close()
-				return
-			}
-			h := e.Hello
-			if h.Node < 0 || h.Node >= p.cfg.N {
-				ctl.close()
-				return
-			}
-			d := p.daemons[h.Node]
-			d.mu.Lock()
-			if h.Incarnation != d.inc {
-				d.mu.Unlock()
-				ctl.close() // stale incarnation's connection
-				return
-			}
-			d.ctl = ctl
-			d.nodeAddr = h.NodeAddr
-			d.helloed = true
-			if !d.downAt.IsZero() {
-				d.rec.HelloMS = ms(time.Since(d.downAt))
-			}
-			pendingClient := h.ClientAddr
-			d.mu.Unlock()
-			p.logf("node %d incarnation %d hello (mesh %s, clients %s)", h.Node, h.Incarnation, h.NodeAddr, h.ClientAddr)
-			p.broadcastPeers()
-			p.readLoop(d, ctl, pendingClient)
-		}()
-	}
-}
-
-// readLoop consumes one daemon connection until it breaks.
-func (p *Plane) readLoop(d *daemonState, ctl *ctlConn, clientAddr string) {
+// readLoop consumes incarnation inc's channel until it ends.
+func (p *Plane) readLoop(d *daemonState, inc int, ctl *ctlConn) {
+	var clientAddr string // published at Ready
 	for {
 		e, err := ctl.recv()
 		if err != nil {
 			return
 		}
 		switch {
+		case e.Hello != nil:
+			d.mu.Lock()
+			d.nodeAddr = e.Hello.NodeAddr
+			d.helloed = true
+			if !d.downAt.IsZero() {
+				d.rec.HelloMS = ms(time.Since(d.downAt))
+			}
+			d.mu.Unlock()
+			clientAddr = e.Hello.ClientAddr
+			p.logf("node %d incarnation %d hello (mesh %s, clients %s)", d.node, inc, e.Hello.NodeAddr, clientAddr)
+			p.broadcastPeers()
 		case e.Beat != nil:
 			d.mu.Lock()
 			d.beat = *e.Beat
@@ -433,8 +400,8 @@ func (p *Plane) onExit(d *daemonState, inc int) {
 	p.mu.Unlock()
 
 	d.mu.Lock()
-	if d.inc != inc || d.byeSeen || down {
-		d.mu.Unlock() // a newer incarnation owns the slot, or nothing to remediate
+	if d.byeSeen || down {
+		d.mu.Unlock() // nothing to remediate
 		return
 	}
 	// Crash: fold what the beats reported before death; the ring tail
@@ -518,7 +485,7 @@ func (p *Plane) broadcastPeers() {
 	for i, d := range p.daemons {
 		d.mu.Lock()
 		addrs[i] = d.nodeAddr
-		if d.ctl != nil && d.helloed && !d.byeSeen {
+		if d.helloed && !d.byeSeen {
 			ctls = append(ctls, d.ctl)
 		}
 		d.mu.Unlock()
@@ -612,7 +579,7 @@ func (p *Plane) sendFault(node int, f msgFault) error {
 	ctl := d.ctl
 	ok := d.helloed && !d.byeSeen
 	d.mu.Unlock()
-	if ctl == nil || !ok {
+	if !ok {
 		return fmt.Errorf("fleet: node %d not connected", node)
 	}
 	return ctl.send(envelope{Fault: &f})
@@ -710,7 +677,7 @@ func (p *Plane) Shutdown() FleetVerdict {
 		ctl := d.ctl
 		live := d.helloed && !d.byeSeen && !d.gone
 		d.mu.Unlock()
-		if live && ctl != nil {
+		if live {
 			ctl.send(envelope{Shutdown: &msgShutdown{}})
 		}
 	}
@@ -741,14 +708,12 @@ func (p *Plane) Shutdown() FleetVerdict {
 	}
 }
 
-// Close tears down the plane's listener and reaps every watcher.
+// Close closes every daemon's channel, which drains the daemon, and
+// returns once every incarnation's reader has reaped its process.
 func (p *Plane) Close() {
 	p.mu.Lock()
 	p.shutdown = true
 	p.mu.Unlock()
-	if p.ln != nil {
-		p.ln.Close()
-	}
 	for _, d := range p.daemons {
 		d.mu.Lock()
 		if d.ctl != nil {

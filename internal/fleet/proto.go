@@ -17,7 +17,8 @@ package fleet
 import (
 	"bufio"
 	"encoding/gob"
-	"net"
+	"io"
+	"reflect"
 	"sync"
 	"time"
 
@@ -27,7 +28,7 @@ import (
 )
 
 func init() {
-	// Recorded actions cross the control connection with their payloads as
+	// Recorded actions cross the control channel with their payloads as
 	// interface values: detector SUSPECT/RESTORE carry the peer's NodeID
 	// (register.Value is registered by the register package already).
 	gob.Register(ta.NodeID(0))
@@ -42,9 +43,8 @@ type wireEvent struct {
 }
 
 // envelope is the single message type both directions of a control
-// connection exchange; exactly one field is non-nil per message. gob
-// encodes nil pointers as absent, so the envelope costs what its one
-// member costs.
+// channel exchange; exactly one field is non-nil per message. gob encodes
+// nil pointers as absent, so the envelope costs what its one member costs.
 type envelope struct {
 	// daemon → plane
 	Hello  *msgHello
@@ -53,17 +53,27 @@ type envelope struct {
 	Ready  *msgReady
 	Bye    *msgBye
 
-	// plane → daemon
+	// plane → daemon; Config first and once
+	Config   *DaemonConfig
 	Peers    *msgPeers
 	Fault    *msgFault
 	Shutdown *msgShutdown
 }
 
-// msgHello is the daemon's first message: who it is and where it listens.
+// kind names the envelope's non-nil member, for an error about it.
+func (e envelope) kind() string {
+	v := reflect.ValueOf(e)
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).IsNil() {
+			return v.Type().Field(i).Name
+		}
+	}
+	return "an empty envelope"
+}
+
+// msgHello is the daemon's first message: where it listens. The channel
+// it arrives on says which incarnation of which node sent it.
 type msgHello struct {
-	Node        int
-	Incarnation int
-	Pid         int
 	// NodeAddr is the mesh (inter-node) listen address; ClientAddr is the
 	// register client-protocol address.
 	NodeAddr   string
@@ -126,25 +136,25 @@ type msgFault struct {
 // msgShutdown asks for a graceful exit: drain, report Bye, terminate.
 type msgShutdown struct{}
 
-// ctlConn wraps one control connection with a write lock (reads have a
-// single owner per side; writes come from beat tickers, event forwarders,
-// and command paths concurrently).
+// ctlConn is one end of a control channel, the daemon's stdin and stdout,
+// with a write lock (reads have a single owner per side; writes come from
+// beat tickers, event forwarders, and command paths concurrently).
 type ctlConn struct {
-	conn net.Conn
-	bw   *bufio.Writer
-	dec  *gob.Decoder
+	dec *gob.Decoder
 
 	wmu sync.Mutex
+	w   io.Writer
+	bw  *bufio.Writer
 	enc *gob.Encoder
 }
 
-func newCtlConn(conn net.Conn) *ctlConn {
-	bw := bufio.NewWriterSize(conn, 64<<10)
+func newCtlConn(r io.Reader, w io.Writer) *ctlConn {
+	bw := bufio.NewWriterSize(w, 64<<10)
 	return &ctlConn{
-		conn: conn,
-		bw:   bw,
-		dec:  gob.NewDecoder(bufio.NewReaderSize(conn, 64<<10)),
-		enc:  gob.NewEncoder(bw),
+		dec: gob.NewDecoder(bufio.NewReaderSize(r, 64<<10)),
+		w:   w,
+		bw:  bw,
+		enc: gob.NewEncoder(bw),
 	}
 }
 
@@ -165,4 +175,11 @@ func (c *ctlConn) recv() (envelope, error) {
 	return e, err
 }
 
-func (c *ctlConn) close() { c.conn.Close() }
+// close ends the channel's write direction: at the plane, the daemon's
+// stdin, whose EOF drains the daemon. The read direction ends when the
+// other side closes its own.
+func (c *ctlConn) close() {
+	if wc, ok := c.w.(io.Closer); ok {
+		wc.Close()
+	}
+}

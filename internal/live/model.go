@@ -77,16 +77,6 @@ func (m *Model) Flags(fs *flag.FlagSet) {
 	}
 }
 
-// Args renders the vector as the argument list Flags parses back into the
-// same Model: how the fleet's plane hands its model to each pscnode.
-func (m Model) Args() []string {
-	var args []string
-	for _, f := range m.fields() {
-		args = append(args, "-"+f.name, durFlag{f.v}.String())
-	}
-	return args
-}
-
 // Params returns the register parameters the node programs run with: the
 // algorithm is designed against the timed model and run through the clock
 // transformation, so its delay bound is Theorem 4.7's widened d'2 = d2+2ε.

@@ -47,13 +47,10 @@ type Options struct {
 	// The runtime evaluates each model at the real time since its epoch.
 	Clocks clock.Factory
 	// Transport moves frames; defaults to the in-process NewLocalTransport.
+	// The runtime hosts exactly the nodes its transport hosts: all N on the
+	// local and TCP transports, one on a fleet daemon's NewMeshTransport.
 	Transport *MeshTransport
 
-	// Local lists the node IDs this process hosts; nil hosts all N (the
-	// single-process runtimes of pscserve). A fleet daemon hosts exactly
-	// one: frames for remote nodes cross its Transport, and inbound frames
-	// for nodes it does not host are dropped.
-	Local []int
 	// Epoch anchors simulated Zero. Zero-valued means "now at Start" (the
 	// single-process default); a fleet passes one shared instant to every
 	// daemon so all processes stamp events on a single timeline.
@@ -238,23 +235,6 @@ func (rt *Runtime) Port(nodeID ta.NodeID, reg int) ta.NodeID {
 	return ta.NodeID(rt.opts.PortBase+reg*rt.opts.N) + nodeID
 }
 
-// hostsNode reports whether this runtime hosts node i (always true in
-// single-process mode).
-func (rt *Runtime) hostsNode(i int) bool {
-	if i < 0 || i >= rt.opts.N {
-		return false
-	}
-	if rt.opts.Local == nil {
-		return true
-	}
-	for _, l := range rt.opts.Local {
-		if l == i {
-			return true
-		}
-	}
-	return false
-}
-
 // AddSink registers an exec.Sink over the runtime's observable event
 // stream (environment invocations and responses, with the message
 // interface hidden — the same projection the simulator's sinks see).
@@ -277,7 +257,7 @@ func (rt *Runtime) Start() error {
 	n, r := rt.opts.N, rt.opts.Registers
 	rt.nodes = make([]*node, n)
 	for i := 0; i < n; i++ {
-		if !rt.hostsNode(i) {
+		if !rt.transport.hosts(i) {
 			continue
 		}
 		nd := &node{

@@ -218,7 +218,7 @@ func NewServer(rt *Runtime) (*Server, error) {
 		conns: make(map[*svcConn]struct{}),
 	}
 	for i := 0; i < n; i++ {
-		if !rt.hostsNode(i) {
+		if !rt.transport.hosts(i) {
 			continue // a fleet daemon serves clients only for its own node
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

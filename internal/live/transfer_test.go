@@ -28,7 +28,7 @@ func startMeshNode(t *testing.T, id int, epoch time.Time, replacement bool) *mes
 		t.Fatal(err)
 	}
 	rt, err := New(Options{
-		N: 3, Registers: 2, Bounds: transferModel.Bounds(), Transport: mesh, Local: []int{id}, Epoch: epoch,
+		N: 3, Registers: 2, Bounds: transferModel.Bounds(), Transport: mesh, Epoch: epoch,
 	}, register.Factory(register.NewS, transferModel.Params()))
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +137,12 @@ func TestTransferRecovery(t *testing.T) {
 // before Start, past N, or hosted by another process, as every node but
 // one is for a fleet daemon — answers with an error naming the node.
 func TestTransferUnknownNode(t *testing.T) {
+	mesh, err := NewMeshTransport(0, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt, err := New(Options{
-		N: 3, Bounds: transferModel.Bounds(), Transport: NewLocalTransport(3), Local: []int{0},
+		N: 3, Bounds: transferModel.Bounds(), Transport: mesh,
 	}, register.Factory(register.NewS, transferModel.Params()))
 	if err != nil {
 		t.Fatal(err)

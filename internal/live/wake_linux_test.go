@@ -82,7 +82,7 @@ func TestStartUnwinds(t *testing.T) {
 		}
 		dead.Close()
 		mesh.SetPeer(1, dead.Addr().String())
-		rt, err := New(Options{N: 2, Transport: mesh, Local: []int{0}}, beating)
+		rt, err := New(Options{N: 2, Transport: mesh}, beating)
 		if err != nil {
 			t.Fatal(err)
 		}
