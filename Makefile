@@ -33,7 +33,10 @@ tier2:
 # live register store is assembled in one place — outside internal/live
 # (and bench/), no non-test code builds a runtime or server by hand
 # (live.Deploy does); and the plane reaches each daemon by one channel, its
-# stdin and stdout, so no non-test fleet code listens or dials a socket.
+# stdin and stdout, so no non-test fleet code listens or dials a socket; and
+# core.Context is implemented once, by the node engine in internal/core
+# that the simulator and the live runtime both host, so no non-test code
+# elsewhere defines a SetTimer method.
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -48,6 +51,8 @@ model-guard:
 		|| { echo "model-guard: live store assembled outside internal/live (use live.Deploy)"; exit 1; }
 	@! grep -rnE 'net\.(Listen|Dial)\(' --include='*.go' --exclude='*_test.go' internal/fleet \
 		|| { echo "model-guard: a socket between plane and daemon (the control channel is the daemon's stdin/stdout)"; exit 1; }
+	@! grep -rnE '\) SetTimer\(' --include='*.go' --exclude='*_test.go' cmd examples internal | grep -v '^internal/core/' \
+		|| { echo "model-guard: core.Context implemented outside internal/core (host the algorithm in a core.Composite)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

@@ -109,8 +109,8 @@ type engine struct {
 	// every adapter copies it out immediately (see appendActs and the
 	// emit/pend methods).
 	now simtime.Time
-	out []stamped
-	acc []stamped
+	out []Stamped
+	acc []Stamped
 }
 
 var _ Context = (*engine)(nil)
@@ -161,7 +161,7 @@ func (e *engine) Send(to ta.NodeID, body any) {
 	if !e.isNeighbor(to) {
 		panic(fmt.Sprintf("core: node %v sent to %v with no edge e_{%v,%v} (§3.1 signature restriction)", e.id, to, e.id, to))
 	}
-	e.out = append(e.out, stamped{at: e.now, act: ta.Action{
+	e.out = append(e.out, Stamped{At: e.now, Act: ta.Action{
 		Name:    ta.NameSendMsg,
 		Node:    e.id,
 		Peer:    to,
@@ -186,7 +186,7 @@ func (e *engine) Broadcast(body any) {
 }
 
 func (e *engine) Output(name string, payload any) {
-	e.out = append(e.out, stamped{at: e.now, act: ta.Action{
+	e.out = append(e.out, Stamped{At: e.now, Act: ta.Action{
 		Name:    name,
 		Node:    e.id,
 		Peer:    ta.NoNode,
@@ -202,7 +202,7 @@ func (e *engine) SetTimer(at simtime.Time, key any) {
 // run invokes fn with the context set to time t and returns the actions the
 // callback performed. The returned slice is the engine's reusable buffer:
 // it is valid only until the next call into the engine.
-func (e *engine) run(t simtime.Time, fn func()) []stamped {
+func (e *engine) run(t simtime.Time, fn func()) []Stamped {
 	if t.Before(e.last) {
 		t = e.last
 	}
@@ -214,17 +214,17 @@ func (e *engine) run(t simtime.Time, fn func()) []stamped {
 }
 
 // start delivers the Start callback at time t.
-func (e *engine) start(t simtime.Time) []stamped {
+func (e *engine) start(t simtime.Time) []Stamped {
 	return e.run(t, func() { e.alg.Start(e) })
 }
 
 // input delivers an environment invocation at time t.
-func (e *engine) input(t simtime.Time, name string, payload any) []stamped {
+func (e *engine) input(t simtime.Time, name string, payload any) []Stamped {
 	return e.run(t, func() { e.alg.OnInput(e, name, payload) })
 }
 
 // message delivers a network message at time t.
-func (e *engine) message(t simtime.Time, from ta.NodeID, body any) []stamped {
+func (e *engine) message(t simtime.Time, from ta.NodeID, body any) []Stamped {
 	return e.run(t, func() { e.alg.OnMessage(e, from, body) })
 }
 
@@ -243,7 +243,7 @@ func (e *engine) nextTimer() (simtime.Time, bool) {
 // register further timers with deadline ≤ t; those fire in the same
 // advance. It returns the actions performed, in the engine's reusable
 // accumulation buffer — valid only until the next advance.
-func (e *engine) advance(t simtime.Time) []stamped {
+func (e *engine) advance(t simtime.Time) []Stamped {
 	e.acc = e.acc[:0]
 	for {
 		at, ok := e.timers.Next()

@@ -11,7 +11,7 @@ import (
 // Standalone, literal transcriptions of the Figure 2 buffer automata.
 //
 // In the assembled systems (BuildClocked / BuildMMT) the buffers are
-// folded into the node composite (clockinner.go) for efficiency; these
+// folded into the node composite (Composite) for efficiency; these
 // component versions exist to demonstrate the paper's actual composition
 // A^c_{i,ε} = C(A_i,ε) × S_ij,ε × R_ji,ε and to differentially test the
 // folded implementation against the literal one (see buffers_test.go).

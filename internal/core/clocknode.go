@@ -33,7 +33,7 @@ func (s ClockStamp) Skew() simtime.Duration { return simtime.Duration(s.Clock - 
 type ClockNode struct {
 	name  string
 	id    ta.NodeID
-	inner *clockInner
+	inner *Composite
 	clk   clock.Model
 
 	stamps []ClockStamp
@@ -52,7 +52,7 @@ func NewClockNode(id ta.NodeID, n int, alg Algorithm, clk clock.Model) *ClockNod
 	return &ClockNode{
 		name:         fmt.Sprintf("cnode(%v)", id),
 		id:           id,
-		inner:        newClockInner(id, n, alg, false),
+		inner:        NewComposite(id, n, alg),
 		clk:          clk,
 		RecordStamps: true,
 	}
@@ -80,7 +80,7 @@ func (cn *ClockNode) Stamps() []ClockStamp { return cn.stamps }
 // BufferStats reports receive-buffer activity: messages held, messages
 // received, and the maximum clock-time hold (experiment E7).
 func (cn *ClockNode) BufferStats() (buffered, received int, heldMax simtime.Duration) {
-	return cn.inner.bufferStats()
+	return cn.inner.BufferStats()
 }
 
 // Matches reports whether a is an input of this node: an ERECVMSG from a
@@ -94,15 +94,15 @@ func (cn *ClockNode) Matches(a ta.Action) bool {
 
 // emit converts stamped inner actions to the composed system's actions,
 // recording γ'_α entries along the way.
-func (cn *ClockNode) emit(now simtime.Time, ss []stamped) []ta.Action {
+func (cn *ClockNode) emit(now simtime.Time, ss []Stamped) []ta.Action {
 	if len(ss) == 0 {
 		return nil
 	}
 	out := cn.out[:0]
 	for _, s := range ss {
-		out = append(out, s.act)
+		out = append(out, s.Act)
 		if cn.RecordStamps {
-			cn.stamps = append(cn.stamps, ClockStamp{Action: s.act, Real: now, Clock: s.at})
+			cn.stamps = append(cn.stamps, ClockStamp{Action: s.Act, Real: now, Clock: s.At})
 		}
 	}
 	cn.out = out
@@ -119,7 +119,7 @@ func (cn *ClockNode) stampInput(now simtime.Time, c simtime.Time, a ta.Action) {
 
 // Init implements ta.Automaton.
 func (cn *ClockNode) Init() []ta.Action {
-	return cn.emit(0, cn.inner.start())
+	return cn.emit(0, cn.inner.Start(0))
 }
 
 // Deliver implements ta.Automaton.
@@ -134,16 +134,16 @@ func (cn *ClockNode) Deliver(now simtime.Time, a ta.Action) []ta.Action {
 			panic(fmt.Sprintf("core: ERECVMSG payload %T is not ta.TaggedMsg", a.Payload))
 		}
 		cn.stampInput(now, c, a)
-		return cn.emit(now, cn.inner.erecv(c, a.Peer, tm))
+		return cn.emit(now, cn.inner.Receive(c, a.Peer, tm))
 	}
 	cn.stampInput(now, c, a)
-	return cn.emit(now, cn.inner.input(c, a.Name, a.Payload))
+	return cn.emit(now, cn.inner.Input(c, a.Name, a.Payload))
 }
 
 // Due implements ta.Automaton: the composite's next clock deadline,
 // translated to real time through the clock's inverse.
 func (cn *ClockNode) Due(simtime.Time) (simtime.Time, bool) {
-	c, ok := cn.inner.nextDue()
+	c, ok := cn.inner.NextDue()
 	if !ok {
 		return 0, false
 	}
@@ -152,7 +152,7 @@ func (cn *ClockNode) Due(simtime.Time) (simtime.Time, bool) {
 
 // Fire implements ta.Automaton.
 func (cn *ClockNode) Fire(now simtime.Time) []ta.Action {
-	return cn.emit(now, cn.inner.advance(cn.clk.At(now)))
+	return cn.emit(now, cn.inner.Advance(cn.clk.At(now)))
 }
 
 // NextInterest implements ta.Coalescable. The clock-model node sees its

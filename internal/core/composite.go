@@ -7,17 +7,18 @@ import (
 	"psclock/internal/ta"
 )
 
-// clockInner is the clock-value-driven composite A^c_{i,ε} of §4.2: the
+// Composite is the clock-value-driven composite A^c_{i,ε} of §4.2: the
 // wrapped algorithm C(A_i, ε) together with the send buffers S_ij,ε and
 // receive buffers R_ji,ε of Figure 2, with the SENDMSG/RECVMSG interface
 // between them hidden inside.
 //
 // The composite is ε-time independent by construction (Definition 2.6): it
-// is driven exclusively by clock values, never by real time. Two different
-// outer adapters drive it: ClockNode (clock model, §4), which converts
-// between real time and clock time using the node's clock.Model, and
-// MMTNode (MMT model, §5), which drives it by the last TICK value during
-// catch-up.
+// is driven exclusively by clock values, never by real time. Three outer
+// adapters drive it: ClockNode (clock model, §4), which converts between
+// real time and clock time using the node's clock.Model; MMTNode (MMT
+// model, §5), which drives it by the last TICK value during catch-up; and
+// the live runtime's node, which drives one composite per register
+// instance by its wall-clock reading.
 //
 // The send buffer's behavior — tag each outgoing message with the clock
 // value at which it was sent, before any clock passage (the "c = clock"
@@ -25,7 +26,7 @@ import (
 // emission time. The receive buffer is literal: one FIFO queue per incoming
 // edge whose front is deliverable only once the local clock reaches its
 // tag.
-type clockInner struct {
+type Composite struct {
 	id  ta.NodeID
 	n   int
 	eng *engine
@@ -48,58 +49,62 @@ type clockInner struct {
 
 	// acc is the reusable output buffer: every public method returns a
 	// slice of it, valid only until the next call into the composite. The
-	// outer adapters (ClockNode.emit, MMTNode.pend) copy it out
-	// immediately.
-	acc []stamped
+	// outer adapters (ClockNode.emit, MMTNode.pend, the live node's emit)
+	// copy it out immediately.
+	acc []Stamped
 }
 
-func newClockInner(id ta.NodeID, n int, alg Algorithm, noBuffer bool) *clockInner {
-	return &clockInner{
-		id:       id,
-		n:        n,
-		eng:      newEngine(id, n, alg),
-		queues:   make(map[ta.NodeID][]ta.TaggedMsg, n),
-		noBuffer: noBuffer,
+// NewComposite returns the composite for node id of an n-node system
+// running alg.
+func NewComposite(id ta.NodeID, n int, alg Algorithm) *Composite {
+	return &Composite{
+		id:     id,
+		n:      n,
+		eng:    newEngine(id, n, alg),
+		queues: make(map[ta.NodeID][]ta.TaggedMsg, n),
 	}
 }
+
+// Algorithm returns the algorithm the composite wraps.
+func (ci *Composite) Algorithm() Algorithm { return ci.eng.alg }
 
 // process appends the engine's raw outputs to ci.acc, converted into the
 // composite's outputs: every SENDMSG is accompanied by the tagged ESENDMSG
 // that S_ij,ε forwards to the clock-model edge at the same instant. ss is
 // the engine's reusable buffer; the values are copied here before the next
 // engine call.
-func (ci *clockInner) process(ss []stamped) {
+func (ci *Composite) process(ss []Stamped) {
 	for _, s := range ss {
 		ci.acc = append(ci.acc, s)
-		if s.act.Name == ta.NameSendMsg {
-			msg, ok := s.act.Payload.(ta.Msg)
+		if s.Act.Name == ta.NameSendMsg {
+			msg, ok := s.Act.Payload.(ta.Msg)
 			if !ok {
-				panic(fmt.Sprintf("core: SENDMSG payload %T is not ta.Msg", s.act.Payload))
+				panic(fmt.Sprintf("core: SENDMSG payload %T is not ta.Msg", s.Act.Payload))
 			}
-			ci.acc = append(ci.acc, stamped{
-				at: s.at,
-				act: ta.Action{
+			ci.acc = append(ci.acc, Stamped{
+				At: s.At,
+				Act: ta.Action{
 					Name:    ta.NameESendMsg,
-					Node:    s.act.Node,
-					Peer:    s.act.Peer,
+					Node:    s.Act.Node,
+					Peer:    s.Act.Peer,
 					Kind:    ta.KindOutput,
-					Payload: ta.TaggedMsg{Body: msg.Body, SentClock: s.at},
+					Payload: ta.TaggedMsg{Body: msg.Body, SentClock: s.At},
 				},
 			})
 		}
 	}
 }
 
-// start runs the algorithm's Start at clock 0.
-func (ci *clockInner) start() []stamped {
+// Start runs the algorithm's Start at clock value c.
+func (ci *Composite) Start(c simtime.Time) []Stamped {
 	ci.acc = ci.acc[:0]
-	ci.process(ci.eng.start(0))
+	ci.process(ci.eng.start(c))
 	return ci.acc
 }
 
-// nextDue returns the earliest clock value at which the composite has work:
+// NextDue returns the earliest clock value at which the composite has work:
 // a timer deadline of C(A,ε) or a releasable front of some R_ji queue.
-func (ci *clockInner) nextDue() (simtime.Time, bool) {
+func (ci *Composite) NextDue() (simtime.Time, bool) {
 	due, ok := ci.eng.nextTimer()
 	for _, q := range ci.queues {
 		if len(q) == 0 {
@@ -112,18 +117,18 @@ func (ci *clockInner) nextDue() (simtime.Time, bool) {
 	return due, ok
 }
 
-// advance brings the composite up to clock value c, interleaving timer
+// Advance brings the composite up to clock value c, interleaving timer
 // firings and buffer releases in clock order, each performed at its own
 // clock value. This is both the ClockNode steady-state step and the MMT
 // catch-up fragment (Definition 5.1's frag).
-func (ci *clockInner) advance(c simtime.Time) []stamped {
+func (ci *Composite) Advance(c simtime.Time) []Stamped {
 	ci.acc = ci.acc[:0]
 	ci.advanceInto(c)
 	return ci.acc
 }
 
-// advanceInto is advance appending to ci.acc without resetting it.
-func (ci *clockInner) advanceInto(c simtime.Time) {
+// advanceInto is Advance appending to ci.acc without resetting it.
+func (ci *Composite) advanceInto(c simtime.Time) {
 	for {
 		// Earliest buffer release among queue fronts.
 		var (
@@ -161,10 +166,10 @@ func (ci *clockInner) advanceInto(c simtime.Time) {
 // deliverMsg hands a message to the algorithm at clock value c, appending
 // to ci.acc the node-internal RECVMSG action R_ji performs and whatever
 // the algorithm does in response.
-func (ci *clockInner) deliverMsg(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg) {
-	ci.acc = append(ci.acc, stamped{
-		at: c,
-		act: ta.Action{
+func (ci *Composite) deliverMsg(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg) {
+	ci.acc = append(ci.acc, Stamped{
+		At: c,
+		Act: ta.Action{
 			Name:    ta.NameRecvMsg,
 			Node:    ci.id,
 			Peer:    from,
@@ -175,11 +180,11 @@ func (ci *clockInner) deliverMsg(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg
 	ci.process(ci.eng.message(c, from, tm.Body))
 }
 
-// erecv handles an ERECVMSG from the clock-model edge at clock value c: the
-// R_ji,ε effect. The message is delivered immediately if its queue is empty
-// and its tag has been reached, and buffered otherwise. The composite is
-// caught up to c first, so the algorithm state is current.
-func (ci *clockInner) erecv(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg) []stamped {
+// Receive handles an ERECVMSG from the clock-model edge at clock value c:
+// the R_ji,ε effect. The message is delivered immediately if its queue is
+// empty and its tag has been reached, and buffered otherwise. The composite
+// is caught up to c first, so the algorithm state is current.
+func (ci *Composite) Receive(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg) []Stamped {
 	ci.acc = ci.acc[:0]
 	ci.advanceInto(c)
 	ci.received++
@@ -202,17 +207,17 @@ func (ci *clockInner) erecv(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg) []s
 	return ci.acc
 }
 
-// input handles an environment invocation at clock value c, catching up
+// Input handles an environment invocation at clock value c, catching up
 // first.
-func (ci *clockInner) input(c simtime.Time, name string, payload any) []stamped {
+func (ci *Composite) Input(c simtime.Time, name string, payload any) []Stamped {
 	ci.acc = ci.acc[:0]
 	ci.advanceInto(c)
 	ci.process(ci.eng.input(c, name, payload))
 	return ci.acc
 }
 
-// Buffered returns how many received messages had to be held, the total
+// BufferStats returns how many received messages had to be held, the total
 // received, and the maximum clock-time hold.
-func (ci *clockInner) bufferStats() (buffered, received int, heldMax simtime.Duration) {
+func (ci *Composite) BufferStats() (buffered, received int, heldMax simtime.Duration) {
 	return ci.buffered, ci.received, ci.heldClockMax
 }

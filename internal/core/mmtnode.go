@@ -112,10 +112,10 @@ type EmittedStamp struct {
 type MMTNode struct {
 	name  string
 	id    ta.NodeID
-	inner *clockInner
+	inner *Composite
 
 	mmtclock simtime.Time
-	pending  []stamped
+	pending  []Stamped
 	queuedAt []simtime.Time
 
 	ell      simtime.Duration
@@ -149,7 +149,7 @@ func NewMMTNode(id ta.NodeID, n int, alg Algorithm, ell simtime.Duration, policy
 	mn := &MMTNode{
 		name:         fmt.Sprintf("mnode(%v)", id),
 		id:           id,
-		inner:        newClockInner(id, n, alg, false),
+		inner:        NewComposite(id, n, alg),
 		ell:          ell,
 		policy:       policy,
 		rng:          rand.New(rand.NewSource(seed)),
@@ -199,12 +199,12 @@ func (mn *MMTNode) Matches(a ta.Action) bool {
 // environment responses) join the pending queue to be emitted one per
 // step; the composite's hidden interface actions (SENDMSG, RECVMSG) are
 // internal to the simulation and surface immediately for observability.
-func (mn *MMTNode) pend(now simtime.Time, ss []stamped) []ta.Action {
+func (mn *MMTNode) pend(now simtime.Time, ss []Stamped) []ta.Action {
 	out := mn.out[:0]
 	for _, s := range ss {
-		switch s.act.Name {
+		switch s.Act.Name {
 		case ta.NameSendMsg, ta.NameRecvMsg:
-			a := s.act
+			a := s.Act
 			a.Kind = ta.KindInternal
 			out = append(out, a)
 		default:
@@ -223,7 +223,7 @@ func (mn *MMTNode) pend(now simtime.Time, ss []stamped) []ta.Action {
 // and the composite starts at clock 0 (mmtclock starts at 0, C1).
 func (mn *MMTNode) Init() []ta.Action {
 	mn.nextStep = simtime.Zero.Add(mn.gap())
-	return mn.pend(0, mn.inner.start())
+	return mn.pend(0, mn.inner.Start(0))
 }
 
 func (mn *MMTNode) gap() simtime.Duration {
@@ -259,9 +259,9 @@ func (mn *MMTNode) Deliver(now simtime.Time, a ta.Action) []ta.Action {
 		if !ok {
 			panic(fmt.Sprintf("core: ERECVMSG payload %T is not ta.TaggedMsg", a.Payload))
 		}
-		return mn.pend(now, mn.inner.erecv(mn.mmtclock, a.Peer, tm))
+		return mn.pend(now, mn.inner.Receive(mn.mmtclock, a.Peer, tm))
 	default:
-		return mn.pend(now, mn.inner.input(mn.mmtclock, a.Name, a.Payload))
+		return mn.pend(now, mn.inner.Input(mn.mmtclock, a.Name, a.Payload))
 	}
 }
 
@@ -281,7 +281,7 @@ func (mn *MMTNode) Fire(now simtime.Time) []ta.Action {
 		return nil
 	}
 	mn.nextStep = now.Add(mn.gap())
-	out := mn.pend(now, mn.inner.advance(mn.mmtclock))
+	out := mn.pend(now, mn.inner.Advance(mn.mmtclock))
 	if len(mn.pending) > 0 {
 		head := mn.pending[0]
 		qAt := mn.queuedAt[0]
@@ -289,13 +289,13 @@ func (mn *MMTNode) Fire(now simtime.Time) []ta.Action {
 		mn.queuedAt = mn.queuedAt[1:]
 		if mn.RecordStamps {
 			mn.stamps = append(mn.stamps, EmittedStamp{
-				Action:   head.act,
-				SimClock: head.at,
+				Action:   head.Act,
+				SimClock: head.At,
 				Real:     now,
 				Queued:   now.Sub(qAt),
 			})
 		}
-		out = append(out, head.act)
+		out = append(out, head.Act)
 		mn.out = out
 	}
 	return out
@@ -317,7 +317,7 @@ func (mn *MMTNode) NextInterest() simtime.Time {
 	if len(mn.pending) > 0 {
 		return mn.nextStep
 	}
-	if c, ok := mn.inner.nextDue(); ok && !c.After(mn.mmtclock) {
+	if c, ok := mn.inner.NextDue(); ok && !c.After(mn.mmtclock) {
 		return mn.nextStep
 	}
 	return simtime.Never
@@ -334,7 +334,7 @@ func (mn *MMTNode) ClockDemand() (simtime.Time, bool) {
 	if len(mn.pending) > 0 {
 		return 0, false
 	}
-	c, ok := mn.inner.nextDue()
+	c, ok := mn.inner.NextDue()
 	if !ok || !c.After(mn.mmtclock) {
 		return 0, false
 	}

@@ -7,21 +7,21 @@ import (
 	"psclock/internal/ta"
 )
 
-// stamped pairs an action with the algorithm-visible time at which it was
+// Stamped pairs an action with the algorithm-visible time at which it was
 // performed. In the timed model that time equals real time; in the clock
 // and MMT models it is a clock value — the raw material of the γ'_α
 // sequence of Definition 4.2.
-type stamped struct {
-	act ta.Action
-	at  simtime.Time
+type Stamped struct {
+	Act ta.Action
+	At  simtime.Time
 }
 
 // appendActs strips the stamps from ss onto buf. Nodes keep one action
 // buffer and refill it per call; the executor copies returned slices before
 // re-entering the component (see the ta.Automaton contract).
-func appendActs(buf []ta.Action, ss []stamped) []ta.Action {
+func appendActs(buf []ta.Action, ss []Stamped) []ta.Action {
 	for _, s := range ss {
-		buf = append(buf, s.act)
+		buf = append(buf, s.Act)
 	}
 	return buf
 }

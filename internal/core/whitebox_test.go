@@ -32,33 +32,33 @@ func TestClockInnerHeadOfLineBlocking(t *testing.T) {
 	// reordered arrival (large tag first) blocks a later-arriving message
 	// with a smaller tag until the front's tag is reached.
 	col := &collector{}
-	ci := newClockInner(0, 2, col, false)
-	ci.start()
+	ci := NewComposite(0, 2, col)
+	ci.Start(0)
 
 	// At clock 1, messages arrive from node 1 tagged 5 then 3.
-	ci.erecv(1, 1, ta.TaggedMsg{Body: "tag5", SentClock: 5})
-	ci.erecv(1, 1, ta.TaggedMsg{Body: "tag3", SentClock: 3})
+	ci.Receive(1, 1, ta.TaggedMsg{Body: "tag5", SentClock: 5})
+	ci.Receive(1, 1, ta.TaggedMsg{Body: "tag3", SentClock: 3})
 	if len(col.got) != 0 {
 		t.Fatalf("delivered early: %v", col.got)
 	}
 	// At clock 3 the front (tag 5) still blocks.
-	ci.advance(3)
+	ci.Advance(3)
 	if len(col.got) != 0 {
 		t.Fatalf("head-of-line violated: %v", col.got)
 	}
-	due, ok := ci.nextDue()
+	due, ok := ci.NextDue()
 	if !ok || due != 5 {
 		t.Fatalf("due = %v %v, want 5", due, ok)
 	}
 	// At clock 5 both deliver, front first, both at clock 5 (monotone).
-	ci.advance(5)
+	ci.Advance(5)
 	if len(col.got) != 2 || col.got[0].body != "tag5" || col.got[1].body != "tag3" {
 		t.Fatalf("delivery = %v", col.got)
 	}
 	if col.got[0].at != 5 || col.got[1].at != 5 {
 		t.Errorf("delivery clocks = %v", col.got)
 	}
-	b, r, held := ci.bufferStats()
+	b, r, held := ci.BufferStats()
 	if b != 2 || r != 2 || held != 4 {
 		t.Errorf("stats = %d %d %v", b, r, held)
 	}
@@ -68,10 +68,10 @@ func TestClockInnerSeparateQueuesDoNotBlock(t *testing.T) {
 	// Queues are per incoming edge: a blocked queue from node 1 must not
 	// delay a deliverable message from node 2 (beyond clock order).
 	col := &collector{}
-	ci := newClockInner(0, 3, col, false)
-	ci.start()
-	ci.erecv(1, 1, ta.TaggedMsg{Body: "blocked", SentClock: 10})
-	ci.erecv(1, 2, ta.TaggedMsg{Body: "ready", SentClock: 1})
+	ci := NewComposite(0, 3, col)
+	ci.Start(0)
+	ci.Receive(1, 1, ta.TaggedMsg{Body: "blocked", SentClock: 10})
+	ci.Receive(1, 2, ta.TaggedMsg{Body: "ready", SentClock: 1})
 	if len(col.got) != 1 || col.got[0].body != "ready" {
 		t.Fatalf("cross-queue blocking: %v", col.got)
 	}
@@ -79,9 +79,10 @@ func TestClockInnerSeparateQueuesDoNotBlock(t *testing.T) {
 
 func TestClockInnerNoBufferDeliversEarly(t *testing.T) {
 	col := &collector{}
-	ci := newClockInner(0, 2, col, true)
-	ci.start()
-	ci.erecv(1, 1, ta.TaggedMsg{Body: "early", SentClock: 9})
+	ci := NewComposite(0, 2, col)
+	ci.noBuffer = true
+	ci.Start(0)
+	ci.Receive(1, 1, ta.TaggedMsg{Body: "early", SentClock: 9})
 	if len(col.got) != 1 {
 		t.Fatalf("noBuffer did not deliver: %v", col.got)
 	}

@@ -23,14 +23,13 @@ type Options struct {
 	// algorithms broadcast to themselves).
 	N int
 	// Registers is the number of independent algorithm instances each node
-	// hosts (≤ 0 selects 1). Every instance is the unmodified node program;
+	// hosts (≤ 0 selects 1): one per key of the store, each an independent
+	// S^c register. Every instance is the unmodified node program;
 	// instance r on node i is the runtime's port r·N + i, and all R
 	// instances on a node share its clock, its goroutine, and its
-	// transport connections — the first step toward the keyed-store
-	// roadmap item, where each key is an independent S^c register. Frames
-	// carry the instance index as a logical channel (Frame.Chan), so the
-	// paper's per-link tagging and holding applies per logical channel
-	// over the shared physical link.
+	// transport connections. Frames carry the instance index as a logical
+	// channel (Frame.Chan), so the paper's per-link tagging and holding
+	// applies per logical channel over the shared physical link.
 	Registers int
 	// Bounds is the designed link delay interval [d1, d2]. The transport
 	// is loopback, so d2 is a budget, not a guarantee: deliveries are held
@@ -70,9 +69,10 @@ type Measured struct {
 	// Eps is the largest |clock − real| any node's clock served: the
 	// measured ε bound.
 	Eps simtime.Duration
-	// TimerLate is the largest timer service lateness observed: the
-	// measured ℓ. One host stall sets it; TimerLateP50 and TimerLateP99 are
-	// the distribution over every timer fired, to within a lateHist bucket.
+	// TimerLate is the largest lateness with which a node serviced a queue
+	// entry (an instance's catch-up or a transfer wait): the measured ℓ.
+	// One host stall sets it; TimerLateP50 and TimerLateP99 are the
+	// distribution over every entry serviced, to within a lateHist bucket.
 	TimerLate, TimerLateP50, TimerLateP99 simtime.Duration
 	// DelayMin and DelayMax bound the observed per-message delays: the
 	// effective [d1, d2] of the live links.
@@ -80,7 +80,8 @@ type Measured struct {
 	// DelayViolations counts messages delivered later than Bounds.Hi.
 	DelayViolations int
 	// Messages counts frames sent; Held counts deliveries the receive
-	// buffer R_ji,ε postponed because the tag was ahead of the local clock.
+	// buffer R_ji,ε postponed: the tag was ahead of the local clock, or an
+	// earlier frame from the same sender was still held.
 	Messages, Held int
 	// RecorderDrops counts events recorded after shutdown flushed the
 	// recorder. Every event is recorded by a node loop and shutdown joins
@@ -120,12 +121,12 @@ func (m Measured) Fold(o Measured) Measured {
 
 // Runtime hosts N×R copies of a core.Algorithm on wall-clock time: one
 // goroutine per node owning that node's R algorithm instances, their
-// service ports, its clock, and its timer queue (the same simtime.Queue
-// the simulator's engine drains, so timers fire in the same (deadline,
-// registration) order in both worlds). Messages are tagged with the
-// sender's clock and held at the receiver until its clock reaches the tag
-// — the send/receive buffers S_ij,ε and R_ji,ε of Figure 2, realized on
-// real time, per logical channel.
+// service ports, its clock, and its timer queue. Each instance runs in the
+// simulator's own node engine, a core.Composite driven by the node's clock
+// reading: frames are tagged with the sender's clock and wait behind their
+// sender's front until the receiver's clock reaches the tag (the buffers
+// S_ij,ε and R_ji,ε of Figure 2, per logical channel), and every delivery
+// and invocation first catches its instance up (Definition 5.1).
 type Runtime struct {
 	opts      Options
 	factories []core.AlgorithmFactory // instance r runs factories[r]
@@ -263,8 +264,9 @@ func (rt *Runtime) Start() error {
 		nd := &node{
 			id:    ta.NodeID(i),
 			rt:    rt,
-			algs:  make([]core.Algorithm, r),
+			insts: make([]*core.Composite, r),
 			srcs:  make([]string, r),
+			due:   make([]simtime.Time, r),
 			clk:   &nodeClock{epoch: rt.epoch, m: rt.opts.Clocks(i)},
 			inbox: make(chan nodeMsg, inboxDepth),
 			prod:  rt.rec.producer(nodeRingDepth),
@@ -273,8 +275,9 @@ func (rt *Runtime) Start() error {
 			linked:  make(map[ta.NodeID]simtime.Time),
 		}
 		for reg := 0; reg < r; reg++ {
-			nd.algs[reg] = rt.factories[reg](ta.NodeID(i), n)
+			nd.insts[reg] = core.NewComposite(ta.NodeID(i), n, rt.factories[reg](ta.NodeID(i), n))
 			nd.srcs[reg] = fmt.Sprintf("live(%v)", rt.Port(ta.NodeID(i), reg))
+			nd.due[reg] = simtime.Never
 		}
 		rt.nodes[i] = nd
 	}
@@ -544,27 +547,14 @@ type port struct {
 	waiting []invocation
 }
 
-// heldFrame is the timer key the receive buffer R_ji,ε uses to postpone a
-// delivery until the local clock reaches the sender's tag. It is node-
-// internal: the loop intercepts it before OnTimer, so algorithm keys and
-// hold keys share the queue without colliding.
-type heldFrame struct{ f Frame }
-
-// regKey namespaces an algorithm's timer key by its register instance so
-// the R instances share one queue without key collisions; the loop
-// unwraps it before OnTimer, so programs see their own keys.
-type regKey struct {
-	reg int
-	key any
-}
-
-// node is one live node: R algorithm instances, clock, timer queue, inbox,
-// and the core.Context the instances see during callbacks. All fields are
-// owned by the node's goroutine after Start.
+// node is one live node: R register instances, each in its own
+// core.Composite (the algorithm, its timers and its receive buffers
+// R_ji,ε), their ports, and the clock, timer queue and inbox they share.
+// All fields are owned by the node's goroutine after Start.
 type node struct {
 	id    ta.NodeID
 	rt    *Runtime
-	algs  []core.Algorithm
+	insts []*core.Composite
 	srcs  []string // per-register recorder source labels
 	clk   *nodeClock
 	inbox chan nodeMsg
@@ -575,21 +565,17 @@ type node struct {
 	// instance nothing invokes (a fleet daemon's detector) has none.
 	ports []port
 
+	// timers holds one lazy entry per instance with work pending, keyed by
+	// its index, and the recovery's transferTimers. due[reg] is the deadline
+	// instance reg is queued under (Never when none): an entry at any other
+	// time is stale and is skipped, so a wake stays O(log R).
 	timers simtime.Queue
+	due    []simtime.Time
 	// armedAt is the deadline wake is armed for, when armed. The loop re-arms
 	// when the head of timers changes, after a wake (which spent the arming)
 	// and after a poke (the clock was stepped under it).
 	armedAt simtime.Time
 	armed   bool
-
-	// last keeps the algorithms' observed time monotone, exactly like the
-	// simulator engine's high-water mark: a timer serviced late still
-	// observes its scheduled deadline, but never earlier than a previously
-	// observed instant. The clamp is per node, not per instance — all R
-	// instances read the one physical clock.
-	last   simtime.Time
-	now    simtime.Time
-	curReg int // register instance the current callback belongs to
 
 	// Recovery (transfer.go): amnesic until a peer's state is restored; when
 	// each peer's link last came up; the recovery in progress; the counter
@@ -599,8 +585,6 @@ type node struct {
 	rec     *recovery
 	asks    uint32
 }
-
-var _ core.Context = (*node)(nil)
 
 // inboxDepth is each node's queue depth. inboxBatch bounds how many inbox
 // entries the loop drains per wakeup before re-checking timers: large
@@ -614,9 +598,10 @@ const (
 func (n *node) loop() {
 	defer n.rt.wg.Done()
 	defer n.wake.close()
-	for reg := range n.algs {
-		r := reg
-		n.callback(r, n.clk.now(), func() { n.algs[r].Start(n) })
+	c := n.clk.now()
+	for reg, inst := range n.insts {
+		n.emit(reg, inst.Start(c))
+		n.requeue(reg)
 	}
 	for {
 		n.fireDue()
@@ -657,37 +642,33 @@ func (n *node) loop() {
 }
 
 // fireDue services, in (deadline, registration) order, every queue entry
-// whose deadline the local clock has reached. Callbacks observe Time()
-// equal to their scheduled deadline clamped monotone — the same semantics
-// as the simulator engine's advance (and Definition 5.1's catch-up): the
-// action happened at its scheduled clock value even when the goroutine
-// woke late, and the tags on any messages it sends must say so.
+// whose deadline the local clock has reached: an instance's is its
+// Composite.Advance to the clock reading, which fires each of its timers
+// and buffer releases at its own clock value (the simulator's advance and
+// Definition 5.1's catch-up), even when the goroutine woke late.
 func (n *node) fireDue() {
 	for {
 		at, ok := n.timers.Next()
 		if !ok {
 			return
 		}
-		nowClk := n.clk.now()
-		if at.After(nowClk) {
+		c := n.clk.now()
+		if at.After(c) {
 			return
 		}
 		entry := n.timers.Pop()
-		late := nowClk.Sub(entry.At)
+		reg, inst := entry.Key.(int)
+		if inst && entry.At != n.due[reg] {
+			continue // stale: the instance was queued again since
+		}
+		late := c.Sub(entry.At)
 		atomicMax(&n.rt.timerLate, int64(late))
 		n.rt.lateness[lateBucket(late)].Add(1)
-		switch k := entry.Key.(type) {
-		case transferTimer:
-			if r := n.rec; r != nil && r.id == k.id {
-				n.ask("did not answer")
-			}
-		case heldFrame:
-			n.callback(k.f.Chan, entry.At, func() { n.algs[k.f.Chan].OnMessage(n, k.f.From, k.f.Body) })
-		case regKey:
-			n.callback(k.reg, entry.At, func() { n.algs[k.reg].OnTimer(n, k.key) })
-		default:
-			// Single-register fast path registers bare keys.
-			n.callback(0, entry.At, func() { n.algs[0].OnTimer(n, entry.Key) })
+		if inst {
+			n.due[reg] = simtime.Never
+			n.settle(reg, n.insts[reg].Advance(c))
+		} else if r := n.rec; r != nil && r.id == entry.Key.(transferTimer).id {
+			n.ask("did not answer")
 		}
 	}
 }
@@ -711,37 +692,36 @@ func (n *node) handle(m nodeMsg) {
 		n.control(f)
 		return
 	}
-	c := n.clk.now()
-	if f.SentClock.After(c) {
-		// Receive buffer R_ji,ε: the tag is ahead of the local clock; hold
-		// the delivery until the clock reaches it.
-		n.timers.Push(f.SentClock, heldFrame{f: f})
+	inst := n.insts[f.Chan]
+	held, _, _ := inst.BufferStats()
+	out := inst.Receive(n.clk.now(), f.From, ta.TaggedMsg{Body: f.Body, SentClock: f.SentClock})
+	if b, _, _ := inst.BufferStats(); b > held {
 		n.rt.held.Add(1)
-		return
 	}
-	n.callback(f.Chan, c, func() { n.algs[f.Chan].OnMessage(n, f.From, f.Body) })
+	n.settle(f.Chan, out)
 }
 
-// callback runs fn as register instance reg and then — fn having returned,
-// so no algorithm is re-entered mid-callback — starts whatever waits at
-// reg's port if fn answered the operation that was open there.
-func (n *node) callback(reg int, t simtime.Time, fn func()) {
-	n.run(reg, t, fn)
+// settle finishes a composite call on instance reg: its outputs are carried
+// out, then — the call having returned, so no algorithm is re-entered —
+// whatever waits at reg's port starts, and the instance is queued at its
+// next deadline.
+func (n *node) settle(reg int, out []core.Stamped) {
+	n.emit(reg, out)
 	if reg < len(n.ports) {
 		n.serve(reg)
 	}
+	n.requeue(reg)
 }
 
-// run runs fn as register instance reg with the context's clock set to t
-// clamped monotone.
-func (n *node) run(reg int, t simtime.Time, fn func()) {
-	if t.Before(n.last) {
-		t = n.last
+// requeue queues instance reg at its next deadline unless it is queued
+// there already; an entry it was queued under before goes stale.
+func (n *node) requeue(reg int) {
+	if at, ok := n.insts[reg].NextDue(); !ok {
+		n.due[reg] = simtime.Never
+	} else if at != n.due[reg] {
+		n.due[reg] = at
+		n.timers.Push(at, reg)
 	}
-	n.last = t
-	n.now = t
-	n.curReg = reg
-	fn()
 }
 
 // admit queues inv at its port and starts it if the port is free.
@@ -749,16 +729,15 @@ func (n *node) admit(inv invocation) {
 	for len(n.ports) <= inv.reg {
 		n.ports = append(n.ports, port{})
 	}
-	p := &n.ports[inv.reg]
-	p.waiting = append(p.waiting, inv)
-	n.serve(inv.reg)
+	n.ports[inv.reg].waiting = append(n.ports[inv.reg].waiting, inv)
+	n.settle(inv.reg, nil)
 }
 
 // serve starts the first waiting invocation at reg's port while the port
 // has no operation open: stamp the Input — here, as it becomes the port's
-// open operation (the recorder's header says why that is sound) — and run
-// OnInput. An operation answered inside its own OnInput frees the port
-// again, hence the loop.
+// open operation (the recorder's header says why that is sound) — and hand
+// it to the instance. An operation answered inside its own OnInput frees
+// the port again, hence the loop.
 func (n *node) serve(reg int) {
 	p := &n.ports[reg]
 	for !p.open && len(p.waiting) > 0 {
@@ -768,75 +747,42 @@ func (n *node) serve(reg int) {
 			Name: p.cur.name, Node: n.rt.Port(n.id, reg), Peer: ta.NoNode,
 			Kind: ta.KindInput, Payload: p.cur.payload,
 		}, "env")
-		n.run(reg, n.clk.now(), func() { n.algs[reg].OnInput(n, p.cur.name, p.cur.payload) })
+		n.emit(reg, n.insts[reg].Input(n.clk.now(), p.cur.name, p.cur.payload))
 	}
 }
 
-// core.Context implementation — valid only during callbacks, like the
-// simulator engine's.
-
-func (n *node) Time() simtime.Time { return n.now }
-func (n *node) ID() ta.NodeID      { return n.id }
-func (n *node) N() int             { return n.rt.opts.N }
-
-func (n *node) Neighbors() []ta.NodeID {
-	out := make([]ta.NodeID, n.rt.opts.N)
-	for i := range out {
-		out[i] = ta.NodeID(i)
+// emit carries out, in order, what instance reg's composite did. Each
+// ESENDMSG leaves as a frame tagged with the clock value of its send;
+// SENDMSG and RECVMSG are the composite's hidden interface. Any other
+// output is recorded and answers the port's open operation; with none open
+// (a detector's SUSPECT) it is only recorded.
+func (n *node) emit(reg int, out []core.Stamped) {
+	for _, s := range out {
+		switch a := s.Act; a.Name {
+		case ta.NameSendMsg, ta.NameRecvMsg:
+		case ta.NameESendMsg:
+			tm := a.Payload.(ta.TaggedMsg)
+			n.rt.msgs.Add(1)
+			// A Send error can only mean a frame for a pair that does not
+			// exist or a transport already closed at shutdown; overload is
+			// not an error, the transport counts the frame it drops
+			// (Measured.SendDrops).
+			_ = n.rt.transport.Send(Frame{
+				From: n.id, To: a.Peer, Chan: reg,
+				SentClock: tm.SentClock, SentReal: Since(n.rt.epoch), Body: tm.Body,
+			})
+		default:
+			a.Node = n.rt.Port(n.id, reg)
+			n.prod.record(a, n.srcs[reg])
+			if reg >= len(n.ports) || !n.ports[reg].open {
+				continue
+			}
+			p := &n.ports[reg]
+			if p.cur.to != nil {
+				v, _ := a.Payload.(register.Value)
+				p.cur.to <- wireResp{ID: p.cur.id, Op: a.Name, Val: v} // never blocks: see invocation
+			}
+			p.open, p.cur = false, invocation{}
+		}
 	}
-	return out
-}
-
-func (n *node) Send(to ta.NodeID, body any) {
-	if int(to) < 0 || int(to) >= n.rt.opts.N {
-		panic(fmt.Sprintf("live: node %v sent to %v with no edge e_{%v,%v} (§3.1 signature restriction)", n.id, to, n.id, to))
-	}
-	f := Frame{
-		From:      n.id,
-		To:        to,
-		Chan:      n.curReg,
-		SentClock: n.now,
-		SentReal:  Since(n.rt.epoch),
-		Body:      body,
-	}
-	n.rt.msgs.Add(1)
-	// A Send error can only mean a frame for a pair that does not exist
-	// or a transport already closed at shutdown; overload is not an error,
-	// the transport counts the frame it drops (Measured.SendDrops).
-	_ = n.rt.transport.Send(f)
-}
-
-func (n *node) Broadcast(body any) {
-	for j := 0; j < n.rt.opts.N; j++ {
-		n.Send(ta.NodeID(j), body)
-	}
-}
-
-func (n *node) Output(name string, payload any) {
-	reg := n.curReg
-	n.prod.record(ta.Action{
-		Name: name, Node: n.rt.Port(n.id, reg), Peer: ta.NoNode,
-		Kind: ta.KindOutput, Payload: payload,
-	}, n.srcs[reg])
-	if reg >= len(n.ports) || !n.ports[reg].open {
-		return // nothing was invoked here: a detector's SUSPECT, not a response
-	}
-	// The response to the port's open operation. What waits behind it starts
-	// once this callback has returned (callback → serve).
-	p := &n.ports[reg]
-	if p.cur.to != nil {
-		v, _ := payload.(register.Value)
-		p.cur.to <- wireResp{ID: p.cur.id, Op: name, Val: v} // never blocks: see invocation
-	}
-	p.open, p.cur = false, invocation{}
-}
-
-func (n *node) SetTimer(at simtime.Time, key any) {
-	if n.curReg == 0 {
-		// Bare key: the dominant single-register path stays allocation-
-		// identical to the pre-multiplexing runtime.
-		n.timers.Push(at, key)
-		return
-	}
-	n.timers.Push(at, regKey{reg: n.curReg, key: key})
 }

@@ -80,7 +80,10 @@ func TestDeploy(t *testing.T) {
 		srv.Close()
 		rt.Stop()
 	}()
-	algs := rt.nodes[1].algs
+	var algs []core.Algorithm
+	for _, inst := range rt.nodes[1].insts {
+		algs = append(algs, inst.Algorithm())
+	}
 	for r, wantRead := range []simtime.Duration{2*m.Eps + m.C + m.Delta, m.C + m.Delta} {
 		ls, ok := algs[r].(*register.LS)
 		if !ok {

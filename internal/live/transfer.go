@@ -67,12 +67,12 @@ type recovery struct {
 // before Start.
 func (rt *Runtime) Recovering() { rt.amnesic = true }
 
-// Recover restores node's registers from one of peers: wait
-// (Model.TransferWait) on the node's clock after the last of them has linked
-// they are asked in order, and the first to answer with its state — not a
-// refusal, not two waits (a round trip) of silence — serves it. A later call
-// for the node abandons one still in progress. Call after Start: before it,
-// or at a node this runtime does not host, the answer is an error.
+// Recover restores node's registers from one of peers. Once wait
+// (Model.TransferWait) has passed on the node's clock after the last of them
+// linked, they are asked in order, and the first to answer with its state —
+// not a refusal, not two waits (a round trip) of silence — serves it. A
+// later call for the node abandons one still in progress. Call after Start:
+// before it, or at a node this runtime does not host, the answer is an error.
 func (rt *Runtime) Recover(node ta.NodeID, peers []ta.NodeID, wait simtime.Duration) <-chan Transfer {
 	done := make(chan Transfer, 1)
 	if int(node) < 0 || int(node) >= len(rt.nodes) || rt.nodes[node] == nil {
@@ -138,8 +138,8 @@ func (n *node) control(f Frame) {
 		n.wire()
 	case transferReq:
 		reply := transferReply{ID: b.ID, Refused: n.amnesic, Regs: make(map[int]register.Snapshot)}
-		for reg, alg := range n.algs {
-			if ls, ok := alg.(*register.LS); ok && !n.amnesic {
+		for reg, inst := range n.insts {
+			if ls, ok := inst.Algorithm().(*register.LS); ok && !n.amnesic {
 				reply.Regs[reg] = ls.Snapshot()
 			}
 		}
@@ -154,9 +154,9 @@ func (n *node) control(f Frame) {
 			return
 		}
 		out := Transfer{Wired: r.wired, Applied: n.clk.now(), From: f.From}
-		for reg, alg := range n.algs {
+		for reg, inst := range n.insts {
 			s, sent := b.Regs[reg]
-			if ls, ok := alg.(*register.LS); ok && sent {
+			if ls, ok := inst.Algorithm().(*register.LS); ok && sent {
 				ls.Restore(s)
 				out.Updates += len(s.Pending)
 			}

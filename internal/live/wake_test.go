@@ -63,6 +63,7 @@ func TestWakeSource(t *testing.T) {
 // that is early for every deadline: it must only make the loop come round.
 type chainAlg struct {
 	t      *testing.T
+	rt     *Runtime
 	epoch  time.Time
 	rng    *rand.Rand
 	chains int
@@ -85,7 +86,7 @@ func (a *chainAlg) OnTimer(ctx core.Context, key any) {
 	if real := Since(a.epoch); real < ctx.Time() {
 		a.t.Errorf("timer for %v serviced at %v: %v early", ctx.Time(), real, ctx.Time().Sub(real))
 	}
-	ctx.(*node).wake.arm(time.Nanosecond)
+	a.rt.nodes[0].wake.arm(time.Nanosecond)
 	if a.left--; a.left == 0 {
 		close(a.done)
 	}
@@ -107,6 +108,7 @@ func TestNodeTimerNeverEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	alg.rt = rt
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
