@@ -36,7 +36,8 @@ tier2:
 # stdin and stdout, so no non-test fleet code listens or dials a socket; and
 # core.Context is implemented once, by the node engine in internal/core
 # that the simulator and the live runtime both host, so no non-test code
-# elsewhere defines a SetTimer method.
+# elsewhere defines a SetTimer method; and the checker runs on its
+# caller's goroutine, so no non-test code in internal/linearize starts one.
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -53,6 +54,8 @@ model-guard:
 		|| { echo "model-guard: a socket between plane and daemon (the control channel is the daemon's stdin/stdout)"; exit 1; }
 	@! grep -rnE '\) SetTimer\(' --include='*.go' --exclude='*_test.go' cmd examples internal | grep -v '^internal/core/' \
 		|| { echo "model-guard: core.Context implemented outside internal/core (host the algorithm in a core.Composite)"; exit 1; }
+	@! grep -rnE '^[[:space:]]*go[[:space:]]' --include='*.go' --exclude='*_test.go' internal/linearize \
+		|| { echo "model-guard: a goroutine in the checker (internal/linearize runs on its caller's goroutine)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the
@@ -122,12 +125,13 @@ live-smoke:
 	$(GO) run ./cmd/pscserve -duration 2s -rate 120 -clock jitter -slack 3ms -v
 
 # Pipelined high-throughput smoke: open-loop load across 32 register
-# instances with sharded verification, requiring zero violations, zero
-# recorder drops, and a conservative completed-ops floor (the floor
-# tolerates a slow, shared CI host). CI runs this time-boxed.
+# instances, each checked online by its own automaton on the recorder's
+# consumer, requiring zero violations, zero recorder drops, and a
+# conservative completed-ops floor (the floor tolerates a slow, shared CI
+# host). CI runs this time-boxed.
 live-pipe-smoke:
 	$(GO) run ./cmd/pscserve -duration 3s -pipeline 8 -registers 32 -clients 4 -rate 1500 \
-		-clock jitter -slack 5ms -checkshards 4 -gogc 1000 -minops 9000
+		-clock jitter -slack 5ms -gogc 1000 -minops 9000
 
 # Mixed-tier smoke: half the registers serve algorithm S (linearizable),
 # half algorithm L (sequentially consistent, reads 2ε cheaper), each tier

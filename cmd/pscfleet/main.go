@@ -3,7 +3,7 @@
 // injects an orchestrated chaos schedule (crash+restart, partitions,
 // delay spikes past d2, clock steps past ε) where every fault carries an
 // expected outcome, and verifies the merged event stream online with the
-// same Monitor → sharded-checker stack the single-process harness uses.
+// same judging stack (live.Verdict) the single-process harness uses.
 //
 // The run fails (exit 1) if any fault's observed outcome contradicts its
 // expectation, if the checker reports violations not explained by
@@ -52,10 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		detPeriod  = fs.Duration("detperiod", 150*time.Millisecond, "heartbeat period π")
 		detTimeout = fs.Duration("dettimeout", 0, "heartbeat timeout τ (0 = SafeTimeoutClock + slack)")
 
-		checkShards = fs.Int("checkshards", 2, "checker worker shards")
-		jsonPath    = fs.String("json", "", "write the run's report to this file as one JSON document")
-		nodeBin     = fs.String("nodebin", "", "pscnode binary (default: sibling of this binary, else go build)")
-		verbose     = fs.Bool("v", false, "verbose plane/daemon logging")
+		jsonPath = fs.String("json", "", "write the run's report to this file as one JSON document")
+		nodeBin  = fs.String("nodebin", "", "pscnode binary (default: sibling of this binary, else go build)")
+		verbose  = fs.Bool("v", false, "verbose plane/daemon logging")
 	)
 	m := fleet.DefaultModel()
 	m.Flags(fs)
@@ -73,22 +72,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	plane, err := fleet.NewPlane(fleet.PlaneConfig{
-		N:           *nodes,
-		Registers:   *registers,
-		Tiers:       *tiers,
-		Eps:         m.Eps,
-		D1:          m.D1,
-		D2:          m.D2,
-		Delta:       m.Delta,
-		C:           m.C,
-		Ell:         m.Ell,
-		Slack:       m.Slack,
-		DetPeriod:   simtime.Duration(*detPeriod),
-		DetTimeout:  simtime.Duration(*detTimeout),
-		NodeBin:     bin,
-		CheckShards: *checkShards,
-		Verbose:     *verbose,
-		Logw:        stderr,
+		N:          *nodes,
+		Registers:  *registers,
+		Tiers:      *tiers,
+		Eps:        m.Eps,
+		D1:         m.D1,
+		D2:         m.D2,
+		Delta:      m.Delta,
+		C:          m.C,
+		Ell:        m.Ell,
+		Slack:      m.Slack,
+		DetPeriod:  simtime.Duration(*detPeriod),
+		DetTimeout: simtime.Duration(*detTimeout),
+		NodeBin:    bin,
+		Verbose:    *verbose,
+		Logw:       stderr,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "pscfleet: %v\n", err)
@@ -188,8 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rep := buildReport(reportInputs{
 		nodes: *nodes, registers: *registers, tiersSpec: *tiers,
-		clients: nClients, seed: *seed, wall: wall,
-		model: m, checkShards: *checkShards,
+		clients: nClients, seed: *seed, wall: wall, model: m,
 		script: script, outcomes: outcomes,
 		res: res, stats: stats, verdict: verdict,
 		crashes: plane.Crashes(),
@@ -216,7 +213,6 @@ type reportInputs struct {
 	seed             int64
 	wall             time.Duration
 	model            live.Model
-	checkShards      int
 	script           fleet.Script
 	outcomes         []fleet.ChaosOutcome
 	res              live.LoadResult
@@ -277,7 +273,6 @@ func buildReport(in reportInputs) *fleet.Report {
 
 			Violations:    in.verdict.Violations,
 			CheckStates:   in.verdict.CheckStates,
-			CheckShards:   in.checkShards,
 			RecorderDrops: in.stats.RecorderDrops,
 		},
 		DetPeriodUS:   us(in.stats.DetPeriod),

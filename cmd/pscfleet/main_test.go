@@ -30,7 +30,7 @@ func fabricated(t *testing.T, outcomes ...fleet.ChaosOutcome) reportInputs {
 	stats.Reconnects = 1
 	return reportInputs{
 		nodes: 3, registers: 2, tiersSpec: "lin:seq", clients: 3, seed: 1,
-		wall: time.Second, model: fleet.DefaultModel(), checkShards: 2,
+		wall: time.Second, model: fleet.DefaultModel(),
 		outcomes: outcomes,
 		res:      live.LoadResult{Ops: 10, Reads: 5, Writes: 5},
 		stats:    stats,

@@ -10,7 +10,6 @@
 //	pscfuzz -trials 200 -seed 1
 //	pscfuzz -trials 50 -mutate    # sanity: fuzz the broken L variant, expect violations
 //	pscfuzz -trials 50 -shards 4  # differential: sharded vs sequential execution
-//	pscfuzz -trials 50 -checkshards 4  # differential: sharded vs sequential verification
 //	pscfuzz -trials 50 -shards 4 -edgespread  # per-edge d1 spreads (adaptive-horizon planner)
 //	pscfuzz -trials 50 -tiers     # tier differential: S passes both checkers, L passes SC, lin rejects ≥ 1 L run
 package main
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "campaign seed")
 	mutate := fs.Bool("mutate", false, "fuzz the broken variant (plain L in the clock model); violations are then expected")
 	shards := fs.Int("shards", 0, "run each trial again under sharded conservative-parallel execution with this many shards and require an identical history (<2: off)")
-	checkShards := fs.Int("checkshards", 0, "replay each trial's history through the sharded checker with this many workers and require a verdict byte-identical to the sequential Online oracle (<2: off)")
 	edgeSpread := fs.Bool("edgespread", false, "draw an independent delay interval per directed edge (within the trial's global [d1,d2]), exercising the per-edge d1 lookahead planner of sharded execution")
 	tiersFuzz := fs.Bool("tiers", false, "tier differential: additionally check every S history for sequential consistency, run each trial's L twin under skewed clocks (always sequentially consistent, sometimes not linearizable), and require the linearizability checker to reject at least one L run")
 	verbose := fs.Bool("v", false, "print each trial's configuration")
@@ -76,13 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *shards > 1 {
 			if msg := diffSharded(cfgSeed, *mutate, *shards, *edgeSpread, ops, res); msg != "" {
 				fmt.Fprintf(stdout, "DIVERGENCE in trial %d: %s\n  %s\n", trial, desc, msg)
-				fmt.Fprintln(stdout, replay(trial))
-				return 2
-			}
-		}
-		if *checkShards > 1 {
-			if msg := diffCheckSharded(ops, *checkShards, res); msg != "" {
-				fmt.Fprintf(stdout, "CHECKER DIVERGENCE in trial %d: %s\n  %s\n", trial, desc, msg)
 				fmt.Fprintln(stdout, replay(trial))
 				return 2
 			}
@@ -129,14 +120,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	switch {
-	case *shards > 1 && *checkShards > 1:
-		fmt.Fprintf(stdout, "%d trials, 0 violations, %d-sharded histories and %d-sharded checker verdicts identical\n", *trials, *shards, *checkShards)
-	case *shards > 1:
+	if *shards > 1 {
 		fmt.Fprintf(stdout, "%d trials, 0 violations, sequential and %d-sharded histories identical\n", *trials, *shards)
-	case *checkShards > 1:
-		fmt.Fprintf(stdout, "%d trials, 0 violations, sequential and %d-sharded checker verdicts identical\n", *trials, *checkShards)
-	default:
+	} else {
 		fmt.Fprintf(stdout, "%d trials, 0 violations\n", *trials)
 	}
 	return 0
@@ -186,45 +172,6 @@ func printSeqShrink(stdout io.Writer, ops []linearize.Op, initial string) {
 	for _, o := range small {
 		fmt.Fprintf(stdout, "    %v\n", o)
 	}
-}
-
-// diffCheckSharded replays the trial's history through the sequential
-// Online and the sharded checker with an identical command stream —
-// Begin/Add in history order, a safe Advance watermark (the minimum
-// invocation still ahead) every few operations to exercise the flush
-// broadcast — and requires the sharded Result to be byte-identical to the
-// sequential one, which in turn must equal the batch checker's. Returns
-// "" when all three agree.
-func diffCheckSharded(ops []linearize.Op, checkShards int, batch linearize.Result) string {
-	suffixMinInv := make([]simtime.Time, len(ops)+1)
-	suffixMinInv[len(ops)] = simtime.Never
-	for i := len(ops) - 1; i >= 0; i-- {
-		suffixMinInv[i] = suffixMinInv[i+1]
-		if ops[i].Inv < suffixMinInv[i] {
-			suffixMinInv[i] = ops[i].Inv
-		}
-	}
-	opt := linearize.Options{Initial: register.Initial.String()}
-	seq := linearize.NewOnline(opt)
-	sh := linearize.NewSharded(linearize.ShardedOptions{Check: opt, Shards: checkShards})
-	for i, op := range ops {
-		seq.Begin(op.Node, op.Inv)
-		sh.Begin("", op.Node, op.Inv)
-		seq.Add(op)
-		sh.Add("", op)
-		if i%4 == 3 {
-			seq.Advance(suffixMinInv[i+1])
-			sh.Advance(suffixMinInv[i+1])
-		}
-	}
-	seqRes, shRes := seq.Finish(), sh.Finish()
-	if shRes != seqRes {
-		return fmt.Sprintf("sharded checker %+v != sequential online %+v", shRes, seqRes)
-	}
-	if seqRes != batch {
-		return fmt.Sprintf("online checker %+v != batch %+v", seqRes, batch)
-	}
-	return ""
 }
 
 // diffSharded reruns the trial under sharded execution and compares the

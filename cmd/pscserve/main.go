@@ -20,7 +20,7 @@
 //
 //	pscserve -nodes 3 -clients 3 -duration 2s -clock jitter
 //	pscserve -rate 300 -json run.json   # also write the report
-//	pscserve -pipeline 64 -registers 24 -rate 0 -checkshards 4   # throughput
+//	pscserve -pipeline 64 -registers 24 -rate 0   # throughput
 //
 // The model vector (-eps -d1 -d2 -delta -c -ell -slack) is a live.Model
 // and the judging stack a live.Verdict: the gating check relaxes windows
@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	m.Flags(fs)
 	clockName := fs.String("clock", "jitter", "clock adversary: perfect, offset (±ε), jitter (drifting within ε)")
 	seed := fs.Int64("seed", 1, "load generator and jitter seed")
-	checkShards := fs.Int("checkshards", 0, "fan the online checks out across this many worker goroutines (<2: inline on the event consumer)")
 	gcPercent := fs.Int("gogc", 0, "set the GC target percentage for the run (0 = inherit GOGC): on a single core the collector's concurrent mark competes with the node loops, and its ~10ms bursts are the dominant source of frames measured past d2")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	traceFile := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -134,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tiered := *tiersFlag != ""
 	verdict := live.NewVerdict(live.VerdictConfig{
-		Model: m, Nodes: *nodes, Registers: *registers, Tiers: tiers, Shards: *checkShards,
+		Model: m, Nodes: *nodes, Registers: *registers, Tiers: tiers,
 	})
 
 	tr, err := live.NewTCPTransport(*nodes)
@@ -259,7 +258,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 			Violations:    out.Violations,
 			CheckStates:   out.States,
-			CheckShards:   max(*checkShards, 0),
 			RecorderDrops: got.RecorderDrops,
 			// The -minops floor is part of the verdict, so stdout, the JSON
 			// and the exit status cannot disagree about it.

@@ -98,9 +98,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-c", "10ms"}, // above d'2 − 2ε
 		// Retired: the binary always serves over TCP, Θ and the ring depth
 		// come from the model, the zipf offset from the register count, the
-		// zero-widening twin gated nothing, and no run set an ε-approximate
-		// band.
+		// zero-widening twin gated nothing, no run set an ε-approximate
+		// band, and the checker has no worker pool to size.
 		{"-approx", "1ms"},
+		{"-checkshards", "2"},
 		{"-transport", "tcp"},
 		{"-theta", "1ms"},
 		{"-ring", "64"},

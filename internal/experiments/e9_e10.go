@@ -255,9 +255,9 @@ type e10Cell struct {
 // executor, which must engage and reproduce the sequential run: every
 // event on timed and clock, the operations and visible events on MMT
 // (whose hidden TICK/step elision follows lane scheduling, so its total is
-// not printed). The last row is one long-horizon run whose online verdict,
-// sharded twin and batch verdict over the retained history streamParity
-// requires to be equal, States included. What an event costs in CPU is the
+// not printed). The last row is one long-horizon run whose online verdict
+// and batch verdict over the retained history streamParity requires to be
+// equal, States included. What an event costs in CPU is the
 // benchmark's to measure (bench/, workload sim_models).
 func E10Events() Result {
 	bounds := simtime.NewInterval(1*ms, 3*ms)

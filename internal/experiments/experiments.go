@@ -112,16 +112,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// twinShards is the fan-out of the sharded twin every streamed check
-// carries: each run that attaches a streaming monitor also attaches a
-// sharded copy of each checker, and streamParity requires its verdict to
-// equal the batch oracle byte-for-byte. Two is the smallest count that
-// takes the worker-pool path.
-const twinShards = 2
-
-// shardedName names the sharded twin of a streaming check.
-func shardedName(name string) string { return name + "@sharded" }
-
 // Shared workload/runner plumbing.
 
 const (
@@ -170,10 +160,9 @@ type streamCheck struct {
 	seq  *linearize.SeqOptions
 }
 
-// checker builds the streamCheck's sharded checker with the given fan-out
-// (below 2: inline on the observing goroutine).
-func (sc streamCheck) checker(shards int) *linearize.Sharded {
-	so := linearize.ShardedOptions{Check: sc.opt, Shards: shards}
+// checker builds the streamCheck's keyed checker.
+func (sc streamCheck) checker() *linearize.Sharded {
+	so := linearize.ShardedOptions{Check: sc.opt}
 	if sc.seq != nil {
 		seq := *sc.seq
 		so.New = func(string) linearize.Automaton { return linearize.NewSeqOnline(seq) }
@@ -218,13 +207,9 @@ func run(spec runSpec) (runOut, error) {
 	if len(spec.stream) > 0 {
 		mon = register.NewMonitor()
 		for _, sc := range spec.stream {
-			mon.AddChecker(sc.name, sc.checker(0))
-			mon.AddChecker(shardedName(sc.name), sc.checker(twinShards))
+			mon.AddChecker(sc.name, sc.checker())
 		}
 		net.Sys.AddSink(mon)
-		// Finish is what stops the sharded twins' workers, so it runs on
-		// the error returns too.
-		defer mon.Finish()
 	}
 	for _, sk := range spec.sinks {
 		net.Sys.AddSink(sk)
@@ -274,9 +259,6 @@ func streamParity(out runOut) []string {
 		batch := sc.batch(out.ops)
 		if got := out.mon.Verdict(sc.name); got != batch {
 			fails = append(fails, fmt.Sprintf("streaming %q verdict %+v != batch %+v", sc.name, got, batch))
-		}
-		if got := out.mon.Verdict(shardedName(sc.name)); got != batch {
-			fails = append(fails, fmt.Sprintf("sharded(%d) %q verdict %+v != batch %+v", twinShards, sc.name, got, batch))
 		}
 	}
 	reads, writes := register.Latencies(out.ops)

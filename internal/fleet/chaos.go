@@ -110,9 +110,8 @@ func (f Fault) String() string {
 		fmt.Fprintf(&b, "-%d", f.Peer)
 	}
 	if f.Amount != 0 {
-		if w, err := simtime.ToWall(f.Amount); err == nil {
-			fmt.Fprintf(&b, "+%s", w)
-		}
+		// Both are nanoseconds; ToWall would refuse a backward clock step.
+		fmt.Fprintf(&b, "+%s", time.Duration(f.Amount))
 	}
 	if f.Expect != "" {
 		fmt.Fprintf(&b, "!%s", f.Expect)
@@ -203,15 +202,18 @@ func parseFault(s string, n int) (Fault, error) {
 	}
 	f.Start = start
 
-	// target[-peer][+amount]
+	// target[-peer][+amount]; a clock step's amount may be negative.
 	if plus := strings.IndexByte(targets, '+'); plus >= 0 {
 		w, err := time.ParseDuration(targets[plus+1:])
 		if err != nil {
 			return f, fmt.Errorf("bad amount: %w", err)
 		}
-		amt, err := simtime.FromWall(w)
+		amt, err := simtime.FromWall(w.Abs())
 		if err != nil {
 			return f, fmt.Errorf("bad amount: %w", err)
+		}
+		if w < 0 {
+			amt = -amt
 		}
 		f.Amount = amt
 		targets = targets[:plus]
@@ -243,7 +245,7 @@ func parseFault(s string, n int) (Fault, error) {
 		}
 	case FaultDelay:
 		if f.Amount <= 0 || f.Dur <= 0 {
-			return f, fmt.Errorf("delay needs +amount and +dur")
+			return f, fmt.Errorf("delay needs a positive +amount and a +dur")
 		}
 	case FaultClockStep:
 		if f.Amount == 0 || f.Dur <= 0 {

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"bytes"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,13 +11,13 @@ import (
 )
 
 func TestParseScriptRoundTrip(t *testing.T) {
-	spec := "crash@1.2s:1; partition@3.5s+1.2s:0-2; delay@5.5s+800ms:1+15ms; clockstep@7.9s+600ms:2+3ms!flagged"
+	spec := "crash@1.2s:1; partition@3.5s+1.2s:0-2; delay@5.5s+800ms:1+15ms; clockstep@7.9s+600ms:2+3ms!flagged; clockstep@9s+500ms:0+-3ms"
 	s, err := ParseScript(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s) != 4 {
-		t.Fatalf("parsed %d faults, want 4", len(s))
+	if len(s) != 5 {
+		t.Fatalf("parsed %d faults, want 5", len(s))
 	}
 	if s[0].Kind != FaultCrash || s[0].Target != 1 || s[0].Start != 1200*time.Millisecond {
 		t.Errorf("crash parsed as %+v", s[0])
@@ -27,6 +30,9 @@ func TestParseScriptRoundTrip(t *testing.T) {
 	}
 	if s[3].Expect != OutcomeFlagged {
 		t.Errorf("clockstep expect = %q, want flagged", s[3].Expect)
+	}
+	if s[4].Amount != -3*simtime.Millisecond {
+		t.Errorf("backward clockstep amount = %v, want -3ms", s[4].Amount)
 	}
 
 	// String renders back into the DSL, which parses to the same script.
@@ -61,6 +67,7 @@ func TestParseScriptRejects(t *testing.T) {
 		"partition@1s+500ms:0-0", // peer == target
 		"partition@1s:0-1",       // no window
 		"delay@1s+500ms:0",       // no amount
+		"delay@1s+500ms:0+-3ms",  // negative delay
 		"clockstep@1s:0+1ms",     // no window
 		"reboot@1s:0",            // unknown kind
 		"crash:0",                // missing @start
@@ -90,6 +97,28 @@ func TestDefaultExpect(t *testing.T) {
 		if got := DefaultExpect(c.f, eps, d2); got != c.want {
 			t.Errorf("DefaultExpect(%s, %v) = %s, want %s", c.f.Kind, c.f.Amount, got, c.want)
 		}
+	}
+}
+
+// A clock step is an offset, not a span: a backward one reaches the
+// daemon's channel with its sign.
+func TestPlaneSetClockStepKeepsSign(t *testing.T) {
+	p, err := NewPlane(testPlaneConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var wire bytes.Buffer
+	p.daemons = []*daemonState{{ctl: newCtlConn(strings.NewReader(""), &wire), helloed: true}}
+	if err := p.SetClockStep(0, -3*simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newCtlConn(&wire, io.Discard).recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Fault == nil || !e.Fault.SetStep || e.Fault.StepUS != -3000 {
+		t.Errorf("the daemon got %+v, want a step of StepUS -3000", e.Fault)
 	}
 }
 

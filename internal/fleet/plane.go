@@ -33,8 +33,11 @@ type PlaneConfig struct {
 
 	// Seed reaches no daemon and nothing reads it; it is kept for callers
 	// that set it.
-	Seed        int64
-	NodeBin     string // pscnode binary path
+	Seed    int64
+	NodeBin string // pscnode binary path
+	// CheckShards is read by nothing: the plane checks every register
+	// inline. It stays only because the benchmark harness sets it; ROADMAP
+	// 1A(j) drops it together with that line, as it does Seed.
 	CheckShards int
 
 	// MaxRestarts bounds the replacements a node slot gets, each spawned
@@ -240,8 +243,7 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 		// The detector rides as one extra instance per node, so each
 		// incarnation's ports span N·(Registers+1).
 		verdict: live.NewVerdict(live.VerdictConfig{
-			Model: model, Nodes: cfg.N, Registers: cfg.Registers, Extra: 1,
-			Tiers: tiers, Shards: cfg.CheckShards,
+			Model: model, Nodes: cfg.N, Registers: cfg.Registers, Extra: 1, Tiers: tiers,
 		}),
 		det: &detLog{n: cfg.N},
 	}
@@ -609,14 +611,12 @@ func (p *Plane) SetDelay(node int, d simtime.Duration) error {
 	return p.sendFault(node, msgFault{PartitionPeer: -1, SetDelay: true, DelayUS: int64(w / time.Microsecond)})
 }
 
-// SetClockStep sets node's clock offset (0 heals the step; the measured
-// ε̂ keeps the excursion's high-water mark, as a real clock audit would).
+// SetClockStep sets node's clock offset, forward or backward (0 heals the
+// step; the measured ε̂ keeps the excursion's high-water mark, as a real
+// clock audit would). A step is an offset, not a span to wait, so it
+// reaches the daemon with its sign.
 func (p *Plane) SetClockStep(node int, d simtime.Duration) error {
-	w, err := simtime.ToWall(d)
-	if err != nil {
-		return err
-	}
-	return p.sendFault(node, msgFault{PartitionPeer: -1, SetStep: true, StepUS: int64(w / time.Microsecond)})
+	return p.sendFault(node, msgFault{PartitionPeer: -1, SetStep: true, StepUS: int64(d / simtime.Microsecond)})
 }
 
 // Stats aggregates the fleet's measurements: per-incarnation beats folded

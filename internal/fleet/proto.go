@@ -9,9 +9,9 @@
 //
 // Every daemon streams its recorded events back to the plane, where a
 // k-way watermark merge (FanIn) reassembles one global stream and feeds
-// the same register.Monitor → linearize.Sharded stack that checks
-// single-process runs: real multi-process traffic is verified online,
-// exactly as loopback traffic is.
+// the same judging stack (live.Verdict: one online checker per register,
+// inline) that checks single-process runs: real multi-process traffic is
+// verified online, exactly as loopback traffic is.
 package fleet
 
 import (

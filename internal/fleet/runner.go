@@ -70,10 +70,8 @@ func (p *Plane) RunScript(script Script, loadStart time.Time, stop <-chan struct
 			Peer:     f.Peer,
 			AtMS:     f.Start.Milliseconds(),
 			DurMS:    f.Dur.Milliseconds(),
+			AmountUS: int64(f.Amount / simtime.Microsecond),
 			Expected: string(expected),
-		}
-		if w, err := simtime.ToWall(f.Amount); err == nil {
-			o.AmountUS = w.Microseconds()
 		}
 		pre := p.Stats()
 		p.logf("chaos: inject %s", f)

@@ -10,9 +10,9 @@ import (
 // stream a run produces; Replay then drives any Checker with that stream.
 // The check_replay benchmark workload uses the pair to measure checker
 // cost in isolation: capture once from a real executor run, then replay
-// the identical command sequence through the sequential, sharded, and
-// approximate checkers — same inputs, so the ratio is the checkers', not
-// an executor artifact.
+// the identical command sequence through the exact and approximate
+// checkers — same inputs, so the ratio is the checkers', not an executor
+// artifact.
 
 // CmdKind discriminates recorded Checker calls.
 type CmdKind int

@@ -123,7 +123,7 @@ type SeqOptions struct {
 
 // Automaton is the single-key streaming-checker surface shared by the
 // linearizability engine (Online) and the sequential-consistency engine
-// (SeqOnline). Sharded fans a keyed stream out over per-key Automata; the
+// (SeqOnline). Sharded splits a keyed stream into per-key Automata; the
 // ShardedOptions.New hook selects which engine each key gets — the tiered
 // store routes lin-tier keys to Online and seq-tier keys to SeqOnline.
 type Automaton interface {

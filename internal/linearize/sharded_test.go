@@ -13,8 +13,8 @@ import (
 // the monitor protocol: Begin at each invocation and Add at each response
 // in seq order, with a safe Advance (the minimum invocation still ahead)
 // every few operations.
-func replaySharded(seq []Op, key string, opt ShardedOptions) *Sharded {
-	s := NewSharded(opt)
+func replaySharded(seq []Op, opt Options) *Sharded {
+	s := NewSharded(ShardedOptions{Check: opt})
 	suffixMinInv := make([]simtime.Time, len(seq)+1)
 	suffixMinInv[len(seq)] = simtime.Never
 	for i := len(seq) - 1; i >= 0; i-- {
@@ -24,8 +24,8 @@ func replaySharded(seq []Op, key string, opt ShardedOptions) *Sharded {
 		}
 	}
 	for i, op := range seq {
-		s.Begin(key, op.Node, op.Inv)
-		s.Add(key, op)
+		s.Begin("", op.Node, op.Inv)
+		s.Add("", op)
 		if i%3 == 2 {
 			s.Advance(suffixMinInv[i+1])
 		}
@@ -33,9 +33,9 @@ func replaySharded(seq []Op, key string, opt ShardedOptions) *Sharded {
 	return s
 }
 
-// TestShardedSingleKeyParity is the sharded/sequential differential on a
-// single key: for every worker-pool size, the merged Result is
-// byte-identical to the batch checker's — OK, Reason, States, and Pruned.
+// TestShardedSingleKeyParity is the keyed/batch differential on a single
+// key: the merged Result is byte-identical to the batch checker's — OK,
+// Reason, States, and Pruned.
 func TestShardedSingleKeyParity(t *testing.T) {
 	r := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 400; trial++ {
@@ -45,12 +45,8 @@ func TestShardedSingleKeyParity(t *testing.T) {
 			opt.AssumeUnique = false
 		}
 		want := Check(seq, opt)
-		for _, shards := range []int{0, 2, 4} {
-			s := replaySharded(seq, "", ShardedOptions{Check: opt, Shards: shards, Queue: 64})
-			if got := s.Finish(); got != want {
-				t.Fatalf("trial %d shards=%d: sharded %+v != batch %+v\nopts: %+v\n%v",
-					trial, shards, got, want, opt, seq)
-			}
+		if got := replaySharded(seq, opt).Finish(); got != want {
+			t.Fatalf("trial %d: keyed %+v != batch %+v\nopts: %+v\n%v", trial, got, want, opt, seq)
 		}
 	}
 }
@@ -73,8 +69,8 @@ func randMultiKey(r *rand.Rand, k int) multiKeyStream {
 }
 
 // drive interleaves the per-key histories round-robin into the checker:
-// each key's operations arrive in its own canonical order (the per-shard
-// FIFO guarantee the monitor provides), with watermarks in between.
+// each key's operations arrive in its own canonical order (the per-key
+// order the monitor provides), with watermarks in between.
 func (st multiKeyStream) drive(c Checker) Result {
 	idx := make(map[string]int, len(st.keys))
 	for done := false; !done; {
@@ -90,12 +86,12 @@ func (st multiKeyStream) drive(c Checker) Result {
 			c.Add(key, seq[i])
 			idx[key] = i + 1
 		}
-		c.Advance(0) // a stale watermark: exercises the broadcast path only
+		c.Advance(0) // a stale watermark: reaches every key, settles nothing
 	}
 	return c.Finish()
 }
 
-// TestShardedMultiKeyOracle checks the fan-out against the per-key
+// TestShardedMultiKeyOracle checks the keyed checker against the per-key
 // oracle: every key's individual Result equals the batch checker over
 // that key's history, the merged OK is their conjunction, and the merged
 // Reason is the first failing key's reason in key-arrival order,
@@ -105,66 +101,36 @@ func TestShardedMultiKeyOracle(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		st := randMultiKey(r, 2+r.Intn(4))
 		opt := Options{Initial: "v0"}
-		for _, shards := range []int{0, 3} {
-			s := NewSharded(ShardedOptions{Check: opt, Shards: shards, Queue: 32})
-			merged := st.drive(s)
-			wantOK := true
-			wantReason := ""
-			failKey := ""
-			for _, key := range st.keys {
-				want := Check(st.seqs[key], opt)
-				got, ok := s.KeyResult(key)
-				if !ok {
-					t.Fatalf("trial %d shards=%d: KeyResult(%q) missing", trial, shards, key)
-				}
-				if got != want {
-					t.Fatalf("trial %d shards=%d key %q: sharded %+v != batch %+v\n%v",
-						trial, shards, key, got, want, st.seqs[key])
-				}
-				if wantOK && !want.OK {
-					wantOK, wantReason, failKey = false, want.Reason, key
-				}
-			}
-			if merged.OK != wantOK || merged.Reason != wantReason {
-				t.Fatalf("trial %d shards=%d: merged {%v %q} != want {%v %q}",
-					trial, shards, merged.OK, merged.Reason, wantOK, wantReason)
-			}
-			if gotKey, ok := s.FailedKey(); ok != !wantOK || (ok && gotKey != failKey) {
-				t.Fatalf("trial %d shards=%d: FailedKey()=(%q,%v), want (%q,%v)",
-					trial, shards, gotKey, ok, failKey, !wantOK)
-			}
-		}
-	}
-}
-
-// TestShardedDeterminism replays one multi-key stream twice at the same
-// shard count: merged and per-key results must be identical — worker
-// scheduling must not leak into verdicts.
-func TestShardedDeterminism(t *testing.T) {
-	r := rand.New(rand.NewSource(2024))
-	for trial := 0; trial < 50; trial++ {
-		st := randMultiKey(r, 3)
-		opt := Options{Initial: "v0"}
-		a := NewSharded(ShardedOptions{Check: opt, Shards: 3, Queue: 16})
-		b := NewSharded(ShardedOptions{Check: opt, Shards: 3, Queue: 16})
-		ra, rb := st.drive(a), st.drive(b)
-		if ra != rb {
-			t.Fatalf("trial %d: replays disagree: %+v vs %+v", trial, ra, rb)
-		}
+		s := NewSharded(ShardedOptions{Check: opt})
+		merged := st.drive(s)
+		wantOK := true
+		wantReason := ""
+		failKey := ""
 		for _, key := range st.keys {
-			ka, _ := a.KeyResult(key)
-			kb, _ := b.KeyResult(key)
-			if ka != kb {
-				t.Fatalf("trial %d key %q: replays disagree: %+v vs %+v", trial, key, ka, kb)
+			want := Check(st.seqs[key], opt)
+			got, ok := s.KeyResult(key)
+			if !ok {
+				t.Fatalf("trial %d: KeyResult(%q) missing", trial, key)
 			}
+			if got != want {
+				t.Fatalf("trial %d key %q: keyed %+v != batch %+v\n%v", trial, key, got, want, st.seqs[key])
+			}
+			if wantOK && !want.OK {
+				wantOK, wantReason, failKey = false, want.Reason, key
+			}
+		}
+		if merged.OK != wantOK || merged.Reason != wantReason {
+			t.Fatalf("trial %d: merged {%v %q} != want {%v %q}", trial, merged.OK, merged.Reason, wantOK, wantReason)
+		}
+		if gotKey, ok := s.FailedKey(); ok != !wantOK || (ok && gotKey != failKey) {
+			t.Fatalf("trial %d: FailedKey()=(%q,%v), want (%q,%v)", trial, gotKey, ok, failKey, !wantOK)
 		}
 	}
 }
 
 // TestShardedMergedReasonOrder pins the merge tie-break with two failing
-// keys: the merged Reason is the FIRST key's (in first-appearance order),
-// regardless of which shard finishes first, and carries the sequential
-// checker's exact error text.
+// keys: the merged Reason is the FIRST key's (in first-appearance order)
+// and carries the sequential checker's exact error text.
 func TestShardedMergedReasonOrder(t *testing.T) {
 	badA := []Op{
 		{Node: 0, Kind: Write, Value: "a1", Inv: 0, Res: 10},
@@ -179,26 +145,24 @@ func TestShardedMergedReasonOrder(t *testing.T) {
 	if wantA.OK {
 		t.Fatal("fixture badA unexpectedly linearizable")
 	}
-	for _, shards := range []int{0, 2, 4} {
-		s := NewSharded(ShardedOptions{Check: opt, Shards: shards})
-		for _, op := range badA { // key "a" appears first
-			s.Begin("a", op.Node, op.Inv)
-			s.Add("a", op)
-		}
-		for _, op := range badB {
-			s.Begin("b", op.Node, op.Inv)
-			s.Add("b", op)
-		}
-		merged := s.Finish()
-		if merged.OK {
-			t.Fatalf("shards=%d: merged verdict OK over two failing keys", shards)
-		}
-		if merged.Reason != wantA.Reason {
-			t.Fatalf("shards=%d: merged reason %q, want first key's %q", shards, merged.Reason, wantA.Reason)
-		}
-		if key, ok := s.FailedKey(); !ok || key != "a" {
-			t.Fatalf("shards=%d: FailedKey()=(%q,%v), want (\"a\",true)", shards, key, ok)
-		}
+	s := NewSharded(ShardedOptions{Check: opt})
+	for _, op := range badA { // key "a" appears first
+		s.Begin("a", op.Node, op.Inv)
+		s.Add("a", op)
+	}
+	for _, op := range badB {
+		s.Begin("b", op.Node, op.Inv)
+		s.Add("b", op)
+	}
+	merged := s.Finish()
+	if merged.OK {
+		t.Fatal("merged verdict OK over two failing keys")
+	}
+	if merged.Reason != wantA.Reason {
+		t.Fatalf("merged reason %q, want first key's %q", merged.Reason, wantA.Reason)
+	}
+	if key, ok := s.FailedKey(); !ok || key != "a" {
+		t.Fatalf("FailedKey()=(%q,%v), want (\"a\",true)", key, ok)
 	}
 }
 
@@ -223,7 +187,7 @@ func TestRecorderReplayParity(t *testing.T) {
 // TestShardedAfterFinish pins that a finished checker ignores further
 // traffic and Finish stays idempotent.
 func TestShardedAfterFinish(t *testing.T) {
-	s := NewSharded(ShardedOptions{Check: Options{Initial: "v0"}, Shards: 2})
+	s := NewSharded(ShardedOptions{Check: Options{Initial: "v0"}})
 	s.Add("", Op{Node: 0, Kind: Write, Value: "w0", Inv: 0, Res: 1})
 	first := s.Finish()
 	s.Begin("", ta.NodeID(1), 5)

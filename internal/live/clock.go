@@ -67,8 +67,8 @@ func (c *nodeClock) read() simtime.Time {
 }
 
 // now returns the node's current clock reading. A backward step can make
-// consecutive readings non-monotone; the node loop's high-water clamp
-// absorbs that.
+// consecutive readings non-monotone; each instance's core.Composite keeps
+// its own high-water mark of observed time, which absorbs that.
 func (c *nodeClock) now() simtime.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -17,10 +17,10 @@ import (
 // node — the node loop stamps both the invocations it admits and the
 // responses its algorithms emit — and at 10^4+ ops/s a single
 // mutex-guarded queue would serialize every node through one cache line.
-// Instead each node owns a lock-free SPSC ring (spsc.Ring, the same
-// hand-off linearize.Sharded uses) — exactly one ring per hosted node,
-// nothing else — and a single consumer goroutine merges the rings into one
-// stream in canonical stamp order through exec.StampMerge.
+// Instead each node owns a lock-free SPSC ring (spsc.Ring) — exactly one
+// ring per hosted node, nothing else — and a single consumer goroutine
+// merges the rings into one stream in canonical stamp order through
+// exec.StampMerge.
 //
 // The merge is made sound by a per-ring stamp floor: before reading the
 // clock for an event's stamp, the producer publishes a "busy" flag

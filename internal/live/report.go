@@ -56,12 +56,9 @@ type ReportCore struct {
 	Reconnects int `json:"reconnects,omitempty"`
 
 	// Violations counts online check failures (sticky: 0 or 1 per check);
-	// CheckStates is the online checker's search size. CheckShards is the
-	// sharded-verification worker count the run used (0: checkers ran
-	// inline on the event consumer).
+	// CheckStates is the online checker's search size.
 	Violations  int `json:"violations"`
 	CheckStates int `json:"check_states"`
-	CheckShards int `json:"check_shards,omitempty"`
 	// RecorderDrops counts events the recorder discarded after shutdown
 	// (summed over daemons in a fleet); a clean run asserts zero (Pass
 	// requires it).
@@ -116,7 +113,7 @@ type Report struct {
 // registers, its share of the load with per-tier latency percentiles, and
 // its own online verification verdict (each tier is checked against its
 // own specification — linearizability for lin, sequential consistency for
-// seq — by the per-key checker fan-out).
+// seq — by each register's own automaton in the keyed checker).
 type TierReport struct {
 	Registers int `json:"registers"`
 	Ops       int `json:"ops"`

@@ -27,9 +27,6 @@ type VerdictConfig struct {
 	// the online linearizability engine, seq by the Θ-bounded online
 	// sequential-consistency engine.
 	Tiers []register.Tier
-	// Shards runs the per-register automata on this many worker goroutines
-	// (< 2: inline on the event consumer); the verdicts are the same.
-	Shards int
 }
 
 // verdictRing is the post-mortem event tail a failing run is reported with.
@@ -58,7 +55,7 @@ func NewVerdict(cfg VerdictConfig) *Verdict {
 		cfg.Registers = 1 // as live.New reads it
 	}
 	lin, seq := cfg.Model.LinOptions(), cfg.Model.SeqOptions()
-	so := linearize.ShardedOptions{Check: lin, Shards: cfg.Shards}
+	so := linearize.ShardedOptions{Check: lin}
 	v := &Verdict{
 		mon:  register.NewMonitor(),
 		ring: trace.NewRing(verdictRing),
@@ -72,7 +69,6 @@ func NewVerdict(cfg VerdictConfig) *Verdict {
 		}
 	}
 	if len(seqKeys) > 0 {
-		// Read-only after this point: shard workers call New concurrently.
 		so.New = func(key string) linearize.Automaton {
 			if seqKeys[key] {
 				return linearize.NewSeqOnline(seq)
@@ -117,8 +113,8 @@ type Outcome struct {
 	// register no operation reached is vacuously OK with zero States.
 	PerReg []linearize.Result
 	// Tail is a failing run's event tail: the ring as it stood when the
-	// stream contract broke, or — for a check failure, which the shard
-	// workers only report once the stream has ended — its last events.
+	// stream contract broke, or — for a check failure, which the merged
+	// verdict reports only once the stream has ended — its last events.
 	Tail ta.Trace
 }
 

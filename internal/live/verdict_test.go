@@ -91,7 +91,7 @@ func recordStream(c verdictCase, seed int64, events int) []ta.Event {
 // referenceStack is the Monitor + Sharded assembly pscserve, fleet.Plane and
 // E17 each wrote out by hand before NewVerdict, options spelled literally:
 // the reference the one constructor must keep agreeing with.
-func referenceStack(m Model, c verdictCase, shards int) (*register.Monitor, *linearize.Sharded) {
+func referenceStack(m Model, c verdictCase) (*register.Monitor, *linearize.Sharded) {
 	linOpt := linearize.Options{
 		Initial:      register.Initial.String(),
 		Widen:        m.Eps + m.Slack,
@@ -104,7 +104,7 @@ func referenceStack(m Model, c verdictCase, shards int) (*register.Monitor, *lin
 		MaxStale: m.C + m.Delta + 2*m.Eps + m.Ell + m.Slack,
 		Yield:    runtime.Gosched,
 	}
-	so := linearize.ShardedOptions{Check: linOpt, Shards: shards}
+	so := linearize.ShardedOptions{Check: linOpt}
 	if c.tiers != nil {
 		so.New = func(key string) linearize.Automaton {
 			idx, err := strconv.Atoi(strings.TrimPrefix(key, "r"))
@@ -127,50 +127,48 @@ func referenceStack(m Model, c verdictCase, shards int) (*register.Monitor, *lin
 }
 
 // TestVerdictMatchesHandAssembledStack feeds one recorded stream per
-// deployment shape through NewVerdict and through the reference, inline
-// and on two shard workers, and requires the merged result, every
-// register's own result and the search size to be equal.
+// deployment shape through NewVerdict and through the reference, and
+// requires the merged result, every register's own result and the search
+// size to be equal.
 func TestVerdictMatchesHandAssembledStack(t *testing.T) {
 	m := defaultModels[0].m
 	for _, c := range verdictCases {
 		stream := recordStream(c, 7, 4000)
-		for _, shards := range []int{0, 2} {
-			v := NewVerdict(VerdictConfig{Model: m, Nodes: c.nodes, Registers: c.regs, Extra: c.extra, Tiers: c.tiers, Shards: shards})
-			refMon, refCheck := referenceStack(m, c, shards)
-			for i, e := range stream {
-				v.Observe(e)
-				refMon.Observe(e)
-				if i%64 == 63 {
-					v.Flush(e.At)
-					refMon.Flush(e.At)
-				}
+		v := NewVerdict(VerdictConfig{Model: m, Nodes: c.nodes, Registers: c.regs, Extra: c.extra, Tiers: c.tiers})
+		refMon, refCheck := referenceStack(m, c)
+		for i, e := range stream {
+			v.Observe(e)
+			refMon.Observe(e)
+			if i%64 == 63 {
+				v.Flush(e.At)
+				refMon.Flush(e.At)
 			}
-			out := v.Finish()
-			want := refMon.Verdict("ref")
-			if err := refMon.Err(); err != nil {
-				t.Fatalf("%s: the recorded stream breaks the reference's contract: %v", c.name, err)
+		}
+		out := v.Finish()
+		want := refMon.Verdict("ref")
+		if err := refMon.Err(); err != nil {
+			t.Fatalf("%s: the recorded stream breaks the reference's contract: %v", c.name, err)
+		}
+		if got := v.mon.Verdict("live"); got != want {
+			t.Errorf("%s: merged result %+v, reference %+v", c.name, got, want)
+		}
+		if !want.OK || out.Violations != 0 || len(out.Messages) != 0 || len(out.Tail) != 0 {
+			t.Errorf("%s: a linearizable stream judged %+v (reference %+v)", c.name, out, want)
+		}
+		if out.States != want.States || want.States == 0 {
+			t.Errorf("%s: %d states, reference %d (want equal, nonzero)", c.name, out.States, want.States)
+		}
+		if len(out.PerReg) != c.regs {
+			t.Fatalf("%s: %d per-register results for %d registers", c.name, len(out.PerReg), c.regs)
+		}
+		for r, got := range out.PerReg {
+			key := "r" + strconv.Itoa(r)
+			if c.singleAnonymousHistory {
+				key = ""
 			}
-			if got := v.mon.Verdict("live"); got != want {
-				t.Errorf("%s, %d shards: merged result %+v, reference %+v", c.name, shards, got, want)
-			}
-			if !want.OK || out.Violations != 0 || len(out.Messages) != 0 || len(out.Tail) != 0 {
-				t.Errorf("%s, %d shards: a linearizable stream judged %+v (reference %+v)", c.name, shards, out, want)
-			}
-			if out.States != want.States || want.States == 0 {
-				t.Errorf("%s, %d shards: %d states, reference %d (want equal, nonzero)", c.name, shards, out.States, want.States)
-			}
-			if len(out.PerReg) != c.regs {
-				t.Fatalf("%s: %d per-register results for %d registers", c.name, len(out.PerReg), c.regs)
-			}
-			for r, got := range out.PerReg {
-				key := "r" + strconv.Itoa(r)
-				if c.singleAnonymousHistory {
-					key = ""
-				}
-				ref, ok := refCheck.KeyResult(key)
-				if !ok || got != ref {
-					t.Errorf("%s, %d shards, register %d: %+v, reference %+v (seen %v)", c.name, shards, r, got, ref, ok)
-				}
+			ref, ok := refCheck.KeyResult(key)
+			if !ok || got != ref {
+				t.Errorf("%s, register %d: %+v, reference %+v (seen %v)", c.name, r, got, ref, ok)
 			}
 		}
 	}
@@ -207,7 +205,7 @@ func TestVerdictNamesTheFailure(t *testing.T) {
 			ta.Action{Name: register.ActRead, Kind: ta.KindInput},
 			ta.Action{Name: register.ActReturn, Kind: ta.KindOutput, Payload: v1},
 		)
-		v := NewVerdict(VerdictConfig{Model: m, Nodes: nodes, Registers: regs, Shards: 2})
+		v := NewVerdict(VerdictConfig{Model: m, Nodes: nodes, Registers: regs})
 		for _, e := range stream {
 			v.Observe(e)
 		}

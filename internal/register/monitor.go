@@ -64,16 +64,14 @@ func NewMonitor() *Monitor {
 // AddCheck registers a named online checker over the monitored operation
 // stream. Must be called before any event is observed, so the checker
 // sees the stream from its start. The checker runs inline on the
-// observing goroutine; to move it to a worker pool, hand AddChecker a
-// linearize.NewSharded with ShardedOptions.Shards set.
+// observing goroutine, one automaton per key.
 func (m *Monitor) AddCheck(name string, opt linearize.Options) {
 	m.AddChecker(name, linearize.NewSharded(linearize.ShardedOptions{Check: opt}))
 }
 
 // AddChecker registers an arbitrary keyed checker (e.g. a Recorder
 // capturing the command stream). Must be called before any event is
-// observed. The monitor always drives Finish on every registered
-// checker, so sharded checkers' workers are reliably terminated.
+// observed.
 func (m *Monitor) AddChecker(name string, c linearize.Checker) {
 	m.checks = append(m.checks, monCheck{name: name, c: c})
 }

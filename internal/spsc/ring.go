@@ -1,6 +1,5 @@
 // Package spsc holds the repository's one single-producer single-consumer
-// hand-off queue. The live recorder's per-producer event rings and the
-// sharded checker's per-shard message rings are both instances of it.
+// hand-off queue. Its one use is the live recorder's per-node event rings.
 package spsc
 
 import (
@@ -12,13 +11,12 @@ import (
 // ring indexed by free-running atomic head/tail counters, so the
 // uncontended fast path is two atomic loads and a store on each side.
 // When the ring runs full the producer parks on the condition variable —
-// backpressure, never loss; when it runs empty a consumer in PopWait
-// parks. The park flags and the re-checked conditions all go through
-// sequentially-consistent atomics, so a counter update after the flag was
-// read false is necessarily seen by the parking side's re-check — no lost
-// wakeups.
+// backpressure, never loss; the consumer never blocks. The park flag and
+// the re-checked condition both go through sequentially-consistent
+// atomics, so a pop after the flag was read false is necessarily seen by
+// the producer's re-check — no lost wakeups.
 //
-// Push is the producer's only method; Peek, Pop and PopWait belong to the
+// Push is the producer's only method; Peek and Pop belong to the
 // consumer. Each side is one goroutine at a time.
 type Ring[T any] struct {
 	buf  []T
@@ -29,7 +27,6 @@ type Ring[T any] struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	consPark atomic.Bool // consumer is asleep (empty ring)
 	prodPark atomic.Bool // producer is asleep (full ring)
 }
 
@@ -52,9 +49,6 @@ func (r *Ring[T]) Push(v T) {
 		if t-r.head.Load() < uint64(len(r.buf)) {
 			r.buf[t&r.mask] = v
 			r.tail.Store(t + 1)
-			if r.consPark.Load() {
-				r.wake()
-			}
 			return
 		}
 		r.mu.Lock()
@@ -84,24 +78,6 @@ func (r *Ring[T]) Pop() {
 	r.head.Store(r.head.Load() + 1)
 	if r.prodPark.Load() {
 		r.wake()
-	}
-}
-
-// PopWait removes and returns the oldest entry, parking while the ring is
-// empty.
-func (r *Ring[T]) PopWait() T {
-	for {
-		if v, ok := r.Peek(); ok {
-			r.Pop()
-			return v
-		}
-		r.mu.Lock()
-		r.consPark.Store(true)
-		for r.tail.Load() == r.head.Load() {
-			r.cond.Wait()
-		}
-		r.consPark.Store(false)
-		r.mu.Unlock()
 	}
 }
 
