@@ -37,7 +37,9 @@ tier2:
 # core.Context is implemented once, by the node engine in internal/core
 # that the simulator and the live runtime both host, so no non-test code
 # elsewhere defines a SetTimer method; and the checker runs on its
-# caller's goroutine, so no non-test code in internal/linearize starts one.
+# caller's goroutine, so no non-test code in internal/linearize starts one;
+# and the sharded executor's lanes share nothing during a round, so no
+# non-test code in internal/exec uses atomics or yields to a peer.
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -56,6 +58,8 @@ model-guard:
 		|| { echo "model-guard: core.Context implemented outside internal/core (host the algorithm in a core.Composite)"; exit 1; }
 	@! grep -rnE '^[[:space:]]*go[[:space:]]' --include='*.go' --exclude='*_test.go' internal/linearize \
 		|| { echo "model-guard: a goroutine in the checker (internal/linearize runs on its caller's goroutine)"; exit 1; }
+	@! grep -rnE '"sync/atomic"|runtime\.Gosched' --include='*.go' --exclude='*_test.go' internal/exec \
+		|| { echo "model-guard: atomics or yields in the executor (lanes share nothing during a round; the join is the only synchronization)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

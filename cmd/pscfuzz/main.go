@@ -10,7 +10,6 @@
 //	pscfuzz -trials 200 -seed 1
 //	pscfuzz -trials 50 -mutate    # sanity: fuzz the broken L variant, expect violations
 //	pscfuzz -trials 50 -shards 4  # differential: sharded vs sequential execution
-//	pscfuzz -trials 50 -shards 4 -edgespread  # per-edge d1 spreads (adaptive-horizon planner)
 //	pscfuzz -trials 50 -tiers     # tier differential: S passes both checkers, L passes SC, lin rejects ≥ 1 L run
 package main
 
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "campaign seed")
 	mutate := fs.Bool("mutate", false, "fuzz the broken variant (plain L in the clock model); violations are then expected")
 	shards := fs.Int("shards", 0, "run each trial again under sharded conservative-parallel execution with this many shards and require an identical history (<2: off)")
-	edgeSpread := fs.Bool("edgespread", false, "draw an independent delay interval per directed edge (within the trial's global [d1,d2]), exercising the per-edge d1 lookahead planner of sharded execution")
 	tiersFuzz := fs.Bool("tiers", false, "tier differential: additionally check every S history for sequential consistency, run each trial's L twin under skewed clocks (always sequentially consistent, sometimes not linearizable), and require the linearizability checker to reject at least one L run")
 	verbose := fs.Bool("v", false, "print each trial's configuration")
 	if err := fs.Parse(args); err != nil {
@@ -62,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	linRejectsL := 0
 	for trial := 0; trial < *trials; trial++ {
 		cfgSeed := *seed*1_000_000_007 + int64(trial)
-		desc, ops, err := oneTrial(cfgSeed, *mutate, 0, *edgeSpread)
+		desc, ops, err := oneTrial(cfgSeed, *mutate, 0)
 		if err != nil {
 			fmt.Fprintf(stderr, "pscfuzz: trial %d (%s): %v\n", trial, desc, err)
 			return 2
@@ -72,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		res := linearize.CheckLinearizable(ops, register.Initial.String())
 		if *shards > 1 {
-			if msg := diffSharded(cfgSeed, *mutate, *shards, *edgeSpread, ops, res); msg != "" {
+			if msg := diffSharded(cfgSeed, *mutate, *shards, ops, res); msg != "" {
 				fmt.Fprintf(stdout, "DIVERGENCE in trial %d: %s\n  %s\n", trial, desc, msg)
 				fmt.Fprintln(stdout, replay(trial))
 				return 2
@@ -153,7 +151,7 @@ func tierTrial(seed int64, sOps []linearize.Op, stdout io.Writer) (linRejected b
 		printSeqShrink(stdout, sOps, initial)
 		return false, fmt.Sprintf("S-tier history rejected by the SC checker: %s", sc.Reason)
 	}
-	descL, opsL, err := oneTrial(seed, true, 0, false)
+	descL, opsL, err := oneTrial(seed, true, 0)
 	if err != nil {
 		return false, fmt.Sprintf("L twin (%s) failed to run: %v", descL, err)
 	}
@@ -179,8 +177,8 @@ func printSeqShrink(stdout io.Writer, ops []linearize.Op, initial string) {
 // The conservative-parallel executor promises determinism — identical
 // traces, not merely equivalent ones — so any diff is a bug in the
 // d1-lookahead machinery. Returns "" when the runs agree.
-func diffSharded(seed int64, mutate bool, shards int, edgeSpread bool, seqOps []linearize.Op, seqRes linearize.Result) string {
-	_, ops, err := oneTrial(seed, mutate, shards, edgeSpread)
+func diffSharded(seed int64, mutate bool, shards int, seqOps []linearize.Op, seqRes linearize.Result) string {
+	_, ops, err := oneTrial(seed, mutate, shards)
 	if err != nil {
 		return fmt.Sprintf("sharded run failed: %v", err)
 	}
@@ -200,10 +198,7 @@ func diffSharded(seed int64, mutate bool, shards int, edgeSpread bool, seqOps []
 
 // oneTrial draws and runs one configuration; shards > 1 selects the
 // conservative-parallel executor (below 2 runs sequentially).
-// edgeSpread replaces the uniform delay bounds with an independent
-// interval per directed edge, each nested inside the global [d1, d2] so
-// the register's D2 wait budget stays an upper bound on every delivery.
-func oneTrial(seed int64, mutate bool, shards int, edgeSpread bool) (string, []linearize.Op, error) {
+func oneTrial(seed int64, mutate bool, shards int) (string, []linearize.Op, error) {
 	r := rand.New(rand.NewSource(seed))
 	n := 2 + r.Intn(4)
 	d1 := simtime.Duration(r.Int63n(int64(2 * ms)))
@@ -259,31 +254,10 @@ func oneTrial(seed int64, mutate bool, shards int, edgeSpread bool) (string, []l
 			cname = "spread"
 		}
 	}
-	edgeDesc := ""
-	var edgeBounds func(from, to int) simtime.Interval
-	if edgeSpread {
-		// An independent interval per directed edge, drawn from a seed
-		// derived only from (campaign seed, from, to) so the sequential and
-		// sharded runs of the same trial see identical per-edge bounds. The
-		// lower bound stays strictly positive (sharding needs a nonzero
-		// cross-shard lookahead) and the upper stays within the global d2.
-		minLo := 20 * us
-		if d1 > minLo {
-			minLo = d1
-		}
-		base := seed * 7_919
-		edgeBounds = func(from, to int) simtime.Interval {
-			er := rand.New(rand.NewSource(base + int64(from)*1_000 + int64(to)))
-			lo := minLo + simtime.Duration(er.Int63n(int64(d2-minLo)+1))
-			hi := lo + simtime.Duration(er.Int63n(int64(d2-lo)+1))
-			return simtime.NewInterval(lo, hi)
-		}
-		edgeDesc = " edges=spread"
-	}
-	desc := fmt.Sprintf("alg=%s n=%d d=[%v,%v]%s ε=%v c=%v clocks=%s delays=%s seed=%d",
-		algName, n, d1, d2, edgeDesc, eps, cKnob, cname, dname, seed)
+	desc := fmt.Sprintf("alg=%s n=%d d=[%v,%v] ε=%v c=%v clocks=%s delays=%s seed=%d",
+		algName, n, d1, d2, eps, cKnob, cname, dname, seed)
 
-	cfg := core.Config{N: n, Bounds: bounds, EdgeBounds: edgeBounds, Seed: seed, Clocks: cf, NewDelay: df, FIFO: r.Intn(2) == 0, Shards: shards}
+	cfg := core.Config{N: n, Bounds: bounds, Seed: seed, Clocks: cf, NewDelay: df, FIFO: r.Intn(2) == 0, Shards: shards}
 	net := core.BuildClocked(cfg, factory)
 	clients := workload.Attach(net, workload.Config{
 		Ops:        8 + r.Intn(10),
@@ -294,11 +268,6 @@ func oneTrial(seed int64, mutate bool, shards int, edgeSpread bool) (string, []l
 	})
 	if _, err := net.Sys.RunQuiet(simtime.Time(120 * simtime.Second)); err != nil {
 		return desc, nil, err
-	}
-	if shards > 1 && edgeSpread && !net.Sys.Sharded() {
-		// Every per-edge lower bound is strictly positive under edgeSpread,
-		// so a fallback means the differential would be vacuous.
-		return desc, nil, fmt.Errorf("sharding fell back (%s); the -edgespread differential did not run", net.Sys.ShardFallbackReason())
 	}
 	for _, c := range clients {
 		if c.Done == 0 {

@@ -89,7 +89,7 @@ func TestReplayArgsRerunTheTrial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	for _, modes := range [][]string{nil, {"-mutate", "-edgespread"}} {
+	for _, modes := range [][]string{nil, {"-mutate", "-shards", "4"}} {
 		campaign := append([]string{"-trials", "3", "-seed", "1", "-v"}, modes...)
 		_, out := runFuzz(t, campaign...)
 		want := trialLines(out)

@@ -58,6 +58,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"super", *super}, {"widen", *widen}, {"shift", *shift}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "psclin: -%s %d is negative\n", f.name, f.v)
+			return 2
+		}
+	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: psclin [flags] <history.json | ->")
 		return 2
@@ -99,6 +108,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if jo.Res != nil {
+			if *jo.Res < jo.Inv {
+				fmt.Fprintf(stderr, "psclin: op %d: res %d precedes inv %d\n", i, *jo.Res, jo.Inv)
+				return 2
+			}
 			op.Res = simtime.Time(*jo.Res)
 		}
 		ops = append(ops, op)

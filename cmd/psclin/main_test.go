@@ -95,3 +95,24 @@ func TestUsageErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestMalformedInputRejected: input the checker cannot judge is a usage
+// error (exit 2, naming the op or flag), never a verdict.
+func TestMalformedInputRejected(t *testing.T) {
+	backwards := `{"initial":"v0","ops":[{"node":0,"kind":"write","value":"a","inv":0,"res":10},{"node":1,"kind":"read","value":"a","inv":30,"res":20}]}`
+	for _, tc := range []struct {
+		stdin string
+		args  []string
+		want  string
+	}{
+		{backwards, []string{"-"}, "op 1: res 20 precedes inv 30"},
+		{goodHistory, []string{"-widen", "-5", "-"}, "-widen -5"},
+		{goodHistory, []string{"-shift", "-5", "-"}, "-shift -5"},
+		{badHistory, []string{"-super", "-10", "-"}, "-super -10"},
+	} {
+		code, out, errOut := runPsclin(t, tc.stdin, tc.args...)
+		if code != 2 || !strings.Contains(errOut, tc.want) || out != "" {
+			t.Errorf("args %v: exit %d, stdout %q, stderr %q; want exit 2 naming %q and no verdict", tc.args, code, out, errOut, tc.want)
+		}
+	}
+}

@@ -98,12 +98,34 @@ func run(args []string) int {
 		return 2
 	}
 	o.eps, o.d1, o.d2, o.c, o.delta, o.ell = *eps, *d1, *d2, *c, *delta, *ell
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pscsim:", err)
+		return 2
+	}
 
 	if err := simulate(o); err != nil {
 		fmt.Fprintln(os.Stderr, "pscsim:", err)
 		return 1
 	}
 	return 0
+}
+
+// validate rejects flag values that build no system or leave nothing to
+// check, naming the flag.
+func (o options) validate() error {
+	switch {
+	case o.n < 1:
+		return fmt.Errorf("-n %d: need at least 1 node", o.n)
+	case o.d1 < 0:
+		return fmt.Errorf("-d1 %v is negative", o.d1)
+	case o.d1 > o.d2:
+		return fmt.Errorf("-d1 %v exceeds -d2 %v", o.d1, o.d2)
+	case o.ops < 1:
+		return fmt.Errorf("-ops %d: need at least 1 operation per client", o.ops)
+	case !(o.writes >= 0 && o.writes <= 1):
+		return fmt.Errorf("-writes %v is outside [0, 1]", o.writes)
+	}
+	return nil
 }
 
 func simulate(o options) error {

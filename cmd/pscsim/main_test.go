@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -64,6 +65,46 @@ func TestBadFlags(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// Out-of-range values exit 2 before anything is built, naming the flag.
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-n", "-1"}, "-n"},
+		{[]string{"-n", "0"}, "-n"},
+		{[]string{"-d1", "5ms", "-d2", "1ms"}, "-d1"},
+		{[]string{"-d1", "-1ms"}, "-d1"},
+		{[]string{"-ops", "-1"}, "-ops"},
+		{[]string{"-ops", "0"}, "-ops"},
+		{[]string{"-writes", "1.5"}, "-writes"},
+		{[]string{"-writes", "-0.1"}, "-writes"},
+		{[]string{"-writes", "NaN"}, "-writes"},
+	} {
+		code, stderr := runStderr(t, tc.args)
+		if code != 2 || !strings.Contains(stderr, "pscsim: "+tc.flag+" ") {
+			t.Errorf("args %v: exit %d, stderr %q; want exit 2 naming %s", tc.args, code, stderr, tc.flag)
+		}
+	}
+}
+
+// runStderr runs pscsim with args and returns its exit code and what it
+// wrote to stderr.
+func runStderr(t *testing.T, args []string) (int, string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	prev := os.Stderr
+	os.Stderr = f
+	code := run(args)
+	os.Stderr = prev
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(data)
 }
 
 func TestTraceAndFIFOFlags(t *testing.T) {

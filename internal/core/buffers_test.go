@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"psclock/internal/clock"
@@ -57,5 +59,24 @@ func TestRecvBufferLiteralSemantics(t *testing.T) {
 	}
 	if rb.Held() != 0 {
 		t.Error("queue not drained")
+	}
+}
+
+// TestCompositeReceiveFromOutsideRange: R_ji,ε exists for senders 0..n-1
+// only, so a Receive from any other sender panics naming it.
+func TestCompositeReceiveFromOutsideRange(t *testing.T) {
+	for _, from := range []ta.NodeID{2, ta.NoNode} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("sender %d,", from); !strings.Contains(msg, want) {
+					t.Errorf("Receive from %d: panic %q, want one naming %q", from, msg, want)
+				}
+			}()
+			NewComposite(0, 2, &relay{}).Receive(0, from, ta.TaggedMsg{Body: "m"})
+		}()
+	}
+	if out := NewComposite(0, 2, &relay{}).Receive(0, 1, ta.TaggedMsg{Body: "m"}); len(out) == 0 {
+		t.Error("in-range message with a reached tag was not delivered")
 	}
 }

@@ -31,9 +31,10 @@ type Composite struct {
 	n   int
 	eng *engine
 
-	// queues[j] is R_ji,ε's queue q_ji, in arrival order. Only the front is
-	// ever inspected (head-of-line blocking, exactly as in Figure 2).
-	queues map[ta.NodeID][]ta.TaggedMsg
+	// queues[j] is R_ji,ε's queue q_ji, in arrival order, for each sender j
+	// in 0..n-1. Only the front is ever inspected (head-of-line blocking,
+	// exactly as in Figure 2).
+	queues [][]ta.TaggedMsg
 
 	// noBuffer disables the receive buffer (the §7.2 ablation): messages
 	// are delivered immediately regardless of their tag. With d1 ≥ 2ε this
@@ -61,7 +62,7 @@ func NewComposite(id ta.NodeID, n int, alg Algorithm) *Composite {
 		id:     id,
 		n:      n,
 		eng:    newEngine(id, n, alg),
-		queues: make(map[ta.NodeID][]ta.TaggedMsg, n),
+		queues: make([][]ta.TaggedMsg, n),
 	}
 }
 
@@ -136,13 +137,12 @@ func (ci *Composite) advanceInto(c simtime.Time) {
 			relAt   simtime.Time
 			relOK   bool
 		)
-		for j := ta.NodeID(0); int(j) < ci.n; j++ {
-			q := ci.queues[j]
+		for j, q := range ci.queues {
 			if len(q) == 0 {
 				continue
 			}
 			if !relOK || q[0].SentClock.Before(relAt) {
-				relFrom, relAt, relOK = j, q[0].SentClock, true
+				relFrom, relAt, relOK = ta.NodeID(j), q[0].SentClock, true
 			}
 		}
 		timerAt, timerOK := ci.eng.nextTimer()
@@ -183,8 +183,12 @@ func (ci *Composite) deliverMsg(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg)
 // Receive handles an ERECVMSG from the clock-model edge at clock value c:
 // the R_ji,ε effect. The message is delivered immediately if its queue is
 // empty and its tag has been reached, and buffered otherwise. The composite
-// is caught up to c first, so the algorithm state is current.
+// is caught up to c first, so the algorithm state is current. A sender
+// outside 0..n-1 has no R_ji,ε and panics.
 func (ci *Composite) Receive(c simtime.Time, from ta.NodeID, tm ta.TaggedMsg) []Stamped {
+	if from < 0 || int(from) >= ci.n {
+		panic(fmt.Sprintf("core: node %d received a message from sender %d, outside 0..%d", ci.id, from, ci.n-1))
+	}
 	ci.acc = ci.acc[:0]
 	ci.advanceInto(c)
 	ci.received++

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"psclock/internal/channel"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
@@ -49,55 +50,64 @@ func TestBalancedBlocksContiguousNonEmpty(t *testing.T) {
 	}
 }
 
-// TestShardPlanPerEdgeLookahead builds a heterogeneous-delay system and
-// checks that sharding still activates and traces stay identical to the
-// sequential build — the per-pair lookahead matrix must be consistent with
-// the actual edge delays for this to hold.
-func TestShardPlanPerEdgeLookahead(t *testing.T) {
-	cfg := Config{
-		N:      6,
-		Bounds: simtime.NewInterval(1*ms, 4*ms),
-		EdgeBounds: func(from, to int) simtime.Interval {
-			// Slow links between far-apart nodes, fast links between
-			// neighbors: the planner should give distant shard pairs the
-			// larger d1.
-			gap := from - to
-			if gap < 0 {
-				gap = -gap
-			}
-			lo := simtime.Duration(1+gap) * ms
-			return simtime.NewInterval(lo, 3*lo)
-		},
-		Seed: 42,
+// echo broadcasts each input and answers every message at once with the
+// payload minus one, back to its sender, until the payload reaches zero.
+type echo struct{}
+
+func (echo) Start(Context) {}
+
+func (echo) OnInput(ctx Context, _ string, payload any) { ctx.Broadcast(payload) }
+
+func (echo) OnMessage(ctx Context, from ta.NodeID, body any) {
+	ctx.Output("GOT", body)
+	if k := body.(int); k > 0 {
+		ctx.Send(from, k-1)
 	}
-	run := func(shards int) string {
-		c := cfg
-		c.Shards = shards
-		net := BuildTimed(c, relayFactory(2*ms))
-		for i := 0; i < c.N; i++ {
-			net.Invoke(ta.NodeID(i), "BCAST", i*10)
-			net.Invoke(ta.NodeID(i), "GO", i)
+}
+
+func (echo) OnTimer(Context, any) {}
+
+// TestShardLookaheadIsBoundsLo pins the executor's round lookahead to the
+// links' d1. Every message takes exactly d1 and every arrival is answered
+// at once across shards, so each reply is due exactly one d1 after the
+// round began: a lookahead any larger than Bounds.Lo lands it inside the
+// executed round and fails the run with a lookahead violation. At d1 the
+// sharded traces equal the sequential one; a d1 of 0 falls back.
+func TestShardLookaheadIsBoundsLo(t *testing.T) {
+	run := func(lo simtime.Duration, shards int) *Net {
+		cfg := Config{N: 6, Bounds: simtime.NewInterval(lo, 4*ms), Seed: 42, NewDelay: channel.MinDelay, Shards: shards}
+		net := BuildTimed(cfg, func(ta.NodeID, int) Algorithm { return echo{} })
+		for i := 0; i < cfg.N; i++ {
+			net.Invoke(ta.NodeID(i), "PING", 3)
 		}
-		if err := net.Sys.Run(simtime.Time(200 * ms)); err != nil {
-			t.Fatalf("run(shards=%d): %v", shards, err)
+		if err := net.Sys.Run(simtime.Time(50 * ms)); err != nil {
+			t.Fatalf("d1=%v shards=%d: %v", lo, shards, err)
 		}
-		if shards > 1 && !net.Sys.Sharded() {
-			t.Fatalf("sharding fell back: %s", net.Sys.ShardFallbackReason())
-		}
+		return net
+	}
+	render := func(net *Net) string {
 		var sb strings.Builder
 		for _, e := range net.Sys.Trace() {
 			fmt.Fprintf(&sb, "%s|%d|%d|%d|%s\n", e.Action.Label(), e.Action.Kind, e.At, e.Seq, e.Src)
 		}
 		return sb.String()
 	}
-	seq := run(-1)
-	if seq == "" {
-		t.Fatal("sequential run produced no events")
+	seq := render(run(1*ms, -1))
+	if !strings.Contains(seq, "GOT@n0(0)") {
+		t.Fatal("sequential run never completed an echo chain")
 	}
 	for _, s := range []int{2, 3} {
-		if got := run(s); got != seq {
-			t.Fatalf("%d-sharded trace differs from sequential", s)
+		net := run(1*ms, s)
+		if !net.Sys.Sharded() {
+			t.Fatalf("%d shards fell back: %s", s, net.Sys.ShardFallbackReason())
 		}
+		if render(net) != seq {
+			t.Errorf("%d-sharded trace differs from sequential", s)
+		}
+	}
+	if net := run(0, 2); net.Sys.Sharded() || net.Sys.ShardFallbackReason() == "" {
+		t.Errorf("d1 = 0: Sharded() = %v, fallback reason %q; want a sequential fallback with a reason",
+			net.Sys.Sharded(), net.Sys.ShardFallbackReason())
 	}
 }
 

@@ -19,12 +19,6 @@ type Config struct {
 	N int
 	// Bounds is the link delay interval [d1, d2] of every edge.
 	Bounds simtime.Interval
-	// EdgeBounds, when non-nil, overrides Bounds per directed edge, so
-	// heterogeneous links (§2.3 allows each channel its own [d1, d2]) can
-	// be modelled. The shard planner exploits the spread: each cross-shard
-	// lane pair's lookahead is the minimum d1 over the edges that actually
-	// cross it, not the global minimum.
-	EdgeBounds func(from, to int) simtime.Interval
 	// Seed derives all per-component seeds.
 	Seed int64
 	// NewDelay builds the delay policy for each edge (a fresh instance per
@@ -55,14 +49,13 @@ type Config struct {
 	Topology func(from, to int) bool
 
 	// Shards requests conservative-parallel sharded execution
-	// (exec.System.SetShardsPlanned): nodes are partitioned into contiguous
+	// (exec.System.SetShards): nodes are partitioned into contiguous
 	// blocks balanced by interest density, each node's tick source and
 	// clients join its shard, and every channel is pinned to its receiver's
-	// shard, so each ordered shard pair's lookahead is the minimum d1 over
-	// the links that actually cross it. Below 2 (zero and negative alike)
-	// the system runs on the sequential executor; values above N are
-	// clamped to N. Seeded runs produce identical observable traces either
-	// way.
+	// shard, so the links' d1 (Bounds.Lo) is the lookahead of every round.
+	// Below 2 (zero and negative alike) the system runs on the sequential
+	// executor, as it does when d1 is 0; values above N are clamped to N.
+	// Seeded runs produce identical observable traces either way.
 	Shards int
 }
 
@@ -70,14 +63,6 @@ type Config struct {
 // clamped to [1, N].
 func (cfg Config) shardCount() int {
 	return max(1, min(cfg.Shards, cfg.N))
-}
-
-// edgeBounds resolves the delay interval of edge (i, j).
-func (cfg Config) edgeBounds(i, j int) simtime.Interval {
-	if cfg.EdgeBounds != nil {
-		return cfg.EdgeBounds(i, j)
-	}
-	return cfg.Bounds
 }
 
 func (cfg Config) hasEdge(i, j int) bool {
@@ -186,17 +171,13 @@ func (net *Net) shardWeights() []int {
 // applySharding partitions the built components into cfg.shardCount()
 // contiguous node blocks — balanced by interest density (nodes, tick
 // sources, and incoming channels all generate scheduler load for their
-// shard) — and hands the executor a per-lane-pair lookahead plan: entry
-// (j, k) is the minimum d1 over the edges whose sender sits in shard j and
-// receiver in shard k, saturating Never for pairs no edge crosses, so
-// distant lanes run ahead on their own slack instead of the global
-// minimum. Same-instant causality stays shard-local by construction: a
-// node reacts instantly only to its own tick source, its own clients, and
-// deliveries from its incoming channels — all pinned to its shard — while
-// a channel merely schedules a future arrival (≥ its d1 later) when its
-// sender's shard writes to it; each channel's d1 is also declared as its
-// minimum effect delay, which caps how far a lane must throttle its
-// guarantees for mail it has buffered but not yet handed over.
+// shard) — and hands the executor the links' d1 as its lookahead; a d1 of
+// 0 makes the executor fall back to sequential execution. Same-instant
+// causality stays shard-local by construction: a node reacts instantly
+// only to its own tick source, its own clients, and deliveries from its
+// incoming channels — all pinned to its shard — while a channel merely
+// schedules a future arrival (≥ d1 later) when its sender's shard writes
+// to it.
 func (net *Net) applySharding(cfg Config) {
 	s := cfg.shardCount()
 	if s < 2 {
@@ -217,37 +198,17 @@ func (net *Net) applySharding(cfg Config) {
 	for i, t := range net.Ticks {
 		m[t.Name()] = shard(i)
 	}
-	la := make([][]simtime.Duration, s)
-	for j := range la {
-		la[j] = make([]simtime.Duration, s)
-		for k := range la[j] {
-			if j != k {
-				la[j][k] = simtime.Duration(simtime.Never)
-			}
-		}
-	}
-	edgeD1 := make(map[string]simtime.Duration, len(net.Edges))
 	for _, e := range net.Edges {
-		recv := shard(int(e.To()))
-		m[e.Name()] = recv
-		edgeD1[e.Name()] = e.Bounds().Lo
-		if from := shard(int(e.From())); from != recv {
-			if lo := e.Bounds().Lo; lo < la[from][recv] {
-				la[from][recv] = lo
-			}
-		}
+		m[e.Name()] = shard(int(e.To()))
 	}
 	net.nodeShard = nodeShard
 	net.shardOf = m
-	net.Sys.SetShardsPlanned(s, func(name string) int {
+	net.Sys.SetShards(s, func(name string) int {
 		if sh, ok := net.shardOf[name]; ok {
 			return sh
 		}
 		return -1
-	}, exec.ShardPlan{
-		Lookahead: la,
-		MinDelay:  func(name string) simtime.Duration { return edgeD1[name] },
-	})
+	}, cfg.Bounds.Lo)
 }
 
 // Invoke injects an environment invocation at the given node at the
@@ -393,7 +354,7 @@ func build(model string, cfg Config, f AlgorithmFactory) *Net {
 			if !cfg.hasEdge(i, j) {
 				continue
 			}
-			e := newEdge(ta.NodeID(i), ta.NodeID(j), cfg.edgeBounds(i, j), cfg.NewDelay(), edgeSeed(cfg.Seed, i, j, cfg.N))
+			e := newEdge(ta.NodeID(i), ta.NodeID(j), cfg.Bounds, cfg.NewDelay(), edgeSeed(cfg.Seed, i, j, cfg.N))
 			e.FIFO = cfg.FIFO
 			s.Add(e)
 			s.ConnectHeader(e.Matches, e)

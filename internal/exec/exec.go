@@ -22,25 +22,23 @@
 //     to the next observable event, collapsing runs of unobservable TICK
 //     and idle-step deadlines (ta.Coalescable) into arithmetic jumps, and
 //   - an optional sharded mode (shard.go) partitions the components into
-//     lanes that advance concurrently under adaptive per-lane horizons:
-//     each lane publishes a conservative bound on its next observable
-//     action (earliest deadline widened by NextInterest, plus incoming
-//     per-edge d1 guarantees), cross-shard actions are buffered into
-//     mailboxes, and lanes run ahead independently until a horizon binds;
-//     barriers deliver the mail and merge events in canonical order.
+//     lanes that advance concurrently in conservative rounds: every lane
+//     fires its deadlines up to the earliest pending deadline plus the
+//     links' d1, cross-shard actions are buffered into mailboxes, and a
+//     barrier after each round delivers the mail and merges events in
+//     canonical order.
 //
 // All preserve the dispatch order of the original linear executor (kept
 // in linear.go as a differential reference): deterministic seeds produce
 // byte-identical traces on the indexed path and byte-identical observable
 // actions on the coalesced and sharded paths (which elide only hidden TICK
 // events and empty step firings; see DisableCoalescing for the dense
-// oracle and SetShardsPlanned for the sharded configuration).
+// oracle and SetShards for the sharded configuration).
 package exec
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
@@ -94,20 +92,6 @@ type lane struct {
 
 	sched     sched
 	ffScratch []int32
-	hzScratch []int32
-
-	// hCache memoizes laneHorizon between schedule mutations: every state
-	// change that can move a deadline or an interest horizon funnels
-	// through poll, which clears hValid. Lane-local, so no synchronization.
-	hCache simtime.Time
-	hValid bool
-
-	// idle marks a lane whose last pass made no progress under window
-	// lastW: rerunning it is futile until its window grows (guarantees are
-	// monotone, so equality means unchanged) or its schedule mutates (poll
-	// clears the flag). Cleared wholesale when the run bound changes.
-	idle  bool
-	lastW simtime.Time
 
 	chainDepth int
 	scratch    [][]ta.Action
@@ -118,18 +102,14 @@ type lane struct {
 	// evHead by the bounded barrier merge (the settled prefix is emitted,
 	// the tail carried over); evCount counts events when nothing records
 	// them (the KeepTrace-off, no-sink fast path); mail holds
-	// cross-shard deliveries awaiting the barrier, with mailMin tracking
-	// per destination shard the earliest instant any buffered delivery
-	// could make its destination act (the sender's published guarantee may
-	// not exceed it). round and firing stamp each buffered event with its
-	// merge key, and frontier is the high-water bound of the lane's
-	// executed region — every local deadline strictly before it has fired
-	// (see shard.go).
+	// cross-shard deliveries awaiting the barrier. round and firing stamp
+	// each buffered event with its merge key, and frontier is the
+	// high-water bound of the lane's executed region — every local
+	// deadline strictly before it has fired (see shard.go).
 	events   []laneEvent
 	evHead   int
 	evCount  int
 	mail     []mailEntry
-	mailMin  []simtime.Time
 	round    int32
 	firing   int32
 	frontier simtime.Time
@@ -179,22 +159,12 @@ type System struct {
 	coalOf []ta.Coalescable
 
 	// Sharded-mode state; see shard.go. shardCfg is the requested
-	// configuration; lanes/compShard/laMat the active partition once
-	// initShards accepts it, with laMat the per-lane-pair lookahead matrix;
-	// gmat is the flattened atomic guarantee matrix G[j][k] (no effect from
-	// lane j reaches lane k before G[j][k]); subDelay is each
-	// subscription's minimum effect delay, used to bound buffered mail;
-	// shardReason records why a requested partition was not activated.
+	// configuration; lanes and compShard the active partition once
+	// initShards accepts it; shardReason records why a requested partition
+	// was not activated.
 	shardCfg    *shardConfig
 	lanes       []*lane
 	compShard   []int32
-	laMat       [][]simtime.Duration
-	gmat        []atomic.Int64
-	subDelay    []simtime.Duration
-	hScratch    []simtime.Time
-	passProg    atomic.Bool
-	active      atomic.Int32
-	passSpin    bool
 	shardOn     bool
 	shardReason string
 
@@ -298,7 +268,7 @@ func (s *System) Replace(name string, a ta.Automaton) {
 // action header rather than once per dispatched action. The contract is the
 // caller's to keep: a payload-inspecting predicate will be consulted with an
 // arbitrary representative payload and its verdict reused. Under sharded
-// execution (SetShardsPlanned) predicates are additionally consulted from
+// execution (SetShards) predicates are additionally consulted from
 // concurrent lanes, so they must not read mutable state.
 func (s *System) ConnectHeader(match func(ta.Action) bool, dst ta.Automaton) {
 	idx := int32(-1)
@@ -476,13 +446,6 @@ func (s *System) deliverTo(ln *lane, subIdx int32, a ta.Action, src string) {
 	sub := &s.subs[subIdx]
 	if ln.shard >= 0 && s.compShard[sub.dstIdx] != ln.shard {
 		ln.mail = append(ln.mail, mailEntry{sub: subIdx, a: a, at: ln.now, src: src})
-		// The destination cannot act on this delivery before at + the
-		// subscription's minimum effect delay; the lane's published
-		// guarantee to that shard must not promise past it.
-		d := s.compShard[sub.dstIdx]
-		if p := ln.now.Add(s.subDelay[subIdx]); p.Before(ln.mailMin[d]) {
-			ln.mailMin[d] = p
-		}
 		return
 	}
 	outs := sub.dst.Deliver(ln.now, a)

@@ -180,8 +180,6 @@ func (sc *sched) popNow() int32 {
 // The common case — deadline unchanged — is two loads and a compare.
 func (s *System) poll(ln *lane, i int) {
 	sc := &ln.sched
-	ln.hValid = false
-	ln.idle = false
 	due, ok := s.comps[i].Due(ln.now)
 	if !ok {
 		if sc.curOk[i] {

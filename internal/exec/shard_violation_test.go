@@ -1,13 +1,12 @@
 package exec_test
 
-// Coverage for the lookahead-violation error path under adaptive horizons:
-// a component that lies through NextInterest — advertising that it will
-// never act while actually firing an observable action — inflates its
-// lane's published horizon, lets the peer lane sweep past the instant the
-// lie hid, and must trip the `exec: lookahead violation` diagnostic at the
-// barrier, naming the offending action and its source, with the committed
-// trace still a clean prefix of the sequential oracle's rather than a
-// reordered or partially merged one.
+// Coverage for the lookahead-violation error path: a partition that
+// declares a lookahead larger than the true cross-shard effect delay lets
+// the victim's lane sweep past the instant the liar's POKE makes it due,
+// and must trip the `exec: lookahead violation` diagnostic at the barrier,
+// naming the offending action and its source, with the committed trace
+// still a clean prefix of the sequential oracle's rather than a reordered
+// or partially merged one.
 
 import (
 	"strings"
@@ -23,15 +22,8 @@ const (
 	victimReact = 100 * extUS
 )
 
-// liarTA fires an observable POKE at liarPokeAt. With lie set, its
-// NextInterest claims it will never act — breaking the ta.Coalescable
-// contract ("must never be later than the true earliest observable
-// action") in exactly the way a buggy component would. FastForward is a
-// no-op so the deadline itself stays armed and the fire still happens.
-type liarTA struct {
-	lie   bool
-	fired bool
-}
+// liarTA fires one observable POKE at liarPokeAt.
+type liarTA struct{ fired bool }
 
 func (l *liarTA) Name() string                                { return "liar" }
 func (l *liarTA) Init() []ta.Action                           { return nil }
@@ -51,18 +43,6 @@ func (l *liarTA) Fire(now simtime.Time) []ta.Action {
 	l.fired = true
 	return []ta.Action{{Name: "POKE", Node: 0, Peer: ta.NoNode, Kind: ta.KindOutput}}
 }
-
-func (l *liarTA) NextInterest() simtime.Time {
-	if l.lie {
-		return simtime.Never
-	}
-	if l.fired {
-		return simtime.Never
-	}
-	return liarPokeAt
-}
-
-func (l *liarTA) FastForward(simtime.Time) {}
 
 // victimTA arms a deadline victimReact after each delivery (reaction-free
 // at the instant itself, as cross-shard subscribers must be) and fires an
@@ -90,48 +70,42 @@ func (v *victimTA) Fire(now simtime.Time) []ta.Action {
 	return []ta.Action{{Name: "WOKE", Node: 1, Peer: ta.NoNode, Kind: ta.KindOutput}}
 }
 
-// buildLiarSystem wires liar -> victim across two shards. The plan is
-// honest either way: Lookahead[0][1] = 50µs lower-bounds the actual
-// dispatch-to-due delay (victimReact = 100µs), so with a truthful
-// NextInterest the partition is safe and traces match the oracle; only
-// the component's own advertisement lies.
-func buildLiarSystem(lie bool, shards int) *exec.System {
+// buildLiarSystem wires liar -> victim across two shards (shards > 1)
+// that declare the given lookahead. 50µs lower-bounds the actual
+// dispatch-to-due delay (victimReact = 100µs), so that partition is safe
+// and traces match the oracle; 200µs overstates it.
+func buildLiarSystem(lookahead simtime.Duration, shards int) *exec.System {
 	s := exec.New()
-	l := &liarTA{lie: lie}
 	v := &victimTA{}
-	s.Add(l)
+	s.Add(&liarTA{})
 	s.Add(v)
 	s.ConnectName("POKE", v)
 	if shards > 1 {
-		never := simtime.Duration(simtime.Never)
-		s.SetShardsPlanned(2, func(name string) int {
+		s.SetShards(2, func(name string) int {
 			if name == "liar" {
 				return 0
 			}
 			return 1
-		}, exec.ShardPlan{Lookahead: [][]simtime.Duration{
-			{0, 50 * extUS},
-			{never, 0},
-		}})
+		}, lookahead)
 	}
 	return s
 }
 
-func TestShardedLyingNextInterestTripsViolation(t *testing.T) {
+func TestShardedLyingLookaheadTripsViolation(t *testing.T) {
 	t.Parallel()
 	until := simtime.Time(5 * extMS)
 
-	// Control: with a truthful NextInterest the same plan shards cleanly
-	// and reproduces the sequential trace. This pins the blame for the
-	// failing variant on the lie, not the plan.
+	// Control: an honest lookahead shards cleanly and reproduces the
+	// sequential trace. This pins the blame for the failing variant on the
+	// declared lookahead, not the partition.
 	seqTrace := func() string {
-		s := buildLiarSystem(false, -1)
+		s := buildLiarSystem(0, -1)
 		if err := s.Run(until); err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
 		return renderFull(s.Trace())
 	}()
-	honest := buildLiarSystem(false, 2)
+	honest := buildLiarSystem(50*extUS, 2)
 	if err := honest.Run(until); err != nil {
 		t.Fatalf("honest sharded run: %v", err)
 	}
@@ -142,10 +116,10 @@ func TestShardedLyingNextInterestTripsViolation(t *testing.T) {
 		t.Errorf("honest sharded trace diverges:\nsharded:\n%s\nsequential:\n%s", trim(got), trim(seqTrace))
 	}
 
-	liar := buildLiarSystem(true, 2)
+	liar := buildLiarSystem(200*extUS, 2)
 	err := liar.Run(until)
 	if err == nil {
-		t.Fatal("lying NextInterest: Run succeeded, want exec: lookahead violation")
+		t.Fatal("lying lookahead: Run succeeded, want exec: lookahead violation")
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, "exec: lookahead violation") {
