@@ -47,10 +47,10 @@ model-guard:
 	@! grep -rnE 'runtime\.GOMAXPROCS\( *[^0) ]' --include='*.go' --exclude='*_test.go' internal \
 		|| { echo "model-guard: process-wide GOMAXPROCS set under internal/"; exit 1; }
 	@! grep -rnE 'case +"(timed|clock|mmt)"|for[[:space:]].*Sys\.Now\(\)[[:space:]]*<' --include='*.go' --exclude='*_test.go' \
-		cmd examples internal *.go | grep -v '^internal/core/' \
+		cmd examples internal | grep -v '^internal/core/' \
 		|| { echo "model-guard: model switch or run loop outside internal/core (use core.Build / Net.RunUntil)"; exit 1; }
 	@! grep -rnE 'live\.New\(|live\.NewServer\(|SetRegisterFactory|SetTiers' --include='*.go' --exclude='*_test.go' \
-		cmd examples internal *.go | grep -v '^internal/live/' \
+		cmd examples internal | grep -v '^internal/live/' \
 		|| { echo "model-guard: live store assembled outside internal/live (use live.Deploy)"; exit 1; }
 	@! grep -rnE 'net\.(Listen|Dial)\(' --include='*.go' --exclude='*_test.go' internal/fleet \
 		|| { echo "model-guard: a socket between plane and daemon (the control channel is the daemon's stdin/stdout)"; exit 1; }
@@ -65,9 +65,9 @@ model-guard:
 # the two wall-clock packages (internal/live, internal/fleet), the
 # simtime↔wall conversion and E17 (which runs the live runtime), no non-test
 # file imports "time" or reads the process's heap, so nothing an experiment
-# prints can depend on the host. (ROADMAP item 4's second clause — no raw
+# prints can depend on the host. (The second clause — no raw
 # time.Now/Sleep/... in live and fleet outside one seam file — comes with
-# the seam.)
+# the seam, ROADMAP item 3.)
 time-guard:
 	@! grep -rnE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"time"|runtime\.(ReadMemStats|GC)\(' \
 		--include='*.go' --exclude='*_test.go' internal \
@@ -76,10 +76,11 @@ time-guard:
 
 # The working docs name only what exists: every `make <target>` cited in
 # README.md, DESIGN.md, EXPERIMENTS.md and the verify skill is a target of
-# this file, and none of them mentions a retired measuring path (history
+# this file, none of them mentions a retired measuring path (history
 # lives in docs/history.md and CHANGES.md, which this does not read; the
 # retired names are spelled with a bracket so that a grep of the tree for
-# them finds only uses).
+# them finds only uses), and README's Quickstart is examples/quickstart,
+# byte for byte, so the code it shows compiles and its test runs it.
 DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 doc-guard:
 	@for t in $$(grep -ohE -e '`make [a-z][a-z0-9-]*' -e '^make [a-z][a-z0-9-]*( +#| *$$)' $(DOCS) | sed 's/.*make //; s/[ #]*$$//' | sort -u); do \
@@ -87,6 +88,8 @@ doc-guard:
 	done
 	@! grep -nE -e '-shard[s]weep|Throughput[C]ell|make (bench|microbench)([^-a-z]|$$)|(^|[^_a-z])bench_test\.go' $(DOCS) \
 		|| { echo "doc-guard: the docs cite a retired measuring path (see the lines above)"; exit 1; }
+	@awk '/^## Quickstart/ { q = 1 } q && /^```/ { if (g) exit; g = 1; next } g' README.md | diff -u - examples/quickstart/main.go \
+		|| { echo "doc-guard: README's Quickstart differs from examples/quickstart/main.go (see the diff above)"; exit 1; }
 
 # Size ledger (CHANGES.md, ROADMAP's size row): code, comment and blank
 # lines of the non-test Go outside bench/ and .bench_build/, per package
@@ -123,10 +126,10 @@ bench-smoke:
 	done
 
 # Time-boxed live-runtime smoke: serve the register over loopback TCP
-# under jittered clocks, drive a short closed-loop load, and require zero
+# under drifting clocks, drive a short closed-loop load, and require zero
 # online-linearizability violations and a clean shutdown. CI runs this.
 live-smoke:
-	$(GO) run ./cmd/pscserve -duration 2s -rate 120 -clock jitter -slack 3ms -v
+	$(GO) run ./cmd/pscserve -duration 2s -rate 120 -clock drift -slack 3ms -v
 
 # Pipelined high-throughput smoke: open-loop load across 32 register
 # instances, each checked online by its own automaton on the recorder's
@@ -135,7 +138,7 @@ live-smoke:
 # host). CI runs this time-boxed.
 live-pipe-smoke:
 	$(GO) run ./cmd/pscserve -duration 3s -pipeline 8 -registers 32 -clients 4 -rate 1500 \
-		-clock jitter -slack 5ms -gogc 1000 -minops 9000
+		-clock drift -slack 5ms -gogc 1000 -minops 9000
 
 # Mixed-tier smoke: half the registers serve algorithm S (linearizable),
 # half algorithm L (sequentially consistent, reads 2ε cheaper), each tier
@@ -144,7 +147,7 @@ live-pipe-smoke:
 # tier from passing silently. CI runs this.
 live-tier-smoke:
 	$(GO) run ./cmd/pscserve -duration 2s -rate 120 -registers 8 -tiers mix:0.5 \
-		-clock jitter -eps 2ms -slack 3ms -minops 100
+		-clock drift -eps 2ms -slack 3ms -minops 100
 
 # Multi-process fleet smoke: a control plane spawns one pscnode OS
 # process per node, drives client load, and injects all four fault

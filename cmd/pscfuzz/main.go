@@ -208,39 +208,9 @@ func oneTrial(seed int64, mutate bool, shards int) (string, []linearize.Op, erro
 	d2p := d2 + 2*eps
 	cKnob := simtime.Duration(r.Int63n(int64(d2p - 2*eps + 1)))
 
-	clockNames := []string{"perfect", "spread", "drift", "sawtooth", "resync"}
-	cname := clockNames[r.Intn(len(clockNames))]
-	var cf clock.Factory
-	switch cname {
-	case "perfect":
-		cf = clock.PerfectFactory()
-	case "spread":
-		cf = clock.SpreadFactory(eps)
-	case "drift":
-		cf = clock.DriftFactory(eps, seed)
-	case "sawtooth":
-		cf = clock.SawtoothFactory(eps, 8*eps+ms)
-	case "resync":
-		cf = func(node int) clock.Model {
-			return clock.Resync(eps, -400+int64(node)*200, 10*ms)
-		}
-	}
-	delayNames := []string{"min", "max", "uniform", "spread", "bimodal"}
-	dname := delayNames[r.Intn(len(delayNames))]
-	var df func() channel.DelayPolicy
-	switch dname {
-	case "min":
-		df = channel.MinDelay
-	case "max":
-		df = channel.MaxDelay
-	case "uniform":
-		df = channel.UniformDelay
-	case "spread":
-		df = channel.SpreadDelay
-	case "bimodal":
-		df = func() channel.DelayPolicy { return channel.BimodalDelay(0.3) }
-	}
-
+	adv := clock.Adversaries[r.Intn(len(clock.Adversaries))]
+	cname, cf := adv.Name, adv.New(eps, seed)
+	pol := channel.Policies[r.Intn(len(channel.Policies))]
 	p := register.Params{C: cKnob, Delta: 5 * us, D2: d2p, Epsilon: eps}
 	factory := register.Factory(register.NewS, p)
 	algName := "S"
@@ -255,9 +225,9 @@ func oneTrial(seed int64, mutate bool, shards int) (string, []linearize.Op, erro
 		}
 	}
 	desc := fmt.Sprintf("alg=%s n=%d d=[%v,%v] ε=%v c=%v clocks=%s delays=%s seed=%d",
-		algName, n, d1, d2, eps, cKnob, cname, dname, seed)
+		algName, n, d1, d2, eps, cKnob, cname, pol.Name, seed)
 
-	cfg := core.Config{N: n, Bounds: bounds, Seed: seed, Clocks: cf, NewDelay: df, FIFO: r.Intn(2) == 0, Shards: shards}
+	cfg := core.Config{N: n, Bounds: bounds, Seed: seed, Clocks: cf, NewDelay: pol.New, FIFO: r.Intn(2) == 0, Shards: shards}
 	net := core.BuildClocked(cfg, factory)
 	clients := workload.Attach(net, workload.Config{
 		Ops:        8 + r.Intn(10),

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	pscserve -nodes 3 -clients 3 -duration 2s -clock jitter
+//	pscserve -nodes 3 -clients 3 -duration 2s -clock drift
 //	pscserve -rate 300 -json run.json   # also write the report
 //	pscserve -pipeline 64 -registers 24 -rate 0   # throughput
 //
@@ -70,8 +70,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Ell: 5 * simtime.Millisecond, Slack: simtime.Millisecond,
 	}
 	m.Flags(fs)
-	clockName := fs.String("clock", "jitter", "clock adversary: perfect, offset (±ε), jitter (drifting within ε)")
-	seed := fs.Int64("seed", 1, "load generator and jitter seed")
+	clockName := fs.String("clock", "drift", "clock adversary: perfect, spread (±ε), drift (drifting within ε), sawtooth, resync")
+	seed := fs.Int64("seed", 1, "load generator and drift seed")
 	gcPercent := fs.Int("gogc", 0, "set the GC target percentage for the run (0 = inherit GOGC): on a single core the collector's concurrent mark competes with the node loops, and its ~10ms bursts are the dominant source of frames measured past d2")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	traceFile := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -113,16 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer rtrace.Stop()
 	}
 
-	var cf clock.Factory
-	switch *clockName {
-	case "perfect":
-		cf = clock.PerfectFactory()
-	case "offset":
-		cf = clock.SpreadFactory(m.Eps)
-	case "jitter":
-		cf = clock.DriftFactory(m.Eps, *seed)
-	default:
-		fmt.Fprintf(stderr, "pscserve: unknown -clock %q (want perfect, offset, jitter)\n", *clockName)
+	cf, err := clock.Named(*clockName, m.Eps, *seed)
+	if err != nil {
+		fmt.Fprintf(stderr, "pscserve: -clock: %v\n", err)
 		return 2
 	}
 

@@ -12,10 +12,10 @@ import (
 )
 
 // smokeArgs is the in-process version of the CI smoke job: a short
-// serve-and-load cycle over real TCP with jittered clocks.
+// serve-and-load cycle over real TCP with drifting clocks.
 var smokeArgs = []string{
 	"-duration", "400ms", "-rate", "120", "-nodes", "3",
-	"-clock", "jitter", "-slack", "3ms", "-seed", "7",
+	"-clock", "drift", "-slack", "3ms", "-seed", "7",
 }
 
 // readReport decodes the -json document at path. The file must be the
@@ -92,6 +92,7 @@ func TestRunBelowMinOps(t *testing.T) {
 func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-clock", "atomic"},
+		{"-clock", "jitter"}, // the clock vocabulary is clock.Adversaries'
 		{"-tiers", "lin,seq"},
 		{"-eps", "-1ms"},
 		{"-d1", "6ms"}, // above the default d2

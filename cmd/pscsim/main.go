@@ -82,8 +82,8 @@ func run(args []string) int {
 	c := parseDur(fs, "c", "500us", "read/write tradeoff knob c")
 	delta := parseDur(fs, "delta", "10us", "the δ wait of §6.1")
 	ell := parseDur(fs, "ell", "50us", "MMT step bound ℓ")
-	fs.StringVar(&o.clocks, "clocks", "drift", "clock models: perfect | spread | drift | sawtooth")
-	fs.StringVar(&o.delays, "delays", "uniform", "delay policy: min | max | uniform | spread")
+	fs.StringVar(&o.clocks, "clocks", "drift", "clock models: perfect | spread | drift | sawtooth | resync")
+	fs.StringVar(&o.delays, "delays", "uniform", "delay policy: min | max | uniform | spread | bimodal")
 	fs.StringVar(&o.steps, "steps", "lazy", "MMT step policy: lazy | eager | uniform")
 	fs.IntVar(&o.ops, "ops", 30, "operations per client")
 	fs.Float64Var(&o.writes, "writes", 0.4, "write ratio")
@@ -131,32 +131,13 @@ func (o options) validate() error {
 func simulate(o options) error {
 	bounds := simtime.NewInterval(o.d1, o.d2)
 
-	var cf clock.Factory
-	switch o.clocks {
-	case "perfect":
-		cf = clock.PerfectFactory()
-	case "spread":
-		cf = clock.SpreadFactory(o.eps)
-	case "drift":
-		cf = clock.DriftFactory(o.eps, o.seed)
-	case "sawtooth":
-		cf = clock.SawtoothFactory(o.eps, 8*o.eps+simtime.Millisecond)
-	default:
-		return fmt.Errorf("unknown clock model %q", o.clocks)
+	cf, err := clock.Named(o.clocks, o.eps, o.seed)
+	if err != nil {
+		return err
 	}
-
-	var df func() channel.DelayPolicy
-	switch o.delays {
-	case "min":
-		df = channel.MinDelay
-	case "max":
-		df = channel.MaxDelay
-	case "uniform":
-		df = channel.UniformDelay
-	case "spread":
-		df = channel.SpreadDelay
-	default:
-		return fmt.Errorf("unknown delay policy %q", o.delays)
+	df, err := channel.Named(o.delays)
+	if err != nil {
+		return err
 	}
 
 	var sf func() core.StepPolicy

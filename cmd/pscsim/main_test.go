@@ -5,6 +5,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"psclock/internal/channel"
+	"psclock/internal/clock"
 )
 
 func TestDefaultsRun(t *testing.T) {
@@ -34,14 +37,14 @@ func TestAdversaryFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several simulations")
 	}
-	for _, clocks := range []string{"perfect", "spread", "drift", "sawtooth"} {
-		if code := run([]string{"-clocks", clocks, "-ops", "3", "-n", "2"}); code != 0 {
-			t.Errorf("clocks=%s: code = %d", clocks, code)
+	for _, a := range clock.Adversaries {
+		if code := run([]string{"-clocks", a.Name, "-ops", "3", "-n", "2"}); code != 0 {
+			t.Errorf("clocks=%s: code = %d", a.Name, code)
 		}
 	}
-	for _, delays := range []string{"min", "max", "uniform", "spread"} {
-		if code := run([]string{"-delays", delays, "-ops", "3", "-n", "2"}); code != 0 {
-			t.Errorf("delays=%s: code = %d", delays, code)
+	for _, p := range channel.Policies {
+		if code := run([]string{"-delays", p.Name, "-ops", "3", "-n", "2"}); code != 0 {
+			t.Errorf("delays=%s: code = %d", p.Name, code)
 		}
 	}
 	for _, steps := range []string{"lazy", "eager", "uniform"} {

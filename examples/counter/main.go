@@ -19,6 +19,12 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	const (
 		ms = simtime.Millisecond
 		us = simtime.Microsecond
@@ -47,7 +53,7 @@ func main() {
 		Stagger: 250 * us,
 	})
 	if _, err := net.Sys.RunQuiet(simtime.Time(30 * simtime.Second)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	total := 0
 	for _, c := range clients {
@@ -58,11 +64,11 @@ func main() {
 
 	ops, err := object.History(net.Sys.Trace().Visible())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r := linearize.CheckObject(ops, object.Counter{}, linearize.Options{Initial: object.Counter{}.Init()})
 	if !r.OK {
-		log.Fatalf("counter history NOT linearizable: %s", r.Reason)
+		return fmt.Errorf("counter history NOT linearizable: %s", r.Reason)
 	}
 	fmt.Printf("counter history linearizable ✓ (%d states searched)\n", r.States)
 
@@ -74,4 +80,5 @@ func main() {
 		}
 	}
 	fmt.Printf("final counter value (all %d ops applied): %s\n", total, state)
+	return nil
 }

@@ -29,7 +29,7 @@ const (
 )
 
 func runOnce(model string, timeout simtime.Duration, eps simtime.Duration,
-	bounds simtime.Interval, crashAt simtime.Time) (falseSus int, detect []simtime.Duration) {
+	bounds simtime.Interval, crashAt simtime.Time) (falseSus int, detect []simtime.Duration, err error) {
 	p := detector.Params{Period: 5 * ms, Timeout: timeout, Heartbeats: 30}
 	if crashAt > 0 {
 		p.Heartbeats = 0
@@ -37,15 +37,15 @@ func runOnce(model string, timeout simtime.Duration, eps simtime.Duration,
 	cfg := core.Config{N: 3, Bounds: bounds, Seed: 11, Clocks: clock.SawtoothFactory(eps, 8*ms)}
 	net, err := core.Build(model, cfg, detector.Factory(p))
 	if err != nil {
-		log.Fatal(err)
+		return 0, nil, err
 	}
 	if crashAt > 0 {
 		if _, err := core.CrashNode(net, 2, crashAt); err != nil {
-			log.Fatal(err)
+			return 0, nil, err
 		}
 	}
 	if err := net.Sys.Run(simtime.Time(200 * ms)); err != nil {
-		log.Fatal(err)
+		return 0, nil, err
 	}
 	lastBeat := simtime.Time(simtime.Duration(p.Heartbeats) * p.Period)
 	for _, s := range detector.Suspicions(net.Sys.Trace()) {
@@ -56,10 +56,16 @@ func runOnce(model string, timeout simtime.Duration, eps simtime.Duration,
 			falseSus++
 		}
 	}
-	return falseSus, detect
+	return falseSus, detect, nil
 }
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	bounds := simtime.NewInterval(500*us, 1500*us)
 	eps := 800 * us
 	period := 5 * ms
@@ -67,19 +73,31 @@ func main() {
 	safe := detector.SafeTimeoutClock(period, bounds, eps)
 
 	tb := stats.NewTable("configuration", "timeout", "false suspicions")
-	f1, _ := runOnce("timed", tight, eps, bounds, 0)
-	tb.AddRow("D_T, tight timeout π+(d2−d1)", tight.String(), fmt.Sprint(f1))
-	f2, _ := runOnce("clock", tight, eps, bounds, 0)
-	tb.AddRow("D_C, same tight timeout", tight.String(), fmt.Sprint(f2))
-	f3, _ := runOnce("clock", safe, eps, bounds, 0)
-	tb.AddRow("D_C, +4ε margin", safe.String(), fmt.Sprint(f3))
+	for _, r := range []struct {
+		name, model string
+		timeout     simtime.Duration
+	}{
+		{"D_T, tight timeout π+(d2−d1)", "timed", tight},
+		{"D_C, same tight timeout", "clock", tight},
+		{"D_C, +4ε margin", "clock", safe},
+	} {
+		f, _, err := runOnce(r.model, r.timeout, eps, bounds, 0)
+		if err != nil {
+			return err
+		}
+		tb.AddRow(r.name, r.timeout.String(), fmt.Sprint(f))
+	}
 
 	fmt.Printf("heartbeats every %v, links %v, sawtooth clocks with ε = %v\n\n", period, bounds, eps)
 	fmt.Print(tb.String())
 
-	_, detect := runOnce("clock", safe, eps, bounds, simtime.Time(50*ms))
+	_, detect, err := runOnce("clock", safe, eps, bounds, simtime.Time(50*ms))
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\nwith node n2 crashed at 50ms (safe timeout): detected by %d peers, latencies %v\n",
 		len(detect), stats.Summarize(detect))
 	fmt.Println("\nthe tight timeout is sound where it was designed and unsound one model down;")
 	fmt.Println("4ε of margin — the §7.1 technique applied to timeouts — restores accuracy.")
+	return nil
 }

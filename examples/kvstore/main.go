@@ -21,6 +21,12 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	const (
 		ms = simtime.Millisecond
 		us = simtime.Microsecond
@@ -56,7 +62,7 @@ func main() {
 		Stagger: 500 * us,
 	})
 	if _, err := net.Sys.RunQuiet(simtime.Time(60 * simtime.Second)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	total := 0
 	for _, c := range clients {
@@ -65,7 +71,7 @@ func main() {
 
 	ops, err := object.History(net.Sys.Trace().Visible())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var gets, puts []simtime.Duration
 	for _, o := range ops {
@@ -84,7 +90,7 @@ func main() {
 
 	r := linearize.CheckObject(ops, object.KVStore{}, linearize.Options{Initial: object.KVStore{}.Init()})
 	if !r.OK {
-		log.Fatalf("KV history NOT linearizable: %s", r.Reason)
+		return fmt.Errorf("KV history NOT linearizable: %s", r.Reason)
 	}
 	fmt.Printf("KV history linearizable ✓ (%d states searched)\n", r.States)
 
@@ -96,4 +102,5 @@ func main() {
 		}
 	}
 	fmt.Printf("final store: %q\n", state)
+	return nil
 }

@@ -31,6 +31,12 @@ const (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	eps := 300 * us
 	ell := 50 * us
 	bounds := simtime.NewInterval(1*ms, 3*ms)
@@ -41,7 +47,7 @@ func main() {
 	// three.
 	p := register.Params{C: 500 * us, Delta: 10 * us, D2: bounds.Hi + 2*eps + kHeadroom, Epsilon: eps}
 	if err := p.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	factory := register.Factory(register.NewS, p)
 
@@ -56,7 +62,7 @@ func main() {
 		}
 		net, err := core.Build(model, cfg, factory)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		done := workload.AllDone(workload.Attach(net, workload.Config{
 			Ops:        25,
@@ -66,14 +72,14 @@ func main() {
 			Stagger:    300 * us,
 		}))
 		if err := net.RunUntil(done, simtime.Time(30*simtime.Second)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if !done() {
-			log.Fatalf("%s: clients did not finish", model)
+			return fmt.Errorf("%s: clients did not finish", model)
 		}
 		ops, err := register.History(net.Sys.Trace().Visible())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		reads, writes := register.Latencies(ops)
 		rs, ws := stats.Summarize(reads), stats.Summarize(writes)
@@ -100,4 +106,5 @@ func main() {
 	fmt.Printf("Theorem 5.1 output-shift budget (k from d'2 headroom): kℓ+2ε+3ℓ = %v\n\n",
 		kHeadroom+2*eps+3*ell)
 	fmt.Print(tb.String())
+	return nil
 }

@@ -70,7 +70,7 @@ func (s *slotted) OnTimer(ctx core.Context, key any) {
 	}
 }
 
-func runTDMA(model string, eps, guard simtime.Duration) (int, simtime.Duration) {
+func runTDMA(model string, eps, guard simtime.Duration) (int, simtime.Duration, error) {
 	cfg := core.Config{
 		N:      3,
 		Bounds: simtime.NewInterval(1*ms, 1*ms), // links unused by this algorithm
@@ -82,19 +82,21 @@ func runTDMA(model string, eps, guard simtime.Duration) (int, simtime.Duration) 
 	}
 	net, err := core.Build(model, cfg, factory)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
 	if _, err := net.Sys.RunQuiet(simtime.Time(simtime.Second)); err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
-	n, worst, err := spec.MutualExclusion{}.Overlaps(net.Sys.Trace().Visible())
-	if err != nil {
-		log.Fatal(err)
-	}
-	return n, worst
+	return spec.MutualExclusion{}.Overlaps(net.Sys.Trace().Visible())
 }
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	eps := 500 * us
 	tb := stats.NewTable("model", "guard", "overlaps", "worst overlap", "mutual exclusion")
 	rows := []struct {
@@ -107,7 +109,10 @@ func main() {
 		{"clock", 2 * eps},
 	}
 	for _, r := range rows {
-		n, worst := runTDMA(r.model, eps, r.guard)
+		n, worst, err := runTDMA(r.model, eps, r.guard)
+		if err != nil {
+			return err
+		}
 		ok := "holds"
 		if n > 0 {
 			ok = "VIOLATED"
@@ -119,4 +124,5 @@ func main() {
 	fmt.Println("\nguard 0 in the timed model is safe; the same program in the clock")
 	fmt.Println("model overlaps by up to 2ε; a 2ε guard (the Q with Q_ε ⊆ P of §7.1)")
 	fmt.Println("restores mutual exclusion without re-proving anything in the clock model.")
+	return nil
 }

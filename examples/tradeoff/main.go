@@ -55,13 +55,19 @@ func measure(factory core.AlgorithmFactory, eps simtime.Duration, bounds simtime
 }
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	eps := 400 * us
 	u := 2 * eps
 	bounds := simtime.NewInterval(1*ms, 3*ms)
 
 	baseR, baseW, baseLin, err := measure(register.BaselineFactory(u, bounds.Hi), eps, bounds, 7)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tb := stats.NewTable("c", "S read", "S write", "S combined", "S lin.", "who reads faster")
@@ -69,7 +75,7 @@ func main() {
 		p := register.Params{C: c, Delta: 10 * us, D2: bounds.Hi + 2*eps, Epsilon: eps}
 		r, w, lin, err := measure(register.Factory(register.NewS, p), eps, bounds, 7)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		who := "S"
 		if r > baseR {
@@ -86,4 +92,5 @@ func main() {
 		baseR, baseW, baseR+baseW, baseLin)
 	fmt.Printf("paper's crossover: c = 3u − δ = %v\n\n", 3*u-10*us)
 	fmt.Print(tb.String())
+	return nil
 }

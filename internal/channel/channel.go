@@ -85,6 +85,26 @@ func BimodalDelay(p float64) DelayPolicy {
 	}}
 }
 
+// Policies is the delay vocabulary of pscsim -delays, pscfuzz's draw and
+// E6, in the order pscfuzz draws from.
+var Policies = []struct {
+	Name string
+	New  func() DelayPolicy
+}{
+	{"min", MinDelay}, {"max", MaxDelay}, {"uniform", UniformDelay}, {"spread", SpreadDelay},
+	{"bimodal", func() DelayPolicy { return BimodalDelay(0.3) }},
+}
+
+// Named returns the constructor of the Policies entry called name.
+func Named(name string) (func() DelayPolicy, error) {
+	for _, p := range Policies {
+		if p.Name == name {
+			return p.New, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown delay policy %q", name)
+}
+
 // Edge is the executable E_{ij,[d1,d2]} automaton. Its input is the send
 // action for the link (SENDMSG in the TA model, ESENDMSG in the clock
 // model) and its output the matching receive action. The zero value is not

@@ -338,6 +338,32 @@ func SawtoothFactory(eps simtime.Duration, period simtime.Duration) Factory {
 	}
 }
 
+// Adversaries is the clock vocabulary of pscsim, pscserve and pscfuzz, in
+// the order pscfuzz draws from: each entry builds per-node clocks from ε
+// and a seed, which only drift reads.
+var Adversaries = []struct {
+	Name string
+	New  func(eps simtime.Duration, seed int64) Factory
+}{
+	{"perfect", func(simtime.Duration, int64) Factory { return PerfectFactory() }},
+	{"spread", func(eps simtime.Duration, _ int64) Factory { return SpreadFactory(eps) }},
+	{"drift", DriftFactory},
+	{"sawtooth", func(eps simtime.Duration, _ int64) Factory { return SawtoothFactory(eps, 8*eps+simtime.Millisecond) }},
+	{"resync", func(eps simtime.Duration, _ int64) Factory {
+		return func(node int) Model { return Resync(eps, -400+int64(node)*200, 10*simtime.Millisecond) }
+	}},
+}
+
+// Named builds the Adversaries entry called name.
+func Named(name string, eps simtime.Duration, seed int64) (Factory, error) {
+	for _, a := range Adversaries {
+		if a.Name == name {
+			return a.New(eps, seed), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown clock model %q", name)
+}
+
 // Check verifies that m satisfies the clock axioms on a sampled horizon:
 // C1 (At(0) = 0), monotone non-decreasing readings (the discrete-grid form
 // of C3), the clock predicate C_ε (Definition 2.5), and agreement between

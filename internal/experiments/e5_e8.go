@@ -171,36 +171,30 @@ func clockDelays(net *core.Net) []simtime.Duration {
 // clock time used by a message lies in [max(0, d1−2ε), d2+2ε].
 func E6ClockDelay() Result {
 	bounds := simtime.NewInterval(1*ms, 3*ms)
-	delayNames := []string{"min", "max", "spread"}
-	delayFor := func(name string) func() channel.DelayPolicy {
-		switch name {
-		case "min":
-			return channel.MinDelay
-		case "max":
-			return channel.MaxDelay
-		default:
-			return channel.SpreadDelay
-		}
-	}
 	type e6Spec struct {
 		eps   simtime.Duration
 		dname string
 	}
 	var specs []e6Spec
 	for _, eps := range []simtime.Duration{100 * us, 500 * us, 1 * ms} {
-		for _, dname := range delayNames {
+		for _, dname := range []string{"min", "max", "spread"} {
 			specs = append(specs, e6Spec{eps, dname})
 		}
 	}
 	rows := parmapSlice(specs, func(sp e6Spec) rowOut {
 		var r rowOut
 		eps, dname := sp.eps, sp.dname
+		delays, err := channel.Named(dname)
+		if err != nil {
+			r.fails = append(r.fails, err.Error())
+			return r
+		}
 		p := register.Params{C: 500 * us, Delta: 10 * us, D2: bounds.Hi + 2*eps, Epsilon: eps}
 		out, err := run(runSpec{
 			model:   "clock",
 			factory: register.Factory(register.NewS, p),
 			n:       3, bounds: bounds, seed: 606 + int64(eps),
-			clocks: clock.SpreadFactory(eps), delays: delayFor(dname),
+			clocks: clock.SpreadFactory(eps), delays: delays,
 			ops: 20, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.5,
 		})
 		if err != nil {

@@ -120,6 +120,13 @@ func driveRegister(t *testing.T, tr *MeshTransport, cf clock.Factory, nodes, tot
 	return mon, m
 }
 
+// envelope says whether a driveRegister run held the model its register
+// was built for, so that a failed verdict names what broke: the engine,
+// or the host's timing beneath it.
+func envelope(eps, d2 simtime.Duration, m Measured) string {
+	return Model{Eps: eps, D2: d2, Ell: ellBudget}.Envelope(m)
+}
+
 func opsFor(t *testing.T, full int) int {
 	if testing.Short() {
 		return full / 8
@@ -138,7 +145,7 @@ func TestLiveRegisterPerfectClock(t *testing.T) {
 	}
 	res := mon.Verdict("live")
 	if !res.OK {
-		t.Fatalf("online linearizability violated: %s", res.Reason)
+		t.Fatalf("online linearizability violated: %s (envelope %s)", res.Reason, envelope(200*us, 2*ms, m))
 	}
 	t.Logf("ops=%d states=%d measured ε=%v timer-late=%v delay=[%v,%v]",
 		mon.Reads.N+mon.Writes.N, res.States, m.Eps, m.TimerLate, m.DelayMin, m.DelayMax)
@@ -163,7 +170,7 @@ func TestLiveRegisterFixedOffsetClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res := mon.Verdict("live"); !res.OK {
-		t.Fatalf("online linearizability violated: %s", res.Reason)
+		t.Fatalf("online linearizability violated: %s (envelope %s)", res.Reason, envelope(eps, 2*ms, m))
 	}
 	if m.Eps > eps {
 		t.Fatalf("measured ε = %v exceeds configured %v", m.Eps, eps)
@@ -188,7 +195,7 @@ func TestLiveRegisterJitterClock(t *testing.T) {
 		t.Fatalf("measured ε = %v exceeds configured %v", m.Eps, eps)
 	}
 	if res := mon.Verdict("live"); !res.OK {
-		t.Fatalf("measured offset %v ≤ ε %v yet linearizability violated: %s", m.Eps, eps, res.Reason)
+		t.Fatalf("measured offset %v ≤ ε %v yet linearizability violated: %s (envelope %s)", m.Eps, eps, res.Reason, envelope(eps, 2*ms, m))
 	}
 }
 
@@ -205,7 +212,7 @@ func TestLiveRegisterTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res := mon.Verdict("live"); !res.OK {
-		t.Fatalf("online linearizability violated over TCP: %s", res.Reason)
+		t.Fatalf("online linearizability violated over TCP: %s (envelope %s)", res.Reason, envelope(eps, 10*ms, m))
 	}
 	if m.Messages == 0 {
 		t.Fatal("no messages crossed the TCP transport")
