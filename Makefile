@@ -39,7 +39,9 @@ tier2:
 # elsewhere defines a SetTimer method; and the checker runs on its
 # caller's goroutine, so no non-test code in internal/linearize starts one;
 # and the sharded executor's lanes share nothing during a round, so no
-# non-test code in internal/exec uses atomics or yields to a peer.
+# non-test code in internal/exec uses atomics or yields to a peer; and the
+# plane's policy is a pure transition function, so internal/fleet/policy.go
+# imports no clock, lock, process, IO or network package (Plane drives it).
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -60,6 +62,8 @@ model-guard:
 		|| { echo "model-guard: a goroutine in the checker (internal/linearize runs on its caller's goroutine)"; exit 1; }
 	@! grep -rnE '"sync/atomic"|runtime\.Gosched' --include='*.go' --exclude='*_test.go' internal/exec \
 		|| { echo "model-guard: atomics or yields in the executor (lanes share nothing during a round; the join is the only synchronization)"; exit 1; }
+	@! grep -nE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"(time|sync|os|io|net)(/[^"]*)?"' internal/fleet/policy.go \
+		|| { echo "model-guard: the plane's policy imports a clock, lock, process, IO or network package (it is a pure function; Plane does the IO)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

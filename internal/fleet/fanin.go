@@ -35,7 +35,6 @@ type FanIn struct {
 type faninStream struct {
 	queue     []wireEvent
 	watermark simtime.Time
-	dead      bool
 }
 
 // NewFanIn returns a merge over n daemon streams feeding sinks, which the
@@ -66,7 +65,6 @@ func (f *FanIn) Push(daemon int, events []wireEvent, watermark simtime.Time) {
 func (f *FanIn) MarkDead(daemon int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.streams[daemon].dead = true
 	f.streams[daemon].watermark = simtime.Never
 	f.emit()
 }
@@ -84,7 +82,6 @@ func (f *FanIn) Watermark(daemon int) simtime.Time {
 func (f *FanIn) Reset(daemon int, floor simtime.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.streams[daemon].dead = false
 	f.streams[daemon].watermark = floor
 }
 

@@ -326,10 +326,9 @@ func TestFleetWedgedNodeReplaced(t *testing.T) {
 	want := register.Value{Writer: 0, Seq: 43}
 	clientOp(t, p, 0, &want)
 	time.Sleep(settle)
-	d := p.daemons[1]
-	d.mu.Lock()
-	inc, proc := d.inc, d.cmd.Process
-	d.mu.Unlock()
+	p.mu.Lock()
+	inc, proc := p.pol.slots[1].inc, p.daemons[1].cmd.Process
+	p.mu.Unlock()
 	stopped := time.Now()
 	if err := proc.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
@@ -446,8 +445,7 @@ func TestFleetKillCountsOnlyLandedKills(t *testing.T) {
 	if err := p.Kill(1); err != nil {
 		t.Fatal(err)
 	}
-	d := p.daemons[1]
-	if !d.await(15*time.Second, func() bool { return d.gone }) {
+	if !givenUp(t, p, 1, 1) {
 		t.Fatal("node 1 was not given up on after its one restart")
 	}
 	if err := p.Kill(1); err == nil {
@@ -455,5 +453,54 @@ func TestFleetKillCountsOnlyLandedKills(t *testing.T) {
 	}
 	if got := p.Crashes(); got != 2 {
 		t.Errorf("Crashes = %d, want 2", got)
+	}
+}
+
+// givenUp waits out WaitReplaced(node, minInc) with a 15 s timeout, which
+// must say false within 5 s of the kill that leaves node down, and reports
+// whether the plane gave up on node.
+func givenUp(t *testing.T, p *Plane, node, minInc int) bool {
+	t.Helper()
+	start := time.Now()
+	if p.WaitReplaced(node, minInc, 15*time.Second) {
+		t.Fatalf("node %d was replaced", node)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("WaitReplaced(%d) slept %v, want false within 5s of the plane giving up", node, waited.Round(time.Millisecond))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pol.slots[node].gone
+}
+
+// A replacement that cannot be started does not strand its slot: with the
+// node binary deleted after Start, killing node 1 ends in the plane giving
+// up on it at once, so WaitReplaced says false well inside its timeout and
+// a second Kill is refused as given up on.
+func TestFleetFailedRespawnGivesUp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes; skipped in -short")
+	}
+	elf, err := os.ReadFile(buildNodeBin(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "pscnode")
+	if err := os.WriteFile(bin, elf, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p := startFleet(t, func(c *PlaneConfig) { c.NodeBin = bin })
+	defer p.Shutdown()
+	if err := os.Remove(bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if !givenUp(t, p, 1, 0) {
+		t.Error("node 1 was not given up on after its respawn failed")
+	}
+	if err := p.Kill(1); err == nil || !strings.Contains(err.Error(), "given up on") {
+		t.Errorf("second Kill(1): %v, want an error saying node 1 was given up on", err)
 	}
 }

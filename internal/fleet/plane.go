@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	osexec "os/exec"
 	"sync"
 	"time"
@@ -48,130 +50,13 @@ type PlaneConfig struct {
 	Logw    io.Writer
 }
 
-// daemonState is the plane's view of one node slot across incarnations.
+// daemonState is a node slot's IO and measurements, which the policy does
+// not see: the current incarnation's process and control channel.
 type daemonState struct {
-	node int
-
-	mu         sync.Mutex
-	changed    chan struct{} // closed and replaced when ready, byeSeen or gone changes
-	inc        int
-	cmd        *osexec.Cmd
-	ctl        *ctlConn // inc's control channel, set at spawn
-	nodeAddr   string
-	clientAddr string // published only between Ready and death
-	ready      bool
-	helloed    bool
-	byeSeen    bool
-	beat       msgBeat
-	base       live.Measured // dead incarnations, folded
-	restarts   int
-	gone       bool // restart budget exhausted
-	// downAt is when the incarnation being replaced was killed or, for a
-	// death nobody commanded, seen to have exited, and rec that recovery's
-	// timeline so far; zero outside a recovery.
-	downAt time.Time
-	rec    Recovery
-}
-
-// notifyLocked wakes every await. Caller holds d.mu.
-func (d *daemonState) notifyLocked() {
-	close(d.changed)
-	d.changed = make(chan struct{})
-}
-
-// await blocks until ok, evaluated under d.mu, holds or timeout has passed.
-func (d *daemonState) await(timeout time.Duration, ok func() bool) bool {
-	expired := time.After(timeout)
-	for {
-		d.mu.Lock()
-		done, changed := ok(), d.changed
-		d.mu.Unlock()
-		if done {
-			return true
-		}
-		select {
-		case <-changed:
-		case <-expired:
-			return false
-		}
-	}
-}
-
-// killLocked SIGKILLs the slot's current process, which funnels it into
-// onExit, and stamps the recovery's start. A slot given up on, or a process
-// already reaped, is refused. Caller holds d.mu.
-func (d *daemonState) killLocked() error {
-	if d.gone {
-		return fmt.Errorf("fleet: node %d was given up on", d.node)
-	}
-	if err := d.cmd.Process.Kill(); err != nil {
-		return fmt.Errorf("fleet: kill node %d: %w", d.node, err)
-	}
-	if d.downAt.IsZero() {
-		d.downAt = time.Now()
-	}
-	return nil
-}
-
-// Recovery is one crash's timeline, in ms from the kill: the exit seen, the
-// replacement's Hello, W (every live peer's link up at it), a peer's
-// registers applied, Ready; and that peer, and the pending updates it sent.
-type Recovery struct {
-	Node        int     `json:"node"`
-	Incarnation int     `json:"incarnation"`
-	DetectMS    float64 `json:"detect_ms"`
-	HelloMS     float64 `json:"hello_ms"`
-	WiredMS     float64 `json:"wired_ms"`
-	TransferMS  float64 `json:"transfer_ms"`
-	ReadyMS     float64 `json:"ready_ms"`
-	FromPeer    int     `json:"from_peer"`
-	Updates     int     `json:"updates"`
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-
-// DetEvent is one SUSPECT/RESTORE observation scraped from the merged
-// stream: the chaos classifier's detector evidence.
-type DetEvent struct {
-	Name     string
-	Observer int
-	Peer     int
-	At       simtime.Time
-}
-
-// detLog collects detector events from the FanIn (it rides the sink list
-// next to the Monitor, which ignores detector actions by name).
-type detLog struct {
-	n int // fleet size: a port's node is port mod n, whatever the incarnation
-
-	mu     sync.Mutex
-	events []DetEvent
-}
-
-func (l *detLog) Observe(e ta.Event) {
-	if e.Action.Name != detector.ActSuspect && e.Action.Name != detector.ActRestore {
-		return
-	}
-	peer, ok := e.Action.Payload.(ta.NodeID)
-	if !ok {
-		return
-	}
-	l.mu.Lock()
-	l.events = append(l.events, DetEvent{
-		Name:     e.Action.Name,
-		Observer: int(e.Action.Node) % l.n,
-		Peer:     int(peer),
-		At:       e.At,
-	})
-	l.mu.Unlock()
-}
-
-func (l *detLog) Flush(simtime.Time) {}
-
-func (l *detLog) snapshot() []DetEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]DetEvent(nil), l.events...)
+	cmd  *osexec.Cmd
+	ctl  *ctlConn
+	beat live.Measured // the current incarnation's, as of its last beat
+	base live.Measured // dead incarnations, folded
 }
 
 // FleetStats aggregates live measurements across daemons and
@@ -195,7 +80,10 @@ type FleetStats struct {
 	Recoveries []Recovery
 }
 
-// Plane is the fleet control plane.
+// Plane is the fleet control plane, the IO driver of its policy: under one
+// mutex it turns every control message, process exit, due confirm and
+// public call into a policy input, and carries out the commands that come
+// back.
 type Plane struct {
 	cfg   PlaneConfig
 	model live.Model
@@ -203,14 +91,11 @@ type Plane struct {
 
 	verdict *live.Verdict
 	fanin   *FanIn
-	det     *detLog
 
-	daemons []*daemonState
-
-	mu         sync.Mutex
-	shutdown   bool
-	crashes    int
-	recoveries []Recovery
+	mu      sync.Mutex
+	pol     *policy
+	daemons []*daemonState // one per slot, from Start
+	changed chan struct{}  // closed and replaced at every step
 
 	wg sync.WaitGroup
 }
@@ -245,9 +130,10 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 		verdict: live.NewVerdict(live.VerdictConfig{
 			Model: model, Nodes: cfg.N, Registers: cfg.Registers, Extra: 1, Tiers: tiers,
 		}),
-		det: &detLog{n: cfg.N},
+		pol:     &policy{maxRestarts: cfg.MaxRestarts, tau: cfg.DetTimeout, slots: make([]slot, cfg.N)},
+		changed: make(chan struct{}),
 	}
-	p.fanin = NewFanIn(cfg.N, []exec.Sink{p.verdict, p.det})
+	p.fanin = NewFanIn(cfg.N, []exec.Sink{p.verdict})
 	return p, nil
 }
 
@@ -263,83 +149,71 @@ func (p *Plane) logf(format string, args ...any) {
 func (p *Plane) Start() error {
 	p.epoch = time.Now()
 	p.daemons = make([]*daemonState, p.cfg.N)
+	p.mu.Lock()
+	var err error
 	for i := range p.daemons {
-		p.daemons[i] = &daemonState{node: i, changed: make(chan struct{})}
-	}
-	for i := 0; i < p.cfg.N; i++ {
-		if err := p.spawn(p.daemons[i], 0); err != nil {
-			p.Close()
-			return err
+		p.daemons[i] = new(daemonState)
+		if err == nil {
+			err = p.spawn(i, 0)
 		}
 	}
-	if err := p.waitAllReady(20 * time.Second); err != nil {
-		p.Close()
-		return err
+	p.mu.Unlock()
+	if err == nil && !p.wait(20*time.Second, func() bool { return p.pol.all(func(s slot) bool { return s.ready }) }) {
+		err = errors.New("fleet: nodes not ready within 20s")
 	}
-	return nil
+	if err != nil {
+		p.Close()
+	}
+	return err
 }
 
-// spawn launches incarnation inc of d's node with its control channel on
-// the process's stdin and stdout, sends it its configuration, and reads
-// the channel until it ends; the peer map is re-broadcast when the
-// daemon's Hello arrives.
-func (p *Plane) spawn(d *daemonState, inc int) error {
+// spawn launches incarnation inc of node with its control channel on the
+// process's stdin and stdout and sends it its configuration. A goroutine
+// reads the channel until it ends, then reaps the process, then steps its
+// exit: Wait closes stdout, so it must follow the last read, and every
+// batch the incarnation shipped reaches the FanIn before its stream is
+// frozen. Caller holds p.mu.
+func (p *Plane) spawn(node, inc int) error {
 	cmd := osexec.Command(p.cfg.NodeBin)
 	if p.cfg.Logw != nil {
 		cmd.Stderr = p.cfg.Logw // silent without -v, except to say why it failed or is not Ready
 	}
 	stdin, err := cmd.StdinPipe()
+	stdout, err2 := cmd.StdoutPipe()
+	if err = errors.Join(err, err2); err == nil {
+		err = cmd.Start()
+	}
 	if err != nil {
-		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
+		return fmt.Errorf("fleet: spawn node %d: %w", node, err)
 	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
-	}
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("fleet: spawn node %d: %w", d.node, err)
-	}
-	ctl := newCtlConn(stdout, stdin)
-	d.mu.Lock()
-	d.inc = inc
-	d.cmd = cmd
-	d.ctl = ctl
-	d.helloed = false
-	d.byeSeen = false
-	d.ready = false
-	d.beat = msgBeat{}
-	d.mu.Unlock()
-	p.logf("node %d incarnation %d spawned (pid %d)", d.node, inc, cmd.Process.Pid)
-
+	d, ctl := p.daemons[node], newCtlConn(stdout, stdin)
+	d.cmd, d.ctl = cmd, ctl
+	p.logf("node %d incarnation %d spawned (pid %d)", node, inc, cmd.Process.Pid)
 	// Nothing else is sent before the Hello, so the config goes first. A
 	// daemon that died before reading it ends its channel like any other.
 	ctl.send(envelope{Config: &DaemonConfig{
-		Node: d.node, N: p.cfg.N, Registers: p.cfg.Registers, Incarnation: inc,
+		Node: node, N: p.cfg.N, Registers: p.cfg.Registers, Incarnation: inc,
 		Epoch: p.epoch, Tiers: p.cfg.Tiers, Model: p.model,
 		DetPeriod: p.cfg.DetPeriod, DetTimeout: p.cfg.DetTimeout, Verbose: p.cfg.Verbose,
 	}})
-	p.mu.Lock()
-	closed := p.shutdown
-	p.mu.Unlock()
-	if closed {
-		ctl.close() // Close passed this slot before ctl was set: drain at once
-	}
-	// Read, then reap, then remediate: Wait closes stdout, so it must follow
-	// the last read, and every batch the incarnation shipped reaches the
-	// FanIn before onExit freezes its stream.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.readLoop(d, inc, ctl)
+		p.readLoop(node, inc, ctl)
 		cmd.Wait()
-		p.onExit(d, inc)
+		// What the beats reported before death; a crash's ring tail that
+		// never shipped dies with the process (its ops stay open and
+		// Monitor.Finish will submit them as pending).
+		p.mu.Lock()
+		d.base, d.beat = d.base.Fold(d.beat), live.Measured{}
+		p.mu.Unlock()
+		p.step(input{kind: inExit, node: node, inc: inc})
 	}()
 	return nil
 }
 
 // readLoop consumes incarnation inc's channel until it ends.
-func (p *Plane) readLoop(d *daemonState, inc int, ctl *ctlConn) {
-	var clientAddr string // published at Ready
+func (p *Plane) readLoop(node, inc int, ctl *ctlConn) {
 	for {
 		e, err := ctl.recv()
 		if err != nil {
@@ -347,259 +221,181 @@ func (p *Plane) readLoop(d *daemonState, inc int, ctl *ctlConn) {
 		}
 		switch {
 		case e.Hello != nil:
-			d.mu.Lock()
-			d.nodeAddr = e.Hello.NodeAddr
-			d.helloed = true
-			if !d.downAt.IsZero() {
-				d.rec.HelloMS = ms(time.Since(d.downAt))
-			}
-			d.mu.Unlock()
-			clientAddr = e.Hello.ClientAddr
-			p.logf("node %d incarnation %d hello (mesh %s, clients %s)", d.node, inc, e.Hello.NodeAddr, clientAddr)
-			p.broadcastPeers()
+			p.step(input{kind: inHello, node: node, inc: inc, hello: *e.Hello})
+		case e.Ready != nil:
+			p.step(input{kind: inReady, node: node, inc: inc, ready: *e.Ready})
 		case e.Beat != nil:
-			d.mu.Lock()
-			d.beat = *e.Beat
-			d.mu.Unlock()
+			p.mu.Lock()
+			p.daemons[node].beat = e.Beat.Measured
+			p.mu.Unlock()
+		case e.Bye != nil:
+			p.mu.Lock()
+			p.daemons[node].beat = e.Bye.Measured // the final figures; the exit folds them
+			p.mu.Unlock()
+			p.step(input{kind: inBye, node: node, inc: inc})
 		case e.Events != nil:
 			// Before the merge: a stopped daemon's frozen watermark holds it
 			// back, so the merged stream never shows the SUSPECT that frees it.
-			p.watchSuspects(e.Events.Events)
-			p.fanin.Push(d.node, e.Events.Events, e.Events.Watermark)
-		case e.Ready != nil:
-			d.mu.Lock()
-			d.ready = true
-			d.clientAddr = clientAddr
-			if r := d.rec; !d.downAt.IsZero() {
-				sinceDown := func(at simtime.Time) float64 { return ms(p.epoch.Add(time.Duration(at)).Sub(d.downAt)) }
-				r.WiredMS, r.TransferMS = sinceDown(e.Ready.Wired), sinceDown(e.Ready.Applied)
-				r.ReadyMS, r.FromPeer, r.Updates = ms(time.Since(d.downAt)), e.Ready.From, e.Ready.Updates
-				p.mu.Lock()
-				p.recoveries = append(p.recoveries, r)
-				p.mu.Unlock()
-				d.downAt = time.Time{}
+			for _, w := range e.Events.Events {
+				peer, ok := w.Action.Payload.(ta.NodeID)
+				if ok && (w.Action.Name == detector.ActSuspect || w.Action.Name == detector.ActRestore) {
+					p.step(input{kind: inDetector, node: node, det: DetEvent{Name: w.Action.Name, Observer: node, Peer: int(peer), At: w.At}})
+				}
 			}
-			d.notifyLocked()
-			d.mu.Unlock()
-			p.logf("node %d ready", d.node)
-		case e.Bye != nil:
-			d.mu.Lock()
-			d.byeSeen = true
-			d.base, d.beat = d.base.Fold(e.Bye.Measured), msgBeat{}
-			d.notifyLocked()
-			d.mu.Unlock()
+			p.fanin.Push(node, e.Events.Events, e.Events.Watermark)
 		}
 	}
 }
 
-// onExit handles a daemon process exit: graceful (Bye seen, or the plane
-// is shutting down) is the end of the story; anything else is a crash to
-// remediate — freeze the stream, respawn at once as the next incarnation,
-// and re-wire everyone when it says Hello.
-func (p *Plane) onExit(d *daemonState, inc int) {
+// step stamps in and steps the policy through it under p.mu, carries out
+// the commands, a failed spawn's being the next input, and wakes every
+// wait. The error is an operator call's refusal or a kill that did not
+// land.
+func (p *Plane) step(in input) error {
 	p.mu.Lock()
-	down := p.shutdown
-	p.mu.Unlock()
-
-	d.mu.Lock()
-	if d.byeSeen || down {
-		d.mu.Unlock() // nothing to remediate
-		return
-	}
-	// Crash: fold what the beats reported before death; the ring tail
-	// that never shipped dies with the process (its ops stay open and
-	// Monitor.Finish will submit them as pending).
-	d.base, d.beat = d.base.Fold(d.beat.Measured), msgBeat{}
-	d.ready = false
-	d.clientAddr, d.nodeAddr = "", ""
-	if d.downAt.IsZero() {
-		d.downAt = time.Now()
-	}
-	d.rec = Recovery{Node: d.node, Incarnation: inc + 1, DetectMS: ms(time.Since(d.downAt))}
-	d.gone = d.restarts >= p.cfg.MaxRestarts
-	if !d.gone {
-		d.restarts++
-	}
-	gone := d.gone
-	d.notifyLocked()
-	d.mu.Unlock()
-
-	p.logf("node %d incarnation %d died", d.node, inc)
-	p.fanin.MarkDead(d.node)
-	if gone {
-		p.logf("node %d: restart budget exhausted (%d); leaving down", d.node, p.cfg.MaxRestarts)
-		p.broadcastPeers() // a replacement waiting for this node's link stops waiting
-		return
-	}
-	// Floor first, then spawn: the replacement cannot have recorded
-	// anything before this instant.
-	floor := live.Since(p.epoch)
-	p.fanin.Reset(d.node, floor)
-	if err := p.spawn(d, inc+1); err != nil {
-		p.logf("node %d respawn failed: %v", d.node, err)
-		p.fanin.MarkDead(d.node)
-	}
-}
-
-// watchSuspects is the liveness backstop behind process exit: for each
-// SUSPECT of node i stamped At, τ later it confirms — kills i's incarnation
-// of that moment if i's own stream is still below At. A node cut off from
-// its peers keeps streaming and is left alone (DESIGN.md §5a *Liveness*).
-func (p *Plane) watchSuspects(events []wireEvent) {
-	for _, w := range events {
-		peer, ok := w.Action.Payload.(ta.NodeID)
-		if w.Action.Name != detector.ActSuspect || !ok || peer < 0 || int(peer) >= p.cfg.N {
-			continue
+	defer p.mu.Unlock()
+	var errs []error
+	for queue := []input{in}; len(queue) > 0; queue = queue[1:] {
+		in := queue[0]
+		in.now = live.Since(p.epoch)
+		for _, c := range p.pol.step(in) {
+			switch c.kind {
+			case doSpawn:
+				if err := p.spawn(c.node, c.inc); err != nil {
+					p.logf("node %d respawn failed: %v", c.node, err)
+					queue = append(queue, input{kind: inSpawnFailed, node: c.node, inc: c.inc})
+				}
+			case doKill:
+				// A process reaped since its exit was seen and not yet
+				// stepped is down all the same: that exit comes next.
+				if err := p.daemons[c.node].cmd.Process.Kill(); err != nil && !errors.Is(err, os.ErrProcessDone) {
+					errs = append(errs, fmt.Errorf("fleet: kill node %d: %w", c.node, err))
+				}
+			case doSend: // a few small messages: a stopped daemon's stdin pipe holds them
+				for i, d := range p.daemons {
+					if s := p.pol.slots[i]; s.helloed && !s.bye {
+						d.ctl.send(c.env)
+					}
+				}
+			case doConfirm:
+				confirm := input{kind: inConfirm, node: c.node, inc: c.inc, at: c.at}
+				time.AfterFunc(time.Until(p.epoch.Add(time.Duration(c.due))), func() {
+					confirm.watermark = p.fanin.Watermark(confirm.node)
+					p.step(confirm)
+				})
+			case doMarkDead:
+				p.fanin.MarkDead(c.node)
+			case doReset:
+				p.fanin.Reset(c.node, c.at)
+			case doLog:
+				p.logf(c.msg, c.args...)
+			case doRefuse:
+				errs = append(errs, fmt.Errorf(c.msg, c.args...))
+			}
 		}
-		d, at := p.daemons[peer], w.At
-		d.mu.Lock()
-		inc := d.inc
-		d.mu.Unlock()
-		due := p.epoch.Add(time.Duration(at.Add(p.cfg.DetTimeout)))
-		time.AfterFunc(time.Until(due), func() { p.confirm(d, inc, at) })
 	}
+	close(p.changed)
+	p.changed = make(chan struct{})
+	return errors.Join(errs...)
 }
 
-// confirm kills d's incarnation inc, suspected at at, unless its stream
-// reached at since, it is gone, replaced or said Bye, or the plane is
-// shutting down.
-func (p *Plane) confirm(d *daemonState, inc int, at simtime.Time) {
-	if p.fanin.Watermark(d.node) >= at {
-		return // still streaming: cut off, not stopped
-	}
-	p.mu.Lock()
-	down := p.shutdown
-	p.mu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if down || d.inc != inc || d.byeSeen {
-		return
-	}
-	if d.killLocked() == nil {
-		p.logf("node %d incarnation %d: suspected at %v and silent since; killed", d.node, inc, at)
-	}
-}
-
-// broadcastPeers sends every daemon the current mesh address map.
-func (p *Plane) broadcastPeers() {
-	addrs := make([]string, p.cfg.N)
-	ctls := make([]*ctlConn, 0, p.cfg.N)
-	for i, d := range p.daemons {
-		d.mu.Lock()
-		addrs[i] = d.nodeAddr
-		if d.helloed && !d.byeSeen {
-			ctls = append(ctls, d.ctl)
+// wait blocks until settled, evaluated under p.mu, holds or timeout has
+// passed, and reports whether it held.
+func (p *Plane) wait(timeout time.Duration, settled func() bool) bool {
+	expired := time.After(timeout)
+	for {
+		p.mu.Lock()
+		done, changed := settled(), p.changed
+		p.mu.Unlock()
+		if done {
+			return true
 		}
-		d.mu.Unlock()
-	}
-	msg := envelope{Peers: &msgPeers{Addrs: addrs}}
-	for _, c := range ctls {
-		c.send(msg)
+		select {
+		case <-changed:
+		case <-expired:
+			return false
+		}
 	}
 }
 
-// waitAllReady blocks until every node is serviceable.
-func (p *Plane) waitAllReady(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for _, d := range p.daemons {
-		if !d.await(time.Until(deadline), func() bool { return d.ready }) {
-			return fmt.Errorf("fleet: nodes not ready within %v", timeout)
-		}
+// check returns an error naming a node the plane has no slot for: one
+// outside 0 … N−1, or any before Start.
+func (p *Plane) check(node int) error {
+	if node < 0 || node >= len(p.daemons) {
+		return fmt.Errorf("fleet: no node %d", node)
 	}
 	return nil
-}
-
-// daemon returns node's slot, or an error naming a node the plane has no
-// slot for: one outside 0 … N−1, or any before Start.
-func (p *Plane) daemon(node int) (*daemonState, error) {
-	if node < 0 || node >= len(p.daemons) {
-		return nil, fmt.Errorf("fleet: no node %d", node)
-	}
-	return p.daemons[node], nil
 }
 
 // ClientAddr returns node's register-client address, or "" while the
 // node is down or restoring its state — the dynamic load generator polls
 // this — or is no node of the plane.
 func (p *Plane) ClientAddr(node int) string {
-	d, err := p.daemon(node)
-	if err != nil {
+	if p.check(node) != nil {
 		return ""
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.ready {
-		return ""
-	}
-	return d.clientAddr
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pol.slots[node].clientAddr
 }
 
 // Incarnation returns node's current incarnation and readiness; (0, false)
 // for no node of the plane.
 func (p *Plane) Incarnation(node int) (int, bool) {
-	d, err := p.daemon(node)
-	if err != nil {
+	if p.check(node) != nil {
 		return 0, false
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inc, d.ready
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.pol.slots[node]
+	return s.inc, s.ready
 }
 
 // Kill SIGKILLs node's current process — the crash fault. Only a kill
-// that landed counts as a crash.
+// that went out counts as a crash: one at a node given up on or that said
+// Bye, or after Shutdown, is refused.
 func (p *Plane) Kill(node int) error {
-	d, err := p.daemon(node)
-	if err != nil {
+	if err := p.check(node); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.killLocked(); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.crashes++
-	p.mu.Unlock()
-	return nil
+	return p.step(input{kind: inKill, node: node})
 }
 
 // WaitReplaced blocks until node runs an incarnation above minInc and is
-// Ready, or the timeout passes; false at once for no node of the plane.
+// Ready, or the timeout passes; false at once for no node of the plane,
+// and as soon as the plane gives up on node.
 func (p *Plane) WaitReplaced(node, minInc int, timeout time.Duration) bool {
-	d, err := p.daemon(node)
-	return err == nil && d.await(timeout, func() bool { return d.inc > minInc && d.ready })
+	if p.check(node) != nil {
+		return false
+	}
+	s := &p.pol.slots[node]
+	replaced := false
+	p.wait(timeout, func() bool {
+		replaced = s.inc > minInc && s.ready
+		return replaced || s.gone
+	})
+	return replaced
 }
 
 // sendFault delivers a fault command to one daemon.
 func (p *Plane) sendFault(node int, f msgFault) error {
-	d, err := p.daemon(node)
-	if err != nil {
+	if err := p.check(node); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	ctl := d.ctl
-	ok := d.helloed && !d.byeSeen
-	d.mu.Unlock()
-	if !ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s := p.pol.slots[node]; !s.helloed || s.bye {
 		return fmt.Errorf("fleet: node %d not connected", node)
 	}
-	return ctl.send(envelope{Fault: &f})
+	return p.daemons[node].ctl.send(envelope{Fault: &f})
 }
 
 // SetPartition cuts (or heals) the link between a and b at both ends.
 func (p *Plane) SetPartition(a, b int, on bool) error {
-	for _, node := range [2]int{a, b} {
-		if _, err := p.daemon(node); err != nil {
-			return err
-		}
+	if err := errors.Join(p.check(a), p.check(b)); err != nil {
+		return err
 	}
-	err1 := p.sendFault(a, msgFault{PartitionPeer: b, PartitionOn: on})
-	err2 := p.sendFault(b, msgFault{PartitionPeer: a, PartitionOn: on})
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return errors.Join(p.sendFault(a, msgFault{PartitionPeer: b, PartitionOn: on}), p.sendFault(b, msgFault{PartitionPeer: a, PartitionOn: on}))
 }
 
 // SetDelay sets node's outbound extra delay (0 heals).
@@ -620,24 +416,22 @@ func (p *Plane) SetClockStep(node int, d simtime.Duration) error {
 }
 
 // Stats aggregates the fleet's measurements: per-incarnation beats folded
-// with the totals of dead incarnations, plus the detector evidence log.
+// with the totals of dead incarnations, plus the detector evidence.
 func (p *Plane) Stats() FleetStats {
 	s := FleetStats{
 		EpsByNode: make([]simtime.Duration, p.cfg.N),
 		DetPeriod: p.cfg.DetPeriod, DetTimeout: p.cfg.DetTimeout,
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, d := range p.daemons {
-		d.mu.Lock()
-		m := d.base.Fold(d.beat.Measured)
+		m := d.base.Fold(d.beat)
 		s.Measured = s.Measured.Fold(m)
 		s.EpsByNode[i] = m.Eps
-		s.Restarts += d.restarts
-		d.mu.Unlock()
+		s.Restarts += p.pol.slots[i].restarts
 	}
-	p.mu.Lock()
-	s.Recoveries = append([]Recovery(nil), p.recoveries...)
-	p.mu.Unlock()
-	s.DetEvents = p.det.snapshot()
+	s.Recoveries = append([]Recovery(nil), p.pol.recoveries...)
+	s.DetEvents = append([]DetEvent(nil), p.pol.det...)
 	for _, e := range s.DetEvents {
 		if e.Name == detector.ActSuspect {
 			s.Suspects++
@@ -652,7 +446,7 @@ func (p *Plane) Stats() FleetStats {
 func (p *Plane) Crashes() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.crashes
+	return p.pol.crashes
 }
 
 // FleetVerdict is the checker outcome over the merged stream.
@@ -668,33 +462,9 @@ type FleetVerdict struct {
 // Bye, the fan-in finishes (still-open crash-orphaned ops submit as
 // pending), and the checker verdict comes back.
 func (p *Plane) Shutdown() FleetVerdict {
-	p.mu.Lock()
-	p.shutdown = true
-	p.mu.Unlock()
-
-	for _, d := range p.daemons {
-		d.mu.Lock()
-		ctl := d.ctl
-		live := d.helloed && !d.byeSeen && !d.gone
-		d.mu.Unlock()
-		if live {
-			ctl.send(envelope{Shutdown: &msgShutdown{}})
-		}
-	}
-	// Wait for Byes (bounded), then force whatever remains.
-	deadline := time.Now().Add(10 * time.Second)
-	for _, d := range p.daemons {
-		d.await(time.Until(deadline), func() bool { return !d.helloed || d.byeSeen || d.gone })
-	}
-	for _, d := range p.daemons {
-		d.mu.Lock()
-		cmd := d.cmd
-		bye := d.byeSeen
-		d.mu.Unlock()
-		if !bye && cmd != nil && cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
+	p.step(input{kind: inShutdown})
+	// Wait for Byes (bounded); Close forces whatever remains.
+	p.wait(10*time.Second, func() bool { return p.pol.all(func(s slot) bool { return !s.helloed || s.bye }) })
 	p.Close()
 
 	p.fanin.Finish()
@@ -708,18 +478,21 @@ func (p *Plane) Shutdown() FleetVerdict {
 	}
 }
 
-// Close closes every daemon's channel, which drains the daemon, and
-// returns once every incarnation's reader has reaped its process.
+// Close closes every daemon's channel, SIGKILLs every process that has not
+// said Bye (a stopped one never drains), and returns once every
+// incarnation's reader has reaped its process. The policy spawns and kills
+// nothing after it.
 func (p *Plane) Close() {
+	p.step(input{kind: inShutdown})
 	p.mu.Lock()
-	p.shutdown = true
-	p.mu.Unlock()
-	for _, d := range p.daemons {
-		d.mu.Lock()
+	for i, d := range p.daemons {
 		if d.ctl != nil {
 			d.ctl.close()
 		}
-		d.mu.Unlock()
+		if d.cmd != nil && !p.pol.slots[i].bye {
+			d.cmd.Process.Kill()
+		}
 	}
+	p.mu.Unlock()
 	p.wg.Wait()
 }
