@@ -1,8 +1,10 @@
 package linearize
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"psclock/internal/simtime"
@@ -83,6 +85,16 @@ type Online struct {
 	pruned   int
 	keyBuf   []byte // scratch for the per-stage memo key
 
+	// Per-stage scratch, reused from stage to stage (see collect).
+	listed bool  // cands and strand hold the current stage's lists
+	cands  []int // window indexes that may precede the target, window order
+	strand []int // window indexes of open ops the stage's ℓ may pass
+	greedy []int // commit's and stageApprox's in-order reads
+	due    []int // drain's deadlines
+	memo   map[string]bool
+	nf     frontierBuilder
+	spare  []olState // the backing array the next frontier is built in
+
 	failed     bool
 	failReason string
 
@@ -119,6 +131,8 @@ func NewOnline(opt Options) *Online {
 		opt:      opt,
 		open:     make(map[ta.NodeID][]simtime.Time),
 		frontier: []olState{{last: opt.Initial}},
+		memo:     make(map[string]bool),
+		nf:       frontierBuilder{idx: make(map[string]int)},
 	}
 	if !opt.AssumeUnique {
 		o.writers = make(map[string]int)
@@ -151,18 +165,13 @@ func (o *Online) Add(op Op) {
 	}
 	id := o.nextID
 	o.nextID++
-	if invs := o.open[op.Node]; len(invs) > 0 {
-		for i, t := range invs {
-			if t == op.Inv {
-				invs[i] = invs[len(invs)-1]
-				invs = invs[:len(invs)-1]
-				break
-			}
-		}
-		if len(invs) == 0 {
-			delete(o.open, op.Node)
-		} else {
-			o.open[op.Node] = invs
+	// An emptied slice stays in the map, so the node's next Begin reuses it.
+	invs := o.open[op.Node]
+	for i, t := range invs {
+		if t == op.Inv {
+			invs[i] = invs[len(invs)-1]
+			o.open[op.Node] = invs[:len(invs)-1]
+			break
 		}
 	}
 	if o.writers != nil {
@@ -299,6 +308,7 @@ func (o *Online) Finish() Result {
 		o.final = Result{OK: true, States: o.states, Pruned: o.pruned}
 	}
 	o.window, o.frontier, o.open, o.writers, o.observed = nil, nil, nil, nil, nil
+	o.cands, o.strand, o.greedy, o.due, o.memo, o.nf, o.spare = nil, nil, nil, nil, nil, frontierBuilder{}, nil
 	return o.final
 }
 
@@ -327,7 +337,7 @@ func (o *Online) observedValues() func(string) bool {
 // therefore the verdict and States — a function of the submitted
 // operations alone, independent of Advance slicing.
 func (o *Online) drain(bound simtime.Time, all bool) {
-	var due []int
+	due := o.due[:0]
 	for i := range o.window {
 		iv := &o.window[i]
 		if iv.closed || (!all && (iv.pending || iv.hi >= bound)) {
@@ -335,18 +345,13 @@ func (o *Online) drain(bound simtime.Time, all bool) {
 		}
 		due = append(due, i)
 	}
+	o.due = due
 	if len(due) == 0 {
 		return
 	}
-	sort.Slice(due, func(a, b int) bool {
-		x, y := &o.window[due[a]], &o.window[due[b]]
-		if x.hi != y.hi {
-			return x.hi < y.hi
-		}
-		if x.lo != y.lo {
-			return x.lo < y.lo
-		}
-		return x.id < y.id
+	slices.SortFunc(due, func(a, b int) int {
+		x, y := &o.window[a], &o.window[b]
+		return cmp.Or(cmp.Compare(x.hi, y.hi), cmp.Compare(x.lo, y.lo), cmp.Compare(x.id, y.id))
 	})
 	for _, di := range due {
 		if !o.failed {
@@ -371,29 +376,59 @@ func (o *Online) drain(bound simtime.Time, all bool) {
 // sequences that linearize it now. The next frontier is the deduplicated
 // union; empty means no linearization order exists.
 func (o *Online) stage(di int) {
-	if o.opt.ApproxEps > 0 && o.stageApprox(di) {
+	target := &o.window[di]
+	o.listed = false
+	if o.opt.ApproxEps > 0 && o.stageApprox(target) {
 		return
 	}
-	target := &o.window[di]
-	nf := frontierBuilder{idx: make(map[string]int)}
-	memo := make(map[string]bool)
+	o.memo = reuse(o.memo)
+	o.nf.reset(o.spare[:0])
 	for _, s := range o.frontier {
 		if p := indexOfID(s.early, target.id); p >= 0 {
-			rest := make([]int, 0, len(s.early)-1)
-			rest = append(rest, s.early[:p]...)
-			rest = append(rest, s.early[p+1:]...)
-			nf.emit(olState{early: rest, last: s.last, ell: s.ell})
+			o.nf.emit(olState{early: without(s.early, p), last: s.last, ell: s.ell})
 			continue
 		}
-		o.commit(s, target, &nf, memo)
+		o.collect(target)
+		o.commit(s, target)
 		if o.failed {
 			return
 		}
 	}
-	o.frontier = nf.finish()
+	o.spare, o.frontier = o.frontier[:0], o.nf.finish()
 	if len(o.frontier) == 0 {
 		o.failed = true
 		o.failReason = "no valid linearization order exists"
+	}
+}
+
+// collect makes the stage's one pass over the window; per-state work runs
+// over its two lists instead. cands: the ops that may precede the target
+// (open, not the target, lo ≤ target.hi, fate resolved), in window order so
+// a MaxStates cut-off falls where a window scan's would. strand: the open
+// ops whose hi is below max(frontier ℓ, target.hi), a cap on every ℓ the
+// stage reaches (each is the frontier's or a placed op's lo, and every
+// candidate's lo is at most target.hi). At most once per stage, on demand.
+func (o *Online) collect(target *olIv) {
+	if o.listed {
+		return
+	}
+	o.listed = true
+	ellCap := target.hi
+	for _, s := range o.frontier {
+		ellCap = max(ellCap, s.ell)
+	}
+	o.cands, o.strand = o.cands[:0], o.strand[:0]
+	for i := range o.window {
+		x := &o.window[i]
+		if x.closed {
+			continue
+		}
+		if x.hi < ellCap {
+			o.strand = append(o.strand, i)
+		}
+		if x.id != target.id && x.lo <= target.hi && (!x.pending || o.finishing) {
+			o.cands = append(o.cands, i)
+		}
 	}
 }
 
@@ -416,31 +451,25 @@ func (o *Online) stage(di int) {
 // search. Soundness: the surviving state is a real placement, so a final
 // OK names a concrete witness order; every prune is counted, so a later
 // failure reports ε-uncertain instead of a definite violation.
-func (o *Online) stageApprox(di int) bool {
+func (o *Online) stageApprox(target *olIv) bool {
 	if len(o.frontier) != 1 {
 		return false
 	}
 	s := o.frontier[0]
-	target := &o.window[di]
 	if p := indexOfID(s.early, target.id); p >= 0 {
 		// Already linearized ahead of its deadline: discard from the early
 		// set — exact, no search needed.
-		rest := make([]int, 0, len(s.early)-1)
-		rest = append(rest, s.early[:p]...)
-		rest = append(rest, s.early[p+1:]...)
-		o.frontier[0].early = rest
+		o.frontier[0].early = without(s.early, p)
 		return true
 	}
+	o.collect(target)
 	band := target.hi.Add(-o.opt.ApproxEps)
 	skipped := 0
-	var pre []int // window indexes of in-band reads of s.last
-	for i := range o.window {
+	pre := o.greedy[:0] // window indexes of in-band reads of s.last
+	for _, i := range o.cands {
 		x := &o.window[i]
-		if x.closed || x.id == target.id || x.lo > target.hi || indexOfID(s.early, x.id) >= 0 {
+		if indexOfID(s.early, x.id) >= 0 {
 			continue
-		}
-		if x.pending && !o.finishing {
-			continue // fate unresolved until Finish, never explorable here
 		}
 		if x.lo <= band {
 			return false // opens outside the ε band: its order is searchable
@@ -451,7 +480,8 @@ func (o *Online) stageApprox(di int) bool {
 			skipped++
 		}
 	}
-	sort.Slice(pre, func(a, b int) bool { return o.window[pre[a]].lo < o.window[pre[b]].lo })
+	o.greedy = pre
+	slices.SortFunc(pre, o.byLo)
 	ns := s
 	for _, i := range pre {
 		var ok bool
@@ -483,10 +513,10 @@ func (o *Online) stageApprox(di int) bool {
 	return true
 }
 
-// commit explores linearizing zero or more still-open operations and then
-// the target, with greedy earliest-point placement per step. Each call is
-// one search state, shared with the batch wrapper's accounting.
-func (o *Online) commit(s olState, target *olIv, nf *frontierBuilder, memo map[string]bool) {
+// commit explores linearizing zero or more of the stage's candidates and
+// then the target, with greedy earliest-point placement per step. Each call
+// is one search state, shared with the batch wrapper's accounting.
+func (o *Online) commit(s olState, target *olIv) {
 	o.states++
 	if o.states > o.opt.MaxStates {
 		o.failed = true
@@ -499,15 +529,17 @@ func (o *Online) commit(s olState, target *olIv, nf *frontierBuilder, memo map[s
 	if o.opt.Yield != nil && o.states&0xff == 0 {
 		o.opt.Yield()
 	}
-	// string(o.keyBuf) in the map index does not allocate (compiler-
-	// recognized idiom); only a first visit pays for the key copy. The
-	// scratch is safe across the recursion below: the key is consumed
-	// before commit re-enters.
-	o.keyBuf = appendStateKey(o.keyBuf[:0], s)
-	if memo[string(o.keyBuf)] {
-		return
+	// Without candidates nothing recurses and frontier states are distinct,
+	// so the memo cannot hit. string(o.keyBuf) in the map index does not
+	// allocate; only a first visit pays for the key copy. The scratch is
+	// safe across the recursion below: the key is consumed before it.
+	if len(o.cands) > 0 {
+		o.keyBuf = appendStateKey(o.keyBuf[:0], s)
+		if o.memo[string(o.keyBuf)] {
+			return
+		}
+		o.memo[string(o.keyBuf)] = true
 	}
-	memo[string(o.keyBuf)] = true
 	// Dominated-branch elimination: an open read of the state's current
 	// value never needs its own branch. In every witness extending s it is
 	// linearized before the next write (that is where it observes s.last),
@@ -517,26 +549,18 @@ func (o *Online) commit(s olState, target *olIv, nf *frontierBuilder, memo map[s
 	// which every still-open window reaches past). Committing them all
 	// greedily in ascending-lo order therefore loses no witnesses, and it
 	// removes the 2^reads branching that made hot-key windows under
-	// pipelined load exhaust the state budget.
-	var greedy []int
-	for i := range o.window {
+	// pipelined load exhaust the state budget. (o.greedy is free again
+	// before the recursion below.)
+	greedy := o.greedy[:0]
+	for _, i := range o.cands {
 		x := &o.window[i]
-		if x.closed || x.id == target.id || x.lo > target.hi {
-			continue
+		if x.kind == Read && x.value == s.last && indexOfID(s.early, x.id) < 0 {
+			greedy = append(greedy, i)
 		}
-		if x.pending && !o.finishing {
-			continue
-		}
-		if x.kind != Read || x.value != s.last {
-			continue
-		}
-		if indexOfID(s.early, x.id) >= 0 {
-			continue
-		}
-		greedy = append(greedy, i)
 	}
+	o.greedy = greedy
 	if len(greedy) > 0 {
-		sort.Slice(greedy, func(a, b int) bool { return o.window[greedy[a]].lo < o.window[greedy[b]].lo })
+		slices.SortFunc(greedy, o.byLo)
 		ns := s
 		early := make([]int, len(s.early), len(s.early)+len(greedy))
 		copy(early, s.early)
@@ -554,16 +578,10 @@ func (o *Online) commit(s olState, target *olIv, nf *frontierBuilder, memo map[s
 		s = ns
 	}
 	if ns, ok := o.place(s, target); ok && !o.strands(ns, target.id) {
-		nf.emit(ns)
+		o.nf.emit(ns)
 	}
-	for i := range o.window {
+	for _, i := range o.cands {
 		x := &o.window[i]
-		if x.closed || x.id == target.id || x.lo > target.hi {
-			continue
-		}
-		if x.pending && !o.finishing {
-			continue // fate (drop vs forced) unresolved until Finish
-		}
 		if indexOfID(s.early, x.id) >= 0 {
 			continue
 		}
@@ -579,12 +597,15 @@ func (o *Online) commit(s olState, target *olIv, nf *frontierBuilder, memo map[s
 		if o.strands(ns, -1) {
 			continue
 		}
-		o.commit(ns, target, nf, memo)
+		o.commit(ns, target)
 		if o.failed {
 			return
 		}
 	}
 }
+
+// byLo orders window indexes by their op's window-open.
+func (o *Online) byLo(a, b int) int { return cmp.Compare(o.window[a].lo, o.window[b].lo) }
 
 // place linearizes iv next in state s at the earliest feasible point,
 // returning the successor state (early is aliased; callers copy).
@@ -614,17 +635,15 @@ func (o *Online) place(s olState, iv *olIv) (olState, bool) {
 
 // strands reports whether some open operation outside the state's early
 // set (and other than exclude) can no longer be placed: its window closes
-// below the state's point lower bound. Such states are dead. Operations
-// not yet submitted can never trigger this — their windows close at or
-// beyond every processed bound — so the answer does not depend on Advance
+// below the state's point lower bound. Such states are dead. Only the
+// stage's strand list can qualify (see collect). Operations not yet
+// submitted can never trigger this — their windows close at or beyond
+// every processed bound — so the answer does not depend on Advance
 // slicing.
 func (o *Online) strands(ns olState, exclude int) bool {
-	for i := range o.window {
+	for _, i := range o.strand {
 		x := &o.window[i]
-		if x.closed || x.id == exclude || x.hi >= ns.ell {
-			continue
-		}
-		if indexOfID(ns.early, x.id) < 0 {
+		if x.id != exclude && x.hi < ns.ell && indexOfID(ns.early, x.id) < 0 {
 			return true
 		}
 	}
@@ -641,6 +660,11 @@ type frontierBuilder struct {
 	keys   []string
 	out    []olState
 	keyBuf []byte
+}
+
+// reset empties the builder for the next stage, which builds into out.
+func (b *frontierBuilder) reset(out []olState) {
+	b.idx, b.keys, b.out = reuse(b.idx), b.keys[:0], out
 }
 
 func (b *frontierBuilder) emit(s olState) {
@@ -691,6 +715,22 @@ func appendStateKey(dst []byte, s olState) []byte {
 	dst = binary.AppendVarint(dst, int64(s.ell))
 	dst = append(dst, s.last...)
 	return dst
+}
+
+// reuse empties a per-stage map for the next stage, or drops one a hard
+// stage grew large, whose every later clear would cost its peak again.
+func reuse[V any](m map[string]V) map[string]V {
+	if len(m) > 4096 {
+		return make(map[string]V)
+	}
+	clear(m)
+	return m
+}
+
+// without returns a copy of the ascending ids minus its p-th entry.
+func without(ids []int, p int) []int {
+	rest := make([]int, 0, len(ids)-1)
+	return append(append(rest, ids[:p]...), ids[p+1:]...)
 }
 
 // indexOfID finds id in the ascending slice, or -1.

@@ -2,6 +2,7 @@ package linearize
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -145,12 +146,10 @@ func randOnlineOptions(r *rand.Rand) Options {
 	return opt
 }
 
-// TestOnlineMatchesBatch is the streaming/batch differential property: on
-// randomized histories, under randomized Advance schedules, the online
-// checker's Result — OK, Reason, and States — is byte-identical to the
-// batch Check over the same operation sequence. Mismatches are minimized
-// with the Shrink machinery before reporting.
-func TestOnlineMatchesBatch(t *testing.T) {
+// matchesBatchTrials generates TestOnlineMatchesBatch's 1 500 randomized
+// trials — history and option mix, state-budget cut-offs included — and
+// hands each to fn in order; callers seed the Advance schedule with trial.
+func matchesBatchTrials(fn func(trial int, seq []Op, opt Options)) {
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 1500; trial++ {
 		ops := randAlternating(r)
@@ -158,12 +157,21 @@ func TestOnlineMatchesBatch(t *testing.T) {
 		if opt.AssumeUnique && validateHistory(ops, opt.Initial) != nil {
 			opt.AssumeUnique = false // uniqueness-trusting mode needs a clean history
 		}
-		seq := completionOrder(ops)
+		fn(trial, completionOrder(ops), opt)
+	}
+}
+
+// TestOnlineMatchesBatch is the streaming/batch differential property: on
+// randomized histories, under randomized Advance schedules, the online
+// checker's Result — OK, Reason, and States — is byte-identical to the
+// batch Check over the same operation sequence. Mismatches are minimized
+// with the Shrink machinery before reporting.
+func TestOnlineMatchesBatch(t *testing.T) {
+	matchesBatchTrials(func(trial int, seq []Op, opt Options) {
 		want := Check(seq, opt)
-		sched := rand.New(rand.NewSource(int64(trial)))
-		got := replayOnline(sched, seq, opt)
+		got := replayOnline(rand.New(rand.NewSource(int64(trial))), seq, opt)
 		if got == want {
-			continue
+			return
 		}
 		mismatch := func(h []Op) bool {
 			hs := completionOrder(h)
@@ -172,6 +180,28 @@ func TestOnlineMatchesBatch(t *testing.T) {
 		small := shrinkWith(seq, mismatch)
 		t.Fatalf("trial %d: online %+v != batch %+v\nopts: %+v\nminimized history:\n%v",
 			trial, got, want, opt, small)
+	})
+}
+
+// TestOnlineSearchFingerprint pins the search itself, which the
+// differential above cannot see (both sides run the one engine): an FNV
+// hash of every trial's (OK, Reason, States, Pruned), exact and with a
+// 5-tick ApproxEps, must equal the recorded constant. A change that keeps
+// every verdict but explores a different state set — a lost or extra
+// memo hit, a candidate out of window order under a MaxStates cut-off —
+// moves the hash.
+func TestOnlineSearchFingerprint(t *testing.T) {
+	const want uint64 = 0xb6b471810b4fb70b
+	h := fnv.New64a()
+	matchesBatchTrials(func(trial int, seq []Op, opt Options) {
+		r := replayOnline(rand.New(rand.NewSource(int64(trial))), seq, opt)
+		fmt.Fprintf(h, "%d %t %q %d %d\n", trial, r.OK, r.Reason, r.States, r.Pruned)
+		opt.ApproxEps = 5
+		r = Check(seq, opt)
+		fmt.Fprintf(h, "%d %t %q %d %d\n", trial, r.OK, r.Reason, r.States, r.Pruned)
+	})
+	if got := h.Sum64(); got != want {
+		t.Fatalf("search fingerprint %#x, want %#x: the explored states changed", got, want)
 	}
 }
 
