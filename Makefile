@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard lines bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
+.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard ci-guard lines bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
 
 all: tier1
 
@@ -94,6 +94,30 @@ doc-guard:
 		|| { echo "doc-guard: the docs cite a retired measuring path (see the lines above)"; exit 1; }
 	@awk '/^## Quickstart/ { q = 1 } q && /^```/ { if (g) exit; g = 1; next } g' README.md | diff -u - examples/quickstart/main.go \
 		|| { echo "doc-guard: README's Quickstart differs from examples/quickstart/main.go (see the diff above)"; exit 1; }
+
+# No CI step selects nothing: `go test -run X` passes silently when X
+# matches no test, so for every -run pattern in the workflow (except '^$',
+# which selects nothing on purpose) `go test -list` must print a test in
+# each package on its line, and each of the pattern's top-level
+# |-alternatives (a pattern with a group is taken whole) must name a test
+# in one of them, so a renamed test cannot leave a step running its
+# neighbours alone.
+WORKFLOW = .github/workflows/ci.yml
+ci-guard:
+	@set -f; grep -oE "go test [^#]*-run ('[^']*'|[^ ']+).*" $(WORKFLOW) | while read -r line; do \
+		pat=$$(echo "$$line" | sed -E "s/.*-run ('([^']*)'|([^ ']+)).*/\2\3/"); \
+		[ "$$pat" = '^$$' ] && continue; \
+		pkgs=$$(echo "$$line" | grep -oE '\./[^ ]*'); \
+		for p in $$pkgs; do \
+			$(GO) test -list "$$pat" $$p | grep -qE '^(Test|Benchmark|Example|Fuzz)' \
+				|| { echo "ci-guard: -run '$$pat' selects no test in $$p ($(WORKFLOW))"; exit 1; }; \
+		done; \
+		case "$$pat" in *'('*) alts=$$pat;; *) alts=$$(echo "$$pat" | tr '|' ' ');; esac; \
+		for alt in $$alts; do \
+			$(GO) test -list "$$alt" $$pkgs | grep -qE '^(Test|Benchmark|Example|Fuzz)' \
+				|| { echo "ci-guard: '$$alt' in -run '$$pat' names no test in $$pkgs ($(WORKFLOW))"; exit 1; }; \
+		done; \
+	done
 
 # Size ledger (CHANGES.md, ROADMAP's size row): code, comment and blank
 # lines of the non-test Go outside bench/ and .bench_build/, per package

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"runtime"
@@ -10,11 +11,11 @@ import (
 	"testing"
 )
 
-// outputs holds what TestAllExperimentsPass saw each experiment print, for
+// results holds what TestAllExperimentsPass saw each experiment return, for
 // TestExperimentOutputIsAFunctionOfTheSeed to compare a second run against
 // (E10's long streamed row makes a third run of it the suite's longest
-// pole).
-var outputs sync.Map // ID → Result.Output
+// pole) and TestExperimentTablesGolden to compare with the committed tables.
+var results sync.Map // ID → Result
 
 // TestAllExperimentsPass regenerates every table/figure and asserts the
 // paper's claims hold — the same assertions the bench harness makes, kept
@@ -38,7 +39,7 @@ func TestAllExperimentsPass(t *testing.T) {
 			if r.Output == "" {
 				t.Error("empty output")
 			}
-			outputs.Store(e.ID, r.Output)
+			results.Store(e.ID, r)
 		})
 	}
 }
@@ -83,17 +84,66 @@ func TestExperimentOutputIsAFunctionOfTheSeed(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not found", id)
 		}
-		first, ok := outputs.Load(id)
-		if !ok {
-			first = e.Run().Output
+		first := e.Run
+		if r, ok := results.Load(id); ok {
+			first = func() Result { return r.(Result) }
 		}
 		prev := runtime.GOMAXPROCS(1)
 		second := e.Run().Output
 		runtime.GOMAXPROCS(prev)
-		if first != second {
+		if first := first().Output; first != second {
 			t.Errorf("%s output differs between two runs of one seed:\n%s\nvs (GOMAXPROCS=1)\n%s", id, first, second)
 		}
 	}
+}
+
+// TestExperimentTablesGolden pins what pscbench prints for every simulated
+// experiment, E1–E16, byte for byte: an executor, builder or checker change
+// that moves one figure of one table fails here. E17 runs on the wall clock
+// and is left out. The file is the output of one command, which regenerates
+// it after a change that moves a figure on purpose:
+//
+//	go run ./cmd/pscbench -run E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11,E12,E13,E14,E15,E16 > internal/experiments/testdata/e1-e16.txt
+func TestExperimentTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every simulated experiment; skipped with -short")
+	}
+	want, err := os.ReadFile("testdata/e1-e16.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, e := range All() {
+		if e.ID == "E17" {
+			continue
+		}
+		r, ok := results.Load(e.ID)
+		if !ok {
+			r = e.Run()
+		}
+		fmt.Fprintln(&got, r)
+	}
+	if got.String() != string(want) {
+		t.Errorf("pscbench -run E1,…,E16 no longer prints testdata/e1-e16.txt:\n%s", firstDiff(got.String(), string(want)))
+	}
+}
+
+// firstDiff names the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range max(len(g), len(w)) {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d: got  %q\n         want %q", i+1, gl, wl)
+		}
+	}
+	return "equal"
 }
 
 // TestDesignIndexMatchesAll keeps DESIGN.md § 4's per-experiment index in

@@ -37,10 +37,10 @@ func Since(epoch time.Time) simtime.Time {
 }
 
 // nodeClock is one node's time source: its clock.Model — the same clock
-// abstraction the simulator runs on — evaluated at the real time elapsed
-// since the runtime's epoch, so the perfect, fixed-offset and jittered
-// models keep their ±ε guarantee (the clock predicate C_ε of Definition
-// 2.5) on wall-clock time. On top of the model sits the chaos controller's
+// abstraction the simulator runs on — evaluated at the real time its node
+// reads (effects.now; under Start, the time since the runtime's epoch), so
+// the perfect, fixed-offset and jittered models keep their ±ε guarantee
+// (the clock predicate C_ε of Definition 2.5) on wall-clock time. On top of the model sits the chaos controller's
 // step, the one thing that may push a reading outside the band. Every
 // reading, step included, updates the largest |reading − real| served:
 // the measured ε̂, so a step past ε is evidence by measurement, the way a
@@ -50,7 +50,7 @@ func Since(epoch time.Time) simtime.Time {
 // injector steps it, and the runtime probes the bound.
 type nodeClock struct {
 	mu    sync.Mutex
-	epoch time.Time
+	real  func() simtime.Time
 	m     clock.Model
 	step  simtime.Duration
 	bound simtime.Duration
@@ -58,7 +58,7 @@ type nodeClock struct {
 
 // read takes one reading; the caller holds c.mu.
 func (c *nodeClock) read() simtime.Time {
-	real := Since(c.epoch)
+	real := c.real()
 	r := c.m.At(real).Add(c.step)
 	if off := r.Sub(real).Abs(); off > c.bound {
 		c.bound = off
@@ -75,14 +75,19 @@ func (c *nodeClock) now() simtime.Time {
 	return c.read()
 }
 
-// waitUntil returns the wall-clock wait until the clock reaches target,
-// zero if it already has: the stepped clock reaches target when the model
-// reaches target − step, at the real time the model's inverse names.
-func (c *nodeClock) waitUntil(target simtime.Time) time.Duration {
+// wakeAt returns the real instant at which the clock reaches target: the
+// stepped clock reaches target when the model reaches target − step, at the
+// real time the model's inverse names.
+func (c *nodeClock) wakeAt(target simtime.Time) simtime.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	real := Since(c.epoch)
-	u := c.m.EarliestAt(target.Add(-c.step))
+	return c.m.EarliestAt(target.Add(-c.step))
+}
+
+// waitUntil returns the wall-clock wait until the clock reaches target,
+// zero if it already has.
+func (c *nodeClock) waitUntil(target simtime.Time) time.Duration {
+	u, real := c.wakeAt(target), c.real()
 	if u <= real {
 		return 0
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestLiveDetectorClockStep drives the heartbeat detector through a
-// clock-step fault — the fleet chaos controller's clock adversary — on a
-// live runtime. A step held within ε stays inside SafeTimeoutClock's 4ε
+// clock-step fault — the fleet chaos controller's clock adversary — on the
+// live node. A step held within ε stays inside SafeTimeoutClock's 4ε
 // margin: no suspicions. A step far past ε breaks the detector's
 // accuracy at the faulty node: its watch timers were armed in pre-step
 // clock coordinates, so after the jump their effective timeout shrinks by
@@ -23,25 +23,23 @@ import (
 // the future, which the receive discipline holds until the local clock
 // catches up), so the only invariant on the other side is that every
 // suspicion involves the faulty node. The step folds into measured ε̂ —
-// the evidence the fleet's chaos classifier flags.
+// the evidence the fleet's chaos classifier flags — and is the only fault
+// of the run.
 func TestLiveDetectorClockStep(t *testing.T) {
-	eps := 200 * us
+	m := simModel
+	m.D2 = 5 * ms
 	period := 20 * ms
-	bounds := simtime.NewInterval(0, 5*ms)
-	// A healthy pair rides out a host stall shorter than the timeout's slack
-	// over the beat period, τ − π = d2 − d1 + 4ε + slack = 105.8 ms.
-	const slack = 100 * ms
-	timeout := detector.SafeTimeoutClock(period, bounds, eps) + slack
-	// The step lies in the middle of (τ − π, τ) = (105.8, 125.8) ms: past
-	// τ − π, so the stepped node's watch timers fire before the next beat
-	// (a false suspicion, restored when the beat arrives); short of τ, so
-	// beats survive.
+	// A healthy pair rides out wakes served up to ℓ late on both sides.
+	timeout := detector.SafeTimeoutClock(period, m.Bounds(), m.Eps) + 2*m.Ell
+	// The step lies in the middle of (τ − π, τ): past τ − π, so the stepped
+	// node's watch timers fire before the next beat (a false suspicion,
+	// restored when the beat arrives); short of τ, so beats survive.
 	step := timeout - period/2
 
 	sink := &eventSink{}
 	rt, err := New(Options{
 		N:      3,
-		Bounds: bounds,
+		Bounds: m.Bounds(),
 		Clocks: clock.PerfectFactory(),
 	}, func(id ta.NodeID, n int) core.Algorithm {
 		return detector.New(detector.Params{Period: period, Timeout: timeout})
@@ -50,22 +48,21 @@ func TestLiveDetectorClockStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.AddSink(sink)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	setStep := func(d simtime.Duration) {
+	d := newSimDriver(t, rt, m, 1)
+	setStep := func(s simtime.Duration) {
 		t.Helper()
-		if err := rt.SetClockStep(0, d); err != nil {
+		if err := rt.SetClockStep(0, s); err != nil {
 			t.Fatal(err)
 		}
 	}
+	runFor := func(span simtime.Duration) { d.run(d.now.Add(span), nil) }
 
 	// In-band twin: ε/2 forward, hold, heal. The 4ε margin absorbs it.
-	time.Sleep(100 * time.Millisecond * raceScale)
-	setStep(eps / 2)
-	time.Sleep(100 * time.Millisecond * raceScale)
+	runFor(100 * ms)
+	setStep(m.Eps / 2)
+	runFor(100 * ms)
 	setStep(0)
-	time.Sleep(100 * time.Millisecond * raceScale)
+	runFor(100 * ms)
 	if sus := sink.named(detector.ActSuspect); len(sus) != 0 {
 		t.Fatalf("ε/2 step caused suspicions: %v", sus)
 	}
@@ -73,28 +70,29 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	// Past-ε step, held across several beat periods, then healed. Node 0's
 	// loop armed its next wake-up in pre-step coordinates; SetClockStep pokes
 	// it to re-read its clock now, so the watch timers are due τ − step =
-	// π/2 = 10 ms after the last beat, 10 ms before the next, and fire before
-	// the peers' beats can re-arm them.
+	// π/2 after the last beat, before the next, and fire before the peers'
+	// beats can re-arm them.
 	setStep(step)
-	waitFor := func(name string, by ta.NodeID, what string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
+	by0 := func(name string) func() bool {
+		return func() bool {
 			for _, e := range sink.named(name) {
-				if e.Action.Node == by {
-					return
+				if e.Action.Node == 0 {
+					return true
 				}
 			}
-			time.Sleep(5 * time.Millisecond)
+			return false
 		}
-		t.Fatalf("no %s within deadline", what)
 	}
-	waitFor(detector.ActSuspect, 0, "false suspicion by the stepped node")
-	waitFor(detector.ActRestore, 0, "restore by the stepped node")
+	if !d.run(d.now.Add(10*period), by0(detector.ActSuspect)) {
+		t.Fatal("no false suspicion by the stepped node within ten beat periods")
+	}
+	if !d.run(d.now.Add(10*period), by0(detector.ActRestore)) {
+		t.Fatal("no restore by the stepped node within ten beat periods")
+	}
 	setStep(0)
-	time.Sleep(100 * time.Millisecond * raceScale)
+	runFor(100 * ms)
 
-	m := rt.Stop()
+	meas := d.finish()
 	for _, e := range sink.named(detector.ActSuspect) {
 		if e.Action.Node != 0 && e.Action.Payload.(ta.NodeID) != 0 {
 			t.Errorf("suspicion %v→%v involves neither side of the clock fault",
@@ -103,8 +101,13 @@ func TestLiveDetectorClockStep(t *testing.T) {
 	}
 	// The step is evidence: every reading taken under it lands in the
 	// measured ε̂, which is how the fleet's chaos classifier flags it.
-	if m.Eps < simtime.Duration(step) {
-		t.Errorf("measured ε̂ = %v does not include the %v step", m.Eps, step)
+	if meas.Eps < step {
+		t.Errorf("measured ε̂ = %v does not include the %v step", meas.Eps, step)
+	}
+	// The step also makes a timer armed before it late, on the stepped
+	// clock, by up to the step; the links stayed inside [d1, d2].
+	if meas.TimerLate > step+m.Ell || meas.DelayViolations != 0 {
+		t.Errorf("the step aside, the run left the model: %s", m.Envelope(meas))
 	}
 }
 

@@ -134,68 +134,130 @@ func opsFor(t *testing.T, full int) int {
 	return full
 }
 
-// TestLiveRegisterPerfectClock is half of the headline acceptance run: a
-// loopback execution of ≥ 10^4 operations with zero online
-// linearizability violations under perfect clocks.
-func TestLiveRegisterPerfectClock(t *testing.T) {
-	total := opsFor(t, 10_000)
-	mon, m := driveRegister(t, nil, clock.PerfectFactory(), 4, total, 200*us, 2*ms)
-	if err := mon.Err(); err != nil {
+// simModel is the model the driver's register and detector runs assume:
+// the links [0, 2 ms] of the wall-clock tests, c = 1 ms (a read waits
+// 2ε+c+δ = 1.5 ms, a write d'2−c = 1.4 ms), and a timer budget ℓ half the
+// slack, so a wake the driver serves ℓ late on a clock running at half
+// speed (the spread adversary's ramp) still lands inside ε + Slack. The
+// window relaxation ε + Slack = 0.3 ms is well under both waits, so an S
+// that skips either one fails the verdict.
+var simModel = Model{Eps: 200 * us, D2: 2 * ms, Delta: 100 * us, C: ms, Ell: 50 * us, Slack: 100 * us}
+
+// simRun is what one driver run of a register returned.
+type simRun struct {
+	out  Outcome
+	m    Measured
+	ops  int
+	hash uint64
+}
+
+// simRegister runs f on len(clients) nodes with cf's clocks on a driver
+// seeded with seed, client i invoking at node i until ops operations have
+// completed. The run must complete them, hold simModel's envelope and pass
+// live.Verdict with no violation.
+func simRegister(t *testing.T, f core.AlgorithmFactory, cf clock.Factory, clients []ta.Automaton, ops int, seed int64) simRun {
+	t.Helper()
+	rt, err := New(Options{N: len(clients), Bounds: simModel.Bounds(), Clocks: cf}, f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := mon.Verdict("live")
-	if !res.OK {
-		t.Fatalf("online linearizability violated: %s (envelope %s)", res.Reason, envelope(200*us, 2*ms, m))
+	v := NewVerdict(VerdictConfig{Model: simModel, Nodes: len(clients)})
+	rt.AddSink(v)
+	d := newSimDriver(t, rt, simModel, seed)
+	for i, c := range clients {
+		d.addClient(c, ta.NodeID(i))
 	}
-	t.Logf("ops=%d states=%d measured ε=%v timer-late=%v delay=[%v,%v]",
-		mon.Reads.N+mon.Writes.N, res.States, m.Eps, m.TimerLate, m.DelayMin, m.DelayMax)
-	if got := mon.Reads.N + mon.Writes.N; got < total-8 {
-		t.Fatalf("completed %d ops, want ≥ %d", got, total-8)
+	completed := func() int { return v.mon.Reads.N + v.mon.Writes.N }
+	finished := d.run(simtime.Time(60*simtime.Second), func() bool { return completed() >= ops })
+	r := simRun{m: d.finish(), out: v.Finish(), ops: completed(), hash: d.hash.Sum64()}
+	t.Logf("ops=%d states=%d ε̂=%v timer-late=%v delay=[%v,%v] held=%d simulated=%v",
+		r.ops, r.out.States, r.m.Eps, r.m.TimerLate, r.m.DelayMin, r.m.DelayMax, r.m.Held, d.now)
+	if !finished || r.ops != ops {
+		t.Fatalf("completed %d of %d ops by %v", r.ops, ops, d.now)
 	}
-	if m.Eps != 0 {
-		t.Fatalf("perfect clocks measured ε = %v, want 0", m.Eps)
+	if env := simModel.Envelope(r.m); env != "held" {
+		t.Fatalf("driver run left the model: %s", env)
 	}
-	if m.Messages == 0 || m.DelayMax == 0 {
-		t.Fatalf("no delays measured: %+v", m)
+	if r.out.Violations != 0 {
+		t.Fatalf("verdict: %v", r.out.Messages)
+	}
+	return r
+}
+
+// closedLoop is one workload.Client per node, ops operations in all, 10 %
+// writes, 0.8–1.8 ms of think time between a response and the next
+// invocation.
+func closedLoop(nodes, ops int, seed int64) []ta.Automaton {
+	cs := make([]ta.Automaton, nodes)
+	for i := range cs {
+		cs[i] = workload.NewClient(ta.NodeID(i), workload.Config{
+			Ops: ops / nodes, Think: simtime.NewInterval(800*us, 1800*us), WriteRatio: 0.10, Seed: seed,
+		})
+	}
+	return cs
+}
+
+// simS is the transformed register S^c built for simModel.
+func simS() core.AlgorithmFactory { return register.Factory(register.NewS, simModel.Params()) }
+
+// TestLiveRegisterPerfectClock is half of the headline acceptance run: 10^4
+// operations on four nodes with zero linearizability violations under
+// perfect clocks.
+func TestLiveRegisterPerfectClock(t *testing.T) {
+	r := simRegister(t, simS(), clock.PerfectFactory(), closedLoop(4, 10_000, 1), 10_000, 1)
+	if r.m.Eps != 0 {
+		t.Fatalf("perfect clocks measured ε = %v, want 0", r.m.Eps)
+	}
+	if r.m.Messages == 0 || r.m.DelayMax == 0 {
+		t.Fatalf("no delays measured: %+v", r.m)
 	}
 }
 
 // TestLiveRegisterFixedOffsetClock is the other half: the same run under
 // the maximal fixed-skew adversary (even nodes +ε, odd nodes −ε).
 func TestLiveRegisterFixedOffsetClock(t *testing.T) {
-	eps := 200 * us
-	total := opsFor(t, 10_000)
-	mon, m := driveRegister(t, nil, clock.SpreadFactory(eps), 4, total, eps, 2*ms)
-	if err := mon.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res := mon.Verdict("live"); !res.OK {
-		t.Fatalf("online linearizability violated: %s (envelope %s)", res.Reason, envelope(eps, 2*ms, m))
-	}
-	if m.Eps > eps {
-		t.Fatalf("measured ε = %v exceeds configured %v", m.Eps, eps)
-	}
+	r := simRegister(t, simS(), clock.SpreadFactory(simModel.Eps), closedLoop(4, 10_000, 2), 10_000, 2)
 	// Skewed clocks must actually exercise the receive buffer: a fast
 	// sender's tag runs ahead of a slow receiver's clock.
-	if m.Held == 0 {
+	if r.m.Held == 0 {
 		t.Fatal("fixed-offset run never held a delivery; R_ji,ε untested")
 	}
 }
 
 // TestLiveRegisterJitterClock checks the drift adversary: violation-free
-// whenever the measured offset stays within the configured ε (which the
-// model construction guarantees, and the run verifies).
+// with the measured offset within the configured ε (which the envelope
+// check asserts).
 func TestLiveRegisterJitterClock(t *testing.T) {
-	eps := 200 * us
-	mon, m := driveRegister(t, nil, clock.DriftFactory(eps, 11), 4, opsFor(t, 3_000), eps, 2*ms)
-	if err := mon.Err(); err != nil {
-		t.Fatal(err)
+	simRegister(t, simS(), clock.DriftFactory(simModel.Eps, 11), closedLoop(4, 10_000, 3), 10_000, 3)
+}
+
+// TestSimDriverSameSeedSameTrace: the driver is a function of its seed.
+// Scripted clients invoke on one fixed schedule (a 2.5 ms spacing clears
+// the 1.5 ms read and 1.4 ms write), so the trace varies only with the
+// driver's draws: one seed run twice gives the same trace hash, another
+// seed another.
+func TestSimDriverSameSeedSameTrace(t *testing.T) {
+	const nodes, perNode = 3, 500
+	run := func(seed int64) simRun {
+		clients := make([]ta.Automaton, nodes)
+		for i := range clients {
+			script := workload.MakeScript(perNode, simtime.Zero.Add(simtime.Duration(i)*700*us), 2500*us, 0.2, int64(i))
+			clients[i] = workload.NewScripted(ta.NodeID(i), script)
+		}
+		r := simRegister(t, simS(), clock.DriftFactory(simModel.Eps, 5), clients, nodes*perNode, seed)
+		for _, c := range clients {
+			if err := c.(*workload.ScriptedClient).Err; err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
 	}
-	if m.Eps > eps {
-		t.Fatalf("measured ε = %v exceeds configured %v", m.Eps, eps)
+	a, b, c := run(7), run(7), run(8)
+	if a.hash != b.hash || a.m != b.m {
+		t.Fatalf("seed 7 twice: traces %x and %x, measured %+v and %+v", a.hash, b.hash, a.m, b.m)
 	}
-	if res := mon.Verdict("live"); !res.OK {
-		t.Fatalf("measured offset %v ≤ ε %v yet linearizability violated: %s (envelope %s)", m.Eps, eps, res.Reason, envelope(eps, 2*ms, m))
+	if a.hash == c.hash {
+		t.Fatalf("seeds 7 and 8 gave one trace %x", a.hash)
 	}
 }
 
@@ -221,14 +283,13 @@ func TestLiveRegisterTCP(t *testing.T) {
 
 // TestSameProgramBothWorlds is the no-fork criterion: one
 // register.Factory value runs under the simulator (core.BuildClocked +
-// exec) and under the live runtime, and both executions linearize.
+// exec) and on the live node, and both executions linearize.
 func TestSameProgramBothWorlds(t *testing.T) {
-	eps := 200 * us
-	p, bounds := liveParams(eps, 2*ms)
-	factory := register.Factory(register.NewS, p)
+	eps := simModel.Eps
+	factory := simS()
 
 	// Simulated world.
-	net := core.BuildClocked(core.Config{N: 3, Bounds: bounds, Seed: 7, Clocks: clock.DriftFactory(eps, 7)}, factory)
+	net := core.BuildClocked(core.Config{N: 3, Bounds: simModel.Bounds(), Seed: 7, Clocks: clock.DriftFactory(eps, 7)}, factory)
 	clients := workload.Attach(net, workload.Config{Ops: 12, Think: simtime.NewInterval(0, ms), WriteRatio: 0.3, Seed: 9})
 	if _, err := net.Sys.RunQuiet(simtime.Time(60 * simtime.Second)); err != nil {
 		t.Fatal(err)
@@ -247,13 +308,7 @@ func TestSameProgramBothWorlds(t *testing.T) {
 	}
 
 	// Live world — the same factory value, no algorithm-code fork.
-	mon, _ := driveRegister(t, nil, clock.DriftFactory(eps, 7), 3, 120, eps, 2*ms)
-	if err := mon.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res := mon.Verdict("live"); !res.OK {
-		t.Fatalf("live run not linearizable: %s", res.Reason)
-	}
+	simRegister(t, factory, clock.DriftFactory(eps, 7), closedLoop(3, 120, 7), 120, 7)
 }
 
 // eventSink captures the observable stream for assertions. The recorder
@@ -283,15 +338,15 @@ func (s *eventSink) named(name string) []ta.Event {
 	return out
 }
 
-// TestLiveDetector runs the §1/E15 heartbeat failure detector live: node 0
-// sends three heartbeats and goes silent; with the clock-model-safe
-// timeout (plus a real-scheduling margin) the peers suspect node 0 and
-// nobody else, and never restore it.
+// TestLiveDetector runs the §1/E15 heartbeat failure detector on the live
+// node: node 0 sends three heartbeats and goes silent; with the
+// clock-model-safe timeout plus the driver's lateness budget the peers
+// suspect node 0 and nobody else, and never restore it.
 func TestLiveDetector(t *testing.T) {
-	eps := 200 * us
+	m := simModel
+	m.D2 = 5 * ms
 	period := 20 * ms
-	bounds := simtime.NewInterval(0, 5*ms)
-	timeout := detector.SafeTimeoutClock(period, bounds, eps) + 2*ellBudget
+	timeout := detector.SafeTimeoutClock(period, m.Bounds(), m.Eps) + 2*m.Ell
 	factory := func(id ta.NodeID, n int) core.Algorithm {
 		p := detector.Params{Period: period, Timeout: timeout}
 		if id == 0 {
@@ -300,26 +355,18 @@ func TestLiveDetector(t *testing.T) {
 		return detector.New(p)
 	}
 	sink := &eventSink{}
-	rt, err := New(Options{N: 3, Bounds: bounds, Clocks: clock.DriftFactory(eps, 5)}, factory)
+	rt, err := New(Options{N: 3, Bounds: m.Bounds(), Clocks: clock.DriftFactory(m.Eps, 5)}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.AddSink(sink)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
+	d := newSimDriver(t, rt, m, 1)
 	// Node 0 beats at 0, π, 2π then stops; peers time out one period plus
-	// timeout later. Poll rather than sleep a worst case.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(sink.named(detector.ActSuspect)) >= 2 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	m := rt.Stop()
+	// timeout later. Run on past that, so a late or false suspicion shows.
+	d.run(simtime.Time(5*period+2*timeout), nil)
+	meas := d.finish()
 	suspects := sink.named(detector.ActSuspect)
-	if len(suspects) < 2 {
+	if len(suspects) != 2 {
 		t.Fatalf("got %d suspicions, want 2 (both peers suspect node 0)", len(suspects))
 	}
 	by := map[ta.NodeID]bool{}
@@ -335,8 +382,8 @@ func TestLiveDetector(t *testing.T) {
 	if restores := sink.named(detector.ActRestore); len(restores) != 0 {
 		t.Fatalf("dead node restored: %v", restores)
 	}
-	if m.Eps > eps {
-		t.Fatalf("measured ε = %v exceeds configured %v", m.Eps, eps)
+	if env := m.Envelope(meas); env != "held" {
+		t.Fatalf("driver run left the model: %s", env)
 	}
 }
 

@@ -255,31 +255,15 @@ func (rt *Runtime) Start() error {
 	if rt.epoch.IsZero() {
 		rt.epoch = time.Now()
 	}
-	n, r := rt.opts.N, rt.opts.Registers
-	rt.nodes = make([]*node, n)
-	for i := 0; i < n; i++ {
-		if !rt.transport.hosts(i) {
-			continue
+	rt.nodes = make([]*node, rt.opts.N)
+	for i := range rt.nodes {
+		if rt.transport.hosts(i) {
+			rt.nodes[i] = newNode(rt, i, effects{
+				send:   rt.transport.Send,
+				record: rt.rec.producer(nodeRingDepth).record,
+				now:    func() simtime.Time { return Since(rt.epoch) },
+			})
 		}
-		nd := &node{
-			id:    ta.NodeID(i),
-			rt:    rt,
-			insts: make([]*core.Composite, r),
-			srcs:  make([]string, r),
-			due:   make([]simtime.Time, r),
-			clk:   &nodeClock{epoch: rt.epoch, m: rt.opts.Clocks(i)},
-			inbox: make(chan nodeMsg, inboxDepth),
-			prod:  rt.rec.producer(nodeRingDepth),
-
-			amnesic: rt.amnesic,
-			linked:  make(map[ta.NodeID]simtime.Time),
-		}
-		for reg := 0; reg < r; reg++ {
-			nd.insts[reg] = core.NewComposite(ta.NodeID(i), n, rt.factories[reg](ta.NodeID(i), n))
-			nd.srcs[reg] = fmt.Sprintf("live(%v)", rt.Port(ta.NodeID(i), reg))
-			nd.due[reg] = simtime.Never
-		}
-		rt.nodes[i] = nd
 	}
 	rt.rec.start(rt.epoch, rt.sinks)
 	err := rt.transport.Start(rt.deliverFrame)
@@ -444,7 +428,7 @@ func (rt *Runtime) enqueueFrame(f Frame) {
 		return
 	}
 	if f.Chan != ctlChan {
-		d := Since(rt.epoch).Sub(f.SentReal)
+		d := rt.nodes[f.To].fx.now().Sub(f.SentReal)
 		atomicMin(&rt.delayMin, int64(d))
 		atomicMax(&rt.delayMax, int64(d))
 		if hi := rt.opts.Bounds.Hi; hi != simtime.Forever && d > hi {
@@ -547,19 +531,28 @@ type port struct {
 	waiting []invocation
 }
 
+// effects is all a node does outside its own state: send a frame, record an
+// observable action, read real time (its clock reads it here too). Start
+// fills it with the transport, a recorder ring and the wall clock.
+type effects struct {
+	send   func(Frame) error
+	record func(a ta.Action, src string)
+	now    func() simtime.Time
+}
+
 // node is one live node: R register instances, each in its own
 // core.Composite (the algorithm, its timers and its receive buffers
 // R_ji,ε), their ports, and the clock, timer queue and inbox they share.
-// All fields are owned by the node's goroutine after Start.
+// All fields are owned by the node's driver — its goroutine after Start.
 type node struct {
 	id    ta.NodeID
 	rt    *Runtime
+	fx    effects
 	insts []*core.Composite
 	srcs  []string // per-register recorder source labels
 	clk   *nodeClock
 	inbox chan nodeMsg
 	wake  *wakeSource
-	prod  *producer
 
 	// ports[reg] is instance reg's service port, grown on first use: an
 	// instance nothing invokes (a fleet daemon's detector) has none.
@@ -595,14 +588,44 @@ const (
 	inboxBatch = 64
 )
 
-func (n *node) loop() {
-	defer n.rt.wg.Done()
-	defer n.wake.close()
+// newNode builds node i of rt, which reaches the world only through fx.
+func newNode(rt *Runtime, i int, fx effects) *node {
+	n, r := rt.opts.N, rt.opts.Registers
+	nd := &node{
+		id:    ta.NodeID(i),
+		rt:    rt,
+		fx:    fx,
+		insts: make([]*core.Composite, r),
+		srcs:  make([]string, r),
+		due:   make([]simtime.Time, r),
+		clk:   &nodeClock{real: fx.now, m: rt.opts.Clocks(i)},
+		inbox: make(chan nodeMsg, inboxDepth),
+
+		amnesic: rt.amnesic,
+		linked:  make(map[ta.NodeID]simtime.Time),
+	}
+	for reg := 0; reg < r; reg++ {
+		nd.insts[reg] = core.NewComposite(nd.id, n, rt.factories[reg](nd.id, n))
+		nd.srcs[reg] = fmt.Sprintf("live(%v)", rt.Port(nd.id, reg))
+		nd.due[reg] = simtime.Never
+	}
+	return nd
+}
+
+// start runs every instance's Start at the node's first clock reading.
+func (n *node) start() {
 	c := n.clk.now()
 	for reg, inst := range n.insts {
 		n.emit(reg, inst.Start(c))
 		n.requeue(reg)
 	}
+}
+
+// loop is the production driver: the node on a goroutine of its own.
+func (n *node) loop() {
+	defer n.rt.wg.Done()
+	defer n.wake.close()
+	n.start()
 	for {
 		n.fireDue()
 		// An empty queue needs no disarm: it empties only by firing its head,
@@ -743,7 +766,7 @@ func (n *node) serve(reg int) {
 	for !p.open && len(p.waiting) > 0 {
 		p.open, p.cur = true, p.waiting[0]
 		p.waiting = p.waiting[:copy(p.waiting, p.waiting[1:])] // shift down: the array is reused
-		n.prod.record(ta.Action{
+		n.fx.record(ta.Action{
 			Name: p.cur.name, Node: n.rt.Port(n.id, reg), Peer: ta.NoNode,
 			Kind: ta.KindInput, Payload: p.cur.payload,
 		}, "env")
@@ -767,13 +790,13 @@ func (n *node) emit(reg int, out []core.Stamped) {
 			// exist or a transport already closed at shutdown; overload is
 			// not an error, the transport counts the frame it drops
 			// (Measured.SendDrops).
-			_ = n.rt.transport.Send(Frame{
+			_ = n.fx.send(Frame{
 				From: n.id, To: a.Peer, Chan: reg,
-				SentClock: tm.SentClock, SentReal: Since(n.rt.epoch), Body: tm.Body,
+				SentClock: tm.SentClock, SentReal: n.fx.now(), Body: tm.Body,
 			})
 		default:
 			a.Node = n.rt.Port(n.id, reg)
-			n.prod.record(a, n.srcs[reg])
+			n.fx.record(a, n.srcs[reg])
 			if reg >= len(n.ports) || !n.ports[reg].open {
 				continue
 			}

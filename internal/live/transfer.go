@@ -88,7 +88,7 @@ func (rt *Runtime) Recover(node ta.NodeID, peers []ta.NodeID, wait simtime.Durat
 }
 
 func (n *node) sendCtl(to ta.NodeID, body any) {
-	_ = n.rt.transport.Send(Frame{From: n.id, To: to, Chan: ctlChan, SentReal: Since(n.rt.epoch), Body: body})
+	_ = n.fx.send(Frame{From: n.id, To: to, Chan: ctlChan, SentReal: n.fx.now(), Body: body})
 }
 
 // wire starts the transfer wait once every peer of the recovery has linked:
@@ -107,7 +107,8 @@ func (n *node) wire() {
 	}
 	n.asks++
 	r.id = n.asks
-	n.timers.Push(r.wired.Add(r.wait), transferTimer{r.id})
+	// Not before now: a wait already out is due now, not late since W + wait.
+	n.timers.Push(max(r.wired.Add(r.wait), n.clk.now()), transferTimer{r.id})
 }
 
 // ask notes why the peer asked last, if any, did not serve and asks the next,

@@ -7,78 +7,40 @@ import (
 	"time"
 
 	"psclock/internal/register"
+	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
 
-// meshNode is one node of a three-node fleet in miniature: a runtime
-// hosting node id alone over its own mesh endpoint, the way a pscnode does.
-type meshNode struct {
-	id      ta.NodeID
-	mesh    *MeshTransport
-	rt      *Runtime
-	outputs chan wireResp // where this node tells its responses
+var transferModel = Model{Eps: 500 * us, D2: 4 * ms, Delta: 100 * us, Ell: 50 * us, Slack: 100 * us}
+
+// transferNodes is a three-node store of two registers on the driver, as a
+// fleet of three daemons in miniature: do runs one operation to its
+// response, recoverFrom one Recover to its outcome.
+type transferNodes struct {
+	t  *testing.T
+	rt *Runtime
+	d  *simDriver
 }
 
-var transferModel = Model{Eps: 500 * us, D2: 4 * ms, Delta: 100 * us, Ell: 5 * ms}
-
-func startMeshNode(t *testing.T, id int, epoch time.Time, replacement bool) *meshNode {
-	t.Helper()
-	mesh, err := NewMeshTransport(id, 3, "")
-	if err != nil {
-		t.Fatal(err)
+func (s transferNodes) do(node ta.NodeID, reg int, op string, payload any) register.Value {
+	s.t.Helper()
+	resp := make(chan wireResp, 1)
+	if err := s.rt.invoke(node, invocation{reg: reg, name: op, payload: payload, to: resp}); err != nil {
+		s.t.Fatal(err)
 	}
-	rt, err := New(Options{
-		N: 3, Registers: 2, Bounds: transferModel.Bounds(), Transport: mesh, Epoch: epoch,
-	}, register.Factory(register.NewS, transferModel.Params()))
-	if err != nil {
-		t.Fatal(err)
+	if !s.d.run(s.d.now.Add(simtime.Second), func() bool { return len(resp) > 0 }) {
+		s.t.Fatalf("node %v: no response to %s", node, op)
 	}
-	n := &meshNode{id: ta.NodeID(id), mesh: mesh, rt: rt, outputs: make(chan wireResp, 1)}
-	if replacement {
-		rt.Recovering()
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Stop() })
-	return n
+	return (<-resp).Val // zero for an ACK
 }
 
-// wire tells every node where every other one listens, as the plane's
-// announcement does.
-func wire(nodes ...*meshNode) {
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a != b {
-				a.mesh.SetPeer(int(b.id), b.mesh.Addr(int(b.id)))
-			}
-		}
+func (s transferNodes) recoverFrom(node ta.NodeID, peers ...ta.NodeID) Transfer {
+	s.t.Helper()
+	done := s.rt.Recover(node, peers, transferModel.TransferWait())
+	if !s.d.run(s.d.now.Add(simtime.Second), func() bool { return len(done) > 0 }) {
+		s.t.Fatalf("node %v: Recover from %v never finished", node, peers)
 	}
-}
-
-func (n *meshNode) do(t *testing.T, reg int, op string, payload any) register.Value {
-	t.Helper()
-	if err := n.rt.invoke(n.id, invocation{reg: reg, name: op, payload: payload, to: n.outputs}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case resp := <-n.outputs:
-		return resp.Val // zero for an ACK
-	case <-time.After(10 * time.Second):
-		t.Fatalf("node %v: no response to %s", n.id, op)
-		return register.Value{}
-	}
-}
-
-func (n *meshNode) recoverFrom(t *testing.T, peers ...ta.NodeID) Transfer {
-	t.Helper()
-	select {
-	case tr := <-n.rt.Recover(n.id, peers, transferModel.TransferWait()):
-		return tr
-	case <-time.After(10 * time.Second):
-		t.Fatalf("node %v: Recover from %v never finished", n.id, peers)
-		return Transfer{}
-	}
+	return <-done
 }
 
 // TestTransferRecovery: two of three nodes are lost together after a write.
@@ -86,50 +48,52 @@ func (n *meshNode) recoverFrom(t *testing.T, peers ...ta.NodeID) Transfer {
 // nothing to give), asks the survivor and restores the written value; a
 // replacement offered no peer, or only a peer that is itself recovering,
 // reports why and stays a node that refuses; and a restored replacement
-// serves the next one.
+// serves the next one. The transfer runs over control frames, as on a
+// fleet's mesh.
 func TestTransferRecovery(t *testing.T) {
-	epoch := time.Now()
-	old := []*meshNode{startMeshNode(t, 0, epoch, false), startMeshNode(t, 1, epoch, false), startMeshNode(t, 2, epoch, false)}
-	wire(old...)
+	rt, err := New(Options{N: 3, Registers: 2, Bounds: transferModel.Bounds()},
+		register.Factory(register.NewS, transferModel.Params()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := transferNodes{t: t, rt: rt, d: newSimDriver(t, rt, transferModel, 1)}
 	want := register.Value{Writer: 0, Seq: 7}
-	old[0].do(t, 1, register.ActWrite, want)
-	time.Sleep(raceScale * 10 * time.Millisecond) // d'2 + δ: applied everywhere
-	if got := old[2].do(t, 1, register.ActRead, nil); got != want {
+	s.do(0, 1, register.ActWrite, want)
+	s.d.run(s.d.now.Add(transferModel.Params().D2+transferModel.Delta), nil) // applied everywhere
+	if got := s.do(2, 1, register.ActRead, nil); got != want {
 		t.Fatalf("before the crash node 2 reads %v, want %v", got, want)
 	}
-	old[1].rt.Stop()
-	old[2].rt.Stop()
+	s.d.replace(1, 2)
 
-	n0 := old[0]
-	n1, n2 := startMeshNode(t, 1, epoch, true), startMeshNode(t, 2, epoch, true)
-	wire(n0, n1, n2)
-
-	if tr := n2.recoverFrom(t); tr.Err == nil {
+	if tr := s.recoverFrom(2); tr.Err == nil {
 		t.Fatal("a replacement with no peer to ask reported a transfer")
 	}
-	if tr := n2.recoverFrom(t, 1); tr.Err == nil || !strings.Contains(tr.Err.Error(), "itself recovering") {
+	if tr := s.recoverFrom(2, 1); tr.Err == nil || !strings.Contains(tr.Err.Error(), "itself recovering") {
 		t.Fatalf("asking only a replacement that has not restored: %+v, want a refusal named in the error", tr)
 	}
 
-	tr := n1.recoverFrom(t, 2, 0)
+	tr := s.recoverFrom(1, 2, 0)
 	if tr.Err != nil || tr.From != 0 {
 		t.Fatalf("recover from [2 0] = %+v, want node 2 refusing and node 0 serving", tr)
 	}
 	if tr.Applied.Sub(tr.Wired) < transferModel.TransferWait() {
 		t.Fatalf("copy applied %v after W, before the %v transfer wait was out", tr.Applied.Sub(tr.Wired), transferModel.TransferWait())
 	}
-	if got := n1.do(t, 1, register.ActRead, nil); got != want {
+	if got := s.do(1, 1, register.ActRead, nil); got != want {
 		t.Fatalf("after the transfer node 1 reads %v, want %v", got, want)
 	}
-	if got := n1.do(t, 0, register.ActRead, nil); got != register.Initial {
+	if got := s.do(1, 0, register.ActRead, nil); got != register.Initial {
 		t.Fatalf("register 0 was never written: node 1 reads %v", got)
 	}
 
-	if tr := n2.recoverFrom(t, 1, 0); tr.Err != nil || tr.From != 1 {
+	if tr := s.recoverFrom(2, 1, 0); tr.Err != nil || tr.From != 1 {
 		t.Fatalf("recover from [1 0] = %+v, want the restored node 1 serving", tr)
 	}
-	if got := n2.do(t, 1, register.ActRead, nil); got != want {
+	if got := s.do(2, 1, register.ActRead, nil); got != want {
 		t.Fatalf("after the transfer node 2 reads %v, want %v", got, want)
+	}
+	if env := transferModel.Envelope(s.d.finish()); env != "held" {
+		t.Fatalf("driver run left the model: %s", env)
 	}
 }
 

@@ -22,38 +22,24 @@ type Adversary struct {
 	Steps  func() core.StepPolicy
 }
 
-// StandardAdversaries returns the ensemble used across the experiments:
-// the clock boundary cases (max skew, sawtooth jumps), seeded drift, and
-// the delay boundary cases (all-min, all-max, maximal reordering), plus a
-// uniform sample.
+// StandardAdversaries returns the ensemble internal/spec's tests check
+// against: four of clock.Adversaries (the boundary cases max skew and
+// sawtooth jumps, seeded drift, and perfect clocks) crossed with four of
+// channel.Policies (all-min, all-max, maximal reordering, and a uniform
+// sample), clock-major in that order.
 func StandardAdversaries(eps simtime.Duration, seed int64) []Adversary {
-	clocks := []struct {
-		name string
-		f    clock.Factory
-	}{
-		{"perfect", clock.PerfectFactory()},
-		{"spread", clock.SpreadFactory(eps)},
-		{"drift", clock.DriftFactory(eps, seed)},
-		{"sawtooth", clock.SawtoothFactory(eps, 8*eps+simtime.Millisecond)},
-	}
-	delays := []struct {
-		name string
-		f    func() channel.DelayPolicy
-	}{
-		{"min", channel.MinDelay},
-		{"max", channel.MaxDelay},
-		{"spread", channel.SpreadDelay},
-		{"uniform", channel.UniformDelay},
-	}
-	out := make([]Adversary, 0, len(clocks)*len(delays))
-	for _, c := range clocks {
-		for _, d := range delays {
-			out = append(out, Adversary{
-				Name:   c.name + "/" + d.name,
-				Clocks: c.f,
-				Delays: d.f,
-				Steps:  core.LazySteps,
-			})
+	var out []Adversary
+	for _, c := range []string{"perfect", "spread", "drift", "sawtooth"} {
+		clocks, err := clock.Named(c, eps, seed)
+		if err != nil {
+			panic(err)
+		}
+		for _, d := range []string{"min", "max", "spread", "uniform"} {
+			delays, err := channel.Named(d)
+			if err != nil {
+				panic(err)
+			}
+			out = append(out, Adversary{Name: c + "/" + d, Clocks: clocks, Delays: delays, Steps: core.LazySteps})
 		}
 	}
 	return out
