@@ -87,7 +87,7 @@ func (s *System) flushSinks(bound simtime.Time) {
 // StampMerge turns several FIFO streams of stamped actions into the one
 // stream the Sink contract describes. It is the single place that
 // contract is enforced for streams that do not come from a System's
-// dispatch loop: the live recorder's per-producer rings and the fleet's
+// dispatch loop: the live recorder's one stream and the fleet's
 // per-daemon event streams both go through it. The caller decides which
 // events are safe to emit — it alone knows its streams' lower bounds — and
 // hands them over with Add; Emit then delivers them in (stamp, kind rank,

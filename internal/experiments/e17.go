@@ -20,8 +20,8 @@ import (
 // consistency for seq. The discount must clear ε at zero violations on
 // both tiers, the live counterpart of E14's simulated boundary.
 //
-// Unlike E1–E16 this experiment runs on real time (the in-process
-// transport, perfect clocks, a deliberately generous configured ε), so
+// Unlike E1–E16 this experiment runs on real time (loopback TCP,
+// perfect clocks, a deliberately generous configured ε), so
 // its latencies are measurements, not derivations: ε is chosen large
 // enough that the 2ε structure dwarfs scheduling noise, and the
 // assertion is the conservative "discount ≥ ε", not the sharp 2ε.
@@ -92,7 +92,7 @@ func E17TieredLive() Result {
 			"seq-tier read discount %v below ε=%v (theoretical gap 2ε=%v): the weaker tier is not paying for itself",
 			discount, simtime.Duration(eps), simtime.Duration(2*eps)))
 	}
-	note := fmt.Sprintf("%d live ops over %d nodes (in-process transport): seq reads %v cheaper at p50 (2ε=%v, asserted ≥ ε=%v);\n"+
+	note := fmt.Sprintf("%d live ops over %d nodes (loopback TCP): seq reads %v cheaper at p50 (2ε=%v, asserted ≥ ε=%v);\n"+
 		"write p50 lin %v vs seq %v (both pay d'2−c); tiers verified online with %d violations.\n",
 		res.Ops, nNodes, discount, simtime.Duration(2*eps), simtime.Duration(eps),
 		lin.WriteLat.P50, seq.WriteLat.P50, out.Violations)

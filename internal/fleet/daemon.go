@@ -42,36 +42,37 @@ type DaemonConfig struct {
 }
 
 // forwarder bridges the daemon's recorder onto the control channel: it
-// buffers observed events and, at each recorder flush, ships the batch
-// with the flush bound as the merge watermark. Observe/Flush run on the
-// recorder's single consumer goroutine; the channel hands batches to a
-// writer so a slow control link backpressures into the recorder's rings
-// rather than losing events.
+// buffers observed events and, at each recorder flush, sends the batch
+// with the flush bound as the merge watermark. Observe and Flush run on the
+// recorder's consumer goroutine, so a slow control link backpressures
+// through the recorder's queue rather than losing events. The first failed
+// send marks the forwarder dead and begins the daemon's teardown: later
+// batches are lost, but so is the plane that would have read them.
 type forwarder struct {
-	buf []wireEvent
-	ch  chan msgEvents
-	// dead is closed when the writer goroutine exits (control link gone):
-	// ship stops blocking so the recorder can still drain and Stop — the
-	// batches are lost, but so is the plane that would have read them.
-	dead chan struct{}
+	ctl       *ctlConn
+	beginStop func()
+	buf       []wireEvent
+	dead      bool
 }
 
 func (f *forwarder) Observe(e ta.Event) {
-	f.buf = append(f.buf, wireEvent{Action: e.Action, At: e.At})
+	if !f.dead {
+		f.buf = append(f.buf, wireEvent{Action: e.Action, At: e.At})
+	}
 }
 
 func (f *forwarder) Flush(bound simtime.Time) {
-	m := msgEvents{Watermark: bound}
-	if len(f.buf) > 0 {
-		m.Events = f.buf
-		f.buf = nil
+	if f.dead {
+		return
 	}
 	// A watermark-only message still ships: the plane's merge frontier
 	// moves even when this node is idle.
-	select {
-	case f.ch <- m:
-	case <-f.dead:
+	m := msgEvents{Events: f.buf, Watermark: bound}
+	if err := f.ctl.send(envelope{Events: &m}); err != nil {
+		f.dead = true
+		f.beginStop()
 	}
+	f.buf = f.buf[:0] // the encoder is done with it
 }
 
 // RunDaemon runs one fleet node to completion over its control channel,
@@ -110,7 +111,14 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 	if err != nil {
 		return err
 	}
-	fw := &forwarder{ch: make(chan msgEvents, 256), dead: make(chan struct{})}
+	var (
+		wg        sync.WaitGroup
+		quiesce   = make(chan struct{}) // stops the beat ticker
+		stopOnce  sync.Once
+		teardown  = make(chan struct{}) // reader/signal/send failure → main teardown
+		beginStop = func() { stopOnce.Do(func() { close(teardown) }) }
+	)
+	fw := &forwarder{ctl: ctl, beginStop: beginStop}
 	// The heartbeat detector rides as the one extra instance: hosted after
 	// the data registers, never offered to a client.
 	rt, srv, err := live.Deploy(cfg.Model, tiers,
@@ -137,32 +145,6 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 		return fmt.Errorf("hello: %w", err)
 	}
 	logf("up: mesh=%s clients=%s", hello.NodeAddr, hello.ClientAddr)
-
-	var (
-		wg        sync.WaitGroup
-		quiesce   = make(chan struct{}) // stops beat/forward writers
-		stopOnce  sync.Once
-		teardown  = make(chan struct{}) // reader/signal → main teardown
-		beginStop = func() { stopOnce.Do(func() { close(teardown) }) }
-	)
-
-	// Forwarder writer: ship event batches as they flush.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(fw.dead)
-		for {
-			select {
-			case ev := <-fw.ch:
-				if err := ctl.send(envelope{Events: &ev}); err != nil {
-					beginStop()
-					return
-				}
-			case <-quiesce:
-				return
-			}
-		}
-	}()
 
 	// Beat ticker: the measured bounds so far, for Plane.Stats.
 	wg.Add(1)
@@ -272,24 +254,12 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 	}
 
 	// Graceful teardown: close the client surface, stop the runtime (its
-	// final recorder flush pushes the tail through the forwarder), drain
-	// the last batches onto the wire, and say Bye — the message whose
-	// absence marks a crash.
+	// final recorder flush sends the tail through the forwarder), and say
+	// Bye — the message whose absence marks a crash.
 	srv.Close()
 	m := rt.Stop()
 	close(quiesce)
 	wg.Wait()
-drain:
-	for {
-		select {
-		case ev := <-fw.ch:
-			if err := ctl.send(envelope{Events: &ev}); err != nil {
-				break drain
-			}
-		default:
-			break drain
-		}
-	}
 	bye := msgBye{Measured: m}
 	err = ctl.send(envelope{Bye: &bye})
 	logf("bye: ops recorded, eps=%v reconnects=%d", m.Eps, m.Reconnects)

@@ -9,8 +9,9 @@ import (
 )
 
 // FanIn merges the per-daemon event streams back into one globally
-// stamp-ordered stream for the exec.Sink stack — the cross-process
-// analogue of the live recorder's ring merge. Each daemon's stream is
+// stamp-ordered stream for the exec.Sink stack: the live recorder orders one
+// process's events under a lock, which processes do not share, so the plane
+// merges their streams instead. Each daemon's stream is
 // FIFO and carries a watermark (its recorder's flush bound): every future
 // event from that daemon is stamped at or above it. An event is safe to
 // emit once its stamp is at or below the minimum watermark over all live

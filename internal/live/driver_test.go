@@ -75,6 +75,7 @@ func newSimDriver(t testing.TB, rt *Runtime, m Model, seed int64) *simDriver {
 	if m.Ell <= 0 || m.Ell > m.Slack || rt.opts.Bounds.Hi == simtime.Forever {
 		t.Fatalf("driver needs 0 < ℓ ≤ slack and a finite d2: ℓ=%v slack=%v bounds=%v", m.Ell, m.Slack, rt.opts.Bounds)
 	}
+	t.Cleanup(func() { rt.transport.Close() }) // New's default listens; nothing here starts it
 	n := rt.opts.N
 	d := &simDriver{
 		t: t, rt: rt, ell: m.Ell, rng: rand.New(rand.NewSource(seed)), hash: fnv.New64a(),

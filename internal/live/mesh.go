@@ -16,13 +16,11 @@ import (
 // nodes (from hosted here, to anywhere) is a link — a bounded outbound
 // queue and a goroutine draining it, into a persistent gob stream over one
 // TCP connection for distinct nodes. It hosts a set of local nodes, and the
-// three constructors are its three deployments: NewTCPTransport hosts all n
+// two constructors are its two deployments: NewTCPTransport hosts all n
 // nodes in one process with every address known up front (pscserve, the
-// benchmark); NewMeshTransport hosts one node whose peers' addresses the
-// fleet's control plane supplies — and re-supplies after a crashed peer is
-// replaced — through SetPeer; and NewLocalTransport hosts all n nodes with
-// no sockets at all, every link drained straight into the delivery callback
-// (the runtime's default: E17 and the unit tests).
+// benchmark, and the runtime's default); and NewMeshTransport hosts one
+// node whose peers' addresses the fleet's control plane supplies — and
+// re-supplies after a crashed peer is replaced — through SetPeer.
 //
 // Message bodies cross as interface values, which is why the algorithm
 // packages register their body types (register/wire.go, detector/wire.go).
@@ -60,14 +58,11 @@ import (
 // Frames a node sends to itself never touch the network (§6.1's broadcast
 // includes the sender): each hosted node's i→i link is drained straight into
 // the delivery callback by a goroutine of its own, so a node slow to take
-// delivery holds up only its own self frames. The local deployment serves
-// every ordered pair that way — frames still cross a scheduler boundary, so
-// delays are small but real, never zero by fiat.
+// delivery holds up only its own self frames.
 type MeshTransport struct {
-	n     int
-	name  string
-	local bool           // no sockets: every link delivers directly
-	lns   []net.Listener // by node; nil for nodes that accept no connections
+	n    int
+	name string
+	lns  []net.Listener // by node; nil for nodes that accept no connections
 
 	// links is indexed from·n + to; nil where from is not hosted here.
 	links []*meshLink
@@ -132,16 +127,13 @@ func newMesh(n int, name string) *MeshTransport {
 	}
 }
 
-// host creates node i's outbound links and, unless the deployment is
-// local, opens its listener.
+// host opens node i's listener and creates its outbound links.
 func (t *MeshTransport) host(i int, listenAddr string) error {
-	if !t.local {
-		ln, err := net.Listen("tcp", listenAddr)
-		if err != nil {
-			return fmt.Errorf("live: listen for node %d: %w", i, err)
-		}
-		t.lns[i] = ln
+	ln, err := net.Listen("tcp", listenAddr)
+	if err != nil {
+		return fmt.Errorf("live: listen for node %d: %w", i, err)
 	}
+	t.lns[i] = ln
 	for to := 0; to < t.n; to++ {
 		t.links[i*t.n+to] = &meshLink{from: ta.NodeID(i), to: ta.NodeID(to), ch: make(chan Frame, meshQueueDepth), kick: make(chan struct{}, 1)}
 	}
@@ -185,17 +177,6 @@ func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// NewLocalTransport hosts all n nodes in this process without sockets: the
-// in-process link.
-func NewLocalTransport(n int) *MeshTransport {
-	t := newMesh(n, "local")
-	t.local = true
-	for i := 0; i < n; i++ {
-		t.host(i, "") // cannot fail: nothing listens
-	}
-	return t
 }
 
 // Addr returns the address node i accepts peer connections on, "" if it
@@ -307,7 +288,7 @@ func (t *MeshTransport) Start(deliver func(Frame)) error {
 		if l == nil {
 			continue
 		}
-		if t.local || i/t.n == i%t.n {
+		if i/t.n == i%t.n {
 			t.wg.Add(1)
 			go t.directLoop(l)
 			continue
@@ -453,8 +434,8 @@ func (t *MeshTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// directLoop drains one link straight into the delivery callback: a hosted
-// node's frames to itself, and every link of a local deployment.
+// directLoop drains a hosted node's link to itself straight into the
+// delivery callback.
 func (t *MeshTransport) directLoop(l *meshLink) {
 	defer t.wg.Done()
 	for {

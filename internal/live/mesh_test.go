@@ -77,12 +77,11 @@ func wantSeq(t *testing.T, what string, got []int, from, n int) {
 }
 
 // meshDeployment is n nodes on the one transport type, deployed one of its
-// three ways.
+// two ways.
 type meshDeployment struct {
 	endpoints []*MeshTransport // distinct transports
 	of        []*MeshTransport // node → the transport hosting it
 	logs      []*frameLog
-	sockets   bool // links between distinct nodes are TCP connections
 }
 
 func (d *meshDeployment) close(t *testing.T) {
@@ -117,11 +116,6 @@ func deployInProcess(t *testing.T, n int) *meshDeployment {
 		t.Fatalf("in-process TCP transport is named %q; reports treat the name as configuration, want tcp", tr.Name())
 	}
 	return deployOne(t, tr, n)
-}
-
-func deployLocal(t *testing.T, n int) *meshDeployment {
-	t.Helper()
-	return deployOne(t, NewLocalTransport(n), n)
 }
 
 // deployOne starts a transport that hosts all n nodes.
@@ -179,27 +173,23 @@ func fromNode(n int) func(Frame) bool {
 	return func(f Frame) bool { return int(f.From) == n && f.Chan != ctlChan }
 }
 
-// TestMeshTransport runs one table of behaviours against the three
+// TestMeshTransport runs one table of behaviours against the two
 // deployments of the one transport: all three nodes in one process over
-// loopback TCP (NewTCPTransport), three single-node endpoints wired by
-// SetPeer (NewMeshTransport), and all three nodes in one process with no
-// sockets (NewLocalTransport), which skips the cases about connections.
+// loopback TCP (NewTCPTransport), and three single-node endpoints wired by
+// SetPeer (NewMeshTransport).
 func TestMeshTransport(t *testing.T) {
 	deployments := []struct {
-		name    string
-		sockets bool
-		deploy  func(*testing.T, int) *meshDeployment
+		name   string
+		deploy func(*testing.T, int) *meshDeployment
 	}{
-		{"in-process", true, deployInProcess},
-		{"endpoints", true, deployEndpoints},
-		{"local", false, deployLocal},
+		{"in-process", deployInProcess},
+		{"endpoints", deployEndpoints},
 	}
 	cases := []struct {
-		name    string
-		sockets bool // the case is about connections
-		run     func(*testing.T, *meshDeployment)
+		name string
+		run  func(*testing.T, *meshDeployment)
 	}{
-		{"per-pair FIFO and self frames", false, func(t *testing.T, d *meshDeployment) {
+		{"per-pair FIFO and self frames", func(t *testing.T, d *meshDeployment) {
 			const k = 200
 			var wg sync.WaitGroup
 			for from := 0; from < 3; from++ {
@@ -226,7 +216,7 @@ func TestMeshTransport(t *testing.T) {
 				}
 			}
 		}},
-		{"a stalled node holds up only its own self frames", false, func(t *testing.T, d *meshDeployment) {
+		{"a stalled node holds up only its own self frames", func(t *testing.T, d *meshDeployment) {
 			hold := make(chan struct{})
 			defer close(hold)
 			d.logs[0].mu.Lock()
@@ -236,7 +226,7 @@ func TestMeshTransport(t *testing.T) {
 			d.send(t, 1, 1, 0)
 			d.logs[1].waitFor(t, 1, fromNode(1))
 		}},
-		{"peer restarted at a new address", true, func(t *testing.T, d *meshDeployment) {
+		{"peer restarted at a new address", func(t *testing.T, d *meshDeployment) {
 			const k = 50
 			src := d.of[0]
 			for i := 0; i < k; i++ {
@@ -278,7 +268,7 @@ func TestMeshTransport(t *testing.T) {
 				t.Fatalf("Drops = %d: frames queued across the re-wire were lost", got)
 			}
 		}},
-		{"a moved address ends the back-off", true, func(t *testing.T, _ *meshDeployment) {
+		{"a moved address ends the back-off", func(t *testing.T, _ *meshDeployment) {
 			// An endpoint of its own, its back-off stretched so that waiting
 			// it out cannot be mistaken for anything else: one refused dial
 			// parks the link for 30 s.
@@ -324,25 +314,16 @@ func TestMeshTransport(t *testing.T) {
 				t.Fatalf("first frame on the new connection is %+v, want node 0's linkUp", first)
 			}
 		}},
-		{"queue-full drop is counted", false, func(t *testing.T, d *meshDeployment) {
+		{"queue-full drop is counted", func(t *testing.T, d *meshDeployment) {
 			src := d.of[0]
-			// Nothing drains the 0→2 queue: over sockets its address refuses
-			// connections, locally node 2 stops taking delivery.
-			if d.sockets {
-				dead, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				deadAddr := dead.Addr().String()
-				dead.Close()
-				src.SetPeer(2, deadAddr)
-			} else {
-				hold := make(chan struct{})
-				defer close(hold)
-				d.logs[2].mu.Lock()
-				d.logs[2].hold = hold
-				d.logs[2].mu.Unlock()
+			// Nothing drains the 0→2 queue: its address refuses connections.
+			dead, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
+			deadAddr := dead.Addr().String()
+			dead.Close()
+			src.SetPeer(2, deadAddr)
 			const extra = 7
 			// The link's goroutine may be holding one frame it took before
 			// the link stalled, so the queue absorbs depth or depth+1 sends.
@@ -353,7 +334,7 @@ func TestMeshTransport(t *testing.T) {
 				t.Fatalf("Drops = %d after overfilling a dead link by %d, want %d or %d", got, extra+1, extra, extra+1)
 			}
 		}},
-		{"Close does not wait for a silent peer", true, func(t *testing.T, d *meshDeployment) {
+		{"Close does not wait for a silent peer", func(t *testing.T, d *meshDeployment) {
 			// A link's inbound end is registered once a frame has crossed it,
 			// so after one frame per pair the transport hosting node 0 (which
 			// in process hosts every node) has a settled inbound count.
@@ -396,12 +377,8 @@ func TestMeshTransport(t *testing.T) {
 	}
 	for _, dep := range deployments {
 		for _, c := range cases {
-			if c.sockets && !dep.sockets {
-				continue
-			}
 			t.Run(dep.name+"/"+c.name, func(t *testing.T) {
 				d := dep.deploy(t, 3)
-				d.sockets = dep.sockets
 				defer d.close(t)
 				c.run(t, d)
 			})
@@ -410,94 +387,86 @@ func TestMeshTransport(t *testing.T) {
 }
 
 // TestMeshTransportFaults pins the two chaos hooks on node 0's transport,
-// in the two deployments they serve: both nodes on one socket-free
-// transport, and two single-node endpoints over loopback TCP wired by
-// SetPeer, where a frame from the cut peer is dropped by the reading end. A
+// in the deployment they serve: two single-node endpoints over loopback TCP
+// wired by SetPeer, where a frame from the cut peer is dropped by the
+// reading end. A
 // cut drops both directions and counts every frame it drops in Drops (which
 // is how a partition reaches Measured.SendDrops), self frames pass, a heal
 // restores delivery, a delay holds only frames to a peer, by at least the
 // delay, and a frame still held when a cut begins is dropped, not
 // delivered.
 func TestMeshTransportFaults(t *testing.T) {
-	for _, dep := range []struct {
-		name   string
-		deploy func(*testing.T, int) *meshDeployment
-	}{
-		{"local", deployLocal},
-		{"endpoints", deployEndpoints},
-	} {
-		t.Run(dep.name, func(t *testing.T) {
-			d := dep.deploy(t, 2)
-			defer d.close(t)
-			tr := d.of[0]
-			drops := func(want int64) {
-				t.Helper()
-				// Frames are dropped at the far end of a socket, or when a
-				// held one's timer fires: after Send returned.
-				for deadline := time.Now().Add(10 * time.Second); tr.Drops() < want && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
-				if got := tr.Drops(); got != want {
-					t.Fatalf("Drops = %d, want %d", got, want)
-				}
+	t.Run("endpoints", func(t *testing.T) {
+		d := deployEndpoints(t, 2)
+		defer d.close(t)
+		tr := d.of[0]
+		drops := func(want int64) {
+			t.Helper()
+			// Frames are dropped at the far end of a socket, or when a
+			// held one's timer fires: after Send returned.
+			for deadline := time.Now().Add(10 * time.Second); tr.Drops() < want && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
 			}
+			if got := tr.Drops(); got != want {
+				t.Fatalf("Drops = %d, want %d", got, want)
+			}
+		}
 
-			// One frame each way first: over TCP each link's connection
-			// opens with a linkUp, which a cut would drop too.
-			d.send(t, 0, 1, 0)
-			d.send(t, 1, 0, 0)
-			d.logs[1].waitFor(t, 1, fromNode(0))
-			d.logs[0].waitFor(t, 1, fromNode(1))
+		// One frame each way first: over TCP each link's connection
+		// opens with a linkUp, which a cut would drop too.
+		d.send(t, 0, 1, 0)
+		d.send(t, 1, 0, 0)
+		d.logs[1].waitFor(t, 1, fromNode(0))
+		d.logs[0].waitFor(t, 1, fromNode(1))
 
-			const k = 20
-			tr.SetPartition(1, true)
-			for i := 1; i <= k; i++ {
-				d.send(t, 0, 1, i)
-				d.send(t, 1, 0, i)
-				d.send(t, 0, 0, i)
-				d.send(t, 1, 1, i)
-			}
-			wantSeq(t, "0's self frames across a cut", d.logs[0].waitFor(t, k, fromNode(0)), 1, k)
-			wantSeq(t, "1's self frames across a cut", d.logs[1].waitFor(t, k, fromNode(1)), 1, k)
-			drops(2 * k)
+		const k = 20
+		tr.SetPartition(1, true)
+		for i := 1; i <= k; i++ {
+			d.send(t, 0, 1, i)
+			d.send(t, 1, 0, i)
+			d.send(t, 0, 0, i)
+			d.send(t, 1, 1, i)
+		}
+		wantSeq(t, "0's self frames across a cut", d.logs[0].waitFor(t, k, fromNode(0)), 1, k)
+		wantSeq(t, "1's self frames across a cut", d.logs[1].waitFor(t, k, fromNode(1)), 1, k)
+		drops(2 * k)
 
-			tr.SetPartition(1, false)
-			for i := k + 1; i <= 2*k; i++ {
-				d.send(t, 0, 1, i)
-				d.send(t, 1, 0, i)
-			}
-			// The warm-up frame, then the heal's: nothing sent across the cut.
-			wantSeq(t, "0→1 after the heal", d.logs[1].waitFor(t, k+1, fromNode(0))[1:], k+1, k)
-			wantSeq(t, "1→0 after the heal", d.logs[0].waitFor(t, k+1, fromNode(1))[1:], k+1, k)
-			drops(2 * k)
+		tr.SetPartition(1, false)
+		for i := k + 1; i <= 2*k; i++ {
+			d.send(t, 0, 1, i)
+			d.send(t, 1, 0, i)
+		}
+		// The warm-up frame, then the heal's: nothing sent across the cut.
+		wantSeq(t, "0→1 after the heal", d.logs[1].waitFor(t, k+1, fromNode(0))[1:], k+1, k)
+		wantSeq(t, "1→0 after the heal", d.logs[0].waitFor(t, k+1, fromNode(1))[1:], k+1, k)
+		drops(2 * k)
 
-			const delay = 100 * time.Millisecond
-			tr.SetDelay(delay)
-			sent := time.Now()
-			d.send(t, 0, 1, 2*k+1)
-			d.send(t, 0, 0, k+1)
-			d.logs[0].waitFor(t, k+1, fromNode(0))
-			if took := time.Since(sent); took >= delay {
-				t.Errorf("a self frame took %v under a %v peer delay", took, delay)
-			}
-			d.logs[1].waitFor(t, k+2, fromNode(0))
-			if took := time.Since(sent); took < delay {
-				t.Errorf("a peer frame took %v under a %v delay", took, delay)
-			}
+		const delay = 100 * time.Millisecond
+		tr.SetDelay(delay)
+		sent := time.Now()
+		d.send(t, 0, 1, 2*k+1)
+		d.send(t, 0, 0, k+1)
+		d.logs[0].waitFor(t, k+1, fromNode(0))
+		if took := time.Since(sent); took >= delay {
+			t.Errorf("a self frame took %v under a %v peer delay", took, delay)
+		}
+		d.logs[1].waitFor(t, k+2, fromNode(0))
+		if took := time.Since(sent); took < delay {
+			t.Errorf("a peer frame took %v under a %v delay", took, delay)
+		}
 
-			// Held when the cut begins: dropped when the hold ends.
-			d.send(t, 0, 1, 2*k+2)
-			tr.SetPartition(1, true)
-			drops(2*k + 1)
-			tr.SetPartition(1, false)
-			tr.SetDelay(0)
-			d.send(t, 0, 1, 2*k+3)
-			got := d.logs[1].waitFor(t, k+3, fromNode(0))
-			if last := got[len(got)-1]; len(got) != k+3 || last != 2*k+3 {
-				t.Fatalf("0→1 after the held frame's cut: %v, want it to end with %d alone", got, 2*k+3)
-			}
-		})
-	}
+		// Held when the cut begins: dropped when the hold ends.
+		d.send(t, 0, 1, 2*k+2)
+		tr.SetPartition(1, true)
+		drops(2*k + 1)
+		tr.SetPartition(1, false)
+		tr.SetDelay(0)
+		d.send(t, 0, 1, 2*k+3)
+		got := d.logs[1].waitFor(t, k+3, fromNode(0))
+		if last := got[len(got)-1]; len(got) != k+3 || last != 2*k+3 {
+			t.Fatalf("0→1 after the held frame's cut: %v, want it to end with %d alone", got, 2*k+3)
+		}
+	})
 }
 
 // TestMeshDropsMalformedFrame: a node's mesh listener is an open loopback

@@ -45,9 +45,9 @@ type Options struct {
 	// Clocks supplies each node's clock model; defaults to perfect clocks.
 	// The runtime evaluates each model at the real time since its epoch.
 	Clocks clock.Factory
-	// Transport moves frames; defaults to the in-process NewLocalTransport.
-	// The runtime hosts exactly the nodes its transport hosts: all N on the
-	// local and TCP transports, one on a fleet daemon's NewMeshTransport.
+	// Transport moves frames; defaults to NewTCPTransport(N). The runtime
+	// hosts exactly the nodes its transport hosts: all N on the TCP
+	// transport, one on a fleet daemon's NewMeshTransport.
 	Transport *MeshTransport
 
 	// Epoch anchors simulated Zero. Zero-valued means "now at Start" (the
@@ -168,7 +168,11 @@ func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 		opts.Clocks = clock.PerfectFactory()
 	}
 	if opts.Transport == nil {
-		opts.Transport = NewLocalTransport(opts.N)
+		tr, err := NewTCPTransport(opts.N)
+		if err != nil {
+			return nil, err
+		}
+		opts.Transport = tr
 	}
 	if opts.Bounds == (simtime.Interval{}) {
 		opts.Bounds = simtime.Interval{Lo: 0, Hi: simtime.Forever}
@@ -178,8 +182,9 @@ func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 		factories: make([]core.AlgorithmFactory, opts.Registers),
 		transport: opts.Transport,
 		stop:      make(chan struct{}),
-		rec:       newRecorder(),
 	}
+	// One node's headroom for each of the N, hosted here or not.
+	rt.rec = newRecorder(func() simtime.Time { return Since(rt.epoch) }, nodeQueueDepth*opts.N)
 	for reg := range rt.factories {
 		rt.factories[reg] = f
 	}
@@ -195,8 +200,8 @@ func New(opts Options, f core.AlgorithmFactory) (*Runtime, error) {
 // len(tiers)−1, each at its tier, and never an extra. Options.Registers
 // and Options.Bounds are derived (the instance count, m.Bounds()), so the
 // caller sets neither. The runtime and server come back unstarted: start
-// the runtime, then the server. On any error Deploy closes opts.Transport,
-// if one was given, so a failed deploy leaves no listener.
+// the runtime, then the server. On any error Deploy closes the transport,
+// given or default, so a failed deploy leaves no listener.
 func Deploy(m Model, tiers []register.Tier, extra []core.AlgorithmFactory, opts Options, sinks ...exec.Sink) (*Runtime, *Server, error) {
 	fail := func(err error) (*Runtime, *Server, error) {
 		if opts.Transport != nil {
@@ -215,6 +220,7 @@ func Deploy(m Model, tiers []register.Tier, extra []core.AlgorithmFactory, opts 
 	if err != nil {
 		return fail(err)
 	}
+	opts.Transport = rt.transport
 	for reg, t := range tiers {
 		rt.factories[reg] = t.Factory(m.Params())
 	}
@@ -258,14 +264,11 @@ func (rt *Runtime) Start() error {
 	rt.nodes = make([]*node, rt.opts.N)
 	for i := range rt.nodes {
 		if rt.transport.hosts(i) {
-			rt.nodes[i] = newNode(rt, i, effects{
-				send:   rt.transport.Send,
-				record: rt.rec.producer(nodeRingDepth).record,
-				now:    func() simtime.Time { return Since(rt.epoch) },
-			})
+			// The recorder and the node read one clock: Since(epoch).
+			rt.nodes[i] = newNode(rt, i, effects{send: rt.transport.Send, record: rt.rec.record, now: rt.rec.now})
 		}
 	}
-	rt.rec.start(rt.epoch, rt.sinks)
+	rt.rec.start(rt.sinks)
 	err := rt.transport.Start(rt.deliverFrame)
 	for _, nd := range rt.nodes {
 		if nd == nil || err != nil {
@@ -533,7 +536,7 @@ type port struct {
 
 // effects is all a node does outside its own state: send a frame, record an
 // observable action, read real time (its clock reads it here too). Start
-// fills it with the transport, a recorder ring and the wall clock.
+// fills it with the transport, the recorder and the wall clock.
 type effects struct {
 	send   func(Frame) error
 	record func(a ta.Action, src string)

@@ -15,8 +15,7 @@ import (
 )
 
 // TestServerGoroutinesIndependentOfRegisters: a port is data its node
-// owns, so serving 64 registers takes the goroutines serving one does, and
-// the recorder merges one ring per hosted node whatever the register count.
+// owns, so serving 64 registers takes the goroutines serving one does.
 func TestServerGoroutinesIndependentOfRegisters(t *testing.T) {
 	const nodes = 3
 	started := func(regs int) int {
@@ -24,9 +23,6 @@ func TestServerGoroutinesIndependentOfRegisters(t *testing.T) {
 		before := settledGoroutines(t)
 		rt, srv := startServed(t, nodes, regs, 2*ms, nil)
 		got := settledGoroutines(t) - before
-		if n := len(rt.rec.prods); n != nodes {
-			t.Errorf("%d registers: the recorder merges %d rings, want one per hosted node (%d)", regs, n, nodes)
-		}
 		srv.Close()
 		rt.Stop()
 		check()
