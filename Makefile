@@ -41,7 +41,10 @@ tier2:
 # and the sharded executor's lanes share nothing during a round, so no
 # non-test code in internal/exec uses atomics or yields to a peer; and the
 # plane's policy is a pure transition function, so internal/fleet/policy.go
-# imports no clock, lock, process, IO or network package (Plane drives it).
+# imports no clock, lock, process, IO or network package (Plane drives it);
+# and the plane starts every node process, the spare and a cold start
+# alike, through one starter, so non-test internal/fleet holds exactly one
+# osexec.Command( call.
 model-guard:
 	@! grep -rnE 'MaxStates: *1 *<< *18|NewSeqOnline\(|Widen:.*[Ee]ps' --include='*.go' --exclude='*_test.go' \
 		cmd internal/fleet internal/experiments/e17.go \
@@ -64,6 +67,8 @@ model-guard:
 		|| { echo "model-guard: atomics or yields in the executor (lanes share nothing during a round; the join is the only synchronization)"; exit 1; }
 	@! grep -nE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"(time|sync|os|io|net)(/[^"]*)?"' internal/fleet/policy.go \
 		|| { echo "model-guard: the plane's policy imports a clock, lock, process, IO or network package (it is a pure function; Plane does the IO)"; exit 1; }
+	@test "$$(grep -rnE 'osexec\.Command\(' --include='*.go' --exclude='*_test.go' internal/fleet | wc -l)" -eq 1 \
+		|| { echo "model-guard: internal/fleet must start node processes through one osexec.Command( call (Plane.start)"; exit 1; }
 
 # The simulated world never reads the wall clock: under internal/, outside
 # the two wall-clock packages (internal/live, internal/fleet), the

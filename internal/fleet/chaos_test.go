@@ -109,7 +109,7 @@ func TestPlaneSetClockStepKeepsSign(t *testing.T) {
 	}
 	defer p.Close()
 	var wire bytes.Buffer
-	p.daemons = []*daemonState{{ctl: newCtlConn(strings.NewReader(""), &wire)}}
+	p.daemons = []*daemonState{{daemon: daemon{ctl: newCtlConn(strings.NewReader(""), &wire)}}}
 	p.pol.slots[0].helloed = true
 	if err := p.SetClockStep(0, -3*simtime.Millisecond); err != nil {
 		t.Fatal(err)

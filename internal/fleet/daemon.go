@@ -86,6 +86,9 @@ func (f *forwarder) Flush(bound simtime.Time) {
 func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr io.Writer) error {
 	ctl := newCtlConn(in, out)
 	first, err := ctl.recv()
+	if err == io.EOF {
+		return nil // no Config, no word: an unused spare whose plane is gone
+	}
 	if err != nil {
 		return fmt.Errorf("read config: %w", err)
 	}
@@ -110,6 +113,11 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 	mesh, err := live.NewMeshTransport(cfg.Node, cfg.N, "")
 	if err != nil {
 		return err
+	}
+	// Hello as soon as the mesh listens, so the peers re-dial during Deploy.
+	hello := msgHello{NodeAddr: mesh.Addr(cfg.Node)}
+	if err := ctl.send(envelope{Hello: &hello}); err != nil {
+		return fmt.Errorf("hello: %w", err)
 	}
 	var (
 		wg        sync.WaitGroup
@@ -139,12 +147,7 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 		return err
 	}
 	srv.Start()
-
-	hello := msgHello{NodeAddr: mesh.Addr(cfg.Node), ClientAddr: srv.Addrs()[cfg.Node]}
-	if err := ctl.send(envelope{Hello: &hello}); err != nil {
-		return fmt.Errorf("hello: %w", err)
-	}
-	logf("up: mesh=%s clients=%s", hello.NodeAddr, hello.ClientAddr)
+	logf("up: mesh=%s clients=%s", hello.NodeAddr, srv.Addrs()[cfg.Node])
 
 	// Beat ticker: the measured bounds so far, for Plane.Stats.
 	wg.Add(1)
@@ -166,9 +169,9 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 		}
 	}()
 
-	// Command reader: peers, faults, shutdown. peers hands the latest
-	// announcement's live peers to the readiness goroutine. It is not
-	// joined: it ends at Shutdown or when the channel does.
+	// Command reader (peers, faults, shutdown), started after the runtime so
+	// Recover never runs before Start; peers hands the readiness goroutine
+	// the latest live peers. Not joined: it ends at Shutdown or with the channel.
 	peers := make(chan []ta.NodeID, 1)
 	go func() {
 		for {
@@ -216,12 +219,12 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 	// replacement once Recover has copied a live peer's registers into its
 	// own. Every announcement restarts that against the peers then alive;
 	// one that fails leaves the node not Ready, saying why, until the next.
-	// The plane withholds this node's client address until Ready.
+	// The node's client address goes with its Ready.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var transfer <-chan live.Transfer
-		ready := msgReady{From: -1}
+		ready := msgReady{ClientAddr: srv.Addrs()[cfg.Node], From: -1}
 		for {
 			select {
 			case ps := <-peers:
@@ -234,7 +237,7 @@ func RunDaemon(in io.Reader, out io.Writer, interrupt <-chan os.Signal, stderr i
 					fmt.Fprintf(stderr, "pscnode[%d.%d]: not ready: %v\n", cfg.Node, cfg.Incarnation, tr.Err)
 					continue
 				}
-				ready = msgReady{Wired: tr.Wired, Applied: tr.Applied, From: int(tr.From), Updates: tr.Updates}
+				ready.Wired, ready.Applied, ready.From, ready.Updates = tr.Wired, tr.Applied, int(tr.From), tr.Updates
 			case <-teardown:
 				return
 			}

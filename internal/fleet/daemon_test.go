@@ -46,8 +46,8 @@ func expect(t *testing.T, ctl *ctlConn, kind string) envelope {
 }
 
 // A daemon runs over any reader and writer: given its Config it says Hello
-// with both addresses, is Ready once told its (absent) peer, and drains to
-// a Bye on interrupt.
+// with its mesh address, is Ready with its client address once told its
+// (absent) peer, and drains to a Bye on interrupt.
 func TestDaemonOverChannel(t *testing.T) {
 	ctl, interrupt, done := startDaemon(t)
 	cfg := DaemonConfig{Node: 0, N: 2, Registers: 1, Epoch: time.Now(), Model: DefaultModel()}
@@ -55,13 +55,15 @@ func TestDaemonOverChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := expect(t, ctl, "Hello").Hello
-	if h.NodeAddr == "" || h.ClientAddr == "" {
-		t.Fatalf("Hello %+v, want both addresses", h)
+	if h.NodeAddr == "" {
+		t.Fatalf("Hello %+v, want the mesh address", h)
 	}
 	if err := ctl.send(envelope{Peers: &msgPeers{Addrs: []string{h.NodeAddr, ""}}}); err != nil {
 		t.Fatal(err)
 	}
-	expect(t, ctl, "Ready")
+	if r := expect(t, ctl, "Ready").Ready; r.ClientAddr == "" {
+		t.Fatalf("Ready %+v, want the client address", r)
+	}
 	interrupt <- os.Interrupt
 	expect(t, ctl, "Bye")
 	if err := <-done; err != nil {
@@ -85,9 +87,9 @@ func TestDaemonShipsEveryEventBeforeBye(t *testing.T) {
 	if err := ctl.send(envelope{Peers: &msgPeers{Addrs: []string{h.NodeAddr, ""}}}); err != nil {
 		t.Fatal(err)
 	}
-	expect(t, ctl, "Ready")
+	r := expect(t, ctl, "Ready").Ready
 
-	res := live.RunLoad([]string{h.ClientAddr}, live.LoadConfig{
+	res := live.RunLoad([]string{r.ClientAddr}, live.LoadConfig{
 		Clients: 1, Duration: 300 * time.Millisecond, Rate: 100, WriteRatio: 0.5, Seed: 1,
 	})
 	if res.Ops == 0 || res.Errors != 0 {
@@ -149,5 +151,17 @@ func TestDaemonNeedsConfigFirst(t *testing.T) {
 	}
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "Shutdown") {
 		t.Fatalf("RunDaemon = %v, want an error naming the Shutdown it got first", err)
+	}
+}
+
+// A daemon whose channel ends before its configuration — an unused spare
+// when the plane goes — ends without an error and without a word.
+func TestDaemonChannelEndsBeforeConfig(t *testing.T) {
+	var out, stderr strings.Builder
+	if err := RunDaemon(strings.NewReader(""), &out, nil, &stderr); err != nil {
+		t.Errorf("RunDaemon = %v, want nil", err)
+	}
+	if out.Len() != 0 || stderr.Len() != 0 {
+		t.Errorf("RunDaemon wrote %q to its channel and %q to stderr, want nothing", out.String(), stderr.String())
 	}
 }

@@ -474,9 +474,10 @@ func givenUp(t *testing.T, p *Plane, node, minInc int) bool {
 }
 
 // A replacement that cannot be started does not strand its slot: with the
-// node binary deleted after Start, killing node 1 ends in the plane giving
-// up on it at once, so WaitReplaced says false well inside its timeout and
-// a second Kill is refused as given up on.
+// node binary deleted after Start, the first kill of node 1 is served by
+// the spare already running, and the second, which needs a cold start, ends
+// in the plane giving up on node 1 at once, so WaitReplaced says false well
+// inside its timeout and a third Kill is refused as given up on.
 func TestFleetFailedRespawnGivesUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes; skipped in -short")
@@ -491,16 +492,101 @@ func TestFleetFailedRespawnGivesUp(t *testing.T) {
 	}
 	p := startFleet(t, func(c *PlaneConfig) { c.NodeBin = bin })
 	defer p.Shutdown()
+	sparePid(t, p, 0)
 	if err := os.Remove(bin); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Kill(1); err != nil {
 		t.Fatal(err)
 	}
-	if !givenUp(t, p, 1, 0) {
+	if !p.WaitReplaced(1, 0, 15*time.Second) {
+		t.Fatal("node 1 was not replaced by the spare")
+	}
+	if err := p.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if !givenUp(t, p, 1, 1) {
 		t.Error("node 1 was not given up on after its respawn failed")
 	}
 	if err := p.Kill(1); err == nil || !strings.Contains(err.Error(), "given up on") {
-		t.Errorf("second Kill(1): %v, want an error saying node 1 was given up on", err)
+		t.Errorf("third Kill(1): %v, want an error saying node 1 was given up on", err)
+	}
+}
+
+// sparePid waits for the plane's spare to be in place as a process other
+// than pid not, and returns its pid.
+func sparePid(t *testing.T, p *Plane, not int) int {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		p.mu.Lock()
+		d := p.spare
+		p.mu.Unlock()
+		if d != nil && d.cmd.Process.Pid != not {
+			return d.cmd.Process.Pid
+		}
+	}
+	t.Fatal("no spare in place within 10s")
+	return 0
+}
+
+// exited waits until process pid has exited and is a zombie its parent has
+// not reaped yet.
+func exited(t *testing.T, pid int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state := strings.Fields(string(stat[strings.LastIndexByte(string(stat), ')')+1:])); state[0] == "Z" {
+			return
+		}
+	}
+	t.Fatalf("pid %d still runs 10s after its SIGKILL", pid)
+}
+
+// The plane keeps one pscnode started and waiting for its Config. A crash's
+// replacement is that process, and once the replacement is Ready a new
+// spare is in place; a spare killed before it is used gives way to a cold
+// start, with no restart spent on it; and Close leaves no spare unreaped.
+func TestFleetSpare(t *testing.T) {
+	p := startFleet(t)
+	defer p.Close()
+	pid := func(node int) int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.daemons[node].cmd.Process.Pid
+	}
+
+	spare := sparePid(t, p, 0)
+	if err := p.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if !p.WaitReplaced(1, 0, 15*time.Second) {
+		t.Fatal("node 1 was not replaced after its first kill")
+	}
+	if got := pid(1); got != spare {
+		t.Errorf("node 1's replacement runs as pid %d, want the spare's pid %d", got, spare)
+	}
+
+	dead := sparePid(t, p, spare)
+	if err := syscall.Kill(dead, syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	exited(t, dead)
+	if err := p.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if !p.WaitReplaced(1, 1, 15*time.Second) {
+		t.Fatal("node 1 was not replaced after its spare died unused")
+	}
+	if got := p.Stats().Restarts; got != 2 {
+		t.Errorf("Restarts = %d after two kills, want 2", got)
+	}
+
+	last := sparePid(t, p, dead)
+	p.Close()
+	if err := syscall.Kill(last, 0); err != syscall.ESRCH {
+		t.Errorf("spare pid %d after Close: kill(pid, 0) = %v, want ESRCH (reaped)", last, err)
 	}
 }

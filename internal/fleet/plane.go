@@ -50,11 +50,16 @@ type PlaneConfig struct {
 	Logw    io.Writer
 }
 
+// daemon is a started pscnode and the plane's end of its control channel.
+type daemon struct {
+	cmd *osexec.Cmd
+	ctl *ctlConn
+}
+
 // daemonState is a node slot's IO and measurements, which the policy does
 // not see: the current incarnation's process and control channel.
 type daemonState struct {
-	cmd  *osexec.Cmd
-	ctl  *ctlConn
+	daemon
 	beat live.Measured // the current incarnation's, as of its last beat
 	base live.Measured // dead incarnations, folded
 }
@@ -92,10 +97,12 @@ type Plane struct {
 	verdict *live.Verdict
 	fanin   *FanIn
 
-	mu      sync.Mutex
-	pol     *policy
-	daemons []*daemonState // one per slot, from Start
-	changed chan struct{}  // closed and replaced at every step
+	mu        sync.Mutex
+	pol       *policy
+	daemons   []*daemonState // one per slot, from Start
+	changed   chan struct{}  // closed and replaced at every step
+	spare     *daemon        // started, waiting for a Config: the next spawn's
+	refilling bool           // while a spare is being started
 
 	wg sync.WaitGroup
 }
@@ -167,13 +174,10 @@ func (p *Plane) Start() error {
 	return err
 }
 
-// spawn launches incarnation inc of node with its control channel on the
-// process's stdin and stdout and sends it its configuration. A goroutine
-// reads the channel until it ends, then reaps the process, then steps its
-// exit: Wait closes stdout, so it must follow the last read, and every
-// batch the incarnation shipped reaches the FanIn before its stream is
-// frozen. Caller holds p.mu.
-func (p *Plane) spawn(node, inc int) error {
+// start launches a pscnode with its control channel on the process's stdin
+// and stdout, where it waits for its Config: the one process starter, for
+// the spare and a cold start alike.
+func (p *Plane) start() (*daemon, error) {
 	cmd := osexec.Command(p.cfg.NodeBin)
 	if p.cfg.Logw != nil {
 		cmd.Stderr = p.cfg.Logw // silent without -v, except to say why it failed or is not Ready
@@ -184,32 +188,80 @@ func (p *Plane) spawn(node, inc int) error {
 		err = cmd.Start()
 	}
 	if err != nil {
-		return fmt.Errorf("fleet: spawn node %d: %w", node, err)
+		return nil, err
 	}
-	d, ctl := p.daemons[node], newCtlConn(stdout, stdin)
-	d.cmd, d.ctl = cmd, ctl
-	p.logf("node %d incarnation %d spawned (pid %d)", node, inc, cmd.Process.Pid)
-	// Nothing else is sent before the Hello, so the config goes first. A
-	// daemon that died before reading it ends its channel like any other.
-	ctl.send(envelope{Config: &DaemonConfig{
+	return &daemon{cmd: cmd, ctl: newCtlConn(stdout, stdin)}, nil
+}
+
+// reap kills d's process and waits for it.
+func (d *daemon) reap() {
+	d.cmd.Process.Kill()
+	d.cmd.Wait()
+}
+
+// spawn makes incarnation inc of node out of the spare, or out of a process
+// it starts when there is none or the spare died unused, and sends it its
+// configuration. A goroutine reads the channel until it ends, then reaps
+// the process, then steps its exit: Wait closes stdout, so it must follow
+// the last read, and every batch the incarnation shipped reaches the FanIn
+// before its stream is frozen. Caller holds p.mu.
+func (p *Plane) spawn(node, inc int) error {
+	// Nothing else is sent before the Hello, so the config goes first.
+	config := envelope{Config: &DaemonConfig{
 		Node: node, N: p.cfg.N, Registers: p.cfg.Registers, Incarnation: inc,
 		Epoch: p.epoch, Tiers: p.cfg.Tiers, Model: p.model,
 		DetPeriod: p.cfg.DetPeriod, DetTimeout: p.cfg.DetTimeout, Verbose: p.cfg.Verbose,
-	}})
+	}}
+	d := p.spare
+	if p.spare = nil; d == nil || d.ctl.send(config) != nil {
+		if d != nil {
+			d.reap() // its stdin is a broken pipe: it died unused
+		}
+		var err error
+		if d, err = p.start(); err != nil {
+			return fmt.Errorf("fleet: spawn node %d: %w", node, err)
+		}
+		// A daemon that died before reading it ends its channel like any other.
+		d.ctl.send(config)
+	}
+	ds := p.daemons[node]
+	ds.daemon = *d
+	p.logf("node %d incarnation %d spawned (pid %d)", node, inc, d.cmd.Process.Pid)
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.readLoop(node, inc, ctl)
-		cmd.Wait()
+		p.readLoop(node, inc, d.ctl)
+		d.cmd.Wait()
 		// What the beats reported before death; a crash's ring tail that
 		// never shipped dies with the process (its ops stay open and
 		// Monitor.Finish will submit them as pending).
 		p.mu.Lock()
-		d.base, d.beat = d.base.Fold(d.beat), live.Measured{}
+		ds.base, ds.beat = ds.base.Fold(ds.beat), live.Measured{}
 		p.mu.Unlock()
 		p.step(input{kind: inExit, node: node, inc: inc})
 	}()
 	return nil
+}
+
+// refill starts a spare outside p.mu once the fleet is settled — every
+// slot Ready or given up on, one with restarts left, the plane not shut
+// down — so its start never competes with a recovery. Caller holds p.mu.
+func (p *Plane) refill() {
+	spent := func(s slot) bool { return s.gone || s.restarts >= p.pol.maxRestarts }
+	if p.spare != nil || p.refilling || p.pol.shutdown || p.pol.all(spent) || !p.pol.all(func(s slot) bool { return s.ready || s.gone }) {
+		return
+	}
+	p.refilling = true
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		d, err := p.start()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.spare, p.refilling = d, false; err != nil {
+			p.logf("spare: %v", err)
+		}
+	}()
 }
 
 // readLoop consumes incarnation inc's channel until it ends.
@@ -294,6 +346,7 @@ func (p *Plane) step(in input) error {
 			}
 		}
 	}
+	p.refill()
 	close(p.changed)
 	p.changed = make(chan struct{})
 	return errors.Join(errs...)
@@ -479,9 +532,9 @@ func (p *Plane) Shutdown() FleetVerdict {
 }
 
 // Close closes every daemon's channel, SIGKILLs every process that has not
-// said Bye (a stopped one never drains), and returns once every
-// incarnation's reader has reaped its process. The policy spawns and kills
-// nothing after it.
+// said Bye (a stopped one never drains), reaps the spare, and returns once
+// every incarnation's reader has reaped its process. The policy spawns and
+// kills nothing after it.
 func (p *Plane) Close() {
 	p.step(input{kind: inShutdown})
 	p.mu.Lock()
@@ -495,4 +548,7 @@ func (p *Plane) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
+	if p.spare != nil { // no refill starts after shutdown
+		p.spare.reap()
+	}
 }

@@ -28,7 +28,7 @@ type slot struct {
 	gone                bool // given up on: restart budget spent, or a respawn failed
 	restarts            int
 	hello               msgHello // inc's, until its exit
-	clientAddr          string   // published: from inc's Ready until its exit
+	clientAddr          string   // inc's Ready's, published until its exit
 	// down is set from the instant the incarnation being replaced was
 	// killed or, for a death nobody commanded, seen to have exited (downAt)
 	// until its replacement is Ready; rec is that recovery's timeline so far.
@@ -129,9 +129,9 @@ func (pl *policy) step(in input) []command {
 		if s.down {
 			s.rec.HelloMS = ms(in.now.Sub(s.downAt))
 		}
-		return []command{note("node %d incarnation %d hello (mesh %s, clients %s)", in.node, in.inc, s.hello.NodeAddr, s.hello.ClientAddr), pl.announce()}
+		return []command{note("node %d incarnation %d hello (mesh %s)", in.node, in.inc, s.hello.NodeAddr), pl.announce()}
 	case inReady:
-		s.ready, s.clientAddr = true, s.hello.ClientAddr
+		s.ready, s.clientAddr = true, in.ready.ClientAddr
 		if s.down {
 			r := s.rec
 			r.WiredMS, r.TransferMS = ms(in.ready.Wired.Sub(s.downAt)), ms(in.ready.Applied.Sub(s.downAt))

@@ -74,11 +74,13 @@ func (st *searchState) key() searchKey {
 	return k
 }
 
-// hellos[node][inc] is what that incarnation says at Hello.
-var hellos = func() (h [searchNodes][3]msgHello) {
+// hellos[node][inc] and readies[node][inc] are what that incarnation says
+// at Hello and at Ready.
+var hellos, readies = func() (h [searchNodes][3]msgHello, r [searchNodes][3]msgReady) {
 	for n := range h {
 		for inc := range h[n] {
-			h[n][inc] = msgHello{NodeAddr: fmt.Sprintf("mesh%d.%d", n, inc), ClientAddr: fmt.Sprintf("client%d.%d", n, inc)}
+			h[n][inc] = msgHello{NodeAddr: fmt.Sprintf("mesh%d.%d", n, inc)}
+			r[n][inc] = msgReady{ClientAddr: fmt.Sprintf("client%d.%d", n, inc)}
 		}
 	}
 	return
@@ -122,8 +124,11 @@ func (st *searchState) inputs() []input {
 
 func with(in input, k inputKind) input {
 	in.kind = k
-	if k == inHello {
+	switch k {
+	case inHello:
 		in.hello = hellos[in.node][in.inc]
+	case inReady:
+		in.ready = readies[in.node][in.inc]
 	}
 	return in
 }
@@ -204,7 +209,7 @@ func (st *searchState) apply(in input, maxRestarts int) (next searchState, err e
 		if s.clientAddr == "" {
 			continue
 		}
-		if !p.alive || !p.ready || int(p.inc) != s.inc || s.clientAddr != hellos[n][s.inc].ClientAddr {
+		if !p.alive || !p.ready || int(p.inc) != s.inc || s.clientAddr != readies[n][s.inc].ClientAddr {
 			return next, fmt.Errorf("publication: node %d publishes %q with its process %+v", n, s.clientAddr, p)
 		}
 	}
@@ -282,7 +287,7 @@ func searchPolicy(maxRestarts, depth int) (int, error) {
 //     1 + MaxRestarts spawns per slot, none after the slot is given up on or
 //     the plane has shut down;
 //   - publication: a client address is published only between that
-//     incarnation's Ready and its exit;
+//     incarnation's Ready and its exit, and it is the one that Ready carried;
 //   - no kill after shutdown; a slot given up on is announced to its peers;
 //     each SUSPECT lands in FleetStats.DetEvents.
 func TestPlanePolicyExhaustive(t *testing.T) {

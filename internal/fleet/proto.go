@@ -71,13 +71,11 @@ func (e envelope) kind() string {
 	return "an empty envelope"
 }
 
-// msgHello is the daemon's first message: where it listens. The channel
-// it arrives on says which incarnation of which node sent it.
+// msgHello is the daemon's first message: its mesh (inter-node) listen
+// address, sent before the runtime is built, so the peers re-dial while it
+// builds. The channel it arrives on says which incarnation sent it.
 type msgHello struct {
-	// NodeAddr is the mesh (inter-node) listen address; ClientAddr is the
-	// register client-protocol address.
-	NodeAddr   string
-	ClientAddr string
+	NodeAddr string
 }
 
 // msgBeat carries the daemon's runtime measurements so far to Plane.Stats
@@ -101,9 +99,10 @@ type msgEvents struct {
 // msgReady marks the daemon serviceable: initial start settled, or (for a
 // restarted incarnation) the registers of live peer From restored — its
 // links up at Wired (W), the copy with Updates pending updates applied at
-// Applied, on the fleet's timeline. The plane publishes the daemon's client
-// address only after Ready.
+// Applied, on the fleet's timeline. It carries the register client-protocol
+// address, which the plane publishes from then on.
 type msgReady struct {
+	ClientAddr     string
 	Wired, Applied simtime.Time
 	From, Updates  int
 }
