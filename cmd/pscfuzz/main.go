@@ -209,7 +209,7 @@ func oneTrial(seed int64, mutate bool, shards int) (string, []linearize.Op, erro
 	cKnob := simtime.Duration(r.Int63n(int64(d2p - 2*eps + 1)))
 
 	adv := clock.Adversaries[r.Intn(len(clock.Adversaries))]
-	cname, cf := adv.Name, adv.New(eps, seed)
+	cname, cf := adv.Name, adv.New(eps, 0, seed)
 	pol := channel.Policies[r.Intn(len(channel.Policies))]
 	p := register.Params{C: cKnob, Delta: 5 * us, D2: d2p, Epsilon: eps}
 	factory := register.Factory(register.NewS, p)

@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer rtrace.Stop()
 	}
 
-	cf, err := clock.Named(*clockName, m.Eps, *seed)
+	cf, err := clock.Named(*clockName, m.Eps, 0, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "pscserve: -clock: %v\n", err)
 		return 2

@@ -131,7 +131,7 @@ func (o options) validate() error {
 func simulate(o options) error {
 	bounds := simtime.NewInterval(o.d1, o.d2)
 
-	cf, err := clock.Named(o.clocks, o.eps, o.seed)
+	cf, err := clock.Named(o.clocks, o.eps, 0, o.seed)
 	if err != nil {
 		return err
 	}

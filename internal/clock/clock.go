@@ -338,27 +338,33 @@ func SawtoothFactory(eps simtime.Duration, period simtime.Duration) Factory {
 	}
 }
 
-// Adversaries is the clock vocabulary of pscsim, pscserve and pscfuzz, in
-// the order pscfuzz draws from: each entry builds per-node clocks from ε
-// and a seed, which only drift reads.
+// Adversaries is the clock vocabulary of pscsim, pscserve, pscfuzz and the
+// experiments, in the order pscfuzz draws from: each entry builds per-node
+// clocks from ε, a sawtooth period and a seed. Only sawtooth reads the
+// period, 0 giving the tools' 8ε + 1ms, and only drift reads the seed.
 var Adversaries = []struct {
 	Name string
-	New  func(eps simtime.Duration, seed int64) Factory
+	New  func(eps, period simtime.Duration, seed int64) Factory
 }{
-	{"perfect", func(simtime.Duration, int64) Factory { return PerfectFactory() }},
-	{"spread", func(eps simtime.Duration, _ int64) Factory { return SpreadFactory(eps) }},
-	{"drift", DriftFactory},
-	{"sawtooth", func(eps simtime.Duration, _ int64) Factory { return SawtoothFactory(eps, 8*eps+simtime.Millisecond) }},
-	{"resync", func(eps simtime.Duration, _ int64) Factory {
+	{"perfect", func(simtime.Duration, simtime.Duration, int64) Factory { return PerfectFactory() }},
+	{"spread", func(eps, _ simtime.Duration, _ int64) Factory { return SpreadFactory(eps) }},
+	{"drift", func(eps, _ simtime.Duration, seed int64) Factory { return DriftFactory(eps, seed) }},
+	{"sawtooth", func(eps, period simtime.Duration, _ int64) Factory {
+		if period == 0 {
+			period = 8*eps + simtime.Millisecond
+		}
+		return SawtoothFactory(eps, period)
+	}},
+	{"resync", func(eps, _ simtime.Duration, _ int64) Factory {
 		return func(node int) Model { return Resync(eps, -400+int64(node)*200, 10*simtime.Millisecond) }
 	}},
 }
 
 // Named builds the Adversaries entry called name.
-func Named(name string, eps simtime.Duration, seed int64) (Factory, error) {
+func Named(name string, eps, period simtime.Duration, seed int64) (Factory, error) {
 	for _, a := range Adversaries {
 		if a.Name == name {
-			return a.New(eps, seed), nil
+			return a.New(eps, period, seed), nil
 		}
 	}
 	return nil, fmt.Errorf("unknown clock model %q", name)

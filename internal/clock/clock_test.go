@@ -247,3 +247,22 @@ func TestResyncDriftsAndCorrects(t *testing.T) {
 		t.Errorf("resync clock never drifted (%v) or never recovered (%v)", sawNegative, sawRecovered)
 	}
 }
+
+// TestNamedSawtoothPeriod: the vocabulary's sawtooth runs at the period it
+// is given, and at the tools' 8ε + 1ms when given 0; node i's period is
+// stretched by iε either way.
+func TestNamedSawtoothPeriod(t *testing.T) {
+	eps := 100 * us
+	for _, tc := range []struct{ period, want simtime.Duration }{{0, 8*eps + ms}, {8 * ms, 8 * ms}} {
+		f, err := Named("sawtooth", eps, tc.period, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := f(1).Name(), Sawtooth(eps, tc.want+eps).Name(); got != want {
+			t.Errorf("period %v: node 1's clock is %s, want %s", tc.period, got, want)
+		}
+	}
+	if _, err := Named("jitter", eps, 0, 0); err == nil {
+		t.Error("unknown clock name accepted")
+	}
+}

@@ -4,13 +4,13 @@ import (
 	"fmt"
 
 	"psclock/internal/clock"
+	"psclock/internal/core"
 	"psclock/internal/linearize"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
-	"psclock/internal/stats"
 )
 
-// E14SeqConsistency regenerates Table 10: the Attiya-Welch boundary.
+// e14SeqConsistency regenerates Table 10: the Attiya-Welch boundary.
 // Algorithm L descends from the sequential-consistency algorithm of the
 // paper's reference [2] (Attiya & Welch, "Sequential Consistency versus
 // Linearizability"); the paper's §6.2 move — the 2ε read wait of
@@ -20,52 +20,32 @@ import (
 // consistency: the 2ε is the measured price of the stronger condition.
 //
 // The sequential-consistency verdict comes from the streaming SC checker
-// attached as an online monitor; streamParity asserts it byte-identical
-// to the batch checker replayed over the retained trace, so each seed
-// also witnesses online == batch for the seq tier's gating engine.
-func E14SeqConsistency() Result {
+// attached as an online monitor; evaluate asserts it byte-identical to the
+// batch checker replayed over the retained trace, so each seed also
+// witnesses online == batch for the seq tier's gating engine.
+func e14SeqConsistency() (string, []string) {
 	bounds := simtime.NewInterval(200*us, 400*us)
 	eps := 1 * ms
 	p := register.Params{C: 0, Delta: 5 * us, D2: bounds.Hi + 2*eps, Epsilon: 0}
-	tb := stats.NewTable("seed", "ops", "linearizable", "seq. consistent")
-	// Seeds fan out; the violation tally is reduced in seed order below.
-	type e14Row struct {
-		rowOut
-		linOK bool
-		skip  bool
-	}
-	rows := parmap(8, func(i int) e14Row {
-		seed := int64(i)
-		out, err := run(runSpec{
-			model:   "clock",
-			factory: register.Factory(register.NewL, p),
-			n:       3, bounds: bounds, seed: seed,
-			clocks: clock.SpreadFactory(eps), delays: nil,
-			ops: 50, think: simtime.NewInterval(0, 700*us), writeRatio: 0.3,
-			stream: []streamCheck{{name: "sc", seq: &linearize.SeqOptions{Initial: register.Initial.String()}}},
-		})
-		if err != nil {
-			return e14Row{rowOut: rowOut{fails: []string{err.Error()}}, skip: true}
+	sc := check{name: "sc", seq: &linearize.SeqOptions{Initial: register.Initial.String()}}
+	// Seeds fan out; each row records whether linearizability failed, at
+	// its own index.
+	violated := make([]bool, 8)
+	rows := table([]int64{0, 1, 2, 3, 4, 5, 6, 7}, func(seed int64) runSpec {
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: bounds, Seed: seed, Clocks: clock.SpreadFactory(eps)},
+			model:  "clock", factory: register.Factory(register.NewL, p), key: []string{fmt.Sprint(seed)},
+			ops: 50, think: simtime.NewInterval(0, 700*us), writeRatio: 0.3, checks: []check{sc}, online: true,
 		}
-		lin := linearize.CheckLinearizable(out.ops, register.Initial.String())
-		sc := out.mon.Verdict("sc")
-		r := e14Row{linOK: lin.OK}
-		r.fails = append(r.fails, streamParity(out)...)
-		r.cells = []string{fmt.Sprint(seed), fmt.Sprint(len(out.ops)), checkMark(lin.OK), checkMark(sc.OK)}
-		if !sc.OK {
-			r.fails = append(r.fails, fmt.Sprintf("seed %d: sequential consistency violated: %s", seed, sc.Reason))
-		}
-		return r
+	}, func(seed int64, m measured) row {
+		lin := linCheck.batch(m.ops).OK
+		violated[seed] = !lin
+		return row{cells: []string{fmt.Sprint(len(m.ops)), checkMark(lin), checkMark(m.verdict["sc"].OK)}}
 	})
-	var fails []string
+	tb, fails := render(rows, "seed", "ops", "linearizable", "seq. consistent")
 	linViolations := 0
-	for _, r := range rows {
-		fails = append(fails, r.fails...)
-		if r.skip {
-			continue
-		}
-		tb.AddRow(r.cells...)
-		if !r.linOK {
+	for _, v := range violated {
+		if v {
 			linViolations++
 		}
 	}
@@ -76,10 +56,5 @@ func E14SeqConsistency() Result {
 		"The 2ε read wait of algorithm S (read cost %v → %v here) buys exactly the upgrade from [2]'s\n"+
 		"sequential consistency to Theorem 6.5's linearizability.\n",
 		linViolations, p.C+p.Delta, 2*eps+p.C+p.Delta)
-	return Result{
-		ID:       "E14",
-		Title:    "Attiya-Welch boundary: L in D_C is sequentially consistent, not linearizable (ε=1ms, max skew)",
-		Output:   tb.String() + note,
-		Failures: fails,
-	}
+	return tb + note, fails
 }

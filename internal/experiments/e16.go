@@ -1,19 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-
-	"psclock/internal/clock"
 	"psclock/internal/core"
 	"psclock/internal/register"
-	"psclock/internal/simtime"
 	"psclock/internal/spec"
-	"psclock/internal/stats"
-	"psclock/internal/ta"
-	"psclock/internal/workload"
 )
 
-// E16RealTimeSpecs regenerates Table 12: the paper's headline extension
+// e16RealTimeSpecs regenerates Table 12: the paper's headline extension
 // over Lamport [5] and Neiger-Toueg [13], measured. Those works preserve
 // *internal* specifications (P = P_∞) across the move to inaccurate
 // clocks; Theorem 4.7 additionally preserves *real-time* specifications,
@@ -27,85 +20,34 @@ import (
 //	       durations within bound + 2ε) — exactly what the theorem grants;
 //	row 4: the internal spec (linearizability) needs no relaxation at all,
 //	       which is the [5]/[13] special case.
-func E16RealTimeSpecs() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
+func e16RealTimeSpecs() (string, []string) {
 	eps := 800 * us
-	delta := 10 * us
-	c := 500 * us
-	d2p := bounds.Hi + 2*eps
-	p := register.Params{C: c, Delta: delta, D2: d2p, Epsilon: eps}
-	responsive := spec.Responsive{ReadBound: 2*eps + c + delta, WriteBound: d2p - c}
+	p := register.Params{C: 500 * us, Delta: 10 * us, D2: links.Hi + 2*eps, Epsilon: eps}
+	responsive := spec.Responsive{ReadBound: 2*eps + p.C + p.Delta, WriteBound: p.D2 - p.C}
 
-	tb := stats.NewTable("row", "model", "specification", "expected", "observed", "ok")
-	var fails []string
-	addRow := func(row, model, sname string, expectHold, observedHold bool) {
-		exp, obs := "holds", "holds"
-		if !expectHold {
-			exp = "violated"
-		}
-		if !observedHold {
-			obs = "violated"
-		}
-		ok := expectHold == observedHold
-		tb.AddRow(row, model, sname, exp, obs, checkMark(ok))
-		if !ok {
-			fails = append(fails, fmt.Sprintf("row %s (%s, %s): expected %s, observed %s", row, model, sname, exp, obs))
-		}
-	}
-
-	build := func(model string) (ta.Trace, error) {
-		cfg := core.Config{N: 3, Bounds: bounds, Seed: 1600, Clocks: clock.SawtoothFactory(eps, 8*ms)}
-		net, err := core.Build(model, cfg, register.Factory(register.NewS, p))
-		if err != nil {
-			return nil, err
-		}
-		clients := workload.Attach(net, workload.Config{
-			Ops: 30, Think: simtime.NewInterval(0, 2*ms), WriteRatio: 0.4, Seed: 1601, Stagger: 300 * us,
+	// The two models' runs are independent seeded systems; run them side
+	// by side, then check the (pure) trace predicates.
+	outs := parmapSlice([]string{"timed", "clock"}, func(model string) measured {
+		return evaluate(runSpec{
+			Config: core.Config{N: 3, Bounds: links, Seed: 1600, Clocks: clocks("sawtooth", eps, 0)},
+			model:  model, factory: register.Factory(register.NewS, p),
+			ops: 30, think: think, writeRatio: 0.4,
 		})
-		if _, err := net.Sys.RunQuiet(simtime.Time(30 * simtime.Second)); err != nil {
-			return nil, err
-		}
-		for _, cl := range clients {
-			if cl.Done != 30 {
-				return nil, fmt.Errorf("%s finished %d/30", cl.Name(), cl.Done)
-			}
-		}
-		return net.Sys.Trace().Visible(), nil
-	}
-
-	// The two model builds are independent seeded systems; run them side by
-	// side and check the (pure) trace predicates sequentially.
-	type e16Out struct {
-		trace ta.Trace
-		err   error
-	}
-	outs := parmap(2, func(i int) e16Out {
-		model := []string{"timed", "clock"}[i]
-		tr, err := build(model)
-		return e16Out{trace: tr, err: err}
 	})
-	for _, o := range outs {
-		if o.err != nil {
-			return Result{ID: "E16", Title: "real-time specifications", Failures: []string{o.err.Error()}}
-		}
+	if fails := append(outs[0].fails, outs[1].fails...); len(fails) > 0 {
+		return "", fails
 	}
-	timed, clocked := outs[0].trace, outs[1].trace
-
-	ok1, _ := responsive.Holds(timed)
-	addRow("1", "D_T", "Responsive (exact Lemma 6.2 bounds)", true, ok1)
-	ok2, _ := responsive.Holds(clocked)
-	addRow("2", "D_C", "Responsive (same exact bounds, plain P)", false, ok2)
-	ok3, _ := responsive.HoldsEps(clocked, eps)
-	addRow("3", "D_C", "Responsive_ε (bounds + 2ε, per Thm 4.7)", true, ok3)
-	ok4, _ := spec.Linearizable{}.Holds(clocked)
-	addRow("4", "D_C", "linearizability (internal spec, [5]/[13] case)", true, ok4)
-
-	note := "Internal specs survive the clock model unchanged; real-time specs survive only as P_ε —\n" +
-		"the distinction §4.3 draws against Lamport [5] and Neiger-Toueg [13], observed on traces.\n"
-	return Result{
-		ID:       "E16",
-		Title:    "real-time vs internal specifications under simulation 1 (ε=800µs, sawtooth clocks)",
-		Output:   tb.String() + note,
-		Failures: fails,
-	}
+	timed, clocked := outs[0].net.Sys.Trace().Visible(), outs[1].net.Sys.Trace().Visible()
+	tb, fails := matrix("holds", []claim{
+		{[]string{"1", "D_T", "Responsive (exact Lemma 6.2 bounds)"}, true,
+			func() (bool, error) { ok, _ := responsive.Holds(timed); return ok, nil }},
+		{[]string{"2", "D_C", "Responsive (same exact bounds, plain P)"}, false,
+			func() (bool, error) { ok, _ := responsive.Holds(clocked); return ok, nil }},
+		{[]string{"3", "D_C", "Responsive_ε (bounds + 2ε, per Thm 4.7)"}, true,
+			func() (bool, error) { ok, _ := responsive.HoldsEps(clocked, eps); return ok, nil }},
+		{[]string{"4", "D_C", "linearizability (internal spec, [5]/[13] case)"}, true,
+			func() (bool, error) { ok, _ := spec.Linearizable{}.Holds(clocked); return ok, nil }},
+	}, "row", "model", "specification")
+	return tb + "Internal specs survive the clock model unchanged; real-time specs survive only as P_ε —\n" +
+		"the distinction §4.3 draws against Lamport [5] and Neiger-Toueg [13], observed on traces.\n", fails
 }

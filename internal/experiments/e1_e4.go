@@ -5,303 +5,132 @@ import (
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
-	"psclock/internal/linearize"
+	"psclock/internal/core"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/stats"
 )
 
-// E1AlgorithmL regenerates Table 1 (Lemma 6.1): algorithm L in D_T has
+// costCells renders a row's wanted and measured worst-case latencies and
+// then its checks' verdicts: the columns of E1–E3.
+func costCells[K any](_ K, m measured) row {
+	w := m.spec.want
+	cells := []string{fmtD(w.read), fmtD(m.reads.Max), fmtD(w.write), fmtD(m.writes.Max)}
+	for _, c := range m.spec.checks {
+		cells = append(cells, checkMark(m.verdict[c.name].OK))
+	}
+	return row{cells: cells}
+}
+
+// e1AlgorithmL regenerates Table 1 (Lemma 6.1): algorithm L in D_T has
 // read cost exactly c+δ and write cost exactly d'2−c, while solving
 // linearizability, across the c sweep.
-func E1AlgorithmL() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
-	delta := 10 * us
-	cs := []simtime.Duration{0, 500 * us, 1 * ms, 2 * ms, 3 * ms}
-	rows := parmapSlice(cs, func(c simtime.Duration) rowOut {
-		var r rowOut
-		p := register.Params{C: c, Delta: delta, D2: bounds.Hi, Epsilon: 0}
-		out, err := run(runSpec{
-			model:   "timed",
-			factory: register.Factory(register.NewL, p),
-			n:       3, bounds: bounds, seed: 101 + int64(c),
-			ops: 40, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
-			stream: []streamCheck{{name: "lin", opt: linearize.Options{Initial: register.Initial.String()}}},
-		})
-		if err != nil {
-			r.fails = append(r.fails, err.Error())
-			return r
+func e1AlgorithmL() (string, []string) {
+	rows := table([]simtime.Duration{0, 500 * us, 1 * ms, 2 * ms, 3 * ms}, func(c simtime.Duration) runSpec {
+		p := register.Params{C: c, Delta: 10 * us, D2: links.Hi}
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: links, Seed: 101 + int64(c)},
+			model:  "timed", factory: register.Factory(register.NewL, p), key: []string{fmtD(c)},
+			ops: 40, think: think, writeRatio: 0.4,
+			checks: []check{linCheck}, online: true, want: &cost{c + p.Delta, p.D2 - c, 0},
 		}
-		r.fails = append(r.fails, streamParity(out)...)
-		reads, writes := register.Latencies(out.ops)
-		rs, ws := stats.Summarize(reads), stats.Summarize(writes)
-		lin := linCheck(out, 0)
-		wantR, wantW := c+delta, bounds.Hi-c
-		r.cells = []string{fmtD(c), fmtD(wantR), fmtD(rs.Max), fmtD(wantW), fmtD(ws.Max), checkMark(lin)}
-		if rs.Min != wantR || rs.Max != wantR {
-			r.fails = append(r.fails, fmt.Sprintf("c=%v: read latency [%v, %v] != %v", c, rs.Min, rs.Max, wantR))
-		}
-		if ws.Min != wantW || ws.Max != wantW {
-			r.fails = append(r.fails, fmt.Sprintf("c=%v: write latency [%v, %v] != %v", c, ws.Min, ws.Max, wantW))
-		}
-		if !lin {
-			r.fails = append(r.fails, fmt.Sprintf("c=%v: not linearizable", c))
-		}
-		return r
-	})
-	tb := stats.NewTable("c", "read want", "read meas", "write want", "write meas", "linearizable")
-	fails := collectRows(tb, rows)
-	return Result{ID: "E1", Title: "Lemma 6.1: algorithm L in D_T (d'2=3ms, δ=10µs)", Output: tb.String(), Failures: fails}
+	}, costCells)
+	return render(rows, "c", "read want", "read meas", "write want", "write meas", "linearizable")
 }
 
-// E2AlgorithmS regenerates Table 2 (Lemma 6.2): algorithm S solves
+// e2AlgorithmS regenerates Table 2 (Lemma 6.2): algorithm S solves
 // ε-superlinearizability in D_T with read cost 2ε+c+δ and write cost d'2−c.
-func E2AlgorithmS() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
-	delta := 10 * us
-	c := 600 * us
-	epss := []simtime.Duration{0, 100 * us, 300 * us, 500 * us, 1 * ms}
-	rows := parmapSlice(epss, func(eps simtime.Duration) rowOut {
-		var r rowOut
-		d2p := bounds.Hi + 2*eps
-		p := register.Params{C: c, Delta: delta, D2: d2p, Epsilon: eps}
-		out, err := run(runSpec{
-			model:   "timed",
-			factory: register.Factory(register.NewS, p),
-			n:       3, bounds: simtime.NewInterval(bounds.Lo, d2p), seed: 202 + int64(eps),
-			ops: 30, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
-			stream: []streamCheck{
-				{name: "lin", opt: linearize.Options{Initial: register.Initial.String()}},
-				{name: "super", opt: linearize.Options{Initial: register.Initial.String(), MinAfterInv: 2 * eps}},
-			},
-		})
-		if err != nil {
-			r.fails = append(r.fails, err.Error())
-			return r
+func e2AlgorithmS() (string, []string) {
+	rows := table([]simtime.Duration{0, 100 * us, 300 * us, 500 * us, 1 * ms}, func(eps simtime.Duration) runSpec {
+		p := register.Params{C: 600 * us, Delta: 10 * us, D2: links.Hi + 2*eps, Epsilon: eps}
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: simtime.NewInterval(links.Lo, p.D2), Seed: 202 + int64(eps)},
+			model:  "timed", factory: register.Factory(register.NewS, p), key: []string{fmtD(eps)},
+			ops: 30, think: think, writeRatio: 0.4,
+			checks: []check{superCheck(eps), linCheck}, online: true, want: &cost{2*eps + p.C + p.Delta, p.D2 - p.C, 0},
 		}
-		r.fails = append(r.fails, streamParity(out)...)
-		reads, writes := register.Latencies(out.ops)
-		rs, ws := stats.Summarize(reads), stats.Summarize(writes)
-		super := superCheck(out, eps)
-		lin := linCheck(out, 0)
-		wantR, wantW := 2*eps+c+delta, d2p-c
-		r.cells = []string{fmtD(eps), fmtD(wantR), fmtD(rs.Max), fmtD(wantW), fmtD(ws.Max),
-			checkMark(super), checkMark(lin)}
-		if rs.Min != wantR || rs.Max != wantR {
-			r.fails = append(r.fails, fmt.Sprintf("ε=%v: read latency [%v, %v] != %v", eps, rs.Min, rs.Max, wantR))
-		}
-		if ws.Min != wantW || ws.Max != wantW {
-			r.fails = append(r.fails, fmt.Sprintf("ε=%v: write latency [%v, %v] != %v", eps, ws.Min, ws.Max, wantW))
-		}
-		if !super || !lin {
-			r.fails = append(r.fails, fmt.Sprintf("ε=%v: superlin=%v lin=%v", eps, super, lin))
-		}
-		return r
-	})
-	tb := stats.NewTable("ε", "read want", "read meas", "write want", "write meas", "superlin.", "lin.")
-	fails := collectRows(tb, rows)
-	return Result{ID: "E2", Title: "Lemma 6.2: algorithm S in D_T (c=600µs, δ=10µs)", Output: tb.String(), Failures: fails}
+	}, costCells)
+	return render(rows, "ε", "read want", "read meas", "write want", "write meas", "superlin.", "lin.")
 }
 
-// E3ClockModel regenerates Table 3 (Theorem 6.5): transformed S solves
+// e3ClockModel regenerates Table 3 (Theorem 6.5): transformed S solves
 // plain linearizability in D_C with read cost 2ε+δ+c and write cost
 // d2+2ε−c (clock time; real-time measurements may deviate by ≤ 2ε).
-func E3ClockModel() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
-	delta := 10 * us
-	c := 700 * us
-	// Clock families in a fixed order (the seed's map iteration shuffled
-	// rows run to run; deterministic output is a requirement now that rows
-	// fan out in parallel). Factories may be stateful, so each row builds
-	// its own inside the worker.
-	clockNames := []string{"perfect", "spread", "drift", "sawtooth"}
-	factoryFor := func(name string, eps simtime.Duration) clock.Factory {
-		switch name {
-		case "perfect":
-			return clock.PerfectFactory()
-		case "spread":
-			return clock.SpreadFactory(eps)
-		case "drift":
-			return clock.DriftFactory(eps, 31)
-		default:
-			return clock.SawtoothFactory(eps, 8*ms)
+func e3ClockModel() (string, []string) {
+	knobs := grid([]simtime.Duration{100 * us, 500 * us, 1 * ms}, "perfect", "spread", "drift", "sawtooth")
+	rows := table(knobs, func(k knob) runSpec {
+		eps := k.d
+		p := register.Params{C: 700 * us, Delta: 10 * us, D2: links.Hi + 2*eps, Epsilon: eps}
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: links, Seed: 303 + int64(eps), Clocks: clocks(k.name, eps, 31), NewDelay: channel.UniformDelay},
+			model:  "clock", factory: register.Factory(register.NewS, p), key: []string{fmtD(eps), k.name},
+			ops: 30, think: think, writeRatio: 0.4,
+			checks: []check{linCheck}, online: true, want: &cost{2*eps + p.Delta + p.C, p.D2 - p.C, 2 * eps},
 		}
-	}
-	type e3Spec struct {
-		eps   simtime.Duration
-		cname string
-	}
-	var specs []e3Spec
-	for _, eps := range []simtime.Duration{100 * us, 500 * us, 1 * ms} {
-		for _, cname := range clockNames {
-			specs = append(specs, e3Spec{eps, cname})
-		}
-	}
-	rows := parmapSlice(specs, func(sp e3Spec) rowOut {
-		var r rowOut
-		eps, cname := sp.eps, sp.cname
-		p := register.Params{C: c, Delta: delta, D2: bounds.Hi + 2*eps, Epsilon: eps}
-		out, err := run(runSpec{
-			model:   "clock",
-			factory: register.Factory(register.NewS, p),
-			n:       3, bounds: bounds, seed: 303 + int64(eps),
-			clocks: factoryFor(cname, eps), delays: channel.UniformDelay,
-			ops: 30, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
-			stream: []streamCheck{{name: "lin", opt: linearize.Options{Initial: register.Initial.String()}}},
-		})
-		if err != nil {
-			r.fails = append(r.fails, err.Error())
-			return r
-		}
-		r.fails = append(r.fails, streamParity(out)...)
-		reads, writes := register.Latencies(out.ops)
-		rs, ws := stats.Summarize(reads), stats.Summarize(writes)
-		lin := linCheck(out, 0)
-		wantR, wantW := 2*eps+delta+c, bounds.Hi+2*eps-c
-		r.cells = []string{fmtD(eps), cname, fmtD(wantR), fmtD(rs.Max), fmtD(wantW), fmtD(ws.Max), checkMark(lin)}
-		if (rs.Max-wantR).Abs() > 2*eps || (rs.Min-wantR).Abs() > 2*eps {
-			r.fails = append(r.fails, fmt.Sprintf("ε=%v/%s: read [%v, %v] vs %v ± 2ε", eps, cname, rs.Min, rs.Max, wantR))
-		}
-		if (ws.Max-wantW).Abs() > 2*eps || (ws.Min-wantW).Abs() > 2*eps {
-			r.fails = append(r.fails, fmt.Sprintf("ε=%v/%s: write [%v, %v] vs %v ± 2ε", eps, cname, ws.Min, ws.Max, wantW))
-		}
-		if !lin {
-			r.fails = append(r.fails, fmt.Sprintf("ε=%v/%s: not linearizable", eps, cname))
-		}
-		return r
-	})
-	tb := stats.NewTable("ε", "clocks", "read want", "read meas (max)", "write want", "write meas (max)", "linearizable")
-	fails := collectRows(tb, rows)
-	return Result{ID: "E3", Title: "Theorem 6.5: S^c in D_C (d2=3ms, c=700µs)", Output: tb.String(), Failures: fails}
+	}, costCells)
+	return render(rows, "ε", "clocks", "read want", "read meas (max)", "write want", "write meas (max)", "linearizable")
 }
 
-// E4Comparison regenerates Table 4 and Figure 1 (§6.3): transformed S
+// e4Comparison regenerates Table 4 and Figure 1 (§6.3): transformed S
 // versus the [10] baseline in u = 2ε terms. The paper's translation: ours
 // read c+u, write d2−c+u (combined d2+2u); baseline read 4u, write d2+3u
 // (combined d2+7u). The read-cost crossover falls at c ≈ 3u−δ.
-func E4Comparison() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
-	d2 := bounds.Hi
-	delta := 10 * us
-	type e4Spec struct {
-		u, cKnob simtime.Duration
-	}
-	var specs []e4Spec
+func e4Comparison() (string, []string) {
+	d2, delta := links.Hi, 10*us
+	type e4Knob struct{ u, c simtime.Duration }
+	var knobs []e4Knob
 	for _, u := range []simtime.Duration{200 * us, 400 * us, 800 * us} {
-		for _, cKnob := range []simtime.Duration{0, u, 2 * u, 3 * u, 4 * u} {
-			if cKnob > d2 {
-				continue
+		for _, c := range []simtime.Duration{0, u, 2 * u, 3 * u, 4 * u} {
+			if c <= d2 {
+				knobs = append(knobs, e4Knob{u, c})
 			}
-			specs = append(specs, e4Spec{u, cKnob})
 		}
 	}
-	type e4Row struct {
-		rowOut
-		figOurs, figBase *stats.Point
-		crossNote        string
-	}
-	rows := parmapSlice(specs, func(sp e4Spec) e4Row {
-		var r e4Row
-		u, cKnob := sp.u, sp.cKnob
-		eps := u / 2
-		p := register.Params{C: cKnob, Delta: delta, D2: d2 + 2*eps, Epsilon: eps}
-		oursOut, err := run(runSpec{
-			model:   "clock",
-			factory: register.Factory(register.NewS, p),
-			n:       3, bounds: bounds, seed: 404 + int64(u+cKnob),
-			clocks: clock.SpreadFactory(eps), delays: channel.UniformDelay,
-			ops: 25, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
-		})
-		if err != nil {
-			r.fails = append(r.fails, err.Error())
+	rows := parmapSlice(knobs, func(k e4Knob) row {
+		u, c, eps := k.u, k.c, k.u/2
+		spec := func(alg string, f core.AlgorithmFactory) runSpec {
+			return runSpec{
+				Config: core.Config{N: 3, Bounds: links, Seed: 404 + int64(u+c), Clocks: clock.SpreadFactory(eps), NewDelay: channel.UniformDelay},
+				model:  "clock", factory: f, key: []string{fmtD(u), fmtD(c), alg},
+				ops: 25, think: think, writeRatio: 0.4, checks: []check{linCheck},
+			}
+		}
+		p := register.Params{C: c, Delta: delta, D2: d2 + 2*eps, Epsilon: eps}
+		ours := evaluate(spec("S", register.Factory(register.NewS, p)))
+		base := evaluate(spec("baseline", register.BaselineFactory(u, d2)))
+		r := row{fails: append(ours.fails, base.fails...)}
+		if ours.net == nil || base.net == nil {
 			return r
 		}
-		baseOut, err := run(runSpec{
-			model:   "clock",
-			factory: register.BaselineFactory(u, d2),
-			n:       3, bounds: bounds, seed: 404 + int64(u+cKnob),
-			clocks: clock.SpreadFactory(eps), delays: channel.UniformDelay,
-			ops: 25, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
-		})
-		if err != nil {
-			r.fails = append(r.fails, err.Error())
-			return r
-		}
-		oR, oW := maxLat(oursOut)
-		bR, bW := maxLat(baseOut)
-		oLin, bLin := linCheck(oursOut, 0), linCheck(baseOut, 0)
-		r.cells = []string{fmtD(u), fmtD(cKnob), fmtD(oR), fmtD(bR), fmtD(oW), fmtD(bW),
-			fmtD(oR + oW), fmtD(bR + bW), checkMark(oLin), checkMark(bLin)}
+		oR, oW, bR, bW := ours.reads.Max, ours.writes.Max, base.reads.Max, base.writes.Max
+		r.cells = []string{fmtD(u), fmtD(c), fmtD(oR), fmtD(bR), fmtD(oW), fmtD(bW),
+			fmtD(oR + oW), fmtD(bR + bW), checkMark(ours.verdict["lin"].OK), checkMark(base.verdict["lin"].OK)}
 		if u == 800*us {
-			r.figOurs = &stats.Point{X: cKnob.Millis(), Y: oR.Millis()}
-			r.figBase = &stats.Point{X: cKnob.Millis(), Y: bR.Millis()}
-		}
-		if !oLin {
-			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: ours not linearizable", u, cKnob))
-		}
-		if !bLin {
-			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: baseline not linearizable", u, cKnob))
+			r.pts = []stats.Point{{X: c.Millis(), Y: oR.Millis()}, {X: c.Millis(), Y: bR.Millis()}}
 		}
 		// The paper's headline: ours wins on combined cost (d2+2u vs
 		// d2+7u) whenever u > 0 — allow 2ε of real-time measurement slop
 		// on each of the four latencies.
 		if u > 0 && oR+oW >= bR+bW+8*eps {
-			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: combined %v not better than baseline %v", u, cKnob, oR+oW, bR+bW))
+			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: combined %v not better than baseline %v", u, c, oR+oW, bR+bW))
 		}
 		// Crossover: for c < 3u ours reads faster; for c > 3u baseline
 		// reads faster (±2ε slop each side).
-		if cKnob < 3*u-2*eps-delta && oR >= bR+4*eps {
-			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: expected ours to read faster (%v vs %v)", u, cKnob, oR, bR))
+		if c < 3*u-2*eps-delta && oR >= bR+4*eps {
+			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: expected ours to read faster (%v vs %v)", u, c, oR, bR))
 		}
-		if cKnob > 3*u+2*eps && bR >= oR+4*eps {
-			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: expected baseline to read faster (%v vs %v)", u, cKnob, bR, oR))
-		}
-		if cKnob == 3*u {
-			r.crossNote = fmt.Sprintf("read-cost crossover at c = 3u−δ (paper: ours c+u vs baseline 4u); at u=%v both read ≈ %v\n", u, bR)
+		if c > 3*u+2*eps && bR >= oR+4*eps {
+			r.fails = append(r.fails, fmt.Sprintf("u=%v c=%v: expected baseline to read faster (%v vs %v)", u, c, bR, oR))
 		}
 		return r
 	})
-	tb := stats.NewTable("u", "c", "S read", "base read", "S write", "base write", "S combined", "base combined", "S lin.", "base lin.")
-	var fails []string
-	crossNote := ""
-	var figOurs, figBase []stats.Point
-	for _, r := range rows {
-		if r.cells != nil {
-			tb.AddRow(r.cells...)
-		}
-		fails = append(fails, r.fails...)
-		if r.figOurs != nil {
-			figOurs = append(figOurs, *r.figOurs)
-			figBase = append(figBase, *r.figBase)
-		}
-		if r.crossNote != "" {
-			crossNote = r.crossNote
+	tb, fails := render(rows, "u", "c", "S read", "base read", "S write", "base write", "S combined", "base combined", "S lin.", "base lin.")
+	note := ""
+	for i, k := range knobs {
+		if k.c == 3*k.u && rows[i].cells != nil { // the note names the widest u's
+			note = fmt.Sprintf("read-cost crossover at c = 3u−δ (paper: ours c+u vs baseline 4u); at u=%v both read ≈ %s\n", k.u, rows[i].cells[3])
 		}
 	}
-	return Result{
-		ID:    "E4",
-		Title: "§6.3 comparison: transformed S vs [10] baseline (u = 2ε, d2 = 3ms)",
-		Output: tb.String() + crossNote + stats.Chart(
-			"Figure 1: worst-case read latency vs c (u = 800µs)", "c (ms)", "read latency (ms)",
-			[]stats.Series{
-				{Name: "transformed S (c+u)", Marker: 'o', Points: figOurs},
-				{Name: "baseline [10] (4u)", Marker: 'b', Points: figBase},
-			}, 56, 10),
-		Failures: fails,
-	}
-}
-
-func maxLat(out runOut) (read, write simtime.Duration) {
-	reads, writes := register.Latencies(out.ops)
-	return stats.MaxDuration(reads), stats.MaxDuration(writes)
-}
-
-func linCheck(out runOut, widen simtime.Duration) bool {
-	r := linearizeCheck(out, widen)
-	return r.OK
-}
-
-func superCheck(out runOut, eps simtime.Duration) bool {
-	r := superlinearizeCheck(out, eps)
-	return r.OK
+	return tb + note + chart("Figure 1: worst-case read latency vs c (u = 800µs)", "c (ms)", "read latency (ms)", rows,
+		stats.Series{Name: "transformed S (c+u)", Marker: 'o'}, stats.Series{Name: "baseline [10] (4u)", Marker: 'b'}), fails
 }

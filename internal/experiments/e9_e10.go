@@ -76,164 +76,65 @@ func runCausal(d1 simtime.Duration, eps simtime.Duration, noBuffer bool) (int, e
 	return violations, nil
 }
 
-// E9Matrix regenerates Table 7: the verification matrix, including
+// e9Matrix regenerates Table 7: the verification matrix, including
 // mutation rows that must fail — showing both that the system-under-test
 // satisfies the paper's claims and that the checkers would catch
 // violations.
-func E9Matrix() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
+func e9Matrix() (string, []string) {
 	eps := 800 * us
-	delta := 10 * us
-	regRun := func(model string, factory core.AlgorithmFactory, cf clock.Factory, noBuffer bool, ell simtime.Duration) (runOut, error) {
-		return run(runSpec{
-			model: model, factory: factory,
-			n: 3, bounds: bounds, seed: 1001,
-			clocks: cf, delays: channel.UniformDelay,
-			ell: ell, noBuffer: noBuffer,
+	spec := func(model string, f core.AlgorithmFactory, cf clock.Factory) runSpec {
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: links, Seed: 1001, Clocks: cf, NewDelay: channel.UniformDelay},
+			model:  model, factory: f,
 			ops: 25, think: simtime.NewInterval(0, 1500*us), writeRatio: 0.4,
-		})
-	}
-
-	pL := register.Params{C: 200 * us, Delta: delta, D2: bounds.Hi, Epsilon: 0}
-	pS := register.Params{C: 200 * us, Delta: delta, D2: bounds.Hi + 2*eps, Epsilon: eps}
-
-	// Each matrix row is an independent seeded system; verdicts fan out
-	// over the worker pool and the table is assembled in row order.
-	type e9Row struct {
-		row, system, property string
-		expect, observed      bool
-		errs                  []string
-		skip                  bool // run failed before a verdict was reached
-	}
-	mk := func(row, system, property string, expect bool, fn func() (bool, error)) func() e9Row {
-		return func() e9Row {
-			observed, err := fn()
-			r := e9Row{row: row, system: system, property: property, expect: expect, observed: observed}
-			if err != nil {
-				r.errs = append(r.errs, err.Error())
-				r.skip = true
-			}
-			return r
 		}
 	}
-	tasks := []func() e9Row{
-		mk("1", "L in D_T", "linearizable", true, func() (bool, error) {
-			out, err := regRun("timed", register.Factory(register.NewL, pL), nil, false, 0)
-			if err != nil {
-				return false, err
-			}
-			return linCheck(out, 0), nil
-		}),
-		mk("2", "S in D_T", "ε-superlinearizable", true, func() (bool, error) {
-			out, err := regRun("timed", register.Factory(register.NewS, pS), nil, false, 0)
-			if err != nil {
-				return false, err
-			}
-			return superCheck(out, eps), nil
-		}),
-		mk("3", "S^c in D_C (max-skew clocks)", "linearizable", true, func() (bool, error) {
-			out, err := regRun("clock", register.Factory(register.NewS, pS), clock.SpreadFactory(eps), false, 0)
-			if err != nil {
-				return false, err
-			}
-			return linCheck(out, 0), nil
-		}),
-		mk("4", "baseline [10] in D_C", "linearizable", true, func() (bool, error) {
-			out, err := regRun("clock", register.BaselineFactory(2*eps, bounds.Hi), clock.SpreadFactory(eps), false, 0)
-			if err != nil {
-				return false, err
-			}
-			return linCheck(out, 0), nil
-		}),
-		mk("5", "S through both simulations in D_M", "linearizable", true, func() (bool, error) {
-			out, err := regRun("mmt", register.Factory(register.NewS, register.Params{
-				C: 200 * us, Delta: delta, D2: bounds.Hi + 2*eps + 24*50*us, Epsilon: eps,
-			}), clock.DriftFactory(eps, 3), false, 50*us)
-			if err != nil {
-				return false, err
-			}
-			return linCheck(out, 0), nil
-		}),
-		// Mutation: L (no 2ε wait) in the clock model must violate
-		// linearizability under adversarial clocks for some seed. The seed
-		// sweep fans out fully and the verdicts reduce to "any violated".
-		func() e9Row {
-			r := e9Row{row: "6", system: "mutation: L (no 2ε wait) in D_C", property: "linearizable", expect: false}
-			type verdict struct {
-				violated bool
-				err      string
-			}
-			verdicts := parmap(8, func(i int) verdict {
-				out, err := run(runSpec{
-					model:   "clock",
-					factory: register.Factory(register.NewL, register.Params{C: 0, Delta: 5 * us, D2: 400*us + 2*ms, Epsilon: 0}),
-					n:       3, bounds: simtime.NewInterval(200*us, 400*us), seed: int64(i),
-					clocks: clock.SpreadFactory(1 * ms), delays: channel.UniformDelay,
-					ops: 60, think: simtime.NewInterval(0, 700*us), writeRatio: 0.3,
-				})
-				if err != nil {
-					return verdict{err: err.Error()}
-				}
-				return verdict{violated: !linCheck(out, 0)}
-			})
-			violated := false
-			for _, v := range verdicts {
-				if v.err != "" {
-					r.errs = append(r.errs, v.err)
-				} else if v.violated {
-					violated = true
-				}
-			}
-			r.observed = !violated
-			return r
-		},
+	pL := register.Params{C: 200 * us, Delta: 10 * us, D2: links.Hi}
+	pS := register.Params{C: 200 * us, Delta: 10 * us, D2: links.Hi + 2*eps, Epsilon: eps}
+	sc := spec("clock", register.Factory(register.NewS, pS), clock.SpreadFactory(eps))
+	baseline := spec("clock", register.BaselineFactory(2*eps, links.Hi), clock.SpreadFactory(eps))
+	pM := pS
+	pM.D2 += 24 * 50 * us
+	mmt := spec("mmt", register.Factory(register.NewS, pM), clock.DriftFactory(eps, 3))
+	mmt.Ell = 50 * us
+	unbuffered := sc
+	unbuffered.DisableRecvBuffer = true
+	// The mutation L (no 2ε wait) in the clock model, on one seed.
+	mutantL := func(seed int64) runSpec {
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: simtime.NewInterval(200*us, 400*us), Seed: seed,
+				Clocks: clock.SpreadFactory(1 * ms), NewDelay: channel.UniformDelay},
+			model: "clock", factory: register.Factory(register.NewL, register.Params{C: 0, Delta: 5 * us, D2: 400*us + 2*ms}),
+			ops: 60, think: simtime.NewInterval(0, 700*us), writeRatio: 0.3,
+		}
+	}
+	probe := func(d1 simtime.Duration, noBuffer bool) func() (bool, error) {
+		return func() (bool, error) {
+			v, err := runCausal(d1, eps, noBuffer)
+			return v == 0, err
+		}
+	}
+	const lin, lamport = "linearizable", "recv clock ≥ send clock"
+	return matrix("holds", []claim{
+		{[]string{"1", "L in D_T", lin}, true, passes(spec("timed", register.Factory(register.NewL, pL), nil), linCheck)},
+		{[]string{"2", "S in D_T", "ε-superlinearizable"}, true, passes(spec("timed", register.Factory(register.NewS, pS), nil), superCheck(eps))},
+		{[]string{"3", "S^c in D_C (max-skew clocks)", lin}, true, passes(sc, linCheck)},
+		{[]string{"4", "baseline [10] in D_C", lin}, true, passes(baseline, linCheck)},
+		{[]string{"5", "S through both simulations in D_M", lin}, true, passes(mmt, linCheck)},
+		// The mutation must violate linearizability under adversarial
+		// clocks on some seed.
+		{[]string{"6", "mutation: L (no 2ε wait) in D_C", lin}, false, func() (bool, error) {
+			return onEverySeed(0, func(seed int64) (bool, error) { return passes(mutantL(seed), linCheck)() })
+		}},
 		// S without the receive buffer stays linearizable: its updates fire
 		// at absolute clock times, so early delivery is harmless — the
 		// buffer matters for algorithms sensitive to receive-time order.
-		mk("7", "S^c in D_C without R buffer", "linearizable", true, func() (bool, error) {
-			out, err := regRun("clock", register.Factory(register.NewS, pS), clock.SpreadFactory(eps), true, 0)
-			if err != nil {
-				return false, err
-			}
-			return linCheck(out, 0), nil
-		}),
+		{[]string{"7", "S^c in D_C without R buffer", lin}, true, passes(unbuffered, linCheck)},
 		// Lamport's condition probe: buffering restores it when d1 < 2ε.
-		mk("8", "probe in D_C, d1<2ε, buffered", "recv clock ≥ send clock", true, func() (bool, error) {
-			v, err := runCausal(100*us, eps, false)
-			return v == 0, err
-		}),
-		mk("9", "mutation: probe, d1<2ε, no buffer", "recv clock ≥ send clock", false, func() (bool, error) {
-			v, err := runCausal(100*us, eps, true)
-			return v == 0, err
-		}),
-		mk("10", "probe, d1 = 2ε, no buffer (§7.2)", "recv clock ≥ send clock", true, func() (bool, error) {
-			v, err := runCausal(2*eps, eps, true)
-			return v == 0, err
-		}),
-	}
-	rows := parmapSlice(tasks, func(fn func() e9Row) e9Row { return fn() })
-
-	tb := stats.NewTable("row", "system", "property", "expected", "observed", "ok")
-	var fails []string
-	for _, r := range rows {
-		fails = append(fails, r.errs...)
-		if r.skip {
-			continue
-		}
-		exp, obs := "holds", "holds"
-		if !r.expect {
-			exp = "violated"
-		}
-		if !r.observed {
-			obs = "violated"
-		}
-		ok := r.expect == r.observed
-		tb.AddRow(r.row, r.system, r.property, exp, obs, checkMark(ok))
-		if !ok {
-			fails = append(fails, fmt.Sprintf("%s (%s): expected %s, observed %s", r.row, r.system, exp, obs))
-		}
-	}
-	return Result{ID: "E9", Title: "verification matrix with mutations", Output: tb.String(), Failures: fails}
+		{[]string{"8", "probe in D_C, d1<2ε, buffered", lamport}, true, probe(100*us, false)},
+		{[]string{"9", "mutation: probe, d1<2ε, no buffer", lamport}, false, probe(100*us, true)},
+		{[]string{"10", "probe, d1 = 2ε, no buffer (§7.2)", lamport}, true, probe(2*eps, true)},
+	}, "row", "system", "property")
 }
 
 // e10CellOps is every client's operation count in an E10 cell, e10StreamOps
@@ -248,7 +149,7 @@ type e10Cell struct {
 	err       error
 }
 
-// E10Events regenerates Figure 5: what one operation of algorithm S
+// e10Events regenerates Figure 5: what one operation of algorithm S
 // costs the executor in events, by model and size. Every cell runs the
 // same closed-loop workload for a fixed operation count, so the table is a
 // function of the seed. At n = 8 each model runs again on the 4-shard
@@ -256,14 +157,13 @@ type e10Cell struct {
 // event on timed and clock, the operations and visible events on MMT
 // (whose hidden TICK/step elision follows lane scheduling, so its total is
 // not printed). The last row is one long-horizon run whose online verdict
-// and batch verdict over the retained history streamParity requires to be
+// and batch verdict over the retained history evaluate requires to be
 // equal, States included. What an event costs in CPU is the
 // benchmark's to measure (bench/, workload sim_models).
-func E10Events() Result {
-	bounds := simtime.NewInterval(1*ms, 3*ms)
+func e10Events() (string, []string) {
 	eps := 200 * us
 	const mmtEll = 100 * us
-	p := register.Params{C: 200 * us, Delta: 10 * us, D2: bounds.Hi + 2*eps + 24*mmtEll, Epsilon: eps}
+	p := register.Params{C: 200 * us, Delta: 10 * us, D2: links.Hi + 2*eps + 24*mmtEll, Epsilon: eps}
 	models := []string{"timed", "clock", "mmt"}
 	var cells []e10Cell
 	for _, n := range []int{2, 4, 8} {
@@ -276,17 +176,16 @@ func E10Events() Result {
 	}
 	cells = parmapSlice(cells, func(c e10Cell) e10Cell {
 		spec := runSpec{
-			model: c.model, factory: register.Factory(register.NewS, p),
-			n: c.n, bounds: bounds, seed: 1100, clocks: clock.DriftFactory(eps, 7), shards: c.shards,
-			ops: e10CellOps, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
+			Config: core.Config{N: c.n, Bounds: links, Seed: 1100, Clocks: clock.DriftFactory(eps, 7), Shards: c.shards},
+			model:  c.model, factory: register.Factory(register.NewS, p),
+			ops: e10CellOps, think: think, writeRatio: 0.4,
 		}
 		if c.model == "mmt" {
-			spec.ell = mmtEll
+			spec.Ell = mmtEll
 		}
 		c.out, c.err = run(spec)
 		return c
 	})
-
 	tb := stats.NewTable("model", "n", "executor", "ops", "events", "visible", "events/op")
 	var fails []string
 	seq := map[string]e10Cell{} // the sequential n = 8 cell of each model
@@ -326,27 +225,19 @@ func E10Events() Result {
 
 	// The streamed row: algorithm L in the timed model, monitor attached and
 	// trace retained.
-	out, err := run(runSpec{
-		model:   "timed",
-		factory: register.Factory(register.NewL, register.Params{C: 500 * us, Delta: 10 * us, D2: bounds.Hi}),
-		n:       3, bounds: bounds, seed: 4242,
-		ops: e10StreamOps, think: simtime.NewInterval(0, 1*ms), writeRatio: 0.4,
-		stream: []streamCheck{{name: "lin", opt: linearize.Options{
-			Initial: register.Initial.String(), AssumeUnique: true, MaxStates: 1 << 30}}},
+	rows := table([]string{"L in D_T, n=3"}, func(name string) runSpec {
+		return runSpec{
+			Config: core.Config{N: 3, Bounds: links, Seed: 4242}, model: "timed",
+			factory: register.Factory(register.NewL, register.Params{C: 500 * us, Delta: 10 * us, D2: links.Hi}),
+			key:     []string{name}, ops: e10StreamOps, think: simtime.NewInterval(0, 1*ms), writeRatio: 0.4,
+			checks: []check{{name: "lin", opt: linearize.Options{
+				Initial: register.Initial.String(), AssumeUnique: true, MaxStates: 1 << 30}}}, online: true,
+		}
+	}, func(_ string, m measured) row {
+		v := m.verdict["lin"]
+		return row{cells: []string{fmt.Sprint(len(m.ops)), fmt.Sprint(len(m.net.Sys.Trace())),
+			checkMark(v.OK), fmt.Sprint(v.States), checkMark(len(m.fails) == 0)}}
 	})
-	res := Result{ID: "E10", Title: "events and operations by model and size (fixed operation count)"}
-	if err != nil {
-		res.Failures = append(fails, fmt.Sprintf("streamed run: %v", err))
-		return res
-	}
-	parity := streamParity(out)
-	v := out.mon.Verdict("lin")
-	if !v.OK {
-		parity = append(parity, fmt.Sprintf("streamed run verdict: %s", v.Reason))
-	}
-	st := stats.NewTable("pipeline", "ops", "events", "lin.", "states", "streaming = sharded = retained")
-	st.AddRow("L in D_T, n=3", fmt.Sprint(len(out.ops)), fmt.Sprint(len(out.net.Sys.Trace())),
-		checkMark(v.OK), fmt.Sprint(v.States), checkMark(len(parity) == 0))
-	res.Output, res.Failures = tb.String()+"\n"+st.String(), append(fails, parity...)
-	return res
+	st, stFails := render(rows, "pipeline", "ops", "events", "lin.", "states", "streaming = sharded = retained")
+	return tb.String() + "\n" + st, append(fails, stFails...)
 }

@@ -9,6 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"psclock/internal/clock"
+	"psclock/internal/core"
+	"psclock/internal/register"
+	"psclock/internal/simtime"
 )
 
 // results holds what TestAllExperimentsPass saw each experiment return, for
@@ -32,6 +37,9 @@ func TestAllExperimentsPass(t *testing.T) {
 			r := e.Run()
 			if r.ID != e.ID {
 				t.Errorf("result ID %q != %q", r.ID, e.ID)
+			}
+			if r.Title != e.Title {
+				t.Errorf("result title %q != listed title %q", r.Title, e.Title)
 			}
 			if !r.Pass() {
 				t.Fatalf("%s failed:\n%s", e.ID, r)
@@ -183,13 +191,24 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// TestMeasuredKWindows checks measuredK on hand-built output times with
+// ℓ = 10: node 0's three outputs span exactly 2ℓ, so the window of 2ℓ
+// holds 3 > 2 of them and k = 3 is the least k whose window of kℓ holds at
+// most k. A pair exactly ℓ apart needs k = 2, outputs more than ℓ apart
+// k = 1, and an idle node nothing.
 func TestMeasuredKWindows(t *testing.T) {
-	// measuredK is exercised end-to-end by E8; sanity-check helpers here.
-	if got := checkMark(true); got != "yes" {
-		t.Errorf("checkMark(true) = %q", got)
-	}
-	if got := checkMark(false); got != "NO" {
-		t.Errorf("checkMark(false) = %q", got)
+	for _, tc := range []struct {
+		times [][]simtime.Time
+		want  int
+	}{
+		{[][]simtime.Time{{0, 10, 20}, {5, 15}, nil}, 3},
+		{[][]simtime.Time{{5, 15}}, 2},
+		{[][]simtime.Time{{0, 11, 22, 33}}, 1},
+		{[][]simtime.Time{nil}, 1},
+	} {
+		if got := measuredK(tc.times, 10); got != tc.want {
+			t.Errorf("measuredK(%v, 10) = %d, want %d", tc.times, got, tc.want)
+		}
 	}
 }
 
@@ -197,5 +216,52 @@ func TestRunRejectsUnknownModel(t *testing.T) {
 	_, err := run(runSpec{model: "bogus"})
 	if err == nil {
 		t.Error("bogus model accepted")
+	}
+}
+
+// TestEvaluateReportsFailures: every table row passes at its seed, so the
+// evaluator's failing paths are driven here. Algorithm L in D_C under max
+// skew (E9's mutation row) violates linearizability, and a wanted latency
+// of zero is missed on both sides; the online verdict still equals the
+// batch one.
+func TestEvaluateReportsFailures(t *testing.T) {
+	m := evaluate(runSpec{
+		Config: core.Config{N: 3, Bounds: simtime.NewInterval(200*us, 400*us), Seed: 0, Clocks: clock.SpreadFactory(1 * ms)},
+		model:  "clock", factory: register.Factory(register.NewL, register.Params{Delta: 5 * us, D2: 400*us + 2*ms}),
+		key: []string{"L", "D_C"}, ops: 50, think: simtime.NewInterval(0, 700*us), writeRatio: 0.3,
+		checks: []check{linCheck}, online: true, want: &cost{},
+	})
+	want := []string{"L/D_C: lin violated: ", "L/D_C: read latency ", "L/D_C: write latency "}
+	ok := len(m.fails) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = strings.HasPrefix(m.fails[i], want[i])
+	}
+	if !ok {
+		t.Errorf("failures %q, want one starting with each of %q", m.fails, want)
+	}
+}
+
+// TestMatrixReportsDisagreement: a claim the run contradicts renders "NO"
+// and a failure, one it confirms renders "yes", and one whose run errs
+// renders only its error.
+func TestMatrixReportsDisagreement(t *testing.T) {
+	observed := func(holds bool, err error) func() (bool, error) {
+		return func() (bool, error) { return holds, err }
+	}
+	tb, fails := matrix("holds", []claim{
+		{[]string{"1", "a"}, true, observed(false, nil)},
+		{[]string{"2", "b"}, false, observed(false, nil)},
+		{[]string{"3", "c"}, true, observed(true, fmt.Errorf("run failed"))},
+	}, "row", "system")
+	if want := []string{"row 1 (a): expected holds, observed violated", "run failed"}; !slices.Equal(fails, want) {
+		t.Errorf("failures %q, want %q", fails, want)
+	}
+	for _, line := range []string{"1    a       holds     violated  NO ", "2    b       violated  violated  yes"} {
+		if !strings.Contains(tb, line) {
+			t.Errorf("table lacks %q:\n%s", line, tb)
+		}
+	}
+	if strings.Contains(tb, "3  ") {
+		t.Errorf("a failed run rendered a row:\n%s", tb)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
+	"psclock/internal/core"
 	"psclock/internal/exec"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
@@ -60,10 +61,8 @@ func goldenSpec(model string, seed int64) runSpec {
 		p.D2 += 24 * ell
 	}
 	return runSpec{
-		model:   model,
-		factory: register.Factory(register.NewS, p),
-		n:       3, bounds: bounds, seed: seed, ell: ell,
-		clocks: clock.SpreadFactory(eps), delays: channel.UniformDelay,
+		Config: core.Config{N: 3, Bounds: bounds, Seed: seed, Ell: ell, Clocks: clock.SpreadFactory(eps), NewDelay: channel.UniformDelay},
+		model:  model, factory: register.Factory(register.NewS, p),
 		ops: 25, think: simtime.NewInterval(0, 2*ms), writeRatio: 0.4,
 	}
 }

@@ -51,9 +51,7 @@ import (
 // its Advance calls. Soundness and completeness follow from decomposing
 // any linearization order into segments each ending at the next deadline
 // in hi-order: the dfs at that deadline explores exactly the candidate
-// segments (operations opening after hi_d cannot precede d in any order,
-// and the stranding prune only discards states in which some open
-// operation's window has provably closed below ℓ).
+// segments (operations opening after hi_d cannot precede d in any order).
 //
 // # Watermarks and garbage collection
 //
@@ -72,10 +70,9 @@ import (
 // distinct values; AssumeUnique drops it for trusted workloads, making the
 // whole engine O(window).
 type Online struct {
-	opt       Options
-	finishing bool
-	finished  bool
-	final     Result
+	opt      Options
+	finished bool
+	final    Result
 
 	window   []olIv
 	frontier []olState
@@ -86,9 +83,8 @@ type Online struct {
 	keyBuf   []byte // scratch for the per-stage memo key
 
 	// Per-stage scratch, reused from stage to stage (see collect).
-	listed bool  // cands and strand hold the current stage's lists
+	listed bool  // cands holds the current stage's list
 	cands  []int // window indexes that may precede the target, window order
-	strand []int // window indexes of open ops the stage's ℓ may pass
 	greedy []int // commit's and stageApprox's in-order reads
 	due    []int // drain's deadlines
 	memo   map[string]bool
@@ -262,7 +258,7 @@ func (o *Online) Finish() Result {
 	if o.finished {
 		return o.final
 	}
-	o.finished, o.finishing = true, true
+	o.finished = true
 	// Value-uniqueness violations take priority over (and report without)
 	// search results, mirroring the batch checker's construction errors.
 	if o.writers != nil {
@@ -308,7 +304,7 @@ func (o *Online) Finish() Result {
 		o.final = Result{OK: true, States: o.states, Pruned: o.pruned}
 	}
 	o.window, o.frontier, o.open, o.writers, o.observed = nil, nil, nil, nil, nil
-	o.cands, o.strand, o.greedy, o.due, o.memo, o.nf, o.spare = nil, nil, nil, nil, nil, frontierBuilder{}, nil
+	o.cands, o.greedy, o.due, o.memo, o.nf, o.spare = nil, nil, nil, nil, frontierBuilder{}, nil
 	return o.final
 }
 
@@ -402,31 +398,28 @@ func (o *Online) stage(di int) {
 }
 
 // collect makes the stage's one pass over the window; per-state work runs
-// over its two lists instead. cands: the ops that may precede the target
-// (open, not the target, lo ≤ target.hi, fate resolved), in window order so
-// a MaxStates cut-off falls where a window scan's would. strand: the open
-// ops whose hi is below max(frontier ℓ, target.hi), a cap on every ℓ the
-// stage reaches (each is the frontier's or a placed op's lo, and every
-// candidate's lo is at most target.hi). At most once per stage, on demand.
+// over its list instead. cands: the ops that may precede the target (open,
+// not the target, lo ≤ target.hi), in window order so a MaxStates cut-off
+// falls where a window scan's would. At most once per stage, on demand.
+//
+// Two filters are implied by drain's order, so the pass does not apply
+// them. A pending op's fate needs no test: outside Finish, drain settles
+// only deadlines below effBound, which is at most every pending op's lo,
+// so a pending op fails lo ≤ target.hi; in Finish every pending op left in
+// the window is a write that must be placed. And no state can strand an
+// open op, leaving its window closed below the state's ℓ: deadlines settle
+// in hi order and an op arriving later closes at or after the watermark,
+// so every open op outside a state's early set has hi ≥ target.hi, while
+// ℓ, the largest lo placed, is at most target.hi.
 func (o *Online) collect(target *olIv) {
 	if o.listed {
 		return
 	}
 	o.listed = true
-	ellCap := target.hi
-	for _, s := range o.frontier {
-		ellCap = max(ellCap, s.ell)
-	}
-	o.cands, o.strand = o.cands[:0], o.strand[:0]
+	o.cands = o.cands[:0]
 	for i := range o.window {
 		x := &o.window[i]
-		if x.closed {
-			continue
-		}
-		if x.hi < ellCap {
-			o.strand = append(o.strand, i)
-		}
-		if x.id != target.id && x.lo <= target.hi && (!x.pending || o.finishing) {
+		if !x.closed && x.id != target.id && x.lo <= target.hi {
 			o.cands = append(o.cands, i)
 		}
 	}
@@ -490,7 +483,7 @@ func (o *Online) stageApprox(target *olIv) bool {
 		}
 	}
 	var ok bool
-	if ns, ok = o.place(ns, target); !ok || o.strands(ns, target.id) {
+	if ns, ok = o.place(ns, target); !ok {
 		return false
 	}
 	if len(pre) > 0 {
@@ -577,7 +570,7 @@ func (o *Online) commit(s olState, target *olIv) {
 		ns.early = early
 		s = ns
 	}
-	if ns, ok := o.place(s, target); ok && !o.strands(ns, target.id) {
+	if ns, ok := o.place(s, target); ok {
 		o.nf.emit(ns)
 	}
 	for _, i := range o.cands {
@@ -594,9 +587,6 @@ func (o *Online) commit(s olState, target *olIv) {
 		early = append(early, x.id)
 		sort.Ints(early)
 		ns.early = early
-		if o.strands(ns, -1) {
-			continue
-		}
 		o.commit(ns, target)
 		if o.failed {
 			return
@@ -631,23 +621,6 @@ func (o *Online) place(s olState, iv *olIv) (olState, bool) {
 		ell = iv.lo
 	}
 	return olState{early: s.early, last: last, ell: ell}, true
-}
-
-// strands reports whether some open operation outside the state's early
-// set (and other than exclude) can no longer be placed: its window closes
-// below the state's point lower bound. Such states are dead. Only the
-// stage's strand list can qualify (see collect). Operations not yet
-// submitted can never trigger this — their windows close at or beyond
-// every processed bound — so the answer does not depend on Advance
-// slicing.
-func (o *Online) strands(ns olState, exclude int) bool {
-	for _, i := range o.strand {
-		x := &o.window[i]
-		if x.id != exclude && x.hi < ns.ell && indexOfID(ns.early, x.id) < 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // frontierBuilder accumulates emitted states, merging duplicates by

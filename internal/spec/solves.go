@@ -30,7 +30,7 @@ type Adversary struct {
 func StandardAdversaries(eps simtime.Duration, seed int64) []Adversary {
 	var out []Adversary
 	for _, c := range []string{"perfect", "spread", "drift", "sawtooth"} {
-		clocks, err := clock.Named(c, eps, seed)
+		clocks, err := clock.Named(c, eps, 0, seed)
 		if err != nil {
 			panic(err)
 		}
