@@ -45,31 +45,32 @@ type Model interface {
 type Factory func(node int) Model
 
 // segment is one linear piece: for t in [startReal, endReal), the clock is
-// startClock + (t−startReal)·num/den.
+// startClock + (t−startReal)·num/den, reaching endClock at endReal. gen
+// fixes both ends once, so a lookup compares and never divides.
 type segment struct {
-	startReal  simtime.Time
-	startClock simtime.Time
-	num        int64 // rate numerator over den; ≥ 1 keeps the clock monotone
-	dur        simtime.Duration
+	startReal, endReal   simtime.Time
+	startClock, endClock simtime.Time
+	num                  int64 // rate numerator over den; ≥ 1 keeps the clock monotone
 }
 
 func (s segment) at(t simtime.Time) simtime.Time {
 	return s.startClock.Add(t.Sub(s.startReal).Scale(s.num, den))
 }
 
-func (s segment) endReal() simtime.Time { return s.startReal.Add(s.dur) }
-
-func (s segment) endClock() simtime.Time {
-	return s.startClock.Add(s.dur.Scale(s.num, den))
-}
-
 // piecewise is the shared engine: an extendable list of segments produced
 // by a generator. The generator returns the next segment's rate numerator
 // and duration, given the current clock offset (clock − real).
+//
+// cur is the index of the segment the last lookup found. The executor's
+// lookups are near-monotone (a node reads its clock at now and inverts it
+// at a timer's or a buffered message's clock value, a few segments either
+// side), so each lookup walks from cur, and its cost does not grow with
+// the number of segments the run has generated.
 type piecewise struct {
 	name string
 	eps  simtime.Duration
 	segs []segment
+	cur  int
 	next func(offset simtime.Duration) (num int64, dur simtime.Duration)
 }
 
@@ -83,16 +84,12 @@ func (p *piecewise) extend(t simtime.Time) {
 	if len(p.segs) == 0 {
 		p.segs = append(p.segs, p.gen(segment{startReal: 0, startClock: 0}))
 	}
-	for p.segs[len(p.segs)-1].endReal() <= t {
-		last := p.segs[len(p.segs)-1]
-		p.segs = append(p.segs, p.gen(segment{
-			startReal:  last.endReal(),
-			startClock: last.endClock(),
-		}))
+	for last := p.segs[len(p.segs)-1]; last.endReal <= t; last = p.segs[len(p.segs)-1] {
+		p.segs = append(p.segs, p.gen(segment{startReal: last.endReal, startClock: last.endClock}))
 	}
 }
 
-// gen fills in rate and duration for a segment starting at the given point,
+// gen fills in rate and end for a segment starting at the given point,
 // clamping so the clock stays inside the ±ε band (C_ε is an invariant, not
 // a hope).
 func (p *piecewise) gen(s segment) segment {
@@ -119,7 +116,8 @@ func (p *piecewise) gen(s segment) segment {
 			num = 1
 		}
 	}
-	s.num, s.dur = num, dur
+	s.num = num
+	s.endReal, s.endClock = s.startReal.Add(dur), s.startClock.Add(dur.Scale(num, den))
 	return s
 }
 
@@ -128,23 +126,17 @@ func (p *piecewise) At(t simtime.Time) simtime.Time {
 		t = 0
 	}
 	p.extend(t)
-	seg := p.find(t)
-	return seg.at(t)
-}
-
-// find locates the segment covering real time t (segments are contiguous
-// from 0, so binary search applies).
-func (p *piecewise) find(t simtime.Time) segment {
-	lo, hi := 0, len(p.segs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if p.segs[mid].startReal <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	// The segment covering t: segments are contiguous from 0 and extend
+	// covered t, so both walks stop inside the list.
+	i := p.cur
+	for t < p.segs[i].startReal {
+		i--
 	}
-	return p.segs[lo]
+	for t >= p.segs[i].endReal {
+		i++
+	}
+	p.cur = i
+	return p.segs[i].at(t)
 }
 
 func (p *piecewise) EarliestAt(c simtime.Time) simtime.Time {
@@ -154,17 +146,17 @@ func (p *piecewise) EarliestAt(c simtime.Time) simtime.Time {
 	// The clock reaches c no later than real time c+ε (predicate C_ε), so
 	// extending to that point guarantees the target segment exists.
 	p.extend(simtime.Time(int64(c) + int64(p.eps) + 1))
-	// Binary search for the first segment whose end clock reaches c.
-	lo, hi := 0, len(p.segs)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.segs[mid].endClock() >= c {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	// The first segment whose end clock reaches c: end clocks never
+	// decrease along the list, and the last one is past c.
+	i := p.cur
+	for i > 0 && p.segs[i-1].endClock >= c {
+		i--
 	}
-	s := p.segs[lo]
+	for p.segs[i].endClock < c {
+		i++
+	}
+	p.cur = i
+	s := p.segs[i]
 	if s.startClock >= c {
 		return s.startReal
 	}

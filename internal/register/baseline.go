@@ -40,8 +40,7 @@ type Baseline struct {
 	d2 simtime.Duration // physical link delay upper bound
 
 	cur     Update
-	updates map[simtime.Time]Update
-	due     []simtime.Time // scratch for applyDueUpdates, reused across calls
+	updates pending
 }
 
 var _ core.Algorithm = (*Baseline)(nil)
@@ -52,7 +51,7 @@ func NewBaseline(u, d2 simtime.Duration) *Baseline {
 	if u < 0 || d2 <= 0 {
 		panic(fmt.Sprintf("register: invalid baseline params u=%v d2=%v", u, d2))
 	}
-	return &Baseline{u: u, d2: d2, cur: initial, updates: make(map[simtime.Time]Update)}
+	return &Baseline{u: u, d2: d2, cur: initial}
 }
 
 // BaselineFactory adapts NewBaseline to core.AlgorithmFactory.
@@ -100,14 +99,9 @@ func (b *Baseline) OnMessage(ctx core.Context, from ta.NodeID, body any) {
 	if !ok {
 		panic(fmt.Sprintf("register: unexpected message %T", body))
 	}
-	if prev, exists := b.updates[m.T]; exists {
-		if prev.By < from {
-			b.updates[m.T] = Update{m.T, from, m.V}
-		}
-		return
+	if b.updates.put(Update{m.T, from, m.V}) {
+		ctx.SetTimer(m.T, updateTimer{})
 	}
-	b.updates[m.T] = Update{m.T, from, m.V}
-	ctx.SetTimer(m.T, updateTimer{at: m.T})
 }
 
 // OnTimer implements core.Algorithm.
@@ -126,7 +120,9 @@ func (b *Baseline) OnTimer(ctx core.Context, key any) {
 }
 
 func (b *Baseline) applyDue(now simtime.Time) {
-	applyDueUpdates(b.updates, &b.cur, now, &b.due)
+	if u, ok := b.updates.apply(now); ok {
+		b.cur = u
+	}
 }
 
 // Costs returns the baseline's analytical worst-case read and write time

@@ -1,6 +1,7 @@
 package register
 
 import (
+	"fmt"
 	"testing"
 
 	"psclock/internal/core"
@@ -80,5 +81,60 @@ func TestRestoreMerge(t *testing.T) {
 	s := r.Snapshot()
 	if s.Cur != (Update{at(60), 2, val(5)}) || len(s.Pending) != 0 {
 		t.Errorf("Snapshot = %+v, want value %v applied at 60 ms from sender 2, nothing pending", s, val(5))
+	}
+}
+
+// timerCtx is a stubCtx that records the instants timers are set for.
+type timerCtx struct {
+	stubCtx
+	timers []simtime.Time
+}
+
+func (c *timerCtx) SetTimer(at simtime.Time, _ any) { c.timers = append(c.timers, at) }
+
+// TestPendingUpdates: updates arriving out of time order are kept in time
+// order, one per instant with the larger sender winning whichever arrives
+// first, a timer is set once per new instant, an update due exactly now is
+// applied, and a snapshot lists what is pending in time order.
+func TestPendingUpdates(t *testing.T) {
+	ms := simtime.Millisecond
+	p := Params{Delta: ms, D2: 10 * ms}
+	val := func(seq int) Value { return Value{Writer: 0, Seq: seq} }
+	at := func(k int) simtime.Time { return simtime.Time(simtime.Duration(k) * ms) }
+	ctx := &timerCtx{}
+	r := NewL(p)
+	for _, u := range []struct {
+		from ta.NodeID
+		t, v int
+	}{
+		{1, 49, 1}, {0, 19, 2}, {2, 39, 3}, // out of order: applied at 50, 20, 40
+		{1, 29, 4}, {3, 29, 5}, // the same instant, larger sender second
+		{3, 39, 6}, {2, 39, 7}, // the same instant, larger sender first: 6 beats 3, then 7 loses to it
+	} {
+		r.OnMessage(ctx, u.from, updateMsg{val(u.v), at(u.t)})
+	}
+	if want := []simtime.Time{at(50), at(20), at(40), at(30)}; fmt.Sprint(ctx.timers) != fmt.Sprint(want) {
+		t.Errorf("timers set for %v, want one per new instant %v", ctx.timers, want)
+	}
+	want := []Update{{at(20), 0, val(2)}, {at(30), 3, val(5)}, {at(40), 3, val(6)}, {at(50), 1, val(1)}}
+	if got := r.Snapshot().Pending; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Snapshot.Pending = %v, want %v", got, want)
+	}
+	read := func(now int) Value {
+		ctx.now, ctx.out = at(now), nil
+		r.OnTimer(ctx, readTimer{})
+		return ctx.out[0].(Value)
+	}
+	for _, c := range []struct{ now, want, left int }{{19, 0, 4}, {20, 2, 3}, {45, 6, 1}, {50, 1, 0}} {
+		wantV := Initial
+		if c.want != 0 {
+			wantV = val(c.want)
+		}
+		if got := read(c.now); got != wantV {
+			t.Errorf("read at %d ms = %v, want %v", c.now, got, wantV)
+		}
+		if got := len(r.Snapshot().Pending); got != c.left {
+			t.Errorf("after the read at %d ms, %d updates pending, want %d", c.now, got, c.left)
+		}
 	}
 }

@@ -26,6 +26,7 @@ package register
 
 import (
 	"fmt"
+	"slices"
 
 	"psclock/internal/core"
 	"psclock/internal/simtime"
@@ -99,7 +100,7 @@ func (p Params) Validate() error {
 type (
 	readTimer   struct{}
 	ackTimer    struct{}
-	updateTimer struct{ at simtime.Time }
+	updateTimer struct{}
 )
 
 // Update is one UPDATE as a register holds it: V from sender By, applied (or
@@ -112,6 +113,46 @@ type Update struct {
 
 var initial = Update{By: ta.NoNode, V: Initial}
 
+// pending holds the updates received but not yet applied, in application
+// time order, at most one per instant.
+type pending []Update
+
+// put records u under OnMessage's rule — one update per instant, the larger
+// sender wins — and reports whether u's instant is new. Updates arrive
+// nearly in time order, so the place is found from the back.
+func (q *pending) put(u Update) bool {
+	s := *q
+	i := len(s)
+	for i > 0 && s[i-1].At > u.At {
+		i--
+	}
+	if i > 0 && s[i-1].At == u.At {
+		if s[i-1].By < u.By {
+			s[i-1] = u
+		}
+		return false
+	}
+	*q = slices.Insert(s, i, u)
+	return true
+}
+
+// apply removes the updates due at now and returns the last of them — the
+// one that applying them in time order leaves standing — with ok false when
+// none is due.
+func (q *pending) apply(now simtime.Time) (last Update, ok bool) {
+	s := *q
+	n := 0
+	for n < len(s) && !s[n].At.After(now) {
+		n++
+	}
+	if n == 0 {
+		return Update{}, false
+	}
+	last = s[n-1]
+	*q = s[:copy(s, s[n:])]
+	return last, true
+}
+
 // LS is the shared machinery of algorithms L and S; the only difference is
 // the extra wait a read performs before sampling the local copy (0 for L,
 // 2ε for S).
@@ -120,20 +161,19 @@ type LS struct {
 	extraRead simtime.Duration
 
 	cur     Update // the update that produced the current value
-	updates map[simtime.Time]Update
-	due     []simtime.Time // scratch for applyDueUpdates, reused across calls
+	updates pending
 }
 
 var _ core.Algorithm = (*LS)(nil)
 
 // NewL returns algorithm L with the given parameters.
 func NewL(p Params) *LS {
-	return &LS{p: p, extraRead: 0, cur: initial, updates: make(map[simtime.Time]Update)}
+	return &LS{p: p, extraRead: 0, cur: initial}
 }
 
 // NewS returns algorithm S: L with the 2ε superlinearizability wait.
 func NewS(p Params) *LS {
-	return &LS{p: p, extraRead: 2 * p.Epsilon, cur: initial, updates: make(map[simtime.Time]Update)}
+	return &LS{p: p, extraRead: 2 * p.Epsilon, cur: initial}
 }
 
 // Factory adapts a constructor to core.AlgorithmFactory.
@@ -175,14 +215,9 @@ func (r *LS) OnMessage(ctx core.Context, from ta.NodeID, body any) {
 		panic(fmt.Sprintf("register: unexpected message %T", body))
 	}
 	at := m.T.Add(r.p.Delta)
-	if prev, exists := r.updates[at]; exists {
-		if prev.By < from {
-			r.updates[at] = Update{at, from, m.V}
-		}
-		return
+	if r.updates.put(Update{at, from, m.V}) {
+		ctx.SetTimer(at, updateTimer{})
 	}
-	r.updates[at] = Update{at, from, m.V}
-	ctx.SetTimer(at, updateTimer{at: at})
 }
 
 // OnTimer implements core.Algorithm.
@@ -206,37 +241,8 @@ func (r *LS) OnTimer(ctx core.Context, key any) {
 // applyDue applies, in time order, every recorded update whose application
 // time has arrived (the UPDATE internal action of Figure 3).
 func (r *LS) applyDue(now simtime.Time) {
-	applyDueUpdates(r.updates, &r.cur, now, &r.due)
-}
-
-// applyDueUpdates applies to cur, in time order, every update with
-// application time ≤ now, removing them from the map.
-// scratch is the caller's reusable collection buffer: applyDue runs on
-// every read and write, and allocating the due slice per call was the
-// single largest allocation site in the executor-throughput profile.
-func applyDueUpdates(updates map[simtime.Time]Update, cur *Update, now simtime.Time, scratch *[]simtime.Time) {
-	if len(updates) == 0 {
-		return
-	}
-	due := (*scratch)[:0]
-	for at := range updates {
-		if !at.After(now) {
-			due = append(due, at)
-		}
-	}
-	*scratch = due
-	// Insertion sort: the due list rarely exceeds a handful of entries, and
-	// sort.Slice allocates its comparison closure and reflection swapper on
-	// every call — which made this the top allocation site in the executor
-	// throughput profile.
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j] < due[j-1]; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
-		}
-	}
-	for _, at := range due {
-		*cur = updates[at]
-		delete(updates, at)
+	if u, ok := r.updates.apply(now); ok {
+		r.cur = u
 	}
 }
 
@@ -248,14 +254,11 @@ type Snapshot struct {
 	Pending []Update
 }
 
-// Snapshot copies the register's state; like every method, it belongs to the
-// goroutine that runs the algorithm's callbacks.
+// Snapshot copies the register's state, its pending updates in time order;
+// like every method, it belongs to the goroutine that runs the algorithm's
+// callbacks.
 func (r *LS) Snapshot() Snapshot {
-	s := Snapshot{Cur: r.cur, Pending: make([]Update, 0, len(r.updates))}
-	for _, u := range r.updates {
-		s.Pending = append(s.Pending, u)
-	}
-	return s
+	return Snapshot{Cur: r.cur, Pending: append([]Update{}, r.updates...)}
 }
 
 // Restore merges a peer's snapshot into a register that lost its state and
@@ -268,14 +271,10 @@ func (r *LS) Restore(s Snapshot) {
 	if s.Cur.At > r.cur.At || s.Cur.At == r.cur.At && s.Cur.By > r.cur.By {
 		r.cur = s.Cur
 	}
-	for at := range r.updates {
-		if !at.After(r.cur.At) {
-			delete(r.updates, at)
-		}
-	}
+	r.updates.apply(r.cur.At) // drops them; the value stays the later one
 	for _, u := range s.Pending {
-		if prev, exists := r.updates[u.At]; u.At.After(r.cur.At) && (!exists || prev.By < u.By) {
-			r.updates[u.At] = u
+		if u.At.After(r.cur.At) {
+			r.updates.put(u)
 		}
 	}
 }

@@ -116,9 +116,8 @@ func (d Duration) Scale(num, den int64) Duration {
 	}
 	// Fast path: non-negative operands with no overflow risk need a single
 	// multiply-divide (truncation equals floor). This is the clock models'
-	// steady state — every real→clock conversion scales a small in-segment
-	// offset by a near-1 rational — and Scale was the hottest leaf in the
-	// executor-throughput profile before this path existed.
+	// steady state: a reading scales a small in-segment offset by a near-1
+	// rational, and a segment's end clock is scaled once, when it is made.
 	if num >= 0 && d >= 0 && (num == 0 || int64(d) <= (1<<62)/num) {
 		return Duration(int64(d) * num / den)
 	}
