@@ -143,7 +143,7 @@ type Edge struct {
 	out []ta.Action
 }
 
-var _ ta.Coalescable = (*Edge)(nil)
+var _ ta.Automaton = (*Edge)(nil)
 
 // New returns the TA-model edge for link from→to with the given delay
 // bounds, delay policy, and seed.
@@ -236,20 +236,6 @@ func (e *Edge) Fire(now simtime.Time) []ta.Action {
 	e.out = out
 	return out
 }
-
-// NextInterest implements ta.Coalescable: every delivery is an observable
-// event, so the edge's interest is exactly its Due and the executor never
-// coalesces past a pending message.
-func (e *Edge) NextInterest() simtime.Time {
-	if at, ok := e.pending.Next(); ok {
-		return at
-	}
-	return simtime.Never
-}
-
-// FastForward implements ta.Coalescable as a no-op: the edge declares
-// every deadline observable, so there is never anything to skip.
-func (e *Edge) FastForward(simtime.Time) {}
 
 // InFlight returns the number of undelivered messages.
 func (e *Edge) InFlight() int { return e.pending.Len() }

@@ -39,12 +39,17 @@ type ClockNode struct {
 	stamps []ClockStamp
 	out    []ta.Action // reusable return buffer
 
+	// dueClock is the last clock deadline Due translated and dueReal the
+	// real time the clock's inverse gave for it, valid once dueOk is set.
+	dueClock, dueReal simtime.Time
+	dueOk             bool
+
 	// RecordStamps controls γ'_α collection (on by default; disable for
 	// long throughput runs).
 	RecordStamps bool
 }
 
-var _ ta.Coalescable = (*ClockNode)(nil)
+var _ ta.Automaton = (*ClockNode)(nil)
 
 // NewClockNode returns the clock-model node automaton for node id of an
 // n-node system running alg against clk.
@@ -141,33 +146,21 @@ func (cn *ClockNode) Deliver(now simtime.Time, a ta.Action) []ta.Action {
 }
 
 // Due implements ta.Automaton: the composite's next clock deadline,
-// translated to real time through the clock's inverse.
+// translated to real time through the clock's inverse. The clock model is
+// a deterministic function, so a deadline is translated once and the
+// answer reused until the composite's deadline changes.
 func (cn *ClockNode) Due(simtime.Time) (simtime.Time, bool) {
 	c, ok := cn.inner.NextDue()
 	if !ok {
 		return 0, false
 	}
-	return cn.clk.EarliestAt(c), true
+	if !cn.dueOk || c != cn.dueClock {
+		cn.dueClock, cn.dueReal, cn.dueOk = c, cn.clk.EarliestAt(c), true
+	}
+	return cn.dueReal, true
 }
 
 // Fire implements ta.Automaton.
 func (cn *ClockNode) Fire(now simtime.Time) []ta.Action {
 	return cn.emit(now, cn.inner.Advance(cn.clk.At(now)))
 }
-
-// NextInterest implements ta.Coalescable. The clock-model node sees its
-// clock continuously (no TICK discretization), so every deadline is real
-// composite work: its interest is exactly its Due and the executor never
-// coalesces past it. Golden clock-model traces are therefore identical
-// with and without coalescing.
-func (cn *ClockNode) NextInterest() simtime.Time {
-	d, ok := cn.Due(0)
-	if !ok {
-		return simtime.Never
-	}
-	return d
-}
-
-// FastForward implements ta.Coalescable as a no-op: the node declares
-// every deadline observable, so there is never anything to skip.
-func (cn *ClockNode) FastForward(simtime.Time) {}

@@ -43,29 +43,20 @@ import (
 // in one arithmetic move (fixed-gap policies) or by replaying its seeded
 // gap draws (random policies).
 //
-// Components whose deadlines are all observable are never consumed, and
-// the sweep never looks past the first blocking entry, so a system with
-// nothing to skip (the clock model: every deadline is composite work)
-// pays one heap peek per time-passage step. The consumed-entry scratch
-// list is pooled on the System, and FastForward itself is arithmetic for
-// fixed-gap step policies, so a coalescing round allocates nothing.
+// Components whose deadlines are all observable (channel edges, clock-model
+// nodes) do not implement ta.Coalescable: their entries stop the sweep,
+// and a system with none that does (the timed and clock models) skips the
+// pass outright. The consumed-entry scratch list is pooled on the lane,
+// and FastForward itself is arithmetic for fixed-gap step policies, so a
+// coalescing round allocates nothing.
 
-// coalEntry caches the Coalescable assertion for one component.
-type coalEntry struct {
-	idx int32
-	c   ta.Coalescable
-}
-
-// rebuildCoal recomputes the coalescable-component index after Add,
-// Replace, or init. Its only scheduling role is the len(s.coal) == 0
-// fast-out in coalesce; the sweep re-asserts per popped entry.
+// rebuildCoal recomputes the Coalescable views after Add, Replace or init.
 func (s *System) rebuildCoal() {
-	s.coal = s.coal[:0]
-	s.coalOf = s.coalOf[:0]
-	for i, c := range s.comps {
+	s.coalOf, s.ncoal = s.coalOf[:0], 0
+	for _, c := range s.comps {
 		cc, _ := c.(ta.Coalescable)
 		if cc != nil {
-			s.coal = append(s.coal, coalEntry{idx: int32(i), c: cc})
+			s.ncoal++
 		}
 		s.coalOf = append(s.coalOf, cc)
 	}
@@ -84,7 +75,7 @@ func (s *System) rebuildCoal() {
 // FastForward targets are monotone and each call consumes exactly the
 // seeded draws of the deadlines it skips.
 func (s *System) coalesce(ln *lane, bound simtime.Time) {
-	if s.dense || s.linear || *ln.err != nil || len(s.coal) == 0 {
+	if s.dense || s.linear || *ln.err != nil || s.ncoal == 0 {
 		return
 	}
 	horizon := bound
@@ -99,8 +90,8 @@ func (s *System) coalesce(ln *lane, bound simtime.Time) {
 		if !top.due.Before(horizon) {
 			break
 		}
-		cc, ok := s.comps[top.idx].(ta.Coalescable)
-		if !ok {
+		cc := s.coalOf[top.idx]
+		if cc == nil {
 			// A non-coalescable deadline is an observable event; it bounds
 			// the skip. Entries consumed so far are due before it (pop
 			// order), so fast-forwarding them to the lowered horizon stays
@@ -137,7 +128,7 @@ func (s *System) coalesce(ln *lane, bound simtime.Time) {
 		return
 	}
 	for _, idx := range ff {
-		s.comps[idx].(ta.Coalescable).FastForward(horizon)
+		s.coalOf[idx].FastForward(horizon)
 		s.poll(ln, int(idx))
 	}
 	ln.ffScratch = ff[:0]

@@ -2,9 +2,11 @@ package exec_test
 
 // External differential tests for the coalescing fast path: the synthetic
 // in-package matrix (differential_test.go) exercises the executor
-// mechanics, while these drive the real clock- and MMT-model register
-// systems from internal/core through dense and coalesced execution. They
-// live in package exec_test because core imports exec.
+// mechanics, while these drive the real MMT-model register system from
+// internal/core through dense and coalesced execution (the timed and
+// clock models have no Coalescable component, so their dense and
+// coalesced runs execute the same code). They live in package exec_test
+// because core imports exec.
 
 import (
 	"fmt"
@@ -94,44 +96,6 @@ func trim(s string) string {
 		return strings.Join(lines[:30], "\n") + "\n..."
 	}
 	return s
-}
-
-// TestClockModelCoalescedIdentical runs the clock-model register system
-// dense and coalesced: every clock-node deadline is observable composite
-// work (NextInterest == Due), so the full traces — sequence numbers
-// included — must be byte-identical. This is the guard that coalescing
-// cannot perturb the golden clock-model traces.
-func TestClockModelCoalescedIdentical(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			runOne := func(dense bool) string {
-				cfg, p := extConfig(seed, 100*extUS, core.LazySteps)
-				net := core.BuildClocked(cfg, register.Factory(register.NewS, p))
-				if dense {
-					net.Sys.DisableCoalescing()
-				}
-				clients := workload.AttachScripted(net, extScripts(cfg.N, 6))
-				if err := net.Sys.Run(simtime.Time(90 * extMS)); err != nil {
-					t.Fatalf("dense=%v: %v", dense, err)
-				}
-				for _, c := range clients {
-					if c.Err != nil {
-						t.Fatalf("dense=%v: %v", dense, c.Err)
-					}
-					if c.Done != 6 {
-						t.Fatalf("dense=%v: %s finished %d/6", dense, c.Name(), c.Done)
-					}
-				}
-				return renderFull(net.Sys.Trace())
-			}
-			coal, dense := runOne(false), runOne(true)
-			if coal != dense {
-				t.Errorf("clock-model traces diverge under coalescing:\ncoalesced:\n%s\ndense:\n%s", trim(coal), trim(dense))
-			}
-		})
-	}
 }
 
 // TestMMTModelCoalescedObservableIdentical runs the MMT register system

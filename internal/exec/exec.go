@@ -15,12 +15,14 @@
 //
 //   - a deadline heap (sched.go) replaces the per-step linear scan over
 //     every component's Due with a lazily invalidated binary min-heap,
-//   - a routing table memoizes, per action header (Name, Node, Peer,
-//     Kind), which subscriptions match, so dispatch stops re-evaluating
-//     every predicate for every action,
+//   - a header memo keeps, per action header (Name, Node, Peer, Kind),
+//     which subscriptions match and whether Hide hides it, indexed by
+//     node, peer and kind and then searched by name, so dispatch and
+//     recording evaluate no predicate and hash no string per action,
 //   - an interest-declaration pass (coalesce.go) advances time directly
 //     to the next observable event, collapsing runs of unobservable TICK
-//     and idle-step deadlines (ta.Coalescable) into arithmetic jumps, and
+//     and idle-step deadlines (ta.Coalescable) into arithmetic jumps; a
+//     system with no Coalescable component skips the pass, and
 //   - an optional sharded mode (shard.go) partitions the components into
 //     lanes that advance concurrently in conservative rounds: every lane
 //     fires its deadlines up to the earliest pending deadline plus the
@@ -64,12 +66,28 @@ type subscription struct {
 	dstIdx int32
 }
 
-// routeKey is the header of an action: every field a subscription may
-// inspect. Actions sharing a key route identically.
-type routeKey struct {
+// header is the memoized verdict for one action header, the fields a
+// subscription or a Hide predicate may inspect: the subscriptions it
+// routes to, in registration order, and whether it is hidden.
+type header struct {
 	name       string
 	node, peer ta.NodeID
 	kind       ta.Kind
+	hits       []int32
+	hidden     bool
+}
+
+// headerMemo is one lane's header memo. A header whose Node and Peer lie
+// in [-1, span-1) and whose Kind is below 4 finds its slot by arithmetic;
+// the slot holds the few names its (node, peer, kind) takes. The table is
+// rebuilt wider (and refilled) when a higher id appears, up to one id per
+// registered component — a node id is below the node count — so the
+// memory tracks the system's size; any other header goes to the overflow
+// list.
+type headerMemo struct {
+	span  int
+	slots [][]header // by ((Node+1)·span + Peer+1)·4 + Kind
+	wide  []header
 }
 
 // lane is one execution context: a clock, a deadline scheduler, and the
@@ -95,7 +113,7 @@ type lane struct {
 
 	chainDepth int
 	scratch    [][]ta.Action
-	routes     map[routeKey][]int32
+	memo       headerMemo
 
 	// Sharded-round buffers (unused on the root lane). events holds the
 	// lane's recorded events in canonical lane-local order, consumed from
@@ -151,12 +169,11 @@ type System struct {
 	// path is always dense.
 	dense bool
 
-	// coal indexes the registered components that implement
-	// ta.Coalescable; coalOf maps every component index to its Coalescable
-	// view (nil when the component does not implement it), so hot paths
-	// skip the repeated type assertion.
-	coal   []coalEntry
+	// coalOf maps every component index to its ta.Coalescable view (nil
+	// when the component does not implement it), so the sweep makes no
+	// type assertion; ncoal counts the non-nil views.
 	coalOf []ta.Coalescable
+	ncoal  int
 
 	// Sharded-mode state; see shard.go. shardCfg is the requested
 	// configuration; lanes and compShard the active partition once
@@ -200,11 +217,7 @@ func (s *System) Add(a ta.Automaton) ta.Automaton {
 			s.fail(fmt.Errorf("exec: Add(%s) after sharded execution started", a.Name()))
 			return a
 		}
-		cc, _ := a.(ta.Coalescable)
-		if cc != nil {
-			s.coal = append(s.coal, coalEntry{idx: int32(idx), c: cc})
-		}
-		s.coalOf = append(s.coalOf, cc)
+		s.rebuildCoal()
 		if !s.linear {
 			// Late registration: size the scheduler and pick up the
 			// newcomer's deadline immediately.
@@ -263,9 +276,9 @@ func (s *System) Replace(name string, a ta.Automaton) {
 // automaton whose signature contains it.
 //
 // match must depend only on the action's Name, Node, Peer, and Kind — never
-// its Payload. Subscriptions are routed through a table keyed on those four
-// fields, built lazily and memoized, so the predicate runs once per distinct
-// action header rather than once per dispatched action. The contract is the
+// its Payload. Subscriptions are routed through a memo keyed on those four
+// fields, filled lazily, so the predicate runs once per distinct action
+// header rather than once per dispatched action. The contract is the
 // caller's to keep: a payload-inspecting predicate will be consulted with an
 // arbitrary representative payload and its verdict reused. Under sharded
 // execution (SetShards) predicates are additionally consulted from
@@ -276,21 +289,22 @@ func (s *System) ConnectHeader(match func(ta.Action) bool, dst ta.Automaton) {
 		idx = int32(i)
 	}
 	s.subs = append(s.subs, subscription{match: match, dst: dst, dstIdx: idx})
-	// Memoized routes are stale once the wiring changes.
-	s.root.routes = nil
-	for _, ln := range s.lanes {
-		ln.routes = nil
-	}
+	s.forget()
 }
 
 // ConnectName routes every action with exactly the given name to dst,
-// via the routing table.
+// via the header memo.
 func (s *System) ConnectName(name string, dst ta.Automaton) {
 	s.ConnectHeader(func(a ta.Action) bool { return a.Name == name }, dst)
 }
 
 // Hide reclassifies matching actions as internal in the recorded trace,
 // realizing the hiding operator of §2.1. It does not affect routing.
+//
+// match must depend only on the action's Name, Node, Peer, and Kind, as
+// ConnectHeader's predicates must: its verdict is memoized per action
+// header alongside the routes, and under sharded execution it is
+// consulted from concurrent lanes.
 func (s *System) Hide(match func(ta.Action) bool) {
 	prev := s.hidden
 	s.hidden = func(a ta.Action) bool {
@@ -298,6 +312,15 @@ func (s *System) Hide(match func(ta.Action) bool) {
 			return true
 		}
 		return match(a)
+	}
+	s.forget()
+}
+
+// forget drops every lane's header memo once the wiring or the hiding changes.
+func (s *System) forget() {
+	s.root.memo = headerMemo{}
+	for _, ln := range s.lanes {
+		ln.memo = headerMemo{}
 	}
 }
 
@@ -330,8 +353,9 @@ func (s *System) fail(err error) {
 // values they would in an always-on run, and the gap in Seq is precisely
 // the number of unobserved events. Both fast paths (the root
 // s.seq++ and the shard-lane evCount, folded into s.seq at the barrier
-// merge) share the observing() predicate so sinks are respected everywhere.
-func (s *System) record(ln *lane, a ta.Action, src string) {
+// merge) share the observing() predicate so sinks are respected everywhere;
+// hidden is the Hide verdict for a's header.
+func (s *System) record(ln *lane, a ta.Action, hidden bool, src string) {
 	if ln.shard >= 0 {
 		if !s.observing() {
 			// Nobody is looking: count the event for sequence-number
@@ -340,7 +364,7 @@ func (s *System) record(ln *lane, a ta.Action, src string) {
 			return
 		}
 		ln.events = append(ln.events, laneEvent{
-			a: a, src: src, at: ln.now, round: ln.round, firing: ln.firing,
+			a: a, src: src, at: ln.now, round: ln.round, firing: ln.firing, hidden: hidden,
 		})
 		return
 	}
@@ -348,7 +372,7 @@ func (s *System) record(ln *lane, a ta.Action, src string) {
 		s.seq++
 		return
 	}
-	if s.hidden != nil && a.Kind != ta.KindInternal && s.hidden(a) {
+	if hidden {
 		a.Kind = ta.KindInternal
 	}
 	e := ta.Event{Action: a, At: ln.now, Src: src, Seq: s.seq}
@@ -377,33 +401,40 @@ func (ln *lane) release(buf []ta.Action) {
 	ln.scratch = append(ln.scratch, buf[:0])
 }
 
-// routeFor returns the subscription hit list for a's routing key, computing
-// and memoizing it on first sight. Predicates depend only on the key
-// fields, so one representative action decides the route for every action
-// sharing its key. The memo is per-lane so concurrent shard lanes never
-// share map state.
-func (s *System) routeFor(ln *lane, a ta.Action) []int32 {
-	key := routeKey{name: a.Name, node: a.Node, peer: a.Peer, kind: a.Kind}
-	if hits, ok := ln.routes[key]; ok {
-		return hits
+// headerFor returns the memoized verdict for a's header, computing it on
+// first sight. Predicates depend only on the header, so one representative
+// action decides it for every action sharing the header. The memo is
+// per-lane so concurrent shard lanes never share it.
+func (s *System) headerFor(ln *lane, a ta.Action) *header {
+	m := &ln.memo
+	node, peer, kind := int(a.Node)+1, int(a.Peer)+1, int(a.Kind)
+	list := &m.wide
+	if node >= 0 && peer >= 0 && uint(kind) < 4 && max(node, peer) <= len(s.comps) {
+		if max(node, peer) >= m.span {
+			span := min(max(2*m.span, node+1, peer+1, 8), len(s.comps)+1)
+			*m = headerMemo{span: span, slots: make([][]header, span*span*4)}
+		}
+		list = &m.slots[(node*m.span+peer)*4+kind]
 	}
-	var hits []int32
-	for i := range s.subs {
-		if s.subs[i].match(a) {
-			hits = append(hits, int32(i))
+	for i := range *list {
+		if h := &(*list)[i]; h.name == a.Name && h.node == a.Node && h.peer == a.Peer && h.kind == a.Kind {
+			return h
 		}
 	}
-	if ln.routes == nil {
-		ln.routes = make(map[routeKey][]int32)
+	h := header{name: a.Name, node: a.Node, peer: a.Peer, kind: a.Kind, hidden: s.hidden != nil && s.hidden(a)}
+	for i := range s.subs {
+		if s.subs[i].match(a) {
+			h.hits = append(h.hits, int32(i))
+		}
 	}
-	ln.routes[key] = hits
-	return hits
+	*list = append(*list, h)
+	return &(*list)[len(*list)-1]
 }
 
 // dispatch records the action and delivers it to all subscribers,
 // recursively dispatching any same-instant reactions. Subscribers are
 // visited in registration order on both the indexed and linear paths: the
-// routing table yields subscription indices sorted by registration.
+// header memo lists subscription indices sorted by registration.
 func (s *System) dispatch(ln *lane, a ta.Action, src string) {
 	if *ln.err != nil {
 		return
@@ -413,17 +444,13 @@ func (s *System) dispatch(ln *lane, a ta.Action, src string) {
 		ln.fail(fmt.Errorf("%w (action %s from %s at %v)", ErrChain, a.Name, srcLabel(src), ln.now))
 		return
 	}
-	s.record(ln, a, src)
 	if s.linear {
-		for i := range s.subs {
-			if !s.subs[i].match(a) {
-				continue
-			}
-			s.deliverTo(ln, int32(i), a, src)
-		}
+		s.dispatchLinear(ln, a, src)
 		return
 	}
-	for _, i := range s.routeFor(ln, a) {
+	h := s.headerFor(ln, a)
+	s.record(ln, a, h.hidden, src)
+	for _, i := range h.hits {
 		s.deliverTo(ln, i, a, src)
 	}
 }

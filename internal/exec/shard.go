@@ -66,6 +66,7 @@ type laneEvent struct {
 	at     simtime.Time
 	round  int32
 	firing int32
+	hidden bool // the Hide verdict from the lane's header memo
 }
 
 // mailEntry is a cross-shard delivery awaiting the barrier.
@@ -244,7 +245,7 @@ func (s *System) mergeEvents(bound simtime.Time) {
 		le := best.events[best.evHead]
 		best.evHead++
 		a := le.a
-		if s.hidden != nil && a.Kind != ta.KindInternal && s.hidden(a) {
+		if le.hidden {
 			a.Kind = ta.KindInternal
 		}
 		e := ta.Event{Action: a, At: le.at, Src: le.src, Seq: s.seq}

@@ -91,10 +91,11 @@ type Automaton interface {
 //     before every component's NextInterest, and never with
 //     simtime.Never.
 //
-// A component whose deadlines are all observable (a channel reporting its
-// next delivery, a clock-model node reporting its next composite
-// deadline) implements NextInterest as its Due and FastForward as a no-op;
-// the executor then never skips past it.
+// A component whose deadlines are all observable (a channel's next
+// delivery, a clock-model node's next composite deadline) does not
+// implement the interface: the executor never skips past a
+// non-Coalescable deadline, and a system with no Coalescable component
+// pays nothing for coalescing.
 type Coalescable interface {
 	Automaton
 	// NextInterest returns the earliest instant an observable action could
