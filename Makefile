@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard ci-guard lines bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
+.PHONY: all build test tier1 tier2 model-guard time-guard doc-guard ci-guard lines mutants mutants-check bench-check bench-smoke live-smoke live-pipe-smoke live-tier-smoke fleet-smoke
 
 all: tier1
 
@@ -139,6 +139,20 @@ lines:
 		  n[d, "code"] + n[d, "comment"] + n[d, "blank"], n[d, "code"], n[d, "comment"], n[d, "blank"]) } \
 		END { printf "%-24s %6s %6s %8s %6s\n", "package", "lines", "code", "comment", "blank"; \
 		  for (d in dirs) print row(d) | "sort"; close("sort"); print row("total") }'
+
+# The standing mutant set (mutants/run.sh): each diff in mutants/ plants
+# one mutation of a mechanism the paper's bounds rest on; the tests of
+# every package that imports the mutated file run against it, and the
+# target prints the mutant × test kill matrix with each test's time and
+# rewrites it into DESIGN.md. It fails when a diff no longer applies, when
+# a mutant survives without a reason in mutants/survivors.txt, or when a
+# listed survivor is killed. mutants-check is its cheap half: every diff
+# still applies exactly and its package compiles.
+mutants:
+	bash mutants/run.sh
+
+mutants-check:
+	bash mutants/run.sh check
 
 # The benchmark harness in bench/ is a module of its own, so `go build
 # ./...` and `go test ./...` at the root do not compile it: this target

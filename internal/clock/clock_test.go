@@ -47,6 +47,10 @@ func TestCheckAllModels(t *testing.T) {
 		Resync(eps, -200, 5*ms),
 		Resync(eps, 150, 8*ms),
 		Resync(eps, -800, 2*ms), // interval below the 4ε floor gets clamped
+		// Drift rates that would leave the band within one interval: the
+		// band clamp, not the generator, keeps C_ε.
+		Resync(eps, 200_000, 5*ms),
+		Resync(eps, -200_000, 5*ms),
 	}
 	for _, m := range models {
 		if err := Check(m, horizon, 137*us); err != nil {

@@ -92,6 +92,28 @@ func TestClockInnerNoBufferDeliversEarly(t *testing.T) {
 	}
 }
 
+// tieAlg sets a timer at clock 5 and records, in order, the message and
+// the timer callbacks.
+type tieAlg struct{ order []string }
+
+func (a *tieAlg) Start(ctx Context)                 { ctx.SetTimer(5, nil) }
+func (a *tieAlg) OnInput(Context, string, any)      {}
+func (a *tieAlg) OnMessage(Context, ta.NodeID, any) { a.order = append(a.order, "message") }
+func (a *tieAlg) OnTimer(Context, any)              { a.order = append(a.order, "timer") }
+
+func TestClockInnerReleaseBeforeTimer(t *testing.T) {
+	// A buffered message whose tag equals a timer's deadline is released
+	// first: the timer's callback runs on state that includes it.
+	alg := &tieAlg{}
+	ci := NewComposite(0, 2, alg)
+	ci.Start(0)
+	ci.Receive(1, 1, ta.TaggedMsg{Body: "m", SentClock: 5})
+	ci.Advance(5)
+	if len(alg.order) != 2 || alg.order[0] != "message" || alg.order[1] != "timer" {
+		t.Fatalf("order at clock 5 = %v, want [message timer]", alg.order)
+	}
+}
+
 // lateTimerAlg sets a timer in the past from a message handler.
 type lateTimerAlg struct {
 	fired []simtime.Time

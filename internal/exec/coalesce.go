@@ -65,7 +65,7 @@ func (s *System) rebuildCoal() {
 // coalesce fast-forwards the lane's coalescable components past their
 // unobservable deadlines up to the next observable event, bounded by bound
 // (the current Run/RunQuiet window or the sharded round window). On the
-// dense and linear oracle paths it does nothing.
+// dense oracle path it does nothing.
 //
 // Under sharded execution the bound is additionally capped at the round
 // window W: mail from other shards lands at the barrier with deadlines at
@@ -75,7 +75,7 @@ func (s *System) rebuildCoal() {
 // FastForward targets are monotone and each call consumes exactly the
 // seeded draws of the deadlines it skips.
 func (s *System) coalesce(ln *lane, bound simtime.Time) {
-	if s.dense || s.linear || *ln.err != nil || s.ncoal == 0 {
+	if s.dense || *ln.err != nil || s.ncoal == 0 {
 		return
 	}
 	horizon := bound

@@ -10,11 +10,12 @@
 // components that have it as an input (composition communicates on shared
 // actions, §2.1).
 //
-// Four fast-path structures keep the hot path sub-linear in both system
-// size and simulated time:
+// Four structures keep the hot path cheap as systems grow and runs
+// lengthen:
 //
-//   - a deadline heap (sched.go) replaces the per-step linear scan over
-//     every component's Due with a lazily invalidated binary min-heap,
+//   - a deadline heap (sched.go), a lazily invalidated binary min-heap of
+//     every component's Due, and a registration-ordered heap of the
+//     components due at the current instant,
 //   - a header memo keeps, per action header (Name, Node, Peer, Kind),
 //     which subscriptions match and whether Hide hides it, indexed by
 //     node, peer and kind and then searched by name, so dispatch and
@@ -30,12 +31,14 @@
 //     barrier after each round delivers the mail and merges events in
 //     canonical order.
 //
-// All preserve the dispatch order of the original linear executor (kept
-// in linear.go as a differential reference): deterministic seeds produce
-// byte-identical traces on the indexed path and byte-identical observable
-// actions on the coalesced and sharded paths (which elide only hidden TICK
-// events and empty step firings; see DisableCoalescing for the dense
-// oracle and SetShards for the sharded configuration).
+// The dispatch order is fixed: at each instant, rounds of registration-
+// ordered firings (sched.go's fireDue), each action delivered to its
+// subscribers in registration order. Deterministic seeds produce
+// byte-identical traces, which TestIndexedTraceGolden and the experiments'
+// golden hashes pin, and byte-identical observable actions on the
+// coalesced and sharded paths (which elide only hidden TICK events and
+// empty step firings; see DisableCoalescing for the dense oracle and
+// SetShards for the sharded configuration).
 package exec
 
 import (
@@ -61,8 +64,7 @@ type subscription struct {
 	dst   ta.Automaton
 	// dstIdx is dst's component index, or -1 when dst was never Added (a
 	// pure observer outside the composition, which the executor never
-	// schedules — matching the linear executor, which only ever polled
-	// registered components).
+	// schedules).
 	dstIdx int32
 }
 
@@ -155,18 +157,11 @@ type System struct {
 	// root is the sequential execution lane; root.now is the global clock.
 	root lane
 
-	// linear, when set before the system first runs, restores the original
-	// O(components) scan scheduler and O(subscriptions) dispatch. It exists
-	// as a differential oracle for tests and benchmarks: both paths must
-	// produce byte-identical traces.
-	linear bool
-
 	// dense disables tick/step coalescing (coalesce.go): every Coalescable
 	// component's deadlines are enumerated one heap event at a time, as
 	// they were before coalescing existed. It is the differential oracle
 	// for the coalesced fast path: dense and coalesced executions of the
-	// same seeded system must agree on every observable action. The linear
-	// path is always dense.
+	// same seeded system must agree on every observable action.
 	dense bool
 
 	// coalOf maps every component index to its ta.Coalescable view (nil
@@ -217,13 +212,11 @@ func (s *System) Add(a ta.Automaton) ta.Automaton {
 			s.fail(fmt.Errorf("exec: Add(%s) after sharded execution started", a.Name()))
 			return a
 		}
+		// Late registration: size the scheduler and pick up the
+		// newcomer's deadline immediately.
 		s.rebuildCoal()
-		if !s.linear {
-			// Late registration: size the scheduler and pick up the
-			// newcomer's deadline immediately.
-			s.root.sched.grow(len(s.comps))
-			s.poll(&s.root, idx)
-		}
+		s.root.sched.grow(len(s.comps))
+		s.poll(&s.root, idx)
 	}
 	return a
 }
@@ -264,9 +257,7 @@ func (s *System) Replace(name string, a ta.Automaton) {
 	}
 	if s.inited {
 		s.rebuildCoal()
-		if !s.linear {
-			s.poll(&s.root, idx)
-		}
+		s.poll(&s.root, idx)
 	}
 }
 
@@ -433,8 +424,8 @@ func (s *System) headerFor(ln *lane, a ta.Action) *header {
 
 // dispatch records the action and delivers it to all subscribers,
 // recursively dispatching any same-instant reactions. Subscribers are
-// visited in registration order on both the indexed and linear paths: the
-// header memo lists subscription indices sorted by registration.
+// visited in registration order: the header memo lists subscription
+// indices sorted by registration.
 func (s *System) dispatch(ln *lane, a ta.Action, src string) {
 	if *ln.err != nil {
 		return
@@ -442,10 +433,6 @@ func (s *System) dispatch(ln *lane, a ta.Action, src string) {
 	ln.chainDepth++
 	if ln.chainDepth > maxChain {
 		ln.fail(fmt.Errorf("%w (action %s from %s at %v)", ErrChain, a.Name, srcLabel(src), ln.now))
-		return
-	}
-	if s.linear {
-		s.dispatchLinear(ln, a, src)
 		return
 	}
 	h := s.headerFor(ln, a)
@@ -483,7 +470,7 @@ func (s *System) deliverTo(ln *lane, subIdx int32, a ta.Action, src string) {
 		}
 		ln.release(buf)
 	}
-	if !s.linear && sub.dstIdx >= 0 {
+	if sub.dstIdx >= 0 {
 		target := ln
 		if s.shardOn && ln.shard < 0 {
 			// Barrier-time dispatch (Init, Inject) delivers inline but the
@@ -534,10 +521,8 @@ func (s *System) init() {
 			s.root.release(buf)
 		}
 	}
-	if !s.linear {
-		for i := range s.comps {
-			s.poll(s.laneOf(i), i)
-		}
+	for i := range s.comps {
+		s.poll(s.laneOf(i), i)
 	}
 	if s.shardOn {
 		s.fireInstant()
@@ -555,16 +540,6 @@ func (s *System) laneOf(i int) *lane {
 	return &s.root
 }
 
-// fireDue fires every component of the lane whose deadline has been
-// reached, repeating until the instant is quiescent.
-func (s *System) fireDue(ln *lane) {
-	if s.linear {
-		s.fireDueLinear()
-		return
-	}
-	s.fireDueIndexed(ln)
-}
-
 // nextDue returns the lane's earliest pending deadline.
 func (s *System) nextDue(ln *lane) (simtime.Time, bool) {
 	next, found := ln.sched.peek()
@@ -580,15 +555,6 @@ func (s *System) nextDue(ln *lane) (simtime.Time, bool) {
 	return next, found
 }
 
-// nextDueAny dispatches between the linear and indexed next-deadline scans
-// for the sequential paths.
-func (s *System) nextDueAny(ln *lane) (simtime.Time, bool) {
-	if s.linear {
-		return s.nextDueLinear()
-	}
-	return s.nextDue(ln)
-}
-
 // drive is the sequential executor: the ν time-passage step to each next
 // deadline at or before bound, then the actions enabled there, until none
 // remains in the window. It reports whether no deadline remains at all.
@@ -599,7 +565,7 @@ func (s *System) drive(bound simtime.Time) (quiet bool) {
 	ln := &s.root
 	for s.err == nil {
 		s.coalesce(ln, bound)
-		next, ok := s.nextDueAny(ln)
+		next, ok := s.nextDue(ln)
 		if !ok {
 			return true
 		}

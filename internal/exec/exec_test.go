@@ -258,6 +258,26 @@ func TestReplace(t *testing.T) {
 	}
 }
 
+// TestReplaceMidRunEarlierDeadline: a component replaced mid-run fires at
+// its own deadline when that is earlier than the deadline the scheduler
+// held for the slot.
+func TestReplaceMidRunEarlierDeadline(t *testing.T) {
+	s := New()
+	s.Add(&pinger{name: "x", period: simtime.Millisecond, left: 5})
+	if err := s.Run(simtime.Time(1500 * simtime.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	// x fired at 1 ms and is next due at 2 ms; its replacement at 1.7 ms.
+	at := simtime.Time(1700 * simtime.Microsecond)
+	s.Replace("x", &pinger{name: "x", period: simtime.Millisecond, left: 1, next: at})
+	if err := s.Run(simtime.Time(5 * simtime.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if tr := s.Trace(); len(tr) != 2 || tr[1].At != at {
+		t.Fatalf("trace %v: want the replacement's one PING at %v", tr, at)
+	}
+}
+
 func TestReplaceValidation(t *testing.T) {
 	s := New()
 	s.Add(&pinger{name: "x", period: 1, left: 1})

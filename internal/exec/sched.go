@@ -31,9 +31,8 @@ type sched struct {
 	inNow  []bool
 
 	// dueNow holds the indices of components scheduled to fire at the
-	// current instant, ordered by registration index so the sweep in
-	// fireDueIndexed visits them exactly as the linear executor's
-	// component scan did.
+	// current instant, ordered by registration index: the order in which
+	// each round of fireDue's sweep visits them.
 	dueNow []int32
 	carry  []int32
 }
@@ -44,11 +43,13 @@ type schedEntry struct {
 	gen uint32
 }
 
+// entryLess orders the heap by deadline alone. The order of equal
+// deadlines is never observed: collectNow moves every entry due at now into
+// the index-ordered dueNow heap, and coalesce treats equal deadlines alike
+// (an entry it consumes at the deadline that becomes its horizon is
+// fast-forwarded to its own deadline, which skips nothing).
 func entryLess(a, b schedEntry) bool {
-	if a.due != b.due {
-		return a.due < b.due
-	}
-	return a.idx < b.idx
+	return a.due < b.due
 }
 
 // grow sizes the per-component arrays for n components.
@@ -217,20 +218,20 @@ func (s *System) poll(ln *lane, i int) {
 	}
 }
 
-// fireDueIndexed is the heap-driven replica of the linear executor's
-// fire-until-quiescent sweep. Each round it pops due components in
-// registration-index order (matching the linear scan). A component whose
-// deadline appears mid-round at an index the cursor has already passed is
-// carried to the next round — exactly the set the linear sweep would have
-// missed on that pass and caught on its next one. Rounds repeat while any
-// component fired actions, as in the linear version.
+// fireDue fires every component of the lane whose deadline has been
+// reached, repeating until the instant is quiescent. Each round pops due
+// components in registration-index order. A component whose deadline
+// appears mid-round at an index the cursor has already reached — one due
+// again at its own firing instant included — is carried to the next round.
+// Rounds repeat while any component fired actions. TestIndexedTraceGolden
+// pins this order.
 //
 // The lane's round counter and firing index stamp each buffered event
 // under sharded execution (shard.go): because same-instant causality is
 // confined to a lane, a lane's round/carry decisions reproduce the global
 // sequential sweep's, so (time, round, firing index) is a merge key that
 // reconstructs the sequential dispatch order across lanes.
-func (s *System) fireDueIndexed(ln *lane) {
+func (s *System) fireDue(ln *lane) {
 	sc := &ln.sched
 	ln.round = 0
 	for *ln.err == nil {

@@ -45,8 +45,8 @@ import (
 //
 // Sharding falls back to fully sequential execution — the configuration is
 // simply not activated — when it cannot be proven safe: a lookahead ≤ 0, a
-// component the assignment does not place, a subscription whose
-// destination is not a registered component, or the linear oracle path.
+// component the assignment does not place, or a subscription whose
+// destination is not a registered component.
 // Sharded() reports whether the partition took effect.
 
 // shardConfig is the requested partition: validated by init, read by each round.
@@ -89,8 +89,7 @@ type mailEntry struct {
 //
 // Sharding silently falls back to sequential execution when the
 // configuration cannot be proven safe (lookahead ≤ 0, an unplaced
-// component, an unregistered subscriber, n ≤ 1, or the linear oracle
-// path); Sharded reports whether it took effect. Either way, seeded runs
+// component, an unregistered subscriber, or n ≤ 1); Sharded reports whether it took effect. Either way, seeded runs
 // produce identical observable traces.
 func (s *System) SetShards(n int, assign func(name string) int, lookahead simtime.Duration) {
 	if s.inited {
@@ -120,10 +119,6 @@ func (s *System) ShardFallbackReason() string { return s.shardReason }
 func (s *System) initShards() {
 	cfg := s.shardCfg
 	if cfg == nil {
-		return
-	}
-	if s.linear {
-		s.shardReason = "linear oracle path"
 		return
 	}
 	if cfg.lookahead <= 0 {
@@ -195,7 +190,7 @@ func (s *System) laneSweep(ln *lane, w, until simtime.Time) {
 		if next.After(ln.now) {
 			ln.now = next
 		}
-		s.fireDueIndexed(ln)
+		s.fireDue(ln)
 	}
 	ln.frontier = max(ln.frontier, min(w, until.Add(1)))
 }
@@ -359,7 +354,7 @@ func (s *System) fireInstant() {
 		if now.After(ln.now) {
 			ln.now = now
 		}
-		s.fireDueIndexed(ln)
+		s.fireDue(ln)
 		if f := now.Add(1); f.After(ln.frontier) {
 			ln.frontier = f
 		}

@@ -18,7 +18,7 @@ import (
 //
 //   - Observe is called once per recorded event, in canonical dispatch
 //     order — the exact order the retained trace would hold. On the
-//     sequential paths (indexed and linear) that is dispatch order; under
+//     sequential path that is dispatch order; under
 //     sharded execution events are buffered per lane and observed at round
 //     barriers, merged in the canonical (time, fire round, firing
 //     component) order, which reconstructs the sequential order (see

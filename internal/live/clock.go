@@ -9,8 +9,8 @@
 // checks it against the only clocks and links that exist outside a model:
 // Go's monotonic clock perturbed by a clock.Model (so the ε band is still
 // guaranteed, but now the runtime *measures* the offset it actually served
-// rather than assuming it), and in-process channels or loopback TCP whose
-// delays are measured per message. The runtime's event stream is bridged
+// rather than assuming it), and TCP links (loopback or between
+// processes) whose delays are measured per message. The runtime's event stream is bridged
 // onto the exec.Sink contract, so register.Monitor/linearize.Online verify
 // linearizability of live traffic online, exactly as they do for simulated
 // traffic — one algorithm, one checker, two worlds.
@@ -39,8 +39,9 @@ func Since(epoch time.Time) simtime.Time {
 // nodeClock is one node's time source: its clock.Model — the same clock
 // abstraction the simulator runs on — evaluated at the real time its node
 // reads (effects.now; under Start, the time since the runtime's epoch), so
-// the perfect, fixed-offset and jittered models keep their ±ε guarantee
-// (the clock predicate C_ε of Definition 2.5) on wall-clock time. On top of the model sits the chaos controller's
+// every clock.Adversaries model (perfect, spread, drift, sawtooth, resync)
+// keeps its ±ε guarantee (the clock predicate C_ε of Definition 2.5) on
+// wall-clock time. On top of the model sits the chaos controller's
 // step, the one thing that may push a reading outside the band. Every
 // reading, step included, updates the largest |reading − real| served:
 // the measured ε̂, so a step past ε is evidence by measurement, the way a
