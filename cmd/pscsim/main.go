@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"psclock/internal/channel"
@@ -91,7 +92,7 @@ func run(args []string) int {
 	fs.BoolVar(&o.trace, "trace", false, "print the visible trace")
 	fs.BoolVar(&o.timeline, "timeline", false, "print an ASCII per-node timeline")
 	fs.StringVar(&o.jsonOut, "json", "", "write the operation history as JSON to this file (\"-\" for stdout)")
-	fs.StringVar(&o.traceOut, "tracejson", "", "write the full trace as JSON lines to this file (for psctrace)")
+	fs.StringVar(&o.traceOut, "tracejson", "", "write the full trace as JSON lines to this file (\"-\" for stdout; for psctrace)")
 	fs.BoolVar(&o.noBuf, "nobuffer", false, "disable the receive buffer (§7.2 ablation)")
 	fs.BoolVar(&o.fifo, "fifo", false, "FIFO links (no reordering)")
 	if err := fs.Parse(args); err != nil {
@@ -124,11 +125,19 @@ func (o options) validate() error {
 		return fmt.Errorf("-ops %d: need at least 1 operation per client", o.ops)
 	case !(o.writes >= 0 && o.writes <= 1):
 		return fmt.Errorf("-writes %v is outside [0, 1]", o.writes)
+	case o.jsonOut == "-" && o.traceOut == "-":
+		return fmt.Errorf("-json - and -tracejson - cannot share stdout")
 	}
 	return nil
 }
 
 func simulate(o options) error {
+	// A JSON stream on stdout keeps stdout to itself: the report goes to
+	// stderr, so the stream pipes into psclin or psctrace unmixed.
+	report := io.Writer(os.Stdout)
+	if o.jsonOut == "-" || o.traceOut == "-" {
+		report = os.Stderr
+	}
 	bounds := simtime.NewInterval(o.d1, o.d2)
 
 	cf, err := clock.Named(o.clocks, o.eps, 0, o.seed)
@@ -211,10 +220,10 @@ func simulate(o options) error {
 
 	vis := net.Sys.Trace().Visible()
 	if o.trace {
-		fmt.Print(vis)
+		fmt.Fprint(report, vis)
 	}
 	if o.timeline {
-		fmt.Print(stats.Timeline(vis, 100))
+		fmt.Fprint(report, stats.Timeline(vis, 100))
 	}
 	ops, err := register.History(vis)
 	if err != nil {
@@ -225,7 +234,11 @@ func simulate(o options) error {
 			return err
 		}
 	}
-	if o.traceOut != "" {
+	if o.traceOut == "-" {
+		if err := net.Sys.Trace().WriteJSON(os.Stdout); err != nil {
+			return err
+		}
+	} else if o.traceOut != "" {
 		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return err
@@ -239,21 +252,21 @@ func simulate(o options) error {
 		}
 	}
 	reads, writes := register.Latencies(ops)
-	fmt.Printf("model=%s alg=%s n=%d ε=%v d=[%v,%v] c=%v ops=%d\n",
+	fmt.Fprintf(report, "model=%s alg=%s n=%d ε=%v d=[%v,%v] c=%v ops=%d\n",
 		o.model, o.alg, o.n, o.eps, o.d1, o.d2, o.c, len(ops))
-	fmt.Printf("reads : %v (paper: %v)\n", stats.Summarize(reads), wantRead)
-	fmt.Printf("writes: %v (paper: %v)\n", stats.Summarize(writes), wantWrite)
+	fmt.Fprintf(report, "reads : %v (paper: %v)\n", stats.Summarize(reads), wantRead)
+	fmt.Fprintf(report, "writes: %v (paper: %v)\n", stats.Summarize(writes), wantWrite)
 
 	r := linearize.CheckLinearizable(ops, register.Initial.String())
 	if r.OK {
-		fmt.Printf("linearizable: yes (%d states searched)\n", r.States)
+		fmt.Fprintf(report, "linearizable: yes (%d states searched)\n", r.States)
 	} else {
-		fmt.Printf("linearizable: NO — %s\n", r.Reason)
+		fmt.Fprintf(report, "linearizable: NO — %s\n", r.Reason)
 		small := linearize.Shrink(ops, linearize.Options{Initial: register.Initial.String()})
 		if len(small) < len(ops) {
-			fmt.Printf("minimal violating sub-history (%d ops):\n", len(small))
+			fmt.Fprintf(report, "minimal violating sub-history (%d ops):\n", len(small))
 			for _, o := range small {
-				fmt.Printf("  %v\n", o)
+				fmt.Fprintf(report, "  %v\n", o)
 			}
 		}
 		return fmt.Errorf("history is not linearizable")

@@ -8,6 +8,7 @@ import (
 
 	"psclock/internal/channel"
 	"psclock/internal/clock"
+	"psclock/internal/ta"
 )
 
 func TestDefaultsRun(t *testing.T) {
@@ -137,5 +138,47 @@ func TestJSONExport(t *testing.T) {
 	}
 	if h.Initial != "v0" || len(h.Ops) != 6 {
 		t.Errorf("initial=%q ops=%d", h.Initial, len(h.Ops))
+	}
+}
+
+// TestTraceJSONStdout pins that -tracejson - writes the trace to stdout, as
+// -json - does, with the report moved to stderr so that stdout reads back
+// as a trace, and leaves no file named "-" behind.
+func TestTraceJSONStdout(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	prev := os.Stdout
+	os.Stdout = out
+	code, stderr := runStderr(t, []string{"-ops", "2", "-n", "2", "-tracejson", "-"})
+	os.Stdout = prev
+	if code != 0 {
+		t.Fatalf("code = %d", code)
+	}
+	if _, err := os.Stat("-"); err == nil {
+		t.Error(`-tracejson - created a file named "-"`)
+	}
+	if _, err := out.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ta.ReadTraceJSON(out)
+	if err != nil || len(tr) == 0 {
+		t.Errorf("stdout is not a trace: %d events, %v", len(tr), err)
+	}
+	if !strings.Contains(stderr, "linearizable: yes") {
+		t.Errorf("the report is not on stderr: %q", stderr)
+	}
+	if code, stderr := runStderr(t, []string{"-json", "-", "-tracejson", "-"}); code != 2 || !strings.Contains(stderr, "stdout") {
+		t.Errorf("-json - -tracejson -: exit %d, stderr %q; want exit 2", code, stderr)
 	}
 }

@@ -1,9 +1,11 @@
 package linearize
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 
@@ -80,16 +82,15 @@ type Online struct {
 	nextID   int
 	states   int
 	pruned   int
-	keyBuf   []byte // scratch for the per-stage memo key
 
 	// Per-stage scratch, reused from stage to stage (see collect).
-	listed bool  // cands holds the current stage's list
-	cands  []int // window indexes that may precede the target, window order
-	greedy []int // commit's and stageApprox's in-order reads
-	due    []int // drain's deadlines
-	memo   map[string]bool
+	listed bool   // cands holds the current stage's list
+	cands  []int  // window indexes that may precede the target, window order
+	greedy []int  // commit's and stageApprox's in-order reads
+	due    []int  // drain's deadlines
+	memo   keySet // the states commit has visited
 	nf     frontierBuilder
-	spare  []olState // the backing array the next frontier is built in
+	slab   []int // where early sets are carved (see carve)
 
 	failed     bool
 	failReason string
@@ -111,7 +112,7 @@ type olIv struct {
 }
 
 // olState is one frontier state; early holds ids in ascending order and is
-// treated as immutable (copy on write).
+// treated as immutable (copy on write, into a set carved from the slab).
 type olState struct {
 	early []int
 	last  string
@@ -127,8 +128,6 @@ func NewOnline(opt Options) *Online {
 		opt:      opt,
 		open:     make(map[ta.NodeID][]simtime.Time),
 		frontier: []olState{{last: opt.Initial}},
-		memo:     make(map[string]bool),
-		nf:       frontierBuilder{idx: make(map[string]int)},
 	}
 	if !opt.AssumeUnique {
 		o.writers = make(map[string]int)
@@ -304,7 +303,7 @@ func (o *Online) Finish() Result {
 		o.final = Result{OK: true, States: o.states, Pruned: o.pruned}
 	}
 	o.window, o.frontier, o.open, o.writers, o.observed = nil, nil, nil, nil, nil
-	o.cands, o.greedy, o.due, o.memo, o.nf, o.spare = nil, nil, nil, nil, frontierBuilder{}, nil
+	o.cands, o.greedy, o.due, o.memo, o.nf, o.slab = nil, nil, nil, keySet{}, frontierBuilder{}, nil
 	return o.final
 }
 
@@ -377,11 +376,11 @@ func (o *Online) stage(di int) {
 	if o.opt.ApproxEps > 0 && o.stageApprox(target) {
 		return
 	}
-	o.memo = reuse(o.memo)
-	o.nf.reset(o.spare[:0])
+	o.memo.reset()
+	o.nf.reset()
 	for _, s := range o.frontier {
 		if p := indexOfID(s.early, target.id); p >= 0 {
-			o.nf.emit(olState{early: without(s.early, p), last: s.last, ell: s.ell})
+			o.nf.emit(olState{early: o.without(s.early, p), last: s.last, ell: s.ell})
 			continue
 		}
 		o.collect(target)
@@ -390,7 +389,7 @@ func (o *Online) stage(di int) {
 			return
 		}
 	}
-	o.spare, o.frontier = o.frontier[:0], o.nf.finish()
+	o.frontier = o.nf.finish(o.frontier[:0])
 	if len(o.frontier) == 0 {
 		o.failed = true
 		o.failReason = "no valid linearization order exists"
@@ -452,7 +451,7 @@ func (o *Online) stageApprox(target *olIv) bool {
 	if p := indexOfID(s.early, target.id); p >= 0 {
 		// Already linearized ahead of its deadline: discard from the early
 		// set — exact, no search needed.
-		o.frontier[0].early = without(s.early, p)
+		o.frontier[0].early = o.without(s.early, p)
 		return true
 	}
 	o.collect(target)
@@ -487,8 +486,7 @@ func (o *Online) stageApprox(target *olIv) bool {
 		return false
 	}
 	if len(pre) > 0 {
-		early := make([]int, 0, len(s.early)+len(pre))
-		early = append(early, s.early...)
+		early := append(o.carve(len(s.early)+len(pre)), s.early...)
 		for _, i := range pre {
 			early = append(early, o.window[i].id)
 		}
@@ -523,15 +521,12 @@ func (o *Online) commit(s olState, target *olIv) {
 		o.opt.Yield()
 	}
 	// Without candidates nothing recurses and frontier states are distinct,
-	// so the memo cannot hit. string(o.keyBuf) in the map index does not
-	// allocate; only a first visit pays for the key copy. The scratch is
-	// safe across the recursion below: the key is consumed before it.
+	// so the memo cannot hit.
 	if len(o.cands) > 0 {
-		o.keyBuf = appendStateKey(o.keyBuf[:0], s)
-		if o.memo[string(o.keyBuf)] {
+		o.memo.arena = appendStateKey(o.memo.arena, s, true)
+		if _, fresh := o.memo.intern(); !fresh {
 			return
 		}
-		o.memo[string(o.keyBuf)] = true
 	}
 	// Dominated-branch elimination: an open read of the state's current
 	// value never needs its own branch. In every witness extending s it is
@@ -555,8 +550,7 @@ func (o *Online) commit(s olState, target *olIv) {
 	if len(greedy) > 0 {
 		slices.SortFunc(greedy, o.byLo)
 		ns := s
-		early := make([]int, len(s.early), len(s.early)+len(greedy))
-		copy(early, s.early)
+		early := append(o.carve(len(s.early)+len(greedy)), s.early...)
 		for _, i := range greedy {
 			var ok bool
 			if ns, ok = o.place(ns, &o.window[i]); !ok {
@@ -582,8 +576,7 @@ func (o *Online) commit(s olState, target *olIv) {
 		if !ok {
 			continue
 		}
-		early := make([]int, 0, len(s.early)+1)
-		early = append(early, s.early...)
+		early := append(o.carve(len(s.early)+1), s.early...)
 		early = append(early, x.id)
 		sort.Ints(early)
 		ns.early = early
@@ -625,85 +618,151 @@ func (o *Online) place(s olState, iv *olIv) (olState, bool) {
 
 // frontierBuilder accumulates emitted states, merging duplicates by
 // (early, last) with the dominating (minimum) ℓ, and yields them in a
-// canonical order. Keys use the same injective varint encoding as the
-// memo (minus ℓ, which deduplication folds): emit sits on the stage hot
-// path, and decimal key formatting showed up in live-monitoring profiles.
+// canonical order: that of their keys (appendStateKey without ℓ).
 type frontierBuilder struct {
-	idx    map[string]int
-	keys   []string
-	out    []olState
-	keyBuf []byte
+	keys  keySet // key i is out[i]'s
+	out   []olState
+	order []int
 }
 
-// reset empties the builder for the next stage, which builds into out.
-func (b *frontierBuilder) reset(out []olState) {
-	b.idx, b.keys, b.out = reuse(b.idx), b.keys[:0], out
+// reset empties the builder for the next stage.
+func (b *frontierBuilder) reset() {
+	b.keys.reset()
+	b.out = b.out[:0]
 }
 
 func (b *frontierBuilder) emit(s olState) {
-	k := binary.AppendUvarint(b.keyBuf[:0], uint64(len(s.early)))
-	for _, id := range s.early {
-		k = binary.AppendUvarint(k, uint64(id))
-	}
-	k = append(k, s.last...)
-	b.keyBuf = k
-	if i, ok := b.idx[string(k)]; ok {
+	b.keys.arena = appendStateKey(b.keys.arena, s, false)
+	if i, fresh := b.keys.intern(); !fresh {
 		if s.ell < b.out[i].ell {
 			b.out[i].ell = s.ell
 		}
 		return
 	}
-	key := string(k)
-	b.idx[key] = len(b.out)
-	b.keys = append(b.keys, key)
 	b.out = append(b.out, s)
 }
 
-func (b *frontierBuilder) finish() []olState {
-	sort.Sort(byKey{b})
-	return b.out
+// finish appends the states to dst in the order of their keys
+// (bytes.Compare orders them as their strings would).
+func (b *frontierBuilder) finish(dst []olState) []olState {
+	order := b.order[:0]
+	for i := range b.out {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(x, y int) int { return bytes.Compare(b.keys.key(x), b.keys.key(y)) })
+	b.order = order
+	for _, i := range order {
+		dst = append(dst, b.out[i])
+	}
+	return dst
 }
 
-type byKey struct{ b *frontierBuilder }
-
-func (s byKey) Len() int           { return len(s.b.out) }
-func (s byKey) Less(i, j int) bool { return s.b.keys[i] < s.b.keys[j] }
-func (s byKey) Swap(i, j int) {
-	s.b.keys[i], s.b.keys[j] = s.b.keys[j], s.b.keys[i]
-	s.b.out[i], s.b.out[j] = s.b.out[j], s.b.out[i]
-}
-
-// appendStateKey renders a state for the per-stage memo. Unlike frontier
-// deduplication, the memo must distinguish ℓ values: a later-visited state
-// with a smaller ℓ has strictly more continuations. The encoding is a
-// count-prefixed varint sequence (injective: every field before the
-// variable-length value string is self-delimiting) rather than decimal
-// text — memo-key construction sits on the commit hot path, and decimal
-// formatting of large ids dominated live-monitoring CPU profiles.
-func appendStateKey(dst []byte, s olState) []byte {
+// appendStateKey renders a state as a count-prefixed varint sequence,
+// injective because every field before the variable-length value is
+// self-delimiting (varints, not decimal text: key construction sits on the
+// commit hot path, and decimal formatting of large ids dominated
+// live-monitoring CPU profiles). The memo's keys carry ℓ, since a
+// later-visited state with a smaller ℓ has strictly more continuations;
+// the frontier's do not, since deduplication folds it.
+func appendStateKey(dst []byte, s olState, ell bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.early)))
 	for _, id := range s.early {
 		dst = binary.AppendUvarint(dst, uint64(id))
 	}
-	dst = binary.AppendVarint(dst, int64(s.ell))
-	dst = append(dst, s.last...)
-	return dst
+	if ell {
+		dst = binary.AppendVarint(dst, int64(s.ell))
+	}
+	return append(dst, s.last...)
 }
 
-// reuse empties a per-stage map for the next stage, or drops one a hard
-// stage grew large, whose every later clear would cost its peak again.
-func reuse[V any](m map[string]V) map[string]V {
-	if len(m) > 4096 {
-		return make(map[string]V)
+// keySet is a stage's set of keys, held back to back in one arena reused
+// from stage to stage: key i is arena[ends[i]:ends[i+1]]. A lookup scans
+// the keys while there are fewer than linearKeys, and from then on probes
+// an open-addressed index over them that is rebuilt as the set grows.
+type keySet struct {
+	arena []byte
+	ends  []int
+	slots []int32 // key index + 1, or 0; current while there are ≥ linearKeys keys
+}
+
+const linearKeys = 8
+
+var keySeed = maphash.MakeSeed()
+
+func (k *keySet) key(i int) []byte { return k.arena[k.ends[i]:k.ends[i+1]] }
+
+// reset empties the set for the next stage (before its first key), or
+// drops the storage of one a hard stage grew large, which would otherwise
+// stay at its peak.
+func (k *keySet) reset() {
+	if len(k.ends)-1 > 4096 {
+		*k = keySet{}
 	}
-	clear(m)
-	return m
+	k.arena, k.ends = k.arena[:0], append(k.ends[:0], 0)
+}
+
+// intern adds the key appended to the arena after the last one, unless an
+// equal key is held: then that copy is taken off the arena again. It
+// returns the key's index and whether the key is new.
+func (k *keySet) intern() (int, bool) {
+	n := len(k.ends) - 1
+	key := k.arena[k.ends[n]:]
+	if n < linearKeys {
+		for i := range n {
+			if bytes.Equal(k.key(i), key) {
+				k.arena = k.arena[:k.ends[n]]
+				return i, false
+			}
+		}
+	} else if j := k.slot(key); k.slots[j] != 0 {
+		k.arena = k.arena[:k.ends[n]]
+		return int(k.slots[j] - 1), false
+	} else {
+		k.slots[j] = int32(n + 1)
+	}
+	k.ends = append(k.ends, len(k.arena))
+	if n+1 == linearKeys || n+1 > linearKeys && 2*(n+1) > len(k.slots) {
+		size := 4 * linearKeys
+		for size < 4*(n+1) {
+			size *= 2
+		}
+		k.slots = append(k.slots[:0], make([]int32, size)...)
+		for i := range n + 1 {
+			k.slots[k.slot(k.key(i))] = int32(i + 1)
+		}
+	}
+	return n, true
+}
+
+// slot is the index slot that holds key, or the empty one where it goes.
+func (k *keySet) slot(key []byte) int {
+	mask := len(k.slots) - 1
+	j := int(maphash.Bytes(keySeed, key)) & mask
+	for k.slots[j] != 0 && !bytes.Equal(k.key(int(k.slots[j]-1)), key) {
+		j = (j + 1) & mask
+	}
+	return j
+}
+
+// slabInts is the size of one slab of early sets.
+const slabInts = 512
+
+// carve returns an empty slice with room for n ids, cut from the slab the
+// stages' early sets share. A slab is never reused: a full one stays with
+// the sets that still hold it and a new one is started. The three-index
+// cut keeps an append past n from writing into the next set.
+func (o *Online) carve(n int) []int {
+	if len(o.slab)+n > cap(o.slab) {
+		o.slab = make([]int, 0, max(slabInts, n))
+	}
+	l := len(o.slab)
+	o.slab = o.slab[:l+n]
+	return o.slab[l : l : l+n]
 }
 
 // without returns a copy of the ascending ids minus its p-th entry.
-func without(ids []int, p int) []int {
-	rest := make([]int, 0, len(ids)-1)
-	return append(append(rest, ids[:p]...), ids[p+1:]...)
+func (o *Online) without(ids []int, p int) []int {
+	return append(append(o.carve(len(ids)-1), ids[:p]...), ids[p+1:]...)
 }
 
 // indexOfID finds id in the ascending slice, or -1.

@@ -115,6 +115,29 @@ func TestReplaySearchPinned(t *testing.T) {
 	}
 }
 
+// TestReplayAllocs guards the checker's allocations per history op on the
+// seed-1 capture: the exact search keeps its per-stage keys in reused
+// arenas and its early sets in slabs (8.87 allocations per op before), and
+// the ε = 3 ms checker allocates less still. Allocation counts do not
+// depend on the host, so this holds the gain without timing anything.
+func TestReplayAllocs(t *testing.T) {
+	cmds, ops := captureReplay(t, 1, 6000)
+	for _, c := range []struct {
+		name  string
+		eps   simtime.Duration
+		limit float64
+	}{
+		{"exact", 0, 0.25},
+		{"approx", 3 * ms, 0.10},
+	} {
+		perOp := testing.AllocsPerRun(3, func() { replaySink = replayChecker(cmds, c.eps) }) / float64(ops)
+		t.Logf("%s replay: %.3f allocations per history op", c.name, perOp)
+		if perOp > c.limit {
+			t.Errorf("%s replay: %.3f allocations per history op, want ≤ %.2f", c.name, perOp, c.limit)
+		}
+	}
+}
+
 var replaySink linearize.Result
 
 // benchReplay replays the seed-1 capture through one checker per iteration
