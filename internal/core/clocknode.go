@@ -63,17 +63,8 @@ func NewClockNode(id ta.NodeID, n int, alg Algorithm, clk clock.Model) *ClockNod
 	}
 }
 
-// DisableBuffering turns off the receive buffer R_ji,ε: the §7.2 ablation.
-func (cn *ClockNode) DisableBuffering() { cn.inner.noBuffer = true }
-
 // Name implements ta.Automaton.
 func (cn *ClockNode) Name() string { return cn.name }
-
-// ID returns the node's identity.
-func (cn *ClockNode) ID() ta.NodeID { return cn.id }
-
-// Clock returns the node's clock model.
-func (cn *ClockNode) Clock() clock.Model { return cn.clk }
 
 // RestrictNeighbors limits this node's outgoing edges to ns (§2.4
 // topology). Call before the system runs.

@@ -25,7 +25,9 @@ import (
 // precondition of Figure 2) — is realized by tagging with the stamped
 // emission time. The receive buffer is literal: one FIFO queue per incoming
 // edge whose front is deliverable only once the local clock reaches its
-// tag.
+// tag. It is the only realization of Figure 2's buffers:
+// TestLiteralBuffersEquivalent pins its visible behavior to the paper's
+// literal composition's.
 type Composite struct {
 	id  ta.NodeID
 	n   int

@@ -172,9 +172,6 @@ func NewMMTNode(id ta.NodeID, n int, alg Algorithm, ell simtime.Duration, policy
 // Name implements ta.Automaton.
 func (mn *MMTNode) Name() string { return mn.name }
 
-// ID returns the node's identity.
-func (mn *MMTNode) ID() ta.NodeID { return mn.id }
-
 // Stamps returns the emission records for this node's outputs.
 func (mn *MMTNode) Stamps() []EmittedStamp { return mn.stamps }
 

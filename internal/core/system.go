@@ -318,9 +318,7 @@ func build(model string, cfg Config, f AlgorithmFactory) *Net {
 			node = tn
 		case "clock":
 			cn := NewClockNode(id, cfg.N, alg, cfg.Clocks(i))
-			if cfg.DisableRecvBuffer {
-				cn.DisableBuffering()
-			}
+			cn.inner.noBuffer = cfg.DisableRecvBuffer
 			net.Clocked = append(net.Clocked, cn)
 			node = cn
 		case "mmt":

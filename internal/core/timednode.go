@@ -52,9 +52,6 @@ func NewTimedNode(id ta.NodeID, n int, alg Algorithm) *TimedNode {
 // Name implements ta.Automaton.
 func (tn *TimedNode) Name() string { return tn.name }
 
-// ID returns the node's identity.
-func (tn *TimedNode) ID() ta.NodeID { return tn.id }
-
 // RestrictNeighbors limits this node's outgoing edges to ns (the graph
 // topology of §2.4; the default is the complete graph with self-loops).
 // Call before the system runs.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"psclock/internal/clock"
@@ -89,6 +91,25 @@ func TestClockInnerNoBufferDeliversEarly(t *testing.T) {
 	// Delivered at clock 1 — before the tag, the exact anomaly §4 forbids.
 	if col.got[0].at != 1 {
 		t.Errorf("delivered at %v", col.got[0].at)
+	}
+}
+
+// TestCompositeReceiveFromOutsideRange: R_ji,ε exists for senders 0..n-1
+// only, so a Receive from any other sender panics naming it.
+func TestCompositeReceiveFromOutsideRange(t *testing.T) {
+	for _, from := range []ta.NodeID{2, ta.NoNode} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("sender %d,", from); !strings.Contains(msg, want) {
+					t.Errorf("Receive from %d: panic %q, want one naming %q", from, msg, want)
+				}
+			}()
+			NewComposite(0, 2, &relay{}).Receive(0, from, ta.TaggedMsg{Body: "m"})
+		}()
+	}
+	if out := NewComposite(0, 2, &relay{}).Receive(0, 1, ta.TaggedMsg{Body: "m"}); len(out) == 0 {
+		t.Error("in-range message with a reached tag was not delivered")
 	}
 }
 

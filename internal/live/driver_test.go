@@ -15,9 +15,8 @@ import (
 // simDriver runs every node of a runtime on the test's goroutine, in
 // simulated real time, in place of Start's goroutines, sockets and timers.
 // It is the MMT model of §5 around the unchanged node program: each node
-// is built by newNode and steps as its loop does — inbox, then due timers,
-// then re-arm — but its effects land here. One simtime.Queue holds every
-// pending event:
+// is built by newNode and steps by its loop's own pass (node.pass), but its
+// effects land here. One simtime.Queue holds every pending event:
 //   - a frame arrives after a seeded delay in the runtime's [d1, d2];
 //   - a node's wake is served late by a seeded amount in [0, ℓ) of its
 //     own clock, with ℓ = Model.Ell ≤ Model.Slack, so the verdict's
@@ -162,26 +161,18 @@ func (d *simDriver) run(until simtime.Time, done func() bool) bool {
 	return true
 }
 
-// drain brings round, once, the loop of every node with an inbox entry or
-// a fired wake — inbox, due timers, re-arm, as node.loop does — then hands
-// each client its responses and merges what was recorded.
+// drain runs, node by node, the pass each node's loop would run: one for a
+// fired wake, then one per inbox entry left, until the inbox is empty (a
+// pass handles up to inboxBatch entries). It then hands each client its
+// responses and merges what was recorded.
 func (d *simDriver) drain() {
 	for i, n := range d.rt.nodes {
-		if len(n.inbox) == 0 && !d.woken[i] {
-			continue
-		}
 		if d.woken[i] {
-			d.woken[i], n.armed = false, false
+			d.woken[i] = false
+			d.pass(i, nodeMsg{}, false)
 		}
 		for len(n.inbox) > 0 {
-			n.handle(<-n.inbox)
-		}
-		n.fireDue()
-		if at, ok := n.timers.Next(); ok && (!n.armed || at != n.armedAt) {
-			d.arms[i]++
-			n.armed, n.armedAt = true, at
-			late := simtime.Duration(d.rng.Int63n(int64(d.ell)))
-			d.q.Push(max(d.now, n.clk.wakeAt(at.Add(late))), wakeUp{i, d.arms[i]})
+			d.pass(i, <-n.inbox, true)
 		}
 	}
 	for _, c := range d.clients {
@@ -193,6 +184,17 @@ func (d *simDriver) drain() {
 	}
 	d.merge.Emit()
 	d.merge.Flush(d.now)
+}
+
+// pass runs one pass of node i and, when the node arms its wake, queues the
+// wake-up, served late by a seeded amount in [0, ℓ).
+func (d *simDriver) pass(i int, m nodeMsg, got bool) {
+	n := d.rt.nodes[i]
+	if _, arm := n.pass(m, got); arm {
+		d.arms[i]++
+		late := simtime.Duration(d.rng.Int63n(int64(d.ell)))
+		d.q.Push(max(d.now, n.clk.wakeAt(n.armedAt.Add(late))), wakeUp{i, d.arms[i]})
+	}
 }
 
 // replace crashes the nodes ids and starts each again as a replacement

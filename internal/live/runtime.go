@@ -629,41 +629,58 @@ func (n *node) loop() {
 	defer n.rt.wg.Done()
 	defer n.wake.close()
 	n.start()
+	m, got := nodeMsg{}, false
 	for {
-		n.fireDue()
-		// An empty queue needs no disarm: it empties only by firing its head,
-		// which is after the armed instant has passed.
-		if at, ok := n.timers.Next(); ok && (!n.armed || at != n.armedAt) {
-			wait := n.clk.waitUntil(at)
-			if wait <= 0 {
-				// Became due between fireDue and here; fire it.
-				continue
-			}
+		if wait, arm := n.pass(m, got); arm {
 			n.wake.arm(wait)
-			n.armed, n.armedAt = true, at
 		}
 		select {
-		case m := <-n.inbox:
-			n.handle(m)
-			// Batch-drain whatever else is queued: under pipelined load
-			// the inbox is rarely empty, and handling a run of messages
-			// per wakeup keeps the scheduler off the per-message path.
-			for i := 1; i < inboxBatch; i++ {
-				select {
-				case m := <-n.inbox:
-					n.handle(m)
-				default:
-					i = inboxBatch
-				}
-			}
+		case m = <-n.inbox:
+			got = true
 		case <-n.wake.C:
-			// Never early: a token only brings the loop round. fireDue
-			// services what the clock says is due, and a token that came
-			// before that (stale, or a stepped clock's) re-arms above.
-			n.armed = false
+			m, got = nodeMsg{}, false
 		case <-n.rt.stop:
 			return
 		}
+	}
+}
+
+// pass is the node's work between two parks: m, the inbox entry that ended
+// the last (got; else the wake or the start did), with up to inboxBatch−1
+// more queued behind it, then every timer due. It returns arm when the wake
+// must be armed, for wait: the head deadline is not the one it is armed for.
+func (n *node) pass(m nodeMsg, got bool) (wait time.Duration, arm bool) {
+	if got {
+		n.handle(m)
+		// Batch-drain whatever else is queued: under pipelined load the
+		// inbox is rarely empty, and handling a run of messages per wakeup
+		// keeps the scheduler off the per-message path.
+		for i := 1; i < inboxBatch; i++ {
+			select {
+			case m := <-n.inbox:
+				n.handle(m)
+			default:
+				i = inboxBatch
+			}
+		}
+	} else {
+		// Never early: a token only brings the loop round. fireDue serves what
+		// the clock says is due; a token before that (stale, stepped) re-arms.
+		n.armed = false
+	}
+	for {
+		n.fireDue()
+		// An empty queue needs no disarm: it empties only by firing its
+		// head, which is after the armed instant has passed.
+		at, ok := n.timers.Next()
+		if !ok || n.armed && at == n.armedAt {
+			return 0, false
+		}
+		if wait = n.clk.waitUntil(at); wait > 0 {
+			n.armed, n.armedAt = true, at
+			return wait, true
+		}
+		// Became due between fireDue and here; fire it.
 	}
 }
 
