@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		violations++
 		fmt.Fprintf(stdout, "VIOLATION in trial %d: %s\n  %s\n", trial, desc, res.Reason)
-		small := linearize.Shrink(ops, linearize.Options{Initial: register.Initial.String()})
+		small := linearize.Shrink(ops, nil, linearize.Options{Initial: register.Initial.String()})
 		fmt.Fprintf(stdout, "  minimal counterexample (%d ops):\n", len(small))
 		for _, o := range small {
 			fmt.Fprintf(stdout, "    %v\n", o)

@@ -129,7 +129,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 	fmt.Fprintf(stdout, "VIOLATION: %s\n", r.Reason)
-	small := linearize.Shrink(ops, opt)
+	small := linearize.Shrink(ops, nil, opt)
 	if len(small) < len(ops) {
 		fmt.Fprintf(stdout, "minimal violating sub-history (%d of %d ops):\n", len(small), len(ops))
 		for _, o := range small {

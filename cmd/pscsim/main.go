@@ -262,7 +262,7 @@ func simulate(o options) error {
 		fmt.Fprintf(report, "linearizable: yes (%d states searched)\n", r.States)
 	} else {
 		fmt.Fprintf(report, "linearizable: NO — %s\n", r.Reason)
-		small := linearize.Shrink(ops, linearize.Options{Initial: register.Initial.String()})
+		small := linearize.Shrink(ops, nil, linearize.Options{Initial: register.Initial.String()})
 		if len(small) < len(ops) {
 			fmt.Fprintf(report, "minimal violating sub-history (%d ops):\n", len(small))
 			for _, o := range small {

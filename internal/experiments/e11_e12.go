@@ -76,7 +76,7 @@ func e11Objects() (string, []string) {
 			if o.Pending() {
 				continue
 			}
-			if d := o.Res.Sub(o.Inv); o.Result != "" || o.Op == "get" || o.Op == "read" || o.Op == "size" {
+			if d := o.Res.Sub(o.Inv); o.Result != "" || o.Value == "get" || o.Value == "read" || o.Value == "size" {
 				qMax = qMax.Max(d)
 			} else {
 				uMax = uMax.Max(d)

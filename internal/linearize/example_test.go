@@ -28,11 +28,11 @@ func ExampleCheckLinearizable() {
 }
 
 // ExampleCheckObject verifies a distributed counter history against its
-// sequential specification with the generic checker.
+// sequential specification: each op is a Call on the Model.
 func ExampleCheckObject() {
-	ops := []linearize.GOp{
-		{Node: 0, Op: "add:2", Inv: 0, Res: 10},
-		{Node: 1, Op: "get", Result: "2", Inv: 20, Res: 30},
+	ops := []linearize.Op{
+		{Node: 0, Kind: linearize.Call, Value: "add:2", Inv: 0, Res: 10},
+		{Node: 1, Kind: linearize.Call, Value: "get", Result: "2", Inv: 20, Res: 30},
 	}
 	r := linearize.CheckObject(ops, object.Counter{}, linearize.Options{Initial: "0"})
 	fmt.Println(r.OK)

@@ -1,5 +1,7 @@
-// Package linearize decides linearizability of read/write register
-// histories (§6 of the paper), including the paper's two variants:
+// Package linearize decides linearizability (§6 of the paper) with one
+// engine, over either a read/write register or any sequential object given
+// as a Model (§6's closing remark: the register technique carries over to
+// other shared-memory objects). It covers the paper's two variants:
 //
 //   - ε-superlinearizability (§6.2): every operation's linearization point
 //     must additionally lie at least 2ε after its invocation;
@@ -8,14 +10,14 @@
 //     placement is equivalent to widening every operation's window by ε on
 //     both sides.
 //
-// The checker assumes unique written values (the §3 uniqueness assumption,
-// guaranteed by the workloads), under which linearizability of a register
-// history is decidable by a Wing-Gong style search: choose the next
-// operation to linearize among those whose window opens before every
-// remaining window closes, assign it the earliest feasible point, and
-// backtrack on read-value mismatches. Greedy earliest-point assignment is
-// safe (an exchange argument: delaying a point never enables an otherwise
-// infeasible order).
+// For a register the checker assumes unique written values (the §3
+// uniqueness assumption, guaranteed by the workloads); a Model's states
+// need no such assumption. Linearizability is decided by a Wing-Gong style
+// search: choose the next operation to linearize among those whose window
+// opens before every remaining window closes, assign it the earliest
+// feasible point, and backtrack on result mismatches. Greedy earliest-point
+// assignment is safe (an exchange argument: delaying a point never enables
+// an otherwise infeasible order).
 //
 // The search engine is the *online* frontier checker of online.go, which
 // consumes operations as they complete and settles verdict fragments as a
@@ -32,13 +34,16 @@ import (
 	"psclock/internal/ta"
 )
 
-// Kind distinguishes reads from writes.
+// Kind distinguishes reads, writes and calls on a Model.
 type Kind int
 
 // Operation kinds.
 const (
 	Read Kind = iota + 1
 	Write
+	// Call is one operation on a Model: Value holds the operation text
+	// (e.g. "add:3", "get") and Result the observed return.
+	Call
 )
 
 // String implements fmt.Stringer.
@@ -48,21 +53,25 @@ func (k Kind) String() string {
 		return "read"
 	case Write:
 		return "write"
+	case Call:
+		return "call"
 	default:
 		return "kind(" + strconv.Itoa(int(k)) + ")"
 	}
 }
 
-// Op is one complete register operation: invoked at Inv, responded at Res.
-// Value is the value written (writes) or returned (reads), compared as an
-// opaque string. A pending operation (no response observed) has
+// Op is one operation: invoked at Inv, responded at Res. Value is the
+// value written (writes) or returned (reads), compared as an opaque string,
+// or a Call's operation text. Result is a Call's observed return; only
+// Call ops read it. A pending operation (no response observed) has
 // Res == simtime.Never.
 type Op struct {
-	Node  ta.NodeID
-	Kind  Kind
-	Value string
-	Inv   simtime.Time
-	Res   simtime.Time
+	Node   ta.NodeID
+	Kind   Kind
+	Value  string
+	Result string
+	Inv    simtime.Time
+	Res    simtime.Time
 }
 
 // Pending reports whether the operation never received its response.
@@ -70,7 +79,24 @@ func (o Op) Pending() bool { return o.Res == simtime.Never }
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
+	if o.Kind == Call {
+		return fmt.Sprintf("%v %s=%q [%v, %v]", o.Node, o.Value, o.Result, o.Inv, o.Res)
+	}
 	return fmt.Sprintf("%v %v(%s) [%v, %v]", o.Node, o.Kind, o.Value, o.Inv, o.Res)
+}
+
+// Model is a sequential object specification: the paper's §6 closing
+// remark generalizes the register result to other shared-memory objects,
+// and this interface is what a history of Call ops is checked against.
+// States are canonical strings so the search can memoize them.
+type Model interface {
+	// Name identifies the object type.
+	Name() string
+	// Init returns the canonical encoding of the initial state.
+	Init() string
+	// Apply applies one operation to a state, returning the successor
+	// state and the operation's result ("" for pure updates).
+	Apply(state, op string) (newState, result string)
 }
 
 // Options tunes the placement constraints.
@@ -180,11 +206,24 @@ func (r Result) Verdict() Verdict {
 	}
 }
 
-// Check decides whether the history is linearizable under the options. It
-// replays the history through the online engine: submit every operation in
-// history order, then settle all deadlines at once.
+// Check decides whether the register history is linearizable under the
+// options: CheckObject with no Model.
 func Check(ops []Op, opt Options) Result {
-	o := NewOnline(opt)
+	return CheckObject(ops, nil, opt)
+}
+
+// CheckObject decides whether the history is linearizable with respect to
+// the sequential specification m, starting from m.Init(), under the same
+// Options as the register checker (MinAfterInv for superlinearizability,
+// Widen for P_ε, ShiftFuture for P^δ); a nil m is the register of
+// Options.Initial. It replays the history through the online engine:
+// submit every operation in history order, then settle all deadlines at
+// once. No uniqueness assumption is made for a Model. A pending Call is
+// linearized with an unbounded window and its result unread, which covers
+// its other fate too: an op that never took effect is one placed after
+// every other.
+func CheckObject(ops []Op, m Model, opt Options) Result {
+	o := newOnline(opt, m)
 	for _, op := range ops {
 		o.Add(op)
 	}
@@ -210,14 +249,17 @@ func CheckEps(ops []Op, initial string, eps simtime.Duration) Result {
 	return Check(ops, Options{Initial: initial, Widen: eps})
 }
 
-// validateHistory checks the structural preconditions — unique written
-// values and no read of a never-written value — without running the
-// search. Shrink uses it to distinguish genuine violation witnesses from
-// histories a removal made malformed.
+// validateHistory checks the register's structural preconditions — unique
+// written values and no read of a never-written value — without running
+// the search; Call ops have none. Shrink uses it to distinguish genuine
+// violation witnesses from histories a removal made malformed.
 func validateHistory(ops []Op, initial string) error {
 	writers := make(map[string]int, len(ops))
 	observed := make(map[string]int, len(ops))
 	for i, o := range ops {
+		if o.Kind == Call {
+			continue
+		}
 		if o.Kind == Write {
 			if j, dup := writers[o.Value]; dup {
 				return fmt.Errorf("linearize: value %q written twice (ops %d and %d)", o.Value, j, i)

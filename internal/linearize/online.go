@@ -14,7 +14,7 @@ import (
 )
 
 // This file implements the online (streaming, windowed) form of the
-// Wing-Gong checker. The batch entry points (Check, CheckEps,
+// Wing-Gong checker. The batch entry points (Check, CheckObject, CheckEps,
 // CheckSuperLinearizable) are thin wrappers that replay a history through
 // it, so one engine serves both paths and the verdicts are identical by
 // construction.
@@ -35,10 +35,10 @@ import (
 //	(early, last, ℓ)
 //
 // — the set of not-yet-closed operations already linearized ahead of their
-// deadline ("early"), the register value after the linearized prefix, and
-// ℓ, the maximum window-open over the prefix (the running lower bound on
-// the next linearization point; the batch dfs tracks the same quantity
-// implicitly through its sort order). Two states with equal (early, last)
+// deadline ("early"), the register value (or the Model's state) after the
+// linearized prefix, and ℓ, the maximum window-open over the prefix (the
+// running lower bound on the next linearization point; the batch dfs
+// tracks the same quantity implicitly through its sort order). Two states with equal (early, last)
 // are merged keeping the smaller ℓ, which dominates: every continuation
 // feasible for the larger ℓ is feasible for the smaller.
 //
@@ -54,6 +54,11 @@ import (
 // any linearization order into segments each ending at the next deadline
 // in hi-order: the dfs at that deadline explores exactly the candidate
 // segments (operations opening after hi_d cannot precede d in any order).
+// A pending Call is a deadline like any other (at Never, so in Finish)
+// whose result is not read. Such an op may also never have taken effect,
+// but that fate needs no branch of its own: placed after every other op,
+// where its unbounded window always admits it, it changes nothing that a
+// completed op observes.
 //
 // # Watermarks and garbage collection
 //
@@ -73,6 +78,7 @@ import (
 // whole engine O(window).
 type Online struct {
 	opt      Options
+	model    Model // nil: a read/write register
 	finished bool
 	final    Result
 
@@ -94,6 +100,11 @@ type Online struct {
 
 	failed     bool
 	failReason string
+
+	// A Call's observed return by op id, while its window is open (kept
+	// beside the window so a register's entries stay small); nil for a
+	// register.
+	results map[int]string
 
 	// Value-uniqueness bookkeeping; nil under Options.AssumeUnique.
 	dupErr   error
@@ -119,17 +130,26 @@ type olState struct {
 	ell   simtime.Time
 }
 
-// NewOnline returns an online checker with the given options.
-func NewOnline(opt Options) *Online {
+// NewOnline returns an online register checker with the given options.
+func NewOnline(opt Options) *Online { return newOnline(opt, nil) }
+
+// newOnline returns the engine over m, starting at m.Init(), or over the
+// register of opt.Initial when m is nil. A Model's values are states, not
+// unique written values, so it keeps no uniqueness bookkeeping.
+func newOnline(opt Options, m Model) *Online {
 	if opt.MaxStates == 0 {
 		opt.MaxStates = 4 << 20
 	}
 	o := &Online{
 		opt:      opt,
+		model:    m,
 		open:     make(map[ta.NodeID][]simtime.Time),
 		frontier: []olState{{last: opt.Initial}},
 	}
-	if !opt.AssumeUnique {
+	if m != nil {
+		o.frontier[0].last = m.Init()
+		o.results = make(map[int]string)
+	} else if !opt.AssumeUnique {
 		o.writers = make(map[string]int)
 		o.observed = make(map[string]int)
 	}
@@ -197,6 +217,9 @@ func (o *Online) Add(op Op) {
 	hi := simtime.Never
 	if !op.Pending() {
 		hi = op.Res.Add(o.opt.Widen).Add(o.opt.ShiftFuture)
+		if op.Kind == Call {
+			o.results[id] = op.Result
+		}
 	}
 	o.window = append(o.window, olIv{
 		id: id, kind: op.Kind, value: op.Value, lo: lo, hi: hi, pending: op.Pending(),
@@ -252,7 +275,8 @@ func (o *Online) effBound(w simtime.Time) simtime.Time {
 // idempotent, and the Result is identical to the batch checker's on the
 // same operation sequence. Open invocations that never completed should be
 // Added as pending operations before calling Finish; reads and unobserved
-// writes among them are dropped exactly as in the batch checker.
+// writes among them are dropped exactly as in the batch checker; Calls
+// are kept, their results unread.
 func (o *Online) Finish() Result {
 	if o.finished {
 		return o.final
@@ -289,7 +313,7 @@ func (o *Online) Finish() Result {
 		wasObserved := o.observedValues()
 		kept := o.window[:0]
 		for _, iv := range o.window {
-			if iv.pending && (iv.kind == Read || !wasObserved(iv.value)) {
+			if iv.pending && iv.kind != Call && (iv.kind == Read || !wasObserved(iv.value)) {
 				continue
 			}
 			kept = append(kept, iv)
@@ -302,7 +326,7 @@ func (o *Online) Finish() Result {
 	} else {
 		o.final = Result{OK: true, States: o.states, Pruned: o.pruned}
 	}
-	o.window, o.frontier, o.open, o.writers, o.observed = nil, nil, nil, nil, nil
+	o.window, o.frontier, o.open, o.writers, o.observed, o.results = nil, nil, nil, nil, nil, nil
 	o.cands, o.greedy, o.due, o.memo, o.nf, o.slab = nil, nil, nil, keySet{}, frontierBuilder{}, nil
 	return o.final
 }
@@ -356,6 +380,7 @@ func (o *Online) drain(bound simtime.Time, all bool) {
 			}
 		}
 		o.window[di].closed = true
+		delete(o.results, o.window[di].id)
 	}
 	kept := o.window[:0]
 	for _, iv := range o.window {
@@ -405,7 +430,8 @@ func (o *Online) stage(di int) {
 // them. A pending op's fate needs no test: outside Finish, drain settles
 // only deadlines below effBound, which is at most every pending op's lo,
 // so a pending op fails lo ≤ target.hi; in Finish every pending op left in
-// the window is a write that must be placed. And no state can strand an
+// the window is a write or a Call, and either must be placed. And no state
+// can strand an
 // open op, leaving its window closed below the state's ℓ: deadlines settle
 // in hi order and an op arriving later closes at or after the watermark,
 // so every open op outside a state's early set has hi ≥ target.hi, while
@@ -440,11 +466,13 @@ func (o *Online) collect(target *olIv) {
 //     write's prune covers them.
 //
 // Reports whether the stage was handled; false falls back to the exact
-// search. Soundness: the surviving state is a real placement, so a final
-// OK names a concrete witness order; every prune is counted, so a later
-// failure reports ε-uncertain instead of a definite violation.
+// search, as it always does over a Model: a Call target or candidate is
+// neither a read nor a write. Soundness: the surviving state is a real
+// placement, so a final OK names a concrete witness order; every prune is
+// counted, so a later failure reports ε-uncertain instead of a definite
+// violation.
 func (o *Online) stageApprox(target *olIv) bool {
-	if len(o.frontier) != 1 {
+	if len(o.frontier) != 1 || o.model != nil {
 		return false
 	}
 	s := o.frontier[0]
@@ -606,6 +634,12 @@ func (o *Online) place(s olState, iv *olIv) (olState, bool) {
 		last = iv.value
 	case Read:
 		if iv.value != last {
+			return olState{}, false
+		}
+	case Call:
+		var res string
+		last, res = o.model.Apply(last, iv.value)
+		if !iv.pending && res != o.results[iv.id] {
 			return olState{}, false
 		}
 	}

@@ -107,18 +107,18 @@ func TestPropertyShiftFutureMonotone(t *testing.T) {
 	}
 }
 
-// The generic checker with the register model agrees with the specialized
-// one under every option combination.
+// The engine's Call path over the register model agrees with its
+// Read/Write path under every option combination.
 func TestPropertyGenericAgreesWithOptions(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 250; trial++ {
 		rops := randHistory(r)
-		gops := make([]GOp, len(rops))
+		gops := make([]Op, len(rops))
 		for i, o := range rops {
 			if o.Kind == Write {
-				gops[i] = GOp{Node: o.Node, Op: "write:" + o.Value, Inv: o.Inv, Res: o.Res}
+				gops[i] = Op{Node: o.Node, Kind: Call, Value: "write:" + o.Value, Inv: o.Inv, Res: o.Res}
 			} else {
-				gops[i] = GOp{Node: o.Node, Op: "read", Result: o.Value, Inv: o.Inv, Res: o.Res}
+				gops[i] = Op{Node: o.Node, Kind: Call, Value: "read", Result: o.Value, Inv: o.Inv, Res: o.Res}
 			}
 		}
 		opt := Options{

@@ -6,14 +6,15 @@ package linearize
 // "no valid linearization order exists" verdict into something a human can
 // read — typically the two or three operations of a new/old inversion.
 //
-// Shrink returns the input unchanged if the history is linearizable or
-// invalid to begin with.
-func Shrink(ops []Op, opt Options) []Op {
+// The history is checked as CheckObject checks it: against m, or as a
+// register when m is nil. Shrink returns the input unchanged if the history
+// is linearizable or invalid to begin with.
+func Shrink(ops []Op, m Model, opt Options) []Op {
 	violates := func(h []Op) bool {
 		if validateHistory(h, opt.Initial) != nil {
 			return false // structurally invalid ≠ a violation witness
 		}
-		return !Check(h, opt).OK
+		return !CheckObject(h, m, opt).OK
 	}
 	return shrinkWith(ops, violates)
 }
@@ -26,14 +27,6 @@ func Shrink(ops []Op, opt Options) []Op {
 func ShrinkSeq(ops []Op, initial string) []Op {
 	violates := func(h []Op) bool {
 		return !CheckSequentiallyConsistent(h, initial).OK
-	}
-	return shrinkWith(ops, violates)
-}
-
-// ShrinkObject is Shrink for generic object histories.
-func ShrinkObject(ops []GOp, m Model, opt Options) []GOp {
-	violates := func(h []GOp) bool {
-		return !CheckObject(h, m, opt).OK
 	}
 	return shrinkWith(ops, violates)
 }

@@ -24,7 +24,7 @@ func TestShrinkNewOldInversion(t *testing.T) {
 	if CheckLinearizable(ops, "v0").OK {
 		t.Fatal("test history unexpectedly linearizable")
 	}
-	small := Shrink(ops, Options{Initial: "v0"})
+	small := Shrink(ops, nil, Options{Initial: "v0"})
 	if len(small) >= len(ops) {
 		t.Fatalf("no shrinkage: %d ops", len(small))
 	}
@@ -51,24 +51,24 @@ func TestShrinkLeavesGoodHistoriesAlone(t *testing.T) {
 		op(0, Write, "a", 0, 10),
 		op(1, Read, "a", 20, 30),
 	}
-	small := Shrink(ops, Options{Initial: "v0"})
+	small := Shrink(ops, nil, Options{Initial: "v0"})
 	if len(small) != len(ops) {
 		t.Errorf("linearizable history shrunk to %d", len(small))
 	}
 }
 
-func TestShrinkObjectCounter(t *testing.T) {
-	ops := []GOp{
-		gop(0, "add:2", "", 0, 10),
-		gop(1, "get", "2", 20, 30),
-		gop(0, "add:3", "", 40, 50),
-		gop(1, "get", "2", 60, 70), // stale: violation
-		gop(2, "get", "5", 80, 90),
+func TestShrinkCounter(t *testing.T) {
+	ops := []Op{
+		call(0, "add:2", "", 0, 10),
+		call(1, "get", "2", 20, 30),
+		call(0, "add:3", "", 40, 50),
+		call(1, "get", "2", 60, 70), // stale: violation
+		call(2, "get", "5", 80, 90),
 	}
 	if CheckObject(ops, cntModel{}, Options{Initial: "0"}).OK {
 		t.Fatal("unexpectedly linearizable")
 	}
-	small := ShrinkObject(ops, cntModel{}, Options{Initial: "0"})
+	small := Shrink(ops, cntModel{}, Options{Initial: "0"})
 	if len(small) >= len(ops) {
 		t.Fatalf("no shrinkage: %d", len(small))
 	}
@@ -101,7 +101,7 @@ func TestShrinkProperty(t *testing.T) {
 			continue
 		}
 		found++
-		small := Shrink(ops, Options{Initial: "v0"})
+		small := Shrink(ops, nil, Options{Initial: "v0"})
 		if len(small) == 0 || CheckLinearizable(small, "v0").OK {
 			t.Fatalf("bad shrink of:\n%v\n→\n%v", ops, small)
 		}

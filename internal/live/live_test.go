@@ -211,6 +211,11 @@ func TestLiveRegisterPerfectClock(t *testing.T) {
 	if r.m.Messages == 0 || r.m.DelayMax == 0 {
 		t.Fatalf("no delays measured: %+v", r.m)
 	}
+	// Equal clocks tag every frame at or below the receiver's clock on
+	// arrival, so the receive buffer holds none of them.
+	if r.m.Held != 0 {
+		t.Fatalf("perfect clocks held %d of %d frames, want 0", r.m.Held, r.m.Messages)
+	}
 }
 
 // TestLiveRegisterFixedOffsetClock is the other half: the same run under

@@ -19,8 +19,7 @@
 // cost 2ε+δ+c and update cost d2+2ε−c — Theorem 6.5, objectwise.
 //
 // A Spec provides the sequential semantics once; the same Spec drives the
-// replicas here and the generic linearizability checker
-// (linearize.CheckObject).
+// replicas here and the linearizability checker (linearize.CheckObject).
 package object
 
 import (
@@ -43,7 +42,7 @@ const (
 )
 
 // Spec is a sequential object specification: canonical string states, the
-// same encoding the generic checker memoizes on.
+// same encoding the checker memoizes on.
 type Spec interface {
 	linearize.Model
 }
@@ -192,16 +191,17 @@ func (a *Alg) applyDue(now simtime.Time) {
 	a.pending = rest
 }
 
-// History extracts the generic operation history from a trace's visible
-// actions, enforcing per-node alternation. Operations still open at the
-// end are pending.
-func History(tr ta.Trace) ([]linearize.GOp, error) {
+// History extracts the history of linearize.Call ops from a trace's
+// visible actions, enforcing per-node alternation. Operations still open
+// at the end are pending, appended in node order: arrival order is the
+// checker's tie-break, so it must not depend on map iteration.
+func History(tr ta.Trace) ([]linearize.Op, error) {
 	type open struct {
-		op  linearize.GOp
+		op  linearize.Op
 		set bool
 	}
 	pend := make(map[ta.NodeID]open)
-	var ops []linearize.GOp
+	var ops []linearize.Op
 	for i, e := range tr {
 		a := e.Action
 		if a.Kind == ta.KindInternal {
@@ -217,7 +217,7 @@ func History(tr ta.Trace) ([]linearize.GOp, error) {
 			if !ok {
 				return nil, fmt.Errorf("object: event %d: payload %T is not a string", i, a.Payload)
 			}
-			pend[a.Node] = open{op: linearize.GOp{Node: a.Node, Op: opStr, Inv: e.At, Res: simtime.Never}, set: true}
+			pend[a.Node] = open{op: linearize.Op{Node: a.Node, Kind: linearize.Call, Value: opStr, Inv: e.At, Res: simtime.Never}, set: true}
 		case ActReturn, ActAck:
 			cur := pend[a.Node]
 			if !cur.set {
@@ -235,10 +235,12 @@ func History(tr ta.Trace) ([]linearize.GOp, error) {
 			pend[a.Node] = open{}
 		}
 	}
+	tail := len(ops)
 	for _, cur := range pend {
 		if cur.set {
 			ops = append(ops, cur.op)
 		}
 	}
+	sort.Slice(ops[tail:], func(i, j int) bool { return ops[tail+i].Node < ops[tail+j].Node })
 	return ops, nil
 }

@@ -1,6 +1,10 @@
 package object_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"psclock/internal/clock"
@@ -9,6 +13,7 @@ import (
 	"psclock/internal/object"
 	"psclock/internal/register"
 	"psclock/internal/simtime"
+	"psclock/internal/ta"
 )
 
 const (
@@ -18,7 +23,7 @@ const (
 
 func runObject(t *testing.T, model string, spec func() object.Spec, gen object.OpGen,
 	newAlg func(object.Spec, register.Params) *object.Alg, cf clock.Factory,
-	eps simtime.Duration, seed int64) []linearize.GOp {
+	eps simtime.Duration, seed int64) []linearize.Op {
 	t.Helper()
 	bounds := simtime.NewInterval(1*ms, 3*ms)
 	ell := 50 * us
@@ -263,5 +268,143 @@ func TestKVStoreEndToEnd(t *testing.T) {
 	r := linearize.CheckObject(ops, object.KVStore{}, linearize.Options{Initial: ""})
 	if !r.OK {
 		t.Fatalf("KV store not linearizable: %s", r.Reason)
+	}
+}
+
+// goldenHistory draws one small seeded history of spec (by name) with
+// results picked from a plausible set, so a fair share violate, and
+// about one op in eight left pending.
+func goldenHistory(r *rand.Rand, spec string) []linearize.Op {
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	n := 2 + r.Intn(5)
+	ops := make([]linearize.Op, 0, n)
+	for i := 0; i < n; i++ {
+		var op, res string
+		update := r.Intn(5) < 3
+		switch spec {
+		case "counter":
+			op, res = "get", pick("0", "1", "2")
+			if update {
+				op, res = pick("add:1", "add:2"), ""
+			}
+		case "gset":
+			op, res = pick("has:a", "has:b"), pick("true", "false")
+			if r.Intn(4) == 0 {
+				op, res = "size", pick("0", "1")
+			}
+			if update {
+				op, res = pick("insert:a", "insert:b"), ""
+			}
+		case "maxreg":
+			op, res = "get", pick("0", "1", "2")
+			if update {
+				op, res = pick("raise:1", "raise:2", "raise:3"), ""
+			}
+		case "kvstore":
+			op, res = pick("get:a", "get:b"), pick("<nil>", "1")
+			if r.Intn(5) == 0 {
+				op, res = "keys", pick("0", "1")
+			}
+			if update {
+				op, res = pick("put:a=1", "put:b=1", "del:a"), ""
+			}
+		}
+		inv := simtime.Time(r.Intn(60))
+		end := inv.Add(simtime.Duration(1 + r.Intn(30)))
+		if r.Intn(8) == 0 {
+			end, res = simtime.Never, ""
+		}
+		ops = append(ops, linearize.Op{Node: ta.NodeID(i % 3), Kind: linearize.Call, Value: op, Result: res, Inv: inv, Res: end})
+	}
+	return ops
+}
+
+// TestCheckObjectVerdictGolden pins the object checker's verdicts on 1 600
+// seeded small histories of the counter, grow-set, max-register and KV
+// store specs, under plain linearizability, a Widen and a MinAfterInv:
+// the hash of the verdict bits was recorded when the checker was a
+// separate Wing–Gong search, so a change that moves any verdict fails it.
+// Each history is also checked with ApproxEps set, which must change
+// nothing.
+func TestCheckObjectVerdictGolden(t *testing.T) {
+	const want = "3d7c2e0053888342"
+	specs := []object.Spec{object.Counter{}, object.GSet{}, object.MaxRegister{}, object.KVStore{}}
+	r := rand.New(rand.NewSource(51))
+	h := sha256.New()
+	var bad, pending, widen, super int
+	const trials = 1600
+	for trial := 0; trial < trials; trial++ {
+		spec := specs[trial%len(specs)]
+		ops := goldenHistory(r, spec.Name())
+		for _, o := range ops {
+			if o.Pending() {
+				pending++
+			}
+		}
+		opt := linearize.Options{Initial: spec.Init()}
+		switch r.Intn(3) {
+		case 1:
+			opt.Widen = simtime.Duration(1 + r.Intn(15))
+			widen++
+		case 2:
+			opt.MinAfterInv = simtime.Duration(1 + r.Intn(15))
+			super++
+		}
+		res := linearize.CheckObject(ops, spec, opt)
+		if strings.Contains(res.Reason, "state budget") {
+			t.Fatalf("trial %d reached the state budget", trial)
+		}
+		// The ε-approximate fast path is the register's: over a Model
+		// every stage is exact, so nothing is pruned.
+		approx := opt
+		approx.ApproxEps = 20
+		if a := linearize.CheckObject(ops, spec, approx); a.OK != res.OK || a.Pruned != 0 {
+			t.Fatalf("trial %d: with ApproxEps %+v, exact %+v", trial, a, res)
+		}
+		bit := byte('1')
+		if !res.OK {
+			bit = '0'
+			bad++
+		}
+		h.Write([]byte{bit})
+	}
+	if bad*100 < 15*trials || pending == 0 || widen == 0 || super == 0 {
+		t.Fatalf("draw too tame: %d/%d violating, %d pending ops, %d Widen and %d MinAfterInv runs",
+			bad, trials, pending, widen, super)
+	}
+	got := fmt.Sprintf("%x", h.Sum(nil))[:16]
+	t.Logf("%d/%d violating, %d pending ops, %d Widen and %d MinAfterInv runs; verdict hash %s",
+		bad, trials, pending, widen, super, got)
+	if got != want {
+		t.Errorf("verdict hash %s, want %s", got, want)
+	}
+}
+
+// TestHistoryPendingInNodeOrder: operations still open at the end of the
+// trace are appended in node order, whatever order they were invoked in,
+// so the checker's arrival order (its tie-break) is the same every run.
+func TestHistoryPendingInNodeOrder(t *testing.T) {
+	ev := func(at simtime.Time, name string, node ta.NodeID, kind ta.Kind, payload any) ta.Event {
+		return ta.Event{At: at, Action: ta.Action{Name: name, Node: node, Peer: ta.NoNode, Kind: kind, Payload: payload}}
+	}
+	tr := ta.Trace{
+		ev(0, object.ActUpdate, 2, ta.KindInput, "add:1"),
+		ev(10, object.ActAck, 2, ta.KindOutput, nil),
+	}
+	for i, n := range []ta.NodeID{4, 1, 3, 0, 5, 2} {
+		tr = append(tr, ev(simtime.Time(20+i), object.ActQuery, n, ta.KindInput, "get"))
+	}
+	for run := 0; run < 20; run++ {
+		ops, err := object.History(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []ta.NodeID
+		for _, o := range ops[1:] {
+			nodes = append(nodes, o.Node)
+		}
+		if fmt.Sprint(nodes) != "[n0 n1 n2 n3 n4 n5]" || ops[0].Pending() {
+			t.Fatalf("run %d: history %v, want the completed op, then pending ops of n0…n5 in node order", run, ops)
+		}
 	}
 }

@@ -18,7 +18,9 @@
 # "equivalent" (no behaviour changes) or "survives" (a known gap) — with
 # its reason. The run fails if a diff no longer applies, a mutant does not
 # compile, the unmutated tree fails, a mutant survives without an entry, or
-# an entry names a mutant that is now killed. A run over the whole set
+# an entry names a mutant that is now killed. Under each mutant's verdict
+# line goes one failure line per killing test (see evidence), so a kill
+# stays diagnosable after the run's files are gone. A run over the whole set
 # rewrites the matrix between DESIGN.md's mutants markers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -83,12 +85,31 @@ killers() {
 		| ($k + [$p[] | "\(.) (package)"]) | unique[]' "$1"
 }
 
+# evidence reads one go test -json stream and prints, for each killer,
+# its failure line, cut at 200 bytes: the package's first panic or timeout
+# line if it has one, else the last `_test.go:N:` message of the test or of
+# a subtest that failed (a test's logs come before the message that ends it).
+evidence() {
+	killers "$1" | while read -r pkg test; do
+		line=$(jq -rs --arg p "$pkg" --arg t "$test" '
+			[.[] | select(.Package == $p)] as $e
+			| [$e[] | select(.Action == "fail" and .Test != null
+			                 and (.Test == $t or (.Test | startswith($t + "/")))) | .Test] as $failed
+			| [$e[] | select(.Action == "output") | .Output] as $out
+			| ([$out[] | select(test("^panic:|test timed out"))][0])
+			  // ([$e[] | select(.Action == "output" and (.Test as $x | any($failed[]; . == $x))
+			                     and (.Output | test("_test\\.go:[0-9]+:"))) | .Output] | last)
+			  // "no failure line"' "$1" | sed -n 's/^[[:space:]]*//; /./{p;q;}')
+		echo "         $test: ${line:0:200}"
+	done
+}
+
 echo "mutants: the unmutated tree"
 start=$SECONDS
 go test -count=1 -json -timeout "$timeout" ./... >"$tmp/base.json" 2>"$tmp/base.err" || true
 if [ -n "$(killers "$tmp/base.json")" ] || jq -e 'select(.Action == "build-fail" or .FailedBuild != null)' "$tmp/base.json" >/dev/null; then
 	echo "mutants: the unmutated tree fails:"
-	killers "$tmp/base.json"
+	evidence "$tmp/base.json"
 	cat "$tmp/base.err"
 	exit 1
 fi
@@ -144,6 +165,7 @@ for name in "${names[@]}"; do
 		fail=1
 	fi
 	printf 'mutants: M%-3s %-26s %3d pkgs %4d s  %s\n' "$i" "$name" $(echo $pkgs | wc -w) $((SECONDS - start)) "$verdict"
+	evidence "$tmp/$name.out"
 done
 
 # The matrix: one row per test that kills a mutant (its time on the
