@@ -224,6 +224,7 @@ func Check(ops []Op, opt Options) Result {
 // every other.
 func CheckObject(ops []Op, m Model, opt Options) Result {
 	o := newOnline(opt, m)
+	o.window = make([]olIv, 0, len(ops))
 	for _, op := range ops {
 		o.Add(op)
 	}

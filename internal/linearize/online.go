@@ -84,16 +84,16 @@ type Online struct {
 
 	window   []olIv
 	frontier []olState
-	open     map[ta.NodeID][]simtime.Time
+	open     openInvs
 	nextID   int
 	states   int
 	pruned   int
 
-	// Per-stage scratch, reused from stage to stage (see collect).
-	listed bool   // cands holds the current stage's list
-	cands  []int  // window indexes that may precede the target, window order
+	// Per-stage scratch, reused from stage to stage (see drain).
+	cands  []int  // window indexes that may precede the target, in no set order
 	greedy []int  // commit's and stageApprox's in-order reads
 	due    []int  // drain's deadlines
+	pool   []int  // drain's candidates, ascending lo
 	memo   keySet // the states commit has visited
 	nf     frontierBuilder
 	slab   []int // where early sets are carved (see carve)
@@ -130,6 +130,37 @@ type olState struct {
 	ell   simtime.Time
 }
 
+// openInvs holds the (node, inv) pairs Begin declared and Add has not yet
+// resolved; both engines hold their processing bound at the earliest.
+type openInvs []openInv
+
+type openInv struct {
+	node ta.NodeID
+	inv  simtime.Time
+}
+
+func (l *openInvs) add(node ta.NodeID, inv simtime.Time) { *l = append(*l, openInv{node, inv}) }
+
+// resolve drops the pair (node, inv), if it is held.
+func (l *openInvs) resolve(node ta.NodeID, inv simtime.Time) {
+	s := *l
+	for i, x := range s {
+		if x.node == node && x.inv == inv {
+			s[i] = s[len(s)-1]
+			*l = s[:len(s)-1]
+			return
+		}
+	}
+}
+
+// earliest returns the earliest held invocation, or b if that is earlier.
+func (l openInvs) earliest(b simtime.Time) simtime.Time {
+	for _, x := range l {
+		b = min(b, x.inv)
+	}
+	return b
+}
+
 // NewOnline returns an online register checker with the given options.
 func NewOnline(opt Options) *Online { return newOnline(opt, nil) }
 
@@ -143,7 +174,6 @@ func newOnline(opt Options, m Model) *Online {
 	o := &Online{
 		opt:      opt,
 		model:    m,
-		open:     make(map[ta.NodeID][]simtime.Time),
 		frontier: []olState{{last: opt.Initial}},
 	}
 	if m != nil {
@@ -167,7 +197,7 @@ func (o *Online) Begin(node ta.NodeID, inv simtime.Time) {
 	if o.finished {
 		return
 	}
-	o.open[node] = append(o.open[node], inv)
+	o.open.add(node, inv)
 }
 
 // Add submits an operation, normally at its completion; pending operations
@@ -180,15 +210,7 @@ func (o *Online) Add(op Op) {
 	}
 	id := o.nextID
 	o.nextID++
-	// An emptied slice stays in the map, so the node's next Begin reuses it.
-	invs := o.open[op.Node]
-	for i, t := range invs {
-		if t == op.Inv {
-			invs[i] = invs[len(invs)-1]
-			o.open[op.Node] = invs[:len(invs)-1]
-			break
-		}
-	}
+	o.open.resolve(op.Node, op.Inv)
 	if o.writers != nil {
 		if op.Kind == Write {
 			if j, dup := o.writers[op.Value]; dup {
@@ -243,26 +265,14 @@ func (o *Online) Advance(watermark simtime.Time) {
 
 // effBound converts the invocation watermark into the largest deadline
 // bound that is safe to process: future windows cannot open before any of
-// the candidate terms, and cannot close before w itself.
+// the candidate terms, and cannot close before w itself (the earliest
+// invocation's window-open is the earliest one: adding keeps order).
 func (o *Online) effBound(w simtime.Time) simtime.Time {
-	adj := func(t simtime.Time) simtime.Time {
-		t = t.Add(o.opt.MinAfterInv)
-		if o.opt.Widen > 0 {
-			t = t.Add(-o.opt.Widen)
-		}
-		return t
+	a := o.open.earliest(w).Add(o.opt.MinAfterInv)
+	if o.opt.Widen > 0 {
+		a = a.Add(-o.opt.Widen)
 	}
-	b := w
-	if a := adj(w); a < b {
-		b = a
-	}
-	for _, invs := range o.open {
-		for _, inv := range invs {
-			if a := adj(inv); a < b {
-				b = a
-			}
-		}
-	}
+	b := min(w, a)
 	for i := range o.window {
 		if o.window[i].pending && o.window[i].lo < b {
 			b = o.window[i].lo
@@ -327,7 +337,7 @@ func (o *Online) Finish() Result {
 		o.final = Result{OK: true, States: o.states, Pruned: o.pruned}
 	}
 	o.window, o.frontier, o.open, o.writers, o.observed, o.results = nil, nil, nil, nil, nil, nil
-	o.cands, o.greedy, o.due, o.memo, o.nf, o.slab = nil, nil, nil, keySet{}, frontierBuilder{}, nil
+	o.cands, o.greedy, o.due, o.pool, o.memo, o.nf, o.slab = nil, nil, nil, nil, keySet{}, frontierBuilder{}, nil
 	return o.final
 }
 
@@ -355,6 +365,29 @@ func (o *Online) observedValues() func(string) bool {
 // compacts the window. The canonical order makes the stage sequence — and
 // therefore the verdict and States — a function of the submitted
 // operations alone, independent of Advance slicing.
+//
+// Each stage's candidates, the ops that may precede its target, are the
+// open ops other than the target with lo ≤ target.hi. The targets' hi only
+// grows along a drain, so one lo-sorted pool of the ops with lo up to the
+// last target's hi lists them all: each stage moves the pool's prefix up
+// to its target's hi into o.cands and takes its target out (an earlier
+// target that joins later, its lo above its own hi, is skipped as closed).
+// A stage pays for its candidates, not for the window. Their order does
+// not reach the verdict, States or Pruned: commit runs once per fresh state
+// and placeable candidate in any order, the frontier builder sorts its
+// states by key, and greedy reads go in lo order, reads with equal lo being
+// interchangeable; so a MaxStates cut-off fires in the same stage at the
+// same count.
+//
+// Two filters are implied by drain's order, so the candidates need neither.
+// A pending op's fate needs no test: outside Finish, drain settles only
+// deadlines below effBound, which is at most every pending op's lo, so a
+// pending op fails lo ≤ target.hi; in Finish every pending op left in the
+// window is a write or a Call, and either must be placed. And no state can
+// strand an open op, leaving its window closed below the state's ℓ:
+// deadlines settle in hi order and an op arriving later closes at or after
+// the watermark, so every open op outside a state's early set has
+// hi ≥ target.hi, while ℓ, the largest lo placed, is at most target.hi.
 func (o *Online) drain(bound simtime.Time, all bool) {
 	due := o.due[:0]
 	for i := range o.window {
@@ -372,7 +405,26 @@ func (o *Online) drain(bound simtime.Time, all bool) {
 		x, y := &o.window[a], &o.window[b]
 		return cmp.Or(cmp.Compare(x.hi, y.hi), cmp.Compare(x.lo, y.lo), cmp.Compare(x.id, y.id))
 	})
+	last := o.window[due[len(due)-1]].hi
+	pool := o.pool[:0]
+	for i := range o.window {
+		if o.window[i].lo <= last {
+			pool = append(pool, i)
+		}
+	}
+	slices.SortFunc(pool, o.byLo)
+	o.pool = pool
+	o.cands = o.cands[:0]
 	for _, di := range due {
+		for ; len(pool) > 0 && o.window[pool[0]].lo <= o.window[di].hi; pool = pool[1:] {
+			if !o.window[pool[0]].closed {
+				o.cands = append(o.cands, pool[0])
+			}
+		}
+		if p := slices.Index(o.cands, di); p >= 0 {
+			o.cands[p] = o.cands[len(o.cands)-1]
+			o.cands = o.cands[:len(o.cands)-1]
+		}
 		if !o.failed {
 			o.stage(di)
 			if o.opt.Yield != nil {
@@ -397,7 +449,6 @@ func (o *Online) drain(bound simtime.Time, all bool) {
 // union; empty means no linearization order exists.
 func (o *Online) stage(di int) {
 	target := &o.window[di]
-	o.listed = false
 	if o.opt.ApproxEps > 0 && o.stageApprox(target) {
 		return
 	}
@@ -408,7 +459,6 @@ func (o *Online) stage(di int) {
 			o.nf.emit(olState{early: o.without(s.early, p), last: s.last, ell: s.ell})
 			continue
 		}
-		o.collect(target)
 		o.commit(s, target)
 		if o.failed {
 			return
@@ -418,35 +468,6 @@ func (o *Online) stage(di int) {
 	if len(o.frontier) == 0 {
 		o.failed = true
 		o.failReason = "no valid linearization order exists"
-	}
-}
-
-// collect makes the stage's one pass over the window; per-state work runs
-// over its list instead. cands: the ops that may precede the target (open,
-// not the target, lo ≤ target.hi), in window order so a MaxStates cut-off
-// falls where a window scan's would. At most once per stage, on demand.
-//
-// Two filters are implied by drain's order, so the pass does not apply
-// them. A pending op's fate needs no test: outside Finish, drain settles
-// only deadlines below effBound, which is at most every pending op's lo,
-// so a pending op fails lo ≤ target.hi; in Finish every pending op left in
-// the window is a write or a Call, and either must be placed. And no state
-// can strand an
-// open op, leaving its window closed below the state's ℓ: deadlines settle
-// in hi order and an op arriving later closes at or after the watermark,
-// so every open op outside a state's early set has hi ≥ target.hi, while
-// ℓ, the largest lo placed, is at most target.hi.
-func (o *Online) collect(target *olIv) {
-	if o.listed {
-		return
-	}
-	o.listed = true
-	o.cands = o.cands[:0]
-	for i := range o.window {
-		x := &o.window[i]
-		if !x.closed && x.id != target.id && x.lo <= target.hi {
-			o.cands = append(o.cands, i)
-		}
 	}
 }
 
@@ -482,7 +503,6 @@ func (o *Online) stageApprox(target *olIv) bool {
 		o.frontier[0].early = o.without(s.early, p)
 		return true
 	}
-	o.collect(target)
 	band := target.hi.Add(-o.opt.ApproxEps)
 	skipped := 0
 	pre := o.greedy[:0] // window indexes of in-band reads of s.last

@@ -188,8 +188,9 @@ func TestOnlineMatchesBatch(t *testing.T) {
 // hash of every trial's (OK, Reason, States, Pruned), exact and with a
 // 5-tick ApproxEps, must equal the recorded constant. A change that keeps
 // every verdict but explores a different state set — a lost or extra
-// memo hit, a candidate out of window order under a MaxStates cut-off —
-// moves the hash.
+// memo hit, a candidate missing from or added to a stage's list — moves
+// the hash. The order of a stage's candidates does not: each fresh state
+// tries every placeable candidate, so the states counted are the same.
 func TestOnlineSearchFingerprint(t *testing.T) {
 	const want uint64 = 0xb6b471810b4fb70b
 	h := fnv.New64a()

@@ -80,7 +80,7 @@ type SeqOnline struct {
 	final    Result
 
 	clusters map[string]*seqCluster
-	open     map[ta.NodeID][]simtime.Time
+	open     openInvs
 	lastOp   map[ta.NodeID]Op          // last non-dropped op, for overlap reporting
 	prevC    map[ta.NodeID]*seqCluster // cluster of the node's last graph-participating op
 	pends    []seqPend                 // Finish-time pending writes, fate unresolved
@@ -183,7 +183,6 @@ func NewSeqOnline(opt SeqOptions) *SeqOnline {
 	s := &SeqOnline{
 		opt:      opt,
 		clusters: make(map[string]*seqCluster),
-		open:     make(map[ta.NodeID][]simtime.Time),
 		lastOp:   make(map[ta.NodeID]Op),
 		prevC:    make(map[ta.NodeID]*seqCluster),
 	}
@@ -202,7 +201,7 @@ func (s *SeqOnline) Begin(node ta.NodeID, inv simtime.Time) {
 	if s.finished {
 		return
 	}
-	s.open[node] = append(s.open[node], inv)
+	s.open.add(node, inv)
 }
 
 // Add implements Automaton. Operations must arrive in per-node program
@@ -213,20 +212,7 @@ func (s *SeqOnline) Add(op Op) {
 	if s.finished {
 		return
 	}
-	if invs := s.open[op.Node]; len(invs) > 0 {
-		for i, t := range invs {
-			if t == op.Inv {
-				invs[i] = invs[len(invs)-1]
-				invs = invs[:len(invs)-1]
-				break
-			}
-		}
-		if len(invs) == 0 {
-			delete(s.open, op.Node)
-		} else {
-			s.open[op.Node] = invs
-		}
-	}
+	s.open.resolve(op.Node, op.Inv)
 	if s.hardFail {
 		return
 	}
@@ -389,14 +375,7 @@ func (s *SeqOnline) Advance(watermark simtime.Time) {
 	if s.finished || s.hardFail || s.opt.MaxStale == 0 {
 		return
 	}
-	b := watermark
-	for _, invs := range s.open {
-		for _, inv := range invs {
-			if inv < b {
-				b = inv
-			}
-		}
-	}
+	b := s.open.earliest(watermark)
 	stuck := false
 	for _, c := range s.clusters {
 		if !c.settled && c.deadline <= b {

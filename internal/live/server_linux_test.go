@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"runtime"
 	"testing"
@@ -16,6 +17,9 @@ import (
 
 // TestServerGoroutinesIndependentOfRegisters: a port is data its node
 // owns, so serving 64 registers takes the goroutines serving one does.
+// Only goroutines running this package's code are counted: one that the
+// runtime or another package starts or ends meanwhile says nothing about
+// the server.
 func TestServerGoroutinesIndependentOfRegisters(t *testing.T) {
 	const nodes = 3
 	started := func(regs int) int {
@@ -123,18 +127,34 @@ func TestDeploy(t *testing.T) {
 	}
 }
 
-// settledGoroutines reads runtime.NumGoroutine once the count has stopped
-// moving — the same value on ten consecutive reads a millisecond apart —
-// so that a goroutine still starting or exiting is not counted mid-flight.
+// settledGoroutines counts the goroutines with a psclock/internal/live
+// frame on their stack once the count has stopped moving — the same value
+// on ten consecutive reads a millisecond apart — so that a goroutine still
+// starting or exiting is not counted mid-flight.
 func settledGoroutines(t *testing.T) int {
 	t.Helper()
-	n, same := runtime.NumGoroutine(), 0
+	buf := make([]byte, 1<<16)
+	count := func() int {
+		for {
+			if n := runtime.Stack(buf, true); n < len(buf) {
+				live := 0
+				for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+					if bytes.Contains(g, []byte("\npsclock/internal/live.")) {
+						live++
+					}
+				}
+				return live
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	n, same := count(), 0
 	for deadline := time.Now().Add(5 * time.Second); same < 10; {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutine count never settled (last %d)", n)
 		}
 		time.Sleep(time.Millisecond)
-		if m := runtime.NumGoroutine(); m != n {
+		if m := count(); m != n {
 			n, same = m, 0
 		} else {
 			same++

@@ -164,3 +164,37 @@ func BenchmarkCheckReplayExact(b *testing.B) { benchReplay(b, 0) }
 // BenchmarkCheckReplayApprox measures the ε = 3 ms approximate checker on
 // the same history.
 func BenchmarkCheckReplayApprox(b *testing.B) { benchReplay(b, 3*ms) }
+
+// BenchmarkCheckBatch batch-checks one register's history from the seed-1
+// capture at two sizes and reports the cost per history operation. The
+// batch path settles the whole history as one drain, so a cost per stage
+// that grew with the open window would make the larger size cost more per
+// op: go test -run '^$' -bench CheckBatch ./internal/register/
+func BenchmarkCheckBatch(b *testing.B) {
+	for _, n := range []int{3000, 12000} {
+		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {
+			// 8 registers of 3 closed-loop clients each: one register
+			// completes an eighth of the capture's ops.
+			cmds, _ := captureReplay(b, 1, 8*n)
+			var ops []linearize.Op
+			for _, c := range cmds {
+				if c.Kind == linearize.CmdAdd && c.Key == "r0" {
+					ops = append(ops, c.Op)
+				}
+			}
+			if len(ops) != n {
+				b.Fatalf("register r0 completed %d ops, want %d", len(ops), n)
+			}
+			opt := linearize.Options{Initial: register.Initial.String(), MaxStates: 1 << 30}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				replaySink = linearize.Check(ops, opt)
+			}
+			b.StopTimer()
+			if !replaySink.OK {
+				b.Fatalf("batch check rejected register r0: %s", replaySink.Reason)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/histop")
+		})
+	}
+}
