@@ -88,9 +88,13 @@ time-guard:
 # this file, none of them mentions a retired measuring path (history
 # lives in docs/history.md and CHANGES.md, which this does not read; the
 # retired names are spelled with a bracket so that a grep of the tree for
-# them finds only uses), and README's Quickstart is examples/quickstart,
-# byte for byte, so the code it shows compiles and its test runs it.
+# them finds only uses), README's Quickstart is examples/quickstart, byte
+# for byte, so the code it shows compiles and its test pins what it prints,
+# and every E1–E16 table EXPERIMENTS.md shows is the golden's block, byte
+# for byte, so it is what pscbench prints (E17 runs on the wall clock and
+# has no golden).
 DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+GOLDEN = internal/experiments/testdata/e1-e16.txt
 doc-guard:
 	@for t in $$(grep -ohE -e '`make [a-z][a-z0-9-]*' -e '^make [a-z][a-z0-9-]*( +#| *$$)' $(DOCS) | sed 's/.*make //; s/[ #]*$$//' | sort -u); do \
 		grep -qE "^$$t:" Makefile || { echo "doc-guard: \`make $$t\` is cited in the docs but is not a Makefile target"; exit 1; }; \
@@ -99,6 +103,14 @@ doc-guard:
 		|| { echo "doc-guard: the docs cite a retired measuring path (see the lines above)"; exit 1; }
 	@awk '/^## Quickstart/ { q = 1 } q && /^```/ { if (g) exit; g = 1; next } g' README.md | diff -u - examples/quickstart/main.go \
 		|| { echo "doc-guard: README's Quickstart differs from examples/quickstart/main.go (see the diff above)"; exit 1; }
+	@awk 'FNR == NR { if (/^=== E[0-9]+:/) id = $$2; if (id != "") g[id, ++n[id]] = $$0; next } \
+		FNR == 1 { id = "" } \
+		/^=== E([1-9]|1[0-6]):/ { id = $$2; k = 0; while (n[id] > 0 && g[id, n[id]] == "") n[id]-- } \
+		id == "" { next } \
+		/^```/ { if (k != n[id]) { printf "doc-guard: EXPERIMENTS.md:%d: %s shows %d lines, the golden %d\n", FNR, id, k, n[id]; bad = 1 } id = ""; next } \
+		$$0 != g[id, ++k] { printf "doc-guard: EXPERIMENTS.md:%d: %s line %d differs from $(GOLDEN):\n  docs:   %s\n  golden: %s\n", \
+			FNR, id, k, $$0, g[id, k]; bad = 1; id = "" } \
+		END { exit bad }' $(GOLDEN) EXPERIMENTS.md
 
 # No CI step selects nothing: `go test -run X` passes silently when X
 # matches no test, so for every -run pattern in the workflow (except '^$',
@@ -146,8 +158,11 @@ lines:
 # target prints the mutant × test kill matrix with each test's time and
 # rewrites it into DESIGN.md. It fails when a diff no longer applies, when
 # a mutant survives without a reason in mutants/survivors.txt, or when a
-# listed survivor is killed. mutants-check is its cheap half: every diff
-# still applies exactly and its package compiles.
+# listed survivor is killed, and it records each killed mutant's fastest
+# killers in mutants/killers.txt. mutants-check is its per-change half:
+# every diff still applies exactly and its package compiles, every
+# recorded killer exists and passes on the unmutated tree, and every
+# killed mutant fails one of its recorded killers (≈ 30 s on 2 cores).
 mutants:
 	bash mutants/run.sh
 

@@ -92,17 +92,6 @@ func (s *Stream) Summary() Summary {
 	return Summary{N: s.N, Min: s.Min, Max: s.Max, Mean: s.Mean()}
 }
 
-// MaxDuration returns the largest element, or 0 for an empty sample.
-func MaxDuration(ds []simtime.Duration) simtime.Duration {
-	var m simtime.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Table renders aligned fixed-width text tables.
 type Table struct {
 	headers []string

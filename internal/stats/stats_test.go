@@ -51,15 +51,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestMaxDuration(t *testing.T) {
-	if MaxDuration(nil) != 0 {
-		t.Error("empty max != 0")
-	}
-	if MaxDuration([]simtime.Duration{3, 9, 1}) != 9 {
-		t.Error("max wrong")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("x", "1")

@@ -3,8 +3,11 @@
 # mutation of one mechanism the paper's bounds rest on, a unified diff
 # against one file whose first line says what it breaks.
 #
-#   bash mutants/run.sh check        each diff applies (patch --dry-run, no
-#                                    fuzz) and its package still compiles
+#   bash mutants/run.sh check        each diff applies (no fuzz) and its
+#                                    package still compiles; each recorded
+#                                    killer in killers.txt exists and passes
+#                                    on the unmutated tree; each killed
+#                                    mutant fails one of its killers
 #   bash mutants/run.sh [NAME...]    the kill matrix: the tests once on the
 #                                    unmutated tree, then once per mutant,
 #                                    each over the packages whose tests
@@ -20,8 +23,10 @@
 # compile, the unmutated tree fails, a mutant survives without an entry, or
 # an entry names a mutant that is now killed. Under each mutant's verdict
 # line goes one failure line per killing test (see evidence), so a kill
-# stays diagnosable after the run's files are gone. A run over the whole set
-# rewrites the matrix between DESIGN.md's mutants markers.
+# stays diagnosable after the run's files are gone. Each run rewrites its
+# mutants' lines in killers.txt (their one or two fastest killers that
+# recordable accepts); check fails on a mutant in neither file. A run over
+# the whole set rewrites the matrix between DESIGN.md's mutants markers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
@@ -44,33 +49,6 @@ mutate() {
 	jq -n --arg f "$root/$file" --arg m "$copy" '{Replace: {($f): $m}}' >"$2"
 }
 
-names=()
-if [ "${1:-}" = check ]; then
-	bad=0
-	for d in "$dir"/*.diff; do
-		name=$(basename "$d" .diff)
-		if ! mutate "$d" "$tmp/$name.json"; then
-			echo "mutants: $name no longer applies to $(target "$d")"
-			bad=1
-		elif ! GOFLAGS="${GOFLAGS:-} -overlay=$tmp/$name.json" go build "./$(dirname "$(target "$d")")" 2>"$tmp/$name.err"; then
-			echo "mutants: $name does not compile:"
-			cat "$tmp/$name.err"
-			bad=1
-		fi
-	done
-	[ $bad = 0 ] && echo "mutants: all $(ls "$dir"/*.diff | wc -l) diffs apply and compile"
-	exit $bad
-fi
-for a in "$@"; do
-	[ -f "$dir/$a.diff" ] || { echo "mutants: no $dir/$a.diff"; exit 2; }
-	names+=("$a")
-done
-full=0
-if [ ${#names[@]} = 0 ]; then
-	full=1
-	for d in "$dir"/*.diff; do names+=("$(basename "$d" .diff)"); done
-fi
-
 # killers reads one go test -json stream and prints "pkg Test" for each
 # top-level test that failed or started without finishing, and
 # "pkg (package)" for a package that failed with neither.
@@ -85,10 +63,100 @@ killers() {
 		| ($k + [$p[] | "\(.) (package)"]) | unique[]' "$1"
 }
 
+# recordable says whether test $2 of package $1 may be a recorded killer:
+# in internal/fleet and cmd/pscfleet, where most tests start node processes
+# or wait on real timers, only the pure ones (chaos scripts, the fan-in
+# merge, the plane's policy search, the report builder) may.
+recordable() {
+	case $1 in
+	*/internal/fleet | */cmd/pscfleet)
+		[[ $2 =~ ^(TestParseScript|TestDefault|TestGenScript|TestFanIn|TestPlanePolicy|TestBuildReport) ]] ;;
+	esac
+}
+
+names=()
+module=$(go list -m)
+if [ "${1:-}" = check ]; then
+	start=$SECONDS
+	bad=0
+	for d in "$dir"/*.diff; do
+		name=$(basename "$d" .diff)
+		if ! mutate "$d" "$tmp/$name.json"; then
+			echo "mutants: $name no longer applies to $(target "$d")"
+			bad=1
+		elif ! GOFLAGS="${GOFLAGS:-} -overlay=$tmp/$name.json" go build "./$(dirname "$(target "$d")")" 2>"$tmp/$name.err"; then
+			echo "mutants: $name does not compile:"
+			cat "$tmp/$name.err"
+			bad=1
+		fi
+		grep -qE "^$name " "$dir/killers.txt" "$dir/survivors.txt" \
+			|| { echo "mutants: $name is in neither $dir/killers.txt nor $dir/survivors.txt"; bad=1; }
+	done
+	[ $bad = 0 ] && echo "mutants: all $(ls "$dir"/*.diff | wc -l) diffs apply and compile"
+	awk '!/^#/' "$dir/killers.txt" >"$tmp/killers"
+	for name in $(awk '{ print $1 }' "$tmp/killers" | sort -u); do
+		[ -f "$dir/$name.diff" ] || { echo "mutants: $dir/killers.txt records $name, which has no diff"; bad=1; }
+	done
+	# Each recorded killer passes on the unmutated tree: one run per package.
+	: >"$tmp/base.json"
+	for p in $(awk '{ print $2 }' "$tmp/killers" | sort -u); do
+		rx=$(awk -v p="$p" '$2 == p { print $3 }' "$tmp/killers" | sort -u | paste -sd '|')
+		go test -count=1 -json -timeout "$timeout" -run "^($rx)\$" "./$p" >>"$tmp/base.json" 2>>"$tmp/base.err" || true
+	done
+	jq -rs '.[] | select(.Test != null and (.Test | contains("/") | not)
+		and (.Action == "run" or .Action == "pass" or .Action == "fail" or .Action == "skip"))
+		| "\(.Package) \(.Test) \(.Action)"' "$tmp/base.json" | sort -k1,2 -s >"$tmp/base.states"
+	while read -r name p test; do
+		state=$(awk -v k="$module/$p $test" '$1 " " $2 == k { s = $3 } END { print s }' "$tmp/base.states")
+		case $state in
+		pass) continue ;;
+		'') why="no longer exists" ;;
+		fail) why="fails on the unmutated tree" ;;
+		skip) why="is skipped on the unmutated tree" ;;
+		*) why="never finishes on the unmutated tree" ;;
+		esac
+		echo "mutants: $name's recorded killer $p $test $why"
+		bad=1
+	done <"$tmp/killers"
+	cat "$tmp/base.err"
+	# Each mutant dies under one of its recorded killers: the first to fail
+	# (or not finish) ends its run.
+	n=0
+	for name in $(awk '{ print $1 }' "$tmp/killers" | uniq); do
+		[ -f "$tmp/$name.json" ] || continue
+		n=$((n + 1))
+		killed=
+		while read -r p test; do
+			GOFLAGS="${GOFLAGS:-} -overlay=$tmp/$name.json" go test -count=1 -json -timeout 60s -run "^$test\$" "./$p" \
+				>"$tmp/$name.out" 2>"$tmp/$name.err" || true
+			if killers "$tmp/$name.out" | grep -qxF "$module/$p $test"; then
+				killed="$p $test"
+				break
+			fi
+		done < <(awk -v n="$name" '$1 == n { print $2, $3 }' "$tmp/killers")
+		if [ -z "$killed" ]; then
+			echo "mutants: $name survives its recorded killers ($(awk -v n="$name" '$1 == n { printf "%s%s %s", s, $2, $3; s = ", " }' "$tmp/killers"))"
+			bad=1
+		fi
+	done
+	[ $bad = 0 ] && echo "mutants: all $n killed mutants die under their recorded killers ($((SECONDS - start)) s)"
+	exit $bad
+fi
+for a in "$@"; do
+	[ -f "$dir/$a.diff" ] || { echo "mutants: no $dir/$a.diff"; exit 2; }
+	names+=("$a")
+done
+full=0
+if [ ${#names[@]} = 0 ]; then
+	full=1
+	for d in "$dir"/*.diff; do names+=("$(basename "$d" .diff)"); done
+fi
+
 # evidence reads one go test -json stream and prints, for each killer,
 # its failure line, cut at 200 bytes: the package's first panic or timeout
 # line if it has one, else the last `_test.go:N:` message of the test or of
-# a subtest that failed (a test's logs come before the message that ends it).
+# a subtest that failed (a test's logs come before the message that ends it),
+# else, for an Example, its first printed line that differs from the want.
 evidence() {
 	killers "$1" | while read -r pkg test; do
 		line=$(jq -rs --arg p "$pkg" --arg t "$test" '
@@ -99,6 +167,10 @@ evidence() {
 			| ([$out[] | select(test("^panic:|test timed out"))][0])
 			  // ([$e[] | select(.Action == "output" and (.Test as $x | any($failed[]; . == $x))
 			                     and (.Output | test("_test\\.go:[0-9]+:"))) | .Output] | last)
+			  // ([$e[] | select(.Action == "output" and .Test == $t) | .Output] as $o
+			     | ($o | index(["got:\n"])) as $g | ($o | index(["want:\n"])) as $w
+			     | select($g != null and $w != null)
+			     | [range($g + 1; $w) | select($o[.] != $o[. - $g + $w]) | "got \($o[.] | rtrimstr("\n")); want \($o[. - $g + $w] // "nothing" | rtrimstr("\n"))"][0])
 			  // "no failure line"' "$1" | sed -n 's/^[[:space:]]*//; /./{p;q;}')
 		echo "         $test: ${line:0:200}"
 	done
@@ -125,7 +197,6 @@ echo "mutants: $(wc -l <"$tmp/times") tests pass in $((SECONDS - start)) s"
 # Which packages' tests import which: "pkg dep dep ..." per test binary.
 go list -test -f '{{if .ForTest}}{{else if eq .Name "main"}}{{.ImportPath}} {{join .Deps " "}}{{end}}' ./... \
 	| sed -n 's/^\([^ ]*\)\.test /\1 /p' >"$tmp/deps"
-module=$(go list -m)
 
 fail=0
 : >"$tmp/kills"
@@ -204,6 +275,30 @@ for name in "${names[@]}"; do
 done
 echo
 echo "mutants: ${#names[@]} mutants: $killed killed, $surv survive with a reason, $equiv equivalent"
+
+# The recorded killers: per killed mutant, its one or two fastest killing
+# top-level tests (times on the unmutated tree) that recordable accepts.
+awk 'FNR == NR { t[$1 " " $2] = $3; next } $3 != "(package)" { print $1, t[$2 " " $3] + 0, $2, $3 }' \
+	"$tmp/times" "$tmp/kills" | while read -r j time pkg test; do
+	if recordable "$pkg" "$test"; then echo "$j $time $pkg $test"; fi
+done | sort -k1,1n -k2,2g -k3,4 \
+	| awk -v mod="$module/" 'FNR == NR { name[$1] = $2; next } ++n[$1] <= 2 { sub(mod, "", $3); print name[$1], $3, $4 }' \
+		"$tmp/legend" - >"$tmp/recorded"
+for j in $(awk '{ print $1 }' "$tmp/kills" | sort -u); do
+	name=$(awk -v j="$j" '$1 == j { print $2 }' "$tmp/legend")
+	grep -q "^$name " "$tmp/recorded" || {
+		echo "mutants: $name is killed only by tests that start processes or wait on real timers; give it a pure killer"
+		fail=1
+	}
+done
+if [ $fail = 0 ]; then
+	{
+		sed -n '/^#/p' "$dir/killers.txt"
+		awk 'FNR == NR { named[$2] = 1; next } !/^#/ && !($1 in named)' "$tmp/legend" "$dir/killers.txt" \
+			| cat - "$tmp/recorded" | sort -k1,1 -s
+	} >"$tmp/killers.txt"
+	cp "$tmp/killers.txt" "$dir/killers.txt"
+fi
 
 if [ $full = 1 ] && [ $fail = 0 ]; then
 	{
