@@ -2,7 +2,6 @@ package linearize
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -83,6 +82,10 @@ type Online struct {
 	final    Result
 
 	window   []olIv
+	byHi     []int        // window indexes in (hi, lo, arrival) order
+	byLo     []int        // window indexes in (lo, arrival) order
+	remap    []int        // compact's scratch
+	pendLo   simtime.Time // the least lo of a pending op, or Never
 	frontier []olState
 	open     openInvs
 	nextID   int
@@ -90,10 +93,8 @@ type Online struct {
 	pruned   int
 
 	// Per-stage scratch, reused from stage to stage (see drain).
-	cands  []int  // window indexes that may precede the target, in no set order
+	cands  []int  // window indexes that may precede the target, in lo order
 	greedy []int  // commit's and stageApprox's in-order reads
-	due    []int  // drain's deadlines
-	pool   []int  // drain's candidates, ascending lo
 	memo   keySet // the states commit has visited
 	nf     frontierBuilder
 	slab   []int // where early sets are carved (see carve)
@@ -174,6 +175,7 @@ func newOnline(opt Options, m Model) *Online {
 	o := &Online{
 		opt:      opt,
 		model:    m,
+		pendLo:   simtime.Never,
 		frontier: []olState{{last: opt.Initial}},
 	}
 	if m != nil {
@@ -242,10 +244,38 @@ func (o *Online) Add(op Op) {
 		if op.Kind == Call {
 			o.results[id] = op.Result
 		}
+	} else {
+		o.pendLo = min(o.pendLo, lo)
 	}
+	i := len(o.window)
 	o.window = append(o.window, olIv{
 		id: id, kind: op.Kind, value: op.Value, lo: lo, hi: hi, pending: op.Pending(),
 	})
+	o.byHi, o.byLo = o.insert(o.byHi, i, true), o.insert(o.byLo, i, false)
+}
+
+// insert adds window index i, the newest op, to byHi or byLo after every
+// entry that does not follow it: by a walk back from the tail, which ops
+// arriving in about completion order end within a step or two, or past 8
+// steps by a binary search (a batch history in any order: O(log n) per op).
+func (o *Online) insert(order []int, i int, byHi bool) []int {
+	p := len(order)
+	for p > 0 && len(order)-p < 8 && o.follows(order[p-1], i, byHi) {
+		p--
+	}
+	if p > 0 && len(order)-p == 8 {
+		p = sort.Search(p, func(k int) bool { return o.follows(order[k], i, byHi) })
+	}
+	order = append(order, i)
+	copy(order[p+1:], order[p:])
+	order[p] = i
+	return order
+}
+
+// follows reports whether op j comes after op i, a later arrival, in byHi's or byLo's order.
+func (o *Online) follows(j, i int, byHi bool) bool {
+	x, y := &o.window[j], &o.window[i]
+	return byHi && x.hi > y.hi || (!byHi || x.hi == y.hi) && x.lo > y.lo
 }
 
 // Advance informs the checker that no operation will be invoked before
@@ -256,8 +286,8 @@ func (o *Online) Advance(watermark simtime.Time) {
 	if o.finished {
 		return
 	}
-	if o.failed {
-		o.window = o.window[:0] // verdict settled: the window is garbage
+	if o.failed { // verdict settled: the window is garbage
+		o.window, o.byHi, o.byLo = o.window[:0], o.byHi[:0], o.byLo[:0]
 		return
 	}
 	o.drain(o.effBound(watermark), false)
@@ -266,19 +296,14 @@ func (o *Online) Advance(watermark simtime.Time) {
 // effBound converts the invocation watermark into the largest deadline
 // bound that is safe to process: future windows cannot open before any of
 // the candidate terms, and cannot close before w itself (the earliest
-// invocation's window-open is the earliest one: adding keeps order).
+// invocation's window-open is the earliest one: adding keeps order); nor
+// may it pass a pending op's lo (pendLo: pending ops stay until Finish).
 func (o *Online) effBound(w simtime.Time) simtime.Time {
 	a := o.open.earliest(w).Add(o.opt.MinAfterInv)
 	if o.opt.Widen > 0 {
 		a = a.Add(-o.opt.Widen)
 	}
-	b := min(w, a)
-	for i := range o.window {
-		if o.window[i].pending && o.window[i].lo < b {
-			b = o.window[i].lo
-		}
-	}
-	return b
+	return min(w, a, o.pendLo)
 }
 
 // Finish settles every remaining deadline and returns the verdict; it is
@@ -321,14 +346,11 @@ func (o *Online) Finish() Result {
 		// may never have taken effect: both may simply not have happened.
 		// An observed pending write must be placeable (unbounded window).
 		wasObserved := o.observedValues()
-		kept := o.window[:0]
-		for _, iv := range o.window {
-			if iv.pending && iv.kind != Call && (iv.kind == Read || !wasObserved(iv.value)) {
-				continue
-			}
-			kept = append(kept, iv)
+		for i := range o.window {
+			iv := &o.window[i]
+			iv.closed = iv.pending && iv.kind != Call && (iv.kind == Read || !wasObserved(iv.value))
 		}
-		o.window = kept
+		o.compact()
 		o.drain(0, true)
 	}
 	if o.failed {
@@ -336,8 +358,8 @@ func (o *Online) Finish() Result {
 	} else {
 		o.final = Result{OK: true, States: o.states, Pruned: o.pruned}
 	}
-	o.window, o.frontier, o.open, o.writers, o.observed, o.results = nil, nil, nil, nil, nil, nil
-	o.cands, o.greedy, o.due, o.pool, o.memo, o.nf, o.slab = nil, nil, nil, nil, keySet{}, frontierBuilder{}, nil
+	o.window, o.byHi, o.byLo, o.remap, o.frontier, o.open, o.results = nil, nil, nil, nil, nil, nil, nil
+	o.cands, o.greedy, o.memo, o.nf, o.slab, o.writers, o.observed = nil, nil, keySet{}, frontierBuilder{}, nil, nil, nil
 	return o.final
 }
 
@@ -366,18 +388,20 @@ func (o *Online) observedValues() func(string) bool {
 // therefore the verdict and States — a function of the submitted
 // operations alone, independent of Advance slicing.
 //
-// Each stage's candidates, the ops that may precede its target, are the
-// open ops other than the target with lo ≤ target.hi. The targets' hi only
-// grows along a drain, so one lo-sorted pool of the ops with lo up to the
-// last target's hi lists them all: each stage moves the pool's prefix up
-// to its target's hi into o.cands and takes its target out (an earlier
-// target that joins later, its lo above its own hi, is skipped as closed).
-// A stage pays for its candidates, not for the window. Their order does
-// not reach the verdict, States or Pruned: commit runs once per fresh state
-// and placeable candidate in any order, the frontier builder sorts its
-// states by key, and greedy reads go in lo order, reads with equal lo being
-// interchangeable; so a MaxStates cut-off fires in the same stage at the
-// same count.
+// The window keeps both orders a drain needs as ops arrive, so a drain
+// sorts nothing. Its deadlines are the prefix of byHi below the bound (a
+// pending op's hi is Never). Each stage's candidates, the ops that may
+// precede its target, are the open ops other than the target with
+// lo ≤ target.hi; the targets' hi only grows along a drain, so one walk
+// along byLo lists them all: each stage moves the ops with lo up to its
+// target's hi into o.cands and takes its target out again, both keeping
+// o.cands in lo order (an earlier target that joins later, its lo above
+// its own hi, is skipped as closed). A stage pays for its candidates, not
+// for the window. Their order does not reach the verdict, States or
+// Pruned: commit runs once per fresh state and placeable candidate in any
+// order, the frontier builder sorts its states by key, and greedy reads go
+// in lo order, reads with equal lo being interchangeable; so a MaxStates
+// cut-off fires in the same stage at the same count.
 //
 // Two filters are implied by drain's order, so the candidates need neither.
 // A pending op's fate needs no test: outside Finish, drain settles only
@@ -389,41 +413,23 @@ func (o *Online) observedValues() func(string) bool {
 // the watermark, so every open op outside a state's early set has
 // hi ≥ target.hi, while ℓ, the largest lo placed, is at most target.hi.
 func (o *Online) drain(bound simtime.Time, all bool) {
-	due := o.due[:0]
-	for i := range o.window {
-		iv := &o.window[i]
-		if iv.closed || (!all && (iv.pending || iv.hi >= bound)) {
-			continue
-		}
-		due = append(due, i)
+	due := o.byHi
+	for !all && len(due) > 0 && o.window[due[len(due)-1]].hi >= bound {
+		due = due[:len(due)-1]
 	}
-	o.due = due
 	if len(due) == 0 {
 		return
 	}
-	slices.SortFunc(due, func(a, b int) int {
-		x, y := &o.window[a], &o.window[b]
-		return cmp.Or(cmp.Compare(x.hi, y.hi), cmp.Compare(x.lo, y.lo), cmp.Compare(x.id, y.id))
-	})
-	last := o.window[due[len(due)-1]].hi
-	pool := o.pool[:0]
-	for i := range o.window {
-		if o.window[i].lo <= last {
-			pool = append(pool, i)
-		}
-	}
-	slices.SortFunc(pool, o.byLo)
-	o.pool = pool
 	o.cands = o.cands[:0]
+	next := 0 // the first byLo entry not yet listed
 	for _, di := range due {
-		for ; len(pool) > 0 && o.window[pool[0]].lo <= o.window[di].hi; pool = pool[1:] {
-			if !o.window[pool[0]].closed {
-				o.cands = append(o.cands, pool[0])
+		for ; next < len(o.byLo) && o.window[o.byLo[next]].lo <= o.window[di].hi; next++ {
+			if i := o.byLo[next]; !o.window[i].closed {
+				o.cands = append(o.cands, i)
 			}
 		}
 		if p := slices.Index(o.cands, di); p >= 0 {
-			o.cands[p] = o.cands[len(o.cands)-1]
-			o.cands = o.cands[:len(o.cands)-1]
+			o.cands = append(o.cands[:p], o.cands[p+1:]...)
 		}
 		if !o.failed {
 			o.stage(di)
@@ -434,13 +440,29 @@ func (o *Online) drain(bound simtime.Time, all bool) {
 		o.window[di].closed = true
 		delete(o.results, o.window[di].id)
 	}
-	kept := o.window[:0]
+	o.compact()
+}
+
+// compact drops the closed ops from the window and renumbers both orders.
+func (o *Online) compact() {
+	remap, n := o.remap[:0], 0
 	for _, iv := range o.window {
+		remap = append(remap, -1)
 		if !iv.closed {
-			kept = append(kept, iv)
+			remap[len(remap)-1], o.window[n] = n, iv
+			n++
 		}
 	}
-	o.window = kept
+	o.window, o.remap = o.window[:n], remap
+	for _, order := range []*[]int{&o.byHi, &o.byLo} {
+		kept := (*order)[:0]
+		for _, i := range *order {
+			if remap[i] >= 0 {
+				kept = append(kept, remap[i])
+			}
+		}
+		*order = kept
+	}
 }
 
 // stage processes one deadline: every frontier state either discards it
@@ -521,7 +543,6 @@ func (o *Online) stageApprox(target *olIv) bool {
 		}
 	}
 	o.greedy = pre
-	slices.SortFunc(pre, o.byLo)
 	ns := s
 	for _, i := range pre {
 		var ok bool
@@ -536,9 +557,8 @@ func (o *Online) stageApprox(target *olIv) bool {
 	if len(pre) > 0 {
 		early := append(o.carve(len(s.early)+len(pre)), s.early...)
 		for _, i := range pre {
-			early = append(early, o.window[i].id)
+			early = insertID(early, o.window[i].id)
 		}
-		sort.Ints(early)
 		ns.early = early
 	}
 	o.states++
@@ -596,7 +616,6 @@ func (o *Online) commit(s olState, target *olIv) {
 	}
 	o.greedy = greedy
 	if len(greedy) > 0 {
-		slices.SortFunc(greedy, o.byLo)
 		ns := s
 		early := append(o.carve(len(s.early)+len(greedy)), s.early...)
 		for _, i := range greedy {
@@ -606,9 +625,8 @@ func (o *Online) commit(s olState, target *olIv) {
 				// here is unplaceable in every extension: dead state.
 				return
 			}
-			early = append(early, o.window[i].id)
+			early = insertID(early, o.window[i].id)
 		}
-		sort.Ints(early)
 		ns.early = early
 		s = ns
 	}
@@ -624,19 +642,13 @@ func (o *Online) commit(s olState, target *olIv) {
 		if !ok {
 			continue
 		}
-		early := append(o.carve(len(s.early)+1), s.early...)
-		early = append(early, x.id)
-		sort.Ints(early)
-		ns.early = early
+		ns.early = insertID(append(o.carve(len(s.early)+1), s.early...), x.id)
 		o.commit(ns, target)
 		if o.failed {
 			return
 		}
 	}
 }
-
-// byLo orders window indexes by their op's window-open.
-func (o *Online) byLo(a, b int) int { return cmp.Compare(o.window[a].lo, o.window[b].lo) }
 
 // place linearizes iv next in state s at the earliest feasible point,
 // returning the successor state (early is aliased; callers copy).
@@ -817,6 +829,12 @@ func (o *Online) carve(n int) []int {
 // without returns a copy of the ascending ids minus its p-th entry.
 func (o *Online) without(ids []int, p int) []int {
 	return append(append(o.carve(len(ids)-1), ids[:p]...), ids[p+1:]...)
+}
+
+// insertID adds id to the ascending ids, which have room for it.
+func insertID(ids []int, id int) []int {
+	p, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, p, id)
 }
 
 // indexOfID finds id in the ascending slice, or -1.

@@ -416,3 +416,74 @@ func TestOnlineStraddlingFlushBounds(t *testing.T) {
 		t.Fatalf("straddling stream rejected: %+v", r)
 	}
 }
+
+// checkOrders fails unless o.byHi and o.byLo each list every window index
+// once, byHi in strictly ascending (hi, lo, id) order and byLo in strictly
+// ascending (lo, id) order.
+func checkOrders(t *testing.T, o *Online, when string) {
+	t.Helper()
+	for _, c := range []struct {
+		name  string
+		order []int
+		less  func(a, b *olIv) bool
+	}{
+		{"byHi", o.byHi, func(a, b *olIv) bool {
+			return a.hi < b.hi || a.hi == b.hi && (a.lo < b.lo || a.lo == b.lo && a.id < b.id)
+		}},
+		{"byLo", o.byLo, func(a, b *olIv) bool { return a.lo < b.lo || a.lo == b.lo && a.id < b.id }},
+	} {
+		if len(c.order) != len(o.window) {
+			t.Fatalf("%s: %s holds %d indexes for a window of %d", when, c.name, len(c.order), len(o.window))
+		}
+		seen := make([]bool, len(o.window))
+		for k, i := range c.order {
+			if i < 0 || i >= len(o.window) || seen[i] {
+				t.Fatalf("%s: %s %v is not a permutation of the window's %d indexes", when, c.name, c.order, len(o.window))
+			}
+			seen[i] = true
+			if k > 0 && !c.less(&o.window[c.order[k-1]], &o.window[i]) {
+				t.Fatalf("%s: %s out of order at %d: %+v before %+v", when, c.name, k, o.window[c.order[k-1]], o.window[i])
+			}
+		}
+	}
+}
+
+// TestOnlineOrdersInvariant holds the window's two kept orders on seeded
+// random streams: ops submitted in completion order and, as batch Check
+// and CheckObject do, in any order (pending ops among them), with Advance
+// called at random at a safe watermark (the least invocation still to be
+// submitted). After every call byHi and byLo are ordered permutations of
+// the window, and the Result equals the batch Check of the same sequence.
+func TestOnlineOrdersInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 600; trial++ {
+		seq := completionOrder(randAlternating(r))
+		if trial%2 == 1 {
+			r.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+		}
+		opt := randOnlineOptions(r)
+		if opt.AssumeUnique && validateHistory(seq, opt.Initial) != nil {
+			opt.AssumeUnique = false
+		}
+		if r.Intn(4) == 0 {
+			opt.ApproxEps = simtime.Duration(1 + r.Intn(8))
+		}
+		later := make([]simtime.Time, len(seq)+1) // least Inv of seq[i:]
+		later[len(seq)] = simtime.Never
+		for i := len(seq) - 1; i >= 0; i-- {
+			later[i] = min(later[i+1], seq[i].Inv)
+		}
+		o := NewOnline(opt)
+		for i, op := range seq {
+			o.Add(op)
+			checkOrders(t, o, fmt.Sprintf("trial %d after Add %d", trial, i))
+			if r.Intn(3) == 0 {
+				o.Advance(later[i+1] - simtime.Time(r.Intn(3)))
+				checkOrders(t, o, fmt.Sprintf("trial %d after Advance %d", trial, i))
+			}
+		}
+		if got, want := o.Finish(), Check(seq, opt); got != want {
+			t.Fatalf("trial %d: online %+v != batch %+v\nopts: %+v\n%v", trial, got, want, opt, seq)
+		}
+	}
+}

@@ -49,13 +49,17 @@ type ShardedOptions struct {
 }
 
 // Sharded checks a multi-key stream of register operations with one
-// automaton per key. See NewSharded.
+// automaton per key. See NewSharded. A key resolves from a hot slot before
+// the map: slot n holds the key node n last named and its automaton, and a
+// hit needs that key to equal the one given, so a node may name any key,
+// and a node whose key is fixed (the monitor's) hashes it once.
 type Sharded struct {
 	opt ShardedOptions
 
 	kidOf map[string]int // key → kid (first-appearance order)
 	keys  []string       // kid → key
 	autos []Automaton    // kid → automaton
+	hot   []hotSlot      // node id → its last key; grown to the largest id below hotSlots
 
 	finished bool
 	final    Result
@@ -71,35 +75,53 @@ func NewSharded(opt ShardedOptions) *Sharded {
 	return &Sharded{opt: opt, kidOf: make(map[string]int), failKid: -1}
 }
 
-// at returns key's automaton, interning the key and building the
-// automaton at its first appearance.
-func (s *Sharded) at(key string) Automaton {
-	if k, ok := s.kidOf[key]; ok {
-		return s.autos[k]
+type hotSlot struct {
+	key  string
+	auto Automaton
+}
+
+const hotSlots = 1 << 12 // a node id at or above it resolves through the map alone
+
+// at returns key's automaton for an op of node, interning the key and
+// building the automaton at its first appearance.
+func (s *Sharded) at(node ta.NodeID, key string) Automaton {
+	n := int(node)
+	if uint(n) < uint(len(s.hot)) && s.hot[n].auto != nil && s.hot[n].key == key {
+		return s.hot[n].auto
 	}
-	var a Automaton
-	if s.opt.New != nil {
-		a = s.opt.New(key)
-	} else {
-		a = NewOnline(s.opt.Check)
+	k, ok := s.kidOf[key]
+	if !ok {
+		var a Automaton
+		if s.opt.New != nil {
+			a = s.opt.New(key)
+		} else {
+			a = NewOnline(s.opt.Check)
+		}
+		k = len(s.keys)
+		s.kidOf[key] = k
+		s.keys = append(s.keys, key)
+		s.autos = append(s.autos, a)
 	}
-	s.kidOf[key] = len(s.keys)
-	s.keys = append(s.keys, key)
-	s.autos = append(s.autos, a)
-	return a
+	if uint(n) < hotSlots {
+		if n >= len(s.hot) {
+			s.hot = append(s.hot, make([]hotSlot, n+1-len(s.hot))...)
+		}
+		s.hot[n] = hotSlot{key, s.autos[k]}
+	}
+	return s.autos[k]
 }
 
 // Begin implements Checker.
 func (s *Sharded) Begin(key string, node ta.NodeID, inv simtime.Time) {
 	if !s.finished {
-		s.at(key).Begin(node, inv)
+		s.at(node, key).Begin(node, inv)
 	}
 }
 
 // Add implements Checker.
 func (s *Sharded) Add(key string, op Op) {
 	if !s.finished {
-		s.at(key).Add(op)
+		s.at(op.Node, key).Add(op)
 	}
 }
 

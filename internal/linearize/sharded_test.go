@@ -197,3 +197,57 @@ func TestShardedAfterFinish(t *testing.T) {
 		t.Fatalf("Finish not idempotent: %+v then %+v", first, again)
 	}
 }
+
+// TestShardedHotSlotCollision drives two keys through the same node ids,
+// so a node's hot slot holds one key when its next op names the other,
+// and key "b" holds a stale read. Each key's Result must equal a
+// sequential Online fed that key's Begins and Adds and every Advance: a
+// slot hit that skipped its key compare would hand one key's ops to the
+// other key's automaton.
+func TestShardedHotSlotCollision(t *testing.T) {
+	var cmds []Cmd
+	at := simtime.Time(0)
+	for round := 0; round < 4; round++ {
+		for _, key := range []string{"a", "b"} {
+			for node := ta.NodeID(0); node < 2; node++ {
+				op := Op{Node: node, Kind: Read, Value: "v0", Inv: at, Res: at + 2}
+				if node == 0 {
+					op.Kind, op.Value = Write, fmt.Sprintf("%s%d", key, round)
+				} else if key == "a" || round == 0 {
+					op.Value = fmt.Sprintf("%s%d", key, round)
+				}
+				cmds = append(cmds,
+					Cmd{Kind: CmdBegin, Key: key, Node: node, Time: op.Inv},
+					Cmd{Kind: CmdAdd, Key: key, Op: op},
+					Cmd{Kind: CmdAdvance, Time: op.Res})
+				at += 3
+			}
+		}
+	}
+	opt := Options{Initial: "v0"}
+	s := NewSharded(ShardedOptions{Check: opt})
+	if Replay(cmds, s).OK {
+		t.Fatal("merged verdict OK, but key b reads v0 after b1 completed")
+	}
+	for _, key := range []string{"a", "b"} {
+		o := NewOnline(opt)
+		for _, c := range cmds {
+			switch {
+			case c.Kind == CmdAdvance:
+				o.Advance(c.Time)
+			case c.Key != key:
+			case c.Kind == CmdBegin:
+				o.Begin(c.Node, c.Time)
+			default:
+				o.Add(c.Op)
+			}
+		}
+		want := o.Finish()
+		if got, _ := s.KeyResult(key); got != want {
+			t.Fatalf("key %q: keyed %+v, sequential %+v", key, got, want)
+		}
+		if want.OK != (key == "a") {
+			t.Fatalf("key %q: sequential verdict %+v, want only key b to fail", key, want)
+		}
+	}
+}

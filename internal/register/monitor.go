@@ -45,8 +45,11 @@ type monCheck struct {
 	c    linearize.Checker
 }
 
+// monOpen is a node's outstanding op and its key, resolved once at the
+// invocation for the op's Begin, Add and (if still open) Finish.
 type monOpen struct {
 	op  linearize.Op
+	key string
 	set bool
 }
 
@@ -80,7 +83,9 @@ func (m *Monitor) AddChecker(name string, c linearize.Checker) {
 // a node's operations are checked. All nodes sharing a key form one
 // register history, checked for linearizability independently of every
 // other key — the multi-register fan-out. Unset (or nil) means a single
-// anonymous register, the single-register monitor semantics.
+// anonymous register, the single-register monitor semantics. fn must be a
+// pure function of the node: the monitor calls it once per op, at the
+// invocation, and reuses the key for the op's response.
 func (m *Monitor) SetKeyFunc(fn func(ta.NodeID) string) { m.keyOf = fn }
 
 // key resolves a node's routing key.
@@ -123,8 +128,8 @@ func (m *Monitor) Observe(e ta.Event) {
 			}
 			op.Value = v.String()
 		}
-		m.open[a.Node] = monOpen{op: op, set: true}
 		key := m.key(a.Node)
+		m.open[a.Node] = monOpen{op: op, key: key, set: true}
 		for _, c := range m.checks {
 			c.c.Begin(key, a.Node, e.At)
 		}
@@ -159,9 +164,8 @@ func (m *Monitor) Observe(e ta.Event) {
 		} else {
 			m.Writes.Add(d)
 		}
-		key := m.key(a.Node)
 		for _, c := range m.checks {
-			c.c.Add(key, cur.op)
+			c.c.Add(cur.key, cur.op)
 		}
 		m.open[a.Node] = monOpen{}
 	}
@@ -201,10 +205,9 @@ func (m *Monitor) Finish() {
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	for _, n := range nodes {
-		op := m.open[n].op
-		key := m.key(n)
+		cur := m.open[n]
 		for _, c := range m.checks {
-			c.c.Add(key, op)
+			c.c.Add(cur.key, cur.op)
 		}
 		m.open[n] = monOpen{}
 	}
